@@ -30,6 +30,15 @@ from repro.history.history import History
 from repro.history.partition import partition_history
 
 
+def _recoveries(nodes) -> int:
+    """``recover()`` calls so far, the figure the simulator's trace counts.
+
+    Every call leaves the crashed state and only a crash re-enters it,
+    so the calls are the crashes minus the nodes that are still down.
+    """
+    return sum(node.crash_count - node.crashed for node in nodes)
+
+
 class LiveHandle(OpHandle):
     """Façade handle around a live operation's in-flight future.
 
@@ -202,7 +211,7 @@ class LiveBackend(Cluster):
         if wait:
             self.live.recover_node(pid, timeout=timeout)
             return
-        future = self.live.submit(self._arecover(pid, timeout))
+        future = self.live.submit(self.live.arecover_node(pid, timeout=timeout))
 
         def harvest(done_future) -> None:
             error = done_future.exception()
@@ -210,10 +219,6 @@ class LiveBackend(Cluster):
                 self.recovery_errors.append((pid, error))
 
         future.add_done_callback(harvest)
-
-    async def _arecover(self, pid: int, timeout: float) -> None:
-        self.live.nodes[pid].recover()
-        await self.live.nodes[pid].wait_ready(timeout=timeout)
 
     # -- clock -------------------------------------------------------------
 
@@ -287,8 +292,8 @@ class LiveBackend(Cluster):
             stores_completed=sum(
                 node.storage.stores_completed for node in nodes
             ),
-            crashes=sum(node.incarnation for node in nodes),
-            recoveries=sum(node.recoveries for node in nodes),
+            crashes=sum(node.crash_count for node in nodes),
+            recoveries=_recoveries(nodes),
         )
 
     def _register_metrics(self, registry) -> None:
@@ -316,11 +321,16 @@ class LiveBackend(Cluster):
             fn=lambda: sum(n.storage.stores_completed for n in nodes),
         )
         registry.gauge(
-            "node.crashes", fn=lambda: sum(n.incarnation for n in nodes)
+            "node.crashes", fn=lambda: sum(n.crash_count for n in nodes)
         )
-        registry.gauge(
-            "node.recoveries", fn=lambda: sum(n.recoveries for n in nodes)
-        )
+        registry.gauge("node.recoveries", fn=lambda: _recoveries(nodes))
+        recovery_hist = registry.histogram("node.recovery_time")
+        for node in nodes:
+            # As in register_sim_metrics: backfill what completed before
+            # the (lazily created) registry existed, then observe live.
+            for duration in node.recovery_times:
+                recovery_hist.observe(duration)
+            node.on_recovery_time = recovery_hist.observe
         registry.gauge(
             "trace.flight_recorded",
             fn=lambda: live.flight_recorder.total,

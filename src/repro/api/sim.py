@@ -32,15 +32,15 @@ from repro.history.history import History
 from repro.history.recorder import HistoryRecorder
 from repro.history.register_checker import check_tagged_history
 from repro.history.regular_checker import check_regularity, check_safety
-from repro.sim.node import SimOperation
+from repro.protocol.host import NodeOperation
 
 
 class SimHandle(OpHandle):
-    """Façade handle around a :class:`~repro.sim.node.SimOperation`."""
+    """Façade handle around a :class:`~repro.protocol.host.NodeOperation`."""
 
     __slots__ = ("raw", "kind", "key", "pid")
 
-    def __init__(self, raw: SimOperation):
+    def __init__(self, raw: NodeOperation):
         self.raw = raw
         self.kind = raw.kind
         self.key = raw.register

@@ -58,7 +58,7 @@ class OpHandle:
     """Uniform client-side handle of one submitted operation.
 
     Concrete backends subclass this around their native handle
-    (:class:`~repro.sim.node.SimOperation`,
+    (:class:`~repro.protocol.host.NodeOperation`,
     :class:`~repro.kv.store.KVOperation`, a live future) but the caller
     only sees this surface.  ``latency`` is in the backend's own time
     base: virtual seconds on simulated backends, wall seconds on live.

@@ -50,6 +50,7 @@ from repro.history.partition import partition_history
 from repro.history.recorder import HistoryRecorder
 from repro.history.register_checker import check_tagged_history
 from repro.protocol.base import RegisterProtocol, StableView
+from repro.protocol.host import NodeOperation
 from repro.protocol.registry import get_protocol_class
 from repro.protocol.two_round import TwoRoundRegisterProtocol
 from repro.sim.failures import (
@@ -59,7 +60,7 @@ from repro.sim.failures import (
 )
 from repro.sim.kernel import Kernel
 from repro.sim.network import SimNetwork
-from repro.sim.node import SimNode, SimOperation
+from repro.sim.node import SimNode
 from repro.sim.storage import SimStableStorage
 from repro.sim.tracing import Trace
 
@@ -269,7 +270,7 @@ class SimCluster:
 
     def write(
         self, pid: ProcessId, value: Any, key: Optional[str] = None
-    ) -> SimOperation:
+    ) -> NodeOperation:
         """Invoke a write at process ``pid``; returns the handle.
 
         ``key`` addresses a named register instance; ``None`` is the
@@ -283,7 +284,7 @@ class SimCluster:
             self.ensure_register(key)
         return self.node(pid).invoke_write(value, register=key)
 
-    def read(self, pid: ProcessId, key: Optional[str] = None) -> SimOperation:
+    def read(self, pid: ProcessId, key: Optional[str] = None) -> NodeOperation:
         """Invoke a read at process ``pid``; returns the handle.
 
         Named-register readiness works as in :meth:`write`.
@@ -294,10 +295,10 @@ class SimCluster:
 
     def wait(
         self,
-        handle: SimOperation,
+        handle: NodeOperation,
         timeout: float = DEFAULT_OP_TIMEOUT,
         poll_every: int = 1,
-    ) -> SimOperation:
+    ) -> NodeOperation:
         """Advance virtual time until ``handle`` settles.
 
         The default ``poll_every=1`` stops on the exact settling event;
@@ -312,8 +313,8 @@ class SimCluster:
         return handle
 
     def wait_all(
-        self, handles: Sequence[SimOperation], timeout: float = DEFAULT_OP_TIMEOUT
-    ) -> List[SimOperation]:
+        self, handles: Sequence[NodeOperation], timeout: float = DEFAULT_OP_TIMEOUT
+    ) -> List[NodeOperation]:
         """Advance virtual time until every handle settles."""
         ok = self.kernel.run_until(
             lambda: all(handle.settled for handle in handles), timeout=timeout
@@ -329,7 +330,7 @@ class SimCluster:
         value: Any,
         key: Optional[str] = None,
         timeout: float = DEFAULT_OP_TIMEOUT,
-    ) -> SimOperation:
+    ) -> NodeOperation:
         """Write and run the simulation until the write returns."""
         if key is not None:
             self.ensure_register(key)

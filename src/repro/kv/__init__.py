@@ -5,7 +5,7 @@ This package closes that gap without touching the algorithms:
 
 * every key is its own *virtual register instance*, multiplexed over
   the same simulated cluster (register-id-namespaced messages, scoped
-  stable storage -- see :mod:`repro.sim.node`);
+  stable storage -- see :mod:`repro.protocol.host`);
 * a pluggable :class:`~repro.kv.sharding.ShardMap` (hash or consistent
   hash) assigns each key to a shard; each shard is a single-threaded
   pipeline per process, the unit of concurrency and batching;

@@ -56,7 +56,7 @@ from repro.history.checker import (
 from repro.history.history import History
 from repro.history.register_checker import check_tagged_history
 from repro.kv.sharding import HashShardMap, ShardMap
-from repro.sim.node import SimOperation
+from repro.protocol.host import NodeOperation
 
 #: How often a blocked pipeline re-checks its replica, seconds.
 PIPELINE_RETRY_INTERVAL = 1e-3
@@ -123,7 +123,7 @@ class KVOperation:
         self.invoked_at: Optional[float] = None
         self.completed_at: Optional[float] = None
         self._callbacks: List[Callable[["KVOperation"], None]] = []
-        self._sim_handle: Optional[SimOperation] = None
+        self._sim_handle: Optional[NodeOperation] = None
 
     @property
     def settled(self) -> bool:
@@ -143,7 +143,7 @@ class KVOperation:
         else:
             self._callbacks.append(callback)
 
-    def _settle_from(self, handle: SimOperation, now: float) -> None:
+    def _settle_from(self, handle: NodeOperation, now: float) -> None:
         self.done = handle.done
         self.aborted = handle.aborted
         self.result = handle.result
@@ -229,7 +229,7 @@ class _ShardPipeline:
         if issued == 0 and self.queue:
             self._arm(PIPELINE_RETRY_INTERVAL)
 
-    def _on_settled(self, op: KVOperation, handle: SimOperation) -> None:
+    def _on_settled(self, op: KVOperation, handle: NodeOperation) -> None:
         self.inflight -= 1
         op._settle_from(handle, self.kv.kernel.now)
         if op.aborted:

@@ -14,7 +14,7 @@ files impersonate a policy path with a ``# repro-lint: pretend`` line
 
 **PINNED_TRACE_KINDS is the append-only manifest** behind rule TRC001:
 the flight-recorder ring encodes kinds positionally, so
-``repro.sim.tracing.ALL_KINDS`` must keep this exact prefix forever.
+``repro.obs.tracing.ALL_KINDS`` must keep this exact prefix forever.
 Adding a trace kind means appending it to ``ALL_KINDS`` *and* here --
 the second append is the explicit acknowledgment that old exported
 rings stay decodable.
@@ -29,7 +29,7 @@ from typing import FrozenSet, Mapping, Tuple
 #: The repository root (``config.py`` lives at src/repro/lint/).
 REPO_ROOT = Path(__file__).resolve().parents[3]
 
-#: The append-only prefix of ``repro.sim.tracing.ALL_KINDS`` (TRC001).
+#: The append-only prefix of ``repro.obs.tracing.ALL_KINDS`` (TRC001).
 #: PR 8 appended the three ckpt kinds by hand-discipline; from here on
 #: the linter enforces it.
 PINNED_TRACE_KINDS: Tuple[str, ...] = (
@@ -114,14 +114,14 @@ class LintConfig:
         "src/repro/scenarios/library.py",
         "src/repro/scenarios/soak.py",
         "src/repro/scenarios/fleet.py",
-        "src/repro/sim/tracing.py",
+        "src/repro/obs/tracing.py",
         "src/repro/obs/ring.py",
         "src/repro/history/history.py",
         "src/repro/history/partition.py",
     )
 
     #: TRC001 -- the module that owns ``ALL_KINDS``.
-    trace_kinds_module: str = "src/repro/sim/tracing.py"
+    trace_kinds_module: str = "src/repro/obs/tracing.py"
 
     #: TRC001 -- the append-only manifest (see module docstring).
     pinned_trace_kinds: Tuple[str, ...] = PINNED_TRACE_KINDS

@@ -1,7 +1,7 @@
 """TRC001: trace kinds are append-only (ring encodings stay stable).
 
 The flight recorder (:mod:`repro.obs.ring`) stores each event's kind
-as its **position** in ``repro.sim.tracing.ALL_KINDS``; an exported
+as its **position** in ``repro.obs.tracing.ALL_KINDS``; an exported
 ring (JSONL, Chrome trace) is only decodable as long as that mapping
 never changes for existing kinds.  PR 8 appended the three checkpoint
 kinds at the end by hand-discipline; this rule makes the discipline a

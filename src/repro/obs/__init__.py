@@ -1,6 +1,6 @@
 """``repro.obs``: low-overhead telemetry for every backend.
 
-Three pieces, one discipline (resolve handles once, never pay a dict
+Four pieces, one discipline (resolve handles once, never pay a dict
 lookup or a feature branch on the hot path):
 
 * :mod:`repro.obs.metrics` -- the counters / gauges / fixed-bucket
@@ -9,6 +9,9 @@ lookup or a feature branch on the hot path):
 * :mod:`repro.obs.ring` -- the always-on binary flight recorder the
   sim trace and the live transports feed; decodes to ``TraceEvent``
   streams, JSONL and Chrome ``trace_event`` JSON on demand.
+* :mod:`repro.obs.tracing` -- the event-kind vocabulary and the
+  :class:`~repro.obs.tracing.Trace` sink the engine, the process host
+  and the live runtime emit into (``repro.sim.tracing`` re-exports it).
 * :mod:`repro.obs.summary` -- the single exact percentile /
   ``WallClockStats`` / ``LatencyStats`` implementation, re-exported
   from :mod:`repro.metrics` for its historical callers.

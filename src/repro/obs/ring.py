@@ -1,6 +1,6 @@
 """The flight recorder: a bounded binary ring of trace codes.
 
-Where the full :class:`repro.sim.tracing.Trace` stores one frozen
+Where the full :class:`repro.obs.tracing.Trace` stores one frozen
 ``TraceEvent`` dataclass (with a detail dict) per event, the ring
 stores four parallel pre-allocated list slots per event -- time, a
 small-int kind code, the node id and an opaque op reference -- and
@@ -15,7 +15,7 @@ Recording never touches the kernel: no events, no randomness, no
 allocation beyond the slot assignments.  The hot-path attributes are
 deliberately public so the simulator's trace can inline the store
 sequence without a method call per event (see
-:meth:`repro.sim.tracing.Trace.tick`); :meth:`RingTrace.record` wraps
+:meth:`repro.obs.tracing.Trace.tick`); :meth:`RingTrace.record` wraps
 the same steps for everyone else.  Decoding is on demand only:
 :meth:`RingTrace.events` yields light tuples in chronological order,
 :meth:`RingTrace.to_trace_events` rehydrates today's ``TraceEvent``
@@ -126,12 +126,12 @@ class RingTrace:
         ]
 
     def to_trace_events(self) -> List[Any]:
-        """Rehydrate the window as :class:`repro.sim.tracing.TraceEvent`.
+        """Rehydrate the window as :class:`repro.obs.tracing.TraceEvent`.
 
-        Import is deferred: :mod:`repro.sim.tracing` embeds a ring, so
+        Import is deferred: :mod:`repro.obs.tracing` embeds a ring, so
         a module-level import here would be a cycle.
         """
-        from repro.sim.tracing import TraceEvent
+        from repro.obs.tracing import TraceEvent
 
         return [
             TraceEvent(

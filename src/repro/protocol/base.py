@@ -2,7 +2,8 @@
 
 The protocol classes are *sans-io*: they never touch sockets, disks or
 clocks.  Instead, every handler returns a list of :class:`Effect`
-values, and the hosting environment -- the simulator's
+values, and the hosting environment --
+:class:`repro.protocol.host.NodeCore`, driven by the simulator's
 :class:`repro.sim.node.SimNode` or the runtime's
 :class:`repro.runtime.node.RuntimeNode` -- performs them.  This is what
 makes the algorithms testable deterministically and runnable over real

@@ -1,0 +1,921 @@
+"""The crash-recovery process of the model, hosted once for every world.
+
+A :class:`NodeCore` is the *process* of Section II: volatile state that
+a crash wipes, ``store``/``retrieve`` on stable storage that survives
+it, and a recovery procedure.  It sits next to the sans-io protocols
+because it is the other half of their contract -- it executes the
+``Send/Broadcast/Store/Reply/SetTimer/CancelTimer/RecoveryComplete/
+Checkpoint`` effects they emit -- and is itself free of I/O: a *driver*
+subclass supplies the clock, the wire, the disk and the timers.
+:class:`repro.sim.node.SimNode` drives it from the simulation kernel,
+:class:`repro.runtime.node.RuntimeNode` from asyncio, UDP and fsync.
+
+A node owns:
+
+* one or more protocol state machines (volatile -- wiped by a crash);
+* the timers armed by the protocols (volatile);
+* the causal-depth tracker used for the paper's log-complexity metric;
+* the last committed checkpoint and the two-phase sequence that
+  replaces it (:mod:`repro.storage.checkpoint`).
+
+Multi-register hosting.  The paper's algorithms emulate one register;
+a node therefore boots with a single anonymous *register slot* and
+behaves exactly like the original single-register process.  The
+key-value layer (:mod:`repro.kv`) provisions additional named slots
+with :meth:`NodeCore.provision_register`: each slot runs its own
+protocol instance over a key-prefixed view of the node's stable
+storage, client operations address a slot by register id (at most one
+operation in flight *per slot* -- each virtual register is a sequential
+process of the model), and wire traffic of named slots is namespaced in
+:class:`~repro.protocol.messages.RegisterFrame` entries of
+:class:`~repro.protocol.messages.MuxBatch` datagrams.  Frames to the
+same destination emitted within the node's ``batch_window`` coalesce
+into a single datagram, which is how the KV layer turns several
+same-shard operations into one quorum round-trip.
+
+Crash semantics.  ``crash()`` bumps the node's *incarnation* counter;
+every callback scheduled on behalf of the previous incarnation (timers,
+store completions, egress flushes, checkpoint phases) checks the
+incarnation and becomes a no-op.  Every slot's volatile state is wiped
+in place and pending client operations abort (their invocations stay
+pending in the recorded history).  ``recover()`` reads the durable
+state back and runs every slot's recovery procedure (or first boot,
+for slots provisioned while the node was down); client operations are
+rejected until the slot signals
+:class:`~repro.protocol.base.RecoveryComplete`.
+
+Hot path.  The core calls its driver's methods directly -- no request
+objects, nothing allocated per effect beyond what the effect itself
+needs -- because this module is a fifth of a simulated run's time.
+"""
+
+# repro: hot-path
+# (HOT001: every per-event emitter below must guard TraceEvent/emit
+# construction behind trace.wants() and tick() on the fast path.)
+
+from __future__ import annotations
+
+from functools import partial
+from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
+
+from repro.common.errors import NotRecoveredError, ProcessCrashed, ProtocolError
+from repro.common.ids import OperationId, ProcessId, make_operation_id
+from repro.history.causal_logs import CausalDepthTracker
+from repro.history.recorder import HistoryRecorder
+from repro.obs import tracing
+from repro.obs.tracing import NULL_TRACE, Trace, TraceEvent
+from repro.protocol.base import (
+    Broadcast,
+    CancelTimer,
+    Checkpoint,
+    Effect,
+    RecoveryComplete,
+    RegisterProtocol,
+    Reply,
+    Send,
+    SetTimer,
+    StableView,
+    Store,
+)
+from repro.protocol.messages import Message, MuxBatch, RegisterFrame
+from repro.storage import checkpoint as ckpt
+
+ProtocolFactory = Callable[[ProcessId, int, StableView], RegisterProtocol]
+
+# Node lifecycle states.
+UP = "up"
+CRASHED = "crashed"
+RECOVERING = "recovering"
+
+#: Register id of the anonymous single-register slot every node boots
+#: with (the classic deployment of the paper's algorithms).
+DEFAULT_REGISTER: Optional[str] = None
+
+
+class NodeOperation:
+    """Client-side handle of one invoked operation."""
+
+    __slots__ = (
+        "op",
+        "pid",
+        "kind",
+        "value",
+        "register",
+        "done",
+        "aborted",
+        "result",
+        "invoked_at",
+        "completed_at",
+        "causal_logs",
+        "_callbacks",
+    )
+
+    def __init__(
+        self,
+        op: OperationId,
+        pid: ProcessId,
+        kind: str,
+        value: Any,
+        register: Optional[str] = None,
+    ):
+        self.op = op
+        self.pid = pid
+        self.kind = kind
+        self.value = value
+        self.register = register
+        self.done = False
+        self.aborted = False
+        self.result: Any = None
+        self.invoked_at: Optional[float] = None
+        self.completed_at: Optional[float] = None
+        self.causal_logs: Optional[int] = None
+        self._callbacks: List[Callable[["NodeOperation"], None]] = []
+
+    def add_callback(self, callback: Callable[["NodeOperation"], None]) -> None:
+        """Run ``callback(handle)`` when the operation settles.
+
+        Fires immediately if the handle already settled.
+        """
+        if self.settled:
+            callback(self)
+        else:
+            self._callbacks.append(callback)
+
+    def _settle(self) -> None:
+        callbacks, self._callbacks = self._callbacks, []
+        for callback in callbacks:
+            callback(self)
+
+    @property
+    def settled(self) -> bool:
+        """Whether the operation finished or aborted."""
+        return self.done or self.aborted
+
+    @property
+    def latency(self) -> Optional[float]:
+        if self.invoked_at is None or self.completed_at is None:
+            return None
+        return self.completed_at - self.invoked_at
+
+    def __repr__(self) -> str:
+        state = "done" if self.done else ("aborted" if self.aborted else "pending")
+        return f"NodeOperation({self.op}, {self.kind}, {state})"
+
+
+class _RegisterSlot:
+    """One hosted register instance: protocol plus per-slot bookkeeping."""
+
+    __slots__ = ("register", "prefix", "protocol", "current", "ready", "booted")
+
+    def __init__(
+        self, register: Optional[str], prefix: str, protocol: RegisterProtocol
+    ):
+        self.register = register
+        #: Stable-storage key prefix of this slot ("" for the default).
+        self.prefix = prefix
+        self.protocol = protocol
+        #: Client operation in flight on this slot, if any.
+        self.current: Optional[NodeOperation] = None
+        #: Whether the slot finished initialize/recover.
+        self.ready = False
+        #: Whether initialize() ever ran (slots provisioned while the
+        #: node was crashed boot for the first time during recovery).
+        self.booted = False
+
+    @property
+    def idle(self) -> bool:
+        """No client operation in flight, none parked in the protocol."""
+        current = self.current
+        if current is not None and not current.settled:
+            return False
+        return not getattr(self.protocol, "busy", False)
+
+
+class NodeCore:
+    """One crash-recovery process, minus its I/O.
+
+    ``storage`` is the process's stable storage; the core reads it
+    (``records``, ``retrieve``, ``record_size``) and leaves every write
+    to the driver primitives below, which a subclass must provide (a
+    driver may bind them as instance attributes instead of methods):
+
+    * ``_now()`` -- the clock, in seconds;
+    * ``_send(dst, message, depth)`` / ``_broadcast(message, depth)``
+      -- fire-and-forget datagrams (broadcast includes this process);
+    * ``_store(key, record, size, on_durable, op)`` -- log a record and
+      call ``on_durable()`` once it is durable; stores of one process
+      complete in issue order;
+    * ``_call_later(delay, fn, *args)`` -- one-shot timer, returns an
+      object with ``cancel()``;
+    * ``_delete(key)`` / ``_compact()`` -- drop a log record a
+      checkpoint superseded / rewrite the log as the live records,
+      ordered with ``_store``: a store of ``key`` issued before the
+      delete and not durable yet must survive it;
+    * ``_crash_io()`` -- the world's half of a crash (void in-flight
+      stores, stop listening);
+    * ``_read_back(incarnation)`` -- the world's half of a recovery:
+      make the durable state readable (a billed log scan, a reload from
+      disk), then call ``_finish_recover(incarnation)``;
+    * ``trace`` (constructor argument) -- the guard every trace site
+      consults; :data:`~repro.obs.tracing.NULL_TRACE` wants nothing.
+
+    One more has a default: :meth:`_defer`.
+    """
+
+    def __init__(
+        self,
+        pid: ProcessId,
+        num_processes: int,
+        storage: Any,
+        protocol_factory: ProtocolFactory,
+        recorder: HistoryRecorder,
+        trace: Optional[Trace] = None,
+        batch_window: float = 0.0,
+        checkpoint_interval: Optional[float] = None,
+    ):
+        if batch_window < 0:
+            raise ProtocolError("batch_window must be >= 0")
+        if checkpoint_interval is not None and checkpoint_interval <= 0:
+            raise ProtocolError("checkpoint_interval must be > 0")
+        self.pid = pid
+        #: The process's stable storage (durable across crashes).
+        self.storage = storage
+        self._factory = protocol_factory
+        self._recorder = recorder
+        self._trace = NULL_TRACE if trace is None else trace
+        self._num_processes = num_processes
+        self.batch_window = batch_window
+        #: Seconds between periodic checkpoints (None = never).
+        self.checkpoint_interval = checkpoint_interval
+
+        self.state = UP
+        self.incarnation = 0
+        self.crash_count = 0
+        self._booted = False
+        #: Duration of each completed crash-recovery, on the node's clock.
+        self.recovery_times: List[float] = []
+        #: Optional observer called with each recovery duration.
+        self.on_recovery_time: Optional[Callable[[float], None]] = None
+        self._recover_began: Optional[float] = None
+        #: Recovery is still reading the durable state back: the
+        #: process is not listening yet.
+        self._scanning = False
+
+        # Last committed checkpoint: snapshot records (shared with the
+        # StableView, updated in place), their billed sizes, and the
+        # checkpoint sequence number.
+        self._snapshot: Dict[str, Tuple[Any, ...]] = {}
+        self._snapshot_sizes: Dict[str, int] = {}
+        self._ckpt_seq = 0
+        # The checkpoint between its capture and its commit, if any:
+        # (seq, snapshot record, billed size, newly captured records,
+        # complete snapshot, its sizes).
+        self._ckpt: Optional[Tuple[Any, ...]] = None
+        self.checkpoints_committed = 0
+        self._load_snapshot()
+
+        self._stable_view = StableView(storage.records, self._snapshot)
+        self._slots: Dict[Optional[str], _RegisterSlot] = {}
+        self._slots[DEFAULT_REGISTER] = self._make_slot(DEFAULT_REGISTER)
+        self._depths = CausalDepthTracker()
+        self._timers: Dict[Tuple[Optional[str], Hashable], Any] = {}
+        # Egress coalescing of named-slot frames, per destination.
+        self._pending_frames: Dict[ProcessId, List[RegisterFrame]] = {}
+        self._flush_scheduled: Set[ProcessId] = set()
+
+    def _make_slot(self, register: Optional[str]) -> _RegisterSlot:
+        if register is None:
+            prefix, stable = "", self._stable_view
+        else:
+            prefix = f"{register}/"
+            stable = self._stable_view.scoped(prefix)
+        protocol = self._factory(self.pid, self._num_processes, stable)
+        protocol.register = register
+        return _RegisterSlot(register, prefix, protocol)
+
+    def _defer(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
+        """``_call_later`` for callers that never cancel.
+
+        A driver whose scheduler has a cheaper non-cancellable form
+        overrides this: egress flushes are on the datapath.
+        """
+        self._call_later(delay, fn, *args)
+
+    # -- register hosting --------------------------------------------------
+
+    @property
+    def protocol(self) -> RegisterProtocol:
+        """The default (anonymous) register's protocol instance."""
+        return self._slots[DEFAULT_REGISTER].protocol
+
+    @property
+    def registers(self) -> List[Optional[str]]:
+        """Ids of all hosted register slots (``None`` is the default)."""
+        return list(self._slots)
+
+    def has_register(self, register: Optional[str]) -> bool:
+        return register in self._slots
+
+    def register_ready(self, register: Optional[str]) -> bool:
+        """Whether ``register`` exists, is initialized, and is idle-capable."""
+        slot = self._slots.get(register)
+        return slot is not None and slot.ready and self.state != CRASHED
+
+    def register_busy(self, register: Optional[str]) -> bool:
+        """Whether ``register`` has a client operation in flight."""
+        return not self._slot(register).idle
+
+    def provision_register(self, register: str) -> None:
+        """Host a new named register instance on this node.
+
+        On an up-and-running node the slot initializes immediately (its
+        first records must become durable before it accepts
+        operations); on a crashed node the slot is created dormant and
+        boots when the node recovers.  Provisioning is idempotent.
+        """
+        if register is None:
+            raise ProtocolError("the default register always exists")
+        if register in self._slots:
+            return
+        slot = self._make_slot(register)
+        self._slots[register] = slot
+        if self._booted and self.state != CRASHED:
+            self._boot_slot(slot)
+
+    def _slot(self, register: Optional[str]) -> _RegisterSlot:
+        slot = self._slots.get(register)
+        if slot is None:
+            raise ProtocolError(
+                f"process {self.pid} hosts no register {register!r}"
+            )
+        return slot
+
+    @property
+    def ready(self) -> bool:
+        """Whether every hosted slot finished initializing/recovering."""
+        if self.state == CRASHED:
+            return False
+        return all(slot.ready for slot in self._slots.values())
+
+    @property
+    def crashed(self) -> bool:
+        return self.state == CRASHED
+
+    # -- lifecycle ---------------------------------------------------------
+
+    def boot(self) -> None:
+        """Run every slot's ``Initialize`` procedure."""
+        self._booted = True
+        for slot in list(self._slots.values()):
+            self._boot_slot(slot)
+        self._arm_checkpoint_timer()
+
+    def _boot_slot(self, slot: _RegisterSlot) -> None:
+        slot.booted = True
+        effects = slot.protocol.initialize()
+        self._execute(effects, depth=0, op=None, slot=slot)
+
+    def crash(self) -> None:
+        """Crash the process: volatile state and timers are lost."""
+        if self.state == CRASHED:
+            raise ProcessCrashed(f"process {self.pid} is already crashed")
+        self.state = CRASHED
+        self.incarnation += 1
+        self.crash_count += 1
+        for handle in self._timers.values():
+            handle.cancel()
+        self._timers.clear()
+        self._pending_frames.clear()
+        self._flush_scheduled.clear()
+        self._ckpt = None
+        self._scanning = False
+        self._recover_began = None
+        self._crash_io()
+        self._depths.reset()
+        for slot in self._slots.values():
+            slot.protocol.crash()
+            slot.ready = False
+            if slot.current is not None and not slot.current.settled:
+                slot.current.aborted = True
+                slot.current._settle()
+            slot.current = None
+        self._recorder.record_crash(self.pid)
+        now = self._now()
+        if self._trace.wants(tracing.CRASH):
+            self._trace.emit(TraceEvent(time=now, kind=tracing.CRASH, pid=self.pid))
+        else:
+            self._trace.tick(tracing.CRASH, now, self.pid)
+
+    def recover(self) -> None:
+        """Restart the process and run every slot's recovery procedure.
+
+        The durable state is read back first (:meth:`_read_back`);
+        until that is done the process is not listening, and messages
+        that arrive are dropped as for a crashed process.
+        """
+        if self.state != CRASHED:
+            raise ProtocolError(f"process {self.pid} is not crashed")
+        self.state = RECOVERING
+        self._scanning = True
+        now = self._recover_began = self._now()
+        self._recorder.record_recovery(self.pid)
+        if self._trace.wants(tracing.RECOVER):
+            self._trace.emit(TraceEvent(time=now, kind=tracing.RECOVER, pid=self.pid))
+        else:
+            self._trace.tick(tracing.RECOVER, now, self.pid)
+        self._read_back(self.incarnation)
+
+    def _finish_recover(self, incarnation: int) -> None:
+        if incarnation != self.incarnation or self.state != RECOVERING:
+            return  # crashed again while the state was being read back
+        self._scanning = False
+        self._load_snapshot()
+        for slot in list(self._slots.values()):
+            if not slot.booted:
+                # Provisioned while the node was down: first boot now.
+                self._boot_slot(slot)
+                continue
+            effects = slot.protocol.recover()
+            self._execute(effects, depth=0, op=None, slot=slot)
+        self._arm_checkpoint_timer()
+
+    def _load_snapshot(self) -> None:
+        """Rebuild the in-memory snapshot from the durable permanent record.
+
+        A stray tentative record (crash between the two checkpoint
+        phases) is ignored: the truncations it would have justified
+        never happened, so the previous snapshot plus the intact log
+        suffix is still complete.
+        """
+        seq, records, sizes = ckpt.load_snapshot(
+            self.storage.retrieve(ckpt.PERMANENT_KEY)
+        )
+        self._ckpt_seq = seq
+        self._snapshot.clear()
+        self._snapshot.update(records)
+        self._snapshot_sizes = dict(sizes)
+
+    # -- checkpointing -----------------------------------------------------
+
+    def _arm_checkpoint_timer(self) -> None:
+        if self.checkpoint_interval is None:
+            return
+        self._defer(self.checkpoint_interval, self._checkpoint_tick, self.incarnation)
+
+    def _checkpoint_tick(self, incarnation: int) -> None:
+        if incarnation != self.incarnation or self.state == CRASHED:
+            return  # a crash killed this timer chain; recovery re-arms
+        self.begin_checkpoint()
+        self._arm_checkpoint_timer()
+
+    @property
+    def checkpoint_in_progress(self) -> bool:
+        """Whether a checkpoint is between its capture and its commit."""
+        return self._ckpt is not None
+
+    def begin_checkpoint(self) -> bool:
+        """Start a two-phase checkpoint; returns whether one began.
+
+        Captures the records of every *idle* register slot (no client
+        operation in flight, recovery complete): idle means the slot's
+        last write completed, i.e. its value reached a majority, so
+        recovery may skip the replay round for a record that survives
+        only in the snapshot.  Busy slots keep their live log entries
+        and recover the normal way.  The captured records are merged
+        over the previous snapshot so the permanent record alone is
+        always a complete restore point.
+
+        The sequence is asynchronous -- tentative store, permanent
+        store, then truncation, each started when the previous one is
+        durable -- and a crash at any point abandons it.  No-op while
+        crashed/recovering, while another checkpoint is in progress, or
+        when no new records are capturable.
+        """
+        if self.state != UP or self._ckpt is not None:
+            return False
+        idle = [
+            slot.prefix for slot in self._slots.values() if slot.ready and slot.idle
+        ]
+        live = self.storage.records
+        keys = ckpt.capturable_keys(live.keys(), idle)
+        # Only re-snapshot keys whose live record moved past the
+        # snapshot; unchanged state needs no new checkpoint.
+        fresh = {
+            key: live[key]
+            for key in keys
+            if self._snapshot.get(key) != live[key]
+        }
+        if not fresh:
+            return False
+        captured = dict(self._snapshot)
+        captured.update(fresh)
+        sizes = dict(self._snapshot_sizes)
+        for key in fresh:
+            sizes[key] = self.storage.record_size(key)
+        seq = self._ckpt_seq + 1
+        record = ckpt.build_snapshot_record(seq, captured, sizes)
+        size = ckpt.snapshot_store_size(sizes.values())
+        self._ckpt = (seq, record, size, fresh, captured, sizes)
+        trace, now = self._trace, self._now()
+        if trace.wants(tracing.CKPT_BEGIN):
+            trace.emit(
+                TraceEvent(
+                    time=now,
+                    kind=tracing.CKPT_BEGIN,
+                    pid=self.pid,
+                    detail={"seq": seq, "entries": len(captured)},
+                )
+            )
+        else:
+            trace.tick(tracing.CKPT_BEGIN, now, self.pid)
+        on_durable = partial(self._on_ckpt_tentative, self.incarnation)
+        self._store(ckpt.TENTATIVE_KEY, record, size, on_durable, None)
+        return True
+
+    def _on_ckpt_tentative(self, incarnation: int) -> None:
+        if incarnation != self.incarnation or self._ckpt is None:
+            return
+        seq, record, size = self._ckpt[:3]
+        trace, now = self._trace, self._now()
+        if trace.wants(tracing.CKPT_TENTATIVE):
+            trace.emit(
+                TraceEvent(
+                    time=now,
+                    kind=tracing.CKPT_TENTATIVE,
+                    pid=self.pid,
+                    detail={"seq": seq},
+                )
+            )
+        else:
+            trace.tick(tracing.CKPT_TENTATIVE, now, self.pid)
+        # A trace trigger (TornStore) may have crashed us during the
+        # emit above -- exactly between the two phases; the permanent
+        # store must then never be issued.
+        if incarnation != self.incarnation or self._ckpt is None:
+            return
+        on_durable = partial(self._on_ckpt_commit, incarnation)
+        self._store(ckpt.PERMANENT_KEY, record, size, on_durable, None)
+
+    def _on_ckpt_commit(self, incarnation: int) -> None:
+        if incarnation != self.incarnation or self._ckpt is None:
+            return
+        seq, _record, _size, fresh, captured, sizes = self._ckpt
+        self._ckpt = None
+        self._ckpt_seq = seq
+        self._snapshot.clear()
+        self._snapshot.update(captured)
+        self._snapshot_sizes = sizes
+        # Truncate the log entries the snapshot supersedes -- but only
+        # where the live record is still the captured one; a store that
+        # landed after capture re-creates the key and must survive so
+        # recovery replays it the normal way.
+        live = self.storage.records
+        truncated = 0
+        for key, captured_record in fresh.items():
+            if live.get(key) == captured_record:
+                self._delete(key)
+                truncated += 1
+        self._delete(ckpt.TENTATIVE_KEY)
+        self._compact()
+        self.checkpoints_committed += 1
+        trace, now = self._trace, self._now()
+        if trace.wants(tracing.CKPT_COMMIT):
+            trace.emit(
+                TraceEvent(
+                    time=now,
+                    kind=tracing.CKPT_COMMIT,
+                    pid=self.pid,
+                    detail={
+                        "seq": seq,
+                        "entries": len(captured),
+                        "truncated": truncated,
+                    },
+                )
+            )
+        else:
+            trace.tick(tracing.CKPT_COMMIT, now, self.pid)
+
+    # -- client operations -----------------------------------------------------
+
+    def invoke_read(self, register: Optional[str] = None) -> NodeOperation:
+        """Invoke a read; returns a handle that settles as the run advances."""
+        return self._invoke("read", None, register)
+
+    def invoke_write(
+        self, value: Any, register: Optional[str] = None
+    ) -> NodeOperation:
+        """Invoke a write of ``value``."""
+        return self._invoke("write", value, register)
+
+    def _invoke(
+        self, kind: str, value: Any, register: Optional[str]
+    ) -> NodeOperation:
+        if self.state == CRASHED:
+            raise ProcessCrashed(f"process {self.pid} is crashed")
+        slot = self._slot(register)
+        if not slot.ready:
+            raise NotRecoveredError(
+                f"process {self.pid} register {register!r} has not finished "
+                f"initializing/recovering"
+            )
+        if slot.current is not None and not slot.current.settled:
+            raise ProtocolError(
+                f"process {self.pid} already has an operation in flight "
+                f"on register {register!r}"
+            )
+        op = make_operation_id(self.pid)
+        handle = NodeOperation(op, self.pid, kind, value, register=register)
+        now = handle.invoked_at = self._now()
+        slot.current = handle
+        self._recorder.record_invoke(op, self.pid, kind, value)
+        if register is not None:
+            self._recorder.record_register(op, register)
+        trace = self._trace
+        if trace.wants(tracing.INVOKE):
+            trace.emit(
+                TraceEvent(
+                    time=now,
+                    kind=tracing.INVOKE,
+                    pid=self.pid,
+                    detail={"op": op, "kind": kind, "register": register},
+                )
+            )
+        else:
+            trace.tick(tracing.INVOKE, now, self.pid, op)
+        self._depths.observe(op, 0)
+        if kind == "read":
+            effects = slot.protocol.invoke_read(op)
+        else:
+            effects = slot.protocol.invoke_write(op, value)
+        self._execute(effects, depth=0, op=op, slot=slot)
+        return handle
+
+    # -- event entry points ---------------------------------------------------
+
+    def _on_message(self, src: ProcessId, message: Message, depth: int) -> None:
+        if self.state == CRASHED or self._scanning:
+            # A crashed process receives nothing; one still reading
+            # its log back is not listening yet either.
+            return
+        if message.__class__ is MuxBatch:
+            for frame in message.frames:
+                slot = self._slots.get(frame.register)
+                if slot is None:
+                    # A frame for a register this node does not host
+                    # yet (provisioning raced a delivery); drop it --
+                    # fair-lossy channels allow it, the sender
+                    # retransmits.
+                    continue
+                inner = frame.message
+                context = self._depths.observe(inner.op, frame.depth)
+                effects = slot.protocol.on_message(src, inner)
+                self._execute(effects, depth=context, op=inner.op, slot=slot)
+            return
+        slot = self._slots[DEFAULT_REGISTER]
+        context = self._depths.observe(message.op, depth)
+        effects = slot.protocol.on_message(src, message)
+        self._execute(effects, depth=context, op=message.op, slot=slot)
+
+    def _on_store_durable(
+        self,
+        token: Hashable,
+        issue_depth: int,
+        op: Optional[OperationId],
+        incarnation: int,
+        slot: _RegisterSlot,
+    ) -> None:
+        if incarnation != self.incarnation or self.state == CRASHED:
+            return
+        depth = self._depths.record_store(op, issue_depth)
+        effects = slot.protocol.on_store_complete(token)
+        self._execute(effects, depth=depth, op=op, slot=slot)
+
+    def _on_timer(
+        self,
+        token: Hashable,
+        depth: int,
+        op: Optional[OperationId],
+        incarnation: int,
+        slot: _RegisterSlot,
+    ) -> None:
+        if incarnation != self.incarnation or self.state == CRASHED:
+            return
+        self._timers.pop((slot.register, token), None)
+        trace, now = self._trace, self._now()
+        if trace.wants(tracing.TIMER):
+            trace.emit(
+                TraceEvent(
+                    time=now,
+                    kind=tracing.TIMER,
+                    pid=self.pid,
+                    detail={"token": token, "register": slot.register},
+                )
+            )
+        else:
+            trace.tick(tracing.TIMER, now, self.pid, op)
+        effects = slot.protocol.on_timer(token)
+        self._execute(effects, depth=depth, op=op, slot=slot)
+
+    # -- effect execution ----------------------------------------------------------
+
+    def _execute(
+        self,
+        effects: List[Effect],
+        depth: int,
+        op: Optional[OperationId],
+        slot: _RegisterSlot,
+    ) -> None:
+        # Effects are a closed set of final classes (the sans-io
+        # contract of protocol/base.py), so dispatch on class identity:
+        # an isinstance ladder costs several calls per effect on the
+        # engine's hottest path.
+        for effect in effects:
+            cls = effect.__class__
+            if cls is Send:
+                out_depth = self._outgoing_depth(effect.message, depth, op)
+                self._dispatch(slot, effect.dst, effect.message, out_depth)
+            elif cls is Broadcast:
+                out_depth = self._outgoing_depth(effect.message, depth, op)
+                if slot.register is None:
+                    self._broadcast(effect.message, out_depth)
+                else:
+                    for dst in range(self._num_processes):
+                        self._dispatch(slot, dst, effect.message, out_depth)
+            elif cls is Store:
+                self._store(
+                    slot.prefix + effect.key,
+                    effect.record,
+                    effect.size,
+                    self._make_store_callback(
+                        effect.token, depth, op, self.incarnation, slot
+                    ),
+                    op,
+                )
+            elif cls is Reply:
+                self._complete_operation(effect, depth, slot)
+            elif cls is SetTimer:
+                key = (slot.register, effect.token)
+                existing = self._timers.pop(key, None)
+                if existing is not None:
+                    existing.cancel()
+                self._timers[key] = self._call_later(
+                    effect.delay,
+                    self._on_timer,
+                    effect.token,
+                    depth,
+                    op,
+                    self.incarnation,
+                    slot,
+                )
+            elif cls is CancelTimer:
+                handle = self._timers.pop((slot.register, effect.token), None)
+                if handle is not None:
+                    handle.cancel()
+            elif cls is RecoveryComplete:
+                self._slot_recovered(slot)
+            elif cls is Checkpoint:
+                self.begin_checkpoint()
+            else:
+                raise ProtocolError(f"unknown effect {type(effect).__name__}")
+
+    def _make_store_callback(
+        self,
+        token: Hashable,
+        depth: int,
+        op: Optional[OperationId],
+        incarnation: int,
+        slot: _RegisterSlot,
+    ) -> Callable[[], None]:
+        # A closure, not functools.partial: partial saves a frame per
+        # completion but allocates differently per store, and where the
+        # interpreter's full collections then land in a run moves
+        # bench/'s in-process speed probe by more than the frame saves.
+        def callback() -> None:
+            self._on_store_durable(token, depth, op, incarnation, slot)
+
+        return callback
+
+    def _slot_recovered(self, slot: _RegisterSlot) -> None:
+        slot.ready = True
+        now = self._now()
+        if self.state != UP and all(s.ready for s in self._slots.values()):
+            self.state = UP
+            if self._recover_began is not None:
+                duration = now - self._recover_began
+                self._recover_began = None
+                self.recovery_times.append(duration)
+                if self.on_recovery_time is not None:
+                    self.on_recovery_time(duration)
+        if self._trace.wants(tracing.RECOVERY_DONE):
+            self._trace.emit(
+                TraceEvent(
+                    time=now,
+                    kind=tracing.RECOVERY_DONE,
+                    pid=self.pid,
+                    detail={"register": slot.register},
+                )
+            )
+        else:
+            self._trace.tick(tracing.RECOVERY_DONE, now, self.pid)
+
+    # -- egress multiplexing ---------------------------------------------------
+
+    def _dispatch(
+        self,
+        slot: _RegisterSlot,
+        dst: ProcessId,
+        message: Message,
+        depth: int,
+    ) -> None:
+        """Send directly (default slot) or through the frame batcher."""
+        if slot.register is None:
+            self._send(dst, message, depth)
+            return
+        frame = RegisterFrame(register=slot.register, depth=depth, message=message)
+        if self.batch_window == 0.0:
+            # No window, no coalescing: one datagram per frame, the
+            # honest unbatched baseline the benchmarks sweep against.
+            self._send(dst, MuxBatch(op=None, round_no=0, frames=(frame,)), 0)
+            return
+        self._pending_frames.setdefault(dst, []).append(frame)
+        if dst not in self._flush_scheduled:
+            self._flush_scheduled.add(dst)
+            self._defer(self.batch_window, self._flush_frames, dst, self.incarnation)
+
+    def _flush_frames(self, dst: ProcessId, incarnation: int) -> None:
+        self._flush_scheduled.discard(dst)
+        frames = self._pending_frames.pop(dst, None)
+        if incarnation != self.incarnation or self.state == CRASHED:
+            return  # frames queued by a dead incarnation die with it
+        if not frames:
+            return
+        self._send(dst, MuxBatch(op=None, round_no=0, frames=tuple(frames)), 0)
+
+    def _outgoing_depth(
+        self,
+        message: "Message",
+        handler_depth: int,
+        handler_op: Optional[OperationId],
+    ) -> int:
+        """Causal-log depth to stamp on an outgoing message.
+
+        The handler's depth context belongs to ``handler_op``; a message
+        for a *different* operation (e.g. a parked acknowledgment
+        released by another operation's store completion) must not
+        inherit it -- the paper's metric attributes a log to the
+        operation that performs it, not to operations that merely wait
+        behind it on the device.
+
+        Local log history is folded in for *acknowledgments* only: an
+        ack certifies a log this process performed for the operation
+        and must carry its depth (even when resent after the original
+        was lost).  A retransmitted request, by contrast, carries the
+        depth its round was started at -- the algorithm does not
+        require any further log before it, so incidental process-order
+        (e.g. the writer's own ``written`` log completing before a
+        retransmission) must not inflate the operation's measured cost.
+        """
+        message_op = message.op
+        inherited = handler_depth if message_op == handler_op else 0
+        if not message.is_ack:
+            return inherited
+        return self._depths.outgoing_depth(message_op, inherited)
+
+    def _complete_operation(
+        self, effect: Reply, depth: int, slot: _RegisterSlot
+    ) -> None:
+        handle = slot.current
+        if handle is None or handle.op != effect.op:
+            # A reply for an operation that was aborted by a crash of
+            # this process cannot happen (incarnation guards), so this
+            # is a protocol bug worth failing loudly on.
+            raise ProtocolError(
+                f"process {self.pid} replied to unknown operation {effect.op}"
+            )
+        causal = max(depth, self._depths.depth_of(effect.op))
+        handle.done = True
+        handle.result = effect.result
+        now = handle.completed_at = self._now()
+        handle.causal_logs = causal
+        slot.current = None
+        self._recorder.record_reply(effect.op, self.pid, handle.kind, effect.result)
+        self._recorder.record_causal_logs(effect.op, causal)
+        if effect.tag is not None:
+            self._recorder.record_tag(effect.op, effect.tag)
+        trace = self._trace
+        if trace.wants(tracing.REPLY):
+            trace.emit(
+                TraceEvent(
+                    time=now,
+                    kind=tracing.REPLY,
+                    pid=self.pid,
+                    detail={
+                        "op": effect.op,
+                        "kind": handle.kind,
+                        "causal_logs": causal,
+                    },
+                )
+            )
+        else:
+            trace.tick(tracing.REPLY, now, self.pid, effect.op)
+        handle._settle()

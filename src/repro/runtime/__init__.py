@@ -9,10 +9,12 @@ the *same* sans-io protocol classes as the simulator, hosted on
 * :class:`~repro.runtime.storage.FileStableStorage` -- one file per
   record, written with ``fsync`` so a store is durable when it returns
   (buffering "would violate even transient atomicity", Section V-A);
-* :class:`~repro.runtime.node.RuntimeNode` /
-  :class:`~repro.runtime.cluster.LiveCluster` -- effect execution,
-  crash emulation (drop volatile state, void in-flight stores) and a
-  blocking convenience wrapper.
+* :class:`~repro.runtime.node.RuntimeNode` -- the asyncio driver of
+  the process host the simulator shares
+  (:class:`repro.protocol.host.NodeCore`): crash emulation by muting
+  the transport, one storage thread per node, the loop-thread contract;
+* :class:`~repro.runtime.cluster.LiveCluster` -- the cluster front-end
+  and its blocking convenience wrapper.
 
 The runtime exists to demonstrate the protocol code is real, and to
 let users run a live cluster on localhost (``examples/live_udp_cluster

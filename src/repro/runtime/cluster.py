@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import functools
 import tempfile
 import threading
 from pathlib import Path
@@ -77,7 +78,7 @@ class LiveCluster:
         # using the sim trace's kind vocabulary so exports decode
         # uniformly across backends.
         from repro.obs.ring import RingTrace
-        from repro.sim.tracing import ALL_KINDS
+        from repro.obs.tracing import ALL_KINDS
 
         self.flight_recorder = RingTrace(kinds=ALL_KINDS)
         self.nodes: List[RuntimeNode] = []
@@ -143,7 +144,11 @@ class LiveCluster:
             node.provision_register(key)
         await asyncio.gather(
             *(
-                node.wait_register_ready(key, timeout=self.op_timeout)
+                node.wait_until(
+                    functools.partial(node.register_ready, key),
+                    f"make register {key!r} ready",
+                    timeout=self.op_timeout,
+                )
                 for node in self.nodes
                 if not node.crashed
             )
@@ -154,13 +159,40 @@ class LiveCluster:
     ) -> None:
         if key is not None and not self.nodes[pid].has_register(key):
             await self.aensure_register(key)
-        await self.nodes[pid].write(value, timeout=self.op_timeout, register=key)
+        node = self.nodes[pid]
+        await node.settled(node.invoke_write(value, key), timeout=self.op_timeout)
 
     async def aread(self, pid: ProcessId, key: Optional[str] = None) -> Any:
         if key is not None and not self.nodes[pid].has_register(key):
             await self.aensure_register(key)
-        handle = await self.nodes[pid].read(timeout=self.op_timeout, register=key)
-        return handle.future.result()
+        node = self.nodes[pid]
+        handle = await node.settled(node.invoke_read(key), timeout=self.op_timeout)
+        return handle.result
+
+    async def acrash_node(self, pid: ProcessId) -> None:
+        self.nodes[pid].crash()
+
+    async def arecover_node(self, pid: ProcessId, timeout: float = 5.0) -> None:
+        self.nodes[pid].recover()
+        await self.nodes[pid].wait_ready(timeout=timeout)
+
+    async def acheckpoint(self, pid: ProcessId) -> bool:
+        """Run one two-phase checkpoint at node ``pid``; whether it committed.
+
+        ``False`` when nothing began (node down, a checkpoint already
+        in progress, no new records of idle registers) or a crash
+        abandoned it between the phases.
+        """
+        node = self.nodes[pid]
+        committed = node.checkpoints_committed
+        if not node.begin_checkpoint():
+            return False
+        await node.wait_until(
+            lambda: not node.checkpoint_in_progress,
+            "finish its checkpoint",
+            timeout=self.op_timeout,
+        )
+        return node.checkpoints_committed > committed
 
     async def aclose(self) -> None:
         for node in self.nodes:
@@ -218,25 +250,20 @@ class LiveCluster:
         if not self.nodes:
             return []
         return sorted(
-            key for key in self.nodes[0].registers() if key is not None
+            key for key in self.nodes[0].registers if key is not None
         )
 
     def crash_node(self, pid: ProcessId) -> None:
         """Emulate a crash of node ``pid``."""
-
-        async def do() -> None:
-            self.nodes[pid].crash()
-
-        self._call(do())
+        self._call(self.acrash_node(pid))
 
     def recover_node(self, pid: ProcessId, timeout: float = 5.0) -> None:
         """Restart node ``pid`` and wait for its recovery to finish."""
+        self._call(self.arecover_node(pid, timeout=timeout))
 
-        async def do() -> None:
-            self.nodes[pid].recover()
-            await self.nodes[pid].wait_ready(timeout=timeout)
-
-        self._call(do())
+    def checkpoint(self, pid: ProcessId) -> bool:
+        """Blocking :meth:`acheckpoint`: checkpoint node ``pid`` now."""
+        return self._call(self.acheckpoint(pid))
 
     def close(self) -> None:
         """Tear the cluster down and stop the event loop thread."""

@@ -7,6 +7,18 @@ semantics where an in-flight store that crashes leaves the old record
 intact.  Records are serialized with :mod:`pickle` (library-internal
 data only; nothing here parses untrusted input).
 
+Every mutation comes in two halves, so a host can keep the disk off its
+event loop: the *file* half (:meth:`~FileStableStorage.write_file`,
+:meth:`~FileStableStorage.unlink_file`, :meth:`~FileStableStorage.
+scan_files`) touches only the directory and may run on a storage
+thread; the *memory* half (:meth:`~FileStableStorage.apply_store`,
+:meth:`~FileStableStorage.apply_delete`, :meth:`~FileStableStorage.
+adopt`) updates the in-memory view and counters and belongs to the
+thread that reads them.  :meth:`~FileStableStorage.store`,
+:meth:`~FileStableStorage.delete` and :meth:`~FileStableStorage.
+reload_from_disk` are the two halves back to back.  File halves of one
+directory must not overlap: stores of one key share a temporary file.
+
 Startup is quarantine-and-continue: leftover ``.tmp`` files (a crash
 before the atomic rename) are deleted, and a record file that fails to
 read or decode is renamed aside with a ``.corrupt`` extension and
@@ -44,7 +56,7 @@ class FileStableStorage:
             raise StorageError(f"cannot create storage dir {self._root}: {exc}")
         self._records: Dict[str, Tuple[Any, ...]] = {}
         self.records_quarantined = 0
-        self._load()
+        self.reload_from_disk()
         self.stores_completed = 0
         self.bytes_logged = 0
 
@@ -61,10 +73,12 @@ class FileStableStorage:
         digest = zlib.crc32(key.encode("utf-8")) & 0xFFFFFFFF
         return self._root / f"{safe}.{digest:08x}{_SUFFIX}"
 
-    def _load(self) -> None:
+    def scan_files(self) -> Dict[str, Tuple[Any, ...]]:
+        """Read every record file back (file half of a reload)."""
         # A .tmp file is a store that crashed before its atomic rename;
         # the previous record (if any) is intact, the partial write is
         # garbage.
+        records: Dict[str, Tuple[Any, ...]] = {}
         for tmp in self._root.glob("*.tmp"):
             try:
                 tmp.unlink()
@@ -77,7 +91,17 @@ class FileStableStorage:
             except (OSError, pickle.PickleError, EOFError, ValueError) as exc:
                 self._quarantine(path, exc)
                 continue
-            self._records[key] = record
+            records[key] = record
+        return records
+
+    def adopt(self, records: Dict[str, Tuple[Any, ...]]) -> None:
+        """Make ``records`` the in-memory view (memory half of a reload).
+
+        In place: the host's :class:`~repro.protocol.base.StableView`
+        holds this dictionary for the life of the process.
+        """
+        self._records.clear()
+        self._records.update(records)
 
     def _quarantine(self, path: Path, exc: Exception) -> None:
         """Move an unreadable record aside and keep starting up."""
@@ -95,10 +119,14 @@ class FileStableStorage:
     def store(self, key: str, record: Tuple[Any, ...], size: int) -> None:
         """Synchronously persist ``record`` under ``key``.
 
-        Returns only once the bytes are on disk (write + fsync +
-        rename + directory fsync): the ``store`` primitive of the
-        model.  Runs in an executor thread when called from asyncio.
+        Returns only once the bytes are on disk: the ``store``
+        primitive of the model.
         """
+        self.write_file(key, record)
+        self.apply_store(key, record, size)
+
+    def write_file(self, key: str, record: Tuple[Any, ...]) -> None:
+        """Put ``record`` on disk: write + fsync + rename + directory fsync."""
         path = self._path(key)
         tmp = path.with_suffix(".tmp")
         payload = pickle.dumps((key, record))
@@ -115,6 +143,9 @@ class FileStableStorage:
                 os.close(dir_fd)
         except OSError as exc:
             raise StorageError(f"store of {key!r} failed: {exc}")
+
+    def apply_store(self, key: str, record: Tuple[Any, ...], size: int) -> None:
+        """Account a store whose file is on disk (``size`` is billed bytes)."""
         self._records[key] = record
         self.stores_completed += 1
         self.bytes_logged += size
@@ -123,14 +154,29 @@ class FileStableStorage:
         """Read the last durable record under ``key`` (or ``None``)."""
         return self._records.get(key)
 
+    def record_size(self, key: str) -> int:
+        """Bytes of the live record under ``key`` on disk (0 if absent)."""
+        record = self._records.get(key)
+        return 0 if record is None else len(pickle.dumps((key, record)))
+
     def delete(self, key: str) -> None:
         """Remove the record under ``key`` (checkpoint truncation).
 
-        Durable like :meth:`store`: the unlink is followed by a
-        directory fsync, so a truncated record cannot resurface after
-        a crash.  Deleting a missing key is a no-op.
+        Deleting a missing key is a no-op.
         """
+        self.apply_delete(key)
+        self.unlink_file(key)
+
+    def apply_delete(self, key: str) -> None:
+        """Drop ``key`` from the in-memory view."""
         self._records.pop(key, None)
+
+    def unlink_file(self, key: str) -> None:
+        """Remove ``key``'s file, durably like :meth:`write_file`.
+
+        The unlink is followed by a directory fsync, so a truncated
+        record cannot resurface after a crash.
+        """
         path = self._path(key)
         try:
             path.unlink()
@@ -150,5 +196,4 @@ class FileStableStorage:
         Used by crash emulation: a "recovering" node must see exactly
         what is durable, not what its previous incarnation cached.
         """
-        self._records = {}
-        self._load()
+        self.adopt(self.scan_files())

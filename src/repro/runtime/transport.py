@@ -33,7 +33,7 @@ class Peer:
     port: int
 
 
-ReceiveCallback = Callable[[ProcessId, int, Message], None]
+ReceiveCallback = Callable[[ProcessId, Message, int], None]
 
 
 class _Endpoint(asyncio.DatagramProtocol):
@@ -99,7 +99,7 @@ class UdpTransport:
         """Install the cluster membership (including this node)."""
         self._peers = {peer.pid: peer for peer in peers}
 
-    def send(self, dst: ProcessId, depth: int, message: Message) -> None:
+    def send(self, dst: ProcessId, message: Message, depth: int) -> None:
         """Fire-and-forget one datagram to ``dst``."""
         if self.muted or self._transport is None:
             return
@@ -120,10 +120,10 @@ class UdpTransport:
                 self._ring_clock(), self._ring_send, self.pid, message.op
             )
 
-    def broadcast(self, depth: int, message: Message) -> None:
+    def broadcast(self, message: Message, depth: int) -> None:
         """Send to every known peer, including this node."""
         for pid in self._peers:
-            self.send(pid, depth, message)
+            self.send(pid, message, depth)
 
     def _on_datagram(self, data: bytes) -> None:
         if self.muted or self._receive is None:
@@ -138,7 +138,7 @@ class UdpTransport:
             ring.record(
                 self._ring_clock(), self._ring_deliver, self.pid, message.op
             )
-        self._receive(src, depth, message)
+        self._receive(src, message, depth)
 
     def close(self) -> None:
         """Release the socket."""

@@ -8,10 +8,12 @@ This package emulates the paper's testbed in software:
   penalties;
 * :mod:`repro.sim.storage` -- per-process stable storage whose contents
   survive crashes while volatile state does not;
-* :mod:`repro.sim.node` -- hosts one sans-io protocol instance, executes
-  its effects, and implements crash/recovery;
+* :mod:`repro.sim.node` -- drives the shared process host
+  (:mod:`repro.protocol.host`) from the kernel, network and storage
+  above;
 * :mod:`repro.sim.failures` -- crash/recovery schedules and adversaries;
-* :mod:`repro.sim.tracing` -- structured event traces and metrics.
+* :mod:`repro.sim.tracing` -- structured event traces and metrics
+  (re-exported from :mod:`repro.obs.tracing`).
 
 Everything is deterministic given a seed: the kernel breaks ties by
 insertion order, and all randomness flows from one seeded generator.

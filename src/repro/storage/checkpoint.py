@@ -26,10 +26,9 @@ one; recovery ignores it (the truncations it would have justified
 never happened, so the log suffix is still complete), and the next
 checkpoint overwrites it.
 
-This module owns the record format and the pure helpers shared by the
-simulator (:mod:`repro.sim.node`) and the runtime
-(:mod:`repro.runtime.node`); the hosts own scheduling and the actual
-stores.
+This module owns the record format and the pure helpers; the node host
+(:mod:`repro.protocol.host`) owns the sequence, and its drivers the
+scheduling and the actual stores.
 """
 
 from __future__ import annotations

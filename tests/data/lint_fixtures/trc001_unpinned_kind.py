@@ -4,7 +4,7 @@
 ``PINNED_TRACE_KINDS``, so the rule must demand the manifest append.
 """
 
-# repro-lint: pretend src/repro/sim/tracing.py
+# repro-lint: pretend src/repro/obs/tracing.py
 
 ALL_KINDS = (
     "send",

@@ -121,3 +121,20 @@ class TestRingAccounting:
                 histogram = snapshot.histograms[f"op.{kind}.latency"]
                 assert histogram.total == 1
                 assert histogram.minimum > 0.0
+
+    def test_live_crash_and_recovery_fill_the_node_counters(self):
+        """The live backend reads the host's counters, as the simulator does."""
+        with open_cluster(backend="live", num_processes=3) as cluster:
+            cluster.session(0).write_sync("x")
+            cluster.metrics()  # registry created before the recovery: observed live
+            cluster.crash(1)
+            cluster.crash(2)
+            cluster.recover(1)
+            stats, snapshot = cluster.stats(), cluster.metrics()
+            assert (stats.crashes, stats.recoveries) == (2, 1)
+            assert snapshot.scalars["node.crashes"] == 2
+            assert snapshot.scalars["node.recoveries"] == 1
+            histogram = snapshot.histograms["node.recovery_time"]
+            assert histogram.total == 1 and histogram.minimum > 0.0
+            node = cluster.live.nodes[1]
+            assert node.crash_count == 1 and len(node.recovery_times) == 1

@@ -1,16 +1,21 @@
 """Unit tests for the checkpoint/compaction layer.
 
 Covers the pure helpers of :mod:`repro.storage.checkpoint`, the
-snapshot-aware :class:`~repro.protocol.base.StableView`, the simulated
-node's two-phase checkpoint state machine (commit, truncation, torn
-crash, scan-delayed recovery, the recovery fast path), and the storage
-fault verbs the scenarios arm.
+snapshot-aware :class:`~repro.protocol.base.StableView`, the node's
+two-phase checkpoint sequence (commit, truncation, the recovery fast
+path -- the same cases under the simulated and the live driver; torn
+crash and scan-delayed recovery, which only the simulator can stage),
+and the storage fault verbs the scenarios arm.  The crash points the
+real drivers cannot stage are in ``tests/unit/test_node_core.py``.
 """
+
+import time
 
 import pytest
 
 from repro.cluster import SimCluster
 from repro.protocol.base import Checkpoint, StableView
+from repro.runtime import LiveCluster
 from repro.scenarios.faults import TornStore
 from repro.sim import tracing
 from repro.storage import checkpoint as ckpt
@@ -108,15 +113,66 @@ class TestStableViewSnapshot:
         assert not view.checkpointed("writing")
 
 
-# -- the simulated node's two-phase state machine ----------------------------
+# -- the node's two-phase sequence, under both drivers -----------------------
 
 
-class TestSimNodeCheckpoint:
-    def test_checkpoint_commits_and_truncates(self):
-        cluster = started_cluster(checkpoint_interval=INTERVAL)
-        cluster.write_sync(0, "durable")
-        run_intervals(cluster, INTERVAL, 3)
-        node = cluster.node(0)
+class SimWorld:
+    """A simulated cluster that checkpoints on its interval timer."""
+
+    def __init__(self):
+        self.cluster = started_cluster(checkpoint_interval=INTERVAL)
+        self.node = self.cluster.node
+        self.crash = self.cluster.crash
+
+    def write(self, pid, value):
+        self.cluster.write_sync(pid, value)
+
+    def read(self, pid):
+        return self.cluster.read_sync(pid)
+
+    def checkpoint(self):
+        run_intervals(self.cluster, INTERVAL, 3)
+
+    def recover(self, pid):
+        self.cluster.recover(pid, wait=True)
+
+
+class LiveWorld:
+    """A live cluster checkpointed on demand, node by node."""
+
+    def __init__(self, storage_root):
+        self.cluster = LiveCluster(
+            protocol="persistent", num_processes=3, storage_root=storage_root
+        ).start()
+        self.node = self.cluster.nodes.__getitem__
+        self.read = self.cluster.read
+        self.crash = self.cluster.crash_node
+        self.recover = self.cluster.recover_node
+        self._last = None
+
+    def write(self, pid, value):
+        self.cluster.write(pid, value)
+        self._last = value
+
+    def checkpoint(self):
+        deadline = time.monotonic() + 10.0
+        for node in self.cluster.nodes:
+            # A write returns on a majority; a node is quiescent, and
+            # its slot's records capturable, once its own log landed
+            # (in the live log or, already truncated, in the snapshot).
+            while node._stable_view.retrieve("written")[1] != self._last:
+                assert time.monotonic() < deadline
+                time.sleep(0.002)
+            self.cluster.checkpoint(node.pid)
+
+
+class CheckpointCases:
+    """What a committed checkpoint means, whatever drives the node."""
+
+    def test_checkpoint_commits_and_truncates(self, world):
+        world.write(0, "durable")
+        world.checkpoint()
+        node = world.node(0)
         assert node.checkpoints_committed >= 1
         storage = node.storage
         # The captured log records were truncated into the snapshot...
@@ -128,38 +184,54 @@ class TestSimNodeCheckpoint:
         view = node._stable_view
         assert view.retrieve("written") is not None
         assert view.checkpointed("written")
-        # Compaction reset the log footprint to the live records.
-        assert storage.compactions >= 1
-        assert storage.log_records == len(storage.records)
 
-    def test_unchanged_state_needs_no_new_checkpoint(self):
-        cluster = started_cluster(checkpoint_interval=INTERVAL)
-        cluster.write_sync(0, "once")
-        run_intervals(cluster, INTERVAL, 3)
-        node = cluster.node(0)
+    def test_unchanged_state_needs_no_new_checkpoint(self, world):
+        world.write(0, "once")
+        world.checkpoint()
+        node = world.node(0)
         committed = node.checkpoints_committed
-        run_intervals(cluster, INTERVAL, 5)
+        assert committed >= 1
+        world.checkpoint()
         assert node.checkpoints_committed == committed
 
-    def test_recovery_restores_from_snapshot(self):
-        cluster = started_cluster(checkpoint_interval=INTERVAL)
-        cluster.write_sync(0, "pre-crash")
-        run_intervals(cluster, INTERVAL, 3)
-        assert cluster.node(1).checkpoints_committed >= 1
-        cluster.crash(1)
-        cluster.recover(1, wait=True)
-        node = cluster.node(1)
+    def test_recovery_restores_from_snapshot(self, world):
+        world.write(0, "pre-crash")
+        world.checkpoint()
+        assert world.node(1).checkpoints_committed >= 1
+        world.crash(1)
+        world.recover(1)
+        node = world.node(1)
         assert node.recovery_times  # duration recorded
-        assert cluster.read_sync(1) == "pre-crash"
+        assert world.read(1) == "pre-crash"
 
-    def test_post_snapshot_write_defeats_the_fast_path(self):
-        cluster = started_cluster(checkpoint_interval=INTERVAL)
-        cluster.write_sync(0, "old")
-        run_intervals(cluster, INTERVAL, 3)
-        cluster.write_sync(0, "new")  # re-logs writing past the snapshot
-        cluster.crash(1)
-        cluster.recover(1, wait=True)
-        assert cluster.read_sync(1) == "new"
+    def test_post_snapshot_write_defeats_the_fast_path(self, world):
+        world.write(0, "old")
+        world.checkpoint()
+        world.write(0, "new")  # re-logs writing past the snapshot
+        world.crash(1)
+        world.recover(1)
+        assert world.read(1) == "new"
+
+
+class TestLiveNodeCheckpoint(CheckpointCases):
+    @pytest.fixture
+    def world(self, tmp_path):
+        world = LiveWorld(tmp_path)
+        yield world
+        world.cluster.close()
+
+
+class TestSimNodeCheckpoint(CheckpointCases):
+    @pytest.fixture
+    def world(self):
+        return SimWorld()
+
+    def test_compaction_resets_the_log_footprint(self, world):
+        world.write(0, "durable")
+        world.checkpoint()
+        storage = world.node(0).storage
+        assert storage.compactions >= 1
+        assert storage.log_records == len(storage.records)
 
     def test_torn_checkpoint_recovers_from_previous_snapshot(self):
         cluster = started_cluster(checkpoint_interval=INTERVAL)
@@ -188,7 +260,7 @@ class TestSimNodeCheckpoint:
         cluster.write_sync(0, "scripted")
         node = cluster.node(0)
         node._execute([Checkpoint()], depth=0, op=None, slot=node._slots[None])
-        assert node._ckpt_in_progress
+        assert node.checkpoint_in_progress
         cluster.kernel.run(until=cluster.kernel.now + 5e-4)
         assert node.checkpoints_committed == 1
 

@@ -1,0 +1,364 @@
+"""Unit tests for the shared process host, once, for both worlds.
+
+:class:`~repro.protocol.host.NodeCore` is driven here through a fake
+in-memory driver -- a manual clock, a list of sent messages, stores
+completed on demand -- so every interleaving the simulator and the
+live runtime can only reach by timing is reached by construction: a
+crash at each point of the two-phase checkpoint, callbacks of a dead
+incarnation firing late, a register provisioned while the process is
+down.  One process is a majority of one, so whole operations run too.
+
+Checkpoint cases that need no such interleaving are in
+``tests/unit/test_checkpoint.py``, parametrised over the real drivers.
+"""
+
+import pytest
+
+from repro.common.errors import NotRecoveredError, ProtocolError
+from repro.common.ids import make_operation_id
+from repro.history.recorder import HistoryRecorder
+from repro.protocol.base import (
+    RecoveryComplete,
+    RegisterProtocol,
+    Reply,
+    SetTimer,
+    Store,
+)
+from repro.protocol.host import NodeCore
+from repro.protocol.messages import MuxBatch
+from repro.protocol.persistent import PersistentAtomicProtocol
+from repro.storage import checkpoint as ckpt
+
+
+class MemoryStorage:
+    """The read side of a stable storage, over a plain dictionary."""
+
+    def __init__(self):
+        self.records = {}
+
+    def retrieve(self, key):
+        return self.records.get(key)
+
+    def record_size(self, key):
+        return 8 if key in self.records else 0
+
+
+class FakeTimer:
+    def __init__(self, due, fn, args):
+        self.due, self.fn, self.args = due, fn, args
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+    def fire(self):
+        self.fn(*self.args)
+
+
+class FakeNode(NodeCore):
+    """A one-process cluster whose I/O happens when the test says so."""
+
+    def __init__(self, factory=PersistentAtomicProtocol, **kwargs):
+        self.clock = 0.0
+        self.sent = []      # (dst, message, depth), undelivered
+        self.stores = []    # (key, record, on_durable), not yet durable
+        self.timers = []    # every FakeTimer ever armed
+        self.compactions = 0
+        super().__init__(
+            0,
+            1,
+            MemoryStorage(),
+            factory,
+            HistoryRecorder(clock=lambda: self.clock),
+            **kwargs,
+        )
+
+    # -- the driver primitives ----------------------------------------------
+
+    def _now(self):
+        return self.clock
+
+    def _send(self, dst, message, depth):
+        self.sent.append((dst, message, depth))
+
+    def _broadcast(self, message, depth):
+        self._send(0, message, depth)
+
+    def _store(self, key, record, size, on_durable, op):
+        self.stores.append((key, record, on_durable))
+
+    def _call_later(self, delay, fn, *args):
+        timer = FakeTimer(self.clock + delay, fn, args)
+        self.timers.append(timer)
+        return timer
+
+    def _delete(self, key):
+        self.storage.records.pop(key, None)
+
+    def _compact(self):
+        self.compactions += 1
+
+    def _crash_io(self):
+        self.stores.clear()  # in-flight stores die with the process
+        self.sent.clear()
+
+    def _read_back(self, incarnation):
+        self._finish_recover(incarnation)
+
+    # -- what the test drives -------------------------------------------------
+
+    def complete_store(self):
+        """Make the oldest in-flight store durable (issue order)."""
+        key, record, on_durable = self.stores.pop(0)
+        self.storage.records[key] = record
+        on_durable()
+
+    def deliver(self):
+        """Hand every sent message to its destination (this process)."""
+        while self.sent:
+            _dst, message, depth = self.sent.pop(0)
+            self._on_message(0, message, depth)
+
+    def settle(self):
+        """Deliver and complete everything until the process is quiet."""
+        while self.sent or self.stores:
+            self.deliver()
+            while self.stores:
+                self.complete_store()
+
+    def advance(self, seconds):
+        """Move the clock and fire the timers that came due."""
+        self.clock += seconds
+        for timer in [t for t in self.timers if t.due <= self.clock]:
+            self.timers.remove(timer)
+            if not timer.cancelled:
+                timer.fire()
+
+    def write(self, value, register=None):
+        handle = self.invoke_write(value, register)
+        self.settle()
+        assert handle.done
+        return handle
+
+    def read(self, register=None):
+        handle = self.invoke_read(register)
+        self.settle()
+        assert handle.done
+        return handle.result
+
+    def read_named(self, register):
+        """A read through the egress window (flushes need the clock)."""
+        handle = self.invoke_read(register)
+        while not handle.done:
+            self.settle()
+            self.advance(1e-3)
+        return handle.result
+
+
+class ScriptedProtocol(RegisterProtocol):
+    """Logs one record and arms one timer per write; remembers callbacks."""
+
+    def __init__(self, pid, num_processes, stable):
+        super().__init__(pid, num_processes, stable)
+        self.events = []
+
+    def initialize(self):
+        return [RecoveryComplete()]
+
+    recover = initialize
+
+    def invoke_read(self, op):
+        return [Reply(op=op, result=self.stable.retrieve("k"))]
+
+    def invoke_write(self, op, value):
+        return [
+            Store(key="k", record=(value,), size=1, token="log"),
+            SetTimer(delay=1.0, token="retry"),
+        ]
+
+    def on_message(self, src, message):
+        return []
+
+    def on_store_complete(self, token):
+        self.events.append(("store", token))
+        return []
+
+    def on_timer(self, token):
+        self.events.append(("timer", token))
+        return []
+
+
+@pytest.fixture
+def node():
+    node = FakeNode()
+    node.boot()
+    node.settle()
+    assert node.ready
+    return node
+
+
+def restart(node):
+    node.recover()
+    node.settle()
+    assert node.ready
+
+
+class TestCheckpointCrashPoints:
+    def test_crash_before_the_tentative_store_is_durable(self, node):
+        node.write("v")
+        assert node.begin_checkpoint() is True
+        assert [key for key, _r, _cb in node.stores] == [ckpt.TENTATIVE_KEY]
+        node.crash()
+        assert not node.checkpoint_in_progress
+        restart(node)
+        # Nothing of the abandoned checkpoint is visible anywhere.
+        assert node.storage.retrieve(ckpt.TENTATIVE_KEY) is None
+        assert node.storage.retrieve(ckpt.PERMANENT_KEY) is None
+        assert node._ckpt_seq == 0 and node.checkpoints_committed == 0
+        assert node.read() == "v"
+        # ...and the next one starts from scratch and commits.
+        assert node.begin_checkpoint() is True
+        node.settle()
+        assert node.checkpoints_committed == 1 and node._ckpt_seq == 1
+
+    def test_crash_between_the_phases(self, node):
+        node.write("v")
+        assert node.begin_checkpoint() is True
+        node.complete_store()  # tentative durable, permanent issued
+        assert [key for key, _r, _cb in node.stores] == [ckpt.PERMANENT_KEY]
+        node.crash()
+        restart(node)
+        # The stray tentative record is ignored: no snapshot, log intact.
+        assert node.storage.retrieve(ckpt.TENTATIVE_KEY) is not None
+        assert node.storage.retrieve(ckpt.PERMANENT_KEY) is None
+        assert node._ckpt_seq == 0
+        assert node.storage.retrieve("written") is not None
+        assert node.read() == "v"
+        # The next committed checkpoint supersedes the stray record.
+        assert node.begin_checkpoint() is True
+        node.settle()
+        assert node.checkpoints_committed == 1
+        assert node.storage.retrieve(ckpt.TENTATIVE_KEY) is None
+
+    def test_crash_after_commit(self, node):
+        node.write("v")
+        assert node.begin_checkpoint() is True
+        node.settle()
+        assert node.checkpoints_committed == 1 and node.compactions == 1
+        assert node.storage.retrieve("written") is None  # truncated
+        assert node._stable_view.checkpointed("written")
+        node.crash()
+        assert node._snapshot  # volatile copy; recovery reloads it anyway
+        restart(node)
+        assert node._ckpt_seq == 1
+        assert node.recovery_times == [0.0]
+        assert node.read() == "v"
+
+    def test_checkpoint_refused_while_down_or_in_progress(self, node):
+        node.write("v")
+        assert node.begin_checkpoint() is True
+        assert node.begin_checkpoint() is False  # one at a time
+        node.settle()
+        assert node.begin_checkpoint() is False  # nothing new to capture
+        node.crash()
+        assert node.begin_checkpoint() is False
+        node.recover()
+        assert node.begin_checkpoint() is False  # still recovering
+
+
+class TestIncarnationGuard:
+    def test_stale_store_and_timer_callbacks_are_dropped(self):
+        node = FakeNode(factory=ScriptedProtocol)
+        node.boot()
+        handle = node.invoke_write("v")
+        (_key, _record, stale_store), = node.stores
+        (stale_timer,) = node.timers
+        node.crash()
+        assert handle.aborted and not handle.done
+        assert stale_timer.cancelled and node.stores == []
+        node.recover()
+        assert node.ready
+        # A driver whose store completion or timer cancel lost the race
+        # with the crash still calls back; the dead incarnation's
+        # callbacks must not reach the new incarnation's protocol.
+        stale_store()
+        stale_timer.fire()
+        assert node.protocol.events == []
+        # The same callbacks of the live incarnation do.
+        node.invoke_write("w")
+        node.complete_store()
+        node.advance(1.0)
+        assert node.protocol.events == [("store", "log"), ("timer", "retry")]
+
+    def test_stale_checkpoint_phase_is_dropped(self, node):
+        node.write("v")
+        node.begin_checkpoint()
+        (_key, _record, stale_tentative), = node.stores
+        node.crash()
+        restart(node)
+        stale_tentative()
+        assert node.stores == [] and not node.checkpoint_in_progress
+
+    def test_frames_queued_by_a_dead_incarnation_die_with_it(self):
+        node = FakeNode(batch_window=1e-3)
+        node.boot()
+        node.provision_register("k")
+        assert node.sent == []  # named-slot frames wait for the window
+        node.crash()
+        node.advance(1e-3)
+        assert node.sent == []
+
+
+class TestRegisterHosting:
+    def test_slot_provisioned_while_crashed_boots_on_recovery(self, node):
+        node.crash()
+        node.provision_register("k")
+        assert node.has_register("k") and not node.register_ready("k")
+        assert node.stores == []  # dormant: nothing initialised yet
+        node.recover()
+        with pytest.raises(NotRecoveredError):
+            node.invoke_read("k")
+        node.settle()
+        assert node.ready and node.register_ready("k")
+        node.write("named", register="k")
+        assert node.read("k") == "named"
+        assert node.read() is None  # the default register is untouched
+
+    def test_named_slot_frames_coalesce_within_the_window(self):
+        node = FakeNode(batch_window=1e-3)
+        node.boot()
+        for key in ("a", "b"):
+            node.provision_register(key)
+        for _ in range(4):  # initial stores, then nothing left to flush
+            node.settle()
+            node.advance(1e-3)
+        assert node.register_ready("a") and node.register_ready("b")
+        first = node.invoke_write(1, "a")
+        second = node.invoke_write(2, "b")
+        assert node.register_busy("a") and node.sent == []
+        node.settle()
+        node.advance(1e-3)
+        # Both registers' first-round frames left in one datagram.
+        (dst, batch, depth), = node.sent
+        assert batch.__class__ is MuxBatch and dst == 0 and depth == 0
+        assert [frame.register for frame in batch.frames] == ["a", "b"]
+        for _ in range(8):
+            node.settle()
+            node.advance(1e-3)
+        assert first.done and second.done
+        assert (node.read_named("a"), node.read_named("b")) == (1, 2)
+
+    def test_reply_for_an_unknown_operation_raises(self, node):
+        stray = Reply(op=make_operation_id(0), result=None)
+        with pytest.raises(ProtocolError, match="unknown operation"):
+            node._execute([stray], depth=0, op=None, slot=node._slots[None])
+
+    def test_recovery_duration_is_observed(self, node):
+        seen = []
+        node.on_recovery_time = seen.append
+        node.crash()
+        node.recover()
+        node.clock += 0.25
+        node.settle()
+        assert node.recovery_times == seen == [0.25]
+        assert node.crash_count == node.incarnation == 1

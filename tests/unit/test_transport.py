@@ -21,8 +21,8 @@ class TestUdpTransport:
             received = []
             a = UdpTransport(0)
             b = UdpTransport(1)
-            await a.start(lambda src, depth, msg: None)
-            await b.start(lambda src, depth, msg: received.append((src, depth, msg)))
+            await a.start(lambda src, msg, depth: None)
+            await b.start(lambda src, msg, depth: received.append((src, depth, msg)))
             peers = [
                 Peer(0, a.host, a.port),
                 Peer(1, b.host, b.port),
@@ -30,7 +30,7 @@ class TestUdpTransport:
             a.set_peers(peers)
             b.set_peers(peers)
             message = SnQuery(op=make_operation_id(0), round_no=1)
-            a.send(1, depth=3, message=message)
+            a.send(1, message, depth=3)
             for _ in range(100):
                 if received:
                     break
@@ -52,7 +52,7 @@ class TestUdpTransport:
             await a.start(lambda *args: None)
             a.set_peers([Peer(0, a.host, a.port)])
             with pytest.raises(TransportError):
-                a.send(7, 0, SnQuery(op=make_operation_id(0), round_no=1))
+                a.send(7, SnQuery(op=make_operation_id(0), round_no=1), 0)
             a.close()
 
         run(scenario())
@@ -69,7 +69,7 @@ class TestUdpTransport:
                 value=b"x" * (MAX_DATAGRAM + 1),
             )
             with pytest.raises(TransportError):
-                a.send(0, 0, huge)
+                a.send(0, huge, 0)
             a.close()
 
         run(scenario())
@@ -78,10 +78,10 @@ class TestUdpTransport:
         async def scenario():
             received = []
             a = UdpTransport(0)
-            await a.start(lambda src, depth, msg: received.append(msg))
+            await a.start(lambda src, msg, depth: received.append(msg))
             a.set_peers([Peer(0, a.host, a.port)])
             a.muted = True
-            a.send(0, 0, SnQuery(op=make_operation_id(0), round_no=1))
+            a.send(0, SnQuery(op=make_operation_id(0), round_no=1), 0)
             await asyncio.sleep(0.05)
             a.close()
             return received, a.messages_sent
@@ -97,13 +97,13 @@ class TestUdpTransport:
             for pid in range(3):
                 transport = UdpTransport(pid)
                 await transport.start(
-                    lambda src, depth, msg, pid=pid: inboxes[pid].append(msg)
+                    lambda src, msg, depth, pid=pid: inboxes[pid].append(msg)
                 )
                 transports.append(transport)
             peers = [Peer(t.pid, t.host, t.port) for t in transports]
             for transport in transports:
                 transport.set_peers(peers)
-            transports[1].broadcast(0, SnQuery(op=make_operation_id(1), round_no=1))
+            transports[1].broadcast(SnQuery(op=make_operation_id(1), round_no=1), 0)
             for _ in range(100):
                 if all(inboxes.values()):
                     break

@@ -321,6 +321,18 @@ class LiveBackend(Cluster):
             fn=lambda: sum(n.storage.stores_completed for n in nodes),
         )
         registry.gauge(
+            "storage.bytes_logged",
+            fn=lambda: sum(n.storage.bytes_logged for n in nodes),
+        )
+        registry.gauge(
+            "storage.footprint_bytes",
+            fn=lambda: sum(n.storage.log_bytes for n in nodes),
+        )
+        registry.gauge(
+            "storage.records",
+            fn=lambda: sum(n.storage.log_records for n in nodes),
+        )
+        registry.gauge(
             "node.crashes", fn=lambda: sum(n.crash_count for n in nodes)
         )
         registry.gauge("node.recoveries", fn=lambda: _recoveries(nodes))

@@ -6,9 +6,10 @@ the *same* sans-io protocol classes as the simulator, hosted on
 
 * :class:`~repro.runtime.transport.UdpTransport` -- asyncio datagram
   endpoints (UDP really can drop/reorder, matching fair-lossy);
-* :class:`~repro.runtime.storage.FileStableStorage` -- one file per
-  record, written with ``fsync`` so a store is durable when it returns
-  (buffering "would violate even transient atomicity", Section V-A);
+* :class:`~repro.runtime.storage.FileStableStorage` -- one append-only,
+  CRC-framed log per node; a store is one appended frame plus
+  ``fdatasync``, so it is durable when it returns (buffering "would
+  violate even transient atomicity", Section V-A);
 * :class:`~repro.runtime.node.RuntimeNode` -- the asyncio driver of
   the process host the simulator shares
   (:class:`repro.protocol.host.NodeCore`): crash emulation by muting

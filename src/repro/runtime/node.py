@@ -8,15 +8,15 @@ simulator hosts.  This driver gives it real time and real I/O:
   guard and volatile-state wipe is everything a real ``kill -9`` would
   do to the algorithm, inside one OS process so tests stay hermetic;
 * timers are ``loop.call_later``;
-* every file operation -- a store's write + fsync, a checkpoint's
-  unlink, recovery's read-back -- runs on the node's *one* storage
-  thread, in issue order, like the simulator's sequential device: two
-  stores of a key never share its temporary file, an acknowledged
-  record is never overwritten by an older one, and recovery reads the
-  directory only after every store of the previous incarnation landed.
-  The in-memory view is updated back on the loop thread, so it shows a
-  record only once it is durable; a checkpoint therefore never
-  truncates a key that still has a store in flight.
+* every file operation -- a store's append + fdatasync, a checkpoint's
+  tombstones, a compaction, recovery's read-back -- runs on the node's
+  *one* storage thread, in issue order, like the simulator's sequential
+  device: frames never interleave in the log, an acknowledged record is
+  never overwritten by an older one, and recovery replays the log only
+  after every store of the previous incarnation landed.  The in-memory
+  view is updated back on the loop thread, so it shows a record only
+  once it is durable; a checkpoint therefore never truncates a key that
+  still has a store in flight.
 
 Threading contract.  A node belongs to the event loop it was started
 on.  Every mutator -- boot, crash, recover, begin_checkpoint,
@@ -106,6 +106,7 @@ class RuntimeNode(NodeCore):
         self._timers.clear()
         self.transport.close()
         self._disk.shutdown(wait=True, cancel_futures=True)
+        self.storage.close()
 
     boot = _loop_thread_only(NodeCore.boot)
     crash = _loop_thread_only(NodeCore.crash)
@@ -148,6 +149,9 @@ class RuntimeNode(NodeCore):
             self._storing[key] -= 1
             self.storage.apply_store(key, record, size)
             on_durable()
+            # Without a checkpoint timer nothing else bounds the log.
+            if self.storage.compactable:
+                self._compact()
 
         self._storing[key] += 1
         self._on_disk(stored, self.storage.write_file, key, record)
@@ -156,15 +160,16 @@ class RuntimeNode(NodeCore):
         if self._storing[key]:
             # A newer record of this key is on the storage thread.  The
             # in-memory view shows it only once it is durable, so the
-            # core still saw the superseded one; an unlink queued now
-            # would run after the new file is written and remove it.
+            # core still saw the superseded one; a tombstone queued now
+            # would land behind the new frame and remove it.
             # The new record stays in the log and recovery replays it.
             return
         self.storage.apply_delete(key)
         self._on_disk(lambda _result: None, self.storage.unlink_file, key)
 
     def _compact(self) -> None:
-        """Nothing to rewrite: the log is one file per live record."""
+        """Rewrite the log as its live records, behind what is queued."""
+        self._on_disk(lambda _result: None, self.storage.compact_file)
 
     def _read_back(self, incarnation: int) -> None:
         def loaded(records: Dict[str, Tuple[Any, ...]]) -> None:

@@ -394,9 +394,9 @@ class TornStore(FaultAction):
 class CorruptRecord(FaultAction):
     """Make ``pid``'s durable record under ``key`` unreadable at ``time``.
 
-    Models a record file failing its decode on the next read and being
-    quarantined (the :class:`~repro.runtime.storage.FileStableStorage`
-    behavior): the key simply stops resolving.  ``key`` is the raw
+    Models a log frame failing its checksum on the next read-back and
+    being quarantined (the :class:`~repro.runtime.storage.
+    FileStableStorage` behavior): the key simply stops resolving.  ``key`` is the raw
     storage key -- ``"writing"``/``"written"`` for the default register
     slot, ``"<register>/writing"`` for named slots.  Corrupting
     ``writing`` is always recoverable (recovery replays bottom);

@@ -77,12 +77,19 @@ def test_stats_and_metrics_parity(backend):
         "net.messages_delivered",
         "net.messages_dropped",
         "storage.stores_completed",
+        "storage.bytes_logged",
+        "storage.footprint_bytes",
+        "storage.records",
         "node.crashes",
         "node.recoveries",
         "trace.flight_recorded",
     ):
         assert name in metrics.scalars, name
     assert metrics.scalars["net.messages_sent"] == stats.messages_sent
+    # One log per node, each holding at least one record of the write.
+    assert metrics.scalars["storage.bytes_logged"] > 0
+    assert metrics.scalars["storage.footprint_bytes"] > 0
+    assert metrics.scalars["storage.records"] >= 3
     assert metrics.scalars["node.crashes"] == 1
     assert metrics.scalars["node.recoveries"] == 1
     # The write fed the uniform per-op latency histogram...

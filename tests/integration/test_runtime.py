@@ -7,6 +7,7 @@ outside the simulator.
 
 import asyncio
 import gc
+import os
 import threading
 import time
 
@@ -64,6 +65,16 @@ def drain_disk(cluster, node):
     cluster._call(barrier())
 
 
+def frame_offsets(log):
+    """Start offset of every frame in ``log``, then the file's length."""
+    data, offsets, pos = log.read_bytes(), [], 0
+    while pos < len(data):
+        offsets.append(pos)
+        pos += 8 + int.from_bytes(data[pos:pos + 4], "little")
+    assert pos == len(data)
+    return offsets + [pos]
+
+
 class TestFileStableStorage:
     def test_round_trip(self, tmp_path):
         storage = FileStableStorage(tmp_path / "n0")
@@ -84,40 +95,86 @@ class TestFileStableStorage:
         assert storage.retrieve("k") == ("new",)
 
     def test_keys_are_sanitized_to_filenames(self, tmp_path):
+        # No key reaches a file name any more: whatever the key, it
+        # round-trips, and near-identical keys stay apart.
+        records = {
+            "a/written": ("slash",),
+            "a_written": ("underscore",),
+            "weird/key name": ("v",),
+            "cl\u00e9/\u2603": ("unicode",),
+            "k" * 1024: ("long",),
+            "": ("empty",),
+        }
         storage = FileStableStorage(tmp_path / "n0")
-        storage.store("weird/key name", ("v",), size=1)
-        assert storage.retrieve("weird/key name") == ("v",)
+        for key, record in records.items():
+            storage.store(key, record, size=1)
+        assert storage.records == records
+        assert FileStableStorage(tmp_path / "n0").records == records
+        assert sorted(p.name for p in (tmp_path / "n0").iterdir()) == ["wal.log"]
 
     def test_statistics(self, tmp_path):
         storage = FileStableStorage(tmp_path / "n0")
         storage.store("a", (1,), size=100)
         assert storage.stores_completed == 1
         assert storage.bytes_logged == 100
+        assert storage.log_records == 1
+        assert storage.log_bytes == (tmp_path / "n0" / "wal.log").stat().st_size
 
     def test_leftover_tmp_files_are_removed_on_load(self, tmp_path):
+        """A torn last frame, cut anywhere, is a store that never happened."""
+        root, log = tmp_path / "n0", tmp_path / "n0" / "wal.log"
+        storage = FileStableStorage(root)
+        storage.store("k", ("v",), size=1)
+        storage.store("other", ("kept",), size=1)
+        storage.store("k", ("torn",), size=1)
+        storage.close()
+        data, last = log.read_bytes(), frame_offsets(log)[-2]
+        for cut in range(last, len(data)):
+            log.write_bytes(data[:cut])
+            fresh = FileStableStorage(root)
+            assert fresh.records == {"k": ("v",), "other": ("kept",)}
+            assert fresh.records_quarantined == 0
+            assert log.stat().st_size == last
+            # Appended where the tail was cut, not behind it.
+            fresh.store("after", (cut,), size=1)
+            fresh.close()
+            again = FileStableStorage(root)
+            assert again.records == {
+                "k": ("v",), "other": ("kept",), "after": (cut,)
+            }
+            again.close()
+        # Each non-empty tail was copied aside before the cut.
+        assert len(list(root.glob("wal.*.corrupt"))) == len(data) - last - 1
+
+    def test_zero_filled_tail_is_a_torn_store(self, tmp_path):
         storage = FileStableStorage(tmp_path / "n0")
         storage.store("k", ("v",), size=1)
-        # A crash between write and rename leaves a partial .tmp file.
-        (tmp_path / "n0" / "torn.12345678.tmp").write_bytes(b"partial")
+        storage.close()
+        with open(tmp_path / "n0" / "wal.log", "ab") as log:
+            log.write(bytes(64))
         fresh = FileStableStorage(tmp_path / "n0")
-        assert fresh.retrieve("k") == ("v",)
-        assert not list((tmp_path / "n0").glob("*.tmp"))
+        assert fresh.records == {"k": ("v",)}
+        assert fresh.records_quarantined == 0
+        assert fresh.log_records == 1
 
     def test_corrupt_record_is_quarantined_not_fatal(self, tmp_path):
-        storage = FileStableStorage(tmp_path / "n0")
+        root, log = tmp_path / "n0", tmp_path / "n0" / "wal.log"
+        storage = FileStableStorage(root)
         storage.store("good", ("kept",), size=1)
         storage.store("bad", ("mangled",), size=1)
-        bad_path = storage._path("bad")
-        bad_path.write_bytes(b"\x00garbage not pickle")
-        fresh = FileStableStorage(tmp_path / "n0")
-        assert fresh.retrieve("good") == ("kept",)
-        assert fresh.retrieve("bad") is None
+        storage.store("later", ("kept too",), size=1)
+        storage.close()
+        data = bytearray(log.read_bytes())
+        data[frame_offsets(log)[1] + 8 + 5] ^= 0xFF  # a payload byte of "bad"
+        log.write_bytes(data)
+        fresh = FileStableStorage(root)
+        assert fresh.records == {"good": ("kept",), "later": ("kept too",)}
         assert fresh.records_quarantined == 1
-        quarantined = list((tmp_path / "n0").glob("*.corrupt"))
-        assert len(quarantined) == 1
-        # Quarantined files no longer match the record glob: the next
-        # reload does not re-quarantine.
-        again = FileStableStorage(tmp_path / "n0")
+        assert len(list(root.glob("wal.*.corrupt"))) == 1
+        # The log was rewritten without the bad frame: the next reload
+        # does not re-quarantine.
+        again = FileStableStorage(root)
+        assert again.records == fresh.records
         assert again.records_quarantined == 0
 
     def test_delete_is_durable(self, tmp_path):
@@ -128,6 +185,81 @@ class TestFileStableStorage:
         fresh = FileStableStorage(tmp_path / "n0")
         assert fresh.retrieve("k") is None
         storage.delete("missing")  # no-op, no raise
+
+    def test_leftover_wal_new_is_removed_on_load(self, tmp_path):
+        root = tmp_path / "n0"
+        storage = FileStableStorage(root)
+        storage.store("k", ("v",), size=1)
+        # A compaction that crashed before its rename.
+        (root / "wal.new").write_bytes(b"half a log")
+        fresh = FileStableStorage(root)
+        assert fresh.records == {"k": ("v",)}
+        assert not (root / "wal.new").exists()
+
+    def test_compaction_keeps_exactly_the_live_view_and_shrinks_the_file(
+        self, tmp_path
+    ):
+        root, log = tmp_path / "n0", tmp_path / "n0" / "wal.log"
+        storage = FileStableStorage(root)
+        for i in range(20):
+            storage.store("k", (i,), size=1)
+            storage.store(f"gone-{i}", (i,), size=1)
+            storage.delete(f"gone-{i}")
+        storage.store("other", ("kept",), size=1)
+        live = {"k": (19,), "other": ("kept",)}
+        before = log.stat().st_size
+        assert storage.log_records == 61
+        storage.compact_file()
+        assert storage.records == live
+        assert (storage.log_records, storage.log_bytes) == (2, log.stat().st_size)
+        assert log.stat().st_size < before
+        # The descriptor followed the rename: later stores reach the new log.
+        storage.store("post", ("compaction",), size=1)
+        live["post"] = ("compaction",)
+        assert FileStableStorage(root).records == live
+        assert not (root / "wal.new").exists()
+
+    def test_log_compacts_itself_when_dead_frames_outnumber_live(self, tmp_path):
+        storage = FileStableStorage(tmp_path / "n0")
+        for i in range(500):
+            storage.store("k", (i,), size=1)
+            assert storage.log_records < 64
+        assert FileStableStorage(tmp_path / "n0").records == {"k": (499,)}
+
+    @pytest.mark.parametrize("step", ["write", "fsync", "replace"])
+    def test_interrupted_compaction_leaves_the_old_log(
+        self, tmp_path, monkeypatch, step
+    ):
+        root = tmp_path / "n0"
+        storage = FileStableStorage(root)
+        storage.store("k", ("old",), size=1)
+        storage.store("k", ("new",), size=1)
+
+        def crash(*args):
+            raise OSError("crashed here")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, step, crash)
+            with pytest.raises(StorageError, match="compaction"):
+                storage.compact_file()
+        # Still appending to the old, complete log.
+        storage.store("after", ("failure",), size=1)
+        fresh = FileStableStorage(root)
+        assert fresh.records == {"k": ("new",), "after": ("failure",)}
+        assert not (root / "wal.new").exists()
+
+    def test_failed_append_leaves_no_partial_frame(self, tmp_path, monkeypatch):
+        storage = FileStableStorage(tmp_path / "n0")
+        storage.store("k", ("v",), size=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fdatasync", lambda fd: os.fstat(-1))
+            with pytest.raises(StorageError, match="store of 'lost' failed"):
+                storage.store("lost", ("never acknowledged",), size=1)
+        assert storage.retrieve("lost") is None
+        storage.store("next", ("reachable",), size=1)
+        fresh = FileStableStorage(tmp_path / "n0")
+        assert fresh.records == {"k": ("v",), "next": ("reachable",)}
+        assert fresh.records_quarantined == 0
 
 
 @pytest.fixture(scope="module")
@@ -198,13 +330,22 @@ class TestLiveCheckpoint:
         with LiveCluster(
             protocol="persistent", num_processes=3, storage_root=tmp_path
         ) as cluster:
+            for i in range(5):
+                cluster.write(0, f"superseded-{i}")
             cluster.write(0, "snapshot-me")
             node = cluster.nodes[1]
             # The write returned on a majority of 2 of 3; node 1 is
             # quiescent only once its own round-2 log landed.
             wait_for(lambda: logged_value(node) == "snapshot-me")
+            log = tmp_path / "node-1" / "wal.log"
+            before = log.stat().st_size
             assert cluster.checkpoint(1) is True
             storage = node.storage
+            # The truncation is real: the log was rewritten as the
+            # snapshot plus what it does not cover.
+            drain_disk(cluster, node)
+            assert log.stat().st_size == storage.log_bytes < before
+            assert storage.log_records == len(storage.records)
             # Truncated into the snapshot, durable on disk, no stray
             # tentative record left behind.
             assert storage.retrieve("written") is None
@@ -317,7 +458,50 @@ class TestLiveThreading:
             assert node.storage.stores_completed >= 26
         on_disk = FileStableStorage(tmp_path / "node-0")
         assert on_disk.retrieve("k") == ("last",)
-        assert not list((tmp_path / "node-0").glob("*.tmp"))
+        assert [p.name for p in (tmp_path / "node-0").iterdir()] == ["wal.log"]
+
+    def test_store_is_acknowledged_only_after_its_fdatasync(
+        self, tmp_path, monkeypatch
+    ):
+        events, fdatasync = [], os.fdatasync
+
+        def recording(fd):
+            fdatasync(fd)
+            events.append("synced")
+
+        monkeypatch.setattr(os, "fdatasync", recording)
+        with LiveCluster(num_processes=1, storage_root=tmp_path) as cluster:
+            node = cluster.nodes[0]
+
+            async def run():
+                last = asyncio.get_running_loop().create_future()
+                del events[:]
+                for i in range(10):
+                    node._store(
+                        f"k{i}", (i,), 1, lambda: events.append("acknowledged"), None
+                    )
+                node._store("k", ("last",), 1, lambda: last.set_result(None), None)
+                await asyncio.wait_for(last, timeout=10.0)
+
+            cluster._call(run())
+        assert events.count("acknowledged") == 10
+        synced = acknowledged = 0
+        for event in events:
+            synced += event == "synced"
+            acknowledged += event == "acknowledged"
+            assert acknowledged <= synced
+
+    def test_log_stays_bounded_without_checkpoints(self, tmp_path):
+        """Overwritten frames are compacted away behind the stores."""
+        with LiveCluster(num_processes=1, storage_root=tmp_path) as cluster:
+            node = cluster.nodes[0]
+            for i in range(100):  # two stores each
+                cluster.write(0, f"v{i}")
+            drain_disk(cluster, node)
+            assert node.storage.stores_completed >= 200
+            assert node.storage.log_records < 64
+            live = dict(node.storage.records)
+        assert FileStableStorage(tmp_path / "node-0").records == live
 
     def test_failed_store_is_reported_and_never_acknowledged(
         self, tmp_path, monkeypatch

@@ -2,11 +2,11 @@
 
 Adapts :class:`~repro.runtime.cluster.LiveCluster`: real datagrams on
 localhost, real ``fsync`` ed files, wall-clock time.  Sessions submit
-operations without blocking (the coroutine is scheduled on the
-cluster's event-loop thread and the returned
-:class:`~repro.api.types.OpHandle` settles when it completes), so the
-non-blocking half of the vocabulary works here too; ``latency`` is
-wall seconds.
+operations without blocking (:meth:`~repro.runtime.cluster.LiveCluster.
+submit_op` posts the invocation to the cluster's event-loop thread and
+the returned :class:`~repro.api.types.OpHandle` settles when the node
+settles it), so the non-blocking half of the vocabulary works here
+too; ``latency`` is wall seconds.
 
 What the backend cannot do is declared, not approximated: it has no
 ``virtual_time`` capability, so ``run``/``run_until``/``now``/``defer``
@@ -111,16 +111,12 @@ class LiveSession(Session):
         return not self.cluster.live.nodes[self.pid].crashed
 
     def write(self, value: Any, key: Optional[str] = None) -> LiveHandle:
-        live = self.cluster.live
-        return self._observed(LiveHandle(
-            "write", key, self.pid, live.submit(live.awrite(self.pid, value, key=key))
-        ))
+        future = self.cluster.live.submit_op(self.pid, "write", value, key)
+        return self._observed(LiveHandle("write", key, self.pid, future))
 
     def read(self, key: Optional[str] = None) -> LiveHandle:
-        live = self.cluster.live
-        return self._observed(LiveHandle(
-            "read", key, self.pid, live.submit(live.aread(self.pid, key=key))
-        ))
+        future = self.cluster.live.submit_op(self.pid, "read", None, key)
+        return self._observed(LiveHandle("read", key, self.pid, future))
 
 
 class LiveBackend(Cluster):
@@ -239,7 +235,7 @@ class LiveBackend(Cluster):
             # Classify by the future's state, not the exception type:
             # on 3.11+ concurrent.futures.TimeoutError IS the builtin
             # TimeoutError, so an operation that settled by *failing*
-            # with a timeout (asyncio.wait_for in the node) is
+            # with a timeout (the cluster's op_timeout) is
             # indistinguishable from our wait giving up by type alone.
             error = (
                 handle._future.exception() if handle._future.done() else None
@@ -315,6 +311,10 @@ class LiveBackend(Cluster):
                 sum(n.transport.messages_sent for n in nodes)
                 - sum(n.transport.messages_received for n in nodes),
             ),
+        )
+        registry.gauge(
+            "net.malformed",
+            fn=lambda: sum(n.transport.malformed for n in nodes),
         )
         registry.gauge(
             "storage.stores_completed",

@@ -6,7 +6,7 @@ the backend-agnostic ``Cluster``/``Session`` vocabulary.
 
 :class:`LiveCluster` spins up N :class:`~repro.runtime.node.RuntimeNode`
 instances in one asyncio event loop, wires their transports together,
-and exposes both an async API and a blocking wrapper::
+and exposes a blocking API over a background loop thread::
 
     with LiveCluster(protocol="persistent", num_processes=3) as cluster:
         cluster.write(0, "hello")
@@ -26,6 +26,13 @@ instances over the same UDP nodes -- one per key -- addressed with the
 
     cluster.write(0, 1000, key="limits.rps")
     assert cluster.read(2, key="limits.rps") == 1000
+
+Two ways onto the loop thread.  An operation goes through
+:meth:`LiveCluster.submit_op`: one posted callback invokes it on the
+node, one ``call_later`` bounds it by ``op_timeout``, and the node's
+settle callback completes the returned future -- no coroutine, no task.
+The control verbs (crash, recover, checkpoint, provisioning) are
+coroutines and go through :meth:`LiveCluster.submit`.
 """
 
 from __future__ import annotations
@@ -38,9 +45,10 @@ import threading
 from pathlib import Path
 from typing import Any, List, Optional
 
-from repro.common.errors import ConfigurationError, ReproError
+from repro.common.errors import ConfigurationError, ProcessCrashed, ReproError
 from repro.common.ids import ProcessId
 from repro.history.recorder import HistoryRecorder
+from repro.protocol.host import NodeOperation
 from repro.protocol.base import RegisterProtocol, StableView
 from repro.protocol.registry import get_protocol_class
 from repro.protocol.two_round import TwoRoundRegisterProtocol
@@ -119,11 +127,11 @@ class LiveCluster:
                 storage_root=self.storage_root,
                 recorder=self.recorder,
             )
+            self.nodes.append(node)  # before it binds: close() covers a failed start
             await node.start()
             node.transport.attach_flight_recorder(
                 self.flight_recorder, self._clock
             )
-            self.nodes.append(node)
         peers = [
             Peer(pid=node.pid, host=node.transport.host, port=node.transport.port)
             for node in self.nodes
@@ -153,21 +161,6 @@ class LiveCluster:
                 if not node.crashed
             )
         )
-
-    async def awrite(
-        self, pid: ProcessId, value: Any, key: Optional[str] = None
-    ) -> None:
-        if key is not None and not self.nodes[pid].has_register(key):
-            await self.aensure_register(key)
-        node = self.nodes[pid]
-        await node.settled(node.invoke_write(value, key), timeout=self.op_timeout)
-
-    async def aread(self, pid: ProcessId, key: Optional[str] = None) -> Any:
-        if key is not None and not self.nodes[pid].has_register(key):
-            await self.aensure_register(key)
-        node = self.nodes[pid]
-        handle = await node.settled(node.invoke_read(key), timeout=self.op_timeout)
-        return handle.result
 
     async def acrash_node(self, pid: ProcessId) -> None:
         self.nodes[pid].crash()
@@ -215,30 +208,97 @@ class LiveCluster:
         self._thread = threading.Thread(target=run, daemon=True, name="repro-live")
         self._thread.start()
         ready.wait()
-        self._call(self.astart())
+        try:
+            self._call(self.astart())
+        except BaseException:
+            self.close()  # no thread, socket or temp dir outlives a failed start
+            raise
         return self
 
     def _call(self, coroutine):
-        return self.submit(coroutine).result(timeout=max(self.op_timeout * 2, 30.0))
+        return self._wait(self.submit(coroutine))
+
+    def _wait(self, future: concurrent.futures.Future) -> Any:
+        return future.result(timeout=max(self.op_timeout * 2, 30.0))
 
     def submit(self, coroutine) -> concurrent.futures.Future:
         """Schedule ``coroutine`` on the cluster loop without blocking.
 
-        Returns the :class:`concurrent.futures.Future` of its result --
-        the non-blocking entry point the :mod:`repro.api` live backend
-        builds its operation handles on.
+        Returns the :class:`concurrent.futures.Future` of its result.
+        For the control verbs; operations go through :meth:`submit_op`.
         """
         if self._loop is None:
             raise ReproError("cluster not started")
         return asyncio.run_coroutine_threadsafe(coroutine, self._loop)
 
+    def submit_op(
+        self, pid: ProcessId, kind: str, value: Any = None, key: Optional[str] = None
+    ) -> concurrent.futures.Future:
+        """Invoke a ``"read"`` or ``"write"`` at node ``pid`` without blocking.
+
+        The future holds the result, or fails with what the invocation
+        raised (node crashed, not recovered), with :class:`~repro.common.
+        errors.ProcessCrashed` if a crash aborted the operation, or with
+        :class:`TimeoutError` after ``op_timeout`` seconds (the operation
+        then stays in flight on the node).  A ``key`` not provisioned
+        yet is provisioned first.
+        """
+        if self._loop is None:
+            raise ReproError("cluster not started")
+        loop, node = self._loop, self.nodes[pid]
+        future: concurrent.futures.Future = concurrent.futures.Future()
+
+        def invoke() -> None:
+            if not future.set_running_or_notify_cancel():
+                return
+            try:
+                if kind == "read":
+                    handle = node.invoke_read(key)
+                else:
+                    handle = node.invoke_write(value, key)
+            except Exception as error:  # reported to the caller, not the loop
+                future.set_exception(error)
+                return
+            timer = loop.call_later(self.op_timeout, expire)
+            handle.add_callback(functools.partial(settle, timer))
+
+        def expire() -> None:
+            future.set_exception(
+                TimeoutError(f"{kind} at p{pid} did not settle within {self.op_timeout}s")
+            )
+
+        def settle(timer: asyncio.TimerHandle, handle: NodeOperation) -> None:
+            timer.cancel()
+            if future.done():
+                return  # timed out; the operation finished after all
+            if handle.aborted:
+                future.set_exception(
+                    ProcessCrashed(f"process {pid} crashed during {kind} {handle.op}")
+                )
+            else:
+                future.set_result(handle.result)
+
+        if key is None or node.has_register(key):
+            loop.call_soon_threadsafe(invoke)
+            return future
+
+        def provisioned(provisioning: concurrent.futures.Future) -> None:
+            error = provisioning.exception()
+            if error is not None:
+                future.set_exception(error)
+            else:
+                loop.call_soon_threadsafe(invoke)
+
+        self.submit(self.aensure_register(key)).add_done_callback(provisioned)
+        return future
+
     def write(self, pid: ProcessId, value: Any, key: Optional[str] = None) -> None:
         """Blocking write at node ``pid`` (``key`` names a register instance)."""
-        self._call(self.awrite(pid, value, key=key))
+        self._wait(self.submit_op(pid, "write", value, key))
 
     def read(self, pid: ProcessId, key: Optional[str] = None) -> Any:
         """Blocking read at node ``pid`` (``key`` names a register instance)."""
-        return self._call(self.aread(pid, key=key))
+        return self._wait(self.submit_op(pid, "read", None, key))
 
     def ensure_register(self, key: str) -> None:
         """Blocking provisioning of register instance ``key``."""

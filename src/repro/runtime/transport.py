@@ -6,6 +6,15 @@ channel of the model: datagrams can be dropped, duplicated or
 reordered, and the protocols' retransmission loops handle it.
 Payloads above the 64 KB datagram limit raise, as in the paper
 ("a UDP packet cannot contain more than 64KB of data").
+
+A process's message to itself does not cross the wire (the simulator
+prices that hop as ``LOOPBACK_DELAY``, not as a link): ``send`` hands
+the frozen message to ``loop.call_soon``.  It is delivered on a later
+loop callback, never inside ``send``, dropped if the process crashed in
+between, and counted and flight-recorded exactly as a datagram is.
+
+What arrives on the socket is outside input: anything but ``(known
+peer pid, int depth, Message)`` is counted in ``malformed`` and dropped.
 """
 
 from __future__ import annotations
@@ -59,8 +68,11 @@ class UdpTransport:
         self._peers: Dict[ProcessId, Peer] = {}
         self._transport: Optional[asyncio.DatagramTransport] = None
         self._receive: Optional[ReceiveCallback] = None
+        self._call_soon: Optional[Callable[..., object]] = None
         self.messages_sent = 0
         self.messages_received = 0
+        #: Datagrams dropped: not a message of a known peer.
+        self.malformed = 0
         #: Set to True to drop all I/O (crash emulation).
         self.muted = False
         # Optional flight recorder (attach_flight_recorder); when
@@ -92,6 +104,7 @@ class UdpTransport:
         )
         self._transport = transport
         self._receive = receive
+        self._call_soon = loop.call_soon
         sockname = transport.get_extra_info("sockname")
         self.port = sockname[1]
 
@@ -100,19 +113,22 @@ class UdpTransport:
         self._peers = {peer.pid: peer for peer in peers}
 
     def send(self, dst: ProcessId, message: Message, depth: int) -> None:
-        """Fire-and-forget one datagram to ``dst``."""
+        """Fire-and-forget one message to ``dst``: a datagram unless to itself."""
         if self.muted or self._transport is None:
             return
         peer = self._peers.get(dst)
         if peer is None:
             raise TransportError(f"unknown peer {dst}")
-        payload = pickle.dumps((self.pid, depth, message))
-        if len(payload) > MAX_DATAGRAM:
-            raise TransportError(
-                f"message of {len(payload)} bytes exceeds the "
-                f"{MAX_DATAGRAM}-byte UDP datagram limit"
-            )
-        self._transport.sendto(payload, (peer.host, peer.port))
+        if dst == self.pid:
+            self._call_soon(self._deliver, dst, depth, message)
+        else:
+            payload = pickle.dumps((self.pid, depth, message))
+            if len(payload) > MAX_DATAGRAM:
+                raise TransportError(
+                    f"message of {len(payload)} bytes exceeds the "
+                    f"{MAX_DATAGRAM}-byte UDP datagram limit"
+                )
+            self._transport.sendto(payload, (peer.host, peer.port))
         self.messages_sent += 1
         ring = self._ring
         if ring is not None:
@@ -126,12 +142,22 @@ class UdpTransport:
             self.send(pid, message, depth)
 
     def _on_datagram(self, data: bytes) -> None:
-        if self.muted or self._receive is None:
+        if self.muted:
             return
         try:
             src, depth, message = pickle.loads(data)
-        except (pickle.PickleError, ValueError, EOFError):
-            return  # garbage datagram: drop, like a checksum failure
+            ours = src in self._peers and type(depth) is int and isinstance(message, Message)
+        except Exception:  # whatever the bytes decode to, it is not ours
+            ours = False
+        if not ours:
+            self.malformed += 1  # drop, like a checksum failure
+            return
+        self._deliver(src, depth, message)
+
+    def _deliver(self, src: ProcessId, depth: int, message: Message) -> None:
+        """Receive side of both paths, the socket's and the loop's."""
+        if self.muted or self._receive is None:
+            return
         self.messages_received += 1
         ring = self._ring
         if ring is not None:
@@ -144,4 +170,4 @@ class UdpTransport:
         """Release the socket."""
         if self._transport is not None:
             self._transport.close()
-            self._transport = None
+            self._transport = self._receive = None

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from repro.api import CRASH_INJECTION, VIRTUAL_TIME, open_cluster
-from repro.common.errors import CapabilityError
+from repro.common.errors import CapabilityError, OperationAborted
 
 from tests.unit.test_public_api import session_program
 
@@ -43,6 +43,49 @@ def test_live_nonblocking_recover_records_failures():
         assert len(c.recovery_errors) == 1  # the healthy recovery added none
 
 
+def test_live_operation_without_a_majority_fails_after_op_timeout():
+    with open_cluster(backend="live", num_processes=3, op_timeout=0.3) as c:
+        c.crash(1)
+        c.crash(2)
+        started = time.monotonic()
+        handle = c.session(0).write("unheard")
+        with pytest.raises(OperationAborted, match="did not settle within 0.3s"):
+            c.wait(handle, timeout=5.0, expect_done=True)
+        assert 0.3 <= time.monotonic() - started < 5.0
+        assert handle.aborted and isinstance(handle.error, TimeoutError)
+        c.recover(1)
+        c.recover(2)
+        # Only the caller gave up: the write is still retransmitting,
+        # and returns now that a majority answers.
+        node = c.live.nodes[0]
+        deadline = time.monotonic() + 5.0
+        while node.register_busy(None) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        c.session(0).write_sync("heard")
+        assert c.session(1).read_sync() == "heard"
+        assert c.check().ok
+
+
+def _snapshot(c):
+    """``stats()``, ``metrics()`` and the ring's count, read at one instant.
+
+    On the live backend stragglers (the third node's acks) are still
+    being sent and recorded when the program returns, so the reads are
+    taken in one callback on the loop thread, where nothing can
+    interleave.
+    """
+    def take():
+        return c.stats(), c.metrics(), c.flight_recorder.total
+
+    if c.backend != "live":
+        return take()
+
+    async def on_the_loop():
+        return take()
+
+    return c.live.submit(on_the_loop()).result(timeout=10.0)
+
+
 def _exercise(cluster):
     """A small cross-backend program: traffic, one crash, one recovery."""
     with cluster as c:
@@ -50,7 +93,7 @@ def _exercise(cluster):
         c.crash(0)
         c.recover(0)
         c.session(1).write_sync("b")
-        return c.stats(), c.metrics(), c.flight_recorder
+        return *_snapshot(c), c.flight_recorder
 
 
 @pytest.mark.parametrize("backend", ["sim", "kv", "live"])
@@ -63,7 +106,7 @@ def test_stats_and_metrics_parity(backend):
     can be written once.
     """
     seed = None if backend == "live" else 11
-    stats, metrics, recorder = _exercise(
+    stats, metrics, recorded, recorder = _exercise(
         open_cluster(backend=backend, num_processes=3, seed=seed)
     )
     assert stats.messages_sent > 0
@@ -86,6 +129,9 @@ def test_stats_and_metrics_parity(backend):
     ):
         assert name in metrics.scalars, name
     assert metrics.scalars["net.messages_sent"] == stats.messages_sent
+    if backend == "live":
+        # Nothing on the loopback sockets was anything but ours.
+        assert metrics.scalars["net.malformed"] == 0
     # One log per node, each holding at least one record of the write.
     assert metrics.scalars["storage.bytes_logged"] > 0
     assert metrics.scalars["storage.footprint_bytes"] > 0
@@ -98,8 +144,8 @@ def test_stats_and_metrics_parity(backend):
     assert write_latency.minimum > 0.0
     # ...and the flight recorder retained the run's tail.
     assert recorder is not None
-    assert recorder.total > 0
-    assert metrics.scalars["trace.flight_recorded"] == recorder.total
+    assert recorder.total >= recorded > 0
+    assert metrics.scalars["trace.flight_recorded"] == recorded
     kinds = {event.kind for event in recorder.events()}
     assert "send" in kinds and "deliver" in kinds
 

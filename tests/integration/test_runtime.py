@@ -8,6 +8,7 @@ outside the simulator.
 import asyncio
 import gc
 import os
+import pickle
 import threading
 import time
 
@@ -60,7 +61,9 @@ def drain_disk(cluster, node):
     """Return once every file operation ``node`` queued so far ran."""
 
     async def barrier():
-        await asyncio.get_running_loop().run_in_executor(node._disk, int)
+        landed = asyncio.get_running_loop().create_future()
+        node._on_disk(landed.set_result, int)
+        await landed
 
     cluster._call(barrier())
 
@@ -73,6 +76,15 @@ def frame_offsets(log):
         pos += 8 + int.from_bytes(data[pos:pos + 4], "little")
     assert pos == len(data)
     return offsets + [pos]
+
+
+def logged_records(log):
+    """The record of every frame in ``log``, in file order."""
+    data, offsets = log.read_bytes(), frame_offsets(log)
+    return [
+        pickle.loads(data[start + 8:end])[1]
+        for start, end in zip(offsets, offsets[1:])
+    ]
 
 
 class TestFileStableStorage:
@@ -434,31 +446,51 @@ class TestLiveCheckpoint:
 
 
 class TestLiveThreading:
-    def test_stores_of_one_key_land_in_issue_order(self, tmp_path):
+    def test_stores_of_one_key_land_in_issue_order(self, tmp_path, debug=False):
+        """Completions run on the loop in issue order, not only on the thread."""
         with LiveCluster(num_processes=1, storage_root=tmp_path) as cluster:
             node = cluster.nodes[0]
 
             async def run():
                 loop = asyncio.get_running_loop()
-                errors, order = [], []
+                loop.set_debug(debug)
+                errors, order, views = [], [], []
                 loop.set_exception_handler(
                     lambda _loop, context: errors.append(context)
                 )
                 last = loop.create_future()
-                for i in range(25):
-                    node._store("k", (i,), 1, lambda i=i: order.append(i), None)
-                node._store("k", ("last",), 1, lambda: last.set_result(None), None)
-                await asyncio.wait_for(last, timeout=10.0)
-                return errors, order
 
-            errors, order = cluster._call(run())
+                def acknowledged(i):
+                    order.append(i)
+                    views.append(node.storage.retrieve("k"))
+                    if i == "last":
+                        last.set_result(None)
+
+                for i in [*range(25), "last"]:
+                    node._store("k", (i,), 1, lambda i=i: acknowledged(i), None)
+                await asyncio.wait_for(last, timeout=10.0)
+                return errors, order, views
+
+            errors, order, views = cluster._call(run())
             assert errors == []
-            assert order == list(range(25))
+            assert order == [*range(25), "last"]
             assert node.storage.retrieve("k") == ("last",)
             assert node.storage.stores_completed >= 26
+        # After every callback the memory view was the log, frame by frame.
+        written = logged_records(tmp_path / "node-0" / "wal.log")
+        assert views == written[-26:] == [(i,) for i in order]
         on_disk = FileStableStorage(tmp_path / "node-0")
         assert on_disk.retrieve("k") == ("last",)
         assert [p.name for p in (tmp_path / "node-0").iterdir()] == ["wal.log"]
+
+    def test_stores_land_in_issue_order_on_a_slow_loop(self, tmp_path):
+        """A per-store task failed this about one run in two.
+
+        Creating a task is slow in asyncio's debug mode, so a store
+        already durable when its task first ran was acknowledged ahead
+        of the earlier ones, whose wake-ups were still queued.
+        """
+        self.test_stores_of_one_key_land_in_issue_order(tmp_path, debug=True)
 
     def test_store_is_acknowledged_only_after_its_fdatasync(
         self, tmp_path, monkeypatch
@@ -536,6 +568,17 @@ class TestLiveThreading:
             assert acknowledged == []
             assert node.storage.retrieve("k") is None
 
+    def test_failed_start_leaves_nothing_running(self, tmp_path):
+        """Node 0 is up -- socket bound, storage thread running -- when node 1 fails."""
+        (tmp_path / "node-1").write_text("a file where the directory goes")
+        before = set(threading.enumerate())
+        cluster = LiveCluster(num_processes=3, storage_root=tmp_path)
+        with pytest.raises(StorageError, match="cannot create storage dir"):
+            cluster.start()
+        assert cluster._loop is None
+        assert cluster.nodes[0].transport._transport is None
+        assert [t.name for t in set(threading.enumerate()) - before] == []
+
     def test_mutators_refuse_other_threads(self, live_cluster):
         node = live_cluster.nodes[0]
         for mutate in (
@@ -554,25 +597,26 @@ class TestLiveThreading:
         assert live_cluster.read(1) == "still-fine"
 
 
+def causal_logs_of_write(cluster):
+    """``causal_logs`` of one write invoked on node 0's loop thread."""
+
+    async def run():
+        settled = asyncio.get_running_loop().create_future()
+        cluster.nodes[0].invoke_write("x").add_callback(settled.set_result)
+        return (await asyncio.wait_for(settled, timeout=10.0)).causal_logs
+
+    return cluster._call(run())
+
+
 class TestLiveCausalLogs:
     def test_write_log_counts_match_the_paper_over_real_io(self, tmp_path):
         with LiveCluster(
             protocol="persistent", num_processes=3, storage_root=tmp_path
         ) as cluster:
-            async def run():
-                node = cluster.nodes[0]
-                handle = await node.settled(node.invoke_write("x"))
-                return handle.causal_logs
-
-            assert cluster._call(run()) == 2
+            assert causal_logs_of_write(cluster) == 2
 
     def test_transient_write_costs_one_log_over_real_io(self, tmp_path):
         with LiveCluster(
             protocol="transient", num_processes=3, storage_root=tmp_path
         ) as cluster:
-            async def run():
-                node = cluster.nodes[0]
-                handle = await node.settled(node.invoke_write("x"))
-                return handle.causal_logs
-
-            assert cluster._call(run()) == 1
+            assert causal_logs_of_write(cluster) == 1

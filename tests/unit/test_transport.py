@@ -1,36 +1,46 @@
 """Unit tests for the UDP transport (real sockets on localhost)."""
 
 import asyncio
+import pickle
 
 import pytest
 
 from repro.common.errors import TransportError
 from repro.common.ids import make_operation_id
 from repro.common.timestamps import Tag
+from repro.obs.ring import RingTrace
+from repro.obs.tracing import ALL_KINDS
 from repro.protocol.messages import SnQuery, WriteRequest
 from repro.runtime.transport import MAX_DATAGRAM, Peer, UdpTransport
 
 
-def run(coro):
-    return asyncio.new_event_loop().run_until_complete(coro)
+run = asyncio.run
+
+
+async def endpoints(*receivers):
+    """One started transport per receive callback, all peers of each other."""
+    transports = [UdpTransport(pid) for pid in range(len(receivers))]
+    for transport, receive in zip(transports, receivers):
+        await transport.start(receive)
+    peers = [Peer(t.pid, t.host, t.port) for t in transports]
+    for transport in transports:
+        transport.set_peers(peers)
+    return transports
+
+
+def query(pid=0):
+    return SnQuery(op=make_operation_id(pid), round_no=1)
 
 
 class TestUdpTransport:
     def test_round_trip_between_two_endpoints(self):
         async def scenario():
             received = []
-            a = UdpTransport(0)
-            b = UdpTransport(1)
-            await a.start(lambda src, msg, depth: None)
-            await b.start(lambda src, msg, depth: received.append((src, depth, msg)))
-            peers = [
-                Peer(0, a.host, a.port),
-                Peer(1, b.host, b.port),
-            ]
-            a.set_peers(peers)
-            b.set_peers(peers)
-            message = SnQuery(op=make_operation_id(0), round_no=1)
-            a.send(1, message, depth=3)
+            a, b = await endpoints(
+                lambda src, msg, depth: None,
+                lambda src, msg, depth: received.append((src, depth, msg)),
+            )
+            a.send(1, query(), depth=3)
             for _ in range(100):
                 if received:
                     break
@@ -48,20 +58,16 @@ class TestUdpTransport:
 
     def test_unknown_peer_raises(self):
         async def scenario():
-            a = UdpTransport(0)
-            await a.start(lambda *args: None)
-            a.set_peers([Peer(0, a.host, a.port)])
+            (a,) = await endpoints(lambda *args: None)
             with pytest.raises(TransportError):
-                a.send(7, SnQuery(op=make_operation_id(0), round_no=1), 0)
+                a.send(7, query(), 0)
             a.close()
 
         run(scenario())
 
     def test_oversized_datagram_rejected(self):
         async def scenario():
-            a = UdpTransport(0)
-            await a.start(lambda *args: None)
-            a.set_peers([Peer(0, a.host, a.port)])
+            a, b = await endpoints(lambda *args: None, lambda *args: None)
             huge = WriteRequest(
                 op=make_operation_id(0),
                 round_no=1,
@@ -69,41 +75,82 @@ class TestUdpTransport:
                 value=b"x" * (MAX_DATAGRAM + 1),
             )
             with pytest.raises(TransportError):
-                a.send(0, huge, 0)
+                a.send(1, huge, 0)
             a.close()
+            b.close()
+            return a.messages_sent
 
-        run(scenario())
+        assert run(scenario()) == 0
 
     def test_muted_transport_drops_everything(self):
         async def scenario():
             received = []
-            a = UdpTransport(0)
-            await a.start(lambda src, msg, depth: received.append(msg))
-            a.set_peers([Peer(0, a.host, a.port)])
+            a, b = await endpoints(
+                lambda src, msg, depth: received.append(msg),
+                lambda src, msg, depth: received.append(msg),
+            )
             a.muted = True
-            a.send(0, SnQuery(op=make_operation_id(0), round_no=1), 0)
+            a.send(1, query(), 0)  # a muted sender sends nothing,
+            a.send(0, query(), 0)
+            b.send(0, query(1), 0)  # a muted receiver hears nothing
             await asyncio.sleep(0.05)
             a.close()
-            return received, a.messages_sent
+            b.close()
+            return received, a.messages_sent, a.messages_received
 
-        received, sent = run(scenario())
-        assert received == []
-        assert sent == 0
+        assert run(scenario()) == ([], 0, 0)
+
+    def test_message_to_itself_is_delivered_later_and_off_the_wire(self):
+        async def scenario():
+            received = []
+            (a,) = await endpoints(
+                lambda src, msg, depth: received.append((src, depth, msg))
+            )
+            ring = RingTrace(kinds=ALL_KINDS)
+            a.attach_flight_recorder(ring, asyncio.get_running_loop().time)
+
+            def on_the_wire(data):
+                raise AssertionError("a message to itself crossed the socket")
+
+            a._on_datagram = on_the_wire
+            message = query()
+            a.send(0, message, depth=2)
+            inside_send = list(received)
+            await asyncio.sleep(0.05)
+            a.close()
+            kinds = [event.kind for event in ring.events()]
+            return inside_send, received, message, kinds, a
+
+        inside_send, received, message, kinds, a = run(scenario())
+        assert inside_send == []  # never re-entrant
+        assert len(received) == 1
+        src, depth, delivered = received[0]
+        assert (src, depth) == (0, 2) and delivered is message
+        assert kinds == ["send", "deliver"]
+        assert (a.messages_sent, a.messages_received) == (1, 1)
+
+    def test_message_to_itself_is_dropped_by_a_crash_before_delivery(self):
+        async def scenario():
+            received = []
+            (a,) = await endpoints(lambda src, msg, depth: received.append(msg))
+            a.send(0, query(), 0)
+            a.muted = True  # the crash lands between send and delivery
+            await asyncio.sleep(0.05)
+            a.close()
+            return received, a.messages_sent, a.messages_received
+
+        assert run(scenario()) == ([], 1, 0)
 
     def test_broadcast_reaches_all_peers_including_self(self):
         async def scenario():
             inboxes = {0: [], 1: [], 2: []}
-            transports = []
-            for pid in range(3):
-                transport = UdpTransport(pid)
-                await transport.start(
+            transports = await endpoints(
+                *(
                     lambda src, msg, depth, pid=pid: inboxes[pid].append(msg)
+                    for pid in inboxes
                 )
-                transports.append(transport)
-            peers = [Peer(t.pid, t.host, t.port) for t in transports]
-            for transport in transports:
-                transport.set_peers(peers)
-            transports[1].broadcast(SnQuery(op=make_operation_id(1), round_no=1), 0)
+            )
+            transports[1].broadcast(query(1), 0)
             for _ in range(100):
                 if all(inboxes.values()):
                     break
@@ -117,9 +164,21 @@ class TestUdpTransport:
 
     def test_garbage_datagrams_are_dropped(self):
         transport = UdpTransport(0)
-
-        def fail_on_receive(*args):
-            raise AssertionError("garbage datagram reached _receive")
-
-        transport._receive = fail_on_receive
-        transport._on_datagram(b"not-a-pickle")  # must not raise
+        transport.set_peers([Peer(0, "127.0.0.1", 1), Peer(1, "127.0.0.1", 2)])
+        received = []
+        transport._receive = lambda src, msg, depth: received.append(src)
+        garbage = [
+            b"not-a-pickle",
+            pickle.dumps(1),  # not a triple
+            pickle.dumps((1, 2, 3)),  # a triple, but no message in it
+            pickle.dumps((7, 0, query())),  # from no peer of ours
+            pickle.dumps((1, "deep", query())),
+            pickle.dumps(([], 0, query())),
+        ]
+        for data in garbage:
+            transport._on_datagram(data)  # must not raise
+        assert received == []
+        assert transport.malformed == len(garbage)
+        assert transport.messages_received == 0
+        transport._on_datagram(pickle.dumps((1, 0, query())))
+        assert received == [1] and transport.malformed == len(garbage)

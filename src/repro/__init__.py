@@ -95,17 +95,25 @@ from repro.kv import (
 )
 from repro.metrics import RunMetrics, collect_metrics
 from repro.protocol.registry import PROTOCOLS, get_protocol_class
-from repro.scenarios import (
-    SCENARIOS,
-    Scenario,
-    ScenarioResult,
-    get_scenario,
-    list_scenarios,
-    run_scenario,
-)
 from repro.sim.failures import CrashSchedule, RandomCrashPlan
 
 __version__ = "1.1.0"
+
+#: Served on first use (PEP 562): :mod:`repro.scenarios` pulls in the
+#: fleet's process pool, which a cluster user never needs.
+_SCENARIO_NAMES = frozenset({
+    "SCENARIOS", "Scenario", "ScenarioResult",
+    "get_scenario", "list_scenarios", "run_scenario",
+})
+
+
+def __getattr__(name: str):
+    if name in _SCENARIO_NAMES:
+        import repro.scenarios
+
+        return getattr(repro.scenarios, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AtomicityVerdict",

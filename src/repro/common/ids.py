@@ -4,21 +4,21 @@ Processes are numbered ``0 .. n-1``; the number doubles as the tiebreak
 component of timestamps (:class:`repro.common.timestamps.Tag`).
 Operations get globally unique ids so that histories, traces and the
 causal-log accounting can refer to a specific operation execution even
-when the same process runs many reads and writes.
+when the same process runs many reads and writes.  An id is a named
+``(pid, seq)`` tuple.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 ProcessId = int
 """A process identifier: a small non-negative integer."""
 
 
-@dataclass(frozen=True, order=True)
-class OperationId:
+class OperationId(NamedTuple):
     """Unique id of one operation execution.
 
     ``pid`` is the invoking process; ``seq`` is a per-run monotonically
@@ -26,18 +26,13 @@ class OperationId:
     ordered so they can key sorted containers deterministically.
 
     Ids key the hottest dicts in the engine (causal-depth tracking,
-    recorder indexes, quorum rounds), so the hash is computed once at
-    construction instead of building a ``(pid, seq)`` tuple per lookup.
+    recorder indexes, quorum rounds), so they are tuples: hashing,
+    equality and ordering run in C.  The price is that an id also
+    equals the plain ``(pid, seq)`` pair.
     """
 
     pid: ProcessId
     seq: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.pid, self.seq)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return f"op(p{self.pid}#{self.seq})"

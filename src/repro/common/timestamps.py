@@ -17,25 +17,25 @@ the transient algorithm it additionally serves as a tiebreak between
 incarnations of the same writer; see
 :mod:`repro.protocol.transient` for why that closes a duplicate-tag
 corner case while preserving the algorithm's log complexity.
+
+A tag *is* the tuple ``(sn, pid, rec)``: the lexicographic order of the
+paper is the order tuples already have.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Optional, Tuple
 
 
-@dataclass(frozen=True)
-class Tag:
+class Tag(namedtuple("Tag", ("sn", "pid", "rec"), defaults=(0,))):
     """An ordered ``[sequence_number, process_id, recovery_count]`` timestamp.
 
     Instances are immutable, hashable and totally ordered.  The order is
-    lexicographic: by :attr:`sn`, then :attr:`pid`, then :attr:`rec`.
-    All four comparisons are spelled out (rather than derived with
-    ``functools.total_ordering``) because tag comparisons sit on the
-    quorum-counting hot path and the derived operators cost a second
-    dispatch through ``__lt__``.
+    lexicographic: by :attr:`sn`, then :attr:`pid`, then :attr:`rec` --
+    the order of the tuple a tag is, so the comparisons on the
+    quorum-counting hot path run in C.  The price is that a tag also
+    equals (and orders against) the plain ``(sn, pid, rec)`` triple.
 
     >>> Tag(1, 0) < Tag(1, 1) < Tag(2, 0)
     True
@@ -43,37 +43,20 @@ class Tag:
     True
     """
 
-    sn: int
-    pid: int
-    rec: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.sn < 0:
-            raise ValueError(f"sequence number must be >= 0, got {self.sn}")
-        if self.pid < 0:
-            raise ValueError(f"process id must be >= 0, got {self.pid}")
-        if self.rec < 0:
-            raise ValueError(f"recovery count must be >= 0, got {self.rec}")
+    def __new__(cls, sn: int, pid: int, rec: int = 0) -> "Tag":
+        if sn < 0:
+            raise ValueError(f"sequence number must be >= 0, got {sn}")
+        if pid < 0:
+            raise ValueError(f"process id must be >= 0, got {pid}")
+        if rec < 0:
+            raise ValueError(f"recovery count must be >= 0, got {rec}")
+        return tuple.__new__(cls, (sn, pid, rec))
 
-    def __lt__(self, other: object) -> bool:
-        if not isinstance(other, Tag):
-            return NotImplemented
-        return (self.sn, self.pid, self.rec) < (other.sn, other.pid, other.rec)
-
-    def __le__(self, other: object) -> bool:
-        if not isinstance(other, Tag):
-            return NotImplemented
-        return (self.sn, self.pid, self.rec) <= (other.sn, other.pid, other.rec)
-
-    def __gt__(self, other: object) -> bool:
-        if not isinstance(other, Tag):
-            return NotImplemented
-        return (self.sn, self.pid, self.rec) > (other.sn, other.pid, other.rec)
-
-    def __ge__(self, other: object) -> bool:
-        if not isinstance(other, Tag):
-            return NotImplemented
-        return (self.sn, self.pid, self.rec) >= (other.sn, other.pid, other.rec)
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> "Tag":
+        return cls(*iterable)  # so ``_replace`` cannot skip the validation either
 
     def next_for(self, pid: int, increment: int = 1, rec: int = 0) -> "Tag":
         """Return the tag a writer with id ``pid`` derives from this one.
@@ -90,16 +73,12 @@ class Tag:
 
     def as_tuple(self) -> Tuple[int, int, int]:
         """Return the ``(sn, pid, rec)`` triple, e.g. for serialization."""
-        return (self.sn, self.pid, self.rec)
+        return tuple(self)
 
     @classmethod
     def from_tuple(cls, triple: Tuple[int, ...]) -> "Tag":
         """Rebuild a tag from :meth:`as_tuple` output (2- or 3-tuple)."""
-        if len(triple) == 2:
-            sn, pid = triple
-            return cls(sn, pid)
-        sn, pid, rec = triple
-        return cls(sn, pid, rec)
+        return cls(*triple)
 
     def __str__(self) -> str:
         if self.rec:

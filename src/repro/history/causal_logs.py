@@ -13,7 +13,7 @@ cost.  Each process hosts a :class:`CausalDepthTracker`, and the
 environments thread a *depth context* through every handler:
 
 * a client invocation starts its operation at depth 0;
-* a message carries the sending handler's depth in its envelope;
+* a message is delivered with the sending handler's depth beside it;
 * a :class:`~repro.protocol.base.Store` effect issued at depth ``d``
   completes at depth ``d + 1`` -- one more log on the chain;
 * a handler's context is the maximum of the triggering event's depth
@@ -23,6 +23,12 @@ environments thread a *depth context* through every handler:
 * when the operation replies, its causal-log count is the maximum depth
   that reached the invoking process for that operation.
 
+The tracker is a plain dict written only when a depth rises: it is
+consulted for every message, and non-invoking processes need an
+operation's depth for re-sent acknowledgments long after any point at
+which they could know the operation replied, so it is bounded by
+first-in-first-out eviction rather than freed at reply.
+
 With this machinery the persistent algorithm measures exactly 2 causal
 logs per write, the transient algorithm 1, reads at most 1 (0 without
 concurrency), and the crash-stop baseline 0 -- Table/claims of
@@ -31,7 +37,6 @@ Section IV, reproduced as measurements rather than assertions.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, Optional
 
 from repro.common.ids import OperationId
@@ -43,13 +48,21 @@ DEFAULT_RETENTION = 4096
 
 
 class CausalDepthTracker:
-    """Per-process bookkeeping of operation causal-log depths."""
+    """Per-process bookkeeping of operation causal-log depths.
+
+    A plain dict from operation to the deepest chain seen here, written
+    only when a depth rises (an absent operation reads as depth 0).
+    Past ``retention`` operations the oldest-*inserted* one is evicted,
+    observed since or not: one still retransmitting by then reads as
+    depth 0 again (under-reported), so keep ``retention`` far above
+    what can be in flight at once.
+    """
 
     def __init__(self, retention: int = DEFAULT_RETENTION):
         if retention < 1:
             raise ValueError("retention must be >= 1")
         self._retention = retention
-        self._depths: "OrderedDict[OperationId, int]" = OrderedDict()
+        self._depths: Dict[OperationId, int] = {}
 
     def observe(self, op: Optional[OperationId], depth: int) -> int:
         """Fold an incoming event's depth into the operation's record.
@@ -64,9 +77,10 @@ class CausalDepthTracker:
         if op is None:
             return depth
         known = self._depths.get(op, 0)
-        context = max(known, depth)
-        self._set(op, context)
-        return context
+        if depth > known:
+            self._deepen(op, depth)
+            return depth
+        return known
 
     def record_store(self, op: Optional[OperationId], issue_depth: int) -> int:
         """Account one completed log issued at ``issue_depth``.
@@ -75,10 +89,8 @@ class CausalDepthTracker:
         which becomes the context of the completion handler.
         """
         depth = issue_depth + 1
-        if op is not None:
-            known = self._depths.get(op, 0)
-            if depth > known:
-                self._set(op, depth)
+        if op is not None and depth > self._depths.get(op, 0):
+            self._deepen(op, depth)
         return depth
 
     def outgoing_depth(self, op: Optional[OperationId], handler_depth: int) -> int:
@@ -91,7 +103,8 @@ class CausalDepthTracker:
         """
         if op is None:
             return handler_depth
-        return max(handler_depth, self._depths.get(op, 0))
+        known = self._depths.get(op, 0)
+        return known if known > handler_depth else handler_depth
 
     def depth_of(self, op: OperationId) -> int:
         """Deepest causal log chain observed for ``op`` at this process."""
@@ -101,11 +114,11 @@ class CausalDepthTracker:
         """Forget everything (used at crash: volatile bookkeeping)."""
         self._depths.clear()
 
-    def _set(self, op: OperationId, depth: int) -> None:
-        self._depths[op] = depth
-        self._depths.move_to_end(op)
-        while len(self._depths) > self._retention:
-            self._depths.popitem(last=False)
+    def _deepen(self, op: OperationId, depth: int) -> None:
+        depths = self._depths
+        if op not in depths and len(depths) >= self._retention:
+            del depths[next(iter(depths))]
+        depths[op] = depth
 
 
 def summarize_causal_logs(counts: Dict[str, list]) -> Dict[str, Dict[str, float]]:

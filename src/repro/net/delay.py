@@ -36,9 +36,11 @@ class DelaySample:
 class DelayModel:
     """Computes one-way message delays under a :class:`NetworkConfig`.
 
-    The config's constants are hoisted to instance attributes at
-    construction: the model sits on the simulator's per-transmission
-    path, where repeated dataclass field lookups are measurable.
+    The reference statement of the channel's arithmetic:
+    :class:`repro.sim.network.SimNetwork` inlines the same formula and
+    the same rng consumption on its transmit path (a seeded test holds
+    the two to equal delivery times and draws) and calls only
+    :meth:`check_size` here.
     """
 
     def __init__(self, config: NetworkConfig):
@@ -54,24 +56,12 @@ class DelayModel:
     def config(self) -> NetworkConfig:
         return self._config
 
-    @property
-    def drop_probability(self) -> float:
-        """Per-transmission loss probability (see :meth:`should_drop`)."""
-        return self._drop_probability
+    def check_size(self, size: int) -> None:
+        """Raise :class:`ValueError` unless the transport can carry ``size``.
 
-    @property
-    def duplicate_probability(self) -> float:
-        """Per-transmission duplication probability (see :meth:`should_duplicate`)."""
-        return self._duplicate_probability
-
-    def sample(self, size: int, rng: random.Random) -> DelaySample:
-        """Sample the delay of a ``size``-byte message.
-
-        ``size`` counts the application payload; per-packet framing is
-        folded into ``base_delay``.  Raises :class:`ValueError` for
-        payloads over the transport's maximum (the paper notes a UDP
-        packet cannot carry more than 64 KB and that chunking would
-        change the algorithm, so oversized sends are a caller bug).
+        The paper notes a UDP packet cannot carry more than 64 KB and
+        that chunking would change the algorithm, so oversized sends
+        are a caller bug.
         """
         if size < 0:
             raise ValueError(f"message size must be >= 0, got {size}")
@@ -80,6 +70,15 @@ class DelayModel:
                 f"message of {size} bytes exceeds the transport maximum "
                 f"of {self._max_payload} bytes"
             )
+
+    def sample(self, size: int, rng: random.Random) -> DelaySample:
+        """Sample the delay of a ``size``-byte message.
+
+        ``size`` counts the application payload; per-packet framing is
+        folded into ``base_delay``.  Raises :class:`ValueError` for
+        sizes :meth:`check_size` rejects.
+        """
+        self.check_size(size)
         jitter = 0.0
         if self._max_jitter > 0.0:
             jitter = rng.uniform(0.0, self._max_jitter)
@@ -88,27 +87,6 @@ class DelayModel:
             transmission=size / self._bandwidth,
             jitter=jitter,
         )
-
-    def sample_total(self, size: int, rng: random.Random) -> float:
-        """Sample one total delay without building a :class:`DelaySample`.
-
-        The simulator's per-transmission path only needs the scalar;
-        the float arithmetic (and the random stream consumption) is
-        identical to ``sample(size, rng).total``, so seeded runs are
-        unaffected by which entry point a caller uses.
-        """
-        if size < 0:
-            raise ValueError(f"message size must be >= 0, got {size}")
-        if size > self._max_payload:
-            raise ValueError(
-                f"message of {size} bytes exceeds the transport maximum "
-                f"of {self._max_payload} bytes"
-            )
-        if self._max_jitter > 0.0:
-            jitter = rng.uniform(0.0, self._max_jitter)
-        else:
-            jitter = 0.0
-        return self._base_delay + size / self._bandwidth + jitter
 
     def mean_delay(self, size: int) -> float:
         """Expected delay for a ``size``-byte message (no sampling)."""

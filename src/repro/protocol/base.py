@@ -7,7 +7,7 @@ values, and the hosting environment --
 :class:`repro.sim.node.SimNode` or the runtime's
 :class:`repro.runtime.node.RuntimeNode` -- performs them.  This is what
 makes the algorithms testable deterministically and runnable over real
-UDP with the same code.
+UDP with the same code.  Effects are named tuples under :class:`Effect`.
 
 Causal-log accounting (the paper's cost metric) also lives at this
 boundary: *the environment*, not the protocol, tracks how deep each
@@ -19,6 +19,7 @@ cannot misreport their own cost.  See
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Any, ClassVar, Dict, Hashable, List, Optional, Tuple
 
@@ -31,21 +32,27 @@ from repro.protocol.messages import Message
 
 
 class Effect:
-    """Base class of everything a protocol may ask its environment to do."""
+    """Base class of everything a protocol may ask its environment to do.
+
+    Effects are named tuples: immutable, built and compared in C, and
+    free of a per-instance ``__dict__`` -- a handler returns a few per
+    message.  The price is that an effect equals, and hashes like, the
+    plain tuple of its fields and so any *other* effect with the same
+    fields (``RecoveryComplete() == Checkpoint() == ()``): tell effects
+    apart by class, as the hosts do (``effect.__class__ is Send``),
+    never with ``==`` or ``in``.
+    """
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Send(Effect):
+class Send(Effect, namedtuple("Send", ("dst", "message"))):
     """Send ``message`` to process ``dst`` (fire-and-forget, may be lost)."""
 
-    dst: ProcessId
-    message: Message
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Broadcast(Effect):
+class Broadcast(Effect, namedtuple("Broadcast", ("message",))):
     """Send ``message`` to every process, including the sender.
 
     The paper's implementation uses IP multicast and a listener thread
@@ -54,11 +61,10 @@ class Broadcast(Effect):
     it does not necessarily include itself in the majority").
     """
 
-    message: Message
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Store(Effect):
+class Store(Effect, namedtuple("Store", ("key", "record", "size", "token"))):
     """Synchronously log ``record`` under ``key`` in stable storage.
 
     The environment performs the write with the configured latency and
@@ -66,14 +72,10 @@ class Store(Effect):
     ``token``.  ``size`` is the billable payload size in bytes.
     """
 
-    key: str
-    record: Tuple[Any, ...]
-    size: int
-    token: Hashable
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Reply(Effect):
+class Reply(Effect, namedtuple("Reply", ("op", "result", "tag"), defaults=(None, None))):
     """Complete operation ``op`` towards the invoking client.
 
     ``tag`` exposes the timestamp the operation wrote or read; it is
@@ -81,28 +83,22 @@ class Reply(Effect):
     checker (:mod:`repro.history.register_checker`) consumes it.
     """
 
-    op: OperationId
-    result: Any = None
-    tag: Optional[Any] = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SetTimer(Effect):
+class SetTimer(Effect, namedtuple("SetTimer", ("delay", "token"))):
     """Arm a one-shot timer firing after ``delay`` seconds."""
 
-    delay: float
-    token: Hashable
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CancelTimer(Effect):
+class CancelTimer(Effect, namedtuple("CancelTimer", ("token",))):
     """Disarm the timer identified by ``token``.  Idempotent."""
 
-    token: Hashable
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RecoveryComplete(Effect):
+class RecoveryComplete(Effect, namedtuple("RecoveryComplete", ())):
     """Signal that the recovery procedure finished.
 
     Until a recovering process emits this, the environment rejects
@@ -110,9 +106,10 @@ class RecoveryComplete(Effect):
     :class:`repro.common.errors.NotRecoveredError`.
     """
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Checkpoint(Effect):
+
+class Checkpoint(Effect, namedtuple("Checkpoint", ())):
     """Ask the environment to checkpoint this process's stable storage.
 
     The environment snapshots the durable records, persists the
@@ -123,6 +120,8 @@ class Checkpoint(Effect):
     :class:`Effect` so scripted protocols and tests can request one at
     a precise point in an execution.
     """
+
+    __slots__ = ()
 
 
 Effects = List[Effect]

@@ -733,7 +733,10 @@ class NodeCore:
             cls = effect.__class__
             if cls is Send:
                 out_depth = self._outgoing_depth(effect.message, depth, op)
-                self._dispatch(slot, effect.dst, effect.message, out_depth)
+                if slot.register is None:
+                    self._send(effect.dst, effect.message, out_depth)
+                else:
+                    self._dispatch(slot, effect.dst, effect.message, out_depth)
             elif cls is Broadcast:
                 out_depth = self._outgoing_depth(effect.message, depth, op)
                 if slot.register is None:
@@ -827,10 +830,7 @@ class NodeCore:
         message: Message,
         depth: int,
     ) -> None:
-        """Send directly (default slot) or through the frame batcher."""
-        if slot.register is None:
-            self._send(dst, message, depth)
-            return
+        """Send a named slot's message through the frame batcher."""
         frame = RegisterFrame(register=slot.register, depth=depth, message=message)
         if self.batch_window == 0.0:
             # No window, no coalescing: one datagram per frame, the

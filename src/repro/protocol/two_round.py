@@ -91,6 +91,16 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
         if retransmit_interval <= 0:
             raise ProtocolError("retransmit_interval must be > 0")
         self._retransmit_interval = retransmit_interval
+        # Message class -> handler, bound here so subclass overrides
+        # are the ones dispatched to.
+        self._message_handlers: Dict[type, Callable[[ProcessId, Any], Effects]] = {
+            SnQuery: self._answer_sn_query,
+            ReadQuery: self._answer_read_query,
+            WriteRequest: self._answer_write_request,
+            SnAck: self._on_sn_ack,
+            ReadAck: self._on_read_ack,
+            WriteAck: self._on_write_ack,
+        }
         self._reset_volatile()
 
     # -- volatile state ------------------------------------------------------
@@ -160,19 +170,10 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
     # -- responder side ----------------------------------------------------------
 
     def on_message(self, src: ProcessId, message: Message) -> Effects:
-        if isinstance(message, SnQuery):
-            return self._answer_sn_query(src, message)
-        if isinstance(message, ReadQuery):
-            return self._answer_read_query(src, message)
-        if isinstance(message, WriteRequest):
-            return self._answer_write_request(src, message)
-        if isinstance(message, SnAck):
-            return self._on_sn_ack(src, message)
-        if isinstance(message, ReadAck):
-            return self._on_read_ack(src, message)
-        if isinstance(message, WriteAck):
-            return self._on_write_ack(src, message)
-        raise ProtocolError(f"unknown message type {type(message).__name__}")
+        handler = self._message_handlers.get(message.__class__)
+        if handler is None:
+            raise ProtocolError(f"unknown message type {type(message).__name__}")
+        return handler(src, message)
 
     def _answer_sn_query(self, src: ProcessId, message: SnQuery) -> Effects:
         self.stats.messages_sent += 1

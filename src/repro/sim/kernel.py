@@ -19,6 +19,10 @@ O(1): the handle flips a flag and the kernel skips the entry when it
 surfaces.  A live-event counter keeps :attr:`Kernel.pending_events`
 O(1), and the heap is compacted whenever cancelled entries outnumber
 live ones, so mass-cancelling timers cannot leak queue memory.
+:meth:`Kernel.run_until`, the loop every cluster drives, takes one look
+at the heap per event -- shed a cancelled head, stop at the deadline,
+or pop and fire -- instead of a peek and a ``step()`` call; compaction
+is in place because that loop holds the list.
 """
 
 from __future__ import annotations
@@ -63,24 +67,18 @@ class Kernel:
     """Virtual clock and event queue driving one simulation run."""
 
     def __init__(self, seed: int = 0):
-        self._now = 0.0
+        #: Current virtual time in seconds.  Plain attributes, not
+        #: properties, because every layer reads them per event; only
+        #: the kernel writes ``now``.
+        self.now = 0.0
+        #: The run's single seeded random stream.
+        self.rng = random.Random(seed)
         # Entries: (time, seq, callback, args) or (time, seq, handle, None).
         self._queue: List[Tuple[float, int, Any, Any]] = []
         self._seq = itertools.count()
-        self._rng = random.Random(seed)
         self._events_processed = 0
         self._live = 0
         self._cancelled = 0
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
-
-    @property
-    def rng(self) -> random.Random:
-        """The run's single seeded random stream."""
-        return self._rng
 
     @property
     def events_processed(self) -> int:
@@ -102,17 +100,17 @@ class Kernel:
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         heapq.heappush(
-            self._queue, (self._now + delay, next(self._seq), callback, args)
+            self._queue, (self.now + delay, next(self._seq), callback, args)
         )
         self._live += 1
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
         """Run ``callback(*args)`` at absolute virtual ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise ValueError(
-                f"cannot schedule at {time} which is before now ({self._now})"
+                f"cannot schedule at {time} which is before now ({self.now})"
             )
-        self.schedule(time - self._now, callback, *args)
+        self.schedule(time - self.now, callback, *args)
 
     def schedule_cancellable(
         self, delay: float, callback: Callable[..., None], *args: Any
@@ -120,7 +118,7 @@ class Kernel:
         """Like :meth:`schedule`, but returns a cancellable handle."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        handle = EventHandle(self, self._now + delay, callback, args)
+        handle = EventHandle(self, self.now + delay, callback, args)
         heapq.heappush(self._queue, (handle.time, next(self._seq), handle, None))
         self._live += 1
         return handle
@@ -139,7 +137,7 @@ class Kernel:
             else:
                 callback = target
             self._live -= 1
-            self._now = time
+            self.now = time
             self._events_processed += 1
             callback(*args)
             return True
@@ -165,12 +163,12 @@ class Kernel:
             if next_time is None:
                 break
             if until is not None and next_time > until:
-                self._now = until
+                self.now = until
                 return
             self.step()
             executed += 1
-        if until is not None and until > self._now:
-            self._now = until
+        if until is not None and until > self.now:
+            self.now = until
 
     def run_until(
         self,
@@ -195,20 +193,36 @@ class Kernel:
         """
         if poll_every < 1:
             raise ValueError(f"poll_every must be >= 1, got {poll_every}")
-        deadline = None if timeout is None else self._now + timeout
+        deadline = None if timeout is None else self.now + timeout
         executed = 0
+        queue = self._queue  # _compact keeps this list
+        heappop = heapq.heappop
         while executed < max_events:
             if predicate():
                 return True
-            burst = min(poll_every, max_events - executed)
-            for _ in range(burst):
-                if deadline is not None:
-                    next_time = self._peek_time()
-                    if next_time is not None and next_time > deadline:
-                        self._now = deadline
-                        return predicate()
-                if not self.step():
+            for _ in range(min(poll_every, max_events - executed)):
+                # One look at the heap head: shed it if cancelled,
+                # stop at the deadline, or fire it.
+                while queue:
+                    time, _seq, target, args = queue[0]
+                    if args is None and target.cancelled:
+                        heappop(queue)
+                        self._cancelled -= 1
+                        continue
+                    break
+                else:
                     return predicate()
+                if deadline is not None and time > deadline:
+                    self.now = deadline
+                    return predicate()
+                heappop(queue)
+                if args is None:  # cancellable entry: target is its handle
+                    target.fired = True
+                    target, args = target.callback, target.args
+                self._live -= 1
+                self.now = time
+                self._events_processed += 1
+                target(*args)
                 executed += 1
         return predicate()
 
@@ -235,8 +249,12 @@ class Kernel:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop every cancelled entry and re-heapify."""
-        self._queue = [
+        """Drop every cancelled entry and re-heapify, in place.
+
+        In place because :meth:`run_until` holds the list while a
+        callback's ``cancel()`` may land here.
+        """
+        self._queue[:] = [
             entry
             for entry in self._queue
             if entry[3] is not None or not entry[2].cancelled

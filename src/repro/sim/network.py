@@ -7,9 +7,14 @@ retransmitted forever to a correct process is eventually received
 delivery delay of a message follows the linear size model of
 :class:`repro.net.delay.DelayModel`, calibrated to the paper's LAN.
 
-Deliveries are *envelopes*: alongside the protocol message they carry
-the causal-log depth used by :mod:`repro.history.causal_logs` -- the
-engine-level accounting of the paper's cost metric.
+A message costs one kernel event, ``(_deliver, src, dst, message,
+depth)``, fired straight into the handler its destination attached --
+:meth:`repro.protocol.host.NodeCore._on_message` for a simulated node.
+``depth`` is the causal-log depth of the sending handler, the
+engine-level accounting of the paper's cost metric
+(:mod:`repro.history.causal_logs`).  :meth:`SimNetwork.send` and
+:meth:`SimNetwork.broadcast` share one transmit path that derives
+everything the destination does not change once per message.
 
 Partitions are modelled as directed blocked links: while blocked, every
 transmission on the link is dropped (fair-lossiness is preserved
@@ -24,7 +29,8 @@ up" assumption).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+import inspect
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.common.config import NetworkConfig
 from repro.common.ids import ProcessId
@@ -40,36 +46,28 @@ from repro.sim.tracing import NULL_TRACE, Trace, TraceEvent
 LOOPBACK_DELAY = 5e-6
 
 
-class Envelope:
-    """A protocol message in flight, with engine-level metadata.
-
-    A plain slotted class rather than a dataclass: one envelope is
-    allocated per delivery, and slot assignment is measurably cheaper
-    than a frozen dataclass's ``object.__setattr__`` per field.
-    Immutable by convention.
-    """
-
-    __slots__ = ("src", "dst", "message", "depth")
-
-    def __init__(self, src: ProcessId, dst: ProcessId, message: Message, depth: int):
-        self.src = src
-        self.dst = dst
-        self.message = message
-        #: Causal-log depth context of the sending handler (see
-        #: :mod:`repro.history.causal_logs`).
-        self.depth = depth
-
-    def __repr__(self) -> str:
-        return (
-            f"Envelope(src={self.src}, dst={self.dst}, "
-            f"message={self.message!r}, depth={self.depth})"
-        )
-
-
-DeliveryHandler = Callable[[Envelope], None]
+#: What a process attaches: called with ``(src, message, depth)``.
+#: One exception, decided once at :meth:`SimNetwork.attach` and never on
+#: the delivery path: a callable whose signature cannot bind three
+#: positional arguments but can bind one is handed the triple as that
+#: one argument.  ``bench/probes.py`` attaches such a sink and is frozen
+#: while a change claims a gain; the exception goes with ROADMAP item 1.
+DeliveryHandler = Callable[[ProcessId, Message, int], None]
 
 #: A message filter: return ``True`` to drop the transmission.
 MessageFilter = Callable[[ProcessId, ProcessId, Message], bool]
+
+
+def _delivery_handler(handler: Callable[..., None]) -> DeliveryHandler:
+    """``handler`` as :data:`DeliveryHandler`; :class:`TypeError` if it is not."""
+    try:
+        inspect.signature(handler).bind(0, None, 0)
+    except ValueError:  # a builtin without a signature: trust it
+        pass
+    except TypeError:
+        inspect.signature(handler).bind(None)  # neither shape: raises
+        return lambda src, message, depth: handler((src, message, depth))
+    return handler
 
 
 class SimNetwork:
@@ -97,17 +95,20 @@ class SimNetwork:
         # blocks are refcounted; consulted only when non-empty so the
         # common configuration pays one falsy check.
         self._link_penalties: Dict[Tuple[ProcessId, ProcessId], float] = {}
-        # Sender-side egress queues: transmissions serialize through the
-        # sender's NIC, each occupying it for ``send_overhead``.
+        # When each sender's NIC is free again (see _transmit).
         self._egress_free_at: Dict[ProcessId, float] = {}
-        # Config constants hoisted out of the per-send path.  The loss
-        # and duplication probabilities come from the delay model, the
-        # single owner of channel-fault semantics: send() inlines its
-        # should_drop/should_duplicate decisions (same guard, same rng
-        # consumption) to save two method calls per transmission.
+        self._everyone = range(num_processes)
+        # Config constants hoisted out of the per-send path.  The delay
+        # model stays the owner of the size check's wording; its linear
+        # delay and loss/duplication decisions are inlined in _transmit
+        # (same arithmetic, same rng consumption).
         self._send_overhead = config.send_overhead
-        self._drop_probability = self._delay_model.drop_probability
-        self._duplicate_probability = self._delay_model.duplicate_probability
+        self._base_delay = config.base_delay
+        self._bandwidth = config.bandwidth
+        self._max_jitter = config.max_jitter
+        self._max_payload = config.max_payload
+        self._drop_probability = config.drop_probability
+        self._duplicate_probability = config.duplicate_probability
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
@@ -117,15 +118,11 @@ class SimNetwork:
     def num_processes(self) -> int:
         return self._num_processes
 
-    @property
-    def delay_model(self) -> DelayModel:
-        return self._delay_model
-
     def attach(self, pid: ProcessId, handler: DeliveryHandler) -> None:
-        """Register the delivery handler of process ``pid``."""
+        """Register the delivery handler of process ``pid``, checking its shape."""
         if not 0 <= pid < self._num_processes:
             raise ValueError(f"pid {pid} out of range")
-        self._handlers[pid] = handler
+        self._handlers[pid] = _delivery_handler(handler)
 
     # -- partitions ----------------------------------------------------------
 
@@ -235,90 +232,115 @@ class SimNetwork:
         """Transmit one message (may be dropped, duplicated, delayed)."""
         if not 0 <= dst < self._num_processes:
             raise ValueError(f"destination {dst} out of range")
-        size = message.size
-        self.messages_sent += 1
-        self.bytes_sent += size
-        trace = self._trace
-        if trace.wants(tracing.SEND):
-            trace.emit(
-                TraceEvent(
-                    time=self._kernel.now,
-                    kind=tracing.SEND,
-                    pid=src,
-                    detail={
-                        "dst": dst, "msg": message.kind, "op": message.op, "size": size
-                    },
-                )
-            )
-        else:
-            trace.tick(tracing.SEND, self._kernel.now, src, message.op)
-        if self._blocked_links and (src, dst) in self._blocked_links:
-            self._drop(src, dst, message, reason="partition")
-            return
-        if self._filters and self._filtered(src, dst, message):
-            self._drop(src, dst, message, reason="filter")
-            return
-        rng = self._kernel.rng
-        if (
-            src != dst
-            and self._drop_probability > 0.0
-            and rng.random() < self._drop_probability
-        ):
-            self._drop(src, dst, message, reason="loss")
-            return
-        self._schedule_delivery(src, dst, message, depth)
-        if (
-            src != dst
-            and self._duplicate_probability > 0.0
-            and rng.random() < self._duplicate_probability
-        ):
-            if trace.wants(tracing.DUPLICATE):
-                trace.emit(
-                    TraceEvent(
-                        time=self._kernel.now,
-                        kind=tracing.DUPLICATE,
-                        pid=src,
-                        detail={"dst": dst, "msg": message.kind},
-                    )
-                )
-            else:
-                trace.tick(
-                    tracing.DUPLICATE, self._kernel.now, src, message.op
-                )
-            self._schedule_delivery(src, dst, message, depth)
+        self._transmit(src, (dst,), message, depth)
 
     def broadcast(self, src: ProcessId, message: Message, depth: int) -> None:
         """Send ``message`` to every process, including ``src`` itself."""
-        for dst in range(self._num_processes):
-            self.send(src, dst, message, depth)
+        self._transmit(src, self._everyone, message, depth)
 
-    def _schedule_delivery(
-        self, src: ProcessId, dst: ProcessId, message: Message, depth: int
+    def _transmit(
+        self, src: ProcessId, dsts: Iterable[ProcessId], message: Message, depth: int
     ) -> None:
-        queue_delay = self._egress_queue_delay(src)
-        if src == dst:
-            delay = LOOPBACK_DELAY
-        else:
-            delay = self._delay_model.sample_total(message.size, self._kernel.rng)
-        if self._link_penalties:
-            delay += self._link_penalties.get((src, dst), 0.0)
-        envelope = Envelope(src, dst, message, depth)
-        self._kernel.schedule(queue_delay + delay, self._deliver, envelope)
+        """Transmit ``message`` to each of ``dsts``: the one send path.
 
-    def _egress_queue_delay(self, src: ProcessId) -> float:
-        """Serialize transmissions through the sender's NIC."""
+        What does not depend on the destination is derived once; per
+        destination the random draws keep their order -- loss (remote
+        links, p > 0), jitter, duplication, the duplicate's own jitter
+        -- and the delay its float association ``((free_at + overhead)
+        - now) + ((base + size / bandwidth) + jitter [+ penalty])``,
+        which is what keeps seeded runs byte-identical.
+        """
+        size = message.size
+        if not 0 <= size <= self._max_payload:
+            self._delay_model.check_size(size)  # raises: nothing is half-sent
+        op = message.op
+        kernel = self._kernel
+        now = kernel.now
+        rng = kernel.rng
+        schedule = kernel.schedule
+        deliver = self._deliver
+        trace = self._trace
+        blocked = self._blocked_links
+        filters = self._filters
+        penalties = self._link_penalties
+        drop_probability = self._drop_probability
+        duplicate_probability = self._duplicate_probability
+        max_jitter = self._max_jitter
+        wire_delay = self._base_delay + size / self._bandwidth
+        # Transmissions serialize through the sender's NIC, each
+        # occupying it for ``send_overhead``.
         overhead = self._send_overhead
-        if overhead == 0.0:
-            return 0.0
-        now = self._kernel.now
         free_at = self._egress_free_at.get(src, now)
         if free_at < now:
             free_at = now
-        self._egress_free_at[src] = free_at + overhead
-        return (free_at + overhead) - now
+        for dst in dsts:
+            self.messages_sent += 1
+            self.bytes_sent += size
+            if trace.wants(tracing.SEND):
+                trace.emit(
+                    TraceEvent(
+                        time=now,
+                        kind=tracing.SEND,
+                        pid=src,
+                        detail={"dst": dst, "msg": message.kind, "op": op, "size": size},
+                    )
+                )
+            else:
+                trace.tick(tracing.SEND, now, src, op)
+            if blocked and (src, dst) in blocked:
+                self._drop(src, dst, message, reason="partition")
+                continue
+            if filters and self._filtered(src, dst, message):
+                self._drop(src, dst, message, reason="filter")
+                continue
+            remote = src != dst
+            if (
+                remote
+                and drop_probability > 0.0
+                and rng.random() < drop_probability
+            ):
+                self._drop(src, dst, message, reason="loss")
+                continue
+            duplicate = False
+            while True:
+                if not remote:
+                    delay = LOOPBACK_DELAY
+                elif max_jitter > 0.0:
+                    delay = wire_delay + rng.uniform(0.0, max_jitter)
+                else:
+                    delay = wire_delay
+                if penalties:
+                    delay += penalties.get((src, dst), 0.0)
+                if overhead:
+                    free_at += overhead
+                    delay = (free_at - now) + delay
+                schedule(delay, deliver, src, dst, message, depth)
+                if (
+                    duplicate
+                    or not remote
+                    or duplicate_probability <= 0.0
+                    or rng.random() >= duplicate_probability
+                ):
+                    break
+                duplicate = True
+                if trace.wants(tracing.DUPLICATE):
+                    trace.emit(
+                        TraceEvent(
+                            time=now,
+                            kind=tracing.DUPLICATE,
+                            pid=src,
+                            detail={"dst": dst, "msg": message.kind},
+                        )
+                    )
+                else:
+                    trace.tick(tracing.DUPLICATE, now, src, op)
+        if overhead:
+            self._egress_free_at[src] = free_at
 
-    def _deliver(self, envelope: Envelope) -> None:
-        handler = self._handlers.get(envelope.dst)
+    def _deliver(
+        self, src: ProcessId, dst: ProcessId, message: Message, depth: int
+    ) -> None:
+        handler = self._handlers.get(dst)
         if handler is None:
             return
         self.messages_delivered += 1
@@ -328,22 +350,13 @@ class SimNetwork:
                 TraceEvent(
                     time=self._kernel.now,
                     kind=tracing.DELIVER,
-                    pid=envelope.dst,
-                    detail={
-                        "src": envelope.src,
-                        "msg": envelope.message.kind,
-                        "op": envelope.message.op,
-                    },
+                    pid=dst,
+                    detail={"src": src, "msg": message.kind, "op": message.op},
                 )
             )
         else:
-            trace.tick(
-                tracing.DELIVER,
-                self._kernel.now,
-                envelope.dst,
-                envelope.message.op,
-            )
-        handler(envelope)
+            trace.tick(tracing.DELIVER, self._kernel.now, dst, message.op)
+        handler(src, message, depth)
 
     def _drop(
         self, src: ProcessId, dst: ProcessId, message: Message, reason: str

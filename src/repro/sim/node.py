@@ -24,7 +24,7 @@ from repro.common.ids import ProcessId
 from repro.history.recorder import HistoryRecorder
 from repro.protocol.host import NodeCore, ProtocolFactory
 from repro.sim.kernel import Kernel
-from repro.sim.network import Envelope, SimNetwork
+from repro.sim.network import SimNetwork
 from repro.sim.storage import SimStableStorage
 from repro.sim.tracing import Trace
 
@@ -62,6 +62,7 @@ class SimNode(NodeCore):
         self.recovery_scan = recovery_scan
         # Primitives are bound straight to the engine call that serves
         # them: no forwarding frame on the datapath.
+        self._now = partial(getattr, kernel, "now")
         self._send = partial(network.send, pid)
         self._broadcast = partial(network.broadcast, pid)
         self._store = storage.store
@@ -70,13 +71,7 @@ class SimNode(NodeCore):
         self._crash_io = storage.crash
         self._call_later = kernel.schedule_cancellable
         self._defer = kernel.schedule
-        network.attach(pid, self._on_envelope)
-
-    def _now(self) -> float:
-        return self._kernel.now
-
-    def _on_envelope(self, envelope: Envelope) -> None:
-        self._on_message(envelope.src, envelope.message, envelope.depth)
+        network.attach(pid, self._on_message)
 
     def _read_back(self, incarnation: int) -> None:
         """Bill the log scan, if asked to, before the protocols recover.

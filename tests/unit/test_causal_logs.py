@@ -63,6 +63,25 @@ class TestCausalDepthTracker:
         assert tracker.depth_of(ops[0]) == 0  # evicted
         assert tracker.depth_of(ops[2]) == 1
 
+    def test_eviction_is_first_in_first_out(self):
+        tracker = CausalDepthTracker(retention=2)
+        a, b, c = (make_operation_id(0) for _ in range(3))
+        tracker.record_store(a, 0)
+        tracker.record_store(b, 0)
+        assert tracker.observe(a, 2) == 2  # a rise does not renew a's place
+        tracker.record_store(c, 0)
+        assert tracker.depth_of(a) == 0  # first in, first out
+        assert tracker.depth_of(b) == 1
+        assert tracker.depth_of(c) == 1
+
+    def test_depth_zero_observations_take_no_room(self):
+        tracker = CausalDepthTracker(retention=1)
+        op = make_operation_id(0)
+        tracker.record_store(op, 0)
+        for _ in range(5):
+            assert tracker.observe(make_operation_id(1), 0) == 0
+        assert tracker.depth_of(op) == 1
+
     def test_rejects_negative_depth(self):
         tracker = CausalDepthTracker()
         with pytest.raises(ValueError):

@@ -1,6 +1,9 @@
 """Unit tests for process and operation identifiers."""
 
+import pickle
 import threading
+
+import pytest
 
 from repro.common.ids import OperationId, make_operation_id
 
@@ -24,6 +27,27 @@ class TestOperationIds:
 
     def test_str_names_process_and_sequence(self):
         assert str(OperationId(pid=2, seq=9)) == "op(p2#9)"
+
+    def test_repr_names_the_fields(self):
+        # The golden transcripts print ids both ways.
+        assert repr(OperationId(2, 9)) == "OperationId(pid=2, seq=9)"
+
+    def test_orders_by_pid_then_sequence(self):
+        ids = [OperationId(1, 0), OperationId(0, 7), OperationId(0, 2)]
+        assert sorted(ids) == [OperationId(0, 2), OperationId(0, 7), OperationId(1, 0)]
+
+    def test_is_the_pair_it_holds(self):
+        op = OperationId(pid=3, seq=4)
+        assert op == (3, 4) and hash(op) == hash((3, 4))
+        assert {op: "x"}[OperationId(3, 4)] == "x"
+        assert not hasattr(op, "__dict__")
+        with pytest.raises(AttributeError):
+            op.seq = 5
+
+    def test_pickle_round_trip(self):
+        op = OperationId(pid=3, seq=4)
+        clone = pickle.loads(pickle.dumps(op))
+        assert clone == op and type(clone) is OperationId
 
     def test_concurrent_minting_stays_unique(self):
         results = []

@@ -1,7 +1,11 @@
 """Unit tests for the discrete-event kernel."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.sim.kernel import Kernel
 
 
@@ -186,6 +190,69 @@ class TestRunBounds:
         kernel.run()
         assert kernel.events_processed == 5
 
+    def test_run_until_sheds_a_cancelled_entry_at_the_heap_head(self):
+        kernel = Kernel()
+        fired = []
+        kernel.schedule_cancellable(1.0, fired.append, "cancelled").cancel()
+        kernel.schedule_cancellable(2.0, fired.append, "timer")
+        kernel.schedule(3.0, fired.append, "plain")
+        assert kernel.run_until(lambda: len(fired) == 2)
+        assert fired == ["timer", "plain"]
+        assert kernel.now == 3.0
+        assert kernel.events_processed == 2
+        assert kernel.pending_events == 0
+        assert kernel._cancelled == 0 and kernel._queue == []
+
+    def test_run_until_survives_a_compaction_from_inside_a_callback(self):
+        # A callback that cancels >= 64 timers compacts the heap while
+        # run_until is iterating it; nothing scheduled before or after
+        # the compaction may be lost.
+        kernel = Kernel()
+        fired = []
+        timers = [
+            kernel.schedule_cancellable(50.0 + i, fired.append, f"timer{i}")
+            for i in range(100)
+        ]
+
+        def cancel_all():
+            fired.append("cancel")
+            for timer in timers:
+                timer.cancel()
+            kernel.schedule(1.0, fired.append, "after")
+
+        kernel.schedule(1.0, cancel_all)
+        kernel.schedule(3.0, fired.append, "before")
+        assert not kernel.run_until(lambda: False)  # drains
+        assert fired == ["cancel", "after", "before"]
+        assert kernel.now == 3.0
+        assert kernel.pending_events == 0
+        assert kernel._cancelled == 0 and kernel._queue == []
+
+    def test_run_until_timeout_between_two_events_is_exact(self):
+        kernel = Kernel()
+        fired = []
+        kernel.schedule(1.0, fired.append, "early")
+        kernel.schedule_cancellable(1.5, fired.append, "cancelled").cancel()
+        kernel.schedule(3.0, fired.append, "late")
+        assert not kernel.run_until(lambda: len(fired) == 2, timeout=2.0)
+        assert fired == ["early"]
+        assert kernel.now == 2.0
+        assert kernel.pending_events == 1
+        assert kernel.run_until(lambda: len(fired) == 2, timeout=1.0)  # 3.0 is in reach
+        assert fired == ["early", "late"]
+        assert kernel.now == 3.0
+
+    def test_run_until_poll_every_overshoots_by_less_than_its_stride(self):
+        kernel = Kernel()
+        fired = []
+        for i in range(1000):
+            kernel.schedule(float(i), fired.append, i)
+        assert kernel.run_until(lambda: len(fired) >= 10, poll_every=64)
+        assert 10 <= len(fired) <= 10 + 63
+        # The event budget stays exact whatever the stride.
+        assert not kernel.run_until(lambda: False, max_events=100, poll_every=64)
+        assert kernel.events_processed == len(fired) == 64 + 100
+
 
 class TestDeterminism:
     def test_same_seed_same_random_stream(self):
@@ -197,3 +264,20 @@ class TestDeterminism:
 
     def test_different_seeds_differ(self):
         assert Kernel(seed=1).rng.random() != Kernel(seed=2).rng.random()
+
+    def test_only_the_kernel_writes_its_clock_and_random_stream(self):
+        # ``Kernel.now`` and ``Kernel.rng`` are plain attributes (every
+        # layer reads them per event), so nothing stops an assignment:
+        # one from outside ``sim/kernel.py`` would silently break
+        # determinism.  No file under ``src/`` may store to either name.
+        root = Path(repro.__file__).parent
+        stores = [
+            f"{path.relative_to(root)}:{node.lineno}"
+            for path in sorted(root.rglob("*.py"))
+            if path != root / "sim" / "kernel.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("now", "rng")
+            and isinstance(node.ctx, (ast.Store, ast.Del))
+        ]
+        assert stores == []

@@ -1,9 +1,13 @@
 """Unit tests for the simulated fair-lossy network."""
 
+import random
+from functools import partial
+
 import pytest
 
 from repro.common.config import NetworkConfig
 from repro.common.ids import make_operation_id
+from repro.net.delay import DelayModel
 from repro.protocol.messages import ReadQuery, SnQuery, WriteRequest
 from repro.common.timestamps import Tag
 from repro.sim import tracing
@@ -18,8 +22,17 @@ def make_network(n=3, **config_kwargs):
     network = SimNetwork(kernel, n, NetworkConfig(**config_kwargs), trace)
     inboxes = {pid: [] for pid in range(n)}
     for pid in range(n):
-        network.attach(pid, inboxes[pid].append)
+        network.attach(pid, inbox_handler(inboxes[pid]))
     return kernel, network, inboxes, trace
+
+
+def inbox_handler(inbox):
+    """A delivery handler filing ``(src, message, depth)`` into ``inbox``."""
+    return lambda src, message, depth: inbox.append((src, message, depth))
+
+
+def ignore(src, message, depth):
+    pass
 
 
 def query(pid=0):
@@ -51,17 +64,41 @@ class TestDelivery:
 
     def test_envelope_carries_metadata(self):
         kernel, network, inboxes, _ = make_network()
-        network.send(0, 1, query(), depth=3)
+        first, second = query(), query()
+        network.send(0, 1, first, depth=3)
+        network.send(2, 1, second, depth=5)
         kernel.run()
-        envelope = inboxes[1][0]
-        assert envelope.src == 0
-        assert envelope.dst == 1
-        assert envelope.depth == 3
+        assert inboxes[1] == [(0, first, 3), (2, second, 5)]
+        assert inboxes[0] == inboxes[2] == []
 
     def test_out_of_range_destination_rejected(self):
         _, network, _, _ = make_network(n=3)
         with pytest.raises(ValueError):
             network.send(0, 7, query(), depth=0)
+
+    def test_oversized_broadcast_sends_and_counts_nothing(self):
+        kernel, network, inboxes, trace = make_network(max_payload=1024)
+        oversized = WriteRequest(
+            op=make_operation_id(0), round_no=1, tag=Tag(1, 0), value=b"x" * 2048
+        )
+        with pytest.raises(ValueError, match="exceeds the transport maximum"):
+            network.broadcast(0, oversized, depth=0)
+        assert kernel.pending_events == 0
+        assert (network.messages_sent, network.bytes_sent) == (0, 0)
+        assert trace.count(tracing.SEND) == 0
+        kernel.run()
+        assert all(inbox == [] for inbox in inboxes.values())
+
+    def test_oversized_loopback_is_rejected_too(self):
+        kernel, network, _, trace = make_network(max_payload=1024)
+        oversized = WriteRequest(
+            op=make_operation_id(1), round_no=1, tag=Tag(1, 1), value=b"x" * 2048
+        )
+        with pytest.raises(ValueError, match="exceeds the transport maximum"):
+            network.send(1, 1, oversized, depth=0)
+        assert kernel.pending_events == 0
+        assert (network.messages_sent, network.bytes_sent) == (0, 0)
+        assert trace.count(tracing.SEND) == 0
 
     def test_larger_messages_take_longer(self):
         kernel, network, inboxes, _ = make_network(send_overhead=0.0)
@@ -80,14 +117,124 @@ class TestDelivery:
     def test_sender_egress_serializes_transmissions(self):
         kernel, network, inboxes, _ = make_network(n=2, send_overhead=1e-5)
         arrival_times = []
-        def record_arrival(env):
-            arrival_times.append(kernel.now)
-
-        network._handlers[1] = record_arrival
+        network.attach(1, lambda src, message, depth: arrival_times.append(kernel.now))
         network.send(0, 1, query(), depth=0)
         network.send(0, 1, query(), depth=0)
         kernel.run()
         assert arrival_times[1] - arrival_times[0] == pytest.approx(1e-5)
+
+
+class TestHandlerShape:
+    """``attach`` settles how a handler is called, once, from its signature."""
+
+    def deliveries(self, attach):
+        kernel, network, _, _ = make_network(n=2)
+        seen = []
+        attach(network, seen)
+        message = query()
+        network.send(0, 1, message, depth=4)
+        kernel.run()
+        return seen, message
+
+    def test_three_positional_parameters_get_the_triple_spread(self):
+        def handler(seen, src, message, depth):
+            seen.append((src, message, depth))
+
+        for shape in (
+            lambda seen: lambda src, message, depth: handler(seen, src, message, depth),
+            lambda seen: partial(handler, seen),
+            lambda seen: lambda src, *rest: seen.append((src, *rest)),
+            lambda seen: lambda *triple: seen.append(triple),
+        ):
+            seen, message = self.deliveries(lambda network, seen: network.attach(1, shape(seen)))
+            assert seen == [(0, message, 4)]
+
+    def test_bound_method_with_varargs_is_not_mistaken_for_one_parameter(self):
+        class Sink:
+            def __init__(self):
+                self.seen = []
+
+            def on_message(self, *triple):
+                self.seen.append(triple)
+
+        sink = Sink()
+        _, message = self.deliveries(lambda network, _: network.attach(1, sink.on_message))
+        assert sink.seen == [(0, message, 4)]
+
+    def test_one_parameter_sink_gets_the_triple_as_one_argument(self):
+        # The shape bench/probes.py attaches (see DeliveryHandler).
+        for shape in (lambda seen: lambda envelope: seen.append(envelope),
+                      lambda seen: seen.append):
+            seen, message = self.deliveries(lambda network, seen: network.attach(1, shape(seen)))
+            assert seen == [(0, message, 4)]
+
+    def test_one_parameter_sink_is_adapted_at_attach_not_at_delivery(self):
+        _, network, _, _ = make_network(n=2)
+
+        def sink(envelope):
+            pass
+
+        network.attach(0, ignore)
+        network.attach(1, sink)
+        assert network._handlers[0] is ignore
+        assert network._handlers[1] is not sink
+
+    @pytest.mark.parametrize(
+        "handler", [lambda: None, lambda src, message: None, lambda a, b, c, d: None, 3]
+    )
+    def test_any_other_shape_is_refused_at_attach(self, handler):
+        kernel, network, inboxes, _ = make_network(n=2)
+        with pytest.raises(TypeError):
+            network.attach(1, handler)
+        network.send(0, 1, query(), depth=0)
+        kernel.run()
+        assert len(inboxes[1]) == 1  # the handler attached before still stands
+
+
+class TestDelayModelParity:
+    """``_transmit`` inlines :class:`DelayModel`; this ties the two together."""
+
+    CONFIG = dict(
+        drop_probability=0.2, duplicate_probability=0.3, max_jitter=4e-5, send_overhead=3e-6
+    )
+
+    def test_delivery_times_and_rng_draws_equal_the_reference_model(self):
+        kernel, network, _, _ = make_network(n=4, **self.CONFIG)
+        arrivals = []
+        for pid in range(4):
+            network.attach(
+                pid, lambda src, message, depth, pid=pid: arrivals.append((kernel.now, pid))
+            )
+        network.slow_link(0, 2, 7e-5)
+        model, rng = DelayModel(NetworkConfig(**self.CONFIG)), random.Random(0)
+        overhead = self.CONFIG["send_overhead"]
+        expected, free_at = [], 0.0
+        for round_no in range(40):
+            message = SnQuery(op=make_operation_id(0), round_no=round_no)
+            network.broadcast(0, message, depth=0)
+            for dst in range(4):
+                if dst == 0:
+                    free_at += overhead
+                    expected.append((free_at + LOOPBACK_DELAY, dst))
+                    continue
+                if model.should_drop(rng):
+                    continue
+                copies = 1
+                while True:
+                    free_at += overhead
+                    delay = model.sample(message.size, rng).total
+                    delay += network.link_penalty(0, dst)
+                    expected.append((free_at + delay, dst))
+                    if copies == 2 or not model.should_duplicate(rng):
+                        break
+                    copies = 2
+        assert kernel.rng.getstate() == rng.getstate()
+        kernel.run()
+        assert [dst for _, dst in sorted(expected)] == [dst for _, dst in arrivals]
+        assert [time for time, _ in arrivals] == pytest.approx(
+            [time for time, _ in sorted(expected)], rel=1e-12
+        )
+        assert 0 < network.messages_dropped < 120 < len(arrivals)
 
 
 class TestPartitions:
@@ -141,7 +288,7 @@ class TestFilters:
         network.send(0, 1, query(), depth=0)
         kernel.run()
         assert len(inboxes[1]) == 1
-        assert isinstance(inboxes[1][0].message, SnQuery)
+        assert isinstance(inboxes[1][0][1], SnQuery)
 
     def test_filter_removal(self):
         kernel, network, inboxes, _ = make_network()
@@ -219,7 +366,7 @@ class TestTracingFastPath:
         kernel = Kernel(seed=0)
         network = SimNetwork(kernel, 3, NetworkConfig(), trace)
         for pid in range(3):
-            network.attach(pid, lambda envelope: None)
+            network.attach(pid, ignore)
         return kernel, network, constructed
 
     def test_quiet_trace_builds_no_events(self, monkeypatch):
@@ -236,8 +383,8 @@ class TestTracingFastPath:
     def test_default_trace_is_quiet(self, monkeypatch):
         kernel = Kernel(seed=0)
         network = SimNetwork(kernel, 2, NetworkConfig())  # no trace argument
-        network.attach(0, lambda envelope: None)
-        network.attach(1, lambda envelope: None)
+        network.attach(0, ignore)
+        network.attach(1, ignore)
         network.send(0, 1, query(), depth=0)
         kernel.run()
         assert network.messages_delivered == 1

@@ -15,6 +15,9 @@ Two contracts guard the façade:
 """
 
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -117,6 +120,34 @@ class TestSnapshot:
                      "OpHandle", "Verdict", "CapabilityError"):
             assert hasattr(repro, name), name
             assert name in repro.__all__
+
+    def test_every_top_level_name_resolves(self):
+        # The scenario names are served lazily (PEP 562); they must
+        # still be there for ``from repro import run_scenario``.
+        for name in repro.__all__:
+            assert getattr(repro, name) is not None, name
+        from repro import run_scenario
+        from repro.scenarios import run_scenario as the_real_one
+
+        assert run_scenario is the_real_one
+        with pytest.raises(AttributeError):
+            repro.no_such_name
+
+    def test_opening_a_cluster_does_not_import_the_process_pool(self):
+        program = (
+            "import sys, repro\n"
+            "with repro.open_cluster(backend='sim', protocol='persistent', seed=7) as c:\n"
+            "    c.session(0).write_sync('v')\n"
+            "heavy = ('repro.scenarios', 'multiprocessing', 'concurrent.futures.process')\n"
+            "print([name for name in heavy if name in sys.modules])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", program],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_capability_matrix(self):
         assert api.SimBackend.capabilities == frozenset(

@@ -1,5 +1,7 @@
 """Unit tests for lexicographic tags."""
 
+import pickle
+
 import pytest
 
 from repro.common.timestamps import Tag, bottom_tag, max_tag
@@ -74,6 +76,34 @@ class TestSerialization:
     def test_str_hides_zero_rec(self):
         assert str(Tag(4, 1)) == "[4,1]"
         assert str(Tag(4, 1, 2)) == "[4,1,r2]"
+
+    def test_repr_names_the_fields(self):
+        assert repr(Tag(4, 1)) == "Tag(sn=4, pid=1, rec=0)"
+
+    def test_keyword_construction(self):
+        assert Tag(sn=4, pid=1, rec=2) == Tag(4, 1, 2)
+        assert Tag(sn=4, pid=1) == Tag(4, 1, 0)
+
+    def test_pickle_round_trip(self):
+        tag = Tag(7, 3, 2)
+        clone = pickle.loads(pickle.dumps(tag))
+        assert clone == tag and type(clone) is Tag
+
+    def test_is_the_triple_it_holds(self):
+        tag = Tag(7, 3, 2)
+        assert tag == (7, 3, 2) and hash(tag) == hash((7, 3, 2))
+        assert type(tag.as_tuple()) is tuple
+        assert not hasattr(tag, "__dict__")
+        with pytest.raises(AttributeError):
+            tag.sn = 8
+
+    def test_replace_and_make_validate_like_construction(self):
+        assert Tag(7, 3)._replace(sn=8) == Tag(8, 3) and Tag._make([1, 2]) == Tag(1, 2)
+        assert type(Tag(7, 3)._replace(rec=1)) is Tag
+        with pytest.raises(ValueError):
+            Tag(7, 3)._replace(sn=-1)
+        with pytest.raises(ValueError):
+            Tag._make((1, -2, 0))
 
 
 class TestHelpers:

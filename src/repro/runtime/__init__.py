@@ -4,8 +4,9 @@ The paper's measurements come from a C implementation on a LAN using
 UDP and synchronous file writes.  This package is the Python analogue:
 the *same* sans-io protocol classes as the simulator, hosted on
 
-* :class:`~repro.runtime.transport.UdpTransport` -- asyncio datagram
-  endpoints (UDP really can drop/reorder, matching fair-lossy);
+* :class:`~repro.runtime.transport.UdpTransport` -- one UDP socket per
+  node on the event loop, speaking a CRC-framed binary wire format (UDP
+  really can drop/reorder, matching fair-lossy);
 * :class:`~repro.runtime.storage.FileStableStorage` -- one append-only,
   CRC-framed log per node; a store is one appended frame plus
   ``fdatasync``, so it is durable when it returns (buffering "would

@@ -53,7 +53,7 @@ from repro.protocol.base import RegisterProtocol, StableView
 from repro.protocol.registry import get_protocol_class
 from repro.protocol.two_round import TwoRoundRegisterProtocol
 from repro.runtime.node import RuntimeNode
-from repro.runtime.transport import Peer
+from repro.runtime.transport import Peer, check_value
 
 #: Retransmission period for live clusters, seconds.  Generous: real
 #: loopback rarely drops, so retries are a safety net, not the norm.
@@ -241,10 +241,14 @@ class LiveCluster:
         errors.ProcessCrashed` if a crash aborted the operation, or with
         :class:`TimeoutError` after ``op_timeout`` seconds (the operation
         then stays in flight on the node).  A ``key`` not provisioned
-        yet is provisioned first.
+        yet is provisioned first.  A written value the wire format cannot
+        carry raises :class:`~repro.common.errors.TransportError` here,
+        on the caller's thread, before any datagram leaves.
         """
         if self._loop is None:
             raise ReproError("cluster not started")
+        if kind == "write":
+            check_value(value)
         loop, node = self._loop, self.nodes[pid]
         future: concurrent.futures.Future = concurrent.futures.Future()
 

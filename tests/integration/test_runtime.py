@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.common.errors import ReproError, StorageError
+from repro.common.errors import ReproError, StorageError, TransportError
 from repro.history.checker import (
     check_persistent_atomicity,
     check_transient_atomicity,
@@ -306,6 +306,36 @@ class TestLiveCluster:
         finally:
             live_cluster.recover_node(2)
 
+    def test_value_the_wire_cannot_carry_is_refused_at_the_caller(self, live_cluster):
+        """Not dropped as malformed by every peer until ``op_timeout``."""
+
+        class Handle:
+            pass
+
+        nodes = live_cluster.nodes
+
+        def datagrams():
+            return sum(node.transport.messages_sent for node in nodes)
+
+        def quiet():  # every message delivered, every store acknowledged
+            delivered = sum(node.transport.messages_received for node in nodes)
+            return datagrams() == delivered and not any(
+                count for node in nodes for count in node._storing.values()
+            )
+
+        live_cluster.write(0, "plain")
+        wait_for(quiet)
+        time.sleep(0.05)  # a handler caught between its two counters finishes
+        wait_for(quiet)
+        before, invoked = datagrams(), len(live_cluster.recorder.history)
+        # Unpicklable, unpicklable, and picklable but naming a global.
+        for value in (Handle(), threading.Lock(), range(3)):
+            with pytest.raises(TransportError, match=type(value).__qualname__):
+                live_cluster.write(0, value)
+        assert (datagrams(), len(live_cluster.recorder.history)) == (before, invoked)
+        assert all(node.transport.malformed == 0 for node in nodes)
+        assert live_cluster.read(1) == "plain"
+
     def test_history_is_atomic(self, live_cluster):
         live_cluster.write(0, "final-check")
         live_cluster.read(1)
@@ -576,7 +606,7 @@ class TestLiveThreading:
         with pytest.raises(StorageError, match="cannot create storage dir"):
             cluster.start()
         assert cluster._loop is None
-        assert cluster.nodes[0].transport._transport is None
+        assert cluster.nodes[0].transport._sock is None
         assert [t.name for t in set(threading.enumerate()) - before] == []
 
     def test_mutators_refuse_other_threads(self, live_cluster):

@@ -1,7 +1,11 @@
 """Unit tests for the UDP transport (real sockets on localhost)."""
 
 import asyncio
+import os
 import pickle
+import socket
+import struct
+import zlib
 
 import pytest
 
@@ -10,8 +14,24 @@ from repro.common.ids import make_operation_id
 from repro.common.timestamps import Tag
 from repro.obs.ring import RingTrace
 from repro.obs.tracing import ALL_KINDS
-from repro.protocol.messages import SnQuery, WriteRequest
-from repro.runtime.transport import MAX_DATAGRAM, Peer, UdpTransport
+from repro.protocol.messages import (
+    MuxBatch,
+    ReadAck,
+    ReadQuery,
+    RegisterFrame,
+    SnAck,
+    SnQuery,
+    WriteAck,
+    WriteRequest,
+)
+from repro.runtime.transport import (
+    MAX_DATAGRAM,
+    Peer,
+    UdpTransport,
+    check_value,
+    decode,
+    encode,
+)
 
 
 run = asyncio.run
@@ -30,6 +50,67 @@ async def endpoints(*receivers):
 
 def query(pid=0):
     return SnQuery(op=make_operation_id(pid), round_no=1)
+
+
+def oversized():
+    return WriteRequest(
+        op=make_operation_id(0),
+        round_no=1,
+        tag=Tag(1, 0),
+        value=b"x" * (MAX_DATAGRAM + 1),
+    )
+
+
+def one_of_each_kind():
+    """One message of every kind on the wire, a two-frame batch last."""
+    op, tag = make_operation_id(1), Tag(3, 1, 2)
+    plain = [
+        SnQuery(op, 1),
+        SnAck(op, 1, tag),
+        WriteRequest(op, 2, tag, {"k": [1, "\u00e9", b"\0"]}),
+        WriteAck(op, 2, tag),
+        ReadQuery(None, 0),
+        ReadAck(op, 1, tag, "value", durable_tag=Tag(2, 0)),
+    ]
+    frames = (
+        RegisterFrame("limits.rps", 4, plain[2]),
+        RegisterFrame("cl\u00e9", 0, plain[5]),
+    )
+    return plain + [MuxBatch(None, 0, frames)]
+
+
+def sealed(frame):
+    """``frame`` with the CRC a well-behaved sender would append."""
+    return bytes(frame) + struct.pack("<I", zlib.crc32(frame))
+
+
+def listener():
+    """An unstarted transport of process 0, peer of process 1, that decodes what it is handed."""
+    transport = UdpTransport(0)
+    transport.set_peers([Peer(0, "127.0.0.1", 1), Peer(1, "127.0.0.1", 2)])
+    received = []
+    transport._receive = lambda src, msg, depth: received.append((src, depth, msg))
+    return transport, received
+
+
+class StubSocket:
+    """Plays back ``incoming`` datagrams; ``sendto`` raises ``refusal``."""
+
+    def __init__(self, incoming=(), refusal=None):
+        self.incoming = list(incoming)
+        self.refusal = refusal
+        self.asked = []
+
+    def recv_into(self, buffer):
+        self.asked.append(len(buffer))
+        if not self.incoming:
+            raise BlockingIOError
+        data = self.incoming.pop(0)
+        buffer[: len(data)] = data
+        return len(data)
+
+    def sendto(self, data, address):
+        raise self.refusal
 
 
 class TestUdpTransport:
@@ -55,6 +136,31 @@ class TestUdpTransport:
         assert src == 0
         assert depth == 3
         assert isinstance(message, SnQuery)
+
+    def test_round_trip_over_ipv6_loopback(self):
+        """The socket's family is the configured host's."""
+
+        async def scenario():
+            received = []
+            a = UdpTransport(0, host="::1")
+            try:
+                await a.start(lambda src, msg, depth: received.append((src, depth)))
+            except OSError:
+                pytest.skip("no IPv6 loopback here")
+            b = UdpTransport(1, host="::1")
+            await b.start(lambda *args: None)
+            for transport in (a, b):
+                transport.set_peers([Peer(0, a.host, a.port), Peer(1, b.host, b.port)])
+            b.send(0, query(1), depth=1)
+            for _ in range(100):
+                if received:
+                    break
+                await asyncio.sleep(0.01)
+            a.close()
+            b.close()
+            return received
+
+        assert run(scenario()) == [(1, 1)]
 
     def test_unknown_peer_raises(self):
         async def scenario():
@@ -162,23 +268,192 @@ class TestUdpTransport:
         inboxes = run(scenario())
         assert all(len(box) == 1 for box in inboxes.values())
 
-    def test_garbage_datagrams_are_dropped(self):
-        transport = UdpTransport(0)
-        transport.set_peers([Peer(0, "127.0.0.1", 1), Peer(1, "127.0.0.1", 2)])
-        received = []
-        transport._receive = lambda src, msg, depth: received.append(src)
-        garbage = [
-            b"not-a-pickle",
-            pickle.dumps(1),  # not a triple
-            pickle.dumps((1, 2, 3)),  # a triple, but no message in it
-            pickle.dumps((7, 0, query())),  # from no peer of ours
-            pickle.dumps((1, "deep", query())),
-            pickle.dumps(([], 0, query())),
-        ]
-        for data in garbage:
+    def test_garbage_datagrams_are_dropped(self, tmp_path):
+        transport, received = listener()
+        messages = one_of_each_kind()
+        dropped = 0
+
+        def drop(data):
+            nonlocal dropped
             transport._on_datagram(data)  # must not raise
-        assert received == []
-        assert transport.malformed == len(garbage)
-        assert transport.messages_received == 0
-        transport._on_datagram(pickle.dumps((1, 0, query())))
-        assert received == [1] and transport.malformed == len(garbage)
+            dropped += 1
+            assert transport.malformed == dropped, data
+
+        drop(b"")
+        drop(b"not-a-datagram")
+        drop(pickle.dumps((1, 0, query())))  # the format this one replaced
+        drop(encode(7, 0, query()))  # well-formed, from no peer of ours
+        for message in messages:
+            good = encode(1, 5, message)
+            for cut in range(len(good)):
+                drop(good[:cut])
+            for at in range(len(good)):
+                for bit in range(8):
+                    flipped = bytearray(good)
+                    flipped[at] ^= 1 << bit
+                    drop(flipped)
+            drop(good + b"\0")
+            # The same inside a valid checksum: nothing may follow the
+            # message, not even behind a value's own end marker.
+            drop(sealed(good[:-4] + b"\0"))
+            for version in (0, 2, 255):
+                drop(sealed(bytes([version]) + good[1:-4]))
+            for kind in (0, 8, 255):  # the kind byte follows the 7-byte prefix
+                drop(sealed(good[:7] + bytes([kind]) + good[8:-4]))
+
+        # A batch inside a batch, which ``encode`` refuses to build.
+        batch = messages[-1]
+        with pytest.raises(TransportError, match="inside a MuxBatch"):
+            encode(1, 0, MuxBatch(None, 0, (RegisterFrame("k", 0, batch),)))
+        def batch_of(inner):  # one frame "k", laid out by hand
+            return sealed(
+                struct.pack("<BHI", 1, 1, 0)
+                + struct.pack("<BiqI", 7, -1, 0, 0)
+                + struct.pack("<H", 1)
+                + struct.pack("<HII", 1, 0, len(inner))
+                + b"k"
+                + inner
+            )
+
+        framed = MuxBatch(None, 0, (RegisterFrame("k", 0, messages[0]),))
+        assert decode(batch_of(encode(1, 0, messages[0])[7:-4])) == (1, 0, framed)
+        drop(batch_of(encode(1, 0, batch)[7:-4]))
+
+        # A value that, unpickled freely, would run a command.
+        marker = tmp_path / "ran"
+
+        class Payload:
+            def __reduce__(self):
+                return os.system, (f"touch {marker}",)
+
+        harmless = encode(1, 0, WriteRequest(make_operation_id(1), 2, Tag(1, 1), None))
+        no_value = harmless[: -4 - len(pickle.dumps(None, 4))]
+        assert decode(sealed(no_value + pickle.dumps(None, 4)))[2].value is None
+        drop(sealed(no_value + pickle.dumps(Payload())))
+        drop(sealed(no_value + pickle.dumps(Tag(1, 1))))  # ours, still not plain data
+        assert not marker.exists()
+
+        assert received == [] and transport.messages_received == 0
+        for message in messages:
+            transport._on_datagram(encode(1, 5, message))
+        assert received == [(1, 5, message) for message in messages]
+        assert transport.malformed == dropped
+
+    def test_oversized_broadcast_sends_nothing(self):
+        """Refused whole: not half-sent, not counted, not recorded."""
+
+        async def scenario():
+            inboxes = {0: [], 1: []}
+            a, b = await endpoints(
+                *(
+                    lambda src, msg, depth, pid=pid: inboxes[pid].append(msg)
+                    for pid in inboxes
+                )
+            )
+            ring = RingTrace(kinds=ALL_KINDS)
+            a.attach_flight_recorder(ring, asyncio.get_running_loop().time)
+            with pytest.raises(TransportError, match="datagram limit"):
+                a.broadcast(oversized(), 0)
+            with pytest.raises(TransportError, match="datagram limit"):
+                a.send(0, oversized(), 0)  # what no peer could be sent, it is not sent
+            await asyncio.sleep(0.05)
+            a.close()
+            b.close()
+            return inboxes, a.messages_sent, list(ring.events())
+
+        assert run(scenario()) == ({0: [], 1: []}, 0, [])
+
+    @pytest.mark.parametrize(
+        "refusal", [BlockingIOError(), OSError(101, "Network is unreachable")]
+    )
+    def test_datagram_the_socket_refuses_is_lost(self, refusal):
+        async def scenario():
+            inbox = []
+            a, b = await endpoints(
+                lambda src, msg, depth: inbox.append(msg), lambda *args: None
+            )
+            ring = RingTrace(kinds=ALL_KINDS)
+            a.attach_flight_recorder(ring, asyncio.get_running_loop().time)
+            bound, a._sock = a._sock, StubSocket(refusal=refusal)
+            a.send(1, query(), 0)  # the handler that called this lives on
+            sent_to_peer = a.messages_sent, list(ring.events())
+            a.broadcast(query(), 0)  # still reaches the process itself
+            a._sock = bound
+            await asyncio.sleep(0.05)
+            a.close()
+            b.close()
+            return sent_to_peer, a.messages_sent, len(inbox), b.messages_received
+
+        assert run(scenario()) == ((0, []), 1, 1, 0)
+
+    def test_receive_buffer_is_small_and_never_aliased(self):
+        transport, received = listener()
+        first = WriteRequest(make_operation_id(1), 2, Tag(1, 1), b"first" * 9)
+        second = WriteRequest(make_operation_id(1), 2, Tag(2, 1), b"other" * 9)
+        datagrams = [encode(1, 0, first), encode(1, 1, second)]
+        assert len(datagrams[0]) == len(datagrams[1])  # byte for byte over it
+        transport._sock = stub = StubSocket(datagrams + [bytes(MAX_DATAGRAM + 1)])
+        transport._on_readable()
+        (held,) = received
+        transport._on_readable()
+        assert received == [(1, 0, first), (1, 1, second)] and received[0] is held
+        # A datagram longer than any of ours is cut to the buffer and dropped.
+        transport._on_readable()
+        assert transport.malformed == 1
+        transport._on_readable()  # a wake-up with nothing to read
+        # Above 128 KiB glibc would map and unmap the buffer per call.
+        assert stub.asked == [MAX_DATAGRAM + 1] * 4
+        assert (len(received), transport.malformed) == (2, 1)
+
+    def test_overlong_datagram_from_a_real_socket_is_dropped(self):
+        async def scenario():
+            inbox = []
+            (a,) = await endpoints(lambda src, msg, depth: inbox.append(msg))
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as stranger:
+                stranger.sendto(bytes(MAX_DATAGRAM + 200), (a.host, a.port))
+                stranger.sendto(b"short", (a.host, a.port))
+            for _ in range(100):
+                if a.malformed == 2:
+                    break
+                await asyncio.sleep(0.01)
+            a.close()
+            return a.malformed, inbox
+
+        assert run(scenario()) == (2, [])
+
+    def test_close_leaves_no_reader_on_the_loop(self):
+        async def scenario():
+            (a,) = await endpoints(lambda *args: None)
+            loop, fd = asyncio.get_running_loop(), a._sock.fileno()
+            a.close()
+            a.close()  # idempotent
+            a.send(0, query(), 0)  # and a closed transport sends nothing
+            return loop.remove_reader(fd), a._sock, a.messages_sent
+
+        assert run(scenario()) == (False, None, 0)
+
+
+class TestValueCodec:
+    def test_plain_data_and_sized_values_travel(self):
+        from repro.common.values import SizedValue
+
+        for value in (None, True, 2**80, -1.5, "\u00e9", b"\0", (1, [2, {"k": {3}}])):
+            check_value(value)
+        check_value(SizedValue("photo", size=48 * 1024))
+
+    def test_anything_else_is_refused_with_its_type_named(self):
+        class Local:
+            pass
+
+        with pytest.raises(TransportError, match="Local"):
+            check_value(Local())  # cannot even be pickled
+        with pytest.raises(TransportError, match="Tag.*plain data and SizedValue"):
+            check_value(Tag(1, 1))  # can, but names a global
+        with pytest.raises(TransportError, match="function"):
+            check_value(len)
+
+    def test_field_out_of_range_is_refused_by_encode(self):
+        with pytest.raises(TransportError, match="out of the wire format's range"):
+            encode(0, 0, SnQuery(make_operation_id(0), round_no=2**32))
+        with pytest.raises(TransportError, match="not a wire message"):
+            encode(0, 0, RegisterFrame("k", 0, query()))

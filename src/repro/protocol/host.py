@@ -276,6 +276,9 @@ class NodeCore:
 
         self._stable_view = StableView(storage.records, self._snapshot)
         self._slots: Dict[Optional[str], _RegisterSlot] = {}
+        #: How many slots are not ``ready``; kept where a slot is made,
+        #: where a crash wipes them all and where one recovers.
+        self._unready = 0
         self._slots[DEFAULT_REGISTER] = self._make_slot(DEFAULT_REGISTER)
         self._depths = CausalDepthTracker()
         self._timers: Dict[Tuple[Optional[str], Hashable], Any] = {}
@@ -291,6 +294,7 @@ class NodeCore:
             stable = self._stable_view.scoped(prefix)
         protocol = self._factory(self.pid, self._num_processes, stable)
         protocol.register = register
+        self._unready += 1
         return _RegisterSlot(register, prefix, protocol)
 
     def _defer(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
@@ -353,9 +357,7 @@ class NodeCore:
     @property
     def ready(self) -> bool:
         """Whether every hosted slot finished initializing/recovering."""
-        if self.state == CRASHED:
-            return False
-        return all(slot.ready for slot in self._slots.values())
+        return self._unready == 0 and self.state != CRASHED
 
     @property
     def crashed(self) -> bool:
@@ -399,6 +401,7 @@ class NodeCore:
                 slot.current.aborted = True
                 slot.current._settle()
             slot.current = None
+        self._unready = len(self._slots)
         self._recorder.record_crash(self.pid)
         now = self._now()
         if self._trace.wants(tracing.CRASH):
@@ -658,18 +661,20 @@ class NodeCore:
             # its log back is not listening yet either.
             return
         if message.__class__ is MuxBatch:
-            for frame in message.frames:
-                slot = self._slots.get(frame.register)
+            find_slot = self._slots.get
+            observe = self._depths.observe
+            execute = self._execute
+            for register, frame_depth, inner, _size in message.frames:
+                slot = find_slot(register)
                 if slot is None:
                     # A frame for a register this node does not host
                     # yet (provisioning raced a delivery); drop it --
                     # fair-lossy channels allow it, the sender
                     # retransmits.
                     continue
-                inner = frame.message
-                context = self._depths.observe(inner.op, frame.depth)
-                effects = slot.protocol.on_message(src, inner)
-                self._execute(effects, depth=context, op=inner.op, slot=slot)
+                op = inner.op
+                context = observe(op, frame_depth)
+                execute(slot.protocol.on_message(src, inner), context, op, slot)
             return
         slot = self._slots[DEFAULT_REGISTER]
         context = self._depths.observe(message.op, depth)
@@ -729,21 +734,29 @@ class NodeCore:
         # contract of protocol/base.py), so dispatch on class identity:
         # an isinstance ladder costs several calls per effect on the
         # engine's hottest path.
+        #
+        # A named slot's message travels in a RegisterFrame, built (and
+        # sized) here once per effect: every destination of a broadcast
+        # queues the same frame.
         for effect in effects:
             cls = effect.__class__
             if cls is Send:
-                out_depth = self._outgoing_depth(effect.message, depth, op)
+                message = effect.message
+                out_depth = self._outgoing_depth(message, depth, op)
                 if slot.register is None:
-                    self._send(effect.dst, effect.message, out_depth)
+                    self._send(effect.dst, message, out_depth)
                 else:
-                    self._dispatch(slot, effect.dst, effect.message, out_depth)
+                    frame = RegisterFrame(slot.register, out_depth, message)
+                    self._dispatch(frame, effect.dst)
             elif cls is Broadcast:
-                out_depth = self._outgoing_depth(effect.message, depth, op)
+                message = effect.message
+                out_depth = self._outgoing_depth(message, depth, op)
                 if slot.register is None:
-                    self._broadcast(effect.message, out_depth)
+                    self._broadcast(message, out_depth)
                 else:
+                    frame = RegisterFrame(slot.register, out_depth, message)
                     for dst in range(self._num_processes):
-                        self._dispatch(slot, dst, effect.message, out_depth)
+                        self._dispatch(frame, dst)
             elif cls is Store:
                 self._store(
                     slot.prefix + effect.key,
@@ -799,9 +812,11 @@ class NodeCore:
         return callback
 
     def _slot_recovered(self, slot: _RegisterSlot) -> None:
-        slot.ready = True
+        if not slot.ready:
+            slot.ready = True
+            self._unready -= 1
         now = self._now()
-        if self.state != UP and all(s.ready for s in self._slots.values()):
+        if self.state != UP and self._unready == 0:
             self.state = UP
             if self._recover_began is not None:
                 duration = now - self._recover_began
@@ -823,19 +838,12 @@ class NodeCore:
 
     # -- egress multiplexing ---------------------------------------------------
 
-    def _dispatch(
-        self,
-        slot: _RegisterSlot,
-        dst: ProcessId,
-        message: Message,
-        depth: int,
-    ) -> None:
-        """Send a named slot's message through the frame batcher."""
-        frame = RegisterFrame(register=slot.register, depth=depth, message=message)
+    def _dispatch(self, frame: RegisterFrame, dst: ProcessId) -> None:
+        """Send a named slot's frame through the frame batcher."""
         if self.batch_window == 0.0:
             # No window, no coalescing: one datagram per frame, the
             # honest unbatched baseline the benchmarks sweep against.
-            self._send(dst, MuxBatch(op=None, round_no=0, frames=(frame,)), 0)
+            self._send(dst, MuxBatch(None, 0, (frame,)), 0)
             return
         self._pending_frames.setdefault(dst, []).append(frame)
         if dst not in self._flush_scheduled:
@@ -849,7 +857,7 @@ class NodeCore:
             return  # frames queued by a dead incarnation die with it
         if not frames:
             return
-        self._send(dst, MuxBatch(op=None, round_no=0, frames=tuple(frames)), 0)
+        self._send(dst, MuxBatch(None, 0, tuple(frames)), 0)
 
     def _outgoing_depth(
         self,

@@ -20,7 +20,10 @@ current round's quorum.  Acks echo both.
 
 Messages also declare their billable payload size so the network can
 charge size-dependent delays (Figure 6 bottom).  ``HEADER_SIZE`` covers
-opcode, op id, round and tag fields.
+opcode, op id, round and tag fields.  Messages, frames and batches are
+named tuples whose ``size`` is settled when they are built -- a class
+constant for the header-only kinds, the last tuple field for the others
+-- so reading it is an attribute load however deep the nesting.
 
 Register multiplexing
 ---------------------
@@ -32,12 +35,15 @@ set of processes by namespacing the wire traffic:
 
 * a :class:`RegisterFrame` pairs one protocol message with the id of
   the register instance it belongs to (plus the causal-log depth
-  context that single-register envelopes carry at the engine level);
+  context that single-register envelopes carry at the engine level).
+  It is built, and sized, once per ``Send`` or ``Broadcast``: the
+  destinations of a broadcast share one frame object;
 * a :class:`MuxBatch` is the only multiplexed message that actually
   crosses the wire: one datagram carrying one or more frames.  Frames
   addressed to the same destination within a node's batch window share
   the datagram, which is what turns several same-shard operations into
-  a single quorum round-trip.
+  a single quorum round-trip.  Its size is the header plus the sizes
+  its frames already carry, added up when the batch is built.
 
 Hosts demultiplex an incoming :class:`MuxBatch` frame by frame,
 routing each inner message to the protocol instance registered under
@@ -48,12 +54,9 @@ causal-log accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Any, ClassVar, Optional, Tuple
+from collections import namedtuple
+from typing import Any
 
-from repro.common.ids import OperationId
-from repro.common.timestamps import Tag
 from repro.common.values import payload_size
 
 #: Fixed per-message framing overhead, in bytes.
@@ -63,26 +66,34 @@ HEADER_SIZE = 32
 #: register id plus the frame's depth field), in bytes.
 FRAME_OVERHEAD = 8
 
+_new = tuple.__new__
 
-@dataclass(frozen=True)
+
 class Message:
-    """Base class of all wire messages."""
+    """Base class of all wire messages.
 
-    op: Optional[OperationId]
-    round_no: int
+    Every message starts with ``op`` (the invoking operation's
+    :class:`~repro.common.ids.OperationId`, or ``None``) and
+    ``round_no``.  Messages are named tuples, as the effects of
+    :mod:`repro.protocol.base` are: immutable, built in C, free of a
+    per-instance ``__dict__`` -- a handler builds one or two per message
+    it receives.  Unlike the effects they keep the equality they had as
+    dataclasses: two messages are equal only if they are of the same
+    class (``SnQuery(op, 1) != ReadQuery(op, 1)``).  Build them with
+    their constructors; ``_make`` and ``_replace`` would skip the sizing.
+    """
 
-    #: Billable size in bytes (header plus any value payload).  The
-    #: network reads it several times per transmission (billing, the
-    #: delay model, trace details), so value-carrying subclasses
-    #: memoize their computed size with ``functools.cached_property``
-    #: (messages are immutable, the size never changes); header-only
-    #: messages share this class-level constant.
-    size: ClassVar[int] = HEADER_SIZE
+    __slots__ = ()
 
-    @property
-    def kind(self) -> str:
-        """Short wire-format name, for traces."""
-        return type(self).__name__
+    #: Billable size in bytes (header plus any value payload): a *model*
+    #: quantity that prices the size-dependent delays of Figure 6, not
+    #: the length of any encoding.  Header-only messages share this
+    #: class constant.  A message that carries a value computes its size
+    #: once, in its constructor, and keeps it as the last field of its
+    #: tuple; its class must rebind ``size`` to that field's accessor in
+    #: its own body, because this constant precedes the tuple in the MRO
+    #: and would otherwise answer for it.
+    size = HEADER_SIZE
 
     #: Whether this message acknowledges state the sender holds (as
     #: opposed to requesting work).  Causal-log accounting folds a
@@ -90,24 +101,40 @@ class Message:
     #: durability and therefore causally follows the local log it
     #: certifies, while a (re)transmitted request carries the depth at
     #: which its round began.  Class-level, not a wire field.
-    is_ack: ClassVar[bool] = False
+    is_ack = False
+
+    @property
+    def kind(self) -> str:
+        """Short wire-format name, for traces."""
+        return type(self).__name__
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return tuple.__hash__(self)
 
 
-@dataclass(frozen=True)
-class SnQuery(Message):
+class SnQuery(Message, namedtuple("SnQuery", ("op", "round_no"))):
     """``SN``: request the highest tag known to the receiver."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class SnAck(Message):
+
+class SnAck(Message, namedtuple("SnAck", ("op", "round_no", "tag"))):
     """``SN ack``: the receiver's current tag."""
 
-    tag: Tag
-    is_ack: ClassVar[bool] = True
+    __slots__ = ()
+    is_ack = True
 
 
-@dataclass(frozen=True)
-class WriteRequest(Message):
+_WriteRequest = namedtuple("WriteRequest", ("op", "round_no", "tag", "value", "size"))
+
+
+class WriteRequest(Message, _WriteRequest):
     """``W``: adopt ``value`` with ``tag`` if ``tag`` is lexicographically higher.
 
     Sent by writers in their second round, by readers in their
@@ -115,29 +142,35 @@ class WriteRequest(Message):
     interrupted write (Figure 4's ``Recover``).
     """
 
-    tag: Tag
-    value: Any
+    __slots__ = ()
+    size = _WriteRequest.size
 
-    @cached_property
-    def size(self) -> int:
-        return HEADER_SIZE + payload_size(self.value)
+    def __new__(cls, op, round_no, tag, value: Any):
+        return _new(cls, (op, round_no, tag, value, HEADER_SIZE + payload_size(value)))
+
+    def __getnewargs__(self):
+        return self[:-1]
 
 
-@dataclass(frozen=True)
-class WriteAck(Message):
+class WriteAck(Message, namedtuple("WriteAck", ("op", "round_no", "tag"))):
     """``W ack``: the sender has the value durable (or something newer)."""
 
-    tag: Tag
-    is_ack: ClassVar[bool] = True
+    __slots__ = ()
+    is_ack = True
 
 
-@dataclass(frozen=True)
-class ReadQuery(Message):
+class ReadQuery(Message, namedtuple("ReadQuery", ("op", "round_no"))):
     """``R``: request the receiver's current value and tag."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class ReadAck(Message):
+
+_ReadAck = namedtuple(
+    "ReadAck", ("op", "round_no", "tag", "value", "durable_tag", "size")
+)
+
+
+class ReadAck(Message, _ReadAck):
     """``R ack``: the receiver's current value and tag.
 
     ``durable_tag`` additionally reports the highest tag whose stable-
@@ -148,43 +181,48 @@ class ReadAck(Message):
     reports the same durable tag.
     """
 
-    tag: Tag
-    value: Any
-    durable_tag: Optional[Tag] = None
-    is_ack: ClassVar[bool] = True
+    __slots__ = ()
+    size = _ReadAck.size
+    is_ack = True
 
-    @cached_property
-    def size(self) -> int:
-        return HEADER_SIZE + payload_size(self.value)
+    def __new__(cls, op, round_no, tag, value: Any, durable_tag=None):
+        size = HEADER_SIZE + payload_size(value)
+        return _new(cls, (op, round_no, tag, value, durable_tag, size))
+
+    def __getnewargs__(self):
+        return self[:-1]
 
 
-@dataclass(frozen=True)
-class RegisterFrame:
+class RegisterFrame(namedtuple("RegisterFrame", ("register", "depth", "message", "size"))):
     """One register instance's message inside a :class:`MuxBatch`.
 
     ``register`` names the virtual register instance (the KV layer uses
     the key itself); ``depth`` is the causal-log depth context the
     single-register engine would have carried in the delivery envelope
     (see :mod:`repro.history.causal_logs`).  Frames are not messages:
-    they only travel inside a batch.
+    they only travel inside a batch, and they compare as the plain
+    tuples they are.
+
+    ``size`` is the billable bytes: register tag plus the full inner
+    message.  The inner header (op id, round, tag fields) is a real
+    per-frame cost; only the datagram framing is shared across the
+    batch.
     """
 
-    register: str
-    depth: int
-    message: Message
+    __slots__ = ()
 
-    @cached_property
-    def size(self) -> int:
-        """Billable bytes: register tag plus the full inner message.
+    def __new__(cls, register: str, depth: int, message: Message):
+        size = FRAME_OVERHEAD + len(register) + message.size
+        return _new(cls, (register, depth, message, size))
 
-        The inner header (op id, round, tag fields) is a real per-frame
-        cost; only the datagram framing is shared across the batch.
-        """
-        return FRAME_OVERHEAD + len(self.register) + self.message.size
+    def __getnewargs__(self):
+        return self[:-1]
 
 
-@dataclass(frozen=True)
-class MuxBatch(Message):
+_MuxBatch = namedtuple("MuxBatch", ("op", "round_no", "frames", "size"))
+
+
+class MuxBatch(Message, _MuxBatch):
     """One datagram multiplexing frames of several register instances.
 
     ``op``/``round_no`` are meaningless at the batch level (each frame
@@ -194,8 +232,14 @@ class MuxBatch(Message):
     protocol instance registered under the frame's register id.
     """
 
-    frames: Tuple[RegisterFrame, ...] = ()
+    __slots__ = ()
+    size = _MuxBatch.size
 
-    @cached_property
-    def size(self) -> int:
-        return HEADER_SIZE + sum(frame.size for frame in self.frames)
+    def __new__(cls, op, round_no, frames=()):
+        size = HEADER_SIZE
+        for frame in frames:
+            size += frame.size
+        return _new(cls, (op, round_no, frames, size))
+
+    def __getnewargs__(self):
+        return self[:-1]

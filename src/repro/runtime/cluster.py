@@ -242,13 +242,14 @@ class LiveCluster:
         :class:`TimeoutError` after ``op_timeout`` seconds (the operation
         then stays in flight on the node).  A ``key`` not provisioned
         yet is provisioned first.  A written value the wire format cannot
-        carry raises :class:`~repro.common.errors.TransportError` here,
-        on the caller's thread, before any datagram leaves.
+        carry, or too big for one datagram, raises :class:`~repro.common.
+        errors.TransportError` here, on the caller's thread, before any
+        datagram leaves.
         """
         if self._loop is None:
             raise ReproError("cluster not started")
         if kind == "write":
-            check_value(value)
+            check_value(value, key)
         loop, node = self._loop, self.nodes[pid]
         future: concurrent.futures.Future = concurrent.futures.Future()
 

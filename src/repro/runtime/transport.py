@@ -129,9 +129,23 @@ def _load_value(data: memoryview) -> Any:
     return value
 
 
-def check_value(value: Any) -> None:
-    """Raise :class:`TransportError` unless ``value`` can cross the wire."""
+def check_value(value: Any, register: Optional[str] = None) -> None:
+    """Raise :class:`TransportError` unless ``value`` can cross the wire.
+
+    It must be of a type the wire carries, and small enough for the
+    largest datagram it will travel in to fit ``MAX_DATAGRAM``: a
+    ``ReadAck``, framed alone in a ``MuxBatch`` when the value is
+    written to the named ``register``.
+    """
     data = _dump_value(value)
+    room = MAX_DATAGRAM - (_PREFIX.size + _HEAD.size + _TAGS.size + _CRC.size)
+    if register is not None:
+        room -= _HEAD.size + _COUNT.size + _FRAME.size + len(register.encode())
+    if len(data) > room:
+        raise TransportError(
+            f"a value of {len(data)} encoded bytes cannot travel: {room} fit "
+            f"beside the headers in the {MAX_DATAGRAM}-byte UDP datagram limit"
+        )
     try:
         _load_value(memoryview(data))
     except Exception as error:

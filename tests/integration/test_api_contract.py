@@ -11,7 +11,7 @@ import time
 import pytest
 
 from repro.api import CRASH_INJECTION, VIRTUAL_TIME, open_cluster
-from repro.common.errors import CapabilityError, OperationAborted
+from repro.common.errors import CapabilityError, OperationAborted, TransportError
 
 from tests.unit.test_public_api import session_program
 
@@ -63,6 +63,35 @@ def test_live_operation_without_a_majority_fails_after_op_timeout():
             time.sleep(0.01)
         c.session(0).write_sync("heard")
         assert c.session(1).read_sync() == "heard"
+        assert c.check().ok
+
+
+def test_live_write_too_big_for_a_datagram_is_refused_at_the_call():
+    """Not on the loop thread inside ``broadcast``, then an ``op_timeout``."""
+    with open_cluster(backend="live", num_processes=3, op_timeout=0.5) as c:
+        session, nodes = c.session(0), c.live.nodes
+
+        def counts():
+            sent = sum(node.transport.messages_sent for node in nodes)
+            received = sum(node.transport.messages_received for node in nodes)
+            return sent, received, len(c.live.recorder.history)
+
+        session.write_sync("fits")
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:  # the third node's acks land
+            before = counts()
+            time.sleep(0.05)
+            if before[0] == before[1] and counts() == before:
+                break
+        for key in (None, "k"):
+            with pytest.raises(TransportError, match="encoded bytes cannot travel"):
+                session.write(b"x" * 65_000, key)
+        time.sleep(0.05)  # nothing of it is on its way to the loop either
+        assert counts() == before
+        # A value just under the limit is written and read back whole.
+        largest = b"x" * 64_900
+        session.write_sync(largest)
+        assert c.session(1).read_sync() == largest
         assert c.check().ok
 
 

@@ -1,8 +1,9 @@
 """Property-based tests for the live transport's wire format.
 
 Whatever message the protocols can build from plain data comes back
-from ``decode(encode(...))`` equal to what went in, and a datagram
-damaged anywhere never decodes to anything.
+from ``decode(encode(...))`` equal to what went in -- its billed
+``size``, the written model of ``protocol/messages.py``, included --
+and a datagram damaged anywhere never decodes to anything.
 """
 
 import math
@@ -12,8 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.ids import OperationId
 from repro.common.timestamps import Tag
-from repro.common.values import SizedValue
+from repro.common.values import SizedValue, payload_size
 from repro.protocol.messages import (
+    FRAME_OVERHEAD,
+    HEADER_SIZE,
     MuxBatch,
     ReadAck,
     ReadQuery,
@@ -77,6 +80,30 @@ def test_decode_inverts_encode(src, depth, message):
     value = getattr(message, "value", None)
     if isinstance(value, SizedValue):
         assert decoded.value.size == value.size
+
+
+def modelled_size(message):
+    """The size model as written down, recomputed from the fields alone."""
+    if type(message) is MuxBatch:
+        return HEADER_SIZE + sum(
+            FRAME_OVERHEAD + len(frame.register) + modelled_size(frame.message)
+            for frame in message.frames
+        )
+    return HEADER_SIZE + payload_size(getattr(message, "value", None))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(MuxBatch, OPS, U32, st.lists(FRAMES, max_size=8).map(tuple)))
+def test_size_is_the_written_model_and_survives_the_wire(batch):
+    assert batch.size == modelled_size(batch)
+    (_, _, decoded) = decode(encode(0, 0, batch))
+    assert decoded.size == batch.size
+    for frame, arrived in zip(batch.frames, decoded.frames):
+        inner = frame.message
+        assert inner.size == modelled_size(inner)
+        assert (arrived.size, arrived.message.size) == (frame.size, inner.size)
+        # A message that travels bare is sized the same way.
+        assert decode(encode(0, 0, inner))[2].size == inner.size
 
 
 def test_a_nan_value_travels():

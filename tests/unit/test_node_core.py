@@ -13,6 +13,7 @@ Checkpoint cases that need no such interleaving are in
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import NotRecoveredError, ProtocolError
 from repro.common.ids import make_operation_id
@@ -24,7 +25,7 @@ from repro.protocol.base import (
     SetTimer,
     Store,
 )
-from repro.protocol.host import NodeCore
+from repro.protocol.host import CRASHED, NodeCore
 from repro.protocol.messages import MuxBatch
 from repro.protocol.persistent import PersistentAtomicProtocol
 from repro.storage import checkpoint as ckpt
@@ -58,7 +59,7 @@ class FakeTimer:
 class FakeNode(NodeCore):
     """A one-process cluster whose I/O happens when the test says so."""
 
-    def __init__(self, factory=PersistentAtomicProtocol, **kwargs):
+    def __init__(self, factory=PersistentAtomicProtocol, num_processes=1, **kwargs):
         self.clock = 0.0
         self.sent = []      # (dst, message, depth), undelivered
         self.stores = []    # (key, record, on_durable), not yet durable
@@ -66,7 +67,7 @@ class FakeNode(NodeCore):
         self.compactions = 0
         super().__init__(
             0,
-            1,
+            num_processes,
             MemoryStorage(),
             factory,
             HistoryRecorder(clock=lambda: self.clock),
@@ -348,6 +349,26 @@ class TestRegisterHosting:
         assert first.done and second.done
         assert (node.read_named("a"), node.read_named("b")) == (1, 2)
 
+    def test_a_broadcast_queues_one_frame_for_every_destination(self):
+        node = FakeNode(num_processes=3, batch_window=1e-3)
+        node.boot()
+        node.provision_register("a")
+        node.settle()
+        assert node.register_ready("a") and node.sent == []
+        node.invoke_write(1, "a")  # first round: Broadcast(SnQuery)
+        node.advance(1e-3)
+        assert [dst for dst, _batch, _depth in node.sent] == [0, 1, 2]
+        (first,), (second,), (third,) = (batch.frames for _dst, batch, _depth in node.sent)
+        assert first is second is third
+        assert first.register == "a" and first.message.kind == "SnQuery"
+
+    def test_a_repeated_recovery_complete_is_counted_once(self, node):
+        node._execute([RecoveryComplete()], depth=0, op=None, slot=node._slots[None])
+        node.provision_register("k")
+        assert not node.ready and not node.register_ready("k")
+        node.settle()
+        assert node.ready
+
     def test_reply_for_an_unknown_operation_raises(self, node):
         stray = Reply(op=make_operation_id(0), result=None)
         with pytest.raises(ProtocolError, match="unknown operation"):
@@ -362,3 +383,35 @@ class TestRegisterHosting:
         node.settle()
         assert node.recovery_times == seen == [0.25]
         assert node.crash_count == node.incarnation == 1
+
+
+STEPS = st.lists(
+    st.sampled_from(["boot", "crash", "recover", "store", "settle", "a", "b"]),
+    max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(STEPS)
+def test_ready_is_the_scan_over_the_slots_it_replaced(steps):
+    """``NodeCore.ready`` counts unready slots instead of visiting them."""
+    node = FakeNode()
+    for step in steps:
+        if step == "boot":
+            if not node._booted:
+                node.boot()
+        elif step == "crash":
+            if not node.crashed:
+                node.crash()
+        elif step == "recover":
+            if node.crashed:
+                node.recover()
+        elif step == "store":  # half of what lets a slot finish recovering
+            if node.stores:
+                node.complete_store()
+        elif step == "settle":
+            node.settle()
+        else:
+            node.provision_register(step)
+        scan = all(slot.ready for slot in node._slots.values())
+        assert node.ready == (node.state != CRASHED and scan)

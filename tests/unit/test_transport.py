@@ -452,6 +452,28 @@ class TestValueCodec:
         with pytest.raises(TransportError, match="function"):
             check_value(len)
 
+    @pytest.mark.parametrize("register", [None, "k\u00e9y"])
+    def test_a_value_is_refused_exactly_when_its_read_ack_cannot_be_encoded(self, register):
+        def datagram(value):
+            ack = ReadAck(make_operation_id(0), 1, Tag(1, 0), value, Tag(1, 0))
+            if register is not None:
+                ack = MuxBatch(None, 0, (RegisterFrame(register, 0, ack),))
+            return encode(0, 0, ack)
+
+        size = MAX_DATAGRAM
+        while True:  # the largest bytes value whose worst-case datagram fits
+            size -= 1
+            try:
+                check_value(bytes(size), register)
+                break
+            except TransportError:
+                pass
+        assert len(datagram(bytes(size))) == MAX_DATAGRAM
+        with pytest.raises(TransportError, match="encoded bytes cannot travel"):
+            check_value(bytes(size + 1), register)
+        with pytest.raises(TransportError, match="exceeds"):
+            datagram(bytes(size + 1))
+
     def test_field_out_of_range_is_refused_by_encode(self):
         with pytest.raises(TransportError, match="out of the wire format's range"):
             encode(0, 0, SnQuery(make_operation_id(0), round_no=2**32))

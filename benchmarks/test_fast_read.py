@@ -9,7 +9,7 @@ unchanged and atomicity preserved.
 import pytest
 
 from repro.cluster import SimCluster
-from repro.metrics import LatencyStats
+from repro.obs.summary import LatencyStats
 
 
 def _read_latency(protocol: str, repeats: int = 30) -> LatencyStats:

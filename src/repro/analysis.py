@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.common.ids import OperationId
-from repro.sim import tracing
+from repro.obs import tracing
 
 
 @dataclass

@@ -9,8 +9,6 @@ Usage::
     python -m repro log-complexity
     python -m repro ablations
     python -m repro weaker-memory
-    python -m repro kv-bench [--quick]
-    python -m repro bench [--quick]
     python -m repro soak --list
     python -m repro soak soak-100k --seed 7
     python -m repro soak --quick --workers 2
@@ -18,18 +16,17 @@ Usage::
     python -m repro fleet --quick --seeds 0..1 --workers 2
     python -m repro trace crash-during-write --format chrome
     python -m repro stats soak-100k --quick
-    python -m repro trace-bench [--quick]
     python -m repro lint [--format json] [--rule DET001] [--check-stale]
     python -m repro all
 
 The figure/table subcommands print the same rows/series the paper
 reports (see docs/protocols.md for the paper-vs-measured mapping);
-``bench`` and ``soak`` track the engine's own performance and the
-scenario suite (see docs/benchmarks.md and docs/scenarios.md);
-``trace``/``stats``/``trace-bench`` surface the observability layer
-(see docs/observability.md); ``lint`` statically checks the
+``soak`` and ``fleet`` run the scenario suite and print its verdicts
+(see docs/scenarios.md); ``trace``/``stats`` surface the observability
+layer (see docs/observability.md); ``lint`` statically checks the
 determinism and contract invariants (see docs/determinism.md) and is
-the one subcommand that exits nonzero, when findings remain.
+the one subcommand that exits nonzero, when findings remain.  Engine
+speed is measured by ``python bench/run.py`` (see docs/benchmarks.md).
 """
 
 from __future__ import annotations
@@ -208,37 +205,15 @@ def _cmd_weaker_memory(args: argparse.Namespace) -> str:
     )
 
 
-def _cmd_kv_bench(args: argparse.Namespace) -> str:
-    from repro.experiments.kv_bench import format_kv_bench, run_kv_bench
+def _run_named_soak(args: argparse.Namespace, scenario: str):
+    from repro.scenarios.soak import run_soak
 
-    clients = getattr(args, "clients", 16)
-    rows = run_kv_bench(
+    return run_soak(
+        scenario,
+        protocol=getattr(args, "protocol", None),
+        seed=getattr(args, "seed", None),
+        ops=getattr(args, "ops", None),
         quick=getattr(args, "quick", False),
-        protocol=getattr(args, "protocol", "persistent"),
-        num_clients=clients,
-        operations_per_client=getattr(args, "operations", 30) or 30,
-        **_seed_kw(args),
-    )
-    return (
-        "KV store: simulated-time throughput vs. shard count and batch window\n"
-        f"({clients} zipfian closed-loop clients; per-key histories checked "
-        "for atomicity)\n\n" + format_kv_bench(rows)
-    )
-
-
-def _cmd_bench(args: argparse.Namespace) -> str:
-    from repro.experiments.bench import format_bench, run_bench, write_bench_files
-
-    report = run_bench(
-        quick=getattr(args, "quick", False),
-        repeats=getattr(args, "bench_repeats", None),
-        **_seed_kw(args),
-    )
-    paths = write_bench_files(report, getattr(args, "output_dir", "."))
-    return (
-        "Engine performance trajectory (wall-clock; see BENCH_*.json)\n\n"
-        + format_bench(report)
-        + "\n\nwrote " + ", ".join(paths)
     )
 
 
@@ -248,14 +223,11 @@ def _cmd_soak(args: argparse.Namespace) -> str:
         format_soak_results,
         run_soak,
         run_soak_suite,
-        write_soak_file,
     )
 
     if getattr(args, "list", False):
         return format_scenario_list()
     scenario = getattr(args, "scenario", None)
-    quick = getattr(args, "quick", False)
-    output_dir = getattr(args, "output_dir", ".")
     if scenario is None:
         # Bare ``repro soak`` (and ``repro all``) smoke the whole
         # library at quick budgets; ``--ops`` sets one explicit budget
@@ -269,7 +241,6 @@ def _cmd_soak(args: argparse.Namespace) -> str:
             ops=ops,
             workers=workers,
         )
-        path = write_soak_file(results, output_dir, quick=ops is None)
         budgets = (
             f"{ops}-op budgets" if ops is not None else "quick smoke budgets"
         )
@@ -280,32 +251,15 @@ def _cmd_soak(args: argparse.Namespace) -> str:
         return (
             f"Scenario suite ({budgets}{sharding}; see docs/scenarios.md)\n\n"
             + format_soak_results(results)
-            + f"\n\nwrote {path}"
         )
-    ops = getattr(args, "ops", None)
-    result = run_soak(
-        scenario,
-        protocol=getattr(args, "protocol", None),
-        seed=getattr(args, "seed", None),
-        ops=ops,
-        quick=quick,
-    )
-    # The payload's quick flag records whether the budget was actually
-    # trimmed; an explicit --ops overrides --quick in run_soak.
-    path = write_soak_file([result], output_dir, quick=quick and ops is None)
-    return result.summary() + f"\n\nwrote {path}"
+    return _run_named_soak(args, scenario).summary()
 
 
 def _cmd_fleet(args: argparse.Namespace) -> str:
     import sys as _sys
 
-    from repro.scenarios.fleet import (
-        build_fleet_specs,
-        parse_int_list,
-        run_fleet,
-        run_scaling,
-    )
-    from repro.scenarios.soak import format_soak_results, write_soak_file
+    from repro.scenarios.fleet import build_fleet_specs, parse_int_list, run_fleet
+    from repro.scenarios.soak import format_soak_results
 
     scenarios = (
         [name for name in args.scenarios.split(",") if name]
@@ -342,67 +296,18 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
             flush=True,
         )
 
-    kwargs = dict(
+    report = run_fleet(
+        specs,
+        workers=getattr(args, "workers", None),
         parity=getattr(args, "parity", "canary"),
         timeout=getattr(args, "timeout", None),
         on_result=stream,
-    )
-    scaling_rows = None
-    scaling_text = ""
-    if getattr(args, "scaling", None):
-        counts = parse_int_list(args.scaling, "worker count")
-        reports, scaling_rows = run_scaling(specs, counts, **kwargs)
-        report = reports[-1]
-        header = (
-            f"{'workers':>7}  {'wall':>9}  {'ops/s':>12}  "
-            f"{'speedup':>8}  {'efficiency':>10}  verdict"
-        )
-        scaling_text = "\n".join(
-            [
-                "",
-                f"scaling ({len(specs)} runs per point; baseline "
-                f"workers={counts[0]}):",
-                header,
-                "-" * len(header),
-            ]
-            + [
-                f"{row['workers']:>7}  {row['wall_s']:>8.2f}s  "
-                f"{row['ops_per_s']:>10,.0f}/s  "
-                f"{row['speedup_vs_baseline']:>7.2f}x  "
-                f"{row['efficiency']:>9.1%}  "
-                f"{'PASS' if row['verdict'] else 'FAIL'}"
-                for row in scaling_rows
-            ]
-        )
-    else:
-        report = run_fleet(specs, workers=getattr(args, "workers", None),
-                           **kwargs)
-    path = write_soak_file(
-        report.results,
-        getattr(args, "output_dir", "."),
-        quick=getattr(args, "quick", False),
-        fleet=report.as_dict(),
-        scaling=scaling_rows,
     )
     return (
         f"Scenario fleet ({len(specs)} runs; see docs/scenarios.md)\n\n"
         + format_soak_results(report.results)
         + "\n\n"
         + report.summary()
-        + scaling_text
-        + f"\n\nwrote {path}"
-    )
-
-
-def _run_named_soak(args: argparse.Namespace, scenario: str):
-    from repro.scenarios.soak import run_soak
-
-    return run_soak(
-        scenario,
-        protocol=getattr(args, "protocol", None),
-        seed=getattr(args, "seed", None),
-        ops=getattr(args, "ops", None),
-        quick=getattr(args, "quick", False),
     )
 
 
@@ -497,47 +402,6 @@ def _cmd_stats(args: argparse.Namespace) -> str:
     return "\n".join(sections)
 
 
-def _cmd_trace_bench(args: argparse.Namespace) -> str:
-    from repro.experiments.trace_bench import (
-        format_trace_bench,
-        run_trace_bench,
-        write_trace_file,
-    )
-
-    report = run_trace_bench(
-        quick=getattr(args, "quick", False),
-        ops=getattr(args, "ops", None),
-        repeats=getattr(args, "trace_repeats", None),
-        **_seed_kw(args),
-    )
-    path = write_trace_file(report, getattr(args, "output_dir", "."))
-    return (
-        "Flight-recorder overhead A/B (wall-clock; see BENCH_trace.json)\n\n"
-        + format_trace_bench(report)
-        + f"\n\nwrote {path}"
-    )
-
-
-def _cmd_recovery_bench(args: argparse.Namespace) -> str:
-    from repro.experiments.recovery_bench import (
-        format_recovery_bench,
-        run_recovery_bench,
-        write_recovery_file,
-    )
-
-    report = run_recovery_bench(
-        quick=getattr(args, "quick", False),
-        seed=getattr(args, "seed", None),
-    )
-    path = write_recovery_file(report, getattr(args, "output_dir", "."))
-    return (
-        "Recovery-time SLO sweep (virtual time; merged into "
-        "BENCH_engine.json)\n\n"
-        + format_recovery_bench(report)
-        + f"\n\nwrote {path}"
-    )
-
-
 def _cmd_lint(args: argparse.Namespace) -> str:
     from pathlib import Path
 
@@ -577,25 +441,26 @@ COMMANDS: Dict[str, Callable[[argparse.Namespace], str]] = {
     "ablations": _cmd_ablations,
     "weaker-memory": _cmd_weaker_memory,
     "show-run": _cmd_show_run,
-    "kv-bench": _cmd_kv_bench,
-    "bench": _cmd_bench,
     "soak": _cmd_soak,
     "fleet": _cmd_fleet,
     "trace": _cmd_trace,
     "stats": _cmd_stats,
-    "trace-bench": _cmd_trace_bench,
-    "recovery-bench": _cmd_recovery_bench,
     "lint": _cmd_lint,
 }
 
 #: Subcommands ``repro all`` skips: the flight-recorder diagnostics
-#: want an explicit scenario, the trace-overhead A/B takes minutes at
-#: its full budget, the fleet spawns a process pool sized to the
-#: machine, and the linter is a static check with its own exit-status
-#: contract, not an experiment -- run them deliberately (``repro
-#: trace`` / ``repro stats`` / ``repro trace-bench`` / ``repro
-#: fleet`` / ``repro lint``).
-SKIPPED_BY_ALL = frozenset({"trace", "stats", "trace-bench", "fleet", "lint"})
+#: want an explicit scenario, the fleet spawns a process pool sized to
+#: the machine, and the linter is a static check with its own
+#: exit-status contract, not an experiment -- run them deliberately
+#: (``repro trace`` / ``repro stats`` / ``repro fleet`` / ``repro
+#: lint``).
+SKIPPED_BY_ALL = frozenset({"trace", "stats", "fleet", "lint"})
+
+#: The figure subcommands whose handler reads ``--repeats`` /
+#: ``--operations``; every other subcommand rejects the flag.  ``repro
+#: all`` registers both itself and hands them to every handler.
+READS_REPEATS = frozenset({"figure6-top", "figure6-bottom", "weaker-memory"})
+READS_OPERATIONS = frozenset({"log-complexity"})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -651,10 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "(ignored when a single scenario is named; results and "
                 "fingerprints match the serial path)",
             )
-            sub.add_argument(
-                "--output-dir", dest="output_dir", default=".",
-                help="directory for BENCH_soak.json (default: current directory)",
-            )
             continue
         if name == "fleet":
             sub = subparsers.add_parser(
@@ -692,11 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="pool size (default: the machine's core count)",
             )
             sub.add_argument(
-                "--scaling", default=None,
-                help="run the same fleet at several worker counts, e.g. "
-                "1,2,4,8, and report speedup/efficiency per point",
-            )
-            sub.add_argument(
                 "--parity", choices=("canary", "full", "off"),
                 default="canary",
                 help="serial re-execution to assert pool fingerprints "
@@ -707,11 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "--timeout", type=float, default=None,
                 help="hard wall-clock deadline in seconds for the whole "
                 "fleet (a deadlocked pool fails fast instead of hanging)",
-            )
-            sub.add_argument(
-                "--output-dir", dest="output_dir", default=".",
-                help="directory for BENCH_soak.json (default: current "
-                "directory)",
             )
             continue
         if name in ("trace", "stats"):
@@ -754,32 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "text prints to stdout)",
                 )
             continue
-        if name == "trace-bench":
-            sub = subparsers.add_parser(
-                name, parents=[common],
-                help="measure trace-off vs ring-on vs full-trace overhead "
-                "(writes BENCH_trace.json)",
-            )
-            sub.add_argument(
-                "--quick", action="store_true",
-                help="CI-sized A/B (trimmed budget, fewer repeats)",
-            )
-            sub.add_argument(
-                "--ops", type=int, default=None,
-                help="override the soak scenario's operation budget",
-            )
-            sub.add_argument(
-                "--trace-repeats", dest="trace_repeats", type=int,
-                default=None,
-                help="timed repetitions per mode (default: 3, or 2 with "
-                "--quick)",
-            )
-            sub.add_argument(
-                "--output-dir", dest="output_dir", default=".",
-                help="directory for BENCH_trace.json (default: current "
-                "directory)",
-            )
-            continue
         if name == "lint":
             # No ``common`` parent: the linter is static analysis and
             # takes no seed; run() skips the seed line for it too.
@@ -809,60 +634,18 @@ def build_parser() -> argparse.ArgumentParser:
                 "longer fires on that line (LINT002)",
             )
             continue
-        if name == "recovery-bench":
-            sub = subparsers.add_parser(
-                name, parents=[common],
-                help="sweep ops x checkpointing and record log footprint "
-                "and recovery time (merges into BENCH_engine.json)",
-            )
-            sub.add_argument(
-                "--quick", action="store_true",
-                help="CI-sized sweep (smaller operation budgets)",
-            )
-            sub.add_argument(
-                "--output-dir", dest="output_dir", default=".",
-                help="directory holding BENCH_engine.json (default: "
-                "current directory)",
-            )
-            continue
         sub = subparsers.add_parser(
             name, parents=[common], help=f"regenerate {name}"
         )
-        sub.add_argument(
-            "--repeats", type=int, default=50,
-            help="operations per data point (default: 50)",
-        )
-        sub.add_argument(
-            "--operations", type=int, default=30,
-            help="operations per workload (log-complexity, kv-bench; default: 30)",
-        )
-        if name == "kv-bench":
+        if name in READS_REPEATS:
             sub.add_argument(
-                "--quick", action="store_true",
-                help="CI-sized smoke sweep (1 vs 8 shards, fewer operations)",
+                "--repeats", type=int, default=50,
+                help="operations per data point (default: 50)",
             )
+        if name in READS_OPERATIONS:
             sub.add_argument(
-                "--clients", type=int, default=16,
-                help="closed-loop clients (default: 16)",
-            )
-            sub.add_argument(
-                "--protocol", default="persistent",
-                help="register protocol to run the store on (default: persistent)",
-            )
-        if name == "bench":
-            sub.add_argument(
-                "--quick", action="store_true",
-                help="CI-sized run (fewer repeats, smaller KV sweep)",
-            )
-            sub.add_argument(
-                "--output-dir", dest="output_dir", default=".",
-                help="directory for BENCH_engine.json / BENCH_kv.json "
-                "(default: current directory)",
-            )
-            sub.add_argument(
-                "--bench-repeats", dest="bench_repeats", type=int, default=None,
-                help="timed repetitions per engine/checker case "
-                "(default: 10, or 3 with --quick)",
+                "--operations", type=int, default=30,
+                help="operations per workload (default: 30)",
             )
     all_cmd = subparsers.add_parser(
         "all", parents=[common], help="run every experiment"

@@ -62,7 +62,7 @@ from repro.sim.kernel import Kernel
 from repro.sim.network import SimNetwork
 from repro.sim.node import SimNode
 from repro.sim.storage import SimStableStorage
-from repro.sim.tracing import Trace
+from repro.obs.tracing import Trace
 
 #: Default virtual-time budget for synchronous operations, seconds.
 DEFAULT_OP_TIMEOUT = 5.0

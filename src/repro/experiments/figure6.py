@@ -27,7 +27,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.cluster import SimCluster
 from repro.common.config import UDP_MAX_PAYLOAD
-from repro.metrics import LatencyStats
+from repro.obs.summary import LatencyStats
 
 #: The three algorithms of Figure 6, in the paper's legend order.
 FIGURE6_ALGORITHMS = ("crash-stop", "transient", "persistent")

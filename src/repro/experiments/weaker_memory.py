@@ -28,7 +28,7 @@ from repro.cluster import SimCluster
 from repro.common.errors import ReproError
 from repro.history.checker import check_transient_atomicity
 from repro.history.regular_checker import check_regularity, check_safety
-from repro.metrics import LatencyStats
+from repro.obs.summary import LatencyStats
 from repro.protocol.messages import WriteRequest
 
 COMPARED = ("regular", "transient", "persistent")

@@ -97,12 +97,13 @@ class LintConfig:
     )
 
     #: DET002 -- module prefixes allowed to read the wall clock: the
-    #: live runtime (real sockets, real time), its façade adapter, and
-    #: the bench harnesses whose whole job is wall-clock measurement.
+    #: live runtime (real sockets, real time) and its façade adapter.
+    #: The paper-figure harnesses under ``experiments/`` use virtual
+    #: time only and are checked like the rest of the simulator;
+    #: wall-clock measurement lives in ``bench/``, outside ``src/``.
     wall_clock_allowed_prefixes: Tuple[str, ...] = (
         "src/repro/runtime/",
         "src/repro/api/live.py",
-        "src/repro/experiments/",
     )
 
     #: DET003 -- modules reachable from ``fingerprint()`` / transcript

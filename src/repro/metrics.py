@@ -2,15 +2,9 @@
 
 Collects what the paper's evaluation reports -- operation latencies,
 log counts, message counts -- from a cluster's recorder, trace and
-nodes, into plain dataclasses the experiments print as tables.
-
-The *wall-clock* statistics used by the ``repro bench`` trajectory
-harness (:mod:`repro.experiments.bench`) and the exact percentile math
-live in :mod:`repro.obs.summary` -- one shared implementation with the
-telemetry layer's bucketed histograms -- and are re-exported here
-unchanged for this module's historical callers: simulated-time
-latencies judge the reproduction against the paper, wall-clock
-percentiles judge the engine against its own past.
+nodes, into plain dataclasses the experiments print as tables.  The
+latency summary and the exact percentile math live in
+:mod:`repro.obs.summary`.
 """
 
 from __future__ import annotations
@@ -19,11 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.history.events import READ, WRITE
-from repro.obs.summary import (  # noqa: F401  (re-exported surface)
-    LatencyStats,
-    WallClockStats,
-    percentile,
-)
+from repro.obs import summary
 
 
 @dataclass
@@ -32,8 +22,8 @@ class RunMetrics:
 
     protocol: str
     num_processes: int
-    write_latency: LatencyStats = field(default_factory=LatencyStats)
-    read_latency: LatencyStats = field(default_factory=LatencyStats)
+    write_latency: summary.LatencyStats = field(default_factory=summary.LatencyStats)
+    read_latency: summary.LatencyStats = field(default_factory=summary.LatencyStats)
     causal_logs_write: List[int] = field(default_factory=list)
     causal_logs_read: List[int] = field(default_factory=list)
     messages_sent: int = 0
@@ -83,8 +73,8 @@ def collect_metrics(cluster) -> RunMetrics:
     return RunMetrics(
         protocol=cluster.protocol_name,
         num_processes=cluster.config.num_processes,
-        write_latency=LatencyStats.from_samples(write_samples),
-        read_latency=LatencyStats.from_samples(read_samples),
+        write_latency=summary.LatencyStats.from_samples(write_samples),
+        read_latency=summary.LatencyStats.from_samples(read_samples),
         causal_logs_write=logs[WRITE],
         causal_logs_read=logs[READ],
         messages_sent=cluster.network.messages_sent,

@@ -11,10 +11,9 @@ lookup or a feature branch on the hot path):
   streams, JSONL and Chrome ``trace_event`` JSON on demand.
 * :mod:`repro.obs.tracing` -- the event-kind vocabulary and the
   :class:`~repro.obs.tracing.Trace` sink the engine, the process host
-  and the live runtime emit into (``repro.sim.tracing`` re-exports it).
+  and the live runtime emit into.
 * :mod:`repro.obs.summary` -- the single exact percentile /
-  ``WallClockStats`` / ``LatencyStats`` implementation, re-exported
-  from :mod:`repro.metrics` for its historical callers.
+  ``LatencyStats`` implementation.
 
 None of it consumes kernel events or randomness: seeded runs are
 byte-identical with telemetry on or off (the determinism goldens
@@ -32,7 +31,7 @@ from repro.obs.metrics import (
     merge_snapshots,
 )
 from repro.obs.ring import DEFAULT_CAPACITY, RingEvent, RingTrace
-from repro.obs.summary import LatencyStats, WallClockStats, percentile
+from repro.obs.summary import LatencyStats, percentile
 
 __all__ = [
     "Counter",
@@ -46,7 +45,6 @@ __all__ = [
     "MetricsSnapshot",
     "RingEvent",
     "RingTrace",
-    "WallClockStats",
     "merge_snapshots",
     "percentile",
 ]

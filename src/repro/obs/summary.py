@@ -1,16 +1,12 @@
 """Shared summary statistics: the single percentile implementation.
 
-Home of the exact (sample-sorting) percentile math and the two summary
-dataclasses the benchmark and experiment harnesses report.  These used
-to live in :mod:`repro.metrics`, which still re-exports them unchanged;
-they moved here so the telemetry layer's bucketed histograms
-(:mod:`repro.obs.metrics`) and the exact summaries are one family with
-one quantile convention instead of two drifting copies.
+Home of the exact (sample-sorting) percentile math and the latency
+summary the experiment harnesses report, kept beside the telemetry
+layer's bucketed histograms (:mod:`repro.obs.metrics`) so both are one
+family with one quantile convention instead of two drifting copies.
 
 * :func:`percentile` -- exact ``q``-th percentile with linear
   interpolation, small-sample friendly.
-* :class:`WallClockStats` -- repeated-run wall-clock summary (best /
-  mean / p50 / p99 / worst), the row format of every ``BENCH_*.json``.
 * :class:`LatencyStats` -- simulated-time latency summary in the units
   the paper's graphs use.
 """
@@ -19,7 +15,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 
 def percentile(samples: Sequence[float], q: float) -> float:
@@ -40,52 +36,6 @@ def percentile(samples: Sequence[float], q: float) -> float:
     upper = min(lower + 1, len(ordered) - 1)
     fraction = position - lower
     return ordered[lower] + (ordered[upper] - ordered[lower]) * fraction
-
-
-@dataclass
-class WallClockStats:
-    """Wall-clock summary of repeated benchmark runs, in seconds."""
-
-    count: int = 0
-    best: float = 0.0
-    mean: float = 0.0
-    p50: float = 0.0
-    p99: float = 0.0
-    worst: float = 0.0
-
-    @classmethod
-    def from_samples(cls, samples: Sequence[float]) -> "WallClockStats":
-        if not samples:
-            return cls()
-        return cls(
-            count=len(samples),
-            best=min(samples),
-            mean=statistics.fmean(samples),
-            p50=percentile(samples, 50.0),
-            p99=percentile(samples, 99.0),
-            worst=max(samples),
-        )
-
-    def as_dict(self) -> Dict[str, float]:
-        """JSON-friendly form for the ``BENCH_*.json`` trajectory files."""
-        return {
-            "count": self.count,
-            "best_s": self.best,
-            "mean_s": self.mean,
-            "p50_s": self.p50,
-            "p99_s": self.p99,
-            "worst_s": self.worst,
-        }
-
-    def ops_per_sec(self, operations: int) -> float:
-        """Median throughput: ``operations`` per second of p50 wall time.
-
-        The unit every ``BENCH_*.json`` trajectory point reports for
-        the engine, checker and KV suites.
-        """
-        if self.p50 <= 0:
-            return 0.0
-        return operations / self.p50
 
 
 @dataclass

@@ -174,7 +174,8 @@ class Trace:
             # RingTrace.record, inlined: this is the single hottest
             # telemetry line in the simulator (once per kernel event),
             # and skipping the method call keeps the always-on ring
-            # within its overhead budget (see BENCH_trace.json).
+            # within its overhead budget (the traced pass of
+            # ``bench/run.py`` bills it to the ``obs`` layer).
             index = ring.next_index
             ring.times[index] = time
             ring.codes[index] = KIND_IDS[kind]

@@ -23,10 +23,9 @@ any spec and returns a :class:`~repro.scenarios.runner.ScenarioResult`
 whose ``fingerprint()`` is identical across same-seed runs;
 :data:`~repro.scenarios.library.SCENARIOS` is the named library
 (steady-state through the 100k-operation soak) behind the
-``repro soak`` CLI; :mod:`repro.scenarios.soak` writes the
-``BENCH_soak.json`` trajectory point; and
-:func:`~repro.scenarios.fleet.run_fleet` (``repro fleet``) shards a
-seeds x scenarios x protocols sweep across a spawn-safe process pool
+``repro soak`` CLI; :mod:`repro.scenarios.soak` renders its verdict
+table; and :func:`~repro.scenarios.fleet.run_fleet` (``repro fleet``)
+shards a seeds x scenarios x protocols sweep across a spawn-safe pool
 (:mod:`repro.scenarios.pool`), merging the runs into one
 :class:`~repro.scenarios.fleet.FleetReport` whose per-run fingerprints
 are asserted byte-identical to the serial path.
@@ -60,7 +59,6 @@ from repro.scenarios.fleet import (
     FleetTimeoutError,
     build_fleet_specs,
     run_fleet,
-    run_scaling,
 )
 from repro.scenarios.library import SCENARIOS, get_scenario, list_scenarios
 from repro.scenarios.pool import RunSpec, execute_spec, resolve_spec
@@ -101,6 +99,5 @@ __all__ = [
     "list_scenarios",
     "resolve_spec",
     "run_fleet",
-    "run_scaling",
     "run_scenario",
 ]

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.sim import tracing
+from repro.obs import tracing
 from repro.sim.failures import CrashSchedule
 
 __all__ = [

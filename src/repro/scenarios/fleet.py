@@ -26,11 +26,6 @@ budget-trimmed canary by default, every spec under ``parity="full"``)
 and requires the pool worker's fingerprint to be byte-identical to the
 serial one; any drift raises :class:`FleetParityError` instead of
 silently reporting numbers from a universe nobody can reproduce.
-
-:func:`run_scaling` repeats the same fleet at several worker counts
-(``repro fleet --scaling 1,2,4,8``) and reports speedup and per-core
-efficiency -- the scaling evidence ``BENCH_soak.json`` commits under
-its ``fleet`` key.
 """
 
 from __future__ import annotations
@@ -41,7 +36,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.obs.metrics import MetricsSnapshot, merge_snapshots
@@ -66,14 +61,13 @@ __all__ = [
     "fingerprint_bytes",
     "parse_int_list",
     "run_fleet",
-    "run_scaling",
 ]
 
 #: Parity modes: how much of the fleet is re-executed serially to
 #: prove pool results byte-identical to the serial path.
 PARITY_CANARY = "canary"  # one budget-trimmed run (default; cheap)
 PARITY_FULL = "full"  # every spec (tests; paranoid sweeps)
-PARITY_OFF = "off"  # skip (scaling inner loops re-verify elsewhere)
+PARITY_OFF = "off"  # skip (callers that compare fingerprints themselves)
 PARITY_MODES = (PARITY_CANARY, PARITY_FULL, PARITY_OFF)
 
 #: Progress callback: (finished_count, total, spec, result).
@@ -230,35 +224,6 @@ class FleetReport:
             if p99 is not None:
                 out[name] = p99
         return out
-
-    def as_dict(self) -> Dict[str, Any]:
-        """The ``fleet`` payload committed to ``BENCH_soak.json``."""
-        from repro.scenarios.soak import soak_row
-
-        return {
-            "workers": self.workers,
-            "cpu_count": self.cpu_count,
-            "parity": {"mode": self.parity, "checked": self.parity_checked},
-            "runs": [soak_row(result) for result in self.results],
-            "totals": {
-                "runs": len(self.results),
-                "ops": self.ops,
-                "completed": self.completed,
-                "aborted": self.aborted,
-                "unissued": self.unissued,
-                "wall_s": self.wall_s,
-                "serial_wall_s": self.serial_wall_s,
-                "ops_per_s": self.ops_per_s,
-                "speedup": self.speedup,
-            },
-            "verdict": self.verdict,
-            "worst_p99": self.worst_p99(),
-            "merged_metrics": (
-                self.merged_metrics.as_dict()
-                if self.merged_metrics is not None
-                else None
-            ),
-        }
 
     def summary(self) -> str:
         """The fleet footer the CLI prints under the per-run table."""
@@ -433,58 +398,3 @@ def run_fleet(
         report.merged_metrics = merge_snapshots(snapshots)
     return report
 
-
-def run_scaling(
-    specs: Sequence[RunSpec],
-    worker_counts: Sequence[int],
-    parity: str = PARITY_CANARY,
-    timeout: Optional[float] = None,
-    on_result: Optional[ProgressFn] = None,
-) -> Tuple[List[FleetReport], List[Dict[str, Any]]]:
-    """The same fleet at several worker counts; measure the scaling.
-
-    Returns every per-count :class:`FleetReport` plus the compact
-    scaling rows ``BENCH_soak.json`` commits: wall seconds, aggregate
-    ops/s, speedup and per-core efficiency relative to the sweep's
-    first (baseline) worker count.  Fingerprints must be identical
-    across worker counts -- a scheduling-dependent result would make
-    every scaling number meaningless -- so the sweep asserts that too.
-    """
-    if not worker_counts:
-        raise ConfigurationError("run_scaling needs at least one worker count")
-    reports: List[FleetReport] = []
-    rows: List[Dict[str, Any]] = []
-    baseline_prints: Optional[List[bytes]] = None
-    for count in worker_counts:
-        report = run_fleet(
-            specs,
-            workers=count,
-            parity=parity,
-            timeout=timeout,
-            on_result=on_result,
-        )
-        prints = [fingerprint_bytes(result) for result in report.results]
-        if baseline_prints is None:
-            baseline_prints = prints
-        elif prints != baseline_prints:
-            raise FleetParityError(
-                f"fingerprints at workers={count} differ from the "
-                f"baseline sweep at workers={worker_counts[0]}"
-            )
-        reports.append(report)
-    baseline = reports[0]
-    for count, report in zip(worker_counts, reports):
-        speedup_vs_baseline = (
-            baseline.wall_s / report.wall_s if report.wall_s else 0.0
-        )
-        rows.append(
-            {
-                "workers": count,
-                "wall_s": report.wall_s,
-                "ops_per_s": report.ops_per_s,
-                "speedup_vs_baseline": speedup_vs_baseline,
-                "efficiency": speedup_vs_baseline / max(count, 1),
-                "verdict": report.verdict,
-            }
-        )
-    return reports, rows

@@ -1,31 +1,23 @@
-"""The ``repro soak`` harness: run scenarios, record the trajectory.
+"""The ``repro soak`` harness: run scenarios, print their verdicts.
 
 Wraps :func:`repro.scenarios.runner.run_scenario` for the CLI: run one
-named scenario (or, with ``--quick``, a budget-trimmed sweep of the
-whole library) and write a ``BENCH_soak.json`` trajectory point next to
-the engine/checker/KV ones -- per scenario: the verdict, operation
-counts, simulated duration and throughput, wall-clock cost split into
-run and verification, and the per-phase outcomes.  CI runs the quick
-sweep on every push and uploads the JSON, so scenario health and
-soak-scale cost are tracked over time like every other perf surface.
+named scenario (or a budget-trimmed sweep of the whole library) and
+render the outcome -- per scenario: the verdict, operation counts and
+the wall-clock cost split into run and verification.  It is a
+correctness harness, run by CI as a smoke check on every push; engine
+speed is measured by ``bench/run.py``.
 """
 
 from __future__ import annotations
 
-import json
-import platform
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.experiments.bench import SCHEMA
 from repro.scenarios.library import get_scenario, list_scenarios
 from repro.scenarios.runner import ScenarioResult, run_scenario
 from repro.scenarios.spec import STORE_KV, Scenario
 
 #: Operation budget per scenario under ``--quick`` (CI smoke sizing).
 QUICK_OPS = 150
-
-SOAK_FILE = "BENCH_soak.json"
 
 
 def quick_ops_for(scenario: Scenario) -> int:
@@ -88,93 +80,6 @@ def run_soak_suite(
         )
         for scenario in list_scenarios()
     ]
-
-
-def soak_row(result: ScenarioResult) -> Dict[str, Any]:
-    """One scenario's trajectory-point entry."""
-    return {
-        "scenario": result.scenario,
-        "store": result.store,
-        "protocol": result.protocol,
-        "seed": result.seed,
-        "ops": result.ops,
-        "completed": result.completed,
-        "aborted": result.aborted,
-        "unissued": result.unissued,
-        "verdict": result.verdict,
-        "checks": [check.fingerprint() for check in result.checks],
-        "sim_duration_s": result.final_clock,
-        "sim_ops_per_sec": (
-            result.completed / result.final_clock if result.final_clock else 0.0
-        ),
-        "kernel_events": result.kernel_events,
-        "messages_sent": result.messages_sent,
-        "crashes": result.crashes,
-        "recoveries": result.recoveries,
-        "wall_s": result.wall_s,
-        "check_wall_s": result.check_wall_s,
-        # Explicit wall-clock throughput, so readers of the JSON never
-        # re-derive it (kept alongside the older ``wall_ops_per_sec``
-        # spelling readers of repro-bench/2 files already parse).
-        "ops_per_s": (
-            result.completed / result.wall_s if result.wall_s else 0.0
-        ),
-        "wall_ops_per_sec": (
-            result.completed / result.wall_s if result.wall_s else 0.0
-        ),
-        "phases": [phase.fingerprint() for phase in result.phases],
-        "transcript_events": (
-            len(result.transcript.splitlines())
-            if result.transcript is not None
-            else None
-        ),
-    }
-
-
-def write_soak_file(
-    results: Sequence[ScenarioResult],
-    output_dir: str = ".",
-    quick: bool = False,
-    fleet: Optional[Dict[str, Any]] = None,
-    scaling: Optional[Sequence[Dict[str, Any]]] = None,
-) -> str:
-    """Write the ``BENCH_soak.json`` trajectory point; return its path.
-
-    ``fleet`` (a :meth:`~repro.scenarios.fleet.FleetReport.as_dict`
-    payload) and ``scaling`` (the :func:`~repro.scenarios.fleet
-    .run_scaling` rows) are recorded under the v3 schema's ``fleet``
-    key; serial invocations omit the key entirely, so v2 readers keep
-    working on everything they ever read.
-    """
-    directory = Path(output_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    rows = [soak_row(result) for result in results]
-    payload = {
-        "schema": SCHEMA,
-        "suite": "soak",
-        "quick": quick,
-        "python": platform.python_version(),
-        "soak": rows,
-        "totals": {
-            "runs": len(rows),
-            "ops": sum(row["ops"] for row in rows),
-            "completed": sum(row["completed"] for row in rows),
-            "wall_s": sum(row["wall_s"] for row in rows),
-            "ops_per_s": (
-                sum(row["completed"] for row in rows)
-                / sum(row["wall_s"] for row in rows)
-                if any(row["wall_s"] for row in rows)
-                else 0.0
-            ),
-        },
-    }
-    if fleet is not None:
-        payload["fleet"] = dict(fleet)
-        if scaling is not None:
-            payload["fleet"]["scaling"] = list(scaling)
-    path = directory / SOAK_FILE
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return str(path)
 
 
 def format_soak_results(results: Sequence[ScenarioResult]) -> str:

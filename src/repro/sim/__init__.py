@@ -11,9 +11,11 @@ This package emulates the paper's testbed in software:
 * :mod:`repro.sim.node` -- drives the shared process host
   (:mod:`repro.protocol.host`) from the kernel, network and storage
   above;
-* :mod:`repro.sim.failures` -- crash/recovery schedules and adversaries;
-* :mod:`repro.sim.tracing` -- structured event traces and metrics
-  (re-exported from :mod:`repro.obs.tracing`).
+* :mod:`repro.sim.failures` -- crash/recovery schedules and adversaries.
+
+The trace vocabulary the engine emits into lives in
+:mod:`repro.obs.tracing`; ``Trace``, ``TraceEvent`` and ``NULL_TRACE``
+are re-exported here.
 
 Everything is deterministic given a seed: the kernel breaks ties by
 insertion order, and all randomness flows from one seeded generator.
@@ -24,7 +26,7 @@ from repro.sim.kernel import EventHandle, Kernel
 from repro.sim.network import SimNetwork
 from repro.sim.node import SimNode
 from repro.sim.storage import SimStableStorage
-from repro.sim.tracing import NULL_TRACE, Trace, TraceEvent
+from repro.obs.tracing import NULL_TRACE, Trace, TraceEvent
 
 __all__ = [
     "EventHandle",

@@ -26,7 +26,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import ProcessId
-from repro.sim.tracing import Trace, TraceEvent
+from repro.obs.tracing import Trace, TraceEvent
 
 CRASH = "crash"
 RECOVER = "recover"

@@ -36,8 +36,8 @@ from typing import Dict, List
 from repro.common.errors import ReproError
 from repro.common.timestamps import Tag, bottom_tag
 from repro.protocol.two_round import KEY_WRITTEN, TwoRoundRegisterProtocol
-from repro.sim import tracing
-from repro.sim.tracing import TraceEvent
+from repro.obs import tracing
+from repro.obs.tracing import TraceEvent
 
 
 class InvariantViolation(ReproError):

@@ -36,9 +36,9 @@ from repro.common.config import NetworkConfig
 from repro.common.ids import ProcessId
 from repro.net.delay import DelayModel
 from repro.protocol.messages import Message
-from repro.sim import tracing
+from repro.obs import tracing
 from repro.sim.kernel import Kernel
-from repro.sim.tracing import NULL_TRACE, Trace, TraceEvent
+from repro.obs.tracing import NULL_TRACE, Trace, TraceEvent
 
 #: One-way delay for a process's message to its own listener (loopback
 #: does not cross the wire; the paper's implementation runs the

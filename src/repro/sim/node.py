@@ -26,7 +26,7 @@ from repro.protocol.host import NodeCore, ProtocolFactory
 from repro.sim.kernel import Kernel
 from repro.sim.network import SimNetwork
 from repro.sim.storage import SimStableStorage
-from repro.sim.tracing import Trace
+from repro.obs.tracing import Trace
 
 
 class SimNode(NodeCore):

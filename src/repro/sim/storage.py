@@ -42,9 +42,9 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.common.config import StorageConfig
 from repro.common.ids import ProcessId
-from repro.sim import tracing
+from repro.obs import tracing
 from repro.sim.kernel import Kernel
-from repro.sim.tracing import NULL_TRACE, Trace, TraceEvent
+from repro.obs.tracing import NULL_TRACE, Trace, TraceEvent
 from repro.storage.model import StorageLatencyModel
 
 CompletionCallback = Callable[[], None]

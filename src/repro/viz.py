@@ -114,7 +114,7 @@ def render_history(
 
 def render_trace_summary(cluster) -> str:
     """Per-process message and log counters from a cluster's trace."""
-    from repro.sim import tracing
+    from repro.obs import tracing
 
     pids = sorted(node.pid for node in cluster.nodes)
     header = (

@@ -2,7 +2,7 @@
 
 # repro: hot-path
 
-from repro.sim.tracing import TraceEvent
+from repro.obs.tracing import TraceEvent
 
 
 def deliver(trace, kind, pid):

@@ -7,15 +7,13 @@ parent.  These tests hold every scenario in the library to that claim
 -- register and KV store alike, plus protocol-crossed variants -- and
 cover the driver's operational surface: streamed completions, merged
 metrics, the built-in parity assertion, the deadline guard, and the
-``repro fleet`` / ``repro soak --workers`` CLI with the v3
-``BENCH_soak.json`` payload.
+``repro fleet`` / ``repro soak --workers`` CLI and the verdict and
+parity lines it prints.
 
 One pool sweep is shared by the whole module (spawning interpreters is
 the expensive part); the per-scenario parity tests then compare
 against fresh serial runs.
 """
-
-import json
 
 import pytest
 
@@ -156,7 +154,19 @@ def test_unguarded_main_module_gets_actionable_error(tmp_path):
     assert "if __name__ == '__main__':" in proc.stderr
 
 
-def test_cli_fleet_writes_versioned_fleet_payload(tmp_path):
+def _table_scenarios(out):
+    """The scenario column of the soak/fleet table, top to bottom."""
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("---"))
+    rows = []
+    for line in lines[start + 1:]:
+        if not line.strip():
+            break
+        rows.append(line.split()[0])
+    return rows
+
+
+def test_cli_fleet_prints_verdict_and_parity():
     out = cli.run(
         [
             "fleet",
@@ -165,36 +175,27 @@ def test_cli_fleet_writes_versioned_fleet_payload(tmp_path):
             "--quick",
             "--workers", "2",
             "--timeout", "600",
-            "--output-dir", str(tmp_path),
         ]
     )
-    assert "fleet: 4 runs" in out
-    assert "PASS" in out
-    payload = json.loads((tmp_path / "BENCH_soak.json").read_text())
-    assert payload["schema"] == "repro-bench/4"
-    fleet = payload["fleet"]
-    assert fleet["workers"] == 2
-    assert fleet["verdict"] is True
-    assert fleet["parity"]["mode"] == "canary"
-    assert fleet["parity"]["checked"] == 1
-    assert fleet["totals"]["runs"] == 4
-    assert fleet["totals"]["ops_per_s"] > 0
-    assert len(fleet["runs"]) == 4
-    assert fleet["worst_p99"]
-    # Per-row self-description (satellite): explicit throughput/wall.
-    for row in fleet["runs"]:
-        assert row["ops_per_s"] > 0
-        assert row["wall_s"] > 0
+    assert "Scenario fleet (4 runs;" in out
+    assert "fleet: 4 runs on 2 workers (" in out
+    verdict = next(line for line in out.splitlines() if line.startswith("fleet:"))
+    assert verdict.endswith(": PASS")
+    assert "parity: canary (1 serial re-run byte-identical)" in out
+    assert "merged p99:" in out
+    # Rows stay in spec order: scenario-major, then seed.
+    assert _table_scenarios(out) == [
+        "steady-state", "steady-state",
+        "zipfian-contention", "zipfian-contention",
+    ]
+    assert "FAIL" not in out
 
 
-def test_cli_soak_workers_shards_the_suite(tmp_path):
-    out = cli.run(
-        ["soak", "--quick", "--workers", "2", "--output-dir", str(tmp_path)]
-    )
+def test_cli_soak_workers_shards_the_suite():
+    out = cli.run(["soak", "--quick", "--workers", "2"])
     assert "2 workers" in out
-    payload = json.loads((tmp_path / "BENCH_soak.json").read_text())
     # Rows stay in library order, exactly like the serial sweep.
-    assert [row["scenario"] for row in payload["soak"]] == [
+    assert _table_scenarios(out) == [
         scenario.name for scenario in list_scenarios()
     ]
-    assert payload["totals"]["runs"] == len(list_scenarios())
+    assert "FAIL" not in out

@@ -21,7 +21,7 @@ from repro.api import open_cluster
 from repro.scenarios.library import get_scenario
 from repro.scenarios.runner import _normalize_transcript
 from repro.scenarios.runner import run_scenario as run_spec
-from repro.sim.tracing import ALL_KINDS
+from repro.obs.tracing import ALL_KINDS
 from tests.integration.determinism_scenario import PROTOCOLS, run_scenario
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "data" / "determinism"

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster import SimCluster
 from repro.common.config import ClusterConfig, NetworkConfig
 from repro.history.register_checker import check_tagged_history
-from repro.sim import tracing
+from repro.obs import tracing
 from repro.sim.failures import RandomCrashPlan
 from repro.workloads.generators import run_closed_loop
 

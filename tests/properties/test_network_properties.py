@@ -8,7 +8,7 @@ from repro.common.timestamps import Tag
 from repro.protocol.messages import SnQuery, WriteRequest
 from repro.sim.kernel import Kernel
 from repro.sim.network import SimNetwork
-from repro.sim.tracing import Trace
+from repro.obs.tracing import Trace
 
 N = 4
 PIDS = st.integers(0, N - 1)

@@ -17,7 +17,7 @@ from repro.cluster import SimCluster
 from repro.protocol.base import Checkpoint, StableView
 from repro.runtime import LiveCluster
 from repro.scenarios.faults import TornStore
-from repro.sim import tracing
+from repro.obs import tracing
 from repro.storage import checkpoint as ckpt
 
 
@@ -301,3 +301,62 @@ class TestScanDelayedRecovery:
         compacted = recovery_time(checkpoint_interval=INTERVAL)
         unbounded = recovery_time()
         assert compacted < unbounded
+
+    #: (ops, checkpointing) -> (log records, log bytes, recovery ms) left
+    #: on p0 at seed 0: exact per seed, virtual time and record counts.
+    FLAT_VS_LINEAR = {
+        (100, True): (1, 124, 0.20496),
+        (200, True): (1, 126, 0.20504),
+        (100, False): (64, 1385, 13.081),
+        (200, False): (106, 2316, 21.51832),
+    }
+
+    @staticmethod
+    def recovery_point(ops, checkpointing):
+        """Closed loop, idle, then crash and recover p0 (5 processes).
+
+        Idling ten checkpoint intervals lets the checkpointer (which
+        only captures idle slots) catch up, so the footprint measured
+        is the steady-state one.
+        """
+        from repro.api import open_cluster
+        from repro.workloads.generators import run_closed_loop
+
+        with open_cluster(
+            backend="sim",
+            protocol="persistent",
+            num_processes=5,
+            seed=0,
+            checkpoint_interval=INTERVAL if checkpointing else None,
+            recovery_scan=True,
+        ) as cluster:
+            sim = cluster.sim
+            run_closed_loop(
+                sim,
+                operations_per_client=ops // 5,
+                read_fraction=0.5,
+                seed=0,
+                poll_every=32,
+            )
+            cluster.run(10 * INTERVAL)
+            node = sim.nodes[0]
+            log = (node.storage.log_records, node.storage.log_bytes)
+            cluster.crash(0)
+            cluster.recover(0, wait=True)
+            assert (node.checkpoints_committed > 0) is checkpointing
+            return log + (round(node.recovery_times[-1] * 1e3, 5),)
+
+    def test_recovery_stays_flat_with_checkpointing(self):
+        # Checkpointing bounds recovery by the checkpoint interval, not
+        # the run's length; without it the scan replays a log that
+        # grows with every operation ever logged.
+        points = {
+            key: self.recovery_point(*key) for key in self.FLAT_VS_LINEAR
+        }
+        assert points == self.FLAT_VS_LINEAR
+
+        def growth(checkpointing):
+            return points[200, checkpointing][2] / points[100, checkpointing][2]
+
+        assert round(growth(True), 2) == 1.00
+        assert growth(False) > 1.25

@@ -24,6 +24,40 @@ class TestParser:
         args = build_parser().parse_args(["figure6-top", "--repeats", "7"])
         assert args.repeats == 7
 
+    @pytest.mark.parametrize(
+        "command",
+        ["figure1", "lower-bounds", "message-complexity", "ablations",
+         "show-run", "log-complexity"],
+    )
+    def test_repeats_is_rejected_where_ignored(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--repeats", "3"])
+
+    @pytest.mark.parametrize(
+        "command",
+        ["figure1", "lower-bounds", "message-complexity", "ablations",
+         "show-run", "figure6-top", "figure6-bottom", "weaker-memory"],
+    )
+    def test_operations_is_rejected_where_ignored(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--operations", "3"])
+
+    def test_all_still_takes_both_flags(self):
+        args = build_parser().parse_args(
+            ["all", "--repeats", "3", "--operations", "4"]
+        )
+        assert (args.repeats, args.operations) == (3, 4)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bench"], ["kv-bench"], ["trace-bench"], ["recovery-bench"],
+         ["soak", "--output-dir", "x"], ["fleet", "--output-dir", "x"],
+         ["fleet", "--scaling", "1,2"]],
+    )
+    def test_legacy_bench_surface_is_gone(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
 
 class TestExecution:
     def test_figure1(self):
@@ -60,43 +94,7 @@ class TestExecution:
         assert "steps" in text
         assert "persistent" in text
 
-    def test_kv_bench_quick(self):
-        text = run(["kv-bench", "--quick", "--clients", "6", "--operations", "4"])
-        assert "shards" in text
-        assert "throughput" in text
-        assert "NO" not in text  # every swept run must be atomic
-
     def test_show_run(self):
         text = run(["show-run"])
         assert "W(v1)" in text
         assert "X" in text  # the crash marker
-
-    def test_bench_quick_writes_trajectory_files(self, tmp_path):
-        import json
-
-        text = run(
-            [
-                "bench", "--quick",
-                "--bench-repeats", "1",
-                "--output-dir", str(tmp_path),
-            ]
-        )
-        assert "engine" in text and "checker" in text and "kv" in text
-        engine = json.loads((tmp_path / "BENCH_engine.json").read_text())
-        assert engine["schema"] == "repro-bench/4"
-        assert set(engine["engine"]) == {"crash-stop", "transient", "persistent"}
-        for data in engine["engine"].values():
-            assert data["ops_per_sec"] > 0
-            assert data["wall"]["p50_s"] > 0
-            assert data["wall"]["p99_s"] >= data["wall"]["p50_s"]
-        checker = json.loads((tmp_path / "BENCH_checker.json").read_text())
-        assert checker["schema"] == "repro-bench/4"
-        assert checker["checker"]["blackbox_30_ops"]["operations"] == 30
-        for size in (1000, 10000):
-            for criterion in ("persistent", "transient"):
-                case = checker["checker"][f"whitebox_{size}_ops_{criterion}"]
-                assert case["operations"] == size
-                assert case["ops_per_sec"] > 0
-        kv = json.loads((tmp_path / "BENCH_kv.json").read_text())
-        assert [row["shards"] for row in kv["kv"]] == [1, 8]
-        assert all(row["atomic"] for row in kv["kv"])

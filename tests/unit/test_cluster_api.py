@@ -61,7 +61,7 @@ class TestLifecycleGuards:
             cluster.wait(handle, timeout=0.01)
 
     def test_sync_ops_surface_aborts(self):
-        from repro.sim import tracing
+        from repro.obs import tracing
 
         cluster = SimCluster(num_processes=3)
         cluster.start()

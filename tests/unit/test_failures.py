@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.cluster import SimCluster
-from repro.sim import tracing
+from repro.obs import tracing
 from repro.sim.failures import (
     CrashSchedule,
     FailureAction,
@@ -77,7 +77,7 @@ class TestTriggers:
 
     def test_trigger_fires_only_once(self):
         trigger = Trigger(predicate=lambda e: True, action="crash", pid=0)
-        from repro.sim.tracing import TraceEvent
+        from repro.obs.tracing import TraceEvent
 
         event = TraceEvent(time=0.0, kind=tracing.SEND, pid=0)
         assert trigger.matches(event)

@@ -2,18 +2,13 @@
 
 Everything here is process-free (the pool itself is integration-speed;
 see ``tests/integration/test_fleet.py``): spec resolution, the sweep
-expansion, the seed/worker-count parsers, and FleetReport aggregation
+expansion, the seed-list parser, and FleetReport aggregation
 over fabricated results.
 """
 
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.experiments.bench import (
-    SCHEMA,
-    SUPPORTED_SCHEMAS,
-    load_bench_payload,
-)
 from repro.scenarios.fleet import (
     FleetReport,
     build_fleet_specs,
@@ -173,43 +168,8 @@ class TestFleetReport:
         )
         assert report.verdict is False
 
-    def test_as_dict_payload_shape(self):
-        payload = self._report([_fake_result()]).as_dict()
-        assert payload["workers"] == 4
-        assert payload["totals"]["runs"] == 1
-        assert payload["totals"]["completed"] == 50
-        assert payload["totals"]["ops_per_s"] == pytest.approx(10.0)
-        assert payload["parity"] == {"mode": "off", "checked": 0}
-        assert payload["verdict"] is True
-        assert payload["runs"][0]["scenario"] == "steady-state"
-        # Self-describing rows: explicit throughput, no reader math.
-        assert payload["runs"][0]["ops_per_s"] == pytest.approx(25.0)
-
     def test_fingerprint_bytes_canonical(self):
         a, b = _fake_result(seed=3), _fake_result(seed=3)
         assert fingerprint_bytes(a) == fingerprint_bytes(b)
         assert fingerprint_bytes(a) != fingerprint_bytes(_fake_result(seed=4))
 
-
-class TestBenchSchema:
-    def test_writer_stamps_v4_and_readers_accept_older(self):
-        assert SCHEMA == "repro-bench/4"
-        assert SCHEMA in SUPPORTED_SCHEMAS
-        assert "repro-bench/2" in SUPPORTED_SCHEMAS
-        assert "repro-bench/3" in SUPPORTED_SCHEMAS
-
-    def test_load_bench_payload_round_trip(self, tmp_path):
-        import json
-
-        for schema in SUPPORTED_SCHEMAS:
-            path = tmp_path / f"{schema.replace('/', '_')}.json"
-            path.write_text(json.dumps({"schema": schema, "soak": []}))
-            assert load_bench_payload(path)["schema"] == schema
-
-    def test_load_bench_payload_rejects_unknown_schema(self, tmp_path):
-        import json
-
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema": "repro-bench/99"}))
-        with pytest.raises(ValueError):
-            load_bench_payload(path)

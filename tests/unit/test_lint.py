@@ -24,7 +24,7 @@ from repro.lint import (
     lint_tree,
 )
 from repro.lint.config import PINNED_TRACE_KINDS
-from repro.sim.tracing import ALL_KINDS
+from repro.obs.tracing import ALL_KINDS
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = REPO_ROOT / "tests" / "data" / "lint_fixtures"

@@ -6,7 +6,8 @@ import pytest
 
 from repro.cluster import SimCluster
 from repro.common.errors import ConfigurationError
-from repro.metrics import LatencyStats, WallClockStats, collect_metrics, percentile
+from repro.metrics import collect_metrics
+from repro.obs.summary import LatencyStats, percentile
 from repro.workloads.generators import (
     ClientPlan,
     OperationMix,
@@ -51,20 +52,6 @@ class TestPercentile:
             percentile([], 50.0)
         with pytest.raises(ValueError):
             percentile([1.0], 101.0)
-
-
-class TestWallClockStats:
-    def test_from_samples(self):
-        stats = WallClockStats.from_samples([0.2, 0.1, 0.4, 0.3])
-        assert stats.count == 4
-        assert stats.best == 0.1
-        assert stats.worst == 0.4
-        assert stats.p50 == pytest.approx(0.25)
-        assert stats.p99 >= stats.p50
-        assert stats.as_dict()["best_s"] == 0.1
-
-    def test_empty(self):
-        assert WallClockStats.from_samples([]).count == 0
 
 
 class TestCollectMetrics:

@@ -10,10 +10,10 @@ from repro.common.ids import make_operation_id
 from repro.net.delay import DelayModel
 from repro.protocol.messages import ReadQuery, SnQuery, WriteRequest
 from repro.common.timestamps import Tag
-from repro.sim import tracing
+from repro.obs import tracing
 from repro.sim.kernel import Kernel
 from repro.sim.network import LOOPBACK_DELAY, SimNetwork
-from repro.sim.tracing import Trace
+from repro.obs.tracing import Trace
 
 
 def make_network(n=3, **config_kwargs):

@@ -17,19 +17,17 @@ from repro.obs.metrics import (
     merge_snapshots,
 )
 from repro.obs.ring import RingTrace
-from repro.obs.summary import LatencyStats, WallClockStats, percentile
+from repro.obs.summary import LatencyStats, percentile
 
 
 class TestSummaryIsTheOneImplementation:
-    def test_metrics_module_reexports_summary(self):
-        # Satellite contract: repro.metrics no longer owns a second
-        # percentile/stats implementation -- it re-exports this one.
+    def test_metrics_module_no_longer_reexports_summary(self):
+        # repro.metrics keeps only run collection; the summary math has
+        # one home and one import path.
         import repro.metrics as metrics
-        import repro.obs.summary as summary
 
-        assert metrics.percentile is summary.percentile
-        assert metrics.LatencyStats is summary.LatencyStats
-        assert metrics.WallClockStats is summary.WallClockStats
+        for name in ("LatencyStats", "WallClockStats", "percentile"):
+            assert not hasattr(metrics, name)
 
     def test_percentile_exact_values(self):
         samples = [10.0, 20.0, 30.0, 40.0]
@@ -42,14 +40,6 @@ class TestSummaryIsTheOneImplementation:
             percentile([], 50)
         with pytest.raises(ValueError):
             percentile([1.0], 101)
-
-    def test_wall_clock_stats_shape(self):
-        stats = WallClockStats.from_samples([0.2, 0.1, 0.4])
-        payload = stats.as_dict()
-        assert payload["count"] == 3
-        assert payload["best_s"] == pytest.approx(0.1)
-        assert payload["worst_s"] == pytest.approx(0.4)
-        assert payload["p50_s"] == pytest.approx(0.2)
 
     def test_latency_stats_mean_us(self):
         stats = LatencyStats.from_samples([1e-3, 3e-3])
@@ -246,7 +236,7 @@ class TestRingTrace:
         assert inlined.total == via_record.total == 7
 
     def test_to_trace_events_rehydrates(self):
-        from repro.sim.tracing import TraceEvent
+        from repro.obs.tracing import TraceEvent
 
         ring = RingTrace(capacity=4, kinds=("send",))
         ring.record(0.5, 0, 2, "p2#9")

@@ -5,7 +5,7 @@ import pytest
 from repro.common.config import StorageConfig
 from repro.sim.kernel import Kernel
 from repro.sim.storage import SimStableStorage
-from repro.sim.tracing import Trace
+from repro.obs.tracing import Trace
 
 
 def make_storage(**config_kwargs):

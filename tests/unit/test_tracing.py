@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.sim import tracing
-from repro.sim.tracing import NULL_TRACE, Trace, TraceEvent
+from repro.obs import tracing
+from repro.obs.tracing import NULL_TRACE, Trace, TraceEvent
 
 
 def event(kind=tracing.SEND, pid=0, time=1.0, **detail):

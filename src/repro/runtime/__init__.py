@@ -7,10 +7,11 @@ the *same* sans-io protocol classes as the simulator, hosted on
 * :class:`~repro.runtime.transport.UdpTransport` -- one UDP socket per
   node on the event loop, speaking a CRC-framed binary wire format (UDP
   really can drop/reorder, matching fair-lossy);
-* :class:`~repro.runtime.storage.FileStableStorage` -- one append-only,
-  CRC-framed log per node; a store is one appended frame plus
-  ``fdatasync``, so it is durable when it returns (buffering "would
-  violate even transient atomicity", Section V-A);
+* :class:`~repro.runtime.storage.FileStableStorage` -- one CRC-framed
+  log per node, zero-filled ahead of its frames; a store is one write of
+  its frame over those zeros through an ``O_DSYNC`` descriptor, so it is
+  durable when it returns (buffering "would violate even transient
+  atomicity", Section V-A);
 * :class:`~repro.runtime.node.RuntimeNode` -- the asyncio driver of
   the process host the simulator shares
   (:class:`repro.protocol.host.NodeCore`): crash emulation by muting

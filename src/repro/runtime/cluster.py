@@ -119,6 +119,7 @@ class LiveCluster:
         if self._started:
             raise ReproError("cluster already started")
         self._started = True
+        clock = asyncio.get_running_loop().time
         for pid in range(self.num_processes):
             node = RuntimeNode(
                 pid=pid,
@@ -129,9 +130,7 @@ class LiveCluster:
             )
             self.nodes.append(node)  # before it binds: close() covers a failed start
             await node.start()
-            node.transport.attach_flight_recorder(
-                self.flight_recorder, self._clock
-            )
+            node.transport.attach_flight_recorder(self.flight_recorder, clock)
         peers = [
             Peer(pid=node.pid, host=node.transport.host, port=node.transport.port)
             for node in self.nodes

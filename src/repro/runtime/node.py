@@ -8,7 +8,7 @@ simulator hosts.  This driver gives it real time and real I/O:
   guard and volatile-state wipe is everything a real ``kill -9`` would
   do to the algorithm, inside one OS process so tests stay hermetic;
 * timers are ``loop.call_later``;
-* every file operation -- a store's append + fdatasync, a checkpoint's
+* every file operation -- a store's ``O_DSYNC`` write, a checkpoint's
   tombstones, a compaction, recovery's read-back -- runs on the node's
   *one* storage thread, in issue order, like the simulator's sequential
   device: frames never interleave in the log, an acknowledged record is
@@ -49,7 +49,7 @@ from repro.common.errors import ProtocolError, ReproError
 from repro.common.ids import ProcessId
 from repro.history.recorder import HistoryRecorder
 from repro.protocol.host import NodeCore, ProtocolFactory
-from repro.runtime.storage import FileStableStorage
+from repro.runtime.storage import FileStableStorage, encode_frame
 from repro.runtime.transport import UdpTransport
 
 
@@ -115,7 +115,7 @@ class RuntimeNode(NodeCore):
     def close(self) -> None:
         """Release the socket, the storage thread and the log.
 
-        Jobs queued ahead of the stop still run, ``fdatasync`` included,
+        Jobs queued ahead of the stop still run to their durable write,
         so nothing is acknowledged that is not on disk.
         """
         for handle in self._timers.values():
@@ -154,7 +154,7 @@ class RuntimeNode(NodeCore):
             done, job, args = item
             try:
                 result = job(*args)
-            except Exception as error:  # a failed fdatasync, a full disk
+            except Exception as error:  # a failed write, a full disk
                 # Worded as asyncio words a failed task: bench/run.py
                 # counts these lines on stderr.
                 message = "Task exception was never retrieved"
@@ -177,12 +177,9 @@ class RuntimeNode(NodeCore):
             self._storing[key] -= 1
             self.storage.apply_store(key, record, size)
             on_durable()
-            # Without a checkpoint timer nothing else bounds the log.
-            if self.storage.compactable:
-                self._compact()
 
         self._storing[key] += 1
-        self._on_disk(stored, self.storage.write_file, key, record)
+        self._on_disk(stored, self.storage.write_file, key, encode_frame(key, record))
 
     def _delete(self, key: str) -> None:
         if self._storing[key]:

@@ -1,13 +1,19 @@
 """File-backed stable storage with synchronous durability.
 
-Each node keeps one append-only log, ``wal.log``, opened once with
-``O_APPEND``.  A store appends one frame ::
+Each node keeps one log, ``wal.log``: frames ::
 
     [payload length u32 | crc32(payload) u32 | pickle((key, record))]
 
-(little-endian) and calls ``fdatasync``: one write and one journal
-commit per causal log of the paper.
-A delete appends a *tombstone* -- the same frame with ``None`` for the
+(little-endian) from its first byte, then zeros up to a multiple of
+``_SEGMENT`` bytes.  The zeros are written, durably, when a segment is
+made -- when the log is created, when it grows and when it is
+compacted -- so a frame overwrites blocks the file already owns.  The
+descriptor is opened ``O_DSYNC``: a store is one ``pwrite`` of its
+frame at :attr:`~FileStableStorage.log_bytes`, durable when it returns,
+and since it changes neither the file's size nor its extents it costs
+the disk's write and no filesystem journal commit -- one causal log of
+the paper at the disk's floor.
+A delete writes a *tombstone* -- the same frame with ``None`` for the
 record -- so a truncated key cannot resurface after a crash.  Reading
 the log back, the last frame of a key wins.  Records are serialized
 with :mod:`pickle` (library-internal data only; nothing here parses
@@ -21,31 +27,37 @@ directory and the file-side bookkeeping and may run on a storage
 thread; the *memory* half (:meth:`~FileStableStorage.apply_store`,
 :meth:`~FileStableStorage.apply_delete`, :meth:`~FileStableStorage.
 adopt`) updates the in-memory view and counters and belongs to the
-thread that reads them.  :meth:`~FileStableStorage.store`,
+thread that reads them.  A store's frame is encoded by
+:func:`encode_frame` before it is handed over, so its file half is the
+write alone.  :meth:`~FileStableStorage.store`,
 :meth:`~FileStableStorage.delete` and :meth:`~FileStableStorage.
 reload_from_disk` are the two halves back to back.  File halves of one
 directory must not overlap: they share the log's end.
 
-Compaction rewrites the live records to ``wal.new``, fsyncs it and
-renames it over ``wal.log`` (the only rename left), so a crash at any
-step leaves either the old log or the new one, both complete.  A log
-is worth compacting (:attr:`~FileStableStorage.compactable`) when dead
-frames -- overwritten records, tombstones and what they removed --
-outnumber live ones and it holds at least ``_COMPACT_MIN`` frames,
-which bounds recovery's read-back to about twice the live records.
+A frame that does not fit in the zeros left makes room first.  When
+dead frames -- overwritten records, tombstones and what they removed --
+outnumber live ones, the log is compacted: the live frames and fresh
+zeros are written to ``wal.new`` through an ``O_DSYNC`` descriptor,
+which is renamed over ``wal.log`` (the only rename left) before the
+directory is fsynced, so a crash at any step leaves either the old log
+or the new one, both complete.
+Otherwise the file grows by one segment of zeros.  Recovery's read-back
+stays within about twice the live frames, or one segment.
 
-Startup is quarantine-and-continue.  A tail that does not parse -- a
-short header, a frame running past the end of the file -- is a store
-that crashed before it was durable and was therefore never
-acknowledged: the file is cut back to the last good frame before
-anything is appended behind it.  A frame in the middle whose checksum
-fails is skipped, counted in ``records_quarantined`` and logged instead
-of aborting recovery, and the log is rewritten without it.  Bytes
-dropped either way are first copied aside as ``wal.<n>.corrupt``; a
-leftover ``wal.new`` is deleted.  Losing a single local record is a
-fault the protocols already tolerate -- they never rely on one copy of
-anything -- so refusing to start would turn a recoverable storage fault
-into a permanent crash.
+Startup is quarantine-and-continue.  A zero length ends the log: the
+zeros behind it are the segment, not data.  The last frame may be a
+store that crashed before it was durable and was therefore never
+acknowledged: a frame running past the end of the file, or one whose
+checksum fails with nothing but zeros behind it.  Its bytes are zeroed,
+durably, before anything is written at its offset.  A frame whose
+checksum fails with more frames behind it is skipped, counted in
+``records_quarantined`` and logged instead of aborting recovery, and
+the log is rewritten without it.  Non-zero bytes dropped either way are
+first copied aside as ``wal.<n>.corrupt``; a leftover ``wal.new`` is
+deleted.  Losing a single local record is a fault the protocols
+already tolerate -- they never rely on one copy of anything -- so
+refusing to start would turn a recoverable storage fault into a
+permanent crash.
 """
 
 from __future__ import annotations
@@ -64,22 +76,27 @@ _LOG = "wal.log"
 _NEW = "wal.new"
 _HEADER = struct.Struct("<II")
 
-#: Minimum frames in the log before dead ones trigger a compaction.
-_COMPACT_MIN = 64
+#: The log file is zero-filled to a multiple of this many bytes.
+_SEGMENT = 64 * 1024
 
 logger = logging.getLogger(__name__)
 
 
-def _frame(key: str, record: Optional[Tuple[Any, ...]]) -> bytes:
-    """One log frame; ``record`` ``None`` is ``key``'s tombstone."""
+def encode_frame(key: str, record: Optional[Tuple[Any, ...]]) -> bytes:
+    """``key``'s log frame; ``record`` ``None`` is its tombstone."""
     payload = pickle.dumps((key, record))
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-def _write_all(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
+def _segments(size: int) -> int:
+    """``size`` bytes rounded up to whole segments, at least one."""
+    return max(_SEGMENT, -(-size // _SEGMENT) * _SEGMENT)
+
+
+def _pwrite_all(fd: int, data: bytes, at: int) -> None:
+    done = os.pwrite(fd, data, at)
+    while done < len(data):
+        done += os.pwrite(fd, memoryview(data)[done:], at + done)
 
 
 class FileStableStorage:
@@ -94,12 +111,14 @@ class FileStableStorage:
         except OSError as exc:
             raise StorageError(f"cannot create storage dir {self._root}: {exc}")
         self._records: Dict[str, Tuple[Any, ...]] = {}
-        # File side: the log's descriptor, what replaying it would
-        # yield, and its length in frames and bytes.  Owned by whoever
-        # runs the file halves; the counters are read from anywhere.
-        self._durable: Dict[str, Tuple[Any, ...]] = {}
+        # File side: the log's descriptor, the live frame of every key
+        # a replay would yield, the log's length in frames and bytes,
+        # and the file's.  Owned by whoever runs the file halves; the
+        # counters are read from anywhere.
+        self._durable: Dict[str, bytes] = {}
         self.log_records = 0
         self.log_bytes = 0
+        self._size = 0
         self.records_quarantined = 0
         self.reload_from_disk()
         self.stores_completed = 0
@@ -118,60 +137,65 @@ class FileStableStorage:
         """In-memory view of the durable records (kept in sync)."""
         return self._records
 
-    @property
-    def compactable(self) -> bool:
-        """Whether dead frames outnumber live ones in a log worth rewriting."""
-        frames = self.log_records
-        return frames >= _COMPACT_MIN and (frames - len(self._durable)) * 2 > frames
-
     # -- file half -------------------------------------------------------------
 
     def scan_files(self) -> Dict[str, Tuple[Any, ...]]:
-        """Replay the log and leave it ready for appends (file half of a reload)."""
+        """Replay the log and leave it ready for writes (file half of a reload)."""
         self.close()
         path = self._root / _LOG
         durable = self._durable
         durable.clear()
+        records: Dict[str, Tuple[Any, ...]] = {}
         frames = skipped = pos = 0
         try:
             (self._root / _NEW).unlink(missing_ok=True)  # compaction that crashed
             created = not path.exists()
-            self._fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+            self._fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_DSYNC, 0o644)
             if created:
                 self._sync_dir()
-            data = memoryview(path.read_bytes())
+            data = path.read_bytes()
             size = len(data)
-            while size - pos >= _HEADER.size:
-                length, crc = _HEADER.unpack_from(data, pos)
+            used = len(data.rstrip(b"\0"))  # zeros from here on
+            view = memoryview(data)
+            while pos < used and size - pos >= _HEADER.size:
+                length, crc = _HEADER.unpack_from(view, pos)
                 start = pos + _HEADER.size
                 end = start + length
-                # No frame is empty; a zero length is a zero-filled tail.
                 if length == 0 or end > size:
                     break
-                payload = data[start:end]
+                payload = view[start:end]
                 if zlib.crc32(payload) != crc:
-                    self._set_aside(data[pos:end], f"checksum mismatch at byte {pos}")
+                    if end >= used:
+                        break  # the torn last store
+                    self._set_aside(view[pos:end], f"checksum mismatch at byte {pos}")
                     skipped += 1
                 else:
                     key, record = pickle.loads(payload)
                     frames += 1
                     if record is None:
                         durable.pop(key, None)
+                        records.pop(key, None)
                     else:
-                        durable[key] = record
+                        durable[key] = bytes(view[pos:end])
+                        records[key] = record
                 pos = end
-            self.log_records, self.log_bytes = frames, pos
+            self.log_records, self.log_bytes, self._size = frames, pos, size
             self.records_quarantined += skipped
-            if pos < size:
-                self._set_aside(data[pos:], f"unparsable tail at byte {pos}")
-                os.ftruncate(self._fd, pos)
+            if pos < used:
+                self._set_aside(view[pos:used], f"torn store at byte {pos}")
+            segments = _segments(size)
             if skipped:
                 self._rewrite()
+            elif pos < used or size != segments:
+                # Zero the torn store and fill the last segment.
+                start = pos if pos < used else size
+                _pwrite_all(self._fd, bytes(segments - start), start)
+                self._size = segments
         except OSError as exc:
             raise StorageError(f"cannot load {path}: {exc}")
-        return dict(durable)
+        return records
 
-    def _set_aside(self, junk: bytes, why: str) -> None:
+    def _set_aside(self, junk: memoryview, why: str) -> None:
         """Keep bytes the log is about to lose, and keep starting up."""
         n = 0
         while (target := self._root / f"wal.{n}.corrupt").exists():
@@ -193,40 +217,53 @@ class FileStableStorage:
         finally:
             os.close(dir_fd)
 
-    def _append(self, key: str, record: Optional[Tuple[Any, ...]]) -> None:
-        frame = _frame(key, record)
+    def _append(self, key: str, frame: bytes, what: str) -> None:
+        while self.log_bytes + len(frame) > self._size:
+            self._make_room()
+        at = self.log_bytes
         try:
-            _write_all(self._fd, frame)
-            os.fdatasync(self._fd)
+            _pwrite_all(self._fd, frame, at)
         except OSError as exc:
-            # Part of the frame may be in the file; a later append
-            # behind it would be unreachable when the log is replayed.
+            # Part of the frame may be in the file, and the next frame
+            # goes to the same offset: were it shorter, the rest of this
+            # one would be read back as a frame behind it.
             try:
-                os.ftruncate(self._fd, self.log_bytes)
+                _pwrite_all(self._fd, bytes(len(frame)), at)
             except OSError:
                 pass
-            what = "delete" if record is None else "store"
             raise StorageError(f"{what} of {key!r} failed: {exc}")
         self.log_records += 1
-        self.log_bytes += len(frame)
+        self.log_bytes = at + len(frame)
 
-    def write_file(self, key: str, record: Tuple[Any, ...]) -> None:
-        """Put ``record`` on disk: one appended frame + ``fdatasync``."""
-        self._append(key, record)
-        self._durable[key] = record
+    def _make_room(self) -> None:
+        """Compact the log if dead frames outnumber live ones, else grow it."""
+        frames = self.log_records
+        if (frames - len(self._durable)) * 2 > frames:
+            self.compact_file()
+            return
+        try:
+            _pwrite_all(self._fd, bytes(_SEGMENT), self._size)
+        except OSError as exc:
+            raise StorageError(f"growing {self._root / _LOG} failed: {exc}")
+        self._size += _SEGMENT
+
+    def write_file(self, key: str, frame: bytes) -> None:
+        """Put ``key``'s :func:`encode_frame` on disk: one ``O_DSYNC`` write."""
+        self._append(key, frame, "store")
+        self._durable[key] = frame
 
     def unlink_file(self, key: str) -> None:
         """Remove ``key`` from the log, durably like :meth:`write_file`.
 
-        The tombstone is synced, so a truncated record cannot resurface
+        The tombstone is durable, so a truncated record cannot resurface
         after a crash.  A key the log does not hold costs nothing.
         """
         if key in self._durable:
-            self._append(key, None)
+            self._append(key, encode_frame(key, None), "delete")
             del self._durable[key]
 
     def compact_file(self) -> None:
-        """Rewrite the log as exactly its live records, if it has dead frames."""
+        """Rewrite the log as exactly its live frames, if it has dead ones."""
         if self.log_records > len(self._durable):
             try:
                 self._rewrite()
@@ -235,11 +272,11 @@ class FileStableStorage:
 
     def _rewrite(self) -> None:
         new = self._root / _NEW
-        log = b"".join(_frame(key, record) for key, record in self._durable.items())
-        fd = os.open(new, os.O_WRONLY | os.O_APPEND | os.O_CREAT | os.O_TRUNC, 0o644)
+        log = b"".join(self._durable.values())
+        size = _segments(len(log))
+        fd = os.open(new, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_DSYNC, 0o644)
         try:
-            _write_all(fd, log)
-            os.fsync(fd)
+            _pwrite_all(fd, log + bytes(size - len(log)), 0)
             os.replace(new, self._root / _LOG)
         except OSError:
             os.close(fd)
@@ -247,7 +284,7 @@ class FileStableStorage:
         # The descriptor followed the rename: it is the log now.
         os.close(self._fd)
         self._fd = fd
-        self.log_records, self.log_bytes = len(self._durable), len(log)
+        self.log_records, self.log_bytes, self._size = len(self._durable), len(log), size
         self._sync_dir()
 
     # -- memory half -----------------------------------------------------------
@@ -288,10 +325,8 @@ class FileStableStorage:
         Returns only once the bytes are on disk: the ``store``
         primitive of the model.
         """
-        self.write_file(key, record)
+        self.write_file(key, encode_frame(key, record))
         self.apply_store(key, record, size)
-        if self.compactable:
-            self.compact_file()
 
     def delete(self, key: str) -> None:
         """Remove the record under ``key`` (checkpoint truncation).

@@ -100,6 +100,7 @@ _KINDS = {cls: kind for kind, cls in _CLASSES.items()}
 _NO_OP = (-1, 0)
 _NO_TAG = (0, 0, 0)
 _PICKLE_PROTOCOL = 4
+_SCALARS = frozenset((str, bytes, int, float, bool, type(None)))
 _SHORTEST = _PREFIX.size + _HEAD.size + _CRC.size
 
 
@@ -146,6 +147,8 @@ def check_value(value: Any, register: Optional[str] = None) -> None:
             f"a value of {len(data)} encoded bytes cannot travel: {room} fit "
             f"beside the headers in the {MAX_DATAGRAM}-byte UDP datagram limit"
         )
+    if type(value) in _SCALARS:
+        return  # pickles to no global: loading it back cannot fail
     try:
         _load_value(memoryview(data))
     except Exception as error:
@@ -314,8 +317,10 @@ class UdpTransport:
         """Mirror sends/receives into ``ring``, timestamped by ``clock``.
 
         Kind codes are resolved once here (the pre-resolved-handle
-        discipline of :mod:`repro.obs`); the per-datagram cost is one
-        ``record`` call.
+        discipline of :mod:`repro.obs`); each send and delivery stores
+        into the ring's public slots inline, as
+        :meth:`repro.obs.tracing.Trace.tick` does, with one ``clock()``
+        call and no method call.
         """
         self._ring = ring
         self._ring_clock = clock
@@ -380,9 +385,17 @@ class UdpTransport:
                     continue
             self.messages_sent += 1
             if ring is not None:
-                ring.record(
-                    self._ring_clock(), self._ring_send, self.pid, message.op
-                )
+                index = ring.next_index
+                ring.times[index] = self._ring_clock()
+                ring.codes[index] = self._ring_send
+                ring.pids[index] = self.pid
+                ring.ops[index] = message.op
+                index += 1
+                if index == ring.capacity:
+                    ring.next_index = 0
+                    ring.wraps += 1
+                else:
+                    ring.next_index = index
 
     def _on_readable(self) -> None:
         """One datagram per readable event."""
@@ -412,9 +425,17 @@ class UdpTransport:
         self.messages_received += 1
         ring = self._ring
         if ring is not None:
-            ring.record(
-                self._ring_clock(), self._ring_deliver, self.pid, message.op
-            )
+            index = ring.next_index
+            ring.times[index] = self._ring_clock()
+            ring.codes[index] = self._ring_deliver
+            ring.pids[index] = self.pid
+            ring.ops[index] = message.op
+            index += 1
+            if index == ring.capacity:
+                ring.next_index = 0
+                ring.wraps += 1
+            else:
+                ring.next_index = index
         self._receive(src, message, depth)
 
     def close(self) -> None:

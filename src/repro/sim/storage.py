@@ -25,7 +25,7 @@ reading that log back at boot (per-record seeks dominate, hence the
 with it.
 
 Fault injection.  :meth:`~SimStableStorage.corrupt` (drop a durable
-record, as a quarantined unreadable file), :meth:`~SimStableStorage.
+record, as a quarantined CRC-bad log frame), :meth:`~SimStableStorage.
 lose_next_stores` (the device acknowledges but the record never
 lands -- a lying fsync), and :meth:`~SimStableStorage.set_slow`
 (additive latency window, a degraded disk) back the scenario-level
@@ -235,8 +235,9 @@ class SimStableStorage:
         """Make the record under ``key`` unreadable, as if quarantined.
 
         Models :class:`repro.runtime.storage.FileStableStorage` finding
-        an undecodable record file and renaming it aside: the key
-        simply stops resolving.  Returns whether a record was present.
+        the key's log frame failing its checksum when it reads the log
+        back: the frame is copied aside and skipped, and the key simply
+        stops resolving.  Returns whether a record was present.
         """
         if key not in self._records:
             return False

@@ -6,6 +6,8 @@ outside the simulator.
 """
 
 import asyncio
+import errno
+import fcntl
 import gc
 import os
 import pickle
@@ -20,7 +22,7 @@ from repro.history.checker import (
     check_transient_atomicity,
 )
 from repro.runtime import LiveCluster
-from repro.runtime.storage import FileStableStorage
+from repro.runtime.storage import _SEGMENT, FileStableStorage, encode_frame
 from repro.storage import checkpoint as ckpt
 
 
@@ -69,13 +71,20 @@ def drain_disk(cluster, node):
 
 
 def frame_offsets(log):
-    """Start offset of every frame in ``log``, then the file's length."""
+    """Start offset of every frame in ``log``, then the end of the last."""
     data, offsets, pos = log.read_bytes(), [], 0
-    while pos < len(data):
+    while pos < len(data) and (length := int.from_bytes(data[pos:pos + 4], "little")):
         offsets.append(pos)
-        pos += 8 + int.from_bytes(data[pos:pos + 4], "little")
-    assert pos == len(data)
+        pos += 8 + length
     return offsets + [pos]
+
+
+def assert_segmented(log, storage):
+    """``log`` is ``storage``'s frames, then zeros to a segment boundary."""
+    data, offsets = log.read_bytes(), frame_offsets(log)
+    assert len(data) >= _SEGMENT and len(data) % _SEGMENT == 0
+    assert (offsets[-1], len(offsets) - 1) == (storage.log_bytes, storage.log_records)
+    assert data[storage.log_bytes:] == bytes(len(data) - storage.log_bytes)
 
 
 def logged_records(log):
@@ -130,33 +139,36 @@ class TestFileStableStorage:
         assert storage.stores_completed == 1
         assert storage.bytes_logged == 100
         assert storage.log_records == 1
-        assert storage.log_bytes == (tmp_path / "n0" / "wal.log").stat().st_size
+        assert storage.log_bytes == len(encode_frame("a", (1,)))
+        assert_segmented(tmp_path / "n0" / "wal.log", storage)
 
     def test_leftover_tmp_files_are_removed_on_load(self, tmp_path):
-        """A torn last frame, cut anywhere, is a store that never happened."""
+        """A torn last frame, cut or zero-filled anywhere, never happened."""
         root, log = tmp_path / "n0", tmp_path / "n0" / "wal.log"
         storage = FileStableStorage(root)
         storage.store("k", ("v",), size=1)
         storage.store("other", ("kept",), size=1)
         storage.store("k", ("torn",), size=1)
         storage.close()
-        data, last = log.read_bytes(), frame_offsets(log)[-2]
-        for cut in range(last, len(data)):
-            log.write_bytes(data[:cut])
+        data, (*_, last, end) = log.read_bytes(), frame_offsets(log)
+        tears = [data[:at] for at in range(last, end)]
+        tears += [data[:at] + bytes(len(data) - at) for at in range(last, end)]
+        for i, torn in enumerate(tears):
+            log.write_bytes(torn)
             fresh = FileStableStorage(root)
             assert fresh.records == {"k": ("v",), "other": ("kept",)}
             assert fresh.records_quarantined == 0
-            assert log.stat().st_size == last
-            # Appended where the tail was cut, not behind it.
-            fresh.store("after", (cut,), size=1)
+            assert fresh.log_bytes == last
+            assert_segmented(log, fresh)
+            # Written where the torn frame began, not behind it.
+            fresh.store("after", (i,), size=1)
+            assert frame_offsets(log)[-2] == last
             fresh.close()
             again = FileStableStorage(root)
-            assert again.records == {
-                "k": ("v",), "other": ("kept",), "after": (cut,)
-            }
+            assert again.records == {"k": ("v",), "other": ("kept",), "after": (i,)}
             again.close()
-        # Each non-empty tail was copied aside before the cut.
-        assert len(list(root.glob("wal.*.corrupt"))) == len(data) - last - 1
+        # Each torn frame's bytes were copied aside before they were zeroed.
+        assert len(list(root.glob("wal.*.corrupt"))) == 2 * (end - last - 1)
 
     def test_zero_filled_tail_is_a_torn_store(self, tmp_path):
         storage = FileStableStorage(tmp_path / "n0")
@@ -219,26 +231,72 @@ class TestFileStableStorage:
             storage.delete(f"gone-{i}")
         storage.store("other", ("kept",), size=1)
         live = {"k": (19,), "other": ("kept",)}
-        before = log.stat().st_size
+        before = storage.log_bytes
         assert storage.log_records == 61
         storage.compact_file()
         assert storage.records == live
-        assert (storage.log_records, storage.log_bytes) == (2, log.stat().st_size)
-        assert log.stat().st_size < before
+        assert storage.log_records == 2
+        assert storage.log_bytes < before
+        assert_segmented(log, storage)
         # The descriptor followed the rename: later stores reach the new log.
         storage.store("post", ("compaction",), size=1)
         live["post"] = ("compaction",)
         assert FileStableStorage(root).records == live
         assert not (root / "wal.new").exists()
 
-    def test_log_compacts_itself_when_dead_frames_outnumber_live(self, tmp_path):
-        storage = FileStableStorage(tmp_path / "n0")
+    def test_log_compacts_itself_when_dead_frames_outnumber_live(
+        self, tmp_path, monkeypatch
+    ):
+        root, value = tmp_path / "n0", bytes(1000)
+        storage = FileStableStorage(root)
+        compactions, replace = [], os.replace
+        monkeypatch.setattr(
+            os, "replace", lambda *args: (compactions.append(args), replace(*args))
+        )
         for i in range(500):
-            storage.store("k", (i,), size=1)
-            assert storage.log_records < 64
-        assert FileStableStorage(tmp_path / "n0").records == {"k": (499,)}
+            storage.store("k", (i, value), size=1)
+        # Each compaction leaves at most half of a full segment live, so
+        # half a segment of frames is stored between two of them.
+        frame = len(encode_frame("k", (0, value)))
+        assert 1 <= len(compactions) <= 500 * frame // (_SEGMENT // 2)
+        assert (root / "wal.log").stat().st_size == _SEGMENT
+        assert FileStableStorage(root).records == {"k": (499, value)}
 
-    @pytest.mark.parametrize("step", ["write", "fsync", "replace"])
+    @pytest.mark.parametrize(
+        "program, compacts",
+        [
+            (["a", "b"], False),  # two live frames
+            (["a", "a"], False),  # one live, one dead: a tie grows the log
+            (["a", "-a", "b"], True),  # one live, two dead
+        ],
+    )
+    def test_a_frame_that_does_not_fit_grows_or_compacts_the_log(
+        self, tmp_path, program, compacts
+    ):
+        root, log = tmp_path / "n0", tmp_path / "n0" / "wal.log"
+        storage = FileStableStorage(root)
+        half = (bytes(_SEGMENT // 2 - 100),)
+        for step in program:
+            if step.startswith("-"):
+                storage.delete(step[1:])
+            else:
+                storage.store(step, half, size=1)
+        inode, frames, live = log.stat().st_ino, storage.log_records, dict(storage.records)
+        storage.store("c", half, size=1)  # does not fit
+        live["c"] = half
+        assert storage.records == live
+        if compacts:
+            assert log.stat().st_ino != inode
+            assert storage.log_records == len(live)
+            assert log.stat().st_size == _SEGMENT
+        else:
+            assert log.stat().st_ino == inode
+            assert storage.log_records == frames + 1
+            assert log.stat().st_size == 2 * _SEGMENT
+        assert_segmented(log, storage)
+        assert FileStableStorage(root).records == live
+
+    @pytest.mark.parametrize("step", ["pwrite", "replace"])
     def test_interrupted_compaction_leaves_the_old_log(
         self, tmp_path, monkeypatch, step
     ):
@@ -261,17 +319,50 @@ class TestFileStableStorage:
         assert not (root / "wal.new").exists()
 
     def test_failed_append_leaves_no_partial_frame(self, tmp_path, monkeypatch):
-        storage = FileStableStorage(tmp_path / "n0")
+        root = tmp_path / "n0"
+        storage = FileStableStorage(root)
         storage.store("k", ("v",), size=1)
+        pwrite, failed = os.pwrite, []
+
+        def failing(fd, data, at):
+            # The whole frame reaches the file, and the write reports EIO.
+            written = pwrite(fd, data, at)
+            if not failed:
+                failed.append(at)
+                raise OSError(errno.EIO, "I/O error after the write")
+            return written
+
         with monkeypatch.context() as patch:
-            patch.setattr(os, "fdatasync", lambda fd: os.fstat(-1))
+            patch.setattr(os, "pwrite", failing)
             with pytest.raises(StorageError, match="store of 'lost' failed"):
-                storage.store("lost", ("never acknowledged",), size=1)
+                storage.store("lost", ("never acknowledged " * 4,), size=1)
         assert storage.retrieve("lost") is None
+        assert storage.log_bytes == failed[0]
+        # Shorter than the lost frame: nothing of it may remain behind them.
         storage.store("next", ("reachable",), size=1)
-        fresh = FileStableStorage(tmp_path / "n0")
-        assert fresh.records == {"k": ("v",), "next": ("reachable",)}
+        storage.store("later", ("too",), size=1)
+        fresh = FileStableStorage(root)
+        assert fresh.records == {
+            "k": ("v",), "next": ("reachable",), "later": ("too",)
+        }
         assert fresh.records_quarantined == 0
+        assert list(root.glob("wal.*.corrupt")) == []
+
+    def test_a_store_with_room_is_one_pwrite_and_no_sync(
+        self, tmp_path, monkeypatch
+    ):
+        """The descriptor is ``O_DSYNC``: its write is the store's sync."""
+        storage = FileStableStorage(tmp_path / "n0")
+        assert fcntl.fcntl(storage._fd, fcntl.F_GETFL) & os.O_DSYNC
+        calls = []
+        for name in ("pwrite", "write", "fsync", "fdatasync"):
+            real = getattr(os, name)
+            monkeypatch.setattr(
+                os, name,
+                lambda *args, name=name, real=real: (calls.append(name), real(*args))[1],
+            )
+        storage.store("k", ("v",), size=1)
+        assert calls == ["pwrite"]
 
 
 @pytest.fixture(scope="module")
@@ -379,15 +470,15 @@ class TestLiveCheckpoint:
             # The write returned on a majority of 2 of 3; node 1 is
             # quiescent only once its own round-2 log landed.
             wait_for(lambda: logged_value(node) == "snapshot-me")
-            log = tmp_path / "node-1" / "wal.log"
-            before = log.stat().st_size
-            assert cluster.checkpoint(1) is True
             storage = node.storage
+            before = storage.log_bytes
+            assert cluster.checkpoint(1) is True
             # The truncation is real: the log was rewritten as the
             # snapshot plus what it does not cover.
             drain_disk(cluster, node)
-            assert log.stat().st_size == storage.log_bytes < before
+            assert storage.log_bytes < before
             assert storage.log_records == len(storage.records)
+            assert_segmented(tmp_path / "node-1" / "wal.log", storage)
             # Truncated into the snapshot, durable on disk, no stray
             # tentative record left behind.
             assert storage.retrieve("written") is None
@@ -525,13 +616,15 @@ class TestLiveThreading:
     def test_store_is_acknowledged_only_after_its_fdatasync(
         self, tmp_path, monkeypatch
     ):
-        events, fdatasync = [], os.fdatasync
+        """A store's sync is its ``pwrite`` on the log's ``O_DSYNC`` descriptor."""
+        events, pwrite = [], os.pwrite
 
-        def recording(fd):
-            fdatasync(fd)
+        def recording(fd, data, at):
+            written = pwrite(fd, data, at)
             events.append("synced")
+            return written
 
-        monkeypatch.setattr(os, "fdatasync", recording)
+        monkeypatch.setattr(os, "pwrite", recording)
         with LiveCluster(num_processes=1, storage_root=tmp_path) as cluster:
             node = cluster.nodes[0]
 
@@ -557,11 +650,13 @@ class TestLiveThreading:
         """Overwritten frames are compacted away behind the stores."""
         with LiveCluster(num_processes=1, storage_root=tmp_path) as cluster:
             node = cluster.nodes[0]
-            for i in range(100):  # two stores each
-                cluster.write(0, f"v{i}")
+            for i in range(100):  # two stores each, of about 1 KiB
+                cluster.write(0, f"v{i}" + "." * 1000)
             drain_disk(cluster, node)
             assert node.storage.stores_completed >= 200
+            # Three segments of frames were written into one.
             assert node.storage.log_records < 64
+            assert (tmp_path / "node-0" / "wal.log").stat().st_size == _SEGMENT
             live = dict(node.storage.records)
         assert FileStableStorage(tmp_path / "node-0").records == live
 

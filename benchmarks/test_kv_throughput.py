@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import pytest
 
-from repro.kv.store import KVCluster
+from repro.api import open_cluster
 from repro.workloads.kv import KVWorkloadRunner, ZipfianKeys
 
 #: Simulated-time throughput sweep defaults.
@@ -70,14 +70,14 @@ def run_kv_config(
     ``seed`` defaults to the sweep's curated 7.
     """
     seed = 7 if seed is None else seed
-    kv = KVCluster(
+    kv = open_cluster(
+        backend="kv",
         protocol=protocol,
         num_processes=num_processes,
         num_shards=shards,
         batch_window=batch_window,
         seed=seed,
-    )
-    kv.start()
+    ).start()
     keys = ZipfianKeys(num_keys=num_keys, s=zipf_s, seed=seed + 4)
     runner = KVWorkloadRunner(
         kv,
@@ -88,7 +88,7 @@ def run_kv_config(
         seed=seed + 4,
     )
     report = runner.run(timeout=300.0)
-    atomic = kv.check_atomicity().ok if check else True
+    atomic = kv.check().ok if check else True
     return KVBenchRow(
         shards=shards,
         batch_window=batch_window,
@@ -97,7 +97,7 @@ def run_kv_config(
         aborted=report.aborted,
         throughput=report.throughput,
         mean_latency=report.mean_latency,
-        messages_sent=kv.network.messages_sent,
+        messages_sent=kv.sim.network.messages_sent,
         atomic=atomic,
     )
 

@@ -9,7 +9,7 @@ Usage::
     python examples/quickstart.py
 """
 
-from repro import SimCluster, collect_metrics
+from repro import SimCluster, as_cluster
 
 
 def main() -> None:
@@ -51,9 +51,9 @@ def main() -> None:
     print(f"persistent atomicity: {verdict.ok} "
           f"({verdict.operations} operations checked)")
 
-    metrics = collect_metrics(cluster)
-    print(f"total messages: {metrics.messages_sent}, "
-          f"stable-storage logs: {metrics.stores_completed}")
+    stats = as_cluster(cluster).stats()
+    print(f"total messages: {stats.messages_sent}, "
+          f"stable-storage logs: {stats.stores_completed}")
 
 
 if __name__ == "__main__":

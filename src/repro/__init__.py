@@ -37,16 +37,13 @@ Quickstart -- one front door over every backend (:mod:`repro.api`)::
         assert c.check().ok
 
 Swap ``backend="sim"`` for ``"kv"`` (the sharded store) or ``"live"``
-(real UDP + fsync) and the same program runs unchanged.  The low-level
-front-ends stay available::
+(real UDP + fsync) and the same program runs unchanged; on the store,
+``key=`` addresses one key and ``check()`` judges every key::
 
-    from repro import KVCluster
-
-    kv = KVCluster(protocol="persistent", num_processes=5, num_shards=8)
-    kv.start()
-    kv.write_sync("user:42", {"name": "ada"})
-    assert kv.read_sync("user:42") == {"name": "ada"}
-    assert kv.check_atomicity().ok
+    with open_cluster(backend="kv", num_processes=5, num_shards=8) as kv:
+        kv.session(0).write_sync({"name": "ada"}, key="user:42")
+        assert kv.session(1).read_sync(key="user:42") == {"name": "ada"}
+        assert kv.check().ok
 """
 
 from repro.api import (
@@ -86,14 +83,7 @@ from repro.history.checker import (
 )
 from repro.history.history import History
 from repro.history.partition import partition_history
-from repro.kv import (
-    ConsistentHashShardMap,
-    HashShardMap,
-    KVAtomicityReport,
-    KVCluster,
-    ShardMap,
-)
-from repro.metrics import RunMetrics, collect_metrics
+from repro.kv import ConsistentHashShardMap, HashShardMap, ShardMap
 from repro.protocol.registry import PROTOCOLS, get_protocol_class
 from repro.sim.failures import CrashSchedule, RandomCrashPlan
 
@@ -125,8 +115,6 @@ __all__ = [
     "CrashSchedule",
     "HashShardMap",
     "History",
-    "KVAtomicityReport",
-    "KVCluster",
     "NetworkConfig",
     "NotRecoveredError",
     "OpHandle",
@@ -138,7 +126,6 @@ __all__ = [
     "ProtocolError",
     "RandomCrashPlan",
     "ReproError",
-    "RunMetrics",
     "SCENARIOS",
     "Scenario",
     "ScenarioResult",
@@ -155,7 +142,6 @@ __all__ = [
     "bottom_tag",
     "check_persistent_atomicity",
     "check_transient_atomicity",
-    "collect_metrics",
     "get_protocol_class",
     "get_scenario",
     "list_scenarios",

@@ -1,11 +1,10 @@
 """One front door: the unified client API over every backend.
 
-The repository grew three front-ends -- the deterministic simulator
-(:class:`~repro.cluster.SimCluster`), the sharded KV store
-(:class:`~repro.kv.store.KVCluster`) and the asyncio/UDP runtime
-(:class:`~repro.runtime.cluster.LiveCluster`) -- each with its own
-verbs and handle types.  :mod:`repro.api` puts one vocabulary in front
-of all of them::
+The repository hosts the register three ways -- the deterministic
+simulator (:class:`~repro.cluster.SimCluster`), the sharded KV store
+on that simulator (:mod:`repro.kv`) and the asyncio/UDP runtime
+(:class:`~repro.runtime.cluster.LiveCluster`).  :mod:`repro.api` puts
+one vocabulary in front of all of them::
 
     from repro.api import open_cluster
 

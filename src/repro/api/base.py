@@ -23,13 +23,13 @@ virtual-time clock control on live, partitions over real sockets --
 raises :class:`~repro.common.errors.CapabilityError` with the reason.
 
 The pre-existing constructors (:class:`~repro.cluster.SimCluster`,
-:class:`~repro.kv.store.KVCluster`,
 :class:`~repro.runtime.cluster.LiveCluster`) remain the low-level
 layer; the backend adapters here wrap them without adding any events
 or randomness, so seeded runs behave byte-identically through either
-surface.  :func:`as_cluster` wraps a low-level cluster in its adapter
-(and passes façade clusters through), which is how the workload
-runners accept both.
+surface.  The KV store has no low-level constructor: its backend is
+the simulator's plus shard pipelines.  :func:`as_cluster` wraps a
+low-level cluster in its adapter (and passes façade clusters through),
+which is how the workload runners accept both.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from repro.api.types import (
     Verdict,
 )
 from repro.common.errors import CapabilityError, ConfigurationError
+from repro.history.checker import default_criterion
 from repro.history.history import History
 from repro.obs.metrics import Histogram, MetricsRegistry, MetricsSnapshot
 from repro.obs.ring import RingTrace
@@ -390,7 +391,7 @@ class Cluster:
                 f"{CHECK_CRITERIA})"
             )
         if criterion == "atomic":
-            return "transient" if self.protocol == "transient" else "persistent"
+            return default_criterion(self.protocol)
         return criterion
 
     #: Reported :attr:`Verdict.method` spellings, normalized back to
@@ -447,25 +448,20 @@ def open_cluster(
 def as_cluster(cluster: Any) -> Cluster:
     """Wrap a low-level cluster in its façade adapter.
 
-    Façade clusters pass through; :class:`~repro.cluster.SimCluster`,
-    :class:`~repro.kv.store.KVCluster` and
-    :class:`~repro.runtime.cluster.LiveCluster` instances are wrapped
+    Façade clusters pass through; :class:`~repro.cluster.SimCluster`
+    and :class:`~repro.runtime.cluster.LiveCluster` instances are wrapped
     (sharing state with the original -- no copy, no reset).  Anything
     else raises :class:`~repro.common.errors.ConfigurationError`.
     """
     if isinstance(cluster, Cluster):
         return cluster
-    from repro.api.kv import KVBackend
     from repro.api.live import LiveBackend
     from repro.api.sim import SimBackend
     from repro.cluster import SimCluster
-    from repro.kv.store import KVCluster
     from repro.runtime.cluster import LiveCluster
 
     if isinstance(cluster, SimCluster):
         return SimBackend(existing=cluster)
-    if isinstance(cluster, KVCluster):
-        return KVBackend(existing=cluster)
     if isinstance(cluster, LiveCluster):
         return LiveBackend(existing=cluster)
     raise ConfigurationError(

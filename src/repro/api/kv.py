@@ -1,6 +1,10 @@
 """The ``"kv"`` backend: the sharded key-value store behind the façade.
 
-Adapts :class:`~repro.kv.store.KVCluster`.  Adds ``sharding`` to the
+The store is the simulator backend plus shard pipelines:
+:class:`KVBackend` is a :class:`~repro.api.sim.SimBackend` (it
+inherits every simulator verb -- clock, fault injection, history,
+traces) that owns a :class:`~repro.kv.store.ShardRouter` beside its
+:class:`~repro.cluster.SimCluster`.  Adds ``sharding`` to the
 simulator's capabilities: operations address keys, keys map to shard
 pipelines, and verification is per key.  Two vocabulary bridges make
 keyed and keyless Session programs portable:
@@ -9,17 +13,14 @@ keyed and keyless Session programs portable:
   anonymous-register programs of the other backends run unmodified;
 * a session without a pinned ``pid`` lets the store route operations
   round-robin over the replicas (the other backends require a pid).
-
-The adapter adds no kernel events and no randomness over the
-low-level store, so seeded runs are byte-identical through either
-surface.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
-from repro.api.base import Cluster, Session
+from repro.api.base import Session
+from repro.api.sim import SimBackend, check_one_register
 from repro.api.types import (
     CRASH_INJECTION,
     STORAGE_FAULTS,
@@ -30,63 +31,18 @@ from repro.api.types import (
     OpHandle,
     Verdict,
 )
-from repro.api.sim import (
-    check_one_register,
-    register_sim_metrics,
-    sim_stats,
-    sim_transcript,
-)
-from repro.common.errors import OperationAborted
-from repro.history.history import History
-from repro.kv.store import KVOperation, projection_check_method
+from repro.common.config import ClusterConfig
+from repro.common.errors import ConfigurationError, OperationAborted, ReproError
+from repro.kv.sharding import HashShardMap, ShardMap
+from repro.kv.store import KVOperation, ShardRouter, projection_check_method
 
 #: Key an operation without an explicit ``key`` addresses -- the KV
 #: backend's stand-in for the anonymous register of the other backends.
 DEFAULT_KEY = "default"
 
-
-class KVHandle(OpHandle):
-    """Façade handle around a :class:`~repro.kv.store.KVOperation`.
-
-    ``latency`` is submission-to-completion, queueing and batching
-    delay included -- the client-side truth a service would measure.
-    """
-
-    __slots__ = ("raw", "kind", "key", "pid")
-
-    def __init__(self, raw: KVOperation):
-        self.raw = raw
-        self.kind = raw.kind
-        self.key = raw.key
-        self.pid = raw.pid
-
-    @property
-    def settled(self) -> bool:
-        return self.raw.settled
-
-    @property
-    def done(self) -> bool:
-        return self.raw.done
-
-    @property
-    def aborted(self) -> bool:
-        return self.raw.aborted
-
-    @property
-    def result(self) -> Any:
-        return self.raw.result
-
-    @property
-    def latency(self) -> Optional[float]:
-        return self.raw.latency
-
-    @property
-    def shard(self) -> int:
-        """The shard pipeline the operation was routed to (kv only)."""
-        return self.raw.shard
-
-    def add_callback(self, callback: Callable[[OpHandle], None]) -> None:
-        self.raw.add_callback(lambda _raw: callback(self))
+#: Predicate-poll stride for the preload readiness barrier (see
+#: :meth:`repro.sim.kernel.Kernel.run_until`).
+PRELOAD_POLL_STRIDE = 16
 
 
 class KVSession(Session):
@@ -98,23 +54,23 @@ class KVSession(Session):
         # so a session can always accept the next operation.
         return True
 
-    def write(self, value: Any, key: Optional[str] = None) -> KVHandle:
+    def write(self, value: Any, key: Optional[str] = None) -> KVOperation:
         # Only None maps to the default key: an empty string must reach
         # the store's own validation, not silently alias "default".
         target = DEFAULT_KEY if key is None else key
         return self._observed(
-            KVHandle(self.cluster.kv.write(target, value, pid=self.pid))
+            self.cluster.router.submit("write", target, value, self.pid)
         )
 
-    def read(self, key: Optional[str] = None) -> KVHandle:
+    def read(self, key: Optional[str] = None) -> KVOperation:
         target = DEFAULT_KEY if key is None else key
         return self._observed(
-            KVHandle(self.cluster.kv.read(target, pid=self.pid))
+            self.cluster.router.submit("read", target, None, self.pid)
         )
 
 
-class KVBackend(Cluster):
-    """Façade adapter over :class:`~repro.kv.store.KVCluster`."""
+class KVBackend(SimBackend):
+    """The simulator backend plus the store's shard pipelines."""
 
     backend = "kv"
     capabilities = frozenset(
@@ -125,134 +81,79 @@ class KVBackend(Cluster):
         self,
         protocol: str = "persistent",
         num_processes: Optional[int] = None,
+        num_shards: int = 8,
+        shard_map: Optional[ShardMap] = None,
+        batch_window: float = 0.0,
+        config: Optional[ClusterConfig] = None,
         seed: Optional[int] = None,
-        existing: Optional[Any] = None,
-        **options: Any,
+        capture_trace: bool = False,
+        flight_recorder: bool = True,
+        checkpoint_interval: Optional[float] = None,
+        recovery_scan: bool = False,
     ):
-        from repro.kv.store import KVCluster
-
-        if existing is not None:
-            self.kv = existing
-        else:
-            self.kv = KVCluster(
-                protocol=protocol,
-                num_processes=num_processes,
-                seed=seed,
-                **options,
+        if batch_window < 0:
+            raise ConfigurationError("batch_window must be >= 0")
+        if shard_map is None:
+            shard_map = HashShardMap(num_shards)
+        elif shard_map.num_shards != num_shards:
+            raise ConfigurationError(
+                f"shard_map has {shard_map.num_shards} shards, expected {num_shards}"
             )
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> "KVBackend":
-        self.kv.start()
-        return self
-
-    # -- identity ----------------------------------------------------------
-
-    @property
-    def protocol(self) -> str:
-        return self.kv.protocol_name
-
-    @property
-    def num_processes(self) -> int:
-        return self.kv.config.num_processes
-
-    @property
-    def seed(self) -> Optional[int]:
-        return self.kv.config.seed
-
-    @property
-    def num_shards(self) -> int:
-        return self.kv.num_shards
-
-    @property
-    def sim(self):
-        """The underlying :class:`~repro.cluster.SimCluster`."""
-        return self.kv.sim
-
-    @property
-    def config(self):
-        return self.kv.config
-
-    @property
-    def kernel(self):
-        return self.kv.kernel
-
-    @property
-    def recorder(self):
-        return self.kv.recorder
+        super().__init__(
+            protocol,
+            num_processes,
+            seed,
+            config=config,
+            capture_trace=capture_trace,
+            batch_window=batch_window,
+            flight_recorder=flight_recorder,
+            checkpoint_interval=checkpoint_interval,
+            recovery_scan=recovery_scan,
+        )
+        self.router = ShardRouter(self.sim, shard_map, batch_window)
 
     def session(self, pid: Optional[int] = None) -> KVSession:
         if pid is not None:
-            self.kv.sim.node(pid)  # validates the range
+            self.sim.node(pid)  # validates the range
         return KVSession(self, pid)
 
     # -- keys --------------------------------------------------------------
 
-    def keys(self) -> List[str]:
-        return self.kv.sim.registers
-
     def ensure_key(self, key: str, timeout: float = 10.0) -> None:
-        self.kv.preload([key], timeout=timeout)
+        self.preload([key], timeout=timeout)
 
     def preload(self, keys: Sequence[str], timeout: float = 10.0) -> None:
-        self.kv.preload(keys, timeout=timeout)
+        """Provision register instances for ``keys`` and wait until ready.
 
-    # -- fault verbs -------------------------------------------------------
-
-    def crash(self, pid: int) -> None:
-        self.kv.crash(pid)
-
-    def recover(self, pid: int, wait: bool = True, timeout: float = 5.0) -> None:
-        self.kv.recover(pid, wait=wait, timeout=timeout)
-
-    def partition(self, group_a: Sequence[int], group_b: Sequence[int]) -> None:
-        self.kv.sim.network.partition(set(group_a), set(group_b))
-
-    def heal(self) -> None:
-        self.kv.sim.network.heal_all()
-
-    def corrupt_record(self, pid: int, key: str) -> bool:
-        return self.kv.sim.node(pid).storage.corrupt(key)
-
-    def lose_stores(self, pid: int, count: int = 1) -> None:
-        self.kv.sim.node(pid).storage.lose_next_stores(count)
-
-    def slow_storage(self, pid: int, extra_latency: float) -> None:
-        storage = self.kv.sim.node(pid).storage
-        if extra_latency <= 0.0:
-            storage.clear_slow()
-        else:
-            storage.set_slow(extra_latency)
+        Touching a key lazily works too, but the first touch pays the
+        instance's initialization logs inside the request path;
+        benchmarks and latency-sensitive callers provision the key
+        universe up front instead.
+        """
+        for key in keys:
+            self.sim.ensure_register(key)
+        # The readiness predicate touches every node, so amortize it
+        # over a stride of kernel events: the workload's measured
+        # window opens after preload returns, so a few events of
+        # overshoot are invisible.
+        nodes = self.sim.nodes
+        ok = self.sim.run_until(
+            lambda: all(node.crashed or node.ready for node in nodes),
+            timeout=timeout,
+            poll_every=PRELOAD_POLL_STRIDE,
+        )
+        if not ok:
+            raise ReproError("preloaded registers did not become ready")
 
     # -- clock -------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        return self.kv.now
-
-    def run(self, duration: Optional[float] = None, max_events: int = 1_000_000) -> None:
-        self.kv.run(duration, max_events=max_events)
-
-    def run_until(
-        self,
-        predicate: Callable[[], bool],
-        timeout: Optional[float] = None,
-        poll_every: int = 1,
-        max_events: int = 1_000_000,
-    ) -> bool:
-        return self.kv.run_until(
-            predicate, timeout=timeout, poll_every=poll_every,
-            max_events=max_events,
-        )
-
-    def defer(self, delay: float, fn: Callable, *args: Any) -> None:
-        self.kv.kernel.schedule(delay, fn, *args)
 
     def wait(
         self, handle: OpHandle, timeout: float = 5.0, expect_done: bool = False
     ) -> OpHandle:
-        self.kv.wait(handle.raw, timeout=timeout)
+        if not self.sim.run_until(lambda: handle.settled, timeout=timeout):
+            raise ReproError(
+                f"operation on {handle.key!r} did not settle within {timeout}s"
+            )
         if expect_done and handle.aborted:
             raise OperationAborted(
                 f"{handle.kind} of {handle.key!r} aborted by a crash"
@@ -260,10 +161,6 @@ class KVBackend(Cluster):
         return handle
 
     # -- verification ------------------------------------------------------
-
-    @property
-    def history(self) -> History:
-        return self.kv.history
 
     def check(self, criterion: str = "atomic", method: str = "auto") -> Verdict:
         """Per-key verification: every touched key's projection, merged.
@@ -277,8 +174,10 @@ class KVBackend(Cluster):
         """
         resolved = self._resolve_criterion(criterion)
         method = self._validate_method(method)
+        histories = self.sim.per_register_histories()
+        histories.pop(None, None)  # the anonymous register is no key
         per_key: Dict[str, Verdict] = {}
-        for key, history in sorted(self.kv.per_key_histories().items()):
+        for key, history in sorted(histories.items()):
             operations = history.operations()
             if not operations:
                 continue
@@ -286,7 +185,7 @@ class KVBackend(Cluster):
             if method in ("auto", "per-key"):
                 key_method = projection_check_method(len(operations))
             per_key[key] = check_one_register(
-                self, history, self.kv.recorder, criterion, key_method
+                self, history, self.sim.recorder, criterion, key_method
             )
         failures = {
             key: child.reason for key, child in per_key.items() if not child.ok
@@ -296,7 +195,7 @@ class KVBackend(Cluster):
             criterion=criterion,
             consistency=resolved,
             method="per-key",
-            operations=len(self.kv.history.completed_operations()),
+            operations=len(self.sim.history.completed_operations()),
             reason="; ".join(
                 f"{key}: {reason}" for key, reason in sorted(failures.items())
             ),
@@ -306,21 +205,14 @@ class KVBackend(Cluster):
     # -- observability -----------------------------------------------------
 
     def stats(self) -> ClusterStats:
-        stats = sim_stats(self.kv.sim)
-        stats.extra["kv_completed"] = self.kv.completed_operations
-        stats.extra["kv_aborted"] = self.kv.aborted_operations
+        stats = super().stats()
+        stats.extra["kv_completed"] = self.router.completed
+        stats.extra["kv_aborted"] = self.router.aborted
         return stats
 
     def _register_metrics(self, registry) -> None:
-        register_sim_metrics(registry, self.kv.sim)
-        kv = self.kv
-        registry.gauge("kv.shards", fn=lambda: kv.num_shards)
-        registry.gauge("kv.completed", fn=lambda: kv.completed_operations)
-        registry.gauge("kv.aborted", fn=lambda: kv.aborted_operations)
-
-    @property
-    def flight_recorder(self):
-        return self.kv.flight_recorder
-
-    def transcript(self) -> Optional[List[str]]:
-        return sim_transcript(self.kv.sim)
+        super()._register_metrics(registry)
+        router = self.router
+        registry.gauge("kv.shards", fn=lambda: router.shard_map.num_shards)
+        registry.gauge("kv.completed", fn=lambda: router.completed)
+        registry.gauge("kv.aborted", fn=lambda: router.aborted)

@@ -27,7 +27,7 @@ from repro.api.types import (
     Verdict,
 )
 from repro.common.errors import ConfigurationError, OperationAborted
-from repro.history.checker import MAX_OPERATIONS, check_history
+from repro.history.checker import auto_method, check_history
 from repro.history.history import History
 from repro.history.recorder import HistoryRecorder
 from repro.history.register_checker import check_tagged_history
@@ -337,11 +337,7 @@ def check_one_register(
             reason="; ".join(verdict.violations),
         )
     if method == "auto":
-        method = (
-            "blackbox"
-            if len(history.operations()) <= MAX_OPERATIONS
-            else "whitebox"
-        )
+        method = auto_method(len(history.operations()))
     if method == "blackbox":
         verdict = check_history(
             history, criterion=resolved, initial_value=initial_value

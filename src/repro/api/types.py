@@ -10,9 +10,9 @@ defined here, backend-free:
 * :class:`OpHandle` -- the uniform client-side handle of one submitted
   operation (``settled`` / ``result`` / ``latency`` / ``add_callback``),
   wrapping whichever native handle the backend produced;
-* :class:`Verdict` -- the one merged verification outcome, absorbing
-  the single-register :class:`~repro.history.checker.AtomicityVerdict`
-  and the KV store's per-key report into a single shape;
+* :class:`Verdict` -- the one merged verification outcome: the
+  single-register :class:`~repro.history.checker.AtomicityVerdict`
+  and the KV store's per-key checks share one shape;
 * :class:`ClusterStats` -- the run-wide counters every backend can
   report (zeros where a counter does not exist, e.g. kernel events on
   the live backend).
@@ -57,13 +57,14 @@ CHECK_METHODS = ("auto", "blackbox", "whitebox", "per-key")
 class OpHandle:
     """Uniform client-side handle of one submitted operation.
 
-    Concrete backends subclass this around their native handle
-    (:class:`~repro.protocol.host.NodeOperation`,
-    :class:`~repro.kv.store.KVOperation`, a live future) but the caller
-    only sees this surface.  ``latency`` is in the backend's own time
-    base: virtual seconds on simulated backends, wall seconds on live.
-    Attributes the native handle exposes beyond this surface (e.g.
-    ``causal_logs`` on the simulator) remain reachable by delegation.
+    The sim and live backends subclass this around their native handle
+    (:class:`~repro.protocol.host.NodeOperation`, a live future); the
+    KV store's :class:`~repro.kv.store.KVOperation` is a subclass
+    itself, with no wrapper.  The caller only sees this surface.
+    ``latency`` is in the backend's own time base: virtual seconds on
+    simulated backends, wall seconds on live.  Attributes beyond this
+    surface stay readable: ``causal_logs`` on the simulator (by
+    delegation), ``shard``/``invoked_at``/``completed_at`` on the store.
     """
 
     #: "read" or "write".
@@ -132,7 +133,7 @@ class Verdict:
     #: Which checker ran: "black-box", "white-box" or "per-key".
     method: str
     #: Operations the verdict covers (for per-key checks: completed
-    #: operations across all keys, matching the KV report).
+    #: operations across all keys).
     operations: int = 0
     #: Human-readable diagnostic for failures ("" when ok).
     reason: str = ""

@@ -44,7 +44,12 @@ from typing import Any, Dict, List, Optional, Sequence, Set
 from repro.common.config import ClusterConfig
 from repro.common.errors import ConfigurationError, OperationAborted, ReproError
 from repro.common.ids import ProcessId
-from repro.history.checker import MAX_OPERATIONS, AtomicityVerdict, check_history
+from repro.history.checker import (
+    AtomicityVerdict,
+    auto_method,
+    check_history,
+    default_criterion,
+)
 from repro.history.history import History
 from repro.history.partition import partition_history
 from repro.history.recorder import HistoryRecorder
@@ -417,8 +422,8 @@ class SimCluster:
         ``"transient"`` for the transient algorithm, ``"persistent"``
         for everything else.  When named register instances exist, this
         judges the anonymous register's projection; check the named
-        ones via :meth:`per_register_histories` (the KV layer's
-        ``check_atomicity`` does exactly that, per key).
+        ones via :meth:`per_register_histories` (the KV backend's
+        ``check()`` does exactly that, per key).
 
         ``method`` picks the checker: ``"blackbox"`` is the exhaustive
         witness search (ground truth, capped at
@@ -429,20 +434,14 @@ class SimCluster:
         verdict instead of a size error.
         """
         if criterion is None:
-            criterion = (
-                "transient" if self.protocol_name == "transient" else "persistent"
-            )
+            criterion = default_criterion(self.protocol_name)
         if method not in ("auto", "blackbox", "whitebox"):
             raise ConfigurationError(f"unknown checker method {method!r}")
         history = self.history
         if self._registers:
             history = self.per_register_histories().get(None, History())
         if method == "auto":
-            method = (
-                "blackbox"
-                if len(history.operations()) <= MAX_OPERATIONS
-                else "whitebox"
-            )
+            method = auto_method(len(history.operations()))
         if method == "blackbox":
             return check_history(
                 history, criterion=criterion, initial_value=initial_value

@@ -58,6 +58,25 @@ CRITERIA = (PERSISTENT, TRANSIENT)
 MAX_OPERATIONS = 64
 
 
+def default_criterion(protocol: str) -> str:
+    """The atomicity criterion ``protocol`` promises.
+
+    Transient atomicity for the transient algorithm, persistent for
+    every other one: what ``"atomic"`` and an omitted criterion mean.
+    """
+    return TRANSIENT if protocol == "transient" else PERSISTENT
+
+
+def auto_method(num_operations: int) -> str:
+    """The checker ``method="auto"`` picks for one register's history.
+
+    The exhaustive black-box search while the history fits under
+    :data:`MAX_OPERATIONS`, the near-linear white-box tag checker
+    (:mod:`repro.history.register_checker`) beyond it.
+    """
+    return "blackbox" if num_operations <= MAX_OPERATIONS else "whitebox"
+
+
 @dataclass
 class AtomicityVerdict:
     """Outcome of an atomicity check."""

@@ -16,27 +16,24 @@ This package closes that gap without touching the algorithms:
   verify every register independently -- the store is per-key
   linearizable (persistent/transient atomic, per the chosen protocol).
 
-Quickstart::
+The store is opened through the façade (:mod:`repro.api`)::
 
-    from repro.kv import KVCluster
+    from repro import open_cluster
 
-    kv = KVCluster(protocol="persistent", num_processes=5, num_shards=8)
-    kv.start()
-    kv.write_sync("user:42", {"name": "ada"})
-    assert kv.read_sync("user:42") == {"name": "ada"}
-    kv.crash(0)
-    kv.recover(0)
-    assert kv.check_atomicity().ok
+    with open_cluster(backend="kv", num_processes=5, num_shards=8) as kv:
+        kv.session(0).write_sync({"name": "ada"}, key="user:42")
+        assert kv.session(1).read_sync(key="user:42") == {"name": "ada"}
+        kv.crash(0)
+        kv.recover(0)
+        assert kv.check().ok
 """
 
 from repro.kv.sharding import ConsistentHashShardMap, HashShardMap, ShardMap
-from repro.kv.store import KVAtomicityReport, KVCluster, KVOperation
+from repro.kv.store import KVOperation
 
 __all__ = [
     "ConsistentHashShardMap",
     "HashShardMap",
-    "KVAtomicityReport",
-    "KVCluster",
     "KVOperation",
     "ShardMap",
 ]

@@ -55,10 +55,9 @@ __all__ = [
 def _sim_of(cluster):
     """The underlying :class:`~repro.cluster.SimCluster` of ``cluster``.
 
-    Accepts a ``SimCluster`` and anything wrapping one behind a
-    ``.sim`` attribute -- the KV store and the façade adapters of
-    :mod:`repro.api` -- so the same fault declarations arm against any
-    virtual-time front-end.
+    Accepts a ``SimCluster`` and anything owning one as ``.sim`` --
+    the ``"sim"`` and ``"kv"`` backends of :mod:`repro.api` -- so the
+    same fault declarations arm against any virtual-time front-end.
     """
     return getattr(cluster, "sim", cluster)
 

@@ -31,6 +31,7 @@ from typing import Any, Dict, List, Optional
 from repro.api.base import Cluster, open_cluster
 from repro.api.types import SHARDING
 from repro.common.errors import ConfigurationError
+from repro.history.checker import default_criterion
 from repro.scenarios.faults import victims_of
 from repro.scenarios.spec import (
     VERIFY_PER_PHASE,
@@ -402,7 +403,7 @@ def run_scenario(
     if ops < 1:
         raise ConfigurationError("ops must be >= 1")
     capture = scenario.capture_trace if capture_trace is None else capture_trace
-    criterion = "transient" if protocol == "transient" else "persistent"
+    criterion = default_criterion(protocol)
 
     # repro: allow[DET002] ScenarioResult.wall_s is observational wall
     # timing, documented as excluded from the fingerprint

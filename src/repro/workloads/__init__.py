@@ -11,8 +11,8 @@ clients stay concurrent in virtual time.  Two drivers:
   :class:`~repro.cluster.SimCluster`;
 * :class:`~repro.workloads.kv.KVWorkloadRunner` /
   :func:`~repro.workloads.kv.run_kv_closed_loop` -- N clients drawing
-  :class:`~repro.workloads.kv.ZipfianKeys` against the sharded
-  :class:`~repro.kv.store.KVCluster`.
+  :class:`~repro.workloads.kv.ZipfianKeys` against the sharded store
+  (``open_cluster(backend="kv")``, :class:`~repro.api.kv.KVBackend`).
 
 Both are crash-aware (an operation aborted by its coordinator's crash
 is counted and the client carries on) and fully seeded; the scenario

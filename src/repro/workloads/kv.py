@@ -3,12 +3,12 @@
 Production key traffic is skewed -- a few hot keys absorb most
 operations.  :class:`ZipfianKeys` draws keys with the classic
 ``P(rank k) ~ 1 / k**s`` popularity law; ``s ~ 0.99`` is the YCSB
-default.  :class:`KVWorkloadRunner` drives N closed-loop clients over a
-:class:`~repro.kv.store.KVCluster`: each client picks a key and an
-operation kind, submits, waits for completion, and immediately issues
-the next -- so the offered concurrency is exactly the client count,
-and throughput is bounded by how much of that concurrency the store's
-shard pipelines can actually exploit.
+default.  :class:`KVWorkloadRunner` drives N closed-loop clients over
+the sharded store (:class:`~repro.api.kv.KVBackend`): each client picks
+a key and an operation kind, submits, waits for completion, and
+immediately issues the next -- so the offered concurrency is exactly
+the client count, and throughput is bounded by how much of that
+concurrency the store's shard pipelines can actually exploit.
 
 Clients are crash-aware: an operation aborted by its coordinator's
 crash is counted and the client moves on (at-most-once semantics; the
@@ -100,10 +100,9 @@ class KVWorkloadReport:
 class KVWorkloadRunner:
     """N closed-loop clients over the sharded store.
 
-    ``kv`` may be a façade :class:`~repro.api.kv.KVBackend` or a raw
-    :class:`~repro.kv.store.KVCluster` (lifted automatically); each
-    client issues through a :class:`~repro.api.base.Session` pinned to
-    its replica.
+    ``kv`` is a façade cluster, normally the store
+    (``open_cluster(backend="kv")``); each client issues through a
+    :class:`~repro.api.base.Session` pinned to its replica.
     """
 
     def __init__(

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.api import open_cluster
 from repro.common.errors import ConfigurationError
-from repro.kv import ConsistentHashShardMap, KVCluster
+from repro.kv import ConsistentHashShardMap
 from repro.workloads.kv import ZipfianKeys, run_kv_closed_loop
 
 
@@ -11,59 +12,60 @@ def make_kv(**kwargs):
     kwargs.setdefault("protocol", "persistent")
     kwargs.setdefault("num_processes", 3)
     kwargs.setdefault("num_shards", 4)
-    kv = KVCluster(**kwargs)
-    kv.start()
-    return kv
+    return open_cluster(backend="kv", **kwargs).start()
 
 
 class TestBasicOperations:
     def test_write_then_read_any_replica(self):
         kv = make_kv()
-        kv.write_sync("alpha", "v1")
+        kv.session().write_sync("v1", "alpha")
         for pid in range(3):
-            assert kv.read_sync("alpha", pid=pid) == "v1"
+            assert kv.session(pid).read_sync("alpha") == "v1"
 
     def test_keys_are_independent_registers(self):
-        kv = make_kv()
-        kv.write_sync("a", 1)
-        kv.write_sync("b", 2)
-        kv.write_sync("a", 3)
-        assert kv.read_sync("a") == 3
-        assert kv.read_sync("b") == 2
+        client = make_kv().session()
+        client.write_sync(1, "a")
+        client.write_sync(2, "b")
+        client.write_sync(3, "a")
+        assert client.read_sync("a") == 3
+        assert client.read_sync("b") == 2
 
     def test_unwritten_key_reads_initial_value(self):
-        kv = make_kv()
-        assert kv.read_sync("never-written") is None
+        assert make_kv().session().read_sync("never-written") is None
 
     def test_rejects_bad_keys_and_pids(self):
         kv = make_kv()
         with pytest.raises(ConfigurationError):
-            kv.write("", "v")
+            kv.session().write("v", "")
         with pytest.raises(ConfigurationError):
-            kv.read("k", pid=99)
+            kv.session(99).read("k")
 
     def test_round_robin_spreads_coordinators(self):
         kv = make_kv()
-        handles = [kv.write(f"k{i}", i) for i in range(6)]
+        client = kv.session()
+        handles = [client.write(i, f"k{i}") for i in range(6)]
         kv.wait_all(handles, timeout=30.0)
         assert {h.pid for h in handles} == {0, 1, 2}
 
     def test_consistent_hash_map_plugs_in(self):
         kv = make_kv(shard_map=ConsistentHashShardMap(4), num_shards=4)
-        kv.write_sync("alpha", "v")
-        assert kv.read_sync("alpha") == "v"
-        assert kv.shard_of("alpha") == ConsistentHashShardMap(4).shard_of("alpha")
+        handle = kv.session().write_sync("v", "alpha")
+        assert kv.session().read_sync("alpha") == "v"
+        assert handle.shard == ConsistentHashShardMap(4).shard_of("alpha")
 
     def test_shard_map_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            KVCluster(num_shards=8, shard_map=ConsistentHashShardMap(4))
+            open_cluster(
+                backend="kv", num_shards=8, shard_map=ConsistentHashShardMap(4)
+            )
 
 
 class TestConcurrencyAndBatching:
     def test_cross_shard_operations_overlap(self):
         kv = make_kv(num_shards=8, num_processes=5)
         kv.preload([f"k{i}" for i in range(8)])
-        handles = [kv.write(f"k{i}", f"v{i}", pid=0) for i in range(8)]
+        client = kv.session(0)
+        handles = [client.write(f"v{i}", f"k{i}") for i in range(8)]
         kv.wait_all(handles, timeout=30.0)
         # All issued by one process; cross-shard pipelines overlap, so
         # the span is far below 8 serial latencies.
@@ -85,8 +87,8 @@ class TestConcurrencyAndBatching:
                 seed=5,
             )
             assert report.completed == 40
-            assert kv.check_atomicity().ok
-            return kv.network.messages_sent
+            assert kv.check().ok
+            return kv.sim.network.messages_sent
 
         unbatched = run(0.0)
         batched = run(5e-5)
@@ -94,65 +96,67 @@ class TestConcurrencyAndBatching:
 
     def test_same_key_operations_serialize(self):
         kv = make_kv(batch_window=5e-5)
-        first = kv.write("hot", "v1", pid=0)
-        second = kv.write("hot", "v2", pid=0)
+        client = kv.session(0)
+        first = client.write("v1", "hot")
+        second = client.write("v2", "hot")
         kv.wait_all([first, second], timeout=30.0)
         assert second.invoked_at >= first.completed_at
-        assert kv.read_sync("hot") == "v2"
+        assert kv.session().read_sync("hot") == "v2"
 
 
 class TestFailures:
     def test_value_survives_coordinator_crash(self):
         kv = make_kv()
-        kv.write_sync("k", "v", pid=0)
+        kv.session(0).write_sync("v", "k")
         kv.crash(0)
-        assert kv.read_sync("k", pid=1) == "v"
+        assert kv.session(1).read_sync("k") == "v"
         kv.recover(0)
-        assert kv.read_sync("k", pid=0) == "v"
+        assert kv.session(0).read_sync("k") == "v"
 
     def test_queued_operations_wait_for_recovery(self):
         kv = make_kv()
-        kv.write_sync("k", "v1", pid=1)
+        kv.session(1).write_sync("v1", "k")
         kv.crash(0)
-        handle = kv.write("k", "v2", pid=0)  # queued on the dead replica
+        handle = kv.session(0).write("v2", "k")  # queued on the dead replica
         kv.run(0.05)
         assert not handle.settled
         kv.recover(0)
         kv.wait(handle, timeout=30.0)
         assert handle.done
-        assert kv.read_sync("k", pid=2) == "v2"
+        assert kv.session(2).read_sync("k") == "v2"
 
     def test_provision_while_crashed_boots_on_recovery(self):
         kv = make_kv()
         kv.crash(2)
-        kv.write_sync("fresh", "v", pid=0)
+        kv.session(0).write_sync("v", "fresh")
         kv.recover(2)
-        assert kv.read_sync("fresh", pid=2) == "v"
+        assert kv.session(2).read_sync("fresh") == "v"
 
     def test_total_outage_preserves_all_keys(self):
         kv = make_kv(num_processes=3)
+        client = kv.session()
         for i in range(5):
-            kv.write_sync(f"k{i}", f"v{i}")
+            client.write_sync(f"v{i}", f"k{i}")
         for pid in range(3):
             kv.crash(pid)
         for pid in range(3):
             kv.recover(pid, wait=False)
-        kv.run_until(lambda: all(node.ready for node in kv.nodes), timeout=5.0)
+        kv.run_until(lambda: all(node.ready for node in kv.sim.nodes), timeout=5.0)
         for i in range(5):
-            assert kv.read_sync(f"k{i}") == f"v{i}"
-        assert kv.check_atomicity().ok
+            assert client.read_sync(f"k{i}") == f"v{i}"
+        assert kv.check().ok
 
     def test_aborted_operations_are_counted(self):
         kv = make_kv(batch_window=0.0)
         kv.preload(["k"])
-        handle = kv.write("k", "v", pid=0)
+        handle = kv.session(0).write("v", "k")
         kv.run(1e-4)  # op issued, in flight
         assert handle.invoked_at is not None and not handle.settled
         kv.crash(0)
         assert handle.aborted
-        assert kv.aborted_operations == 1
+        assert kv.stats().extra["kv_aborted"] == 1
         kv.recover(0)
-        assert kv.check_atomicity().ok
+        assert kv.check().ok
 
 
 class TestVerification:
@@ -168,28 +172,30 @@ class TestVerification:
         )
         assert report.completed == 100
         assert report.throughput > 0
-        verdict = kv.check_atomicity()
+        verdict = kv.check()
         assert verdict.ok, verdict.failures
         # Both checkers were exercised: hot zipfian keys overflow the
         # exhaustive limit, cold keys stay under it.
-        checkers = {checker for _, checker, _ in verdict.per_key.values()}
+        checkers = {child.method for child in verdict.per_key.values()}
         assert checkers == {"black-box", "white-box"}
 
     def test_per_key_histories_are_well_formed(self):
         kv = make_kv()
-        kv.write_sync("a", 1)
-        kv.write_sync("b", 2)
+        kv.session().write_sync(1, "a")
+        kv.session().write_sync(2, "b")
         kv.crash(0)
         kv.recover(0)
-        for history in kv.per_key_histories().values():
+        histories = kv.sim.per_register_histories()
+        assert set(histories) == {"a", "b"}
+        for history in histories.values():
             history.assert_well_formed()
 
     def test_transient_store_checks_transient_criterion(self):
         kv = make_kv(protocol="transient")
-        kv.write_sync("k", "v")
-        report = kv.check_atomicity()
-        assert report.criterion == "transient"
-        assert report.ok
+        kv.session().write_sync("v", "k")
+        verdict = kv.check()
+        assert verdict.consistency == "transient"
+        assert verdict.ok
 
 
 class TestZipfianKeys:

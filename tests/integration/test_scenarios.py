@@ -8,6 +8,9 @@ the runner to that contract, plus the CLI surface (``repro soak``) and
 the verdict it prints.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro import cli
@@ -38,6 +41,25 @@ def test_same_seed_same_fingerprint(name):
     second = run_scenario(scenario, ops=SMALL_OPS, seed=5).fingerprint()
     assert first == second
     assert first["verdict"] is True
+
+
+#: Digests of the KV scenarios' fingerprints at ``SMALL_OPS``, seed 5.
+#: Same-seed equality alone passes a refactor that reorders a shard
+#: pipeline's drain; these fail it.  A change that moves KV behaviour
+#: on purpose re-records them and says so.
+PINNED_KV = {
+    "zipfian-contention": "500cd0d0651b7281",
+    "kv-soak-100k": "8ef20ab4bddd6404",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_KV))
+def test_kv_scenario_fingerprint_has_not_moved(name):
+    fingerprint = run_scenario(get_scenario(name), ops=SMALL_OPS, seed=5).fingerprint()
+    digest = hashlib.sha256(
+        json.dumps(fingerprint, sort_keys=True).encode()
+    ).hexdigest()[:16]
+    assert digest == PINNED_KV[name], fingerprint
 
 
 def test_different_seed_different_run():

@@ -19,8 +19,8 @@ import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.api import open_cluster
 from repro.common.config import ClusterConfig, NetworkConfig
-from repro.kv import KVCluster
 from repro.sim.failures import RandomCrashPlan
 from repro.workloads.kv import run_kv_closed_loop
 
@@ -57,14 +57,14 @@ commands = st.one_of(
     seed=st.integers(min_value=0, max_value=1_000),
 )
 def test_sequential_commands_match_model(script, num_shards, batch_window, seed):
-    kv = KVCluster(
+    kv = open_cluster(
+        backend="kv",
         protocol="persistent",
         num_processes=NUM_PROCESSES,
         num_shards=num_shards,
         batch_window=batch_window,
         seed=seed,
-    )
-    kv.start()
+    ).start()
     model = {}
     crashed = set()
     counter = 0
@@ -87,17 +87,17 @@ def test_sequential_commands_match_model(script, num_shards, batch_window, seed)
         elif kind == "write":
             counter += 1
             value = f"{key}={counter}"
-            kv.write_sync(key, value, pid=live_pid(pid), timeout=30.0)
+            kv.session(live_pid(pid)).write_sync(value, key, timeout=30.0)
             model[key] = value
         else:
-            result = kv.read_sync(key, pid=live_pid(pid), timeout=30.0)
+            result = kv.session(live_pid(pid)).read_sync(key, timeout=30.0)
             assert result == model.get(key), (
                 f"read of {key!r} returned {result!r}, model says "
                 f"{model.get(key)!r}"
             )
 
     # The run as a whole must also pass the per-key checkers.
-    verdict = kv.check_atomicity()
+    verdict = kv.check()
     assert verdict.ok, verdict.failures
 
 
@@ -121,13 +121,14 @@ def test_concurrent_zipfian_runs_are_per_key_atomic(
         retransmit_interval=1e-3,
         seed=seed,
     )
-    kv = KVCluster(
+    kv = open_cluster(
+        backend="kv",
         protocol="persistent",
         num_shards=num_shards,
         batch_window=batch_window,
         config=config,
     )
-    kv.start(timeout=5.0)
+    kv.sim.start(timeout=5.0)
     if crashes:
         plan = RandomCrashPlan(
             num_processes=NUM_PROCESSES,
@@ -136,7 +137,7 @@ def test_concurrent_zipfian_runs_are_per_key_atomic(
             crash_rate=0.4,
             mean_downtime=0.01,
         )
-        kv.install_schedule(plan.generate())
+        kv.sim.install_schedule(plan.generate())
     report = run_kv_closed_loop(
         kv,
         num_clients=6,
@@ -149,7 +150,7 @@ def test_concurrent_zipfian_runs_are_per_key_atomic(
     )
     assert report.completed + report.aborted + report.unissued == 24
     assert report.completed > 0
-    verdict = kv.check_atomicity()
+    verdict = kv.check()
     assert verdict.ok, verdict.failures
-    for history in kv.per_key_histories().values():
+    for history in kv.sim.per_register_histories().values():
         history.assert_well_formed()

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
+from repro.api import as_cluster
 from repro.cluster import SimCluster
 from repro.common.errors import ConfigurationError
-from repro.metrics import collect_metrics
 from repro.obs.summary import LatencyStats, percentile
 from repro.workloads.generators import (
     ClientPlan,
@@ -55,29 +55,30 @@ class TestPercentile:
 
 
 class TestCollectMetrics:
+    """A run's counts, read from the cluster and its façade stats."""
+
     def test_collects_per_kind_latency_and_logs(self):
         cluster = SimCluster(protocol="persistent", num_processes=3)
         cluster.start()
         cluster.write_sync(0, "a")
         cluster.write_sync(0, "b")
         cluster.wait(cluster.read(1))
-        metrics = collect_metrics(cluster)
-        assert metrics.write_latency.count == 2
-        assert metrics.read_latency.count == 1
-        assert metrics.causal_logs_write == [2, 2]
-        assert metrics.max_causal_logs_write == 2
-        assert metrics.protocol == "persistent"
-        assert metrics.stores_completed > 0
-        assert metrics.messages_sent > 0
+        completed = cluster.history.completed_operations()
+        assert [r.kind for r in completed] == ["write", "write", "read"]
+        assert all(r.latency > 0 for r in completed)
+        assert cluster.causal_log_counts()["write"] == [2, 2]
+        assert len(cluster.causal_log_counts()["read"]) == 1
+        stats = as_cluster(cluster).stats()
+        assert stats.stores_completed > 0
+        assert stats.messages_sent > 0
 
     def test_counts_aborted_operations(self):
         cluster = SimCluster(protocol="persistent", num_processes=3)
         cluster.start()
         cluster.write(0, "doomed")
         cluster.crash(0)
-        metrics = collect_metrics(cluster)
-        assert metrics.aborted_operations == 1
-        assert metrics.crashes == 1
+        assert len(cluster.history.pending_operations()) == 1
+        assert as_cluster(cluster).stats().crashes == 1
 
 
 class TestUniqueValues:

@@ -1,5 +1,6 @@
 """Unit tests for :mod:`repro.obs`: summary math, metrics, the ring."""
 
+import importlib.util
 import json
 import math
 import random
@@ -22,12 +23,10 @@ from repro.obs.summary import LatencyStats, percentile
 
 class TestSummaryIsTheOneImplementation:
     def test_metrics_module_no_longer_reexports_summary(self):
-        # repro.metrics keeps only run collection; the summary math has
-        # one home and one import path.
-        import repro.metrics as metrics
-
-        for name in ("LatencyStats", "WallClockStats", "percentile"):
-            assert not hasattr(metrics, name)
+        # The summary math has one home and one import path; the run
+        # collector that once re-exported it is gone (the façade's
+        # stats() carries its counts).
+        assert importlib.util.find_spec("repro.metrics") is None
 
     def test_percentile_exact_values(self):
         samples = [10.0, 20.0, 30.0, 40.0]

@@ -34,6 +34,7 @@ from repro.api import (
     open_cluster,
 )
 from repro.common.errors import CapabilityError, ConfigurationError
+from repro.lint.config import FAULT_VERB_CAPABILITIES
 
 #: Exactly what ``repro.api`` exports.  Additions are fine -- add them
 #: here too; removals and renames are breaking changes.
@@ -162,6 +163,22 @@ class TestSnapshot:
         with pytest.raises(ConfigurationError):
             open_cluster(backend="raft")
 
+    @pytest.mark.parametrize("name", api.BACKEND_NAMES)
+    def test_resolved_fault_verbs_match_capabilities(self, name):
+        # API001 lints the verbs a class body defines; this checks the
+        # verbs a backend resolves, inherited ones included.
+        cls = api.BACKENDS[name]
+        for verb, capability in FAULT_VERB_CAPABILITIES.items():
+            implemented = getattr(cls, verb) is not getattr(api.Cluster, verb)
+            assert implemented == (capability in cls.capabilities), (name, verb)
+
+    def test_kv_backend_options(self):
+        assert list(inspect.signature(api.KVBackend).parameters) == [
+            "protocol", "num_processes", "num_shards", "shard_map",
+            "batch_window", "config", "seed", "capture_trace",
+            "flight_recorder", "checkpoint_interval", "recovery_scan",
+        ]
+
 
 def session_program(cluster):
     """The one Session program every backend must run unmodified."""
@@ -262,14 +279,14 @@ class TestCapabilityGating:
                 c.session()
 
     def test_wrapping_low_level_clusters(self):
-        from repro import KVCluster, SimCluster
+        from repro import SimCluster
 
         sim = SimCluster(num_processes=3, seed=5)
         facade = as_cluster(sim)
         assert facade.sim is sim and facade.backend == "sim"
         assert as_cluster(facade) is facade
-        kv = KVCluster(num_processes=3, seed=5)
-        assert as_cluster(kv).backend == "kv"
+        kv = open_cluster(backend="kv", num_processes=3, seed=5)
+        assert as_cluster(kv) is kv
         with pytest.raises(ConfigurationError):
             as_cluster(object())
 

@@ -17,18 +17,19 @@ Usage::
 import statistics
 import time
 
-from repro.runtime import LiveCluster
+from repro import open_cluster
 
 ALGORITHMS = ("crash-stop", "transient", "persistent")
 WRITES = 30
 
 
 def measure(protocol: str) -> float:
-    with LiveCluster(protocol=protocol, num_processes=3) as cluster:
+    with open_cluster(backend="live", protocol=protocol, num_processes=3) as cluster:
+        writer = cluster.session(0)
         samples = []
         for i in range(WRITES):
             start = time.perf_counter()
-            cluster.write(0, f"value-{i}")
+            writer.write_sync(f"value-{i}")
             samples.append(time.perf_counter() - start)
         return statistics.median(samples)
 
@@ -47,11 +48,11 @@ def main() -> None:
         print(f"  {protocol:<12s} {results[protocol] / base:4.2f}x")
 
     print("\ncrash/recovery through the filesystem:")
-    with LiveCluster(protocol="persistent", num_processes=3) as cluster:
-        cluster.write(0, "survives-reboot")
-        cluster.crash_node(0)
-        cluster.recover_node(0)
-        print(f"  read after recovery: {cluster.read(0)!r}")
+    with open_cluster(backend="live", protocol="persistent", num_processes=3) as cluster:
+        cluster.session(0).write_sync("survives-reboot")
+        cluster.crash(0)
+        cluster.recover(0)
+        print(f"  read after recovery: {cluster.session(0).read_sync()!r}")
 
 
 if __name__ == "__main__":

@@ -3,8 +3,8 @@
 The repository hosts the register three ways -- the deterministic
 simulator (:class:`~repro.cluster.SimCluster`), the sharded KV store
 on that simulator (:mod:`repro.kv`) and the asyncio/UDP runtime
-(:class:`~repro.runtime.cluster.LiveCluster`).  :mod:`repro.api` puts
-one vocabulary in front of all of them::
+(:mod:`repro.runtime`).  :mod:`repro.api` puts one vocabulary in front
+of all of them::
 
     from repro.api import open_cluster
 
@@ -24,10 +24,9 @@ cannot do raises :class:`~repro.common.errors.CapabilityError` instead
 of silently degrading.  See ``docs/api.md`` for the full guide,
 capability matrix and old-call -> new-call migration table.
 
-The low-level constructors remain supported (the adapters here are
-thin and event-free); use them when a tool needs backend-specific
-surface, and :func:`as_cluster` to lift an existing low-level cluster
-into the façade.
+``SimCluster`` remains the simulator's low-level layer (its adapter is
+thin and event-free): use it when a tool needs simulator-specific
+surface, and :func:`as_cluster` to lift one into the façade.
 """
 
 from repro.api.base import (
@@ -39,7 +38,6 @@ from repro.api.base import (
     open_cluster,
 )
 from repro.api.kv import DEFAULT_KEY, KVBackend
-from repro.api.live import LiveBackend
 from repro.api.sim import SimBackend
 from repro.obs.metrics import MetricsSnapshot
 from repro.api.types import (
@@ -55,6 +53,17 @@ from repro.api.types import (
     OpHandle,
     Verdict,
 )
+
+
+def __getattr__(name: str):
+    # Served on first use (PEP 562): the live backend pulls in asyncio,
+    # sockets and the runtime, which a simulator user never needs.
+    if name == "LiveBackend":
+        from repro.api.live import LiveBackend
+
+        return LiveBackend
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ALL_CAPABILITIES",

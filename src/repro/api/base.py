@@ -22,18 +22,19 @@ frozenset (:mod:`repro.api.types`), and anything outside it --
 virtual-time clock control on live, partitions over real sockets --
 raises :class:`~repro.common.errors.CapabilityError` with the reason.
 
-The pre-existing constructors (:class:`~repro.cluster.SimCluster`,
-:class:`~repro.runtime.cluster.LiveCluster`) remain the low-level
-layer; the backend adapters here wrap them without adding any events
-or randomness, so seeded runs behave byte-identically through either
+The simulator's low-level constructor (:class:`~repro.cluster.SimCluster`)
+remains; its backend adapter wraps it without adding any events or
+randomness, so seeded runs behave byte-identically through either
 surface.  The KV store has no low-level constructor: its backend is
-the simulator's plus shard pipelines.  :func:`as_cluster` wraps a
-low-level cluster in its adapter (and passes façade clusters through),
-which is how the workload runners accept both.
+the simulator's plus shard pipelines.  Neither has the live runtime:
+its backend owns the loop thread and the nodes.  :func:`as_cluster`
+lifts a ``SimCluster`` into its adapter (and passes façade clusters
+through), which is how the workload runners accept both.
 """
 
 from __future__ import annotations
 
+import importlib
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence
 
 from repro.api.types import (
@@ -261,7 +262,7 @@ class Cluster:
         passes on its own; its loop clock is readable via
         ``stats().clock``.
         """
-        raise NotImplementedError
+        raise self._unsupported("now", "virtual-time clock control")
 
     def run(self, duration: Optional[float] = None, max_events: int = 1_000_000) -> None:
         """Advance the virtual clock by ``duration`` (or to quiescence)."""
@@ -278,13 +279,13 @@ class Cluster:
         raise self._unsupported("run_until", "virtual-time clock control")
 
     def defer(self, delay: float, fn: Callable, *args: Any) -> None:
-        """Schedule ``fn(*args)`` after ``delay`` on the backend's clock.
+        """Schedule ``fn(*args)`` after ``delay`` on the virtual clock.
 
         The hook closed-loop drivers chain their next invocation on;
-        virtual-time backends put it on the kernel, live backends on
-        the event loop.
+        virtual-time backends put it on the kernel, the live backend
+        raises :class:`~repro.common.errors.CapabilityError`.
         """
-        raise NotImplementedError
+        raise self._unsupported("defer", "virtual-time clock control")
 
     def wait(
         self,
@@ -427,9 +428,9 @@ def open_cluster(
     ``backend`` selects the deployment: ``"sim"`` (the deterministic
     single-register simulator), ``"kv"`` (the sharded key-value store
     on the simulator) or ``"live"`` (asyncio/UDP nodes on localhost).
-    ``options`` are forwarded to the backend's low-level constructor
-    (e.g. ``num_shards``/``batch_window`` for kv, ``storage_root`` for
-    live, ``capture_trace``/``config`` for the simulated ones).
+    ``options`` are forwarded to the backend's constructor (e.g.
+    ``num_shards``/``batch_window`` for kv, ``storage_root``/``op_timeout``
+    for live, ``capture_trace``/``config`` for the simulated ones).
 
     The returned :class:`Cluster` is not yet started: use it as a
     context manager, or call :meth:`Cluster.start` explicitly.
@@ -448,46 +449,40 @@ def open_cluster(
 def as_cluster(cluster: Any) -> Cluster:
     """Wrap a low-level cluster in its façade adapter.
 
-    Façade clusters pass through; :class:`~repro.cluster.SimCluster`
-    and :class:`~repro.runtime.cluster.LiveCluster` instances are wrapped
-    (sharing state with the original -- no copy, no reset).  Anything
-    else raises :class:`~repro.common.errors.ConfigurationError`.
+    Façade clusters pass through; a :class:`~repro.cluster.SimCluster`
+    is wrapped (sharing state with the original -- no copy, no reset).
+    Anything else raises :class:`~repro.common.errors.ConfigurationError`.
     """
     if isinstance(cluster, Cluster):
         return cluster
-    from repro.api.live import LiveBackend
     from repro.api.sim import SimBackend
     from repro.cluster import SimCluster
-    from repro.runtime.cluster import LiveCluster
 
     if isinstance(cluster, SimCluster):
         return SimBackend(existing=cluster)
-    if isinstance(cluster, LiveCluster):
-        return LiveBackend(existing=cluster)
     raise ConfigurationError(
         f"cannot adapt {type(cluster).__name__} to the repro.api facade"
     )
 
 
-def _backends() -> Dict[str, Callable[..., Cluster]]:
-    from repro.api.kv import KVBackend
-    from repro.api.live import LiveBackend
-    from repro.api.sim import SimBackend
-
-    return {"sim": SimBackend, "kv": KVBackend, "live": LiveBackend}
+#: backend name -> (module, class) of its adapter.
+_ADAPTERS = {
+    "sim": ("repro.api.sim", "SimBackend"),
+    "kv": ("repro.api.kv", "KVBackend"),
+    "live": ("repro.api.live", "LiveBackend"),
+}
 
 
 class _BackendRegistry(dict):
-    """Lazy backend table: resolves adapters on first use."""
+    """Lazy backend table: imports each adapter on its first use."""
 
     def __missing__(self, name: str) -> Callable[..., Cluster]:
-        table = _backends()
-        self.update(table)
-        if name not in table:
-            raise KeyError(name)
-        return table[name]
+        module, cls = _ADAPTERS[name]
+        factory = self[name] = getattr(importlib.import_module(module), cls)
+        return factory
 
 
 #: backend name -> adapter factory, resolved lazily to avoid import
-#: cycles (the adapters import the low-level clusters).
+#: cycles (the adapters import the low-level clusters) and so a
+#: simulated run never imports the live one's asyncio and sockets.
 BACKENDS: Dict[str, Callable[..., Cluster]] = _BackendRegistry()

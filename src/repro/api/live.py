@@ -1,33 +1,77 @@
-"""The ``"live"`` backend: asyncio/UDP nodes behind the façade.
+"""The ``"live"`` backend: asyncio/UDP nodes on localhost.
 
-Adapts :class:`~repro.runtime.cluster.LiveCluster`: real datagrams on
-localhost, real ``fsync`` ed files, wall-clock time.  Sessions submit
-operations without blocking (:meth:`~repro.runtime.cluster.LiveCluster.
-submit_op` posts the invocation to the cluster's event-loop thread and
-the returned :class:`~repro.api.types.OpHandle` settles when the node
-settles it), so the non-blocking half of the vocabulary works here
-too; ``latency`` is wall seconds.
+:class:`LiveBackend` spins up N :class:`~repro.runtime.node.RuntimeNode`
+instances on one asyncio event loop, run by a background thread: real
+datagrams on localhost, real ``O_DSYNC`` log files, wall-clock time.
+Every node gets a private storage directory under ``storage_root`` (a
+temporary directory by default), so crash/recovery really does go
+through the filesystem::
+
+    with open_cluster(backend="live", num_processes=3) as cluster:
+        cluster.session(0).write_sync("hello")
+        cluster.crash(0)
+        cluster.recover(0)
+        assert cluster.session(0).read_sync() == "hello"
+
+Two ways onto the loop thread.  An operation goes through
+:meth:`LiveBackend.submit_op`: one posted callback invokes it on the
+node, one ``call_later`` bounds it by ``op_timeout``, and the node's
+settle callback completes the future the returned
+:class:`~repro.api.types.OpHandle` wraps -- no coroutine, no task; so
+the non-blocking half of the vocabulary works here too, and
+``latency`` is wall seconds.  A control verb (crash, recover,
+``ensure_key``, :meth:`LiveBackend.checkpoint`) runs one coroutine on
+the loop and blocks until it returns.
 
 What the backend cannot do is declared, not approximated: it has no
 ``virtual_time`` capability, so ``run``/``run_until``/``now``/``defer``
 raise :class:`~repro.common.errors.CapabilityError` (there is no
 virtual clock to drive -- real time passes on its own), as do
 ``partition``/``heal`` (real sockets, no link control) and seeding
-(``seed`` must stay ``None``).  Crash injection works: nodes crash and
-recover through the filesystem.
+(``seed`` must stay ``None``).
 """
 
 from __future__ import annotations
 
+import asyncio
+import concurrent.futures
+import functools
+import tempfile
+import threading
 import time
+from pathlib import Path
 from typing import Any, Callable, List, Optional
 
 from repro.api.base import Cluster, Session
-from repro.api.sim import check_one_register
+from repro.api.sim import check_one_register, register_node_metrics
 from repro.api.types import CRASH_INJECTION, ClusterStats, OpHandle, Verdict
-from repro.common.errors import ConfigurationError, OperationAborted, ReproError
+from repro.common.errors import (
+    ConfigurationError,
+    OperationAborted,
+    ProcessCrashed,
+    ReproError,
+)
 from repro.history.history import History
 from repro.history.partition import partition_history
+from repro.history.recorder import HistoryRecorder
+from repro.obs.ring import RingTrace
+from repro.obs.tracing import ALL_KINDS
+from repro.protocol.host import NodeOperation
+from repro.protocol.registry import protocol_factory
+from repro.runtime.node import RuntimeNode
+from repro.runtime.transport import Peer, check_value
+
+#: Retransmission period for live clusters, seconds.  Generous: real
+#: loopback rarely drops, so retries are a safety net, not the norm.
+LIVE_RETRANSMIT_INTERVAL = 0.05
+
+
+def _sent(nodes) -> int:
+    return sum(node.transport.messages_sent for node in nodes)
+
+
+def _received(nodes) -> int:
+    return sum(node.transport.messages_received for node in nodes)
 
 
 def _recoveries(nodes) -> int:
@@ -108,19 +152,20 @@ class LiveSession(Session):
 
     @property
     def ready(self) -> bool:
-        return not self.cluster.live.nodes[self.pid].crashed
+        node = self.cluster.nodes[self.pid]
+        return node.ready and not node.register_busy(None)
 
     def write(self, value: Any, key: Optional[str] = None) -> LiveHandle:
-        future = self.cluster.live.submit_op(self.pid, "write", value, key)
+        future = self.cluster.submit_op(self.pid, "write", value, key)
         return self._observed(LiveHandle("write", key, self.pid, future))
 
     def read(self, key: Optional[str] = None) -> LiveHandle:
-        future = self.cluster.live.submit_op(self.pid, "read", None, key)
+        future = self.cluster.submit_op(self.pid, "read", None, key)
         return self._observed(LiveHandle("read", key, self.pid, future))
 
 
 class LiveBackend(Cluster):
-    """Façade adapter over :class:`~repro.runtime.cluster.LiveCluster`."""
+    """N protocol nodes over real UDP sockets on one event-loop thread."""
 
     backend = "live"
     capabilities = frozenset({CRASH_INJECTION})
@@ -130,71 +175,230 @@ class LiveBackend(Cluster):
         protocol: str = "persistent",
         num_processes: Optional[int] = None,
         seed: Optional[int] = None,
-        existing: Optional[Any] = None,
-        **options: Any,
+        storage_root: Optional[Path] = None,
+        op_timeout: float = 10.0,
     ):
-        from repro.runtime.cluster import LiveCluster
-
         if seed is not None:
             raise ConfigurationError(
                 "the live backend is not seedable (real sockets, real "
                 "time); use backend='sim' or 'kv' for deterministic runs"
             )
-        if existing is not None:
-            self.live = existing
-        else:
-            self.live = LiveCluster(
-                protocol=protocol,
-                num_processes=3 if num_processes is None else num_processes,
-                **options,
-            )
+        num_processes = 3 if num_processes is None else num_processes
+        if num_processes < 1:
+            raise ConfigurationError("num_processes must be >= 1")
+        self._protocol = protocol
+        self._num_processes = num_processes
+        self.op_timeout = op_timeout
+        self._make_protocol = protocol_factory(protocol, LIVE_RETRANSMIT_INTERVAL)
+        self._tmpdir: Optional[tempfile.TemporaryDirectory] = None
+        if storage_root is None:
+            self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-live-")
+            storage_root = self._tmpdir.name
+        self.storage_root = Path(storage_root)
+        self.recorder = HistoryRecorder(clock=self._clock)
+        # One shared flight recorder over every node's transport, using
+        # the sim trace's kind vocabulary so exports decode uniformly
+        # across backends.
+        self._flight_recorder = RingTrace(kinds=ALL_KINDS)
+        self.nodes: List[RuntimeNode] = []
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._thread: Optional[threading.Thread] = None
         #: ``(pid, exception)`` of failed non-blocking recoveries.
         self.recovery_errors: List[tuple] = []
+
+    def _clock(self) -> float:
+        return self._loop.time() if self._loop is not None else 0.0
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "LiveBackend":
-        self.live.start()
+        """Start the event-loop thread, then bind and boot every node on it."""
+        if self._thread is not None:
+            raise ReproError("cluster already started")
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=self._loop.run_forever, daemon=True, name="repro-live"
+        )
+        self._thread.start()
+        try:
+            self._call(self._start())
+        except BaseException:
+            self.close()  # no thread, socket or temp dir outlives a failed start
+            raise
         return self
 
+    async def _start(self) -> None:
+        clock = self._loop.time
+        for pid in range(self._num_processes):
+            node = RuntimeNode(
+                pid=pid,
+                num_processes=self._num_processes,
+                protocol_factory=self._make_protocol,
+                storage_root=self.storage_root,
+                recorder=self.recorder,
+            )
+            self.nodes.append(node)  # before it binds: close() covers a failed start
+            await node.start()
+            node.transport.attach_flight_recorder(self._flight_recorder, clock)
+        peers = [
+            Peer(pid=node.pid, host=node.transport.host, port=node.transport.port)
+            for node in self.nodes
+        ]
+        for node in self.nodes:
+            node.transport.set_peers(peers)
+        for node in self.nodes:
+            node.boot()
+        await asyncio.gather(*(node.wait_ready() for node in self.nodes))
+
     def close(self) -> None:
-        self.live.close()
+        """Tear the nodes down and stop the event-loop thread."""
+        if self._loop is None:
+            return
+        self._call(self._close())
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._thread.join(timeout=5.0)
+        self._loop.close()
+        self._loop = None
+
+    async def _close(self) -> None:
+        for node in self.nodes:
+            node.close()
+        if self._tmpdir is not None:
+            self._tmpdir.cleanup()
+
+    def _submit(self, coroutine) -> concurrent.futures.Future:
+        """Schedule ``coroutine`` on the loop thread without blocking."""
+        if self._loop is None:
+            raise ReproError("cluster not started")
+        return asyncio.run_coroutine_threadsafe(coroutine, self._loop)
+
+    def _call(self, coroutine) -> Any:
+        """Run ``coroutine`` on the loop thread and return its result."""
+        return self._submit(coroutine).result(timeout=max(self.op_timeout * 2, 30.0))
 
     # -- identity ----------------------------------------------------------
 
     @property
     def protocol(self) -> str:
-        return self.live.protocol_name
+        return self._protocol
 
     @property
     def num_processes(self) -> int:
-        return self.live.num_processes
-
-    @property
-    def recorder(self):
-        return self.live.recorder
+        return self._num_processes
 
     def session(self, pid: Optional[int] = None) -> LiveSession:
         if pid is None:
             raise ConfigurationError(
                 "the live backend needs an explicit pid per session"
             )
-        if not 0 <= pid < self.live.num_processes:
+        if not 0 <= pid < self._num_processes:
             raise ConfigurationError(f"pid {pid} out of range")
         return LiveSession(self, pid)
+
+    # -- operations --------------------------------------------------------
+
+    def submit_op(
+        self, pid: int, kind: str, value: Any = None, key: Optional[str] = None
+    ) -> concurrent.futures.Future:
+        """Invoke a ``"read"`` or ``"write"`` at node ``pid`` without blocking.
+
+        The future holds the result, or fails with what the invocation
+        raised (node crashed, not recovered), with :class:`~repro.common.
+        errors.ProcessCrashed` if a crash aborted the operation, or with
+        :class:`TimeoutError` after ``op_timeout`` seconds (the operation
+        then stays in flight on the node).  A ``key`` not provisioned
+        yet is provisioned first.  A written value the wire format cannot
+        carry, or too big for one datagram, raises :class:`~repro.common.
+        errors.TransportError` here, on the caller's thread, before any
+        datagram leaves.
+        """
+        if self._loop is None:
+            raise ReproError("cluster not started")
+        if kind == "write":
+            check_value(value, key)
+        loop, node = self._loop, self.nodes[pid]
+        future: concurrent.futures.Future = concurrent.futures.Future()
+
+        def invoke() -> None:
+            if not future.set_running_or_notify_cancel():
+                return
+            try:
+                if kind == "read":
+                    handle = node.invoke_read(key)
+                else:
+                    handle = node.invoke_write(value, key)
+            except Exception as error:  # reported to the caller, not the loop
+                future.set_exception(error)
+                return
+            timer = loop.call_later(self.op_timeout, expire)
+            handle.add_callback(functools.partial(settle, timer))
+
+        def expire() -> None:
+            future.set_exception(
+                TimeoutError(f"{kind} at p{pid} did not settle within {self.op_timeout}s")
+            )
+
+        def settle(timer: asyncio.TimerHandle, handle: NodeOperation) -> None:
+            timer.cancel()
+            if future.done():
+                return  # timed out; the operation finished after all
+            if handle.aborted:
+                future.set_exception(
+                    ProcessCrashed(f"process {pid} crashed during {kind} {handle.op}")
+                )
+            else:
+                future.set_result(handle.result)
+
+        if key is None or node.has_register(key):
+            loop.call_soon_threadsafe(invoke)
+            return future
+
+        def provisioned(provisioning: concurrent.futures.Future) -> None:
+            error = provisioning.exception()
+            if error is not None:
+                future.set_exception(error)
+            else:
+                loop.call_soon_threadsafe(invoke)
+
+        self._submit(self._ensure_key(key, self.op_timeout)).add_done_callback(
+            provisioned
+        )
+        return future
 
     # -- keys --------------------------------------------------------------
 
     def keys(self) -> List[str]:
-        return self.live.registers
+        if not self.nodes:
+            return []
+        return sorted(key for key in self.nodes[0].registers if key is not None)
 
     def ensure_key(self, key: str, timeout: float = 10.0) -> None:
-        self.live.ensure_register(key)
+        self._call(self._ensure_key(key, timeout))
+
+    async def _ensure_key(self, key: str, timeout: float) -> None:
+        # Crashed nodes get the slot dormant and boot it when they
+        # recover; only live nodes are awaited for readiness.
+        for node in self.nodes:
+            node.provision_register(key)
+        await asyncio.gather(
+            *(
+                node.wait_until(
+                    functools.partial(node.register_ready, key),
+                    f"make register {key!r} ready",
+                    timeout=timeout,
+                )
+                for node in self.nodes
+                if not node.crashed
+            )
+        )
 
     # -- fault verbs -------------------------------------------------------
 
     def crash(self, pid: int) -> None:
-        self.live.crash_node(pid)
+        self._call(self._crash(pid))
+
+    async def _crash(self, pid: int) -> None:
+        self.nodes[pid].crash()
 
     def recover(self, pid: int, wait: bool = True, timeout: float = 5.0) -> None:
         """Restart node ``pid``.
@@ -205,86 +409,98 @@ class LiveBackend(Cluster):
         fire-and-forgotten future.
         """
         if wait:
-            self.live.recover_node(pid, timeout=timeout)
+            self._call(self._recover(pid, timeout))
             return
-        future = self.live.submit(self.live.arecover_node(pid, timeout=timeout))
 
         def harvest(done_future) -> None:
             error = done_future.exception()
             if error is not None:
                 self.recovery_errors.append((pid, error))
 
-        future.add_done_callback(harvest)
+        self._submit(self._recover(pid, timeout)).add_done_callback(harvest)
+
+    async def _recover(self, pid: int, timeout: float) -> None:
+        self.nodes[pid].recover()
+        await self.nodes[pid].wait_ready(timeout=timeout)
+
+    def checkpoint(self, pid: int) -> bool:
+        """Run one two-phase checkpoint at node ``pid``; whether it committed.
+
+        ``False`` when nothing began (node down, a checkpoint already in
+        progress, no new records of idle registers) or a crash abandoned
+        it between the phases.  Live only: the simulator checkpoints on
+        its ``checkpoint_interval`` timer.
+        """
+        return self._call(self._checkpoint(pid))
+
+    async def _checkpoint(self, pid: int) -> bool:
+        node = self.nodes[pid]
+        committed = node.checkpoints_committed
+        if not node.begin_checkpoint():
+            return False
+        await node.wait_until(
+            lambda: not node.checkpoint_in_progress,
+            "finish its checkpoint",
+            timeout=self.op_timeout,
+        )
+        return node.checkpoints_committed > committed
 
     # -- clock -------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        raise self._unsupported("now", "virtual-time clock control")
-
-    def defer(self, delay: float, fn: Callable, *args: Any) -> None:
-        raise self._unsupported("defer", "virtual-time clock control")
 
     def wait(
         self, handle: OpHandle, timeout: float = 5.0, expect_done: bool = False
     ) -> OpHandle:
+        future = handle._future
         try:
-            handle._future.result(timeout=timeout)
-            return handle
+            future.result(timeout=timeout)
         except Exception:
             # Classify by the future's state, not the exception type:
             # on 3.11+ concurrent.futures.TimeoutError IS the builtin
             # TimeoutError, so an operation that settled by *failing*
-            # with a timeout (the cluster's op_timeout) is
-            # indistinguishable from our wait giving up by type alone.
-            error = (
-                handle._future.exception() if handle._future.done() else None
-            )
-            if not handle._future.done():
-                # Only this wait gave up; the operation stays in
-                # flight (bounded by the cluster's op_timeout).
+            # with its op_timeout looks like this wait giving up.
+            if not future.done():
+                # Only this wait gave up; the operation stays in flight.
                 raise ReproError(
                     f"live {handle.kind} did not settle within {timeout}s"
                 ) from None
+            error = future.exception()
             if error is not None and expect_done:
                 raise OperationAborted(
                     f"{handle.kind} at p{handle.pid} failed: {error}"
                 ) from error
-            return handle
+        return handle
 
     # -- verification ------------------------------------------------------
 
     @property
     def history(self) -> History:
-        return self.live.recorder.history
+        return self.recorder.history
 
     def check(self, criterion: str = "atomic", method: str = "auto") -> Verdict:
         history = self.history
-        if self.live.registers:
+        keys = self.keys()
+        if keys:
             history = partition_history(
-                history,
-                self.live.recorder.register_of,
-                registers=set(self.live.registers),
+                history, self.recorder.register_of, registers=set(keys)
             ).get(None, History())
         return check_one_register(
-            self, history, self.live.recorder, criterion, method
+            self, history, self.recorder, criterion, method
         )
 
     # -- observability -----------------------------------------------------
 
     def stats(self) -> ClusterStats:
-        nodes = self.live.nodes
-        sent = sum(node.transport.messages_sent for node in nodes)
-        received = sum(node.transport.messages_received for node in nodes)
+        nodes = self.nodes
+        sent = _sent(nodes)
         return ClusterStats(
-            clock=self.live._clock(),
+            clock=self._clock(),
             # kernel_events stays 0: real time has no event loop counter
             # comparable to the simulator's.
             messages_sent=sent,
             # UDP gives no per-datagram loss signal; sent-minus-received
             # is the best available estimate (in-flight datagrams and
             # crash-muted receivers count as dropped).
-            messages_dropped=max(0, sent - received),
+            messages_dropped=max(0, sent - _received(nodes)),
             stores_completed=sum(
                 node.storage.stores_completed for node in nodes
             ),
@@ -293,61 +509,24 @@ class LiveBackend(Cluster):
         )
 
     def _register_metrics(self, registry) -> None:
-        live = self.live
-        nodes = live.nodes
-        registry.gauge("kernel.clock", fn=live._clock)
-        registry.gauge(
-            "net.messages_sent",
-            fn=lambda: sum(n.transport.messages_sent for n in nodes),
-        )
-        registry.gauge(
-            "net.messages_delivered",
-            fn=lambda: sum(n.transport.messages_received for n in nodes),
-        )
+        nodes = self.nodes
+        registry.gauge("kernel.clock", fn=self._clock)
+        registry.gauge("net.messages_sent", fn=lambda: _sent(nodes))
+        registry.gauge("net.messages_delivered", fn=lambda: _received(nodes))
         registry.gauge(
             "net.messages_dropped",
-            fn=lambda: max(
-                0,
-                sum(n.transport.messages_sent for n in nodes)
-                - sum(n.transport.messages_received for n in nodes),
-            ),
+            fn=lambda: max(0, _sent(nodes) - _received(nodes)),
         )
         registry.gauge(
             "net.malformed",
             fn=lambda: sum(n.transport.malformed for n in nodes),
         )
-        registry.gauge(
-            "storage.stores_completed",
-            fn=lambda: sum(n.storage.stores_completed for n in nodes),
-        )
-        registry.gauge(
-            "storage.bytes_logged",
-            fn=lambda: sum(n.storage.bytes_logged for n in nodes),
-        )
-        registry.gauge(
-            "storage.footprint_bytes",
-            fn=lambda: sum(n.storage.log_bytes for n in nodes),
-        )
-        registry.gauge(
-            "storage.records",
-            fn=lambda: sum(n.storage.log_records for n in nodes),
-        )
-        registry.gauge(
-            "node.crashes", fn=lambda: sum(n.crash_count for n in nodes)
-        )
+        register_node_metrics(registry, nodes)
         registry.gauge("node.recoveries", fn=lambda: _recoveries(nodes))
-        recovery_hist = registry.histogram("node.recovery_time")
-        for node in nodes:
-            # As in register_sim_metrics: backfill what completed before
-            # the (lazily created) registry existed, then observe live.
-            for duration in node.recovery_times:
-                recovery_hist.observe(duration)
-            node.on_recovery_time = recovery_hist.observe
         registry.gauge(
-            "trace.flight_recorded",
-            fn=lambda: live.flight_recorder.total,
+            "trace.flight_recorded", fn=lambda: self._flight_recorder.total
         )
 
     @property
-    def flight_recorder(self):
-        return self.live.flight_recorder
+    def flight_recorder(self) -> RingTrace:
+        return self._flight_recorder

@@ -386,8 +386,9 @@ def register_sim_metrics(registry, sim) -> None:
     Every gauge is pull-based: it reads a counter the engine already
     maintains, so registering them adds nothing to the hot path.  The
     KV adapter layers its shard-level metrics on top of this set; the
-    live adapter mirrors the same names from its transports (see the
-    metrics catalog in ``docs/observability.md``).
+    live adapter shares the node rows (:func:`register_node_metrics`)
+    and mirrors the rest from its transports (see the metrics catalog in
+    ``docs/observability.md``).
     """
     kernel, network, trace = sim.kernel, sim.network, sim.trace
     nodes = sim.nodes
@@ -399,13 +400,29 @@ def register_sim_metrics(registry, sim) -> None:
     )
     registry.gauge("net.messages_dropped", fn=lambda: network.messages_dropped)
     registry.gauge("net.bytes_sent", fn=lambda: network.bytes_sent)
-    registry.gauge(
-        "storage.stores_completed",
-        fn=lambda: sum(n.storage.stores_completed for n in nodes),
-    )
+    register_node_metrics(registry, nodes)
     registry.gauge(
         "storage.stores_lost_to_crash",
         fn=lambda: sum(n.storage.stores_lost_to_crash for n in nodes),
+    )
+    registry.gauge("node.recoveries", fn=lambda: trace.count("recover"))
+    registry.gauge(
+        "trace.flight_recorded",
+        fn=lambda: trace.ring.total if trace.ring is not None else 0,
+    )
+
+
+def register_node_metrics(registry, nodes) -> None:
+    """The rows both hosts of :class:`~repro.protocol.host.NodeCore` fill alike.
+
+    Storage totals and crash counts summed over ``nodes``, and the
+    ``node.recovery_time`` histogram: recoveries that completed before
+    the registry existed (it is created lazily) are backfilled, later
+    ones observed as they finish.
+    """
+    registry.gauge(
+        "storage.stores_completed",
+        fn=lambda: sum(n.storage.stores_completed for n in nodes),
     )
     registry.gauge(
         "storage.bytes_logged",
@@ -422,18 +439,11 @@ def register_sim_metrics(registry, sim) -> None:
     registry.gauge(
         "node.crashes", fn=lambda: sum(n.crash_count for n in nodes)
     )
-    registry.gauge("node.recoveries", fn=lambda: trace.count("recover"))
     recovery_hist = registry.histogram("node.recovery_time")
     for node in nodes:
-        # Backfill recoveries that completed before the registry was
-        # attached (it is created lazily), then observe live ones.
         for duration in node.recovery_times:
             recovery_hist.observe(duration)
         node.on_recovery_time = recovery_hist.observe
-    registry.gauge(
-        "trace.flight_recorded",
-        fn=lambda: trace.ring.total if trace.ring is not None else 0,
-    )
 
 
 def sim_transcript(sim) -> Optional[List[str]]:

@@ -54,10 +54,8 @@ from repro.history.history import History
 from repro.history.partition import partition_history
 from repro.history.recorder import HistoryRecorder
 from repro.history.register_checker import check_tagged_history
-from repro.protocol.base import RegisterProtocol, StableView
 from repro.protocol.host import NodeOperation
-from repro.protocol.registry import get_protocol_class
-from repro.protocol.two_round import TwoRoundRegisterProtocol
+from repro.protocol.registry import protocol_factory
 from repro.sim.failures import (
     CRASH,
     CrashSchedule,
@@ -111,7 +109,9 @@ class SimCluster:
             )
         self.config = config
         self.protocol_name = protocol
-        self._protocol_class = get_protocol_class(protocol, include_broken=include_broken)
+        make_protocol = protocol_factory(
+            protocol, config.retransmit_interval, include_broken=include_broken
+        )
 
         self.kernel = Kernel(seed=config.seed)
         self.trace = Trace(
@@ -129,7 +129,7 @@ class SimCluster:
                 kernel=self.kernel,
                 network=self.network,
                 storage=storage,
-                protocol_factory=self._make_protocol,
+                protocol_factory=make_protocol,
                 recorder=self.recorder,
                 trace=self.trace,
                 num_processes=config.num_processes,
@@ -146,19 +146,6 @@ class SimCluster:
             schedule_fn=lambda delay, fn: self.kernel.schedule(delay, fn),
         )
         self._started = False
-
-    def _make_protocol(
-        self, pid: ProcessId, num_processes: int, stable: StableView
-    ) -> RegisterProtocol:
-        cls = self._protocol_class
-        if issubclass(cls, TwoRoundRegisterProtocol):
-            return cls(
-                pid,
-                num_processes,
-                stable,
-                retransmit_interval=self.config.retransmit_interval,
-            )
-        return cls(pid, num_processes, stable)
 
     # -- lifecycle -----------------------------------------------------------
 

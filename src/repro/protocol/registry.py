@@ -10,7 +10,8 @@ benchmark sweeps can be written as data::
 
 from __future__ import annotations
 
-from typing import Dict, Type
+import functools
+from typing import Callable, Dict, Type
 
 from repro.common.errors import ConfigurationError
 from repro.protocol.abd import AbdSwmrProtocol
@@ -22,6 +23,7 @@ from repro.protocol.fast_read import FastReadPersistentProtocol
 from repro.protocol.persistent import PersistentAtomicProtocol
 from repro.protocol.regular import RegularRegisterProtocol
 from repro.protocol.transient import TransientAtomicProtocol
+from repro.protocol.two_round import TwoRoundRegisterProtocol
 
 PROTOCOLS: Dict[str, Type[RegisterProtocol]] = {
     AbdSwmrProtocol.name: AbdSwmrProtocol,
@@ -54,3 +56,18 @@ def get_protocol_class(
         raise ConfigurationError(
             f"unknown protocol {name!r}; valid names: {valid}"
         ) from None
+
+
+def protocol_factory(
+    name: str, retransmit_interval: float, include_broken: bool = False
+) -> Callable[..., RegisterProtocol]:
+    """The ``(pid, num_processes, stable) -> protocol`` factory a node host takes.
+
+    ``retransmit_interval`` reaches only the protocols that retransmit
+    (:class:`~repro.protocol.two_round.TwoRoundRegisterProtocol` subclasses).
+    Unknown names raise as in :func:`get_protocol_class`.
+    """
+    cls = get_protocol_class(name, include_broken=include_broken)
+    if issubclass(cls, TwoRoundRegisterProtocol):
+        return functools.partial(cls, retransmit_interval=retransmit_interval)
+    return cls

@@ -15,19 +15,19 @@ the *same* sans-io protocol classes as the simulator, hosted on
 * :class:`~repro.runtime.node.RuntimeNode` -- the asyncio driver of
   the process host the simulator shares
   (:class:`repro.protocol.host.NodeCore`): crash emulation by muting
-  the transport, one storage thread per node, the loop-thread contract;
-* :class:`~repro.runtime.cluster.LiveCluster` -- the cluster front-end
-  and its blocking convenience wrapper.
+  the transport, one storage thread per node, the loop-thread contract.
 
+The cluster over these nodes -- the loop thread, the operation path and
+the control verbs -- is the ``"live"`` backend of :mod:`repro.api`
+(``open_cluster(backend="live")``, :class:`~repro.api.live.LiveBackend`).
 The runtime exists to demonstrate the protocol code is real, and to
 let users run a live cluster on localhost (``examples/live_udp_cluster
 .py``).  For experiments, prefer the simulator: it is deterministic
 and its clock is calibrated.
 """
 
-from repro.runtime.cluster import LiveCluster
 from repro.runtime.node import RuntimeNode
 from repro.runtime.storage import FileStableStorage
 from repro.runtime.transport import UdpTransport
 
-__all__ = ["FileStableStorage", "LiveCluster", "RuntimeNode", "UdpTransport"]
+__all__ = ["FileStableStorage", "RuntimeNode", "UdpTransport"]

@@ -22,9 +22,9 @@ Threading contract.  A node belongs to the event loop it was started
 on.  Every mutator -- boot, crash, recover, begin_checkpoint,
 provision_register, invoke_read/write -- raises
 :class:`~repro.common.errors.ReproError` when called from any other
-thread; other threads go through
-:meth:`repro.runtime.cluster.LiveCluster.submit_op` (operations) and
-:meth:`~repro.runtime.cluster.LiveCluster.submit` (control verbs).
+thread; other threads go through the live backend,
+:class:`repro.api.live.LiveBackend`: sessions for operations, its verbs
+(crash, recover, ``ensure_key``, ``checkpoint``) for control.
 
 The storage thread touches the file half of :class:`~repro.runtime.
 storage.FileStableStorage` and ``loop.call_soon_threadsafe``, nothing
@@ -61,7 +61,7 @@ def _loop_thread_only(method: Callable[..., Any]) -> Callable[..., Any]:
         if threading.get_ident() != self._thread:
             raise ReproError(
                 f"node {self.pid}: {method.__name__}() called off the node's "
-                f"event-loop thread (or before start()); use LiveCluster.submit"
+                f"event-loop thread (or before start()); go through LiveBackend"
             )
         return method(self, *args, **kwargs)
 

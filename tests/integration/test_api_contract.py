@@ -57,7 +57,7 @@ def test_live_operation_without_a_majority_fails_after_op_timeout():
         c.recover(2)
         # Only the caller gave up: the write is still retransmitting,
         # and returns now that a majority answers.
-        node = c.live.nodes[0]
+        node = c.nodes[0]
         deadline = time.monotonic() + 5.0
         while node.register_busy(None) and time.monotonic() < deadline:
             time.sleep(0.01)
@@ -69,12 +69,12 @@ def test_live_operation_without_a_majority_fails_after_op_timeout():
 def test_live_write_too_big_for_a_datagram_is_refused_at_the_call():
     """Not on the loop thread inside ``broadcast``, then an ``op_timeout``."""
     with open_cluster(backend="live", num_processes=3, op_timeout=0.5) as c:
-        session, nodes = c.session(0), c.live.nodes
+        session, nodes = c.session(0), c.nodes
 
         def counts():
             sent = sum(node.transport.messages_sent for node in nodes)
             received = sum(node.transport.messages_received for node in nodes)
-            return sent, received, len(c.live.recorder.history)
+            return sent, received, len(c.recorder.history)
 
         session.write_sync("fits")
         deadline = time.monotonic() + 5.0
@@ -112,7 +112,7 @@ def _snapshot(c):
     async def on_the_loop():
         return take()
 
-    return c.live.submit(on_the_loop()).result(timeout=10.0)
+    return c._call(on_the_loop())
 
 
 def _exercise(cluster):

@@ -136,5 +136,5 @@ class TestRingAccounting:
             assert snapshot.scalars["node.recoveries"] == 1
             histogram = snapshot.histograms["node.recovery_time"]
             assert histogram.total == 1 and histogram.minimum > 0.0
-            node = cluster.live.nodes[1]
+            node = cluster.nodes[1]
             assert node.crash_count == 1 and len(node.recovery_times) == 1

@@ -16,12 +16,12 @@ import time
 
 import pytest
 
-from repro.common.errors import ReproError, StorageError, TransportError
+from repro.api import open_cluster
+from repro.common.errors import ProtocolError, ReproError, StorageError, TransportError
 from repro.history.checker import (
     check_persistent_atomicity,
     check_transient_atomicity,
 )
-from repro.runtime import LiveCluster
 from repro.runtime.storage import _SEGMENT, FileStableStorage, encode_frame
 from repro.storage import checkpoint as ckpt
 
@@ -367,35 +367,36 @@ class TestFileStableStorage:
 
 @pytest.fixture(scope="module")
 def live_cluster():
-    cluster = LiveCluster(protocol="persistent", num_processes=3, op_timeout=15.0)
-    cluster.start()
+    cluster = open_cluster(
+        backend="live", protocol="persistent", num_processes=3, op_timeout=15.0
+    ).start()
     yield cluster
     cluster.close()
 
 
 class TestLiveCluster:
     def test_write_then_read(self, live_cluster):
-        live_cluster.write(0, "over-udp")
-        assert live_cluster.read(1) == "over-udp"
+        live_cluster.session(0).write_sync("over-udp")
+        assert live_cluster.session(1).read_sync() == "over-udp"
 
     def test_several_writers(self, live_cluster):
-        live_cluster.write(1, "from-1")
-        live_cluster.write(2, "from-2")
-        assert live_cluster.read(0) == "from-2"
+        live_cluster.session(1).write_sync("from-1")
+        live_cluster.session(2).write_sync("from-2")
+        assert live_cluster.session(0).read_sync() == "from-2"
 
     def test_crash_recovery_through_the_filesystem(self, live_cluster):
-        live_cluster.write(0, "durable-on-disk")
-        live_cluster.crash_node(1)
-        live_cluster.recover_node(1)
-        assert live_cluster.read(1) == "durable-on-disk"
+        live_cluster.session(0).write_sync("durable-on-disk")
+        live_cluster.crash(1)
+        live_cluster.recover(1)
+        assert live_cluster.session(1).read_sync() == "durable-on-disk"
 
     def test_crashed_node_rejects_operations(self, live_cluster):
-        live_cluster.crash_node(2)
+        live_cluster.crash(2)
         try:
             with pytest.raises(Exception):
-                live_cluster.read(2)
+                live_cluster.session(2).read_sync()
         finally:
-            live_cluster.recover_node(2)
+            live_cluster.recover(2)
 
     def test_value_the_wire_cannot_carry_is_refused_at_the_caller(self, live_cluster):
         """Not dropped as malformed by every peer until ``op_timeout``."""
@@ -414,7 +415,7 @@ class TestLiveCluster:
                 count for node in nodes for count in node._storing.values()
             )
 
-        live_cluster.write(0, "plain")
+        live_cluster.session(0).write_sync("plain")
         wait_for(quiet)
         time.sleep(0.05)  # a handler caught between its two counters finishes
         wait_for(quiet)
@@ -422,50 +423,50 @@ class TestLiveCluster:
         # Unpicklable, unpicklable, and picklable but naming a global.
         for value in (Handle(), threading.Lock(), range(3)):
             with pytest.raises(TransportError, match=type(value).__qualname__):
-                live_cluster.write(0, value)
+                live_cluster.session(0).write_sync(value)
         assert (datagrams(), len(live_cluster.recorder.history)) == (before, invoked)
         assert all(node.transport.malformed == 0 for node in nodes)
-        assert live_cluster.read(1) == "plain"
+        assert live_cluster.session(1).read_sync() == "plain"
 
     def test_history_is_atomic(self, live_cluster):
-        live_cluster.write(0, "final-check")
-        live_cluster.read(1)
+        live_cluster.session(0).write_sync("final-check")
+        live_cluster.session(1).read_sync()
         history = live_cluster.recorder.history
         assert check_persistent_atomicity(history).ok
 
 
 class TestLiveTransient:
     def test_transient_cluster_round_trip(self, tmp_path):
-        with LiveCluster(
-            protocol="transient", num_processes=3, storage_root=tmp_path
+        with open_cluster(
+            backend="live", protocol="transient", num_processes=3, storage_root=tmp_path
         ) as cluster:
-            cluster.write(0, "t1")
-            cluster.crash_node(0)
-            cluster.recover_node(0)
-            cluster.write(0, "t2")
-            assert cluster.read(1) == "t2"
+            cluster.session(0).write_sync("t1")
+            cluster.crash(0)
+            cluster.recover(0)
+            cluster.session(0).write_sync("t2")
+            assert cluster.session(1).read_sync() == "t2"
             assert check_transient_atomicity(cluster.recorder.history).ok
 
     def test_recovery_counter_persisted_to_disk(self, tmp_path):
-        with LiveCluster(
-            protocol="transient", num_processes=3, storage_root=tmp_path
+        with open_cluster(
+            backend="live", protocol="transient", num_processes=3, storage_root=tmp_path
         ) as cluster:
-            cluster.crash_node(1)
-            cluster.recover_node(1)
-            cluster.crash_node(1)
-            cluster.recover_node(1)
+            cluster.crash(1)
+            cluster.recover(1)
+            cluster.crash(1)
+            cluster.recover(1)
             record = cluster.nodes[1].storage.retrieve("recovered")
             assert record == (2,)
 
 
 class TestLiveCheckpoint:
     def test_checkpoint_truncates_and_recovery_restores(self, tmp_path):
-        with LiveCluster(
-            protocol="persistent", num_processes=3, storage_root=tmp_path
+        with open_cluster(
+            backend="live", protocol="persistent", num_processes=3, storage_root=tmp_path
         ) as cluster:
             for i in range(5):
-                cluster.write(0, f"superseded-{i}")
-            cluster.write(0, "snapshot-me")
+                cluster.session(0).write_sync(f"superseded-{i}")
+            cluster.session(0).write_sync("snapshot-me")
             node = cluster.nodes[1]
             # The write returned on a majority of 2 of 3; node 1 is
             # quiescent only once its own round-2 log landed.
@@ -487,9 +488,9 @@ class TestLiveCheckpoint:
             assert node.checkpoints_committed == 1
             # Unchanged state: a second call is a no-op.
             assert cluster.checkpoint(1) is False
-            cluster.crash_node(1)
-            cluster.recover_node(1)
-            assert cluster.read(1) == "snapshot-me"
+            cluster.crash(1)
+            cluster.recover(1)
+            assert cluster.session(1).read_sync() == "snapshot-me"
             assert check_persistent_atomicity(cluster.recorder.history).ok
 
     def test_store_landing_after_capture_survives_truncation(
@@ -501,17 +502,17 @@ class TestLiveCheckpoint:
         thread while a checkpoint captures the *previous* record; the
         store then lands, and must survive the truncation.
         """
-        with LiveCluster(
-            protocol="persistent", num_processes=3, storage_root=tmp_path
+        with open_cluster(
+            backend="live", protocol="persistent", num_processes=3, storage_root=tmp_path
         ) as cluster:
-            cluster.write(0, "early")
+            cluster.session(0).write_sync("early")
             node = cluster.nodes[1]
             wait_for(lambda: logged_value(node) == "early")
             held, release = hold_write_file(monkeypatch, node, "written")
             try:
-                cluster.write(0, "late")  # nodes 0 and 2 are a majority
+                cluster.session(0).write_sync("late")  # nodes 0 and 2 are a majority
                 assert held.wait(timeout=10.0)
-                pending = cluster.submit(cluster.acheckpoint(1))
+                pending = cluster._submit(cluster._checkpoint(1))
                 wait_for(lambda: node.checkpoint_in_progress)
                 assert logged_value(node) == "early"  # what was captured
             finally:
@@ -519,9 +520,9 @@ class TestLiveCheckpoint:
             assert pending.result(timeout=10.0) is True
             assert logged_value(node) == "late"
             assert node.storage.retrieve(ckpt.TENTATIVE_KEY) is None
-            cluster.crash_node(1)
-            cluster.recover_node(1)
-            assert cluster.read(1) == "late"
+            cluster.crash(1)
+            cluster.recover(1)
+            assert cluster.session(1).read_sync() == "late"
             assert check_persistent_atomicity(cluster.recorder.history).ok
 
     def test_store_issued_during_the_permanent_phase_survives_truncation(
@@ -534,10 +535,10 @@ class TestLiveCheckpoint:
         At commit the in-memory record is still the captured one, but
         truncating it would queue the unlink *behind* the new file.
         """
-        with LiveCluster(
-            protocol="persistent", num_processes=3, storage_root=tmp_path
+        with open_cluster(
+            backend="live", protocol="persistent", num_processes=3, storage_root=tmp_path
         ) as cluster:
-            cluster.write(0, "early")
+            cluster.session(0).write_sync("early")
             node = cluster.nodes[1]
             wait_for(lambda: logged_value(node) == "early")
             issued, store = [], node._store
@@ -546,9 +547,9 @@ class TestLiveCheckpoint:
             )
             held, release = hold_write_file(monkeypatch, node, ckpt.PERMANENT_KEY)
             try:
-                pending = cluster.submit(cluster.acheckpoint(1))
+                pending = cluster._submit(cluster._checkpoint(1))
                 assert held.wait(timeout=10.0)
-                cluster.write(0, "late")  # nodes 0 and 2 are a majority
+                cluster.session(0).write_sync("late")  # nodes 0 and 2 are a majority
                 wait_for(lambda: "written" in issued)
                 assert logged_value(node) == "early"  # still the captured one
             finally:
@@ -559,17 +560,17 @@ class TestLiveCheckpoint:
             on_disk = FileStableStorage(tmp_path / "node-1")
             assert on_disk.retrieve("written") == node.storage.retrieve("written")
             assert on_disk.retrieve(ckpt.TENTATIVE_KEY) is None
-            cluster.crash_node(1)
-            cluster.recover_node(1)
+            cluster.crash(1)
+            cluster.recover(1)
             assert logged_value(node) == "late"  # read back from the files
-            assert cluster.read(1) == "late"
+            assert cluster.session(1).read_sync() == "late"
             assert check_persistent_atomicity(cluster.recorder.history).ok
 
 
 class TestLiveThreading:
     def test_stores_of_one_key_land_in_issue_order(self, tmp_path, debug=False):
         """Completions run on the loop in issue order, not only on the thread."""
-        with LiveCluster(num_processes=1, storage_root=tmp_path) as cluster:
+        with open_cluster(backend="live", num_processes=1, storage_root=tmp_path) as cluster:
             node = cluster.nodes[0]
 
             async def run():
@@ -625,7 +626,7 @@ class TestLiveThreading:
             return written
 
         monkeypatch.setattr(os, "pwrite", recording)
-        with LiveCluster(num_processes=1, storage_root=tmp_path) as cluster:
+        with open_cluster(backend="live", num_processes=1, storage_root=tmp_path) as cluster:
             node = cluster.nodes[0]
 
             async def run():
@@ -648,10 +649,10 @@ class TestLiveThreading:
 
     def test_log_stays_bounded_without_checkpoints(self, tmp_path):
         """Overwritten frames are compacted away behind the stores."""
-        with LiveCluster(num_processes=1, storage_root=tmp_path) as cluster:
+        with open_cluster(backend="live", num_processes=1, storage_root=tmp_path) as cluster:
             node = cluster.nodes[0]
             for i in range(100):  # two stores each, of about 1 KiB
-                cluster.write(0, f"v{i}" + "." * 1000)
+                cluster.session(0).write_sync(f"v{i}" + "." * 1000)
             drain_disk(cluster, node)
             assert node.storage.stores_completed >= 200
             # Three segments of frames were written into one.
@@ -666,7 +667,7 @@ class TestLiveThreading:
         def failing(storage, key, record):
             raise StorageError(f"store of {key!r} failed: disk full")
 
-        with LiveCluster(num_processes=1, storage_root=tmp_path) as cluster:
+        with open_cluster(backend="live", num_processes=1, storage_root=tmp_path) as cluster:
             node = cluster.nodes[0]
             monkeypatch.setattr(FileStableStorage, "write_file", failing)
 
@@ -697,7 +698,7 @@ class TestLiveThreading:
         """Node 0 is up -- socket bound, storage thread running -- when node 1 fails."""
         (tmp_path / "node-1").write_text("a file where the directory goes")
         before = set(threading.enumerate())
-        cluster = LiveCluster(num_processes=3, storage_root=tmp_path)
+        cluster = open_cluster(backend="live", num_processes=3, storage_root=tmp_path)
         with pytest.raises(StorageError, match="cannot create storage dir"):
             cluster.start()
         assert cluster._loop is None
@@ -718,8 +719,54 @@ class TestLiveThreading:
             with pytest.raises(ReproError, match="event-loop thread"):
                 mutate()
         assert not node.crashed and not node.has_register("elsewhere")
-        live_cluster.write(0, "still-fine")
-        assert live_cluster.read(1) == "still-fine"
+        live_cluster.session(0).write_sync("still-fine")
+        assert live_cluster.session(1).read_sync() == "still-fine"
+
+
+class TestLiveBackendVerbs:
+    def test_close_leaves_nothing_running(self):
+        """The clean-exit twin of ``test_failed_start_leaves_nothing_running``."""
+        before = set(threading.enumerate())
+        with open_cluster(backend="live") as cluster:
+            cluster.session(0).write_sync("x")
+            root, nodes = cluster.storage_root, cluster.nodes
+            assert (root / "node-0" / "wal.log").exists()
+        assert [t.name for t in set(threading.enumerate()) - before] == []
+        assert all(node.transport._sock is None for node in nodes)
+        assert not root.exists()
+
+    def test_session_is_not_ready_while_its_node_recovers(self, tmp_path):
+        with open_cluster(backend="live", storage_root=tmp_path) as cluster:
+            node, session = cluster.nodes[1], cluster.session(1)
+            cluster.crash(1)
+            release = threading.Event()
+
+            async def block_the_storage_thread():
+                node._on_disk(lambda _result: None, release.wait, 10.0)
+
+            cluster._call(block_the_storage_thread())
+            try:
+                # Recovery's read-back queues behind the blocked job.
+                cluster.recover(1, wait=False)
+                wait_for(lambda: not node.crashed)
+                time.sleep(0.05)
+                assert not session.ready
+            finally:
+                release.set()
+            wait_for(lambda: session.ready)
+            assert cluster.recovery_errors == []
+
+    def test_ensure_key_honours_its_timeout(self, tmp_path, monkeypatch):
+        with open_cluster(backend="live", storage_root=tmp_path) as cluster:
+            held, release = hold_write_file(monkeypatch, cluster.nodes[0], "k/writing")
+            started = time.monotonic()
+            try:
+                with pytest.raises(ProtocolError, match="make register 'k' ready"):
+                    cluster.ensure_key("k", timeout=0.2)
+                assert time.monotonic() - started < 2.0
+                assert held.is_set()
+            finally:
+                release.set()
 
 
 def causal_logs_of_write(cluster):
@@ -735,13 +782,13 @@ def causal_logs_of_write(cluster):
 
 class TestLiveCausalLogs:
     def test_write_log_counts_match_the_paper_over_real_io(self, tmp_path):
-        with LiveCluster(
-            protocol="persistent", num_processes=3, storage_root=tmp_path
+        with open_cluster(
+            backend="live", protocol="persistent", num_processes=3, storage_root=tmp_path
         ) as cluster:
             assert causal_logs_of_write(cluster) == 2
 
     def test_transient_write_costs_one_log_over_real_io(self, tmp_path):
-        with LiveCluster(
-            protocol="transient", num_processes=3, storage_root=tmp_path
+        with open_cluster(
+            backend="live", protocol="transient", num_processes=3, storage_root=tmp_path
         ) as cluster:
             assert causal_logs_of_write(cluster) == 1

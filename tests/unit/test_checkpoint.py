@@ -13,9 +13,9 @@ import time
 
 import pytest
 
+from repro.api import open_cluster
 from repro.cluster import SimCluster
 from repro.protocol.base import Checkpoint, StableView
-from repro.runtime import LiveCluster
 from repro.scenarios.faults import TornStore
 from repro.obs import tracing
 from repro.storage import checkpoint as ckpt
@@ -141,18 +141,21 @@ class LiveWorld:
     """A live cluster checkpointed on demand, node by node."""
 
     def __init__(self, storage_root):
-        self.cluster = LiveCluster(
-            protocol="persistent", num_processes=3, storage_root=storage_root
+        self.cluster = open_cluster(
+            backend="live", protocol="persistent", num_processes=3,
+            storage_root=storage_root,
         ).start()
         self.node = self.cluster.nodes.__getitem__
-        self.read = self.cluster.read
-        self.crash = self.cluster.crash_node
-        self.recover = self.cluster.recover_node
+        self.crash = self.cluster.crash
+        self.recover = self.cluster.recover
         self._last = None
 
     def write(self, pid, value):
-        self.cluster.write(pid, value)
+        self.cluster.session(pid).write_sync(value)
         self._last = value
+
+    def read(self, pid):
+        return self.cluster.session(pid).read_sync()
 
     def checkpoint(self):
         deadline = time.monotonic() + 10.0

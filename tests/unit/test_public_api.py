@@ -179,6 +179,11 @@ class TestSnapshot:
             "flight_recorder", "checkpoint_interval", "recovery_scan",
         ]
 
+    def test_live_backend_options(self):
+        assert list(inspect.signature(api.LiveBackend).parameters) == [
+            "protocol", "num_processes", "seed", "storage_root", "op_timeout",
+        ]
+
 
 def session_program(cluster):
     """The one Session program every backend must run unmodified."""

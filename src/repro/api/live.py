@@ -95,12 +95,14 @@ class LiveHandle(OpHandle):
 
     __slots__ = ("kind", "key", "pid", "_future", "_submitted", "_completed")
 
-    def __init__(self, kind: str, key: Optional[str], pid: int, future):
+    def __init__(
+        self, kind: str, key: Optional[str], pid: int, future, submitted: float
+    ):
         self.kind = kind
         self.key = key
         self.pid = pid
         self._future = future
-        self._submitted = time.monotonic()
+        self._submitted = submitted
         self._completed: Optional[float] = None
         future.add_done_callback(self._on_done)
 
@@ -156,12 +158,14 @@ class LiveSession(Session):
         return node.ready and not node.register_busy(None)
 
     def write(self, value: Any, key: Optional[str] = None) -> LiveHandle:
+        submitted = time.monotonic()
         future = self.cluster.submit_op(self.pid, "write", value, key)
-        return self._observed(LiveHandle("write", key, self.pid, future))
+        return self._observed(LiveHandle("write", key, self.pid, future, submitted))
 
     def read(self, key: Optional[str] = None) -> LiveHandle:
+        submitted = time.monotonic()
         future = self.cluster.submit_op(self.pid, "read", None, key)
-        return self._observed(LiveHandle("read", key, self.pid, future))
+        return self._observed(LiveHandle("read", key, self.pid, future, submitted))
 
 
 class LiveBackend(Cluster):
@@ -251,20 +255,19 @@ class LiveBackend(Cluster):
         await asyncio.gather(*(node.wait_ready() for node in self.nodes))
 
     def close(self) -> None:
-        """Tear the nodes down and stop the event-loop thread."""
-        if self._loop is None:
-            return
-        self._call(self._close())
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=5.0)
-        self._loop.close()
-        self._loop = None
+        """Tear the nodes down, stop the event-loop thread, drop the temp root."""
+        if self._loop is not None:
+            self._call(self._close())
+            self._loop.call_soon_threadsafe(self._loop.stop)
+            self._thread.join(timeout=5.0)
+            self._loop.close()
+            self._loop = None
+        if self._tmpdir is not None:
+            self._tmpdir.cleanup()
 
     async def _close(self) -> None:
         for node in self.nodes:
             node.close()
-        if self._tmpdir is not None:
-            self._tmpdir.cleanup()
 
     def _submit(self, coroutine) -> concurrent.futures.Future:
         """Schedule ``coroutine`` on the loop thread without blocking."""

@@ -15,7 +15,8 @@ the *same* sans-io protocol classes as the simulator, hosted on
 * :class:`~repro.runtime.node.RuntimeNode` -- the asyncio driver of
   the process host the simulator shares
   (:class:`repro.protocol.host.NodeCore`): crash emulation by muting
-  the transport, one storage thread per node, the loop-thread contract.
+  the transport, each node's storage jobs drained in issue order by its
+  event loop (a live store crosses no thread), the loop-thread contract.
 
 The cluster over these nodes -- the loop thread, the operation path and
 the control verbs -- is the ``"live"`` backend of :mod:`repro.api`

@@ -9,41 +9,38 @@ simulator hosts.  This driver gives it real time and real I/O:
   do to the algorithm, inside one OS process so tests stay hermetic;
 * timers are ``loop.call_later``;
 * every file operation -- a store's ``O_DSYNC`` write, a checkpoint's
-  tombstones, a compaction, recovery's read-back -- runs on the node's
-  *one* storage thread, in issue order, like the simulator's sequential
-  device: frames never interleave in the log, an acknowledged record is
-  never overwritten by an older one, and recovery replays the log only
-  after every store of the previous incarnation landed.  The in-memory
-  view is updated back on the loop thread, so it shows a record only
-  once it is durable; a checkpoint therefore never truncates a key that
-  still has a store in flight.
+  tombstones, a compaction, recovery's read-back -- is a job on the
+  node's list, which the node's own event loop drains in issue order,
+  like the simulator's sequential device: frames never interleave in
+  the log, an acknowledged record is never overwritten by an older one,
+  and recovery replays the log only after every store of the previous
+  incarnation landed.  A job's completion runs right after its write
+  returned, never inside the call that issued it, so the in-memory view
+  shows a record only once it is durable; a checkpoint therefore never
+  truncates a key that still has a store queued.
 
 Threading contract.  A node belongs to the event loop it was started
-on.  Every mutator -- boot, crash, recover, begin_checkpoint,
-provision_register, invoke_read/write -- raises
-:class:`~repro.common.errors.ReproError` when called from any other
-thread; other threads go through the live backend,
-:class:`repro.api.live.LiveBackend`: sessions for operations, its verbs
-(crash, recover, ``ensure_key``, ``checkpoint``) for control.
+on, and so does all of its I/O: a live store crosses no thread.  Every
+mutator -- boot, crash, recover, begin_checkpoint, provision_register,
+invoke_read/write -- raises :class:`~repro.common.errors.ReproError`
+when called from any other thread; other threads go through the live
+backend, :class:`repro.api.live.LiveBackend`: sessions for operations,
+its verbs (crash, recover, ``ensure_key``, ``checkpoint``) for control.
 
-The storage thread touches the file half of :class:`~repro.runtime.
-storage.FileStableStorage` and ``loop.call_soon_threadsafe``, nothing
-else.  A job crosses to it once, on a ``queue.SimpleQueue``, and back
-once, as the one callback the thread posts when the job returned:
-completions run on the loop in the order the single thread finished
-them, which is issue order.  A job that raises is never acknowledged
-and is reported to the loop's exception handler; later jobs still run.
+The first job queued after a drain schedules the next one
+(``loop.call_soon``), so a burst of stores costs one loop callback.  A
+job or completion that raises is reported to the loop's exception
+handler and never acknowledged; the jobs behind it still run.
 """
 
 from __future__ import annotations
 
 import asyncio
 import functools
-import queue
 import threading
 from collections import Counter
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import ProtocolError, ReproError
 from repro.common.ids import ProcessId
@@ -95,12 +92,9 @@ class RuntimeNode(NodeCore):
         )
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[int] = None
-        # (done, job, args) in issue order; None stops the thread.
-        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
-        self._disk = threading.Thread(
-            target=self._run_jobs, name=f"repro-disk-{pid}", daemon=True
-        )
-        # Key -> stores handed to the storage thread and not durable yet.
+        # (done, job, args) in issue order, until the loop drains them.
+        self._jobs: List[tuple] = []
+        # Key -> stores queued and not durable yet.
         self._storing: Counter = Counter()
 
     async def start(self) -> None:
@@ -110,21 +104,19 @@ class RuntimeNode(NodeCore):
         self._now = self._loop.time
         self._call_later = self._loop.call_later
         await self.transport.start(self._on_message)
-        self._disk.start()
 
     def close(self) -> None:
-        """Release the socket, the storage thread and the log.
+        """Release the socket, then land every queued job and close the log.
 
-        Jobs queued ahead of the stop still run to their durable write,
-        so nothing is acknowledged that is not on disk.
+        Nothing is acknowledged that is not on disk, and nothing queued
+        is lost to the close.
         """
         for handle in self._timers.values():
             handle.cancel()
         self._timers.clear()
         self.transport.close()
-        if self._disk.is_alive():
-            self._jobs.put(None)
-            self._disk.join()
+        while self._jobs:
+            self._drain()
         self.storage.close()
 
     boot = _loop_thread_only(NodeCore.boot)
@@ -137,33 +129,30 @@ class RuntimeNode(NodeCore):
     # -- driver primitives (the rest are bound in __init__ and start) ---------
 
     def _crash_io(self) -> None:
-        # Stores already on the storage thread cannot be recalled; they
-        # land as stores that beat the crash, and recovery waits for them.
+        # Queued stores are not recalled; they land as stores that beat
+        # the crash, and recovery's read-back queues behind them.
         self.transport.muted = True
 
     def _on_disk(
         self, done: Callable[[Any], None], job: Callable[..., Any], *args: Any
     ) -> None:
-        """Run ``job(*args)`` on the storage thread, then ``done(result)`` here."""
-        self._jobs.put((done, job, args))
+        """Queue ``job(*args)`` for the loop, then ``done(result)`` there."""
+        if not self._jobs:
+            self._loop.call_soon(self._drain)
+        self._jobs.append((done, job, args))
 
-    def _run_jobs(self) -> None:
-        """The storage thread: one job at a time, one posted callback each."""
-        post = self._loop.call_soon_threadsafe
-        while (item := self._jobs.get()) is not None:
-            done, job, args = item
+    def _drain(self) -> None:
+        """Run the queued jobs in issue order, each followed by its ``done``."""
+        jobs, self._jobs = self._jobs, []
+        for done, job, args in jobs:
             try:
-                result = job(*args)
+                done(job(*args))
             except Exception as error:  # a failed write, a full disk
                 # Worded as asyncio words a failed task: bench/run.py
                 # counts these lines on stderr.
-                message = "Task exception was never retrieved"
-                post(
-                    self._loop.call_exception_handler,
-                    {"message": message, "exception": error},
+                self._loop.call_exception_handler(
+                    {"message": "Task exception was never retrieved", "exception": error}
                 )
-            else:
-                post(done, result)
 
     def _store(
         self,
@@ -183,10 +172,10 @@ class RuntimeNode(NodeCore):
 
     def _delete(self, key: str) -> None:
         if self._storing[key]:
-            # A newer record of this key is on the storage thread.  The
-            # in-memory view shows it only once it is durable, so the
-            # core still saw the superseded one; a tombstone queued now
-            # would land behind the new frame and remove it.
+            # A newer record of this key is queued.  The in-memory view
+            # shows it only once it is durable, so the core still saw
+            # the superseded one; a tombstone queued now would land
+            # behind the new frame and remove it.
             # The new record stays in the log and recovery replays it.
             return
         self.storage.apply_delete(key)

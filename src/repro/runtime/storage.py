@@ -19,16 +19,17 @@ the log back, the last frame of a key wins.  Records are serialized
 with :mod:`pickle` (library-internal data only; nothing here parses
 untrusted input).
 
-Every mutation comes in two halves, so a host can keep the disk off its
-event loop: the *file* half (:meth:`~FileStableStorage.write_file`,
-:meth:`~FileStableStorage.unlink_file`, :meth:`~FileStableStorage.
-compact_file`, :meth:`~FileStableStorage.scan_files`) touches only the
-directory and the file-side bookkeeping and may run on a storage
-thread; the *memory* half (:meth:`~FileStableStorage.apply_store`,
+Every mutation comes in two halves, so a host can queue the disk work
+and show a record only once it is durable: the *file* half
+(:meth:`~FileStableStorage.write_file`, :meth:`~FileStableStorage.
+unlink_file`, :meth:`~FileStableStorage.compact_file`,
+:meth:`~FileStableStorage.scan_files`) touches only the directory and
+the file-side bookkeeping and runs when the host's queue reaches it;
+the *memory* half (:meth:`~FileStableStorage.apply_store`,
 :meth:`~FileStableStorage.apply_delete`, :meth:`~FileStableStorage.
-adopt`) updates the in-memory view and counters and belongs to the
-thread that reads them.  A store's frame is encoded by
-:func:`encode_frame` before it is handed over, so its file half is the
+adopt`) updates the in-memory view and counters, and runs as the
+completion of a store that already landed.  A store's frame is encoded
+by :func:`encode_frame` when it is queued, so its file half is the
 write alone.  :meth:`~FileStableStorage.store`,
 :meth:`~FileStableStorage.delete` and :meth:`~FileStableStorage.
 reload_from_disk` are the two halves back to back.  File halves of one

@@ -13,10 +13,11 @@ import os
 import pickle
 import threading
 import time
+import warnings
 
 import pytest
 
-from repro.api import open_cluster
+from repro.api import live, open_cluster
 from repro.common.errors import ProtocolError, ReproError, StorageError, TransportError
 from repro.history.checker import (
     check_persistent_atomicity,
@@ -40,23 +41,34 @@ def logged_value(node):
     return None if record is None else record[1]
 
 
-def hold_write_file(monkeypatch, node, key):
-    """Hold ``node``'s next file write of ``key`` on its storage thread.
+def hold_store(monkeypatch, cluster, node, key):
+    """Park ``node``'s storage jobs from its store of ``key`` on.
 
-    Returns ``(held, release)``: ``held`` is set once the write is
-    parked, and it proceeds when the test sets ``release``.
+    From the job that writes ``key`` (the first job when ``key`` is
+    ``None``), every job ``node`` queues is set aside instead of
+    reaching its event loop, so the rest of the cluster runs on.
+    Returns ``(held, release)``: ``held`` is set once a job is parked;
+    ``release()`` replays the parked jobs on the loop in issue order
+    and lets later ones through.
     """
-    held, release = threading.Event(), threading.Event()
-    write_file = FileStableStorage.write_file
+    held, parked, on_disk = threading.Event(), [], node._on_disk
 
-    def gated(storage, stored_key, record):
-        if storage is node.storage and stored_key == key:
+    def diverted(done, job, *args):
+        starts = key is None or (job == node.storage.write_file and args[0] == key)
+        if parked is not None and (held.is_set() or starts):
             held.set()
-            assert release.wait(timeout=10.0)
-        write_file(storage, stored_key, record)
+            parked.append((done, job, args))
+        else:
+            on_disk(done, job, *args)
 
-    monkeypatch.setattr(FileStableStorage, "write_file", gated)
-    return held, release
+    async def replay():
+        nonlocal parked
+        jobs, parked = parked, None
+        for done, job, args in jobs:
+            on_disk(done, job, *args)
+
+    monkeypatch.setattr(node, "_on_disk", diverted)
+    return held, lambda: cluster._call(replay())
 
 
 def drain_disk(cluster, node):
@@ -498,9 +510,9 @@ class TestLiveCheckpoint:
     ):
         """The straggler that made the old synchronous checkpoint flaky.
 
-        Node 1's round-2 ``written`` store is held on its storage
-        thread while a checkpoint captures the *previous* record; the
-        store then lands, and must survive the truncation.
+        Node 1's round-2 ``written`` store is held in its job list
+        while a checkpoint captures the *previous* record; the store
+        then lands, and must survive the truncation.
         """
         with open_cluster(
             backend="live", protocol="persistent", num_processes=3, storage_root=tmp_path
@@ -508,7 +520,7 @@ class TestLiveCheckpoint:
             cluster.session(0).write_sync("early")
             node = cluster.nodes[1]
             wait_for(lambda: logged_value(node) == "early")
-            held, release = hold_write_file(monkeypatch, node, "written")
+            held, release = hold_store(monkeypatch, cluster, node, "written")
             try:
                 cluster.session(0).write_sync("late")  # nodes 0 and 2 are a majority
                 assert held.wait(timeout=10.0)
@@ -516,7 +528,7 @@ class TestLiveCheckpoint:
                 wait_for(lambda: node.checkpoint_in_progress)
                 assert logged_value(node) == "early"  # what was captured
             finally:
-                release.set()
+                release()
             assert pending.result(timeout=10.0) is True
             assert logged_value(node) == "late"
             assert node.storage.retrieve(ckpt.TENTATIVE_KEY) is None
@@ -531,7 +543,7 @@ class TestLiveCheckpoint:
         """A store in flight at commit time must not be unlinked.
 
         The checkpoint captured ``early``; while its PERMANENT record
-        is on the storage thread node 1 issues the store of ``late``.
+        is queued node 1 issues the store of ``late``.
         At commit the in-memory record is still the captured one, but
         truncating it would queue the unlink *behind* the new file.
         """
@@ -545,7 +557,7 @@ class TestLiveCheckpoint:
             monkeypatch.setattr(
                 node, "_store", lambda key, *rest: (issued.append(key), store(key, *rest))
             )
-            held, release = hold_write_file(monkeypatch, node, ckpt.PERMANENT_KEY)
+            held, release = hold_store(monkeypatch, cluster, node, ckpt.PERMANENT_KEY)
             try:
                 pending = cluster._submit(cluster._checkpoint(1))
                 assert held.wait(timeout=10.0)
@@ -553,7 +565,7 @@ class TestLiveCheckpoint:
                 wait_for(lambda: "written" in issued)
                 assert logged_value(node) == "early"  # still the captured one
             finally:
-                release.set()
+                release()
             assert pending.result(timeout=10.0) is True
             wait_for(lambda: logged_value(node) == "late")
             drain_disk(cluster, node)
@@ -694,8 +706,61 @@ class TestLiveThreading:
             assert acknowledged == []
             assert node.storage.retrieve("k") is None
 
+    def test_failed_completion_is_reported_and_later_jobs_still_run(self, tmp_path):
+        def failing():
+            raise RuntimeError("completion failed")
+
+        with open_cluster(backend="live", num_processes=1, storage_root=tmp_path) as cluster:
+            node = cluster.nodes[0]
+
+            async def run():
+                loop = asyncio.get_running_loop()
+                errors, landed = [], loop.create_future()
+                loop.set_exception_handler(
+                    lambda _loop, context: errors.append(context)
+                )
+                node._store("a", (1,), 1, failing, None)
+                node._store("b", (2,), 1, lambda: landed.set_result(None), None)
+                await asyncio.wait_for(landed, timeout=10.0)
+                return errors
+
+            errors = cluster._call(run())
+            assert [e["message"] for e in errors] == [
+                "Task exception was never retrieved"
+            ]
+            assert isinstance(errors[0]["exception"], RuntimeError)
+            assert node.storage.retrieve("a") == (1,)
+            assert node.storage.retrieve("b") == (2,)
+
+    def test_parked_storage_does_not_stall_its_peers(self, tmp_path, monkeypatch):
+        with open_cluster(backend="live", storage_root=tmp_path) as cluster:
+            node = cluster.nodes[2]
+            held, release = hold_store(monkeypatch, cluster, node, None)
+            try:
+                cluster.session(0).write_sync("v")  # lands on {0, 1}
+                assert held.wait(timeout=10.0)
+                assert cluster.session(1).read_sync() == "v"
+                assert logged_value(node) != "v"
+            finally:
+                release()
+            wait_for(lambda: logged_value(node) == "v")
+            drain_disk(cluster, node)
+            assert FileStableStorage(tmp_path / "node-2").retrieve("written")[1] == "v"
+
+    def test_close_lands_what_is_queued(self, tmp_path):
+        with open_cluster(backend="live", num_processes=1, storage_root=tmp_path) as cluster:
+            node = cluster.nodes[0]
+
+            async def store_and_close():
+                frame = encode_frame("k", ("queued",))
+                node._on_disk(lambda _result: None, node.storage.write_file, "k", frame)
+                node.close()
+
+            cluster._call(store_and_close())
+        assert FileStableStorage(tmp_path / "node-0").retrieve("k") == ("queued",)
+
     def test_failed_start_leaves_nothing_running(self, tmp_path):
-        """Node 0 is up -- socket bound, storage thread running -- when node 1 fails."""
+        """Node 0 is up -- socket bound -- when node 1 fails."""
         (tmp_path / "node-1").write_text("a file where the directory goes")
         before = set(threading.enumerate())
         cluster = open_cluster(backend="live", num_processes=3, storage_root=tmp_path)
@@ -735,30 +800,59 @@ class TestLiveBackendVerbs:
         assert all(node.transport._sock is None for node in nodes)
         assert not root.exists()
 
-    def test_session_is_not_ready_while_its_node_recovers(self, tmp_path):
+    def test_runs_no_thread_but_its_loop(self):
+        """A live store crosses no thread: N nodes, one ``repro-live``."""
+        before = set(threading.enumerate())
+        with open_cluster(backend="live", num_processes=5) as cluster:
+            cluster.session(0).write_sync("x")
+            assert cluster.session(4).read_sync() == "x"
+            assert [t.name for t in set(threading.enumerate()) - before] == ["repro-live"]
+
+    def test_close_before_start_removes_the_temporary_root(self):
+        cluster = open_cluster(backend="live")
+        root = cluster.storage_root
+        assert root.exists()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cluster.close()
+            assert not root.exists()
+            del cluster
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_latency_includes_the_submission(self, tmp_path, monkeypatch):
+        check_value = live.check_value
+
+        def slow_check(value, key):
+            time.sleep(0.05)
+            check_value(value, key)
+
+        monkeypatch.setattr(live, "check_value", slow_check)
+        with open_cluster(backend="live", storage_root=tmp_path) as cluster:
+            handle = cluster.wait(cluster.session(0).write("x"), expect_done=True)
+            assert handle.latency >= 0.05
+
+    def test_session_is_not_ready_while_its_node_recovers(self, tmp_path, monkeypatch):
         with open_cluster(backend="live", storage_root=tmp_path) as cluster:
             node, session = cluster.nodes[1], cluster.session(1)
             cluster.crash(1)
-            release = threading.Event()
-
-            async def block_the_storage_thread():
-                node._on_disk(lambda _result: None, release.wait, 10.0)
-
-            cluster._call(block_the_storage_thread())
+            held, release = hold_store(monkeypatch, cluster, node, None)
             try:
-                # Recovery's read-back queues behind the blocked job.
+                # Recovery's read-back is the first job parked.
                 cluster.recover(1, wait=False)
                 wait_for(lambda: not node.crashed)
                 time.sleep(0.05)
                 assert not session.ready
             finally:
-                release.set()
+                release()
             wait_for(lambda: session.ready)
+            # Let recover()'s readiness poll see it too, before the close.
+            cluster._call(asyncio.sleep(0.05))
             assert cluster.recovery_errors == []
 
     def test_ensure_key_honours_its_timeout(self, tmp_path, monkeypatch):
         with open_cluster(backend="live", storage_root=tmp_path) as cluster:
-            held, release = hold_write_file(monkeypatch, cluster.nodes[0], "k/writing")
+            held, release = hold_store(monkeypatch, cluster, cluster.nodes[0], "k/writing")
             started = time.monotonic()
             try:
                 with pytest.raises(ProtocolError, match="make register 'k' ready"):
@@ -766,7 +860,7 @@ class TestLiveBackendVerbs:
                 assert time.monotonic() - started < 2.0
                 assert held.is_set()
             finally:
-                release.set()
+                release()
 
 
 def causal_logs_of_write(cluster):

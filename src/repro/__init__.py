@@ -85,14 +85,13 @@ from repro.history.history import History
 from repro.history.partition import partition_history
 from repro.kv import ConsistentHashShardMap, HashShardMap, ShardMap
 from repro.protocol.registry import PROTOCOLS, get_protocol_class
-from repro.sim.failures import CrashSchedule, RandomCrashPlan
 
 __version__ = "1.1.0"
 
 #: Served on first use (PEP 562): :mod:`repro.scenarios` pulls in the
 #: fleet's process pool, which a cluster user never needs.
 _SCENARIO_NAMES = frozenset({
-    "SCENARIOS", "Scenario", "ScenarioResult",
+    "RandomCrashPlan", "SCENARIOS", "Scenario", "ScenarioResult",
     "get_scenario", "list_scenarios", "run_scenario",
 })
 
@@ -112,7 +111,6 @@ __all__ = [
     "ClusterConfig",
     "ConfigurationError",
     "ConsistentHashShardMap",
-    "CrashSchedule",
     "HashShardMap",
     "History",
     "NetworkConfig",

@@ -19,7 +19,8 @@ of all of them::
 Swap ``backend="sim"`` for ``"kv"`` or ``"live"`` and the same program
 runs against the sharded store or real UDP sockets.  Differences are
 declared through :attr:`Cluster.capabilities` -- ``virtual_time``,
-``sharding``, ``crash_injection``, ``trace`` -- and anything a backend
+``sharding``, ``crash_injection``, ``trace``, ``storage_faults``,
+``link_faults`` -- and anything a backend
 cannot do raises :class:`~repro.common.errors.CapabilityError` instead
 of silently degrading.  See ``docs/api.md`` for the full guide,
 capability matrix and old-call -> new-call migration table.
@@ -45,6 +46,7 @@ from repro.api.types import (
     CHECK_CRITERIA,
     CHECK_METHODS,
     CRASH_INJECTION,
+    LINK_FAULTS,
     SHARDING,
     STORAGE_FAULTS,
     TRACE,
@@ -76,6 +78,7 @@ __all__ = [
     "ClusterStats",
     "DEFAULT_KEY",
     "KVBackend",
+    "LINK_FAULTS",
     "LiveBackend",
     "MetricsSnapshot",
     "OpHandle",

@@ -223,12 +223,44 @@ class Cluster:
         raise NotImplementedError
 
     def partition(self, group_a: Sequence[int], group_b: Sequence[int]) -> None:
-        """Block every link between the two groups (both directions)."""
-        raise self._unsupported("partition", "network partitions")
+        """Block every link between the two groups (both directions).
 
-    def heal(self) -> None:
-        """Unblock every link a :meth:`partition` blocked."""
-        raise self._unsupported("heal", "network partitions")
+        Blocks stack: a link cut by two overlapping partitions carries
+        traffic again only after both are healed.
+        """
+        raise self._unsupported("partition", "link faults")
+
+    def heal(
+        self,
+        group_a: Optional[Sequence[int]] = None,
+        group_b: Optional[Sequence[int]] = None,
+    ) -> None:
+        """Release one block per link between the two groups.
+
+        The exact inverse of :meth:`partition`; with no groups every
+        blocked link is unblocked.
+        """
+        raise self._unsupported("heal", "link faults")
+
+    def lose(self, probability: float, seed: int = 0) -> None:
+        """Drop each non-loopback transmission with ``probability``.
+
+        The drops are decided by a private generator seeded with
+        ``seed`` when the verb runs.  One loss window is open at a
+        time: a second call replaces the first, and ``lose(0.0)``
+        ends it.
+        """
+        raise self._unsupported("lose", "link faults")
+
+    def slow_link(
+        self, links: Sequence[Sequence[int]], extra_delay: float
+    ) -> None:
+        """Add ``extra_delay`` to every delivery on the ``(src, dst)`` links.
+
+        Penalties add up across calls; a negative ``extra_delay``
+        removes that much again (floor 0).
+        """
+        raise self._unsupported("slow_link", "link faults")
 
     def corrupt_record(self, pid: int, key: str) -> bool:
         """Make ``pid``'s durable record under ``key`` unreadable.
@@ -286,6 +318,24 @@ class Cluster:
         raises :class:`~repro.common.errors.CapabilityError`.
         """
         raise self._unsupported("defer", "virtual-time clock control")
+
+    def on_event(
+        self,
+        kind: str,
+        source_pid: Optional[int],
+        count: int,
+        fn: Callable,
+        *args: Any,
+    ) -> None:
+        """Call ``fn(*args)`` on the ``count``-th matching trace event, once.
+
+        An event matches when its kind is ``kind`` and, unless
+        ``source_pid`` is ``None``, it was emitted by ``source_pid``.
+        ``fn`` runs synchronously inside the emission, before the
+        backend takes its next step: the instant precision of the
+        paper's adversaries.
+        """
+        raise self._unsupported("on_event", "trace-triggered actions")
 
     def wait(
         self,

@@ -23,6 +23,7 @@ from repro.api.base import Session
 from repro.api.sim import SimBackend, check_one_register
 from repro.api.types import (
     CRASH_INJECTION,
+    LINK_FAULTS,
     STORAGE_FAULTS,
     SHARDING,
     TRACE,
@@ -74,7 +75,7 @@ class KVBackend(SimBackend):
 
     backend = "kv"
     capabilities = frozenset(
-        {VIRTUAL_TIME, SHARDING, CRASH_INJECTION, TRACE, STORAGE_FAULTS}
+        {VIRTUAL_TIME, SHARDING, CRASH_INJECTION, TRACE, STORAGE_FAULTS, LINK_FAULTS}
     )
 
     def __init__(

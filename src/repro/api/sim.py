@@ -3,8 +3,9 @@
 A thin adapter over :class:`~repro.cluster.SimCluster` -- no extra
 kernel events, no extra randomness, so a seeded run behaves
 byte-identically whether it is driven through the façade or the
-low-level API.  Declares ``virtual_time``, ``crash_injection`` and
-``trace``; sharding lives in the ``"kv"`` backend.
+low-level API.  Declares ``virtual_time``, ``crash_injection``,
+``trace``, ``storage_faults`` and ``link_faults``; sharding lives in
+the ``"kv"`` backend.
 
 Verification-relevant shared logic (projecting the anonymous register,
 resolving ``method="auto"``, mapping the checker outcomes onto the one
@@ -14,11 +15,13 @@ live adapters reuse it.
 
 from __future__ import annotations
 
+import random
 from typing import Any, Callable, List, Optional, Sequence
 
 from repro.api.base import Cluster, Session
 from repro.api.types import (
     CRASH_INJECTION,
+    LINK_FAULTS,
     STORAGE_FAULTS,
     TRACE,
     VIRTUAL_TIME,
@@ -124,7 +127,7 @@ class SimBackend(Cluster):
 
     backend = "sim"
     capabilities = frozenset(
-        {VIRTUAL_TIME, CRASH_INJECTION, TRACE, STORAGE_FAULTS}
+        {VIRTUAL_TIME, CRASH_INJECTION, TRACE, STORAGE_FAULTS, LINK_FAULTS}
     )
 
     def __init__(
@@ -146,6 +149,11 @@ class SimBackend(Cluster):
                 seed=seed,
                 **options,
             )
+        #: The open ``lose`` window's filter removal, if any.
+        self._end_loss: Optional[Callable[[], None]] = None
+        #: ``on_event`` hooks as ``[kind, source_pid, remaining, fn,
+        #: args]``; ``None`` until the first one subscribes.
+        self._event_hooks: Optional[List[list]] = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -217,10 +225,55 @@ class SimBackend(Cluster):
         self.sim.recover(pid, wait=wait, timeout=timeout)
 
     def partition(self, group_a: Sequence[int], group_b: Sequence[int]) -> None:
+        self._check_pids(*group_a, *group_b)
         self.sim.network.partition(set(group_a), set(group_b))
 
-    def heal(self) -> None:
-        self.sim.network.heal_all()
+    def heal(
+        self,
+        group_a: Optional[Sequence[int]] = None,
+        group_b: Optional[Sequence[int]] = None,
+    ) -> None:
+        network = self.sim.network
+        if group_a is None and group_b is None:
+            network.heal_all()
+            return
+        if group_a is None or group_b is None:
+            raise ConfigurationError("heal takes both groups or neither")
+        self._check_pids(*group_a, *group_b)
+        for a in group_a:
+            for b in group_b:
+                network.unblock(a, b)
+                network.unblock(b, a)
+
+    def lose(self, probability: float, seed: int = 0) -> None:
+        if not 0.0 <= probability <= 1.0:
+            raise ConfigurationError("probability must be in [0, 1]")
+        if self._end_loss is not None:
+            self._end_loss()
+            self._end_loss = None
+        if probability == 0.0:
+            return
+        rng = random.Random(seed)
+
+        def should_drop(src, dst, message) -> bool:
+            return src != dst and rng.random() < probability
+
+        self._end_loss = self.sim.network.add_filter(should_drop)
+
+    def slow_link(
+        self, links: Sequence[Sequence[int]], extra_delay: float
+    ) -> None:
+        self._check_pids(*(pid for link in links for pid in link))
+        network = self.sim.network
+        for src, dst in links:
+            if extra_delay >= 0.0:
+                network.slow_link(src, dst, extra_delay)
+            else:
+                network.unslow_link(src, dst, -extra_delay)
+
+    def _check_pids(self, *pids: int) -> None:
+        for pid in pids:
+            self.sim.node(pid)  # validates the range
 
     def corrupt_record(self, pid: int, key: str) -> bool:
         return self.sim.node(pid).storage.corrupt(key)
@@ -258,6 +311,37 @@ class SimBackend(Cluster):
 
     def defer(self, delay: float, fn: Callable, *args: Any) -> None:
         self.sim.kernel.schedule(delay, fn, *args)
+
+    def on_event(
+        self,
+        kind: str,
+        source_pid: Optional[int],
+        count: int,
+        fn: Callable,
+        *args: Any,
+    ) -> None:
+        if count < 1:
+            raise ConfigurationError("count must be >= 1")
+        if source_pid is not None:
+            self._check_pids(source_pid)
+        if self._event_hooks is None:
+            # Subscribed on first use, to every kind: a cluster that
+            # never installs a hook keeps the trace's tick-only
+            # emission fast path.
+            self._event_hooks = []
+            self.sim.trace.subscribe(self._dispatch_event)
+        self._event_hooks.append([kind, source_pid, count, fn, args])
+
+    def _dispatch_event(self, event) -> None:
+        for hook in self._event_hooks:
+            kind, source_pid, remaining, fn, args = hook
+            if remaining == 0 or event.kind != kind:
+                continue
+            if source_pid is not None and event.pid != source_pid:
+                continue
+            hook[2] = remaining - 1
+            if remaining == 1:
+                fn(*args)
 
     def wait(
         self, handle: OpHandle, timeout: float = 5.0, expect_done: bool = False

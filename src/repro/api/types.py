@@ -5,8 +5,10 @@ defined here, backend-free:
 
 * **capability flags** -- each backend declares a frozenset of what it
   can do (:data:`VIRTUAL_TIME`, :data:`SHARDING`,
-  :data:`CRASH_INJECTION`, :data:`TRACE`), so callers branch on
-  *capability*, never on backend type;
+  :data:`CRASH_INJECTION`, :data:`TRACE`, :data:`STORAGE_FAULTS`,
+  :data:`LINK_FAULTS`), so callers branch on *capability*, never on
+  backend type; :data:`FAULT_VERB_CAPABILITIES` says which flag gates
+  each fault verb;
 * :class:`OpHandle` -- the uniform client-side handle of one submitted
   operation (``settled`` / ``result`` / ``latency`` / ``add_callback``),
   wrapping whichever native handle the backend produced;
@@ -34,11 +36,33 @@ CRASH_INJECTION = "crash_injection"
 TRACE = "trace"
 #: Stable storage faults can be injected (corrupt / lose / slow verbs).
 STORAGE_FAULTS = "storage_faults"
+#: Links can be cut, made lossy or slowed (partition / heal / lose /
+#: slow_link verbs).
+LINK_FAULTS = "link_faults"
 
 #: Every defined capability flag.
 ALL_CAPABILITIES = frozenset(
-    {VIRTUAL_TIME, SHARDING, CRASH_INJECTION, TRACE, STORAGE_FAULTS}
+    {VIRTUAL_TIME, SHARDING, CRASH_INJECTION, TRACE, STORAGE_FAULTS, LINK_FAULTS}
 )
+
+#: Fault verb -> the capability that gates it.  ``defer`` arms a timed
+#: step and ``on_event`` a trace-triggered one; the rest are the steps
+#: themselves.  The scenario runner refuses a fault whose verbs the
+#: backend lacks, and lint rule API001 refuses a backend that
+#: implements a verb without declaring its capability.
+FAULT_VERB_CAPABILITIES = {
+    "crash": CRASH_INJECTION,
+    "recover": CRASH_INJECTION,
+    "partition": LINK_FAULTS,
+    "heal": LINK_FAULTS,
+    "lose": LINK_FAULTS,
+    "slow_link": LINK_FAULTS,
+    "corrupt_record": STORAGE_FAULTS,
+    "lose_stores": STORAGE_FAULTS,
+    "slow_storage": STORAGE_FAULTS,
+    "defer": VIRTUAL_TIME,
+    "on_event": TRACE,
+}
 
 #: Consistency criteria ``Cluster.check`` accepts.  ``"atomic"`` maps
 #: to the criterion the running protocol promises (transient for the

@@ -27,12 +27,13 @@ Beyond the single anonymous register, a cluster can host named
 argument of :meth:`write`/:meth:`read`.  The sharded, batching
 key-value front-end lives in :mod:`repro.kv`.
 
-Failure injection composes on top: :meth:`SimCluster.install_schedule`
-arms a time-based :class:`~repro.sim.failures.CrashSchedule`, the
-cluster's :attr:`~SimCluster.injector` fires trace-triggered
-adversaries, and the declarative scenario layer
-(:mod:`repro.scenarios`) builds whole fault/workload/verification
-programs from both.  Verification is :meth:`SimCluster.check_atomicity`:
+Failure injection beyond :meth:`crash`/:meth:`recover` goes through
+the façade: lift a cluster with :func:`repro.api.as_cluster` and use
+its fault verbs (``partition``, ``lose``, ``slow_link``,
+``slow_storage``, ...), ``defer`` for timed ones and ``on_event`` for
+trace-triggered ones -- or arm the declarative fault primitives of
+:mod:`repro.scenarios.faults`, which compile to exactly those calls.
+Verification is :meth:`SimCluster.check_atomicity`:
 exhaustive black-box search on small histories, the near-linear
 white-box tag checker beyond the exhaustive cap (``method="auto"``).
 """
@@ -56,11 +57,6 @@ from repro.history.recorder import HistoryRecorder
 from repro.history.register_checker import check_tagged_history
 from repro.protocol.host import NodeOperation
 from repro.protocol.registry import protocol_factory
-from repro.sim.failures import (
-    CRASH,
-    CrashSchedule,
-    TriggerInjector,
-)
 from repro.sim.kernel import Kernel
 from repro.sim.network import SimNetwork
 from repro.sim.node import SimNode
@@ -139,12 +135,6 @@ class SimCluster:
             )
             self.nodes.append(node)
         self._registers: Set[str] = set()
-        self.injector = TriggerInjector(
-            trace=self.trace,
-            crash_fn=self._try_crash,
-            recover_fn=self._try_recover,
-            schedule_fn=lambda delay, fn: self.kernel.schedule(delay, fn),
-        )
         self._started = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -200,30 +190,6 @@ class SimCluster:
 
     def crashed_processes(self) -> List[ProcessId]:
         return [node.pid for node in self.nodes if node.crashed]
-
-    def _try_crash(self, pid: ProcessId) -> None:
-        node = self.node(pid)
-        if not node.crashed:
-            node.crash()
-
-    def _try_recover(self, pid: ProcessId) -> None:
-        node = self.node(pid)
-        if node.crashed:
-            node.recover()
-
-    def install_schedule(self, schedule: CrashSchedule) -> None:
-        """Arm a time-based crash/recovery schedule.
-
-        Actions whose instant already passed (e.g. scheduled relative
-        to t=0 but installed after :meth:`start` advanced the clock)
-        fire immediately, preserving their relative order.
-        """
-        for action in schedule.actions:
-            delay = max(0.0, action.time - self.kernel.now)
-            if action.action == CRASH:
-                self.kernel.schedule(delay, self._try_crash, action.pid)
-            else:
-                self.kernel.schedule(delay, self._try_recover, action.pid)
 
     # -- register instances ---------------------------------------------------
 

@@ -24,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.api.base import as_cluster
 from repro.cluster import SimCluster
-from repro.sim.failures import RandomCrashPlan
+from repro.scenarios.faults import RandomCrashPlan
 from repro.workloads.generators import run_closed_loop
 
 #: Expected worst-case causal logs per (algorithm, kind).
@@ -123,14 +124,12 @@ def measure_log_complexity(
                 protocol=algorithm, num_processes=num_processes, seed=seed
             )
             cluster.start()
-            plan = RandomCrashPlan(
-                num_processes=num_processes,
+            RandomCrashPlan(
                 horizon=0.2,
                 seed=seed + 1,
                 crash_rate=0.6,
                 mean_downtime=0.02,
-            )
-            cluster.install_schedule(plan.generate())
+            ).arm(as_cluster(cluster))
             run_closed_loop(
                 cluster,
                 operations_per_client=max(4, operations // num_processes),

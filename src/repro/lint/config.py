@@ -26,6 +26,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import FrozenSet, Mapping, Tuple
 
+# Façade fault verb -> capability flag that must gate it (API001): the
+# one table the scenario runner reads too.
+from repro.api.types import FAULT_VERB_CAPABILITIES
+
 #: The repository root (``config.py`` lives at src/repro/lint/).
 REPO_ROOT = Path(__file__).resolve().parents[3]
 
@@ -50,20 +54,6 @@ PINNED_TRACE_KINDS: Tuple[str, ...] = (
     "ckpt_commit",
 )
 
-#: Façade fault verb -> capability flag that must gate it (API001).
-#: ``crash``/``recover`` need crash injection; ``partition``/``heal``
-#: ride on the simulated network (docs/api.md: "exactly where
-#: virtual_time does"); the storage verbs need ``storage_faults``.
-FAULT_VERB_CAPABILITIES: Mapping[str, str] = {
-    "crash": "crash_injection",
-    "recover": "crash_injection",
-    "partition": "virtual_time",
-    "heal": "virtual_time",
-    "corrupt_record": "storage_faults",
-    "lose_stores": "storage_faults",
-    "slow_storage": "storage_faults",
-}
-
 #: Capability constant names (repro.api.types) -> their string values,
 #: so API001 can resolve ``frozenset({VIRTUAL_TIME, ...})`` statically.
 CAPABILITY_NAMES: Mapping[str, str] = {
@@ -72,6 +62,7 @@ CAPABILITY_NAMES: Mapping[str, str] = {
     "CRASH_INJECTION": "crash_injection",
     "TRACE": "trace",
     "STORAGE_FAULTS": "storage_faults",
+    "LINK_FAULTS": "link_faults",
 }
 
 

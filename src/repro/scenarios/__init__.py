@@ -9,7 +9,8 @@ ingredients declaratively:
   message-loss bursts, slow-link windows, trace-triggered crashes
   with the instant precision of the paper's lower-bound adversaries,
   and storage faults (torn checkpoints, corrupted records, lying
-  fsync, slow disks -- see ``docs/recovery.md``);
+  fsync, slow disks -- see ``docs/recovery.md``) and seeded random
+  crash plans, each a list of timed or trace-triggered façade verbs;
 * **workload phases** (:class:`~repro.scenarios.spec.WorkloadPhase`) --
   closed-loop read/write mixes on the single register or zipfian key
   traffic on the sharded KV store, with per-phase operation budgets
@@ -48,6 +49,7 @@ from repro.scenarios.faults import (
     LossBurst,
     LostStore,
     PartitionWindow,
+    RandomCrashPlan,
     RollingRestarts,
     SlowDisk,
     SlowLinks,
@@ -85,6 +87,7 @@ __all__ = [
     "LostStore",
     "PartitionWindow",
     "PhaseOutcome",
+    "RandomCrashPlan",
     "RollingRestarts",
     "RunSpec",
     "Scenario",

@@ -1,39 +1,55 @@
-"""Declarative fault-schedule primitives for scenarios.
+"""Declarative fault primitives for scenarios: lists of timed façade verbs.
 
 Each primitive is a frozen dataclass describing one adversarial
 ingredient -- a crash/recovery window, a rolling restart wave, a
-network partition, a message-loss burst, a slow-link window, or a
-trace-triggered crash -- and knows how to **arm** itself on a cluster:
-:meth:`FaultAction.arm` translates the declaration into kernel events,
-network state changes, or :class:`~repro.sim.failures.TriggerInjector`
-triggers.  All times are virtual seconds **relative to the arm
-instant** (a scenario arms a phase's faults when the phase opens), and
-every primitive is deterministic: randomized ones (the loss burst) own
-a seeded generator instead of touching the kernel's stream, so a
-scenario run stays a pure function of (scenario, seed).
+network partition, a message-loss burst, a slow-link window, a
+trace-triggered crash, a storage fault, a seeded random crash plan --
+and :meth:`FaultAction.steps` turns it into plain data: a list of
+``(at, verb, args)`` steps, where ``verb`` names a fault verb of the
+:class:`~repro.api.base.Cluster` façade (:data:`~repro.api.types
+.FAULT_VERB_CAPABILITIES`) and ``at`` says when it runs:
 
-Primitives compose: a scenario phase carries a tuple of them, and the
-network-level effects (link blocks, slow-link penalties) are
-refcounted/additive so overlapping windows on the same links stack
-instead of clobbering each other.  Two introspection hooks serve the
-runner: :meth:`FaultAction.victims` (everyone a fault may crash --
-such faults are skipped entirely under protocols whose processes
-cannot recover, like crash-stop) and
-:meth:`FaultAction.permanent_victims` (victims never recovered, e.g.
-:class:`CrashAt` -- clients are kept off those replicas so their work
-does not stall against a process that will never come back).
-:func:`victims_of` aggregates either set over a fault collection.
+* a number: virtual seconds **after the arm instant** (a scenario arms
+  a phase's faults when the phase opens);
+* a trigger ``(kind, source_pid, count, delay)``: ``delay`` virtual
+  seconds after the ``count``-th trace event of ``kind`` emitted by
+  ``source_pid`` (``None``: by anyone) -- synchronously inside that
+  emission when ``delay`` is 0, the instant precision of the paper's
+  lower-bound adversaries.
+
+Every value in a step is a str, int, float, ``None`` or tuple, so a
+step list survives a JSON round trip.  :func:`arm_steps` is the one way
+a step list reaches a cluster: :func:`check_steps` first refuses steps
+whose verbs the backend lacks or whose pids it does not have, then
+timed steps are armed with ``Cluster.defer`` and triggers with
+``Cluster.on_event`` -- one kernel event per step, whatever number of
+links or processes the step names.
+
+Primitives compose: a scenario phase carries a tuple of them.  Link
+blocks and slow-link penalties stack, so overlapping windows on the
+same links compose; one loss window and one slow-disk window per
+process are open at a time.  Randomized primitives own a seeded
+generator instead of touching the kernel's stream, so a scenario run
+stays a pure function of (scenario, seed).  :func:`victims_of` reads
+the crash and recover steps: the runner skips crashing faults under
+protocols whose processes cannot recover (crash-stop), and keeps
+clients off processes a fault crashes for good.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Set, Tuple
+from typing import Any, Iterable, List, Optional, Set, Tuple
 
-from repro.common.errors import ConfigurationError
+from repro.api.types import FAULT_VERB_CAPABILITIES
+from repro.common.errors import (
+    CapabilityError,
+    ConfigurationError,
+    ProcessCrashed,
+    ProtocolError,
+)
 from repro.obs import tracing
-from repro.sim.failures import CrashSchedule
 
 __all__ = [
     "CorruptRecord",
@@ -44,38 +60,40 @@ __all__ = [
     "LossBurst",
     "LostStore",
     "PartitionWindow",
+    "RandomCrashPlan",
     "RollingRestarts",
     "SlowDisk",
     "SlowLinks",
     "TornStore",
+    "arm_steps",
+    "check_steps",
     "victims_of",
 ]
 
-
-def _sim_of(cluster):
-    """The underlying :class:`~repro.cluster.SimCluster` of ``cluster``.
-
-    Accepts a ``SimCluster`` and anything owning one as ``.sim`` --
-    the ``"sim"`` and ``"kv"`` backends of :mod:`repro.api` -- so the
-    same fault declarations arm against any virtual-time front-end.
-    """
-    return getattr(cluster, "sim", cluster)
+#: One step: ``(at, verb, args)`` -- see the module docstring.
+Step = Tuple[Any, str, Tuple[Any, ...]]
 
 
 class FaultAction:
-    """Base class: one declarative fault, armable on a cluster."""
+    """Base class: one declarative fault, a pure list of steps."""
 
-    def arm(self, cluster) -> None:
-        """Install this fault; times are relative to the current clock."""
+    def steps(self, num_processes: int) -> List[Step]:
+        """This fault's steps on a cluster of ``num_processes``."""
         raise NotImplementedError
 
-    def victims(self) -> Set[int]:
-        """Processes this fault may crash (empty for network faults)."""
-        return set()
+    def arm(self, cluster) -> None:
+        """Arm this fault on façade ``cluster``; times start now."""
+        arm_steps(cluster, self.steps(cluster.num_processes))
 
-    def permanent_victims(self) -> Set[int]:
-        """Victims this fault crashes without ever recovering them."""
-        return set()
+
+def _downtime(pid: int, start: float, end: float) -> List[Step]:
+    # Recoveries never wait: the step runs inside a kernel event.
+    return [(start, "crash", (pid,)), (end, "recover", (pid, False))]
+
+
+def _check_window(start: float, end: float, what: str) -> None:
+    if start < 0 or end <= start:
+        raise ConfigurationError(f"{what} needs 0 <= start < end")
 
 
 @dataclass(frozen=True)
@@ -87,18 +105,10 @@ class Downtime(FaultAction):
     end: float
 
     def __post_init__(self) -> None:
-        if self.start < 0 or self.end <= self.start:
-            raise ConfigurationError("downtime needs 0 <= start < end")
+        _check_window(self.start, self.end, "downtime")
 
-    def arm(self, cluster) -> None:
-        sim = _sim_of(cluster)
-        now = sim.kernel.now
-        sim.install_schedule(
-            CrashSchedule().downtime(self.pid, now + self.start, now + self.end)
-        )
-
-    def victims(self) -> Set[int]:
-        return {self.pid}
+    def steps(self, num_processes: int) -> List[Step]:
+        return _downtime(self.pid, self.start, self.end)
 
 
 @dataclass(frozen=True)
@@ -112,17 +122,8 @@ class CrashAt(FaultAction):
         if self.time < 0:
             raise ConfigurationError("crash time must be >= 0")
 
-    def arm(self, cluster) -> None:
-        sim = _sim_of(cluster)
-        sim.install_schedule(
-            CrashSchedule().crash(sim.kernel.now + self.time, self.pid)
-        )
-
-    def victims(self) -> Set[int]:
-        return {self.pid}
-
-    def permanent_victims(self) -> Set[int]:
-        return {self.pid}
+    def steps(self, num_processes: int) -> List[Step]:
+        return [(self.time, "crash", (self.pid,))]
 
 
 @dataclass(frozen=True)
@@ -146,23 +147,13 @@ class RollingRestarts(FaultAction):
                 "rolling restarts need start >= 0, interval > 0, downtime > 0"
             )
 
-    def _resolved_pids(self, num_processes: int) -> Tuple[int, ...]:
-        return self.pids if self.pids is not None else tuple(range(num_processes))
-
-    def arm(self, cluster) -> None:
-        sim = _sim_of(cluster)
-        now = sim.kernel.now
-        schedule = CrashSchedule()
-        for i, pid in enumerate(self._resolved_pids(sim.config.num_processes)):
-            begin = now + self.start + i * self.interval
-            schedule.downtime(pid, begin, begin + self.downtime)
-        sim.install_schedule(schedule)
-
-    def victims(self) -> Set[int]:
-        # Without a cluster we cannot resolve "every process"; callers
-        # that need exact victims pass explicit pids.  The sentinel -1
-        # marks "all processes" for victims_of().
-        return set(self.pids) if self.pids is not None else {-1}
+    def steps(self, num_processes: int) -> List[Step]:
+        pids = self.pids if self.pids is not None else range(num_processes)
+        steps: List[Step] = []
+        for i, pid in enumerate(pids):
+            begin = self.start + i * self.interval
+            steps += _downtime(pid, begin, begin + self.downtime)
+        return steps
 
 
 @dataclass(frozen=True)
@@ -182,26 +173,15 @@ class PartitionWindow(FaultAction):
     end: float
 
     def __post_init__(self) -> None:
-        if self.start < 0 or self.end <= self.start:
-            raise ConfigurationError("partition needs 0 <= start < end")
+        _check_window(self.start, self.end, "partition")
         if not self.group_a or not self.group_b:
             raise ConfigurationError("both partition groups must be non-empty")
         if set(self.group_a) & set(self.group_b):
             raise ConfigurationError("partition groups must be disjoint")
 
-    def arm(self, cluster) -> None:
-        sim = _sim_of(cluster)
-        network = sim.network
-        a, b = set(self.group_a), set(self.group_b)
-
-        def heal() -> None:
-            for src in a:
-                for dst in b:
-                    network.unblock(src, dst)
-                    network.unblock(dst, src)
-
-        sim.kernel.schedule(self.start, network.partition, a, b)
-        sim.kernel.schedule(self.end, heal)
+    def steps(self, num_processes: int) -> List[Step]:
+        groups = (tuple(self.group_a), tuple(self.group_b))
+        return [(self.start, "partition", groups), (self.end, "heal", groups)]
 
 
 @dataclass(frozen=True)
@@ -220,31 +200,15 @@ class LossBurst(FaultAction):
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.start < 0 or self.end <= self.start:
-            raise ConfigurationError("loss burst needs 0 <= start < end")
+        _check_window(self.start, self.end, "loss burst")
         if not 0.0 <= self.probability <= 1.0:
             raise ConfigurationError("probability must be in [0, 1]")
 
-    def arm(self, cluster) -> None:
-        sim = _sim_of(cluster)
-        rng = random.Random(self.seed)
-        probability = self.probability
-
-        def should_drop(src, dst, message) -> bool:
-            return src != dst and rng.random() < probability
-
-        state = {}
-
-        def install() -> None:
-            state["remove"] = sim.network.add_filter(should_drop)
-
-        def remove() -> None:
-            removal = state.pop("remove", None)
-            if removal is not None:
-                removal()
-
-        sim.kernel.schedule(self.start, install)
-        sim.kernel.schedule(self.end, remove)
+    def steps(self, num_processes: int) -> List[Step]:
+        return [
+            (self.start, "lose", (self.probability, self.seed)),
+            (self.end, "lose", (0.0,)),
+        ]
 
 
 @dataclass(frozen=True)
@@ -263,36 +227,24 @@ class SlowLinks(FaultAction):
     links: Optional[Tuple[Tuple[int, int], ...]] = None
 
     def __post_init__(self) -> None:
-        if self.start < 0 or self.end <= self.start:
-            raise ConfigurationError("slow-link window needs 0 <= start < end")
+        _check_window(self.start, self.end, "slow-link window")
         if self.extra_delay <= 0:
             raise ConfigurationError("extra_delay must be > 0")
 
-    def _resolved_links(self, num_processes: int) -> Sequence[Tuple[int, int]]:
+    def steps(self, num_processes: int) -> List[Step]:
         if self.links is not None:
-            return self.links
+            links = tuple(tuple(link) for link in self.links)
+        else:
+            links = tuple(
+                (src, dst)
+                for src in range(num_processes)
+                for dst in range(num_processes)
+                if src != dst
+            )
         return [
-            (src, dst)
-            for src in range(num_processes)
-            for dst in range(num_processes)
-            if src != dst
+            (self.start, "slow_link", (links, self.extra_delay)),
+            (self.end, "slow_link", (links, -self.extra_delay)),
         ]
-
-    def arm(self, cluster) -> None:
-        sim = _sim_of(cluster)
-        network = sim.network
-        links = self._resolved_links(sim.config.num_processes)
-
-        def slow() -> None:
-            for src, dst in links:
-                network.slow_link(src, dst, self.extra_delay)
-
-        def restore() -> None:
-            for src, dst in links:
-                network.unslow_link(src, dst, self.extra_delay)
-
-        sim.kernel.schedule(self.start, slow)
-        sim.kernel.schedule(self.end, restore)
 
 
 @dataclass(frozen=True)
@@ -322,26 +274,15 @@ class CrashOnTrace(FaultAction):
         if self.recover_after is not None and self.recover_after <= 0:
             raise ConfigurationError("recover_after must be > 0")
 
-    def arm(self, cluster) -> None:
-        sim = _sim_of(cluster)
-        kind, source = self.kind, self.source_pid
-
-        def matches(event) -> bool:
-            return event.kind == kind and (source is None or event.pid == source)
-
-        sim.injector.crash_when(matches, self.pid, count=self.count)
+    def steps(self, num_processes: int) -> List[Step]:
+        steps: List[Step] = [
+            ((self.kind, self.source_pid, self.count, 0.0), "crash", (self.pid,))
+        ]
         if self.recover_after is not None:
-            # A second trigger on the same event schedules the
-            # recovery; the crash trigger (installed first) runs first.
-            sim.injector.recover_when(
-                matches, self.pid, count=self.count, delay=self.recover_after
-            )
-
-    def victims(self) -> Set[int]:
-        return {self.pid}
-
-    def permanent_victims(self) -> Set[int]:
-        return set() if self.recover_after is not None else {self.pid}
+            # The crash hook is installed first, so it runs first.
+            trigger = (self.kind, self.source_pid, self.count, self.recover_after)
+            steps.append((trigger, "recover", (self.pid, False)))
+        return steps
 
 
 @dataclass(frozen=True)
@@ -349,7 +290,7 @@ class TornStore(FaultAction):
     """Crash ``pid`` exactly between the two phases of its checkpoint.
 
     The adversarial schedule for the two-phase checkpoint discipline
-    (:mod:`repro.storage.checkpoint`): the crash lands synchronously on
+    (``docs/recovery.md``): the crash lands synchronously on
     the process's ``ckpt_tentative`` trace event -- the tentative
     snapshot is durable, the permanent store was never issued, and no
     truncation happened.  Recovery must ignore the stray tentative
@@ -369,24 +310,11 @@ class TornStore(FaultAction):
         if self.recover_after is not None and self.recover_after <= 0:
             raise ConfigurationError("recover_after must be > 0")
 
-    def arm(self, cluster) -> None:
-        sim = _sim_of(cluster)
-        pid = self.pid
-
-        def matches(event) -> bool:
-            return event.kind == tracing.CKPT_TENTATIVE and event.pid == pid
-
-        sim.injector.crash_when(matches, pid, count=self.count)
-        if self.recover_after is not None:
-            sim.injector.recover_when(
-                matches, pid, count=self.count, delay=self.recover_after
-            )
-
-    def victims(self) -> Set[int]:
-        return {self.pid}
-
-    def permanent_victims(self) -> Set[int]:
-        return set() if self.recover_after is not None else {self.pid}
+    def steps(self, num_processes: int) -> List[Step]:
+        return CrashOnTrace(
+            tracing.CKPT_TENTATIVE, self.pid, self.pid, self.count,
+            self.recover_after,
+        ).steps(num_processes)
 
 
 @dataclass(frozen=True)
@@ -394,10 +322,10 @@ class CorruptRecord(FaultAction):
     """Make ``pid``'s durable record under ``key`` unreadable at ``time``.
 
     Models a log frame failing its checksum on the next read-back and
-    being quarantined (the :class:`~repro.runtime.storage.
-    FileStableStorage` behavior): the key simply stops resolving.  ``key`` is the raw
-    storage key -- ``"writing"``/``"written"`` for the default register
-    slot, ``"<register>/writing"`` for named slots.  Corrupting
+    being quarantined (what the live file storage does): the key
+    simply stops resolving.  ``key`` is the raw storage key --
+    ``"writing"``/``"written"`` for the default register slot,
+    ``"<register>/writing"`` for named slots.  Corrupting
     ``writing`` is always recoverable (recovery replays bottom);
     corrupting ``written`` may lose the only local copy of a value, so
     scenarios that must stay atomic should leave it alone.
@@ -411,10 +339,8 @@ class CorruptRecord(FaultAction):
         if self.time < 0:
             raise ConfigurationError("corruption time must be >= 0")
 
-    def arm(self, cluster) -> None:
-        sim = _sim_of(cluster)
-        storage = sim.nodes[self.pid].storage
-        sim.kernel.schedule(self.time, storage.corrupt, self.key)
+    def steps(self, num_processes: int) -> List[Step]:
+        return [(self.time, "corrupt_record", (self.pid, self.key))]
 
 
 @dataclass(frozen=True)
@@ -434,16 +360,15 @@ class SlowDisk(FaultAction):
     extra_latency: float
 
     def __post_init__(self) -> None:
-        if self.start < 0 or self.end <= self.start:
-            raise ConfigurationError("slow-disk window needs 0 <= start < end")
+        _check_window(self.start, self.end, "slow-disk window")
         if self.extra_latency <= 0:
             raise ConfigurationError("extra_latency must be > 0")
 
-    def arm(self, cluster) -> None:
-        sim = _sim_of(cluster)
-        storage = sim.nodes[self.pid].storage
-        sim.kernel.schedule(self.start, storage.set_slow, self.extra_latency)
-        sim.kernel.schedule(self.end, storage.clear_slow)
+    def steps(self, num_processes: int) -> List[Step]:
+        return [
+            (self.start, "slow_storage", (self.pid, self.extra_latency)),
+            (self.end, "slow_storage", (self.pid, 0.0)),
+        ]
 
 
 @dataclass(frozen=True)
@@ -469,10 +394,158 @@ class LostStore(FaultAction):
         if self.count < 1:
             raise ConfigurationError("count must be >= 1")
 
-    def arm(self, cluster) -> None:
-        sim = _sim_of(cluster)
-        storage = sim.nodes[self.pid].storage
-        sim.kernel.schedule(self.time, storage.lose_next_stores, self.count)
+    def steps(self, num_processes: int) -> List[Step]:
+        return [(self.time, "lose_stores", (self.pid, self.count))]
+
+
+@dataclass(frozen=True)
+class RandomCrashPlan(FaultAction):
+    """Seeded random downtime windows within ``[0, horizon]``.
+
+    Each process is picked with probability ``crash_rate`` for one
+    window starting in the first 80 % of the horizon and lasting an
+    exponential ``mean_downtime`` (at least 0.1 ms, ending by 95 % of
+    the horizon).  ``max_concurrent_down`` (default: a minority) bounds
+    how many processes are down at once, so a majority stays
+    responsive often enough for operations to terminate -- the model
+    only guarantees robustness when a majority is eventually up.
+    """
+
+    horizon: float
+    seed: int = 0
+    max_concurrent_down: Optional[int] = None
+    crash_rate: float = 0.5
+    mean_downtime: float = 0.01
+
+    def __post_init__(self) -> None:
+        if self.horizon <= 0:
+            raise ConfigurationError("horizon must be > 0")
+        if not 0.0 <= self.crash_rate <= 1.0:
+            raise ConfigurationError("crash_rate must be in [0, 1]")
+
+    def steps(self, num_processes: int) -> List[Step]:
+        rng = random.Random(self.seed)
+        max_down = self.max_concurrent_down
+        if max_down is None:
+            max_down = max(0, (num_processes - 1) // 2)
+        windows = []
+        for pid in range(num_processes):
+            if rng.random() >= self.crash_rate:
+                continue
+            start = rng.uniform(0.0, self.horizon * 0.8)
+            duration = rng.expovariate(1.0 / self.mean_downtime)
+            end = min(start + max(duration, 1e-4), self.horizon * 0.95)
+            windows.append((start, end, pid))
+        windows.sort()
+        accepted: List[Tuple[float, float, int]] = []
+        for start, end, pid in windows:
+            overlap = sum(1 for s, e, _ in accepted if s < end and start < e)
+            if overlap < max_down:
+                accepted.append((start, end, pid))
+        return [
+            step for start, end, pid in accepted
+            for step in _downtime(pid, start, end)
+        ]
+
+
+# -- arming -------------------------------------------------------------------
+
+
+def _is_trigger(at: Any) -> bool:
+    return not isinstance(at, (int, float))
+
+
+def check_steps(cluster, steps: Iterable[Step]) -> None:
+    """Refuse ``steps`` that ``cluster`` could not arm, before arming any.
+
+    A step needs its verb's capability, plus ``virtual_time`` when it
+    is timed (armed with ``defer``) or ``trace`` when it is a trigger
+    (armed with ``on_event``); a missing one raises
+    :class:`CapabilityError`.  An unknown verb, a negative offset or a
+    pid outside the cluster raises :class:`ConfigurationError`.  Needs
+    no running cluster: the runner calls it before ``start()``.
+    """
+    needed: Set[str] = set()
+    for at, verb, args in steps:
+        if verb not in FAULT_VERB_CAPABILITIES:
+            raise ConfigurationError(f"unknown fault verb {verb!r}")
+        needed.add(FAULT_VERB_CAPABILITIES[verb])
+        if _is_trigger(at):
+            needed.add(FAULT_VERB_CAPABILITIES["on_event"])
+        elif at < 0:
+            raise ConfigurationError(f"{verb} step at {at} is in the past")
+        else:
+            needed.add(FAULT_VERB_CAPABILITIES["defer"])
+        for pid in _pids(at, verb, args):
+            if not 0 <= pid < cluster.num_processes:
+                raise ConfigurationError(
+                    f"{verb} step names pid {pid}, outside the "
+                    f"{cluster.num_processes}-process cluster"
+                )
+    missing = needed - cluster.capabilities
+    if missing:
+        raise CapabilityError(
+            f"the {cluster.backend!r} backend lacks "
+            f"{', '.join(sorted(missing))}, which these faults need"
+        )
+
+
+def _pids(at: Any, verb: str, args: Tuple[Any, ...]) -> List[int]:
+    """Every process id a step names."""
+    if verb in ("partition", "heal"):
+        pids = [pid for group in args[:2] for pid in group]
+    elif verb == "slow_link":
+        pids = [pid for link in args[0] for pid in link]
+    elif verb == "lose":
+        pids = []
+    else:
+        pids = [args[0]]
+    if _is_trigger(at) and at[1] is not None:
+        pids.append(at[1])
+    return pids
+
+
+def arm_steps(cluster, steps: List[Step]) -> None:
+    """Arm ``steps`` on façade ``cluster``, all or nothing.
+
+    :func:`check_steps` runs first, so a refused list schedules
+    nothing.  Timed steps are sorted stably by ``at`` and each becomes
+    one ``defer``; triggers are installed with ``on_event`` in list
+    order.
+    """
+    check_steps(cluster, steps)
+    timed = sorted((s for s in steps if not _is_trigger(s[0])), key=lambda s: s[0])
+    for at, verb, args in timed:
+        cluster.defer(at, _fire, cluster, verb, args)
+    for at, verb, args in steps:
+        if not _is_trigger(at):
+            continue
+        kind, source_pid, count, delay = at
+        if delay:
+            cluster.on_event(
+                kind, source_pid, count, cluster.defer, delay, _fire,
+                cluster, verb, args,
+            )
+        else:
+            cluster.on_event(kind, source_pid, count, _fire, cluster, verb, args)
+
+
+def _fire(cluster, verb: str, args: Tuple[Any, ...]) -> None:
+    """Run one step's verb; skip a crash of a crashed process or a
+    recovery of a process that is up.
+
+    Those two refusals are the only errors skipped: independent faults
+    (a random plan beside a trace-triggered crash) legitimately race
+    for the same process.
+    """
+    try:
+        getattr(cluster, verb)(*args)
+    except ProcessCrashed:
+        if verb != "crash":
+            raise
+    except ProtocolError as error:
+        if verb != "recover" or str(error) != f"process {args[0]} is not crashed":
+            raise
 
 
 def victims_of(
@@ -482,16 +555,16 @@ def victims_of(
 ) -> Set[int]:
     """Every process the given faults may crash.
 
-    With ``permanent_only`` only victims that are never recovered
-    count.  The ``-1`` sentinel (a :class:`RollingRestarts` over all
-    processes) expands to the full process set.
+    With ``permanent_only`` only victims a fault crashes without ever
+    recovering them count.
     """
     victims: Set[int] = set()
     for fault in faults:
-        victims |= (
-            fault.permanent_victims() if permanent_only else fault.victims()
-        )
-    if -1 in victims:
-        victims.discard(-1)
-        victims |= set(range(num_processes))
+        crashed, recovered = set(), set()
+        for _, verb, args in fault.steps(num_processes):
+            if verb == "crash":
+                crashed.add(args[0])
+            elif verb == "recover":
+                recovered.add(args[0])
+        victims |= crashed - recovered if permanent_only else crashed
     return victims

@@ -32,7 +32,7 @@ from repro.api.base import Cluster, open_cluster
 from repro.api.types import SHARDING
 from repro.common.errors import ConfigurationError
 from repro.history.checker import default_criterion
-from repro.scenarios.faults import victims_of
+from repro.scenarios.faults import check_steps, victims_of
 from repro.scenarios.spec import (
     VERIFY_PER_PHASE,
     Scenario,
@@ -284,7 +284,9 @@ def _supports_recovery(protocol: str) -> bool:
     )
 
 
-def _effective_faults(phase: WorkloadPhase, supports_recovery: bool):
+def _effective_faults(
+    phase: WorkloadPhase, supports_recovery: bool, num_processes: int
+):
     """The phase's faults, adapted to the protocol's failure model.
 
     Crash-stop processes never recover (recovery raises), so against
@@ -295,24 +297,34 @@ def _effective_faults(phase: WorkloadPhase, supports_recovery: bool):
     """
     if supports_recovery:
         return phase.faults
-    return tuple(fault for fault in phase.faults if not fault.victims())
+    return tuple(
+        fault for fault in phase.faults
+        if not victims_of([fault], num_processes)
+    )
+
+
+def _all_faults(scenario: Scenario, supports_recovery: bool) -> list:
+    return [
+        fault
+        for phase in scenario.phases
+        for fault in _effective_faults(
+            phase, supports_recovery, scenario.num_processes
+        )
+    ]
 
 
 def _client_pids(scenario: Scenario, supports_recovery: bool) -> List[int]:
     """Replicas clients may be pinned to.
 
-    Clients keep off any replica a fault kills for good
-    (:meth:`~repro.scenarios.faults.FaultAction.permanent_victims`) --
-    a client pinned there would stall against a process that never
-    comes back.  If the faults doom every replica, clients stay on the
-    full set and the run simply reports the unissued work.
+    Clients keep off any replica a fault crashes for good (a crash
+    step with no recover step, see :func:`~repro.scenarios.faults
+    .victims_of`) -- a client pinned there would stall against a
+    process that never comes back.  If the faults doom every replica,
+    clients stay on the full set and the run simply reports the
+    unissued work.
     """
     everyone = list(range(scenario.num_processes))
-    faults = [
-        fault
-        for phase in scenario.phases
-        for fault in _effective_faults(phase, supports_recovery)
-    ]
+    faults = _all_faults(scenario, supports_recovery)
     doomed = victims_of(faults, scenario.num_processes, permanent_only=True)
     survivors = [pid for pid in everyone if pid not in doomed]
     return survivors or everyone
@@ -367,7 +379,7 @@ def _drive_phases(
     for index, (phase, phase_ops) in enumerate(zip(scenario.phases, shares)):
         if prepare_phase is not None:
             prepare_phase(phase, index)
-        for fault in _effective_faults(phase, recovery):
+        for fault in _effective_faults(phase, recovery, scenario.num_processes):
             fault.arm(arm_target)
         outcome = run_phase(phase, phase_ops, index)
         result.phases.append(outcome)
@@ -466,6 +478,15 @@ def _run(
         capture_trace=capture,
         **options,
     )
+    recovery = _supports_recovery(protocol)
+    # A fault the backend lacks a verb for, or that names a process the
+    # cluster does not have, fails the scenario before it boots -- not
+    # when the fault's phase opens.
+    check_steps(cluster, [
+        step
+        for fault in _all_faults(scenario, recovery)
+        for step in fault.steps(scenario.num_processes)
+    ])
     cluster.start()
     result = ScenarioResult(
         scenario=scenario.name,
@@ -474,7 +495,6 @@ def _run(
         seed=seed,
         ops=ops,
     )
-    recovery = _supports_recovery(protocol)
     pids = _client_pids(scenario, recovery)
     values = UniqueValues()
     sharded = SHARDING in cluster.capabilities

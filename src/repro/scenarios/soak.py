@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from repro.scenarios.faults import victims_of
 from repro.scenarios.library import get_scenario, list_scenarios
 from repro.scenarios.runner import ScenarioResult, run_scenario
 from repro.scenarios.spec import STORE_KV, Scenario
@@ -110,9 +111,8 @@ def scenario_notes(scenario: Scenario) -> str:
     """
     notes = []
     crashy = any(
-        fault.victims()
+        victims_of(phase.faults, scenario.num_processes)
         for phase in scenario.phases
-        for fault in phase.faults
     )
     if crashy:
         notes.append("crash faults dropped on crash-stop")

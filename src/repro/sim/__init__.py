@@ -10,8 +10,11 @@ This package emulates the paper's testbed in software:
   survive crashes while volatile state does not;
 * :mod:`repro.sim.node` -- drives the shared process host
   (:mod:`repro.protocol.host`) from the kernel, network and storage
-  above;
-* :mod:`repro.sim.failures` -- crash/recovery schedules and adversaries.
+  above.
+
+Faults are injected through the :mod:`repro.api` façade's verbs, not
+here: the declarative primitives of :mod:`repro.scenarios.faults` are
+lists of timed or trace-triggered verb calls.
 
 The trace vocabulary the engine emits into lives in
 :mod:`repro.obs.tracing`; ``Trace``, ``TraceEvent`` and ``NULL_TRACE``

@@ -22,9 +22,10 @@ from __future__ import annotations
 import re
 from typing import Dict, List
 
+from repro.api import as_cluster
 from repro.cluster import SimCluster
 from repro.common.config import ClusterConfig, NetworkConfig, StorageConfig
-from repro.sim.failures import CrashSchedule
+from repro.scenarios.faults import Downtime
 from repro.workloads.generators import run_closed_loop
 
 #: Protocols covered by the regression test.  Crash-stop runs without a
@@ -60,11 +61,21 @@ def run_scenario(protocol: str, flight_recorder: bool = True) -> str:
     )
     cluster.start()
     if protocol != "crash-stop":
-        cluster.install_schedule(CrashSchedule().downtime(2, 0.004, 0.009))
+        _downtime_window(cluster)
     report = run_closed_loop(
         cluster, operations_per_client=6, read_fraction=0.5, seed=42, timeout=60.0
     )
     return serialize(cluster, report)
+
+
+def _downtime_window(cluster: SimCluster) -> None:
+    """Process 2 is down from t=4ms to t=9ms of the run's virtual clock.
+
+    Faults arm relative to now; ``t - now`` is the same arithmetic the
+    goldens were recorded with.
+    """
+    now = cluster.now
+    Downtime(2, 0.004 - now, 0.009 - now).arm(as_cluster(cluster))
 
 
 def run_checkpoint_scenario(flight_recorder: bool = True) -> str:
@@ -96,7 +107,7 @@ def run_checkpoint_scenario(flight_recorder: bool = True) -> str:
         recovery_scan=True,
     )
     cluster.start()
-    cluster.install_schedule(CrashSchedule().downtime(2, 0.004, 0.009))
+    _downtime_window(cluster)
     report = run_closed_loop(
         cluster, operations_per_client=6, read_fraction=0.5, seed=42, timeout=60.0
     )

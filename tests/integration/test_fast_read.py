@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.api import as_cluster
 from repro.cluster import SimCluster
 from repro.protocol.messages import WriteRequest
-from repro.sim.failures import RandomCrashPlan
+from repro.scenarios.faults import RandomCrashPlan
 from repro.workloads.generators import run_closed_loop
 
 
@@ -87,10 +88,9 @@ class TestSlowPathFallback:
 class TestFastReadUnderAdversity:
     def test_random_crashy_workload_stays_atomic(self):
         cluster = started(seed=33)
-        plan = RandomCrashPlan(
-            num_processes=5, horizon=0.2, seed=34, crash_rate=0.6
+        RandomCrashPlan(horizon=0.2, seed=34, crash_rate=0.6).arm(
+            as_cluster(cluster)
         )
-        cluster.install_schedule(plan.generate())
         report = run_closed_loop(
             cluster, operations_per_client=6, read_fraction=0.6, seed=33
         )

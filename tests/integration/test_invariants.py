@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.api import as_cluster
 from repro.cluster import SimCluster
 from repro.common.timestamps import Tag, bottom_tag
-from repro.sim.failures import RandomCrashPlan
+from repro.scenarios.faults import RandomCrashPlan
 from repro.sim.invariants import InvariantMonitor, InvariantViolation
 from repro.workloads.generators import run_closed_loop
 
@@ -31,8 +32,7 @@ class TestCleanRuns:
 
     def test_crashy_run_is_clean(self):
         cluster, monitor = monitored_cluster("persistent", n=5, seed=41)
-        plan = RandomCrashPlan(num_processes=5, horizon=0.15, seed=42)
-        cluster.install_schedule(plan.generate())
+        RandomCrashPlan(horizon=0.15, seed=42).arm(as_cluster(cluster))
         run_closed_loop(cluster, operations_per_client=5, read_fraction=0.5, seed=41)
         monitor.assert_clean()
 

@@ -11,17 +11,18 @@ torn checkpoint is indistinguishable from no checkpoint.
 
 from hypothesis import given, settings, strategies as st
 
+from repro.api import as_cluster
 from repro.cluster import SimCluster
 from repro.common.config import ClusterConfig, NetworkConfig
 from repro.history.register_checker import check_tagged_history
 from repro.obs import tracing
-from repro.sim.failures import RandomCrashPlan
+from repro.scenarios.faults import CrashOnTrace, RandomCrashPlan
 from repro.workloads.generators import run_closed_loop
 
 CHECKPOINT_INTERVAL = 8e-4
 
 #: Every observable point of the two-phase lifecycle a crash can land
-#: on (the trigger injector crashes synchronously on the trace event).
+#: on (the crash lands synchronously on the trace event).
 CRASH_POINTS = (
     tracing.CKPT_BEGIN,
     tracing.CKPT_TENTATIVE,
@@ -58,12 +59,10 @@ def test_crash_at_any_checkpoint_phase_keeps_history_atomic(
     seed, point, victim, count
 ):
     cluster = checkpointing_cluster(seed)
-
-    def matches(event, point=point, victim=victim):
-        return event.kind == point and event.pid == victim
-
-    cluster.injector.crash_when(matches, victim, count=count)
-    cluster.injector.recover_when(matches, victim, count=count, delay=4e-3)
+    CrashOnTrace(
+        kind=point, pid=victim, source_pid=victim, count=count,
+        recover_after=4e-3,
+    ).arm(as_cluster(cluster))
     run_closed_loop(
         cluster,
         operations_per_client=6,
@@ -82,14 +81,12 @@ def test_random_crash_schedules_with_checkpointing_stay_atomic(seed):
     # triggers: crashes land mid-scan, mid-replay, between checkpoint
     # ticks -- anywhere in real schedules.
     cluster = checkpointing_cluster(seed)
-    plan = RandomCrashPlan(
-        num_processes=3,
+    RandomCrashPlan(
         horizon=0.25,
         seed=seed + 1,
         crash_rate=0.5,
         mean_downtime=0.02,
-    )
-    cluster.install_schedule(plan.generate())
+    ).arm(as_cluster(cluster))
     run_closed_loop(
         cluster,
         operations_per_client=4,

@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api import open_cluster
 from repro.common.config import ClusterConfig, NetworkConfig
-from repro.sim.failures import RandomCrashPlan
+from repro.scenarios.faults import RandomCrashPlan
 from repro.workloads.kv import run_kv_closed_loop
 
 NUM_PROCESSES = 3
@@ -130,14 +130,12 @@ def test_concurrent_zipfian_runs_are_per_key_atomic(
     )
     kv.sim.start(timeout=5.0)
     if crashes:
-        plan = RandomCrashPlan(
-            num_processes=NUM_PROCESSES,
+        RandomCrashPlan(
             horizon=0.05,
             seed=seed + 1,
             crash_rate=0.4,
             mean_downtime=0.01,
-        )
-        kv.sim.install_schedule(plan.generate())
+        ).arm(kv)
     report = run_kv_closed_loop(
         kv,
         num_clients=6,

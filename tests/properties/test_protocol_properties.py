@@ -8,10 +8,11 @@ and the measured causal-log counts respect the paper's bounds.
 
 from hypothesis import given, settings, strategies as st
 
+from repro.api import as_cluster
 from repro.common.config import ClusterConfig, NetworkConfig
 from repro.cluster import SimCluster
 from repro.history.register_checker import check_tagged_history
-from repro.sim.failures import RandomCrashPlan
+from repro.scenarios.faults import RandomCrashPlan
 from repro.workloads.generators import run_closed_loop
 
 BOUNDS = {
@@ -40,14 +41,12 @@ def run_random_cluster(
     cluster = SimCluster(protocol=protocol, config=config, capture_trace=False)
     cluster.start(timeout=5.0)
     if crashes:
-        plan = RandomCrashPlan(
-            num_processes=num_processes,
+        RandomCrashPlan(
             horizon=0.25,
             seed=seed + 1,
             crash_rate=0.5,
             mean_downtime=0.02,
-        )
-        cluster.install_schedule(plan.generate())
+        ).arm(as_cluster(cluster))
     run_closed_loop(
         cluster,
         operations_per_client=ops_per_client,

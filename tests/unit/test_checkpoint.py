@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.api import open_cluster
+from repro.api import as_cluster, open_cluster
 from repro.cluster import SimCluster
 from repro.protocol.base import Checkpoint, StableView
 from repro.scenarios.faults import TornStore
@@ -238,7 +238,7 @@ class TestSimNodeCheckpoint(CheckpointCases):
 
     def test_torn_checkpoint_recovers_from_previous_snapshot(self):
         cluster = started_cluster(checkpoint_interval=INTERVAL)
-        TornStore(pid=1).arm(cluster)
+        TornStore(pid=1).arm(as_cluster(cluster))
         cluster.write_sync(0, "torn")
         run_intervals(cluster, INTERVAL, 3)
         node = cluster.node(1)

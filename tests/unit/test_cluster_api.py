@@ -61,13 +61,13 @@ class TestLifecycleGuards:
             cluster.wait(handle, timeout=0.01)
 
     def test_sync_ops_surface_aborts(self):
+        from repro.api import as_cluster
         from repro.obs import tracing
 
         cluster = SimCluster(num_processes=3)
         cluster.start()
-        cluster.injector.crash_when(
-            lambda e: e.kind == tracing.SEND and e.pid == 0, pid=0
-        )
+        facade = as_cluster(cluster)
+        facade.on_event(tracing.SEND, 0, 1, facade.crash, 0)
         with pytest.raises(OperationAborted):
             cluster.write_sync(0, "doomed")
 

@@ -1,94 +1,125 @@
-"""Unit tests for failure schedules and trigger-based injection."""
+"""Unit tests for fault steps: timed arming, triggers, random crash plans.
+
+Every fault reaches a cluster as ``(at, verb, args)`` steps armed
+through the façade: timed steps with ``defer``, trace-triggered ones
+with ``on_event``.
+"""
 
 import pytest
 
-from repro.common.errors import ConfigurationError
+from repro.api import as_cluster
 from repro.cluster import SimCluster
+from repro.common.errors import ConfigurationError, ProtocolError
 from repro.obs import tracing
-from repro.sim.failures import (
-    CrashSchedule,
-    FailureAction,
-    RandomCrashPlan,
-    Trigger,
-)
+from repro.scenarios.faults import Downtime, RandomCrashPlan, arm_steps
+
+
+def started(**kwargs):
+    cluster = SimCluster(protocol="persistent", num_processes=3, **kwargs)
+    cluster.start()
+    return cluster, as_cluster(cluster)
 
 
 class TestCrashSchedule:
+    """Timed steps: ``arm_steps`` over ``defer``."""
+
     def test_actions_sorted_by_time(self):
-        schedule = CrashSchedule()
-        schedule.recover(2.0, 0).crash(1.0, 0)
-        assert [a.action for a in schedule.actions] == ["crash", "recover"]
+        # Listed out of order, armed in time order: the recovery at
+        # 2ms finds the process the 1ms crash took down.
+        cluster, facade = started()
+        arm_steps(facade, [
+            (2e-3, "recover", (0, False)),
+            (1e-3, "crash", (0,)),
+        ])
+        cluster.run(duration=1.5e-3)
+        assert cluster.node(0).crashed
+        cluster.run(duration=1e-3)
+        assert not cluster.node(0).crashed
 
     def test_downtime_builds_a_pair(self):
-        schedule = CrashSchedule().downtime(3, 1.0, 2.0)
-        assert len(schedule) == 2
-        assert schedule.actions[0].pid == 3
+        steps = Downtime(3, 1.0, 2.0).steps(5)
+        assert steps == [(1.0, "crash", (3,)), (2.0, "recover", (3, False))]
 
     def test_downtime_validates_window(self):
         with pytest.raises(ConfigurationError):
-            CrashSchedule().downtime(0, 2.0, 1.0)
+            Downtime(0, 2.0, 1.0)
 
     def test_action_validation(self):
-        with pytest.raises(ConfigurationError):
-            FailureAction(time=1.0, action="explode", pid=0)
-        with pytest.raises(ConfigurationError):
-            FailureAction(time=-1.0, action="crash", pid=0)
+        cluster, facade = started()
+        for bad in (
+            [(1e-3, "explode", (0,))],
+            [(-1.0, "crash", (0,))],
+            [(1e-3, "crash", (0,)), (2e-3, "crash", (9,))],
+        ):
+            with pytest.raises(ConfigurationError):
+                arm_steps(facade, bad)
+        # Refused lists schedule nothing, not even their valid steps.
+        cluster.run(duration=5e-3)
+        assert not cluster.crashed_processes()
 
     def test_installed_schedule_executes(self):
-        cluster = SimCluster(protocol="persistent", num_processes=3)
-        cluster.start()
-        cluster.install_schedule(CrashSchedule().downtime(2, 0.001, 0.002))
+        cluster, facade = started()
+        Downtime(2, 0.001, 0.002).arm(facade)
         cluster.run(duration=0.0015)
         assert cluster.node(2).crashed
         cluster.run_until(lambda: cluster.node(2).ready, timeout=0.1)
         assert cluster.node(2).ready
 
     def test_redundant_actions_are_skipped(self):
-        cluster = SimCluster(protocol="persistent", num_processes=3)
-        cluster.start()
-        schedule = CrashSchedule().crash(0.001, 1).crash(0.002, 1)
-        cluster.install_schedule(schedule)
-        cluster.run(duration=0.01)  # second crash must not raise
+        # A crash of a crashed process and a recovery of a process that
+        # is up are explicit skips: independent faults race for the
+        # same process.
+        cluster, facade = started()
+        arm_steps(facade, [
+            (0.001, "crash", (1,)),
+            (0.002, "crash", (1,)),
+            (0.003, "recover", (2, False)),
+        ])
+        cluster.run(duration=0.01)
         assert cluster.node(1).crashed
+        assert not cluster.node(2).crashed
+        assert cluster.node(1).crash_count == 1
+
+    def test_other_step_errors_are_not_skipped(self):
+        cluster = SimCluster(protocol="crash-stop", num_processes=3)
+        cluster.start()
+        facade = as_cluster(cluster)
+        arm_steps(facade, [(0.001, "crash", (1,)), (0.002, "recover", (1, False))])
+        cluster.run(duration=0.0015)
+        with pytest.raises(ProtocolError, match="never recover"):
+            cluster.run(duration=0.001)
 
 
 class TestTriggers:
+    """Trace-triggered steps: ``on_event``."""
+
     def test_crash_fires_on_matching_event(self):
-        cluster = SimCluster(protocol="persistent", num_processes=3)
-        cluster.start()
-        cluster.injector.crash_when(
-            lambda e: e.kind == tracing.STORE_END and e.pid == 1, pid=0
-        )
+        cluster, facade = started()
+        facade.on_event(tracing.STORE_END, 1, 1, facade.crash, 0)
         cluster.write(0, "x")
         cluster.run_until(lambda: cluster.node(0).crashed, timeout=1.0)
         assert cluster.node(0).crashed
 
     def test_count_skips_earlier_matches(self):
-        cluster = SimCluster(protocol="persistent", num_processes=3)
-        cluster.start()
-        trigger = cluster.injector.crash_when(
-            lambda e: e.kind == tracing.REPLY and e.pid == 0, pid=0, count=2
-        )
+        cluster, facade = started()
+        facade.on_event(tracing.REPLY, 0, 2, facade.crash, 0)
         cluster.write_sync(0, "first")
-        assert not trigger.fired
+        assert not cluster.node(0).crashed
         cluster.write_sync(0, "second")
-        assert trigger.fired
         assert cluster.node(0).crashed
 
     def test_trigger_fires_only_once(self):
-        trigger = Trigger(predicate=lambda e: True, action="crash", pid=0)
-        from repro.obs.tracing import TraceEvent
-
-        event = TraceEvent(time=0.0, kind=tracing.SEND, pid=0)
-        assert trigger.matches(event)
-        trigger.fired = True
-        assert not trigger.matches(event)
+        cluster, facade = started()
+        fired = []
+        facade.on_event(tracing.REPLY, None, 1, fired.append, "hit")
+        cluster.write_sync(0, "x")
+        cluster.write_sync(1, "y")
+        assert fired == ["hit"]
 
     def test_delayed_trigger_action(self):
-        cluster = SimCluster(protocol="persistent", num_processes=3)
-        cluster.start()
-        cluster.injector.crash_when(
-            lambda e: e.kind == tracing.REPLY, pid=1, delay=0.005
+        cluster, facade = started()
+        facade.on_event(
+            tracing.REPLY, None, 1, facade.defer, 0.005, facade.crash, 1
         )
         cluster.write_sync(0, "x")
         assert not cluster.node(1).crashed
@@ -96,18 +127,13 @@ class TestTriggers:
         assert cluster.node(1).crashed
 
     def test_triggers_fire_instant_precise_without_capture(self):
-        # The injector subscribes to the trace lazily (so trigger-less
-        # benchmark runs keep the emission fast path); installing a
-        # trigger on a capture_trace=False cluster must still fire at
-        # the exact instant of the matched event, before the simulator
-        # processes anything else.
-        cluster = SimCluster(
-            protocol="persistent", num_processes=3, capture_trace=False
-        )
-        cluster.start()
-        cluster.injector.crash_when(
-            lambda e: e.kind == tracing.STORE_END and e.pid == 1, pid=0
-        )
+        # on_event subscribes to the trace lazily (so hook-less
+        # benchmark runs keep the emission fast path); a hook on a
+        # capture_trace=False cluster must still fire at the exact
+        # instant of the matched event, before the simulator processes
+        # anything else.
+        cluster, facade = started(capture_trace=False)
+        facade.on_event(tracing.STORE_END, 1, 1, facade.crash, 0)
         store_end_times = []
         unsubscribe = cluster.trace.subscribe(
             lambda e: store_end_times.append(e.time) if e.pid == 1 else None,
@@ -122,23 +148,17 @@ class TestTriggers:
         unsubscribe()
 
     def test_injector_without_triggers_keeps_fast_path(self):
-        cluster = SimCluster(
-            protocol="persistent", num_processes=3, capture_trace=False
-        )
-        cluster.start()
+        cluster, facade = started(capture_trace=False)
         # Nothing subscribed: every kind stays on the tick-only path.
         assert not cluster.trace.wants(tracing.SEND)
-        cluster.injector.crash_when(lambda e: False, pid=0)
-        # An installed trigger must see every kind (predicates are opaque).
+        facade.on_event("no-such-kind", None, 1, facade.crash, 0)
+        # An installed hook sees every kind.
         assert cluster.trace.wants(tracing.SEND)
 
     def test_recover_trigger(self):
-        cluster = SimCluster(protocol="persistent", num_processes=3)
-        cluster.start()
+        cluster, facade = started()
         cluster.crash(2)
-        cluster.injector.recover_when(
-            lambda e: e.kind == tracing.REPLY and e.pid == 0, pid=2
-        )
+        facade.on_event(tracing.REPLY, 0, 1, facade.recover, 2, False)
         cluster.write_sync(0, "x")
         cluster.run_until(lambda: cluster.node(2).ready, timeout=1.0)
         assert cluster.node(2).ready
@@ -146,17 +166,17 @@ class TestTriggers:
 
 class TestRandomCrashPlan:
     def test_plans_are_deterministic_per_seed(self):
-        plan_a = RandomCrashPlan(5, horizon=1.0, seed=3).generate()
-        plan_b = RandomCrashPlan(5, horizon=1.0, seed=3).generate()
-        assert [
-            (a.time, a.action, a.pid) for a in plan_a.actions
-        ] == [(a.time, a.action, a.pid) for a in plan_b.actions]
+        plan_a = RandomCrashPlan(horizon=1.0, seed=3).steps(5)
+        plan_b = RandomCrashPlan(horizon=1.0, seed=3).steps(5)
+        assert plan_a and plan_a == plan_b
+        assert plan_a != RandomCrashPlan(horizon=1.0, seed=4).steps(5)
 
     def test_concurrent_downtime_bounded_to_minority(self):
-        plan = RandomCrashPlan(5, horizon=1.0, seed=1, crash_rate=1.0).generate()
+        steps = RandomCrashPlan(horizon=1.0, seed=1, crash_rate=1.0).steps(5)
+        assert {verb for _, verb, _ in steps} == {"crash", "recover"}
         # Sweep the windows: at no instant are 3+ of 5 processes down.
         events = sorted(
-            (a.time, 1 if a.action == "crash" else -1) for a in plan.actions
+            (at, 1 if verb == "crash" else -1) for at, verb, _ in steps
         )
         down = 0
         for _, delta in events:
@@ -165,8 +185,6 @@ class TestRandomCrashPlan:
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            RandomCrashPlan(0, horizon=1.0)
+            RandomCrashPlan(horizon=0.0)
         with pytest.raises(ConfigurationError):
-            RandomCrashPlan(3, horizon=0.0)
-        with pytest.raises(ConfigurationError):
-            RandomCrashPlan(3, horizon=1.0, crash_rate=1.5)
+            RandomCrashPlan(horizon=1.0, crash_rate=1.5)

@@ -135,9 +135,12 @@ class TestWorkloadRunner:
     def test_clients_survive_crashes_of_their_process(self):
         cluster = SimCluster(protocol="persistent", num_processes=3, seed=2)
         cluster.start()
-        from repro.sim.failures import CrashSchedule
+        from repro.api import as_cluster
+        from repro.scenarios.faults import Downtime
 
-        cluster.install_schedule(CrashSchedule().downtime(0, 0.0005, 0.01))
+        # Down from t=0.5ms to t=10ms of the virtual clock.
+        now = cluster.now
+        Downtime(0, 0.0005 - now, 0.01 - now).arm(as_cluster(cluster))
         report = run_closed_loop(
             cluster, operations_per_client=5, read_fraction=0.5, seed=4
         )

@@ -25,6 +25,7 @@ import repro
 import repro.api as api
 from repro.api import (
     CRASH_INJECTION,
+    LINK_FAULTS,
     SHARDING,
     STORAGE_FAULTS,
     TRACE,
@@ -49,6 +50,7 @@ EXPORTED_NAMES = [
     "ClusterStats",
     "DEFAULT_KEY",
     "KVBackend",
+    "LINK_FAULTS",
     "LiveBackend",
     "MetricsSnapshot",
     "OpHandle",
@@ -78,6 +80,13 @@ EXPECTED_SIGNATURES = {
     "timeout: 'float' = 5.0) -> 'None'",
     "Cluster.partition": "(self, group_a: 'Sequence[int]', "
     "group_b: 'Sequence[int]') -> 'None'",
+    "Cluster.heal": "(self, group_a: 'Optional[Sequence[int]]' = None, "
+    "group_b: 'Optional[Sequence[int]]' = None) -> 'None'",
+    "Cluster.lose": "(self, probability: 'float', seed: 'int' = 0) -> 'None'",
+    "Cluster.slow_link": "(self, links: 'Sequence[Sequence[int]]', "
+    "extra_delay: 'float') -> 'None'",
+    "Cluster.on_event": "(self, kind: 'str', source_pid: 'Optional[int]', "
+    "count: 'int', fn: 'Callable', *args: 'Any') -> 'None'",
     "Cluster.run": "(self, duration: 'Optional[float]' = None, "
     "max_events: 'int' = 1000000) -> 'None'",
     "Cluster.run_until": "(self, predicate: 'Callable[[], bool]', "
@@ -152,10 +161,11 @@ class TestSnapshot:
 
     def test_capability_matrix(self):
         assert api.SimBackend.capabilities == frozenset(
-            {VIRTUAL_TIME, CRASH_INJECTION, TRACE, STORAGE_FAULTS}
+            {VIRTUAL_TIME, CRASH_INJECTION, TRACE, STORAGE_FAULTS, LINK_FAULTS}
         )
         assert api.KVBackend.capabilities == frozenset(
-            {VIRTUAL_TIME, SHARDING, CRASH_INJECTION, TRACE, STORAGE_FAULTS}
+            {VIRTUAL_TIME, SHARDING, CRASH_INJECTION, TRACE, STORAGE_FAULTS,
+             LINK_FAULTS}
         )
         assert api.LiveBackend.capabilities == frozenset({CRASH_INJECTION})
 

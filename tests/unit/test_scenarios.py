@@ -7,10 +7,14 @@ dropping deterministically, slow links stretching deliveries, triggers
 firing synchronously on their trace event.
 """
 
+import json
+
 import pytest
 
+from repro.api import CRASH_INJECTION, TRACE, VIRTUAL_TIME, as_cluster, open_cluster
+from repro.api.base import Cluster
 from repro.cluster import SimCluster
-from repro.common.errors import ConfigurationError
+from repro.common.errors import CapabilityError, ConfigurationError
 from repro.scenarios import (
     SCENARIOS,
     CrashAt,
@@ -18,14 +22,16 @@ from repro.scenarios import (
     Downtime,
     LossBurst,
     PartitionWindow,
+    RandomCrashPlan,
     RollingRestarts,
     Scenario,
     SlowLinks,
     WorkloadPhase,
     get_scenario,
     list_scenarios,
+    run_scenario,
 )
-from repro.scenarios.faults import victims_of
+from repro.scenarios.faults import arm_steps, victims_of
 from repro.scenarios.spec import STORE_KV
 
 
@@ -42,7 +48,7 @@ def make_cluster(num_processes=3, protocol="persistent", **kwargs):
 
 def test_downtime_crashes_then_recovers():
     cluster = make_cluster()
-    Downtime(pid=1, start=1e-3, end=4e-3).arm(cluster)
+    Downtime(pid=1, start=1e-3, end=4e-3).arm(as_cluster(cluster))
     cluster.run(duration=2e-3)
     assert cluster.node(1).crashed
     cluster.run(duration=4e-3)
@@ -56,7 +62,7 @@ def test_downtime_validates_window():
 
 def test_crash_at_is_permanent():
     cluster = make_cluster()
-    CrashAt(pid=2, time=1e-3).arm(cluster)
+    CrashAt(pid=2, time=1e-3).arm(as_cluster(cluster))
     cluster.run(duration=10e-3)
     assert cluster.node(2).crashed
 
@@ -64,7 +70,7 @@ def test_crash_at_is_permanent():
 def test_rolling_restarts_staggers_victims():
     cluster = make_cluster()
     fault = RollingRestarts(start=1e-3, interval=4e-3, downtime=2e-3)
-    fault.arm(cluster)
+    fault.arm(as_cluster(cluster))
     crashed_during_wave = set()
     # Sample between actions: at most one process is down at a time
     # because interval > downtime.
@@ -97,7 +103,7 @@ def test_permanent_victims():
 
 def test_partition_window_blocks_then_heals():
     cluster = make_cluster()
-    PartitionWindow(group_a=(2,), group_b=(0, 1), start=1e-3, end=3e-3).arm(cluster)
+    PartitionWindow(group_a=(2,), group_b=(0, 1), start=1e-3, end=3e-3).arm(as_cluster(cluster))
     cluster.run(duration=2e-3)
     assert cluster.network.is_blocked(2, 0)
     assert cluster.network.is_blocked(0, 2)
@@ -109,8 +115,8 @@ def test_partition_window_blocks_then_heals():
 
 def test_overlapping_partition_windows_compose():
     cluster = make_cluster()
-    PartitionWindow(group_a=(2,), group_b=(0, 1), start=1e-3, end=5e-3).arm(cluster)
-    PartitionWindow(group_a=(2,), group_b=(0, 1), start=3e-3, end=8e-3).arm(cluster)
+    PartitionWindow(group_a=(2,), group_b=(0, 1), start=1e-3, end=5e-3).arm(as_cluster(cluster))
+    PartitionWindow(group_a=(2,), group_b=(0, 1), start=3e-3, end=8e-3).arm(as_cluster(cluster))
     cluster.run(duration=6e-3)  # first window healed, second still open
     assert cluster.network.is_blocked(2, 0)
     cluster.run(duration=3e-3)  # second window healed too
@@ -119,8 +125,8 @@ def test_overlapping_partition_windows_compose():
 
 def test_overlapping_slow_link_windows_compose():
     cluster = make_cluster()
-    SlowLinks(start=1e-3, end=5e-3, extra_delay=1e-3).arm(cluster)
-    SlowLinks(start=3e-3, end=8e-3, extra_delay=2e-3).arm(cluster)
+    SlowLinks(start=1e-3, end=5e-3, extra_delay=1e-3).arm(as_cluster(cluster))
+    SlowLinks(start=3e-3, end=8e-3, extra_delay=2e-3).arm(as_cluster(cluster))
     cluster.run(duration=4e-3)  # both windows open: penalties add
     assert cluster.network.link_penalty(0, 1) == pytest.approx(3e-3)
     cluster.run(duration=2e-3)  # first restored, second still open
@@ -139,7 +145,7 @@ def test_partition_window_validates_groups():
 def test_loss_burst_drops_deterministically():
     def dropped_after_burst(seed):
         cluster = make_cluster()
-        LossBurst(start=0.0, end=5e-3, probability=0.5, seed=seed).arm(cluster)
+        LossBurst(start=0.0, end=5e-3, probability=0.5, seed=seed).arm(as_cluster(cluster))
         cluster.write_sync(0, "v")
         cluster.run(duration=10e-3)
         return cluster.network.messages_dropped
@@ -150,7 +156,7 @@ def test_loss_burst_drops_deterministically():
 
 def test_loss_burst_filter_is_removed_after_window():
     cluster = make_cluster()
-    LossBurst(start=0.0, end=2e-3, probability=1.0, seed=1).arm(cluster)
+    LossBurst(start=0.0, end=2e-3, probability=1.0, seed=1).arm(as_cluster(cluster))
     handle = cluster.write(0, "survivor")
     cluster.run(duration=1e-3)
     before = cluster.network.messages_dropped
@@ -165,7 +171,7 @@ def test_loss_burst_filter_is_removed_after_window():
 
 def test_slow_links_applies_and_clears_penalty():
     cluster = make_cluster()
-    SlowLinks(start=1e-3, end=4e-3, extra_delay=2e-3).arm(cluster)
+    SlowLinks(start=1e-3, end=4e-3, extra_delay=2e-3).arm(as_cluster(cluster))
     cluster.run(duration=2e-3)
     assert cluster.network.link_penalty(0, 1) == 2e-3
     assert cluster.network.link_penalty(1, 0) == 2e-3
@@ -177,7 +183,7 @@ def test_slow_links_stretches_write_latency():
     def write_latency(arm):
         cluster = make_cluster()
         if arm:
-            SlowLinks(start=0.0, end=1.0, extra_delay=1e-3).arm(cluster)
+            SlowLinks(start=0.0, end=1.0, extra_delay=1e-3).arm(as_cluster(cluster))
             cluster.run(duration=1e-4)  # let the window open
         handle = cluster.write_sync(0, "v")
         return handle.latency
@@ -210,7 +216,7 @@ def test_crash_on_trace_fires_synchronously_and_recovers():
     cluster = make_cluster()
     CrashOnTrace(
         kind="store_begin", pid=0, source_pid=0, recover_after=2e-3
-    ).arm(cluster)
+    ).arm(as_cluster(cluster))
     # The write's first log at p0 triggers the crash, aborting the op.
     handle = cluster.write(0, "doomed")
     cluster.run_until(lambda: handle.settled, timeout=1.0)
@@ -225,6 +231,119 @@ def test_crash_on_trace_validates():
         CrashOnTrace(kind="send", pid=0, count=0)
     with pytest.raises(ConfigurationError):
         CrashOnTrace(kind="send", pid=0, recover_after=0.0)
+
+
+# -- steps through the façade ------------------------------------------------
+
+
+def _tuples(value):
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
+def test_library_fault_steps_round_trip_through_json():
+    faults = [
+        (fault, scenario.num_processes)
+        for scenario in list_scenarios()
+        for phase in scenario.phases
+        for fault in phase.faults
+    ]
+    faults.append((RandomCrashPlan(horizon=0.1, seed=3, crash_rate=1.0), 5))
+    assert len(faults) >= 12
+    for fault, num_processes in faults:
+        steps = fault.steps(num_processes)
+        assert steps
+        decoded = json.loads(json.dumps(steps))
+        assert [_tuples(step) for step in decoded] == steps, fault
+
+
+def test_decoded_steps_arm_like_the_primitive():
+    def drops(arm):
+        cluster = make_cluster()
+        arm(as_cluster(cluster))
+        cluster.write_sync(0, "v")
+        cluster.run(duration=10e-3)
+        return cluster.network.messages_dropped, cluster.kernel.events_processed
+
+    burst = LossBurst(start=0.0, end=5e-3, probability=0.5, seed=3)
+    decoded = json.loads(json.dumps(burst.steps(3)))
+    assert drops(burst.arm) == drops(lambda c: arm_steps(c, decoded))
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        PartitionWindow(group_a=(7,), group_b=(0, 1), start=1e-3, end=5e-3),
+        SlowLinks(start=1e-3, end=5e-3, extra_delay=1e-3, links=((0, 9),)),
+        Downtime(pid=7, start=1e-3, end=5e-3),
+    ],
+    ids=["partition", "slow-links", "downtime"],
+)
+def test_out_of_range_fault_pids_are_refused_up_front(fault):
+    scenario = Scenario(
+        name="bad-pid",
+        description="a fault naming a process the cluster lacks",
+        num_processes=5,
+        phases=(WorkloadPhase(name="p", faults=(fault,)),),
+    )
+    with pytest.raises(ConfigurationError, match="outside the 5-process"):
+        run_scenario(scenario, ops=60)
+
+
+def test_link_verbs_validate_pids():
+    facade = as_cluster(make_cluster())
+    with pytest.raises(ConfigurationError):
+        facade.partition([7], [0, 1])
+    with pytest.raises(ConfigurationError):
+        facade.heal([0], [9])
+    with pytest.raises(ConfigurationError):
+        facade.slow_link([(0, 9)], 1e-3)
+
+
+def test_heal_releases_one_block_per_link():
+    cluster = make_cluster()
+    facade = as_cluster(cluster)
+    facade.partition([2], [0, 1])
+    facade.partition([2], [0])
+    facade.heal([2], [0, 1])
+    assert cluster.network.is_blocked(2, 0) and cluster.network.is_blocked(0, 2)
+    assert not cluster.network.is_blocked(2, 1)
+    facade.heal()
+    assert not cluster.network.is_blocked(2, 0)
+
+
+def test_timed_faults_refused_on_live_before_any_socket():
+    cluster = open_cluster(backend="live", num_processes=3)
+    try:
+        with pytest.raises(CapabilityError, match="virtual_time"):
+            Downtime(pid=1, start=1e-3, end=2e-3).arm(cluster)
+        assert cluster.nodes == []
+    finally:
+        cluster.close()
+
+
+class _NoLinkFaults(Cluster):
+    """A façade stub that can crash processes but not touch links."""
+
+    backend = "stub"
+    capabilities = frozenset({VIRTUAL_TIME, CRASH_INJECTION, TRACE})
+
+    def __init__(self, num_processes, **_options):
+        self._num_processes = num_processes
+
+    @property
+    def num_processes(self):
+        return self._num_processes
+
+    def start(self):
+        raise AssertionError("the scenario should be refused before start()")
+
+
+def test_runner_refuses_missing_capabilities_before_start(monkeypatch):
+    from repro.scenarios import runner
+
+    monkeypatch.setattr(runner, "open_cluster", _NoLinkFaults)
+    with pytest.raises(CapabilityError, match="link_faults"):
+        run_scenario(get_scenario("partition-heal"), ops=30)
 
 
 # -- spec --------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Unit tests for the experiment CLI."""
 
+import hashlib
+
 import pytest
 
 from repro.cli import COMMANDS, build_parser, run
@@ -98,3 +100,27 @@ class TestExecution:
         text = run(["show-run"])
         assert "W(v1)" in text
         assert "X" in text  # the crash marker
+
+
+#: SHA-256 (first 16 hex digits) of each harness's full output.  The
+#: experiments are seeded, so any change to what a simulated run does
+#: -- an extra kernel event, a moved RNG draw -- shows up here.
+EXPERIMENT_DIGESTS = [
+    (["figure6-top", "--repeats", "5"], "2eef00175ab357b7"),
+    (["figure6-bottom", "--repeats", "5"], "15e397d562615832"),
+    (["figure1"], "8aabe273e9248d7e"),
+    (["lower-bounds"], "5095f027606cdff8"),
+    (["log-complexity", "--operations", "20"], "d8cac92482942bea"),
+    (["message-complexity"], "ac5a0d6862e1cc95"),
+    (["ablations"], "c270291a4aa8a470"),
+    (["weaker-memory", "--repeats", "5"], "bb980407ba6a02f4"),
+    (["show-run"], "fb86dff8acca1954"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", EXPERIMENT_DIGESTS, ids=[argv[0] for argv, _ in EXPERIMENT_DIGESTS]
+)
+def test_experiment_output_is_pinned(argv, digest):
+    text = run(argv)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest

@@ -1,8 +1,9 @@
 """Unit: the documentation stays link-clean and pydoc-renderable.
 
 Runs the same gates as the CI docs job (``tools/check_docs.py``):
-every relative link in README/docs resolves, and every public module
-under ``src/repro`` imports cleanly with a module docstring.  Keeping
+every relative link in README/docs resolves, every public module
+under ``src/repro`` imports cleanly with a module docstring, and every
+backticked ``repro.x.y`` name in README/docs resolves.  Keeping
 this in the tier-1 suite means a broken doc link fails locally, not
 just on the docs job.
 """
@@ -44,6 +45,19 @@ def test_docs_tree_is_complete():
 def test_lint_rule_ids_match_registry():
     checker = load_checker()
     assert checker.check_lint_rules() == []
+
+
+def test_dotted_names_resolve():
+    checker = load_checker()
+    assert checker.check_dotted_names() == []
+
+
+def test_dotted_name_resolution():
+    checker = load_checker()
+    assert checker.resolve_dotted_name("repro.api")
+    assert checker.resolve_dotted_name("repro.api.sim.SimBackend.check")
+    assert not checker.resolve_dotted_name("repro.no_such_module")
+    assert not checker.resolve_dotted_name("repro.api.sim.NoSuchName")
 
 
 def test_checker_cli_exit_status():

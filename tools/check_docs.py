@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Documentation health check: intra-repo links and importable modules.
+"""Documentation health check: links, modules, lint rules, dotted names.
 
-Two gates, both cheap enough for every CI run and the tier-1 suite
+Four gates, all cheap enough for every CI run and the tier-1 suite
 (``tests/unit/test_docs.py`` calls the same functions):
 
 1. **Links** -- every relative markdown link in ``README.md`` and the
@@ -17,6 +17,10 @@ Two gates, both cheap enough for every CI run and the tier-1 suite
    id is documented in ``docs/determinism.md``, and every rule id
    mentioned anywhere in the docs exists in the registry (a doc that
    cites a deleted or mistyped rule is lying about what is enforced).
+4. **Dotted names** -- every backticked ``repro.x.y`` name in
+   ``README.md`` and ``docs/*.md`` must resolve: the longest importable
+   module prefix, then ``getattr`` for the rest.  A doc naming a
+   deleted module, class or function fails here.
 
 Exit status is non-zero with a readable report when any gate fails::
 
@@ -132,8 +136,51 @@ def check_lint_rules() -> List[str]:
     return problems
 
 
+#: The documents whose backticked ``repro.`` names must resolve (the
+#: roadmap and changelog describe code that is gone on purpose).
+NAME_DOC_GLOBS = ("README.md", "docs/*.md")
+
+#: A backticked span's leading dotted ``repro.`` name.
+_DOTTED_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)")
+
+
+def resolve_dotted_name(name: str) -> bool:
+    """Whether ``name`` is an importable module or an attribute path in one."""
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attr in parts[split:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
+
+
+def check_dotted_names() -> List[str]:
+    """Backticked ``repro.x.y`` names in the docs that do not resolve."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    problems = []
+    for pattern in NAME_DOC_GLOBS:
+        for doc in sorted(REPO_ROOT.glob(pattern)):
+            for number, line in enumerate(doc.read_text().splitlines(), 1):
+                for name in _DOTTED_NAME.findall(line):
+                    if not resolve_dotted_name(name):
+                        problems.append(
+                            f"{doc.relative_to(REPO_ROOT)}:{number}: "
+                            f"{name} does not resolve"
+                        )
+    return problems
+
+
 def main() -> int:
-    problems = check_links() + check_modules() + check_lint_rules()
+    problems = (
+        check_links() + check_modules() + check_lint_rules()
+        + check_dotted_names()
+    )
     for problem in problems:
         print(problem)
     checked = len(iter_doc_files())
@@ -143,7 +190,7 @@ def main() -> int:
         return 1
     print(
         f"ok: {checked} doc files link-clean, {modules} modules "
-        "documented, lint rules in sync"
+        "documented, lint rules in sync, dotted names resolve"
     )
     return 0
 

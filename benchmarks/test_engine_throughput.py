@@ -7,7 +7,7 @@ the engine sustains, and how the checkers scale.
 
 import pytest
 
-from repro.cluster import SimCluster
+from repro.api import open_cluster
 from repro.common.ids import OperationId
 from repro.history.checker import check_persistent_atomicity
 from repro.history.events import Invoke, Reply
@@ -28,10 +28,9 @@ def test_simulator_operation_throughput(benchmark, protocol, capture):
     """
 
     def run():
-        cluster = SimCluster(
-            protocol=protocol, num_processes=5, capture_trace=capture
-        )
-        cluster.start()
+        cluster = open_cluster(
+            "sim", protocol=protocol, num_processes=5, capture_trace=capture
+        ).start()
         report = run_closed_loop(
             cluster, operations_per_client=20, read_fraction=0.5, seed=0
         )

@@ -8,17 +8,17 @@ unchanged and atomicity preserved.
 
 import pytest
 
-from repro.cluster import SimCluster
+from repro.api import open_cluster
 from repro.obs.summary import LatencyStats
 
 
 def _read_latency(protocol: str, repeats: int = 30) -> LatencyStats:
-    cluster = SimCluster(protocol=protocol, num_processes=5, capture_trace=False)
-    cluster.start()
-    cluster.write_sync(0, b"seed")
+    cluster = open_cluster("sim", protocol=protocol, num_processes=5).start()
+    cluster.session(0).write_sync(b"seed")
+    reader = cluster.session(1)
     samples = []
     for _ in range(repeats):
-        handle = cluster.wait(cluster.read(1))
+        handle = cluster.wait(reader.read())
         samples.append(handle.latency)
     return LatencyStats.from_samples(samples)
 

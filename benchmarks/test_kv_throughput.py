@@ -97,7 +97,7 @@ def run_kv_config(
         aborted=report.aborted,
         throughput=report.throughput,
         mean_latency=report.mean_latency,
-        messages_sent=kv.sim.network.messages_sent,
+        messages_sent=kv.network.messages_sent,
         atomic=atomic,
     )
 

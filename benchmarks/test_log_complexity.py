@@ -9,7 +9,7 @@ and crashy workloads.
 
 import pytest
 
-from repro.cluster import SimCluster
+from repro.api import open_cluster
 from repro.experiments.log_complexity import (
     EXPECTED_SEQUENTIAL_WRITE,
     format_log_complexity,
@@ -24,11 +24,8 @@ def test_sequential_write_logs(benchmark, algorithm, expected):
     """Causal logs of one crash-free write, per algorithm."""
 
     def run():
-        cluster = SimCluster(
-            protocol=algorithm, num_processes=5, capture_trace=False
-        )
-        cluster.start()
-        return cluster.write_sync(0, b"1234").causal_logs
+        cluster = open_cluster("sim", protocol=algorithm, num_processes=5).start()
+        return cluster.session(0).write_sync(b"1234").causal_logs
 
     measured = benchmark(run)
     benchmark.extra_info["algorithm"] = algorithm

@@ -88,7 +88,7 @@ def main() -> None:
     for pid in range(5):
         store.recover(pid, wait=False)
     store.run_until(
-        lambda: all(node.ready for node in store.sim.nodes), timeout=5.0
+        lambda: all(node.ready for node in store.nodes), timeout=5.0
     )
     for key in CONFIG_KEYS:
         print(f"  {key} = {replica[0].read_sync(key)!r}")

@@ -52,7 +52,7 @@ def main() -> None:
     with open_cluster(backend="sim", seed=7) as c:
         # Pre-resolve the handle once; inc() per event, no dict lookups.
         crashes_seen = c.registry.counter("tour.crashes_seen")
-        unsubscribe = c.sim.trace.subscribe(
+        unsubscribe = c.trace.subscribe(
             lambda event: crashes_seen.inc(), kinds=["crash"]
         )
         session = c.session(0)

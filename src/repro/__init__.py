@@ -51,11 +51,8 @@ from repro.api import (
     OpHandle,
     Session,
     Verdict,
-    as_cluster,
     open_cluster,
 )
-
-from repro.cluster import SimCluster
 from repro.common.config import (
     ClusterConfig,
     NetworkConfig,
@@ -129,14 +126,12 @@ __all__ = [
     "ScenarioResult",
     "Session",
     "ShardMap",
-    "SimCluster",
     "SizedValue",
     "StorageConfig",
     "StorageError",
     "Tag",
     "TransportError",
     "Verdict",
-    "as_cluster",
     "bottom_tag",
     "check_persistent_atomicity",
     "check_transient_atomicity",

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
+from repro.common.errors import ConfigurationError
 from repro.common.ids import OperationId
 from repro.obs import tracing
 
@@ -47,10 +48,17 @@ class OperationProfile:
 def profile_operations(cluster) -> Dict[OperationId, OperationProfile]:
     """Build per-operation complexity profiles from a cluster's trace.
 
-    Requires the cluster to have been created with ``capture_trace=True``
-    (the default).  Retransmissions count toward ``messages`` but not
-    toward ``rounds``.
+    Requires the cluster to have been opened with ``capture_trace=True``;
+    any other cluster raises
+    :class:`~repro.common.errors.ConfigurationError` rather than
+    profiling nothing.  Retransmissions count toward ``messages`` but
+    not toward ``rounds``.
     """
+    if not cluster.trace.capturing:
+        raise ConfigurationError(
+            "profile_operations reads the captured trace: open the "
+            "cluster with capture_trace=True"
+        )
     profiles: Dict[OperationId, OperationProfile] = {}
 
     def profile(op: Optional[OperationId]) -> Optional[OperationProfile]:

@@ -1,7 +1,7 @@
 """One front door: the unified client API over every backend.
 
 The repository hosts the register three ways -- the deterministic
-simulator (:class:`~repro.cluster.SimCluster`), the sharded KV store
+simulator (:class:`~repro.api.sim.SimBackend`), the sharded KV store
 on that simulator (:mod:`repro.kv`) and the asyncio/UDP runtime
 (:mod:`repro.runtime`).  :mod:`repro.api` puts one vocabulary in front
 of all of them::
@@ -22,12 +22,9 @@ declared through :attr:`Cluster.capabilities` -- ``virtual_time``,
 ``sharding``, ``crash_injection``, ``trace``, ``storage_faults``,
 ``link_faults`` -- and anything a backend
 cannot do raises :class:`~repro.common.errors.CapabilityError` instead
-of silently degrading.  See ``docs/api.md`` for the full guide,
-capability matrix and old-call -> new-call migration table.
-
-``SimCluster`` remains the simulator's low-level layer (its adapter is
-thin and event-free): use it when a tool needs simulator-specific
-surface, and :func:`as_cluster` to lift one into the façade.
+of silently degrading.  Each backend owns its deployment; there is no
+cluster class below the façade.  See ``docs/api.md`` for the full
+guide and the capability matrix.
 """
 
 from repro.api.base import (
@@ -35,7 +32,6 @@ from repro.api.base import (
     BACKEND_NAMES,
     Cluster,
     Session,
-    as_cluster,
     open_cluster,
 )
 from repro.api.kv import DEFAULT_KEY, KVBackend
@@ -89,6 +85,5 @@ __all__ = [
     "TRACE",
     "VIRTUAL_TIME",
     "Verdict",
-    "as_cluster",
     "open_cluster",
 ]

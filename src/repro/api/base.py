@@ -22,14 +22,10 @@ frozenset (:mod:`repro.api.types`), and anything outside it --
 virtual-time clock control on live, partitions over real sockets --
 raises :class:`~repro.common.errors.CapabilityError` with the reason.
 
-The simulator's low-level constructor (:class:`~repro.cluster.SimCluster`)
-remains; its backend adapter wraps it without adding any events or
-randomness, so seeded runs behave byte-identically through either
-surface.  The KV store has no low-level constructor: its backend is
-the simulator's plus shard pipelines.  Neither has the live runtime:
-its backend owns the loop thread and the nodes.  :func:`as_cluster`
-lifts a ``SimCluster`` into its adapter (and passes façade clusters
-through), which is how the workload runners accept both.
+Each backend owns its whole deployment: :class:`~repro.api.sim.SimBackend`
+builds the simulator (kernel, network, nodes), the KV backend is that
+plus shard pipelines, and the live backend owns the loop thread and
+the nodes.  There is no lower cluster layer to reach past the façade.
 """
 
 from __future__ import annotations
@@ -496,25 +492,6 @@ def open_cluster(
     )
 
 
-def as_cluster(cluster: Any) -> Cluster:
-    """Wrap a low-level cluster in its façade adapter.
-
-    Façade clusters pass through; a :class:`~repro.cluster.SimCluster`
-    is wrapped (sharing state with the original -- no copy, no reset).
-    Anything else raises :class:`~repro.common.errors.ConfigurationError`.
-    """
-    if isinstance(cluster, Cluster):
-        return cluster
-    from repro.api.sim import SimBackend
-    from repro.cluster import SimCluster
-
-    if isinstance(cluster, SimCluster):
-        return SimBackend(existing=cluster)
-    raise ConfigurationError(
-        f"cannot adapt {type(cluster).__name__} to the repro.api facade"
-    )
-
-
 #: backend name -> (module, class) of its adapter.
 _ADAPTERS = {
     "sim": ("repro.api.sim", "SimBackend"),
@@ -533,6 +510,6 @@ class _BackendRegistry(dict):
 
 
 #: backend name -> adapter factory, resolved lazily to avoid import
-#: cycles (the adapters import the low-level clusters) and so a
+#: cycles (the adapters import the simulator and the runtime) and so a
 #: simulated run never imports the live one's asyncio and sockets.
 BACKENDS: Dict[str, Callable[..., Cluster]] = _BackendRegistry()

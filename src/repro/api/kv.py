@@ -2,9 +2,9 @@
 
 The store is the simulator backend plus shard pipelines:
 :class:`KVBackend` is a :class:`~repro.api.sim.SimBackend` (it
-inherits every simulator verb -- clock, fault injection, history,
-traces) that owns a :class:`~repro.kv.store.ShardRouter` beside its
-:class:`~repro.cluster.SimCluster`.  Adds ``sharding`` to the
+inherits the simulator and every verb over it -- clock, fault
+injection, history, traces) that owns a
+:class:`~repro.kv.store.ShardRouter`.  Adds ``sharding`` to the
 simulator's capabilities: operations address keys, keys map to shard
 pipelines, and verification is per key.  Two vocabulary bridges make
 keyed and keyless Session programs portable:
@@ -29,11 +29,10 @@ from repro.api.types import (
     TRACE,
     VIRTUAL_TIME,
     ClusterStats,
-    OpHandle,
     Verdict,
 )
 from repro.common.config import ClusterConfig
-from repro.common.errors import ConfigurationError, OperationAborted, ReproError
+from repro.common.errors import ConfigurationError, ReproError
 from repro.kv.sharding import HashShardMap, ShardMap
 from repro.kv.store import KVOperation, ShardRouter, projection_check_method
 
@@ -111,11 +110,11 @@ class KVBackend(SimBackend):
             checkpoint_interval=checkpoint_interval,
             recovery_scan=recovery_scan,
         )
-        self.router = ShardRouter(self.sim, shard_map, batch_window)
+        self.router = ShardRouter(self, shard_map, batch_window)
 
     def session(self, pid: Optional[int] = None) -> KVSession:
         if pid is not None:
-            self.sim.node(pid)  # validates the range
+            self.node(pid)  # validates the range
         return KVSession(self, pid)
 
     # -- keys --------------------------------------------------------------
@@ -132,34 +131,19 @@ class KVBackend(SimBackend):
         universe up front instead.
         """
         for key in keys:
-            self.sim.ensure_register(key)
+            self._provision(key)
         # The readiness predicate touches every node, so amortize it
         # over a stride of kernel events: the workload's measured
         # window opens after preload returns, so a few events of
         # overshoot are invisible.
-        nodes = self.sim.nodes
-        ok = self.sim.run_until(
+        nodes = self.nodes
+        ok = self.kernel.run_until(
             lambda: all(node.crashed or node.ready for node in nodes),
             timeout=timeout,
             poll_every=PRELOAD_POLL_STRIDE,
         )
         if not ok:
             raise ReproError("preloaded registers did not become ready")
-
-    # -- clock -------------------------------------------------------------
-
-    def wait(
-        self, handle: OpHandle, timeout: float = 5.0, expect_done: bool = False
-    ) -> OpHandle:
-        if not self.sim.run_until(lambda: handle.settled, timeout=timeout):
-            raise ReproError(
-                f"operation on {handle.key!r} did not settle within {timeout}s"
-            )
-        if expect_done and handle.aborted:
-            raise OperationAborted(
-                f"{handle.kind} of {handle.key!r} aborted by a crash"
-            )
-        return handle
 
     # -- verification ------------------------------------------------------
 
@@ -175,7 +159,7 @@ class KVBackend(SimBackend):
         """
         resolved = self._resolve_criterion(criterion)
         method = self._validate_method(method)
-        histories = self.sim.per_register_histories()
+        histories = self.per_register_histories()
         histories.pop(None, None)  # the anonymous register is no key
         per_key: Dict[str, Verdict] = {}
         for key, history in sorted(histories.items()):
@@ -186,7 +170,7 @@ class KVBackend(SimBackend):
             if method in ("auto", "per-key"):
                 key_method = projection_check_method(len(operations))
             per_key[key] = check_one_register(
-                self, history, self.sim.recorder, criterion, key_method
+                self, history, self.recorder, criterion, key_method
             )
         failures = {
             key: child.reason for key, child in per_key.items() if not child.ok
@@ -196,7 +180,7 @@ class KVBackend(SimBackend):
             criterion=criterion,
             consistency=resolved,
             method="per-key",
-            operations=len(self.sim.history.completed_operations()),
+            operations=len(self.history.completed_operations()),
             reason="; ".join(
                 f"{key}: {reason}" for key, reason in sorted(failures.items())
             ),

@@ -1,24 +1,28 @@
 """The ``"sim"`` backend: the deterministic simulator behind the façade.
 
-A thin adapter over :class:`~repro.cluster.SimCluster` -- no extra
-kernel events, no extra randomness, so a seeded run behaves
-byte-identically whether it is driven through the façade or the
-low-level API.  Declares ``virtual_time``, ``crash_injection``,
-``trace``, ``storage_faults`` and ``link_faults``; sharding lives in
-the ``"kv"`` backend.
+:class:`SimBackend` builds and owns the whole simulated deployment --
+kernel, trace, history recorder, network and one
+:class:`~repro.sim.node.SimNode` (with its stable storage) per
+process -- and speaks the façade's one vocabulary over it.  An
+operation's handle is the node's own
+:class:`~repro.protocol.host.NodeOperation`.  Declares
+``virtual_time``, ``crash_injection``, ``trace``, ``storage_faults``
+and ``link_faults``; sharding lives in the ``"kv"`` backend, which is
+this class plus shard pipelines.
 
-Verification-relevant shared logic (projecting the anonymous register,
-resolving ``method="auto"``, mapping the checker outcomes onto the one
+Verification-relevant shared logic (resolving ``method="auto"``,
+mapping the checker outcomes onto the one
 :class:`~repro.api.types.Verdict` shape) is module-level so the KV and
 live adapters reuse it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
-from repro.api.base import Cluster, Session
+from repro.api.base import DEFAULT_SYNC_TIMEOUT, Cluster, Session
 from repro.api.types import (
     CRASH_INJECTION,
     LINK_FAULTS,
@@ -29,53 +33,24 @@ from repro.api.types import (
     OpHandle,
     Verdict,
 )
-from repro.common.errors import ConfigurationError, OperationAborted
+from repro.common.config import ClusterConfig
+from repro.common.errors import ConfigurationError, OperationAborted, ReproError
 from repro.history.checker import auto_method, check_history
 from repro.history.history import History
+from repro.history.partition import partition_history
 from repro.history.recorder import HistoryRecorder
 from repro.history.register_checker import check_tagged_history
 from repro.history.regular_checker import check_regularity, check_safety
+from repro.obs.tracing import Trace
 from repro.protocol.host import NodeOperation
+from repro.protocol.registry import protocol_factory
+from repro.sim.kernel import Kernel
+from repro.sim.network import SimNetwork
+from repro.sim.node import SimNode
+from repro.sim.storage import SimStableStorage
 
-
-class SimHandle(OpHandle):
-    """Façade handle around a :class:`~repro.protocol.host.NodeOperation`."""
-
-    __slots__ = ("raw", "kind", "key", "pid")
-
-    def __init__(self, raw: NodeOperation):
-        self.raw = raw
-        self.kind = raw.kind
-        self.key = raw.register
-        self.pid = raw.pid
-
-    @property
-    def settled(self) -> bool:
-        return self.raw.settled
-
-    @property
-    def done(self) -> bool:
-        return self.raw.done
-
-    @property
-    def aborted(self) -> bool:
-        return self.raw.aborted
-
-    @property
-    def result(self) -> Any:
-        return self.raw.result
-
-    @property
-    def latency(self) -> Optional[float]:
-        return self.raw.latency
-
-    @property
-    def causal_logs(self) -> Optional[int]:
-        """Causal stable-storage logs the operation cost (sim only)."""
-        return self.raw.causal_logs
-
-    def add_callback(self, callback: Callable[[OpHandle], None]) -> None:
-        self.raw.add_callback(lambda _raw: callback(self))
+#: Virtual-time budget for every process to boot in :meth:`SimBackend.start`.
+BOOT_TIMEOUT = 10.0
 
 
 class SimSession(Session):
@@ -83,47 +58,46 @@ class SimSession(Session):
 
     @property
     def ready(self) -> bool:
-        node = self.cluster.sim.node(self.pid)
+        node = self.cluster.nodes[self.pid]
         if node.crashed or not node.ready:
             return False
         protocol = node.protocol
         return not (protocol.busy if hasattr(protocol, "busy") else False)
 
-    def write(self, value: Any, key: Optional[str] = None) -> SimHandle:
-        return self._observed(
-            SimHandle(self.cluster.sim.write(self.pid, value, key=key))
-        )
+    def write(self, value: Any, key: Optional[str] = None) -> NodeOperation:
+        return self._observed(self._node(key).invoke_write(value, register=key))
 
-    def read(self, key: Optional[str] = None) -> SimHandle:
-        return self._observed(
-            SimHandle(self.cluster.sim.read(self.pid, key=key))
-        )
+    def read(self, key: Optional[str] = None) -> NodeOperation:
+        return self._observed(self._node(key).invoke_read(register=key))
 
-    def write_sync(self, value, key=None, timeout=5.0):
-        # The raw op is already settled here; _observed fires the
-        # latency callback immediately.
-        return self._observed(SimHandle(
-            self.cluster.sim.write_sync(self.pid, value, key=key, timeout=timeout)
-        ))
-
-    def read_sync(self, key=None, timeout=5.0):
-        # Mirrors SimCluster.read_sync (register readiness barrier
-        # included) but keeps the handle so the latency is observed.
-        sim = self.cluster.sim
+    def _node(self, key: Optional[str]):
+        """This session's node, with register ``key`` provisioned."""
         if key is not None:
-            sim.ensure_register(key)
-            sim.wait_register(key, timeout=timeout)
-        handle = self._observed(SimHandle(sim.read(self.pid, key=key)))
-        sim.wait(handle.raw, timeout=timeout)
-        if handle.aborted:
-            raise OperationAborted(
-                f"read at p{self.pid} aborted by a crash"
-            )
-        return handle.result
+            self.cluster._provision(key)
+        return self.cluster.nodes[self.pid]
+
+    # A named register must finish initializing before it accepts an
+    # operation: the synchronous variants wait for it first.
+
+    def write_sync(self, value, key=None, timeout=DEFAULT_SYNC_TIMEOUT):
+        if key is not None:
+            self.cluster.ensure_key(key, timeout=timeout)
+        return super().write_sync(value, key=key, timeout=timeout)
+
+    def read_sync(self, key=None, timeout=DEFAULT_SYNC_TIMEOUT):
+        if key is not None:
+            self.cluster.ensure_key(key, timeout=timeout)
+        return super().read_sync(key=key, timeout=timeout)
 
 
 class SimBackend(Cluster):
-    """Façade adapter over :class:`~repro.cluster.SimCluster`."""
+    """A simulated cluster emulating one shared register (plus named ones).
+
+    Everything runs on virtual time: the ``*_sync`` session calls,
+    :meth:`wait`, :meth:`run` and :meth:`run_until` advance the kernel.
+    ``kernel``, ``trace``, ``recorder``, ``network`` and ``nodes`` are
+    plain attributes for tools that need the simulator itself.
+    """
 
     backend = "sim"
     capabilities = frozenset(
@@ -135,20 +109,53 @@ class SimBackend(Cluster):
         protocol: str = "persistent",
         num_processes: Optional[int] = None,
         seed: Optional[int] = None,
-        existing: Optional[Any] = None,
-        **options: Any,
+        config: Optional[ClusterConfig] = None,
+        include_broken: bool = False,
+        capture_trace: bool = False,
+        batch_window: float = 0.0,
+        flight_recorder: bool = True,
+        checkpoint_interval: Optional[float] = None,
+        recovery_scan: bool = False,
     ):
-        from repro.cluster import SimCluster
-
-        if existing is not None:
-            self.sim = existing
-        else:
-            self.sim = SimCluster(
-                protocol=protocol,
-                num_processes=num_processes,
-                seed=seed,
-                **options,
+        config = ClusterConfig() if config is None else config
+        overrides: Dict[str, Any] = {}
+        if num_processes is not None:
+            overrides["num_processes"] = num_processes
+        if seed is not None:
+            overrides["seed"] = seed
+        self.config = config = dataclasses.replace(config, **overrides)
+        self._protocol = protocol
+        make_protocol = protocol_factory(
+            protocol, config.retransmit_interval, include_broken=include_broken
+        )
+        # Construction order fixes the seeded RNG streams: kernel,
+        # trace, recorder, network, then storage + node per pid.
+        self.kernel = Kernel(seed=config.seed)
+        self.trace = Trace(capture=capture_trace, flight_recorder=flight_recorder)
+        self.recorder = HistoryRecorder(clock=lambda: self.kernel.now)
+        self.network = SimNetwork(
+            self.kernel, config.num_processes, config.network, self.trace
+        )
+        self.nodes: List[SimNode] = []
+        for pid in range(config.num_processes):
+            storage = SimStableStorage(self.kernel, pid, config.storage, self.trace)
+            self.nodes.append(
+                SimNode(
+                    pid=pid,
+                    kernel=self.kernel,
+                    network=self.network,
+                    storage=storage,
+                    protocol_factory=make_protocol,
+                    recorder=self.recorder,
+                    trace=self.trace,
+                    num_processes=config.num_processes,
+                    batch_window=batch_window,
+                    checkpoint_interval=checkpoint_interval,
+                    recovery_scan=recovery_scan,
+                )
             )
+        self._registers: Set[str] = set()
+        self._started = False
         #: The open ``lose`` window's filter removal, if any.
         self._end_loss: Optional[Callable[[], None]] = None
         #: ``on_event`` hooks as ``[kind, source_pid, remaining, fn,
@@ -158,82 +165,107 @@ class SimBackend(Cluster):
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "SimBackend":
-        self.sim.start()
+        if self._started:
+            raise ReproError("cluster already started")
+        self._started = True
+        for node in self.nodes:
+            node.boot()
+        ok = self.kernel.run_until(
+            lambda: all(node.ready for node in self.nodes), timeout=BOOT_TIMEOUT
+        )
+        if not ok:
+            raise ReproError("cluster did not become ready within the timeout")
         return self
 
     # -- identity ----------------------------------------------------------
 
     @property
     def protocol(self) -> str:
-        return self.sim.protocol_name
+        return self._protocol
 
     @property
     def num_processes(self) -> int:
-        return self.sim.config.num_processes
+        return self.config.num_processes
 
     @property
     def seed(self) -> Optional[int]:
-        return self.sim.config.seed
+        return self.config.seed
 
-    @property
-    def config(self):
-        """The low-level :class:`~repro.common.config.ClusterConfig`."""
-        return self.sim.config
-
-    @property
-    def kernel(self):
-        """The simulation kernel (virtual-time backends only)."""
-        return self.sim.kernel
-
-    @property
-    def recorder(self) -> HistoryRecorder:
-        return self.sim.recorder
-
-    def node(self, pid: int):
-        """The low-level simulated node (prefer :meth:`session`)."""
-        return self.sim.node(pid)
+    def node(self, pid: int) -> SimNode:
+        """The simulated node of process ``pid`` (prefer :meth:`session`)."""
+        if not 0 <= pid < len(self.nodes):
+            raise ConfigurationError(f"pid {pid} out of range")
+        return self.nodes[pid]
 
     def session(self, pid: Optional[int] = None) -> SimSession:
         if pid is None:
             raise ConfigurationError(
                 "the sim backend needs an explicit pid per session"
             )
-        self.sim.node(pid)  # validates the range
+        self.node(pid)  # validates the range
         return SimSession(self, pid)
 
     # -- keys --------------------------------------------------------------
 
     def keys(self) -> List[str]:
-        return self.sim.registers
+        return sorted(self._registers)
 
     def ensure_key(self, key: str, timeout: float = 10.0) -> None:
-        self.sim.ensure_register(key)
-        self.sim.wait_register(key, timeout=timeout)
+        self._provision(key)
+        self._wait_register(key, timeout)
 
     def preload(self, keys: Sequence[str], timeout: float = 10.0) -> None:
         for key in keys:
-            self.sim.ensure_register(key)
+            self._provision(key)
         for key in keys:
-            self.sim.wait_register(key, timeout=timeout)
+            self._wait_register(key, timeout)
+
+    def _provision(self, key: str) -> None:
+        """Provision register instance ``key`` on every node (idempotent).
+
+        Running nodes initialize it within the simulation; crashed
+        nodes boot it when they recover.
+        """
+        if key in self._registers:
+            return
+        self._registers.add(key)
+        for node in self.nodes:
+            node.provision_register(key)
+
+    def _wait_register(self, key: str, timeout: float) -> None:
+        """Advance the clock until ``key`` is ready on every live node."""
+        ok = self.kernel.run_until(
+            lambda: all(
+                node.crashed or node.register_ready(key) for node in self.nodes
+            ),
+            timeout=timeout,
+        )
+        if not ok:
+            raise ReproError(f"register {key!r} did not become ready")
 
     # -- fault verbs -------------------------------------------------------
 
     def crash(self, pid: int) -> None:
-        self.sim.crash(pid)
+        self.node(pid).crash()
 
     def recover(self, pid: int, wait: bool = True, timeout: float = 5.0) -> None:
-        self.sim.recover(pid, wait=wait, timeout=timeout)
+        node = self.node(pid)
+        node.recover()
+        if wait and not self.kernel.run_until(lambda: node.ready, timeout=timeout):
+            raise ReproError(
+                f"process {pid} did not finish recovery within the timeout"
+            )
 
     def partition(self, group_a: Sequence[int], group_b: Sequence[int]) -> None:
         self._check_pids(*group_a, *group_b)
-        self.sim.network.partition(set(group_a), set(group_b))
+        self.network.partition(set(group_a), set(group_b))
 
     def heal(
         self,
         group_a: Optional[Sequence[int]] = None,
         group_b: Optional[Sequence[int]] = None,
     ) -> None:
-        network = self.sim.network
+        network = self.network
         if group_a is None and group_b is None:
             network.heal_all()
             return
@@ -258,13 +290,13 @@ class SimBackend(Cluster):
         def should_drop(src, dst, message) -> bool:
             return src != dst and rng.random() < probability
 
-        self._end_loss = self.sim.network.add_filter(should_drop)
+        self._end_loss = self.network.add_filter(should_drop)
 
     def slow_link(
         self, links: Sequence[Sequence[int]], extra_delay: float
     ) -> None:
         self._check_pids(*(pid for link in links for pid in link))
-        network = self.sim.network
+        network = self.network
         for src, dst in links:
             if extra_delay >= 0.0:
                 network.slow_link(src, dst, extra_delay)
@@ -273,16 +305,16 @@ class SimBackend(Cluster):
 
     def _check_pids(self, *pids: int) -> None:
         for pid in pids:
-            self.sim.node(pid)  # validates the range
+            self.node(pid)  # validates the range
 
     def corrupt_record(self, pid: int, key: str) -> bool:
-        return self.sim.node(pid).storage.corrupt(key)
+        return self.node(pid).storage.corrupt(key)
 
     def lose_stores(self, pid: int, count: int = 1) -> None:
-        self.sim.node(pid).storage.lose_next_stores(count)
+        self.node(pid).storage.lose_next_stores(count)
 
     def slow_storage(self, pid: int, extra_latency: float) -> None:
-        storage = self.sim.node(pid).storage
+        storage = self.node(pid).storage
         if extra_latency <= 0.0:
             storage.clear_slow()
         else:
@@ -292,10 +324,13 @@ class SimBackend(Cluster):
 
     @property
     def now(self) -> float:
-        return self.sim.now
+        return self.kernel.now
 
     def run(self, duration: Optional[float] = None, max_events: int = 1_000_000) -> None:
-        self.sim.run(duration, max_events=max_events)
+        if duration is None:
+            self.kernel.run(max_events=max_events)
+        else:
+            self.kernel.run(until=self.kernel.now + duration, max_events=max_events)
 
     def run_until(
         self,
@@ -304,13 +339,24 @@ class SimBackend(Cluster):
         poll_every: int = 1,
         max_events: int = 1_000_000,
     ) -> bool:
-        return self.sim.run_until(
+        """Advance the simulation until ``predicate()`` holds.
+
+        ``poll_every`` amortizes predicate polling (see
+        :meth:`repro.sim.kernel.Kernel.run_until`): with a stride ``k``
+        up to ``k - 1`` further events may execute after the predicate
+        turns true, so only pass ``k > 1`` when that overshoot is
+        acceptable (e.g. draining a finished workload).  ``max_events``
+        bounds the number of kernel callbacks; soak-scale runs (a
+        simulated operation costs tens of kernel events) must raise it
+        above the livelock-guard default.
+        """
+        return self.kernel.run_until(
             predicate, timeout=timeout, poll_every=poll_every,
             max_events=max_events,
         )
 
     def defer(self, delay: float, fn: Callable, *args: Any) -> None:
-        self.sim.kernel.schedule(delay, fn, *args)
+        self.kernel.schedule(delay, fn, *args)
 
     def on_event(
         self,
@@ -329,7 +375,7 @@ class SimBackend(Cluster):
             # never installs a hook keeps the trace's tick-only
             # emission fast path.
             self._event_hooks = []
-            self.sim.trace.subscribe(self._dispatch_event)
+            self.trace.subscribe(self._dispatch_event)
         self._event_hooks.append([kind, source_pid, count, fn, args])
 
     def _dispatch_event(self, event) -> None:
@@ -344,43 +390,97 @@ class SimBackend(Cluster):
                 fn(*args)
 
     def wait(
-        self, handle: OpHandle, timeout: float = 5.0, expect_done: bool = False
+        self,
+        handle: OpHandle,
+        timeout: float = DEFAULT_SYNC_TIMEOUT,
+        expect_done: bool = False,
     ) -> OpHandle:
-        self.sim.wait(handle.raw, timeout=timeout)
+        if not self.kernel.run_until(lambda: handle.settled, timeout=timeout):
+            raise ReproError(f"{handle!r} did not settle within {timeout}s")
         if expect_done and handle.aborted:
-            raise OperationAborted(
-                f"{handle.kind} at p{handle.pid} aborted by a crash"
-            )
+            raise OperationAborted(f"{handle!r} aborted by a crash")
         return handle
 
     # -- verification ------------------------------------------------------
 
     @property
     def history(self) -> History:
-        return self.sim.history
+        return self.recorder.history
+
+    def per_register_histories(self) -> Dict[Optional[str], History]:
+        """Project the recorded history onto each register instance.
+
+        The ``None`` entry is the anonymous register's history (the one
+        :meth:`check` judges); named entries carry one key's operations
+        each, with every crash/recovery event replicated into every
+        projection.
+        """
+        return partition_history(
+            self.history, self.recorder.register_of, registers=self._registers
+        )
 
     def check(self, criterion: str = "atomic", method: str = "auto") -> Verdict:
-        history = self.sim.history
-        if self.sim.registers:
-            history = self.sim.per_register_histories().get(None, History())
-        return check_one_register(
-            self, history, self.sim.recorder, criterion, method
-        )
+        history = self.history
+        if self._registers:
+            history = self.per_register_histories().get(None, History())
+        return check_one_register(self, history, self.recorder, criterion, method)
 
     # -- observability -----------------------------------------------------
 
     def stats(self) -> ClusterStats:
-        return sim_stats(self.sim)
+        return ClusterStats(
+            clock=self.kernel.now,
+            kernel_events=self.kernel.events_processed,
+            messages_sent=self.network.messages_sent,
+            messages_dropped=self.network.messages_dropped,
+            stores_completed=sum(
+                node.storage.stores_completed for node in self.nodes
+            ),
+            crashes=sum(node.crash_count for node in self.nodes),
+            recoveries=self.trace.count("recover"),
+        )
 
     def _register_metrics(self, registry) -> None:
-        register_sim_metrics(registry, self.sim)
+        """Install the uniform gauge catalog over the simulator.
+
+        Every gauge is pull-based: it reads a counter the engine already
+        maintains, so registering them adds nothing to the hot path.
+        The KV backend layers its shard-level metrics on top of this
+        set; the live backend shares the node rows
+        (:func:`register_node_metrics`) and mirrors the rest from its
+        transports (see the metrics catalog in
+        ``docs/observability.md``).
+        """
+        kernel, network, trace, nodes = (
+            self.kernel, self.network, self.trace, self.nodes
+        )
+        registry.gauge("kernel.clock", fn=lambda: kernel.now)
+        registry.gauge("kernel.events", fn=lambda: kernel.events_processed)
+        registry.gauge("net.messages_sent", fn=lambda: network.messages_sent)
+        registry.gauge(
+            "net.messages_delivered", fn=lambda: network.messages_delivered
+        )
+        registry.gauge("net.messages_dropped", fn=lambda: network.messages_dropped)
+        registry.gauge("net.bytes_sent", fn=lambda: network.bytes_sent)
+        register_node_metrics(registry, nodes)
+        registry.gauge(
+            "storage.stores_lost_to_crash",
+            fn=lambda: sum(n.storage.stores_lost_to_crash for n in nodes),
+        )
+        registry.gauge("node.recoveries", fn=lambda: trace.count("recover"))
+        registry.gauge(
+            "trace.flight_recorded",
+            fn=lambda: trace.ring.total if trace.ring is not None else 0,
+        )
 
     @property
     def flight_recorder(self):
-        return self.sim.flight_recorder
+        return self.trace.ring
 
     def transcript(self) -> Optional[List[str]]:
-        return sim_transcript(self.sim)
+        if not self.trace.capturing:
+            return None
+        return [str(event) for event in self.trace.events]
 
 
 # -- shared verification/observability helpers -------------------------------
@@ -392,7 +492,6 @@ def check_one_register(
     recorder: HistoryRecorder,
     criterion: str,
     method: str,
-    initial_value: Any = None,
 ) -> Verdict:
     """One register's history -> the merged :class:`Verdict`.
 
@@ -411,7 +510,7 @@ def check_one_register(
         )
     if resolved in ("regular", "safe"):
         checker = check_regularity if resolved == "regular" else check_safety
-        verdict = checker(history, initial_value=initial_value)
+        verdict = checker(history)
         return Verdict(
             ok=verdict.ok,
             criterion=criterion,
@@ -423,9 +522,7 @@ def check_one_register(
     if method == "auto":
         method = auto_method(len(history.operations()))
     if method == "blackbox":
-        verdict = check_history(
-            history, criterion=resolved, initial_value=initial_value
-        )
+        verdict = check_history(history, criterion=resolved)
         return Verdict(
             ok=verdict.ok,
             criterion=criterion,
@@ -436,9 +533,7 @@ def check_one_register(
             linearization=verdict.linearization,
             dropped=verdict.dropped,
         )
-    result = check_tagged_history(
-        history, recorder, criterion=resolved, initial_value=initial_value
-    )
+    result = check_tagged_history(history, recorder, criterion=resolved)
     return Verdict(
         ok=result.ok,
         criterion=criterion,
@@ -446,53 +541,6 @@ def check_one_register(
         method="white-box",
         operations=result.operations,
         reason="; ".join(result.violations),
-    )
-
-
-def sim_stats(sim) -> ClusterStats:
-    """Run-wide counters of a :class:`~repro.cluster.SimCluster`."""
-    return ClusterStats(
-        clock=sim.kernel.now,
-        kernel_events=sim.kernel.events_processed,
-        messages_sent=sim.network.messages_sent,
-        messages_dropped=sim.network.messages_dropped,
-        stores_completed=sum(
-            node.storage.stores_completed for node in sim.nodes
-        ),
-        crashes=sum(node.crash_count for node in sim.nodes),
-        recoveries=sim.trace.count("recover"),
-    )
-
-
-def register_sim_metrics(registry, sim) -> None:
-    """Install the uniform gauge catalog over a simulated cluster.
-
-    Every gauge is pull-based: it reads a counter the engine already
-    maintains, so registering them adds nothing to the hot path.  The
-    KV adapter layers its shard-level metrics on top of this set; the
-    live adapter shares the node rows (:func:`register_node_metrics`)
-    and mirrors the rest from its transports (see the metrics catalog in
-    ``docs/observability.md``).
-    """
-    kernel, network, trace = sim.kernel, sim.network, sim.trace
-    nodes = sim.nodes
-    registry.gauge("kernel.clock", fn=lambda: kernel.now)
-    registry.gauge("kernel.events", fn=lambda: kernel.events_processed)
-    registry.gauge("net.messages_sent", fn=lambda: network.messages_sent)
-    registry.gauge(
-        "net.messages_delivered", fn=lambda: network.messages_delivered
-    )
-    registry.gauge("net.messages_dropped", fn=lambda: network.messages_dropped)
-    registry.gauge("net.bytes_sent", fn=lambda: network.bytes_sent)
-    register_node_metrics(registry, nodes)
-    registry.gauge(
-        "storage.stores_lost_to_crash",
-        fn=lambda: sum(n.storage.stores_lost_to_crash for n in nodes),
-    )
-    registry.gauge("node.recoveries", fn=lambda: trace.count("recover"))
-    registry.gauge(
-        "trace.flight_recorded",
-        fn=lambda: trace.ring.total if trace.ring is not None else 0,
     )
 
 
@@ -528,10 +576,3 @@ def register_node_metrics(registry, nodes) -> None:
         for duration in node.recovery_times:
             recovery_hist.observe(duration)
         node.on_recovery_time = recovery_hist.observe
-
-
-def sim_transcript(sim) -> Optional[List[str]]:
-    """Captured trace lines of a simulated run (``None`` off-capture)."""
-    if not sim.trace.capturing:
-        return None
-    return [str(event) for event in sim.trace.events]

@@ -81,14 +81,15 @@ CHECK_METHODS = ("auto", "blackbox", "whitebox", "per-key")
 class OpHandle:
     """Uniform client-side handle of one submitted operation.
 
-    The sim and live backends subclass this around their native handle
-    (:class:`~repro.protocol.host.NodeOperation`, a live future); the
-    KV store's :class:`~repro.kv.store.KVOperation` is a subclass
-    itself, with no wrapper.  The caller only sees this surface.
+    No backend wraps its native handle: the simulator hands out the
+    node's own :class:`~repro.protocol.host.NodeOperation`, which
+    carries this whole surface; the KV store's
+    :class:`~repro.kv.store.KVOperation` and the live backend's handle
+    over its future subclass this.  The caller only sees this surface.
     ``latency`` is in the backend's own time base: virtual seconds on
     simulated backends, wall seconds on live.  Attributes beyond this
-    surface stay readable: ``causal_logs`` on the simulator (by
-    delegation), ``shard``/``invoked_at``/``completed_at`` on the store.
+    surface stay readable: ``op`` and ``causal_logs`` on the simulator,
+    ``shard``/``invoked_at``/``completed_at`` on the store.
     """
 
     #: "read" or "write".

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.cluster import SimCluster
+from repro.api import open_cluster
 from repro.common.errors import ReproError
 from repro.experiments.lower_bounds import LowerBoundRun, run_rho1, run_rho4
 from repro.history.checker import (
@@ -95,16 +95,16 @@ def _rec_counter_scenario(
     recovery counter, ``W(v3)``'s query quorum ``{p1, p2}`` never saw
     ``v2``'s sequence number and re-issues the same tag for ``v3``.
     """
-    cluster = SimCluster(
-        protocol=algorithm, num_processes=3,
+    cluster = open_cluster(
+        "sim", protocol=algorithm, num_processes=3,
         seed=11 if seed is None else seed, include_broken=True
     )
     cluster.start()
     writer = 2
 
-    cluster.write_sync(writer, "v1")
+    cluster.session(writer).write_sync("v1")
 
-    w2 = cluster.write(writer, "v2")
+    w2 = cluster.session(writer).write("v2")
     remove_w2 = cluster.network.add_filter(
         lambda src, dst, msg: (
             isinstance(msg, WriteRequest) and msg.op == w2.op and dst != 0
@@ -117,11 +117,11 @@ def _rec_counter_scenario(
         raise ReproError("p0 never adopted the interrupted W(v2)")
     cluster.crash(writer)
     remove_w2()
-    cluster.recover(writer, wait=True)
+    cluster.recover(writer)
 
     # W(v3): query quorum {p1, p2} (p0's answers withheld).
     cluster.network.block(0, writer)
-    w3 = cluster.write(writer, "v3")
+    w3 = cluster.session(writer).write("v3")
     ok = cluster.run_until(lambda: w3.settled, timeout=1.0)
     if not ok:
         raise ReproError("W(v3) did not complete")
@@ -130,12 +130,12 @@ def _rec_counter_scenario(
     # R1 at p0: quorum {p0, p1} -- under duplicate tags, p0's copy of
     # v2 wins the tie-break and surfaces.
     cluster.network.block(2, 0)
-    r1 = cluster.wait(cluster.read(0))
+    r1 = cluster.wait(cluster.session(0).read())
     cluster.network.heal_all()
 
     # R2 at p1: quorum {p1, p2} -- sees only v3.
     cluster.network.block(0, 1)
-    r2 = cluster.wait(cluster.read(1))
+    r2 = cluster.wait(cluster.session(1).read())
     cluster.network.heal_all()
 
     history = cluster.history
@@ -166,8 +166,8 @@ def ablate_recovery_counter(seed: Optional[int] = None) -> AblationResult:
 
 def _submajority_scenario(algorithm: str, seed: Optional[int] = None):
     """Forgotten-value schedule: complete a write, crash the writer."""
-    cluster = SimCluster(
-        protocol=algorithm, num_processes=3,
+    cluster = open_cluster(
+        "sim", protocol=algorithm, num_processes=3,
         seed=13 if seed is None else seed, include_broken=True
     )
     cluster.start()
@@ -175,7 +175,7 @@ def _submajority_scenario(algorithm: str, seed: Optional[int] = None):
     # before any other process durably holds v1.  To keep the schedule
     # identical for the control, filter the write's second round away
     # from everyone but the writer itself.
-    w1 = cluster.write(0, "v1")
+    w1 = cluster.session(0).write("v1")
     remove_w1 = cluster.network.add_filter(
         lambda src, dst, msg: (
             isinstance(msg, WriteRequest) and msg.op == w1.op and dst != 0
@@ -188,7 +188,7 @@ def _submajority_scenario(algorithm: str, seed: Optional[int] = None):
         # The broken variant declared the write done; now the only copy
         # disappears forever.
         cluster.crash(0)
-        read = cluster.wait(cluster.read(1))
+        read = cluster.wait(cluster.session(1).read())
         history = cluster.history
         return completed, read.result, check_persistent_atomicity(history)
     # The correct algorithm keeps retransmitting; the write finishes
@@ -196,7 +196,7 @@ def _submajority_scenario(algorithm: str, seed: Optional[int] = None):
     # the writer forever loses nothing.
     cluster.wait(w1)
     cluster.crash(0)
-    read = cluster.wait(cluster.read(1))
+    read = cluster.wait(cluster.session(1).read())
     history = cluster.history
     return completed, read.result, check_persistent_atomicity(history)
 

@@ -23,7 +23,7 @@ from repro.analysis import (
     profile_operations,
     summarize_profiles,
 )
-from repro.cluster import SimCluster
+from repro.api import open_cluster
 
 COMPLEXITY_ALGORITHMS = (
     "abd",
@@ -76,14 +76,15 @@ def measure_complexity(
     """Crash-free sequential runs; complexity profiles from the trace."""
     results: List[AlgorithmComplexity] = []
     for algorithm in algorithms:
-        cluster = SimCluster(
-            protocol=algorithm, num_processes=num_processes, seed=seed
-        )
-        cluster.start()
+        cluster = open_cluster(
+            "sim", protocol=algorithm, num_processes=num_processes, seed=seed,
+            capture_trace=True,
+        ).start()
+        writer, reader = cluster.session(0), cluster.session(1)
         for i in range(operations):
-            cluster.write_sync(0, f"v{i}")
+            writer.write_sync(f"v{i}")
         for _ in range(operations):
-            cluster.wait(cluster.read(1))
+            cluster.wait(reader.read())
         profiles = profile_operations(cluster)
         results.append(
             AlgorithmComplexity(

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional
 
-from repro.cluster import SimCluster
+from repro.api import open_cluster
 from repro.common.errors import ReproError
 from repro.history.checker import (
     AtomicityVerdict,
@@ -63,17 +63,17 @@ def _interrupted_write_scenario(
     Processes: p0 = writer, p1 = reader, p2 = the only process that
     receives the interrupted ``W(v2)``.
     """
-    cluster = SimCluster(
-        protocol=algorithm, num_processes=3, seed=1 if seed is None else seed
+    cluster = open_cluster(
+        "sim", protocol=algorithm, num_processes=3, seed=1 if seed is None else seed
     )
     cluster.start()
     writer = cluster.node(0)
 
     # -- W(v1): completes normally at every process. ----------------------
-    cluster.write_sync(0, "v1")
+    cluster.session(0).write_sync("v1")
 
     # -- W(v2): second round reaches only p2; writer crashes mid-write. ---
-    w2 = cluster.write(0, "v2")
+    w2 = cluster.session(0).write("v2")
     remove_w2_filter = cluster.network.add_filter(
         lambda src, dst, msg: (
             isinstance(msg, WriteRequest) and msg.op == w2.op and dst != 2
@@ -91,14 +91,14 @@ def _interrupted_write_scenario(
     remove_w2_filter()
 
     # -- recovery: persistent replays v2, transient only bumps `rec`. -----
-    cluster.recover(0, wait=True)
+    cluster.recover(0)
 
     # -- W(v3): keep p2 out of the query quorum (the transient writer
     # must not learn v2's sequence number through it), then hold the
     # second round back so the reads below run concurrently with the
     # write, as in Figure 1.
     cluster.network.block(2, 0)
-    w3 = cluster.write(0, "v3")
+    w3 = cluster.session(0).write("v3")
     # The filter must be in place before the writer's second round
     # starts broadcasting, i.e. immediately at invocation time.
     remove_w3_filter = cluster.network.add_filter(
@@ -114,13 +114,13 @@ def _interrupted_write_scenario(
     # -- R1 by p1: quorum {p0, p1} -- p2's answer is withheld, so the
     # single copy of v2 stays invisible.
     cluster.network.block(2, 1)
-    r1 = cluster.wait(cluster.read(1))
+    r1 = cluster.wait(cluster.session(1).read())
 
     # -- R2 by p1: p2 may answer now (p0's answers are withheld instead,
     # so the quorum is {p1, p2}); if p2 holds v2, v2 surfaces.
     cluster.network.unblock(2, 1)
     cluster.network.block(0, 1)
-    r2 = cluster.wait(cluster.read(1))
+    r2 = cluster.wait(cluster.session(1).read())
     cluster.network.unblock(0, 1)
 
     # -- release W(v3) and let it finish. ----------------------------------

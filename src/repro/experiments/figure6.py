@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.cluster import SimCluster
+from repro.api import open_cluster
 from repro.common.config import UDP_MAX_PAYLOAD
 from repro.obs.summary import LatencyStats
 
@@ -66,13 +66,13 @@ def _measure_writes(
     seed: int,
 ) -> Figure6Point:
     """Run ``repeats`` sequential writes and collect latency stats."""
-    cluster = SimCluster(
-        protocol=algorithm, num_processes=num_processes, seed=seed, capture_trace=False
-    )
-    cluster.start()
+    cluster = open_cluster(
+        "sim", protocol=algorithm, num_processes=num_processes, seed=seed
+    ).start()
+    writer = cluster.session(0)
     samples: List[float] = []
     for i in range(repeats):
-        handle = cluster.write_sync(0, b"x" * payload)
+        handle = writer.write_sync(b"x" * payload)
         assert handle.latency is not None
         samples.append(handle.latency)
     return Figure6Point(
@@ -135,17 +135,14 @@ def read_latency_check(
     """
     results: Dict[str, LatencyStats] = {}
     for algorithm in algorithms:
-        cluster = SimCluster(
-            protocol=algorithm,
-            num_processes=num_processes,
-            seed=seed,
-            capture_trace=False,
-        )
-        cluster.start()
-        cluster.write_sync(0, b"seed")
+        cluster = open_cluster(
+            "sim", protocol=algorithm, num_processes=num_processes, seed=seed
+        ).start()
+        cluster.session(0).write_sync(b"seed")
+        reader = cluster.session(1)
         samples: List[float] = []
         for _ in range(repeats):
-            handle = cluster.wait(cluster.read(1))
+            handle = cluster.wait(reader.read())
             assert handle.latency is not None
             samples.append(handle.latency)
         results[algorithm] = LatencyStats.from_samples(samples)

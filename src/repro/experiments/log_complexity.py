@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.api.base import as_cluster
-from repro.cluster import SimCluster
+from repro.api import Cluster, open_cluster
 from repro.scenarios.faults import RandomCrashPlan
 from repro.workloads.generators import run_closed_loop
 
@@ -67,10 +66,15 @@ class LogComplexityRow:
 
 
 def _rows_from_cluster(
-    cluster: SimCluster, algorithm: str, workload: str
+    cluster: Cluster, algorithm: str, workload: str
 ) -> List[LogComplexityRow]:
+    counts: Dict[str, List[int]] = {"read": [], "write": []}
+    for record in cluster.history.completed_operations():
+        logs = cluster.recorder.causal_logs(record.op)
+        if logs is not None:
+            counts[record.kind].append(logs)
     rows: List[LogComplexityRow] = []
-    for kind, values in cluster.causal_log_counts().items():
+    for kind, values in counts.items():
         if not values:
             continue
         rows.append(
@@ -98,17 +102,20 @@ def measure_log_complexity(
     rows: List[LogComplexityRow] = []
     for algorithm in algorithms:
         # Workload 1: crash-free sequential writes then reads.
-        cluster = SimCluster(protocol=algorithm, num_processes=num_processes, seed=seed)
-        cluster.start()
+        cluster = open_cluster(
+            "sim", protocol=algorithm, num_processes=num_processes, seed=seed
+        ).start()
+        writer, reader = cluster.session(0), cluster.session(1)
         for i in range(operations // 2):
-            cluster.write_sync(0, f"seq-{i}")
+            writer.write_sync(f"seq-{i}")
         for _ in range(operations // 2):
-            cluster.wait(cluster.read(1))
+            cluster.wait(reader.read())
         rows.extend(_rows_from_cluster(cluster, algorithm, "sequential"))
 
         # Workload 2: concurrent mixed clients on every process.
-        cluster = SimCluster(protocol=algorithm, num_processes=num_processes, seed=seed)
-        cluster.start()
+        cluster = open_cluster(
+            "sim", protocol=algorithm, num_processes=num_processes, seed=seed
+        ).start()
         run_closed_loop(
             cluster,
             operations_per_client=max(4, operations // num_processes),
@@ -120,16 +127,15 @@ def measure_log_complexity(
         # Workload 3: concurrent clients with random crash/recovery
         # (crash-recovery algorithms only).
         if algorithm not in ("crash-stop", "abd"):
-            cluster = SimCluster(
-                protocol=algorithm, num_processes=num_processes, seed=seed
-            )
-            cluster.start()
+            cluster = open_cluster(
+                "sim", protocol=algorithm, num_processes=num_processes, seed=seed
+            ).start()
             RandomCrashPlan(
                 horizon=0.2,
                 seed=seed + 1,
                 crash_rate=0.6,
                 mean_downtime=0.02,
-            ).arm(as_cluster(cluster))
+            ).arm(cluster)
             run_closed_loop(
                 cluster,
                 operations_per_client=max(4, operations // num_processes),

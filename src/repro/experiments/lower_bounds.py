@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional
 
-from repro.cluster import SimCluster
+from repro.api import open_cluster
 from repro.common.errors import ReproError
 from repro.history.checker import (
     AtomicityVerdict,
@@ -72,17 +72,17 @@ def run_rho1(
     ``R1`` (quorum ``{p0, p1, p2}``) and ``R2`` (quorum ``{p2, p3,
     p4}``) run after ``W(v3)`` completed.
     """
-    cluster = SimCluster(
-        protocol=algorithm, num_processes=5,
+    cluster = open_cluster(
+        "sim", protocol=algorithm, num_processes=5,
         seed=3 if seed is None else seed, include_broken=True
     )
     cluster.start()
     writer = 4
 
-    cluster.write_sync(writer, "v1")
+    cluster.session(writer).write_sync("v1")
 
     # -- W(v2): second round reaches only p0 and p1; writer crashes. ------
-    w2 = cluster.write(writer, "v2")
+    w2 = cluster.session(writer).write("v2")
     remove_w2 = cluster.network.add_filter(
         lambda src, dst, msg: (
             isinstance(msg, WriteRequest) and msg.op == w2.op and dst not in (0, 1)
@@ -98,12 +98,12 @@ def run_rho1(
     cluster.crash(writer)
     assert w2.aborted
     remove_w2()
-    cluster.recover(writer, wait=True)
+    cluster.recover(writer)
 
     # -- W(v3): the query quorum must avoid the adopters of v2. -----------
     cluster.network.block(0, writer)
     cluster.network.block(1, writer)
-    w3 = cluster.write(writer, "v3")
+    w3 = cluster.session(writer).write("v3")
     ok = cluster.run_until(lambda: w3.settled, timeout=1.0)
     if not ok:
         raise ReproError("W(v3) did not complete")
@@ -112,13 +112,13 @@ def run_rho1(
     # -- R1 at p0: quorum {p0, p1, p2}. ------------------------------------
     cluster.network.block(3, 0)
     cluster.network.block(4, 0)
-    r1 = cluster.wait(cluster.read(0))
+    r1 = cluster.wait(cluster.session(0).read())
     cluster.network.heal_all()
 
     # -- R2 at p2: quorum {p2, p3, p4}. ------------------------------------
     cluster.network.block(0, 2)
     cluster.network.block(1, 2)
-    r2 = cluster.wait(cluster.read(2))
+    r2 = cluster.wait(cluster.session(2).read())
     cluster.network.heal_all()
 
     history = cluster.history
@@ -146,17 +146,17 @@ def run_rho4(
     reader itself -- returns ``v2`` again; a log-free reader forgets
     and returns ``v1``, an inversion that violates transient atomicity.
     """
-    cluster = SimCluster(
-        protocol=algorithm, num_processes=3,
+    cluster = open_cluster(
+        "sim", protocol=algorithm, num_processes=3,
         seed=5 if seed is None else seed, include_broken=True
     )
     cluster.start()
 
-    cluster.write_sync(0, "v1")
+    cluster.session(0).write_sync("v1")
 
     # -- W(v2): reaches only p2, and stays open (no crash of the writer:
     # in run rho_4 the second write is merely in progress).
-    w2 = cluster.write(0, "v2")
+    w2 = cluster.session(0).write("v2")
     remove_w2 = cluster.network.add_filter(
         lambda src, dst, msg: (
             isinstance(msg, WriteRequest) and msg.op == w2.op and dst != 2
@@ -170,16 +170,16 @@ def run_rho4(
 
     # -- R1 at p1: quorum {p1, p2} sees v2. --------------------------------
     cluster.network.block(0, 1)
-    r1 = cluster.wait(cluster.read(1))
+    r1 = cluster.wait(cluster.session(1).read())
     cluster.network.unblock(0, 1)
 
     # -- reader crashes and recovers. --------------------------------------
     cluster.crash(1)
-    cluster.recover(1, wait=True)
+    cluster.recover(1)
 
     # -- R2 at p1: quorum {p0, p1}. -----------------------------------------
     cluster.network.block(2, 1)
-    r2 = cluster.wait(cluster.read(1))
+    r2 = cluster.wait(cluster.session(1).read())
     cluster.network.heal_all()
 
     # -- let the open W(v2) finish so the history is mostly complete. ------
@@ -208,22 +208,22 @@ def run_rho2(
     atomicity; it exists to pin down that the *combination* in rho_4 is
     what becomes contradictory.
     """
-    cluster = SimCluster(
-        protocol=algorithm, num_processes=3,
+    cluster = open_cluster(
+        "sim", protocol=algorithm, num_processes=3,
         seed=7 if seed is None else seed, include_broken=True
     )
     cluster.start()
-    cluster.write_sync(0, "v1")
-    w2 = cluster.write(0, "v2")
+    cluster.session(0).write_sync("v1")
+    w2 = cluster.session(0).write("v2")
     remove_w2 = cluster.network.add_filter(
         lambda src, dst, msg: (
             isinstance(msg, WriteRequest) and msg.op == w2.op and dst != 2
         )
     )
     cluster.crash(1)
-    cluster.recover(1, wait=True)
+    cluster.recover(1)
     cluster.network.block(2, 1)
-    r1 = cluster.wait(cluster.read(1))
+    r1 = cluster.wait(cluster.session(1).read())
     cluster.network.heal_all()
     remove_w2()
     cluster.wait(w2)
@@ -243,13 +243,13 @@ def run_rho3(
     algorithm: str = "persistent", seed: Optional[int] = None
 ) -> LowerBoundRun:
     """Run rho_3 (Figure 3): reader sees v2 before crashing -- legal."""
-    cluster = SimCluster(
-        protocol=algorithm, num_processes=3,
+    cluster = open_cluster(
+        "sim", protocol=algorithm, num_processes=3,
         seed=9 if seed is None else seed, include_broken=True
     )
     cluster.start()
-    cluster.write_sync(0, "v1")
-    w2 = cluster.write(0, "v2")
+    cluster.session(0).write_sync("v1")
+    w2 = cluster.session(0).write("v2")
     remove_w2 = cluster.network.add_filter(
         lambda src, dst, msg: (
             isinstance(msg, WriteRequest) and msg.op == w2.op and dst != 2
@@ -261,10 +261,10 @@ def run_rho3(
     if not ok:
         raise ReproError("p2 never adopted W(v2)")
     cluster.network.block(0, 1)
-    r1 = cluster.wait(cluster.read(1))
+    r1 = cluster.wait(cluster.session(1).read())
     cluster.network.heal_all()
     cluster.crash(1)
-    cluster.recover(1, wait=True)
+    cluster.recover(1)
     remove_w2()
     cluster.wait(w2)
     history = cluster.history

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional
 
-from repro.cluster import SimCluster
+from repro.api import open_cluster
 from repro.common.errors import ReproError
 from repro.history.checker import check_transient_atomicity
 from repro.history.regular_checker import check_regularity, check_safety
@@ -51,21 +51,20 @@ def measure_costs(
     """Crash-free sequential costs per algorithm (writer = process 0)."""
     rows: List[CostRow] = []
     for algorithm in algorithms:
-        cluster = SimCluster(
-            protocol=algorithm, num_processes=num_processes, seed=seed,
-            capture_trace=False,
-        )
-        cluster.start()
+        cluster = open_cluster(
+            "sim", protocol=algorithm, num_processes=num_processes, seed=seed
+        ).start()
+        writer, reader = cluster.session(0), cluster.session(1)
         write_samples: List[float] = []
         write_logs = 0
         for i in range(repeats):
-            handle = cluster.write_sync(0, f"v{i}")
+            handle = writer.write_sync(f"v{i}")
             write_samples.append(handle.latency)
             write_logs = max(write_logs, handle.causal_logs)
         read_samples: List[float] = []
         read_logs = 0
         for _ in range(repeats):
-            handle = cluster.wait(cluster.read(1))
+            handle = cluster.wait(reader.read())
             read_samples.append(handle.latency)
             read_logs = max(read_logs, handle.causal_logs)
         rows.append(
@@ -103,14 +102,14 @@ def new_old_inversion_run(
     register's first read wrote ``new`` back to a majority, so the
     second read must return it.
     """
-    cluster = SimCluster(
-        protocol=algorithm, num_processes=3,
+    cluster = open_cluster(
+        "sim", protocol=algorithm, num_processes=3,
         seed=21 if seed is None else seed, include_broken=True
-    )
-    cluster.start()
-    cluster.write_sync(0, "old")
+    ).start()
+    writer, reader = cluster.session(0), cluster.session(1)
+    writer.write_sync("old")
 
-    w = cluster.write(0, "new")
+    w = writer.write("new")
     remove = cluster.network.add_filter(
         lambda src, dst, msg: (
             isinstance(msg, WriteRequest) and msg.op == w.op and dst != 2
@@ -123,11 +122,11 @@ def new_old_inversion_run(
         raise ReproError("p2 never adopted the in-progress write")
 
     cluster.network.block(0, 1)
-    r1 = cluster.wait(cluster.read(1))
+    r1 = cluster.wait(reader.read())
     cluster.network.unblock(0, 1)
 
     cluster.network.block(2, 1)
-    r2 = cluster.wait(cluster.read(1))
+    r2 = cluster.wait(reader.read())
     cluster.network.heal_all()
 
     remove()

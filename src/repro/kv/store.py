@@ -2,13 +2,12 @@
 
 The store is the simulator backend plus this module: the ``"kv"``
 backend of :mod:`repro.api` (``open_cluster(backend="kv")``,
-:class:`~repro.api.kv.KVBackend`) owns a
-:class:`~repro.cluster.SimCluster` and a :class:`ShardRouter` beside
-it.  Together they turn the single-register emulation into a store:
+:class:`~repro.api.kv.KVBackend`) is the simulator backend with a
+:class:`ShardRouter` over it.  Together they turn the single-register
+emulation into a store:
 
 * **key -> register**: every key is one virtual register instance,
-  provisioned on all replicas on first touch
-  (:meth:`~repro.cluster.SimCluster.ensure_register`) and addressed by
+  provisioned on all replicas on first touch and addressed by
   register-id-namespaced messages;
 * **key -> shard**: a :class:`~repro.kv.sharding.ShardMap` assigns
   keys to shards.  Each (process, shard) pair runs one single-threaded
@@ -40,7 +39,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.api.types import OpHandle
-from repro.cluster import SimCluster
 from repro.common.errors import ConfigurationError, NotRecoveredError, ProtocolError
 from repro.common.ids import ProcessId
 from repro.history.checker import MAX_OPERATIONS
@@ -165,7 +163,7 @@ class _ShardPipeline:
         self.armed = False
         if self.inflight or not self.queue:
             return
-        node = self.router.sim.node(self.pid)
+        node = self.router.cluster.nodes[self.pid]
         if node.crashed or not node.ready:
             self._arm(PIPELINE_RETRY_INTERVAL)
             return
@@ -228,12 +226,13 @@ class ShardRouter:
     provisioning of the key's register instance, shard lookup.
     """
 
-    def __init__(self, sim: SimCluster, shard_map: ShardMap, batch_window: float):
-        self.sim = sim
-        self.kernel = sim.kernel
+    def __init__(self, cluster, shard_map: ShardMap, batch_window: float):
+        #: The :class:`~repro.api.kv.KVBackend` this router serves.
+        self.cluster = cluster
+        self.kernel = cluster.kernel
         self.shard_map = shard_map
         self.batch_window = batch_window
-        self._num_processes = sim.config.num_processes
+        self._num_processes = cluster.num_processes
         self._pipelines: Dict[Tuple[ProcessId, int], _ShardPipeline] = {}
         self._next_pid = 0
         #: Operations that finished successfully / aborted so far.
@@ -251,7 +250,7 @@ class ShardRouter:
             self._next_pid = (self._next_pid + 1) % self._num_processes
         elif not 0 <= pid < self._num_processes:
             raise ConfigurationError(f"pid {pid} out of range")
-        self.sim.ensure_register(key)
+        self.cluster._provision(key)
         shard = self.shard_map.shard_of(key)
         op = KVOperation(key, kind, value, pid, shard, self.kernel.now)
         pipeline = self._pipelines.get((pid, shard))

@@ -93,7 +93,12 @@ DEFAULT_REGISTER: Optional[str] = None
 
 
 class NodeOperation:
-    """Client-side handle of one invoked operation."""
+    """Client-side handle of one invoked operation.
+
+    It is also the ``"sim"`` backend's :class:`~repro.api.types.OpHandle`
+    as is: it carries that whole surface, plus ``op``, ``value``,
+    ``invoked_at``/``completed_at`` and ``causal_logs``.
+    """
 
     __slots__ = (
         "op",
@@ -150,6 +155,11 @@ class NodeOperation:
     def settled(self) -> bool:
         """Whether the operation finished or aborted."""
         return self.done or self.aborted
+
+    @property
+    def key(self) -> Optional[str]:
+        """The addressed register instance (``None``: the anonymous one)."""
+        return self.register
 
     @property
     def latency(self) -> Optional[float]:

@@ -1,7 +1,7 @@
 """Name-based lookup of the available protocols.
 
-The high-level APIs (:class:`repro.cluster.SimCluster`, the runtime,
-the experiment harnesses) select algorithms by their short name so that
+The backends of :mod:`repro.api` (simulator, KV store, live runtime)
+and the experiment harnesses select algorithms by their short name so that
 benchmark sweeps can be written as data::
 
     for algorithm in ("crash-stop", "transient", "persistent"):

@@ -613,12 +613,10 @@ def _finalize(result: ScenarioResult, cluster: Cluster, capture: bool) -> None:
     result.metrics = snapshot.as_dict()
     result.metrics_snapshot = snapshot
     result.flight_recorder = getattr(cluster, "flight_recorder", None)
-    sim = getattr(cluster, "sim", None)
-    if sim is not None:
-        result.recovery_times = {
-            node.pid: list(node.recovery_times)
-            for node in sim.nodes
-            if node.recovery_times
-        }
+    result.recovery_times = {
+        node.pid: list(node.recovery_times)
+        for node in cluster.nodes
+        if node.recovery_times
+    }
     if capture:
         result.transcript = _normalize_transcript(cluster.transcript() or [])

@@ -22,7 +22,7 @@ Figures 4/5 and of the model):
 
 Use::
 
-    cluster = SimCluster(...)
+    cluster = open_cluster("sim", ...)
     monitor = InvariantMonitor(cluster)
     cluster.start()
     ...

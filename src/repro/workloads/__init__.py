@@ -7,8 +7,8 @@ clients stay concurrent in virtual time.  Two drivers:
 
 * :class:`~repro.workloads.generators.WorkloadRunner` /
   :func:`~repro.workloads.generators.run_closed_loop` -- per-process
-  operation plans against the single register of a
-  :class:`~repro.cluster.SimCluster`;
+  operation plans against the single register of a simulated cluster
+  (``open_cluster(backend="sim")``, :class:`~repro.api.sim.SimBackend`);
 * :class:`~repro.workloads.kv.KVWorkloadRunner` /
   :func:`~repro.workloads.kv.run_kv_closed_loop` -- N clients drawing
   :class:`~repro.workloads.kv.ZipfianKeys` against the sharded store

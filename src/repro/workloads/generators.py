@@ -7,10 +7,8 @@ reproduce that pattern on the simulator, where "waiting" means chaining
 the next invocation off the previous handle's completion callback so
 that multiple clients stay concurrent in virtual time.
 
-The runner drives the unified façade (:mod:`repro.api`): it accepts a
-façade :class:`~repro.api.base.Cluster` or a raw
-:class:`~repro.cluster.SimCluster` (lifted via
-:func:`~repro.api.base.as_cluster`) and issues operations through
+The runner drives the unified façade (:mod:`repro.api`): it takes a
+:class:`~repro.api.base.Cluster` and issues operations through
 per-process :class:`~repro.api.base.Session` objects -- no
 backend-specific calls, so any virtual-time backend with session
 readiness works.
@@ -27,7 +25,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
-from repro.api.base import as_cluster
 from repro.api.types import OpHandle
 from repro.common.errors import ConfigurationError, ProtocolError
 from repro.history.events import READ, WRITE
@@ -107,11 +104,7 @@ class WorkloadReport:
 
 
 class WorkloadRunner:
-    """Executes client plans concurrently on a virtual-time cluster.
-
-    ``cluster`` may be a façade :class:`~repro.api.base.Cluster` or a
-    raw :class:`~repro.cluster.SimCluster` (lifted automatically).
-    """
+    """Executes client plans concurrently on a virtual-time cluster."""
 
     def __init__(
         self,
@@ -119,7 +112,7 @@ class WorkloadRunner:
         plans: Sequence[ClientPlan],
         values: Optional[UniqueValues] = None,
     ):
-        self._cluster = as_cluster(cluster)
+        self._cluster = cluster
         self._plans = list(plans)
         self._sessions = {}
         for plan in self._plans:
@@ -209,7 +202,7 @@ def run_closed_loop(
 ) -> WorkloadReport:
     """Convenience wrapper: uniform random mix on the given processes."""
     if pids is None:
-        pids = range(as_cluster(cluster).num_processes)
+        pids = range(cluster.num_processes)
     rng = random.Random(seed)
     mix = OperationMix(read_fraction=read_fraction)
     plans = [

@@ -23,7 +23,6 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
-from repro.api.base import as_cluster
 from repro.common.errors import ConfigurationError
 from repro.workloads.generators import UniqueValues
 
@@ -138,7 +137,7 @@ class KVWorkloadRunner:
                 )
         if not 0.0 <= read_fraction <= 1.0:
             raise ConfigurationError("read_fraction must be in [0, 1]")
-        self._kv = as_cluster(kv)
+        self._kv = kv
         self._num_clients = num_clients
         self._read_fraction = read_fraction
         self._keys = keys if keys is not None else ZipfianKeys(seed=seed)

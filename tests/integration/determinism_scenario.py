@@ -22,8 +22,7 @@ from __future__ import annotations
 import re
 from typing import Dict, List
 
-from repro.api import as_cluster
-from repro.cluster import SimCluster
+from repro.api import Cluster, open_cluster
 from repro.common.config import ClusterConfig, NetworkConfig, StorageConfig
 from repro.scenarios.faults import Downtime
 from repro.workloads.generators import run_closed_loop
@@ -53,7 +52,8 @@ def run_scenario(protocol: str, flight_recorder: bool = True) -> str:
         storage=StorageConfig(max_jitter=10e-6),
         seed=1234,
     )
-    cluster = SimCluster(
+    cluster = open_cluster(
+        "sim",
         protocol=protocol,
         config=config,
         capture_trace=True,
@@ -68,14 +68,14 @@ def run_scenario(protocol: str, flight_recorder: bool = True) -> str:
     return serialize(cluster, report)
 
 
-def _downtime_window(cluster: SimCluster) -> None:
+def _downtime_window(cluster: Cluster) -> None:
     """Process 2 is down from t=4ms to t=9ms of the run's virtual clock.
 
     Faults arm relative to now; ``t - now`` is the same arithmetic the
     goldens were recorded with.
     """
     now = cluster.now
-    Downtime(2, 0.004 - now, 0.009 - now).arm(as_cluster(cluster))
+    Downtime(2, 0.004 - now, 0.009 - now).arm(cluster)
 
 
 def run_checkpoint_scenario(flight_recorder: bool = True) -> str:
@@ -98,7 +98,8 @@ def run_checkpoint_scenario(flight_recorder: bool = True) -> str:
         storage=StorageConfig(max_jitter=10e-6),
         seed=1234,
     )
-    cluster = SimCluster(
+    cluster = open_cluster(
+        "sim",
         protocol="persistent",
         config=config,
         capture_trace=True,
@@ -118,7 +119,7 @@ def run_checkpoint_scenario(flight_recorder: bool = True) -> str:
     return serialize(cluster, report)
 
 
-def serialize(cluster: SimCluster, report) -> str:
+def serialize(cluster: Cluster, report) -> str:
     lines: List[str] = [str(event) for event in cluster.trace.events]
     network = cluster.network
     stores = sum(node.storage.stores_completed for node in cluster.nodes)

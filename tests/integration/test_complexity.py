@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.cluster import SimCluster
+from repro.api import open_cluster
 from repro.analysis import format_summary, profile_operations, summarize_profiles
+from repro.common.errors import ConfigurationError
 from repro.experiments.complexity import (
     EXPECTED_STEPS,
     format_complexity,
@@ -52,21 +53,38 @@ class TestMessageComplexity:
 class TestLogTotals:
     def test_total_vs_causal_logs(self):
         """A persistent write totals 1 + n logs, but only 2 chain causally."""
-        cluster = SimCluster(protocol="persistent", num_processes=5)
+        cluster = open_cluster("sim", protocol="persistent", num_processes=5, capture_trace=True)
         cluster.start()
-        handle = cluster.write_sync(0, "x")
+        handle = cluster.session(0).write_sync("x")
         profiles = profile_operations(cluster)
         profile = profiles[handle.op]
         assert profile.logs == 6  # writer pre-log + all five `written`
         assert handle.causal_logs == 2  # the paper's metric
 
     def test_transient_write_saves_exactly_the_prelog(self):
-        cluster = SimCluster(protocol="transient", num_processes=5)
+        cluster = open_cluster("sim", protocol="transient", num_processes=5, capture_trace=True)
         cluster.start()
-        handle = cluster.write_sync(0, "x")
+        handle = cluster.session(0).write_sync("x")
         profile = profile_operations(cluster)[handle.op]
         assert profile.logs == 5
         assert handle.causal_logs == 1
+
+
+class TestTraceRequired:
+    @pytest.mark.parametrize(
+        "backend, options",
+        [("sim", {"capture_trace": False}), ("sim", {}), ("kv", {})],
+        ids=["sim-capture-off", "sim-default", "kv-default"],
+    )
+    def test_profiling_an_uncaptured_run_raises(self, backend, options):
+        # Without a captured trace there is nothing to profile: an
+        # empty result would print a table with only its header.
+        with open_cluster(backend, num_processes=3, seed=1, **options) as cluster:
+            session = cluster.session(0)
+            for i in range(3):
+                session.write_sync(f"v{i}")
+            with pytest.raises(ConfigurationError, match="capture_trace=True"):
+                profile_operations(cluster)
 
 
 class TestRetransmissionAccounting:
@@ -79,9 +97,12 @@ class TestRetransmissionAccounting:
             retransmit_interval=1e-3,
             seed=11,
         )
-        cluster = SimCluster(protocol="persistent", config=config)
-        cluster.start(timeout=10.0)
-        handles = [cluster.write_sync(0, f"x{i}", timeout=60.0) for i in range(5)]
+        cluster = open_cluster(
+            "sim", protocol="persistent", config=config, capture_trace=True
+        )
+        cluster.start()
+        writer = cluster.session(0)
+        handles = [writer.write_sync(f"x{i}", timeout=60.0) for i in range(5)]
         profiles = profile_operations(cluster)
         for handle in handles:
             profile = profiles[handle.op]
@@ -102,8 +123,8 @@ class TestFormatting:
         assert "abd" in text and "regular" in text
 
     def test_format_summary_renders_ranges(self):
-        cluster = SimCluster(protocol="persistent", num_processes=3)
+        cluster = open_cluster("sim", protocol="persistent", num_processes=3, capture_trace=True)
         cluster.start()
-        cluster.write_sync(0, "x")
+        cluster.session(0).write_sync("x")
         rows = summarize_profiles(profile_operations(cluster))
         assert "persistent" in format_summary("persistent", rows)

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.cluster import SimCluster
+from repro.api import open_cluster
 
 CRASH_RECOVERY = ["transient", "persistent", "naive"]
 
 
 def started(protocol, n=3, **kwargs):
-    cluster = SimCluster(protocol=protocol, num_processes=n, **kwargs)
+    cluster = open_cluster("sim", protocol=protocol, num_processes=n, **kwargs)
     cluster.start()
     return cluster
 
@@ -17,64 +17,64 @@ def started(protocol, n=3, **kwargs):
 class TestValuePersistence:
     def test_value_survives_one_crash(self, protocol):
         cluster = started(protocol)
-        cluster.write_sync(0, "precious")
+        cluster.session(0).write_sync("precious")
         cluster.crash(2)
-        cluster.recover(2, wait=True)
-        assert cluster.read_sync(2) == "precious"
+        cluster.recover(2)
+        assert cluster.session(2).read_sync() == "precious"
 
     def test_value_survives_total_simultaneous_crash(self, protocol):
         # "does not exclude scenarios where all the processes crash,
         # possibly at the same time, as long as a majority eventually
         # recovers" -- Section I-D.
         cluster = started(protocol)
-        cluster.write_sync(0, "precious")
+        cluster.session(0).write_sync("precious")
         for pid in range(3):
             cluster.crash(pid)
         for pid in range(3):
-            cluster.recover(pid)
+            cluster.recover(pid, wait=False)
         cluster.run_until(
             lambda: all(node.ready for node in cluster.nodes), timeout=1.0
         )
-        assert cluster.read_sync(1) == "precious"
+        assert cluster.session(1).read_sync() == "precious"
 
     def test_value_survives_majority_recovering_only(self, protocol):
         cluster = started(protocol, n=5)
-        cluster.write_sync(0, "precious")
+        cluster.session(0).write_sync("precious")
         for pid in range(5):
             cluster.crash(pid)
         for pid in (0, 2, 4):  # only a majority comes back
-            cluster.recover(pid)
+            cluster.recover(pid, wait=False)
         cluster.run_until(
             lambda: all(cluster.node(pid).ready for pid in (0, 2, 4)), timeout=1.0
         )
-        assert cluster.read_sync(2) == "precious"
+        assert cluster.session(2).read_sync() == "precious"
 
     def test_writes_continue_after_recovery(self, protocol):
         cluster = started(protocol)
-        cluster.write_sync(0, "before")
+        cluster.session(0).write_sync("before")
         cluster.crash(0)
-        cluster.recover(0, wait=True)
-        cluster.write_sync(0, "after")
-        assert cluster.read_sync(1) == "after"
-        assert cluster.check_atomicity().ok
+        cluster.recover(0)
+        cluster.session(0).write_sync("after")
+        assert cluster.session(1).read_sync() == "after"
+        assert cluster.check().ok
 
     def test_minority_down_does_not_block(self, protocol):
         cluster = started(protocol, n=5)
         cluster.crash(3)
         cluster.crash(4)
-        cluster.write_sync(0, "still-works")
-        assert cluster.read_sync(1) == "still-works"
+        cluster.session(0).write_sync("still-works")
+        assert cluster.session(1).read_sync() == "still-works"
 
     def test_operations_block_while_majority_down(self, protocol):
         cluster = started(protocol, n=3)
         cluster.crash(1)
         cluster.crash(2)
-        handle = cluster.write(0, "stuck")
+        handle = cluster.session(0).write("stuck")
         cluster.run(duration=0.05)
         assert not handle.settled
         # Recovery of one process restores a majority; the operation
         # (still retransmitting) completes.
-        cluster.recover(1)
+        cluster.recover(1, wait=False)
         cluster.wait(handle, timeout=1.0)
         assert handle.done
 
@@ -85,8 +85,8 @@ class TestInterruptedWriteReplay:
         from repro.protocol.messages import WriteRequest
 
         cluster = started(protocol)
-        cluster.write_sync(0, "v1")
-        w2 = cluster.write(0, "v2")
+        cluster.session(0).write_sync("v1")
+        w2 = cluster.session(0).write("v2")
         # Withhold the second round from everyone but the writer's own
         # listener, then crash after the writer logged `writing`.
         remove = cluster.network.add_filter(
@@ -100,18 +100,18 @@ class TestInterruptedWriteReplay:
         cluster.crash(0)
         remove()
         # Recovery replays the `writing` record to a majority.
-        cluster.recover(0, wait=True)
-        assert cluster.read_sync(1) == "v2"
-        assert cluster.check_atomicity().ok
+        cluster.recover(0)
+        assert cluster.session(1).read_sync() == "v2"
+        assert cluster.check().ok
 
     def test_replay_of_finished_write_is_harmless(self, protocol):
         cluster = started(protocol)
-        cluster.write_sync(0, "old")
-        cluster.write_sync(1, "new")
+        cluster.session(0).write_sync("old")
+        cluster.session(1).write_sync("new")
         # p0's `writing` record still says "old"; recovery replays it.
         cluster.crash(0)
-        cluster.recover(0, wait=True)
-        assert cluster.read_sync(2) == "new"
+        cluster.recover(0)
+        assert cluster.session(2).read_sync() == "new"
 
 
 class TestTransientRecoveryCounter:
@@ -119,7 +119,7 @@ class TestTransientRecoveryCounter:
         cluster = started("transient")
         for expected in (1, 2, 3):
             cluster.crash(1)
-            cluster.recover(1, wait=True)
+            cluster.recover(1)
             assert cluster.node(1).protocol.rec == expected
             assert cluster.node(1).storage.retrieve("recovered") == (expected,)
 
@@ -127,27 +127,27 @@ class TestTransientRecoveryCounter:
         from repro.protocol.messages import WriteRequest
 
         cluster = started("transient")
-        cluster.write_sync(0, "v1")
-        w2 = cluster.write(0, "v2")
+        cluster.session(0).write_sync("v1")
+        w2 = cluster.session(0).write("v2")
         remove = cluster.network.add_filter(
             lambda src, dst, msg: isinstance(msg, WriteRequest) and msg.op == w2.op
         )
         cluster.run(duration=0.001)
         cluster.crash(0)
         remove()
-        cluster.recover(0, wait=True)
-        cluster.write_sync(0, "v3")
-        assert cluster.read_sync(1) == "v3"
-        assert cluster.check_atomicity(criterion="transient").ok
+        cluster.recover(0)
+        cluster.session(0).write_sync("v3")
+        assert cluster.session(1).read_sync() == "v3"
+        assert cluster.check(criterion="transient").ok
 
     def test_tags_strictly_increase_across_recoveries(self):
         cluster = started("transient")
         tags = []
         for i in range(3):
-            handle = cluster.write_sync(0, f"v{i}")
+            handle = cluster.session(0).write_sync(f"v{i}")
             tags.append(cluster.recorder.tag_of(handle.op))
             cluster.crash(0)
-            cluster.recover(0, wait=True)
+            cluster.recover(0)
         assert tags == sorted(tags)
         assert len(set(tags)) == 3
 
@@ -155,20 +155,20 @@ class TestTransientRecoveryCounter:
 class TestRecoveryDuringLoad:
     def test_reader_crash_between_reads_is_safe(self):
         cluster = started("persistent")
-        cluster.write_sync(0, "x")
-        assert cluster.read_sync(1) == "x"
+        cluster.session(0).write_sync("x")
+        assert cluster.session(1).read_sync() == "x"
         cluster.crash(1)
-        cluster.recover(1, wait=True)
-        assert cluster.read_sync(1) == "x"
-        assert cluster.check_atomicity().ok
+        cluster.recover(1)
+        assert cluster.session(1).read_sync() == "x"
+        assert cluster.check().ok
 
     def test_many_cycles_remain_atomic(self):
         cluster = started("persistent", seed=17)
         for i in range(8):
-            cluster.write_sync(i % 3, f"v{i}")
+            cluster.session(i % 3).write_sync(f"v{i}")
             victim = (i + 1) % 3
             cluster.crash(victim)
-            cluster.recover(victim, wait=True)
-            cluster.read_sync((i + 2) % 3)
-        verdict = cluster.check_atomicity()
+            cluster.recover(victim)
+            cluster.session((i + 2) % 3).read_sync()
+        verdict = cluster.check()
         assert verdict.ok, cluster.history.format()

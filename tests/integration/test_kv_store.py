@@ -88,7 +88,7 @@ class TestConcurrencyAndBatching:
             )
             assert report.completed == 40
             assert kv.check().ok
-            return kv.sim.network.messages_sent
+            return kv.network.messages_sent
 
         unbatched = run(0.0)
         batched = run(5e-5)
@@ -141,7 +141,7 @@ class TestFailures:
             kv.crash(pid)
         for pid in range(3):
             kv.recover(pid, wait=False)
-        kv.run_until(lambda: all(node.ready for node in kv.sim.nodes), timeout=5.0)
+        kv.run_until(lambda: all(node.ready for node in kv.nodes), timeout=5.0)
         for i in range(5):
             assert client.read_sync(f"k{i}") == f"v{i}"
         assert kv.check().ok
@@ -185,7 +185,7 @@ class TestVerification:
         kv.session().write_sync(2, "b")
         kv.crash(0)
         kv.recover(0)
-        histories = kv.sim.per_register_histories()
+        histories = kv.per_register_histories()
         assert set(histories) == {"a", "b"}
         for history in histories.values():
             history.assert_well_formed()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import SimCluster
+from repro.api import open_cluster
 from repro.experiments.log_complexity import (
     EXPECTED_BOUNDS,
     EXPECTED_SEQUENTIAL_WRITE,
@@ -18,10 +18,10 @@ class TestSequentialCounts:
         "protocol,expected", sorted(EXPECTED_SEQUENTIAL_WRITE.items())
     )
     def test_write_log_count(self, protocol, expected):
-        cluster = SimCluster(protocol=protocol, num_processes=5)
+        cluster = open_cluster("sim", protocol=protocol, num_processes=5)
         cluster.start()
         for i in range(5):
-            handle = cluster.write_sync(0, f"v{i}")
+            handle = cluster.session(0).write_sync(f"v{i}")
             assert handle.causal_logs == expected, (
                 f"{protocol} write measured {handle.causal_logs} causal "
                 f"logs, the paper says {expected}"
@@ -29,11 +29,11 @@ class TestSequentialCounts:
 
     @pytest.mark.parametrize("protocol", ["crash-stop", "transient", "persistent"])
     def test_crash_free_reads_log_nothing(self, protocol):
-        cluster = SimCluster(protocol=protocol, num_processes=5)
+        cluster = open_cluster("sim", protocol=protocol, num_processes=5)
         cluster.start()
-        cluster.write_sync(0, "x")
+        cluster.session(0).write_sync("x")
         for pid in range(5):
-            handle = cluster.wait(cluster.read(pid))
+            handle = cluster.wait(cluster.session(pid).read())
             assert handle.causal_logs == 0
 
 
@@ -62,20 +62,20 @@ class TestBoundsUnderAdversity:
 
 class TestLogComplexityHierarchy:
     def test_persistent_write_uses_exactly_one_more_log_than_transient(self):
-        transient = SimCluster(protocol="transient", num_processes=5)
+        transient = open_cluster("sim", protocol="transient", num_processes=5)
         transient.start()
-        persistent = SimCluster(protocol="persistent", num_processes=5)
+        persistent = open_cluster("sim", protocol="persistent", num_processes=5)
         persistent.start()
-        t = transient.write_sync(0, "x").causal_logs
-        p = persistent.write_sync(0, "x").causal_logs
+        t = transient.session(0).write_sync("x").causal_logs
+        p = persistent.session(0).write_sync("x").causal_logs
         assert (t, p) == (1, 2)
 
     def test_stores_happen_even_when_causal_depth_is_low(self):
         # Transient write: a majority logs, but the logs are parallel --
         # 1 causal log, >= majority total stores.
-        cluster = SimCluster(protocol="transient", num_processes=5)
+        cluster = open_cluster("sim", protocol="transient", num_processes=5)
         cluster.start()
         before = sum(node.storage.stores_completed for node in cluster.nodes)
-        cluster.write_sync(0, "x")
+        cluster.session(0).write_sync("x")
         after = sum(node.storage.stores_completed for node in cluster.nodes)
-        assert after - before >= cluster.majority
+        assert after - before >= cluster.config.majority

@@ -76,7 +76,7 @@ def _drive(observe: bool):
             # counter, and a snapshot taken while operations are still
             # to come: all of it must be invisible to the run.
             sends = cluster.registry.counter("test.sends")
-            unsubscribe = cluster.sim.trace.subscribe(
+            unsubscribe = cluster.trace.subscribe(
                 lambda event: sends.inc(), kinds=["send"]
             )
             cluster.metrics()
@@ -108,7 +108,7 @@ class TestRingAccounting:
             cluster.session(0).write_sync("x")
             assert cluster.session(1).read_sync() == "x"
             ring = cluster.flight_recorder
-            expected = sum(cluster.sim.trace.count(kind) for kind in ALL_KINDS)
+            expected = sum(cluster.trace.count(kind) for kind in ALL_KINDS)
             assert ring.total == expected == len(ring)
 
     def test_session_latency_histograms_fill(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import SimCluster
+from repro.api import open_cluster
 from repro.common.errors import ProtocolError
 from repro.experiments.weaker_memory import (
     format_costs,
@@ -14,7 +14,7 @@ from repro.history.regular_checker import check_regularity, check_safety
 
 
 def started(protocol="regular", n=3, **kwargs):
-    cluster = SimCluster(protocol=protocol, num_processes=n, **kwargs)
+    cluster = open_cluster("sim", protocol=protocol, num_processes=n, **kwargs)
     cluster.start()
     return cluster
 
@@ -22,40 +22,40 @@ def started(protocol="regular", n=3, **kwargs):
 class TestRegularRegisterBasics:
     def test_write_then_read(self):
         cluster = started()
-        cluster.write_sync(0, "r-value")
-        assert cluster.read_sync(1) == "r-value"
+        cluster.session(0).write_sync("r-value")
+        assert cluster.session(1).read_sync() == "r-value"
 
     def test_single_writer_enforced(self):
         cluster = started()
         with pytest.raises(ProtocolError):
-            cluster.write(1, "not-allowed")
+            cluster.session(1).write("not-allowed")
 
     def test_any_process_may_read(self):
         cluster = started(n=5)
-        cluster.write_sync(0, "x")
+        cluster.session(0).write_sync("x")
         for pid in range(5):
-            assert cluster.read_sync(pid) == "x"
+            assert cluster.session(pid).read_sync() == "x"
 
     def test_value_survives_crash_recovery(self):
         cluster = started()
-        cluster.write_sync(0, "durable")
+        cluster.session(0).write_sync("durable")
         cluster.crash(1)
-        cluster.recover(1, wait=True)
-        assert cluster.read_sync(1) == "durable"
+        cluster.recover(1)
+        assert cluster.session(1).read_sync() == "durable"
 
     def test_writer_crash_recovery_keeps_writing(self):
         cluster = started()
-        cluster.write_sync(0, "before")
+        cluster.session(0).write_sync("before")
         cluster.crash(0)
-        cluster.recover(0, wait=True)
-        cluster.write_sync(0, "after")
-        assert cluster.read_sync(2) == "after"
+        cluster.recover(0)
+        cluster.session(0).write_sync("after")
+        assert cluster.session(2).read_sync() == "after"
 
     def test_histories_satisfy_regularity(self):
         cluster = started(seed=3)
         for i in range(5):
-            cluster.write_sync(0, f"v{i}")
-            cluster.read_sync(1)
+            cluster.session(0).write_sync(f"v{i}")
+            cluster.session(1).read_sync()
         assert check_regularity(cluster.history).ok
         assert check_safety(cluster.history).ok
 
@@ -64,23 +64,23 @@ class TestCosts:
     def test_regular_read_is_one_round_trip(self):
         regular = started("regular", n=5)
         transient = started("transient", n=5)
-        regular.write_sync(0, "x")
-        transient.write_sync(0, "x")
-        r = regular.wait(regular.read(1)).latency
-        t = transient.wait(transient.read(1)).latency
+        regular.session(0).write_sync("x")
+        transient.session(0).write_sync("x")
+        r = regular.wait(regular.session(1).read()).latency
+        t = transient.wait(transient.session(1).read()).latency
         # 2 communication steps vs 4.
         assert r == pytest.approx(t / 2, rel=0.15)
 
     def test_regular_write_still_logs_once(self):
         cluster = started("regular", n=5)
-        handle = cluster.write_sync(0, "x")
+        handle = cluster.session(0).write_sync("x")
         assert handle.causal_logs == 1
 
     def test_regular_reads_never_log(self):
         cluster = started("regular", n=5)
-        cluster.write_sync(0, "x")
+        cluster.session(0).write_sync("x")
         for pid in range(5):
-            assert cluster.wait(cluster.read(pid)).causal_logs == 0
+            assert cluster.wait(cluster.session(pid).read()).causal_logs == 0
 
     def test_cost_table(self):
         rows = measure_costs(repeats=5)

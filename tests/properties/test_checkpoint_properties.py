@@ -11,8 +11,7 @@ torn checkpoint is indistinguishable from no checkpoint.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.api import as_cluster
-from repro.cluster import SimCluster
+from repro.api import Cluster, open_cluster
 from repro.common.config import ClusterConfig, NetworkConfig
 from repro.history.register_checker import check_tagged_history
 from repro.obs import tracing
@@ -30,21 +29,22 @@ CRASH_POINTS = (
 )
 
 
-def checkpointing_cluster(seed: int) -> SimCluster:
+def checkpointing_cluster(seed: int) -> Cluster:
     config = ClusterConfig(
         num_processes=3,
         network=NetworkConfig(drop_probability=0.05),
         retransmit_interval=1e-3,
         seed=seed,
     )
-    cluster = SimCluster(
+    cluster = open_cluster(
+        "sim",
         protocol="persistent",
         config=config,
         capture_trace=False,
         checkpoint_interval=CHECKPOINT_INTERVAL,
         recovery_scan=True,
     )
-    cluster.start(timeout=5.0)
+    cluster.start()
     return cluster
 
 
@@ -62,7 +62,7 @@ def test_crash_at_any_checkpoint_phase_keeps_history_atomic(
     CrashOnTrace(
         kind=point, pid=victim, source_pid=victim, count=count,
         recover_after=4e-3,
-    ).arm(as_cluster(cluster))
+    ).arm(cluster)
     run_closed_loop(
         cluster,
         operations_per_client=6,
@@ -86,7 +86,7 @@ def test_random_crash_schedules_with_checkpointing_stay_atomic(seed):
         seed=seed + 1,
         crash_rate=0.5,
         mean_downtime=0.02,
-    ).arm(as_cluster(cluster))
+    ).arm(cluster)
     run_closed_loop(
         cluster,
         operations_per_client=4,

@@ -128,7 +128,7 @@ def test_concurrent_zipfian_runs_are_per_key_atomic(
         batch_window=batch_window,
         config=config,
     )
-    kv.sim.start(timeout=5.0)
+    kv.start()
     if crashes:
         RandomCrashPlan(
             horizon=0.05,
@@ -150,5 +150,5 @@ def test_concurrent_zipfian_runs_are_per_key_atomic(
     assert report.completed > 0
     verdict = kv.check()
     assert verdict.ok, verdict.failures
-    for history in kv.sim.per_register_histories().values():
+    for history in kv.per_register_histories().values():
         history.assert_well_formed()

@@ -8,9 +8,8 @@ and the measured causal-log counts respect the paper's bounds.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.api import as_cluster
+from repro.api import open_cluster
 from repro.common.config import ClusterConfig, NetworkConfig
-from repro.cluster import SimCluster
 from repro.history.register_checker import check_tagged_history
 from repro.scenarios.faults import RandomCrashPlan
 from repro.workloads.generators import run_closed_loop
@@ -38,15 +37,15 @@ def run_random_cluster(
         retransmit_interval=1e-3,
         seed=seed,
     )
-    cluster = SimCluster(protocol=protocol, config=config, capture_trace=False)
-    cluster.start(timeout=5.0)
+    cluster = open_cluster("sim", protocol=protocol, config=config, capture_trace=False)
+    cluster.start()
     if crashes:
         RandomCrashPlan(
             horizon=0.25,
             seed=seed + 1,
             crash_rate=0.5,
             mean_downtime=0.02,
-        ).arm(as_cluster(cluster))
+        ).arm(cluster)
     run_closed_loop(
         cluster,
         operations_per_client=ops_per_client,
@@ -65,7 +64,7 @@ def run_random_cluster(
 )
 def test_failure_free_workloads_are_atomic(protocol, seed, read_fraction):
     cluster = run_random_cluster(protocol, seed, read_fraction=read_fraction)
-    assert cluster.check_atomicity().ok
+    assert cluster.check().ok
 
 
 @settings(max_examples=15, deadline=None)
@@ -75,7 +74,7 @@ def test_failure_free_workloads_are_atomic(protocol, seed, read_fraction):
 )
 def test_crashy_workloads_satisfy_the_promised_criterion(protocol, seed):
     cluster = run_random_cluster(protocol, seed, crashes=True)
-    verdict = cluster.check_atomicity()
+    verdict = cluster.check()
     assert verdict.ok, cluster.history.format()
 
 
@@ -86,7 +85,7 @@ def test_crashy_workloads_satisfy_the_promised_criterion(protocol, seed):
 )
 def test_lossy_crashy_workloads_stay_atomic(protocol, seed):
     cluster = run_random_cluster(protocol, seed, crashes=True, drop=0.1)
-    assert cluster.check_atomicity().ok
+    assert cluster.check().ok
 
 
 @settings(max_examples=15, deadline=None)
@@ -101,9 +100,10 @@ def test_causal_log_bounds_hold_under_randomness(protocol, seed):
         protocol, seed, crashes=protocol != "crash-stop", drop=0.05
     )
     write_bound, read_bound = BOUNDS[protocol]
-    counts = cluster.causal_log_counts()
-    assert all(count <= write_bound for count in counts["write"])
-    assert all(count <= read_bound for count in counts["read"])
+    bounds = {"write": write_bound, "read": read_bound}
+    for record in cluster.history.completed_operations():
+        logs = cluster.recorder.causal_logs(record.op)
+        assert logs is None or logs <= bounds[record.kind]
 
 
 @settings(max_examples=10, deadline=None)
@@ -122,11 +122,11 @@ def test_completed_writes_survive_all_subsequent_failures(seed):
     # Durability: after a write completes, crash ALL processes,
     # recover them, and the value (or a newer one) must be returned.
     cluster = run_random_cluster("persistent", seed, ops_per_client=2)
-    handle = cluster.write_sync(0, "durability-probe")
+    handle = cluster.session(0).write_sync("durability-probe")
     for pid in range(cluster.config.num_processes):
         if not cluster.node(pid).crashed:
             cluster.crash(pid)
     for pid in range(cluster.config.num_processes):
-        cluster.recover(pid)
+        cluster.recover(pid, wait=False)
     cluster.run_until(lambda: all(n.ready for n in cluster.nodes), timeout=5.0)
-    assert cluster.read_sync(1) == "durability-probe"
+    assert cluster.session(1).read_sync() == "durability-probe"

@@ -13,8 +13,7 @@ import time
 
 import pytest
 
-from repro.api import as_cluster, open_cluster
-from repro.cluster import SimCluster
+from repro.api import open_cluster
 from repro.protocol.base import Checkpoint, StableView
 from repro.scenarios.faults import TornStore
 from repro.obs import tracing
@@ -22,7 +21,7 @@ from repro.storage import checkpoint as ckpt
 
 
 def started_cluster(n=3, **kwargs):
-    cluster = SimCluster(protocol="persistent", num_processes=n, **kwargs)
+    cluster = open_cluster("sim", protocol="persistent", num_processes=n, **kwargs)
     cluster.start()
     return cluster
 
@@ -125,16 +124,16 @@ class SimWorld:
         self.crash = self.cluster.crash
 
     def write(self, pid, value):
-        self.cluster.write_sync(pid, value)
+        self.cluster.session(pid).write_sync(value)
 
     def read(self, pid):
-        return self.cluster.read_sync(pid)
+        return self.cluster.session(pid).read_sync()
 
     def checkpoint(self):
         run_intervals(self.cluster, INTERVAL, 3)
 
     def recover(self, pid):
-        self.cluster.recover(pid, wait=True)
+        self.cluster.recover(pid)
 
 
 class LiveWorld:
@@ -238,8 +237,8 @@ class TestSimNodeCheckpoint(CheckpointCases):
 
     def test_torn_checkpoint_recovers_from_previous_snapshot(self):
         cluster = started_cluster(checkpoint_interval=INTERVAL)
-        TornStore(pid=1).arm(as_cluster(cluster))
-        cluster.write_sync(0, "torn")
+        TornStore(pid=1).arm(cluster)
+        cluster.session(0).write_sync("torn")
         run_intervals(cluster, INTERVAL, 3)
         node = cluster.node(1)
         assert node.crashed
@@ -249,10 +248,10 @@ class TestSimNodeCheckpoint(CheckpointCases):
         assert storage.retrieve(ckpt.TENTATIVE_KEY) is not None
         assert storage.retrieve(ckpt.PERMANENT_KEY) is None
         assert storage.retrieve("written") is not None
-        cluster.recover(1, wait=True)
+        cluster.recover(1)
         # The stray tentative was ignored: no snapshot, log intact.
         assert node._ckpt_seq == 0
-        assert cluster.read_sync(1) == "torn"
+        assert cluster.session(1).read_sync() == "torn"
         # The next committed checkpoint supersedes the stray record.
         run_intervals(cluster, INTERVAL, 3)
         assert node.checkpoints_committed >= 1
@@ -260,7 +259,7 @@ class TestSimNodeCheckpoint(CheckpointCases):
 
     def test_checkpoint_effect_triggers_one(self):
         cluster = started_cluster(checkpoint_interval=INTERVAL)
-        cluster.write_sync(0, "scripted")
+        cluster.session(0).write_sync("scripted")
         node = cluster.node(0)
         node._execute([Checkpoint()], depth=0, op=None, slot=node._slots[None])
         assert node.checkpoint_in_progress
@@ -269,7 +268,8 @@ class TestSimNodeCheckpoint(CheckpointCases):
 
     def test_interval_must_be_positive(self):
         with pytest.raises(Exception):
-            SimCluster(
+            open_cluster(
+                "sim",
                 protocol="persistent", num_processes=3, checkpoint_interval=0.0
             )
 
@@ -286,19 +286,19 @@ class TestScanDelayedRecovery:
         plain = started_cluster(seed=9)
         scanned = started_cluster(seed=9, recovery_scan=True)
         for cluster in (plain, scanned):
-            cluster.write_sync(0, "x")
+            cluster.session(0).write_sync("x")
             cluster.crash(1)
-            cluster.recover(1, wait=True)
+            cluster.recover(1)
         assert scanned.node(1).recovery_times[-1] > plain.node(1).recovery_times[-1]
 
     def test_checkpointing_bounds_the_scan(self):
         def recovery_time(**kwargs):
             cluster = started_cluster(seed=4, recovery_scan=True, **kwargs)
             for i in range(20):
-                cluster.write_sync(0, f"v{i}")
+                cluster.session(0).write_sync(f"v{i}")
             run_intervals(cluster, INTERVAL, 3)
             cluster.crash(1)
-            cluster.recover(1, wait=True)
+            cluster.recover(1)
             return cluster.node(1).recovery_times[-1]
 
         compacted = recovery_time(checkpoint_interval=INTERVAL)
@@ -333,19 +333,18 @@ class TestScanDelayedRecovery:
             checkpoint_interval=INTERVAL if checkpointing else None,
             recovery_scan=True,
         ) as cluster:
-            sim = cluster.sim
             run_closed_loop(
-                sim,
+                cluster,
                 operations_per_client=ops // 5,
                 read_fraction=0.5,
                 seed=0,
                 poll_every=32,
             )
             cluster.run(10 * INTERVAL)
-            node = sim.nodes[0]
+            node = cluster.nodes[0]
             log = (node.storage.log_records, node.storage.log_bytes)
             cluster.crash(0)
-            cluster.recover(0, wait=True)
+            cluster.recover(0)
             assert (node.checkpoints_committed > 0) is checkpointing
             return log + (round(node.recovery_times[-1] * 1e3, 5),)
 

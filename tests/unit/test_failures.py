@@ -7,17 +7,16 @@ with ``on_event``.
 
 import pytest
 
-from repro.api import as_cluster
-from repro.cluster import SimCluster
+from repro.api import open_cluster
 from repro.common.errors import ConfigurationError, ProtocolError
 from repro.obs import tracing
 from repro.scenarios.faults import Downtime, RandomCrashPlan, arm_steps
 
 
 def started(**kwargs):
-    cluster = SimCluster(protocol="persistent", num_processes=3, **kwargs)
+    cluster = open_cluster("sim", protocol="persistent", num_processes=3, **kwargs)
     cluster.start()
-    return cluster, as_cluster(cluster)
+    return cluster, cluster
 
 
 class TestCrashSchedule:
@@ -55,7 +54,7 @@ class TestCrashSchedule:
                 arm_steps(facade, bad)
         # Refused lists schedule nothing, not even their valid steps.
         cluster.run(duration=5e-3)
-        assert not cluster.crashed_processes()
+        assert not any(node.crashed for node in cluster.nodes)
 
     def test_installed_schedule_executes(self):
         cluster, facade = started()
@@ -81,9 +80,9 @@ class TestCrashSchedule:
         assert cluster.node(1).crash_count == 1
 
     def test_other_step_errors_are_not_skipped(self):
-        cluster = SimCluster(protocol="crash-stop", num_processes=3)
+        cluster = open_cluster("sim", protocol="crash-stop", num_processes=3)
         cluster.start()
-        facade = as_cluster(cluster)
+        facade = cluster
         arm_steps(facade, [(0.001, "crash", (1,)), (0.002, "recover", (1, False))])
         cluster.run(duration=0.0015)
         with pytest.raises(ProtocolError, match="never recover"):
@@ -96,24 +95,24 @@ class TestTriggers:
     def test_crash_fires_on_matching_event(self):
         cluster, facade = started()
         facade.on_event(tracing.STORE_END, 1, 1, facade.crash, 0)
-        cluster.write(0, "x")
+        cluster.session(0).write("x")
         cluster.run_until(lambda: cluster.node(0).crashed, timeout=1.0)
         assert cluster.node(0).crashed
 
     def test_count_skips_earlier_matches(self):
         cluster, facade = started()
         facade.on_event(tracing.REPLY, 0, 2, facade.crash, 0)
-        cluster.write_sync(0, "first")
+        cluster.session(0).write_sync("first")
         assert not cluster.node(0).crashed
-        cluster.write_sync(0, "second")
+        cluster.session(0).write_sync("second")
         assert cluster.node(0).crashed
 
     def test_trigger_fires_only_once(self):
         cluster, facade = started()
         fired = []
         facade.on_event(tracing.REPLY, None, 1, fired.append, "hit")
-        cluster.write_sync(0, "x")
-        cluster.write_sync(1, "y")
+        cluster.session(0).write_sync("x")
+        cluster.session(1).write_sync("y")
         assert fired == ["hit"]
 
     def test_delayed_trigger_action(self):
@@ -121,7 +120,7 @@ class TestTriggers:
         facade.on_event(
             tracing.REPLY, None, 1, facade.defer, 0.005, facade.crash, 1
         )
-        cluster.write_sync(0, "x")
+        cluster.session(0).write_sync("x")
         assert not cluster.node(1).crashed
         cluster.run(duration=0.006)
         assert cluster.node(1).crashed
@@ -139,7 +138,7 @@ class TestTriggers:
             lambda e: store_end_times.append(e.time) if e.pid == 1 else None,
             kinds=[tracing.STORE_END],
         )
-        cluster.write(0, "x")
+        cluster.session(0).write("x")
         cluster.run_until(lambda: cluster.node(0).crashed, timeout=1.0)
         assert cluster.node(0).crashed
         # The crash happened at the very instant of p1's store_end.
@@ -159,7 +158,7 @@ class TestTriggers:
         cluster, facade = started()
         cluster.crash(2)
         facade.on_event(tracing.REPLY, 0, 1, facade.recover, 2, False)
-        cluster.write_sync(0, "x")
+        cluster.session(0).write_sync("x")
         cluster.run_until(lambda: cluster.node(2).ready, timeout=1.0)
         assert cluster.node(2).ready
 

@@ -4,8 +4,7 @@ import random
 
 import pytest
 
-from repro.api import as_cluster
-from repro.cluster import SimCluster
+from repro.api import open_cluster
 from repro.common.errors import ConfigurationError
 from repro.obs.summary import LatencyStats, percentile
 from repro.workloads.generators import (
@@ -58,27 +57,27 @@ class TestCollectMetrics:
     """A run's counts, read from the cluster and its façade stats."""
 
     def test_collects_per_kind_latency_and_logs(self):
-        cluster = SimCluster(protocol="persistent", num_processes=3)
+        cluster = open_cluster("sim", protocol="persistent", num_processes=3)
         cluster.start()
-        cluster.write_sync(0, "a")
-        cluster.write_sync(0, "b")
-        cluster.wait(cluster.read(1))
+        cluster.session(0).write_sync("a")
+        cluster.session(0).write_sync("b")
+        cluster.wait(cluster.session(1).read())
         completed = cluster.history.completed_operations()
         assert [r.kind for r in completed] == ["write", "write", "read"]
         assert all(r.latency > 0 for r in completed)
-        assert cluster.causal_log_counts()["write"] == [2, 2]
-        assert len(cluster.causal_log_counts()["read"]) == 1
-        stats = as_cluster(cluster).stats()
+        logs = [cluster.recorder.causal_logs(r.op) for r in completed]
+        assert logs[:2] == [2, 2] and logs[2] is not None
+        stats = cluster.stats()
         assert stats.stores_completed > 0
         assert stats.messages_sent > 0
 
     def test_counts_aborted_operations(self):
-        cluster = SimCluster(protocol="persistent", num_processes=3)
+        cluster = open_cluster("sim", protocol="persistent", num_processes=3)
         cluster.start()
-        cluster.write(0, "doomed")
+        cluster.session(0).write("doomed")
         cluster.crash(0)
         assert len(cluster.history.pending_operations()) == 1
-        assert as_cluster(cluster).stats().crashes == 1
+        assert cluster.stats().crashes == 1
 
 
 class TestUniqueValues:
@@ -110,7 +109,7 @@ class TestOperationMix:
 
 class TestWorkloadRunner:
     def test_completes_all_planned_operations(self):
-        cluster = SimCluster(protocol="transient", num_processes=3)
+        cluster = open_cluster("sim", protocol="transient", num_processes=3)
         cluster.start()
         plans = [
             ClientPlan(pid=0, kinds=["write", "read", "write"]),
@@ -123,7 +122,7 @@ class TestWorkloadRunner:
         assert report.unissued == 0
 
     def test_out_of_range_pid_rejected(self):
-        cluster = SimCluster(protocol="transient", num_processes=3)
+        cluster = open_cluster("sim", protocol="transient", num_processes=3)
         cluster.start()
         with pytest.raises(ConfigurationError):
             WorkloadRunner(cluster, [ClientPlan(pid=9, kinds=["read"])])
@@ -133,14 +132,13 @@ class TestWorkloadRunner:
             ClientPlan(pid=0, kinds=["erase"])
 
     def test_clients_survive_crashes_of_their_process(self):
-        cluster = SimCluster(protocol="persistent", num_processes=3, seed=2)
+        cluster = open_cluster("sim", protocol="persistent", num_processes=3, seed=2)
         cluster.start()
-        from repro.api import as_cluster
         from repro.scenarios.faults import Downtime
 
         # Down from t=0.5ms to t=10ms of the virtual clock.
         now = cluster.now
-        Downtime(0, 0.0005 - now, 0.01 - now).arm(as_cluster(cluster))
+        Downtime(0, 0.0005 - now, 0.01 - now).arm(cluster)
         report = run_closed_loop(
             cluster, operations_per_client=5, read_fraction=0.5, seed=4
         )
@@ -149,7 +147,7 @@ class TestWorkloadRunner:
         assert report.completed >= 14  # at most one op lost to the crash
 
     def test_closed_loop_history_is_atomic(self):
-        cluster = SimCluster(protocol="persistent", num_processes=3, seed=8)
+        cluster = open_cluster("sim", protocol="persistent", num_processes=3, seed=8)
         cluster.start()
         run_closed_loop(cluster, operations_per_client=6, read_fraction=0.5, seed=8)
-        assert cluster.check_atomicity().ok
+        assert cluster.check().ok

@@ -31,7 +31,6 @@ from repro.api import (
     TRACE,
     VIRTUAL_TIME,
     Verdict,
-    as_cluster,
     open_cluster,
 )
 from repro.common.errors import CapabilityError, ConfigurationError
@@ -61,7 +60,6 @@ EXPORTED_NAMES = [
     "TRACE",
     "VIRTUAL_TIME",
     "Verdict",
-    "as_cluster",
     "open_cluster",
 ]
 
@@ -71,7 +69,6 @@ EXPECTED_SIGNATURES = {
     "open_cluster": "(backend: 'str' = 'sim', protocol: 'str' = 'persistent', "
     "num_processes: 'Optional[int]' = None, seed: 'Optional[int]' = None, "
     "**options: 'Any') -> 'Cluster'",
-    "as_cluster": "(cluster: 'Any') -> 'Cluster'",
     "Cluster.session": "(self, pid: 'Optional[int]' = None) -> 'Session'",
     "Cluster.check": "(self, criterion: 'str' = 'atomic', "
     "method: 'str' = 'auto') -> 'Verdict'",
@@ -126,7 +123,7 @@ class TestSnapshot:
             assert str(inspect.signature(target)) == expected, dotted
 
     def test_facade_is_reexported_at_top_level(self):
-        for name in ("open_cluster", "as_cluster", "Cluster", "Session",
+        for name in ("open_cluster", "Cluster", "Session",
                      "OpHandle", "Verdict", "CapabilityError"):
             assert hasattr(repro, name), name
             assert name in repro.__all__
@@ -181,6 +178,13 @@ class TestSnapshot:
         for verb, capability in FAULT_VERB_CAPABILITIES.items():
             implemented = getattr(cls, verb) is not getattr(api.Cluster, verb)
             assert implemented == (capability in cls.capabilities), (name, verb)
+
+    def test_sim_backend_options(self):
+        assert list(inspect.signature(api.SimBackend).parameters) == [
+            "protocol", "num_processes", "seed", "config", "include_broken",
+            "capture_trace", "batch_window", "flight_recorder",
+            "checkpoint_interval", "recovery_scan",
+        ]
 
     def test_kv_backend_options(self):
         assert list(inspect.signature(api.KVBackend).parameters) == [
@@ -292,18 +296,6 @@ class TestCapabilityGating:
         with open_cluster(backend="sim", seed=0) as c:
             with pytest.raises(ConfigurationError):
                 c.session()
-
-    def test_wrapping_low_level_clusters(self):
-        from repro import SimCluster
-
-        sim = SimCluster(num_processes=3, seed=5)
-        facade = as_cluster(sim)
-        assert facade.sim is sim and facade.backend == "sim"
-        assert as_cluster(facade) is facade
-        kv = open_cluster(backend="kv", num_processes=3, seed=5)
-        assert as_cluster(kv) is kv
-        with pytest.raises(ConfigurationError):
-            as_cluster(object())
 
     def test_live_backend_rejects_seed(self):
         with pytest.raises(ConfigurationError):

@@ -11,9 +11,8 @@ import json
 
 import pytest
 
-from repro.api import CRASH_INJECTION, TRACE, VIRTUAL_TIME, as_cluster, open_cluster
+from repro.api import CRASH_INJECTION, TRACE, VIRTUAL_TIME, open_cluster
 from repro.api.base import Cluster
-from repro.cluster import SimCluster
 from repro.common.errors import CapabilityError, ConfigurationError
 from repro.scenarios import (
     SCENARIOS,
@@ -36,7 +35,8 @@ from repro.scenarios.spec import STORE_KV
 
 
 def make_cluster(num_processes=3, protocol="persistent", **kwargs):
-    cluster = SimCluster(
+    cluster = open_cluster(
+        "sim",
         protocol=protocol, num_processes=num_processes, seed=9, **kwargs
     )
     cluster.start()
@@ -48,7 +48,7 @@ def make_cluster(num_processes=3, protocol="persistent", **kwargs):
 
 def test_downtime_crashes_then_recovers():
     cluster = make_cluster()
-    Downtime(pid=1, start=1e-3, end=4e-3).arm(as_cluster(cluster))
+    Downtime(pid=1, start=1e-3, end=4e-3).arm(cluster)
     cluster.run(duration=2e-3)
     assert cluster.node(1).crashed
     cluster.run(duration=4e-3)
@@ -62,7 +62,7 @@ def test_downtime_validates_window():
 
 def test_crash_at_is_permanent():
     cluster = make_cluster()
-    CrashAt(pid=2, time=1e-3).arm(as_cluster(cluster))
+    CrashAt(pid=2, time=1e-3).arm(cluster)
     cluster.run(duration=10e-3)
     assert cluster.node(2).crashed
 
@@ -70,17 +70,17 @@ def test_crash_at_is_permanent():
 def test_rolling_restarts_staggers_victims():
     cluster = make_cluster()
     fault = RollingRestarts(start=1e-3, interval=4e-3, downtime=2e-3)
-    fault.arm(as_cluster(cluster))
+    fault.arm(cluster)
     crashed_during_wave = set()
     # Sample between actions: at most one process is down at a time
     # because interval > downtime.
     for _ in range(40):
         cluster.run(duration=0.5e-3)
-        down = set(cluster.crashed_processes())
+        down = {node.pid for node in cluster.nodes if node.crashed}
         assert len(down) <= 1
         crashed_during_wave |= down
     assert crashed_during_wave == {0, 1, 2}
-    assert not cluster.crashed_processes()
+    assert not any(node.crashed for node in cluster.nodes)
 
 
 def test_rolling_restarts_victims_sentinel():
@@ -103,7 +103,7 @@ def test_permanent_victims():
 
 def test_partition_window_blocks_then_heals():
     cluster = make_cluster()
-    PartitionWindow(group_a=(2,), group_b=(0, 1), start=1e-3, end=3e-3).arm(as_cluster(cluster))
+    PartitionWindow(group_a=(2,), group_b=(0, 1), start=1e-3, end=3e-3).arm(cluster)
     cluster.run(duration=2e-3)
     assert cluster.network.is_blocked(2, 0)
     assert cluster.network.is_blocked(0, 2)
@@ -115,8 +115,8 @@ def test_partition_window_blocks_then_heals():
 
 def test_overlapping_partition_windows_compose():
     cluster = make_cluster()
-    PartitionWindow(group_a=(2,), group_b=(0, 1), start=1e-3, end=5e-3).arm(as_cluster(cluster))
-    PartitionWindow(group_a=(2,), group_b=(0, 1), start=3e-3, end=8e-3).arm(as_cluster(cluster))
+    PartitionWindow(group_a=(2,), group_b=(0, 1), start=1e-3, end=5e-3).arm(cluster)
+    PartitionWindow(group_a=(2,), group_b=(0, 1), start=3e-3, end=8e-3).arm(cluster)
     cluster.run(duration=6e-3)  # first window healed, second still open
     assert cluster.network.is_blocked(2, 0)
     cluster.run(duration=3e-3)  # second window healed too
@@ -125,8 +125,8 @@ def test_overlapping_partition_windows_compose():
 
 def test_overlapping_slow_link_windows_compose():
     cluster = make_cluster()
-    SlowLinks(start=1e-3, end=5e-3, extra_delay=1e-3).arm(as_cluster(cluster))
-    SlowLinks(start=3e-3, end=8e-3, extra_delay=2e-3).arm(as_cluster(cluster))
+    SlowLinks(start=1e-3, end=5e-3, extra_delay=1e-3).arm(cluster)
+    SlowLinks(start=3e-3, end=8e-3, extra_delay=2e-3).arm(cluster)
     cluster.run(duration=4e-3)  # both windows open: penalties add
     assert cluster.network.link_penalty(0, 1) == pytest.approx(3e-3)
     cluster.run(duration=2e-3)  # first restored, second still open
@@ -145,8 +145,8 @@ def test_partition_window_validates_groups():
 def test_loss_burst_drops_deterministically():
     def dropped_after_burst(seed):
         cluster = make_cluster()
-        LossBurst(start=0.0, end=5e-3, probability=0.5, seed=seed).arm(as_cluster(cluster))
-        cluster.write_sync(0, "v")
+        LossBurst(start=0.0, end=5e-3, probability=0.5, seed=seed).arm(cluster)
+        cluster.session(0).write_sync("v")
         cluster.run(duration=10e-3)
         return cluster.network.messages_dropped
 
@@ -156,8 +156,8 @@ def test_loss_burst_drops_deterministically():
 
 def test_loss_burst_filter_is_removed_after_window():
     cluster = make_cluster()
-    LossBurst(start=0.0, end=2e-3, probability=1.0, seed=1).arm(as_cluster(cluster))
-    handle = cluster.write(0, "survivor")
+    LossBurst(start=0.0, end=2e-3, probability=1.0, seed=1).arm(cluster)
+    handle = cluster.session(0).write("survivor")
     cluster.run(duration=1e-3)
     before = cluster.network.messages_dropped
     assert before > 0  # the write's rounds were eaten inside the window
@@ -171,7 +171,7 @@ def test_loss_burst_filter_is_removed_after_window():
 
 def test_slow_links_applies_and_clears_penalty():
     cluster = make_cluster()
-    SlowLinks(start=1e-3, end=4e-3, extra_delay=2e-3).arm(as_cluster(cluster))
+    SlowLinks(start=1e-3, end=4e-3, extra_delay=2e-3).arm(cluster)
     cluster.run(duration=2e-3)
     assert cluster.network.link_penalty(0, 1) == 2e-3
     assert cluster.network.link_penalty(1, 0) == 2e-3
@@ -183,9 +183,9 @@ def test_slow_links_stretches_write_latency():
     def write_latency(arm):
         cluster = make_cluster()
         if arm:
-            SlowLinks(start=0.0, end=1.0, extra_delay=1e-3).arm(as_cluster(cluster))
+            SlowLinks(start=0.0, end=1.0, extra_delay=1e-3).arm(cluster)
             cluster.run(duration=1e-4)  # let the window open
-        handle = cluster.write_sync(0, "v")
+        handle = cluster.session(0).write_sync("v")
         return handle.latency
 
     assert write_latency(True) > write_latency(False) + 1e-3
@@ -216,9 +216,9 @@ def test_crash_on_trace_fires_synchronously_and_recovers():
     cluster = make_cluster()
     CrashOnTrace(
         kind="store_begin", pid=0, source_pid=0, recover_after=2e-3
-    ).arm(as_cluster(cluster))
+    ).arm(cluster)
     # The write's first log at p0 triggers the crash, aborting the op.
-    handle = cluster.write(0, "doomed")
+    handle = cluster.session(0).write("doomed")
     cluster.run_until(lambda: handle.settled, timeout=1.0)
     assert handle.aborted
     assert cluster.node(0).crashed
@@ -259,8 +259,8 @@ def test_library_fault_steps_round_trip_through_json():
 def test_decoded_steps_arm_like_the_primitive():
     def drops(arm):
         cluster = make_cluster()
-        arm(as_cluster(cluster))
-        cluster.write_sync(0, "v")
+        arm(cluster)
+        cluster.session(0).write_sync("v")
         cluster.run(duration=10e-3)
         return cluster.network.messages_dropped, cluster.kernel.events_processed
 
@@ -290,7 +290,7 @@ def test_out_of_range_fault_pids_are_refused_up_front(fault):
 
 
 def test_link_verbs_validate_pids():
-    facade = as_cluster(make_cluster())
+    facade = make_cluster()
     with pytest.raises(ConfigurationError):
         facade.partition([7], [0, 1])
     with pytest.raises(ConfigurationError):
@@ -301,7 +301,7 @@ def test_link_verbs_validate_pids():
 
 def test_heal_releases_one_block_per_link():
     cluster = make_cluster()
-    facade = as_cluster(cluster)
+    facade = cluster
     facade.partition([2], [0, 1])
     facade.partition([2], [0])
     facade.heal([2], [0, 1])

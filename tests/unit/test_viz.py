@@ -1,6 +1,6 @@
 """Unit tests for the ASCII run visualizer."""
 
-from repro.cluster import SimCluster
+from repro.api import open_cluster
 from repro.common.ids import OperationId
 from repro.history.events import Crash, Invoke, Recover, Reply
 from repro.history.history import History
@@ -63,12 +63,12 @@ class TestRenderHistory:
         assert "0 us" in text
 
     def test_real_cluster_history_renders(self):
-        cluster = SimCluster(protocol="persistent", num_processes=3)
+        cluster = open_cluster("sim", protocol="persistent", num_processes=3)
         cluster.start()
-        cluster.write_sync(0, "a")
+        cluster.session(0).write_sync("a")
         cluster.crash(1)
-        cluster.recover(1, wait=True)
-        cluster.read_sync(1)
+        cluster.recover(1)
+        cluster.session(1).read_sync()
         text = render_history(cluster.history)
         assert "W(a)" in text
         assert "X" in text
@@ -76,9 +76,11 @@ class TestRenderHistory:
 
 class TestTraceSummary:
     def test_counts_per_process(self):
-        cluster = SimCluster(protocol="persistent", num_processes=3)
+        cluster = open_cluster(
+            "sim", protocol="persistent", num_processes=3, capture_trace=True
+        )
         cluster.start()
-        cluster.write_sync(0, "a")
+        cluster.session(0).write_sync("a")
         text = render_trace_summary(cluster)
         lines = text.splitlines()
         assert len(lines) == 2 + 3  # header + rule + one row per process

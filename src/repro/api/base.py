@@ -19,19 +19,26 @@ and exposes one vocabulary everywhere::
 The same program runs unmodified against any backend; what differs is
 declared, not special-cased: each backend carries a ``capabilities``
 frozenset (:mod:`repro.api.types`), and anything outside it --
-virtual-time clock control on live, partitions over real sockets --
-raises :class:`~repro.common.errors.CapabilityError` with the reason.
+partitions over real sockets, say -- raises
+:class:`~repro.common.errors.CapabilityError` with the reason.
+
+On every backend the caller drives the clock: the blocking verbs
+(``wait``, ``run``, ``run_until``, ``recover``, ``ensure_key`` ...)
+advance it, the simulator's kernel in virtual time or the live event
+loop in wall time, and nothing happens between them.  So provisioning
+a key, recovering a process and booting the cluster are one piece of
+code each, here: invoke on the nodes, then run until a predicate holds.
 
 Each backend owns its whole deployment: :class:`~repro.api.sim.SimBackend`
 builds the simulator (kernel, network, nodes), the KV backend is that
-plus shard pipelines, and the live backend owns the loop thread and
+plus shard pipelines, and the live backend owns the event loop and
 the nodes.  There is no lower cluster layer to reach past the façade.
 """
 
 from __future__ import annotations
 
 import importlib
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set
 
 from repro.api.types import (
     CHECK_CRITERIA,
@@ -40,9 +47,18 @@ from repro.api.types import (
     OpHandle,
     Verdict,
 )
-from repro.common.errors import CapabilityError, ConfigurationError
-from repro.history.checker import default_criterion
+from repro.common.errors import (
+    CapabilityError,
+    ConfigurationError,
+    ProtocolError,
+    ReproError,
+)
+from repro.history.checker import auto_method, check_history, default_criterion
 from repro.history.history import History
+from repro.history.partition import partition_history
+from repro.history.recorder import HistoryRecorder
+from repro.history.register_checker import check_tagged_history
+from repro.history.regular_checker import check_regularity, check_safety
 from repro.obs.metrics import Histogram, MetricsRegistry, MetricsSnapshot
 from repro.obs.ring import RingTrace
 
@@ -52,6 +68,9 @@ BACKEND_NAMES = ("sim", "kv", "live")
 #: Default virtual/wall-clock budget for synchronous operations.
 DEFAULT_SYNC_TIMEOUT = 5.0
 
+#: Budget, in the backend's seconds, for every process to boot in ``start``.
+BOOT_TIMEOUT = 10.0
+
 
 class Session:
     """A client's handle on one process of a cluster.
@@ -59,10 +78,10 @@ class Session:
     Sessions issue operations; the cluster routes, settles and checks
     them.  ``write``/``read`` return immediately with an
     :class:`~repro.api.types.OpHandle`; the ``*_sync`` variants drive
-    the backend (virtual clock or blocking call) until the operation
-    settles.  ``key`` addresses a named register instance everywhere;
-    ``None`` is the backend's default target (the anonymous register,
-    or the KV backend's default key).
+    the backend's clock until the operation settles.  ``key``
+    addresses a named register instance everywhere; ``None`` is the
+    backend's default target (the anonymous register, or the KV
+    backend's default key).
     """
 
     def __init__(self, cluster: "Cluster", pid: Optional[int]):
@@ -152,6 +171,12 @@ class Cluster:
     backend: str = "?"
     #: What this backend can do; see :mod:`repro.api.types`.
     capabilities: FrozenSet[str] = frozenset()
+    #: The processes' nodes, indexed by pid.
+    nodes: List[Any]
+    #: Named register instances provisioned so far.
+    _registers: Set[str]
+    #: Records every invocation, reply, crash and recovery.
+    recorder: HistoryRecorder
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -197,16 +222,49 @@ class Cluster:
 
     def keys(self) -> List[str]:
         """Named register instances provisioned so far, sorted."""
-        raise NotImplementedError
+        return sorted(self._registers)
 
     def ensure_key(self, key: str, timeout: float = 10.0) -> None:
-        """Provision register instance ``key`` and wait until ready."""
-        raise NotImplementedError
+        """Provision register instance ``key`` and run until it is ready."""
+        self._provision(key)
+        self._wait_register(key, timeout)
 
     def preload(self, keys: Sequence[str], timeout: float = 10.0) -> None:
-        """Provision many keys up front (one readiness barrier)."""
+        """Provision many keys up front, then wait for each."""
         for key in keys:
-            self.ensure_key(key, timeout=timeout)
+            self._provision(key)
+        for key in keys:
+            self._wait_register(key, timeout)
+
+    def _provision(self, key: str) -> None:
+        """Provision register instance ``key`` on every node (idempotent).
+
+        Running nodes initialize it as the clock advances; crashed
+        nodes boot it when they recover.
+        """
+        if key in self._registers:
+            return
+        self._registers.add(key)
+        for node in self.nodes:
+            node.provision_register(key)
+
+    def _wait_register(self, key: str, timeout: float) -> None:
+        """Run until ``key`` is ready on every node that is up."""
+        nodes = self.nodes
+        if not self.run_until(
+            lambda: all(node.crashed or node.register_ready(key) for node in nodes),
+            timeout=timeout,
+        ):
+            raise ProtocolError(f"the cluster did not make register {key!r} ready")
+
+    def _boot(self) -> None:
+        """Boot every node, then run until all of them are ready."""
+        for node in self.nodes:
+            node.boot()
+        if not self.run_until(
+            lambda: all(node.ready for node in self.nodes), timeout=BOOT_TIMEOUT
+        ):
+            raise ReproError("cluster did not become ready within the timeout")
 
     # -- fault verbs -------------------------------------------------------
 
@@ -215,8 +273,19 @@ class Cluster:
         raise NotImplementedError
 
     def recover(self, pid: int, wait: bool = True, timeout: float = 5.0) -> None:
-        """Restart process ``pid``; by default wait until it is ready."""
+        """Restart process ``pid``; by default run until it is ready.
+
+        A process that is up raises at the call.
+        """
         raise NotImplementedError
+
+    def _recover_node(self, node: Any, wait: bool, timeout: float) -> None:
+        """``recover`` on one node of this cluster."""
+        node.recover()
+        if wait and not self.run_until(lambda: node.ready, timeout=timeout):
+            raise ReproError(
+                f"process {node.pid} did not finish recovery within the timeout"
+            )
 
     def partition(self, group_a: Sequence[int], group_b: Sequence[int]) -> None:
         """Block every link between the two groups (both directions).
@@ -283,18 +352,12 @@ class Cluster:
 
     @property
     def now(self) -> float:
-        """The virtual clock, in seconds (``virtual_time`` backends).
-
-        The live backend raises
-        :class:`~repro.common.errors.CapabilityError` -- real time
-        passes on its own; its loop clock is readable via
-        ``stats().clock``.
-        """
-        raise self._unsupported("now", "virtual-time clock control")
+        """The backend's clock, in seconds: virtual on sim and kv, wall on live."""
+        raise NotImplementedError
 
     def run(self, duration: Optional[float] = None, max_events: int = 1_000_000) -> None:
-        """Advance the virtual clock by ``duration`` (or to quiescence)."""
-        raise self._unsupported("run", "virtual-time clock control")
+        """Advance the clock by ``duration`` (or, simulated, to quiescence)."""
+        raise NotImplementedError
 
     def run_until(
         self,
@@ -303,17 +366,17 @@ class Cluster:
         poll_every: int = 1,
         max_events: int = 1_000_000,
     ) -> bool:
-        """Advance the virtual clock until ``predicate()`` holds."""
-        raise self._unsupported("run_until", "virtual-time clock control")
+        """Advance the clock until ``predicate()`` holds; ``False`` on timeout."""
+        raise NotImplementedError
 
     def defer(self, delay: float, fn: Callable, *args: Any) -> None:
-        """Schedule ``fn(*args)`` after ``delay`` on the virtual clock.
+        """Schedule ``fn(*args)`` after ``delay`` on the backend's clock.
 
-        The hook closed-loop drivers chain their next invocation on;
-        virtual-time backends put it on the kernel, the live backend
-        raises :class:`~repro.common.errors.CapabilityError`.
+        The hook closed-loop drivers chain their next invocation on:
+        the simulated backends put it on the kernel, the live backend
+        on its event loop.
         """
-        raise self._unsupported("defer", "virtual-time clock control")
+        raise NotImplementedError
 
     def on_event(
         self,
@@ -339,7 +402,7 @@ class Cluster:
         timeout: float = DEFAULT_SYNC_TIMEOUT,
         expect_done: bool = False,
     ) -> OpHandle:
-        """Block (or drive the virtual clock) until ``handle`` settles.
+        """Advance the clock until ``handle`` settles.
 
         With ``expect_done`` an aborted operation raises
         :class:`~repro.common.errors.OperationAborted` -- the ``*_sync``
@@ -360,7 +423,7 @@ class Cluster:
     @property
     def history(self) -> History:
         """The recorded invocation/reply/crash/recovery history."""
-        raise NotImplementedError
+        return self.recorder.history
 
     def check(self, criterion: str = "atomic", method: str = "auto") -> Verdict:
         """Check the recorded history; returns the merged verdict.
@@ -372,7 +435,12 @@ class Cluster:
         the single-register backends judge the anonymous register's
         history.
         """
-        raise NotImplementedError
+        history = self.history
+        if self._registers:
+            history = partition_history(
+                history, self.recorder.register_of, registers=self._registers
+            ).get(None, History())
+        return check_one_register(self, history, self.recorder, criterion, method)
 
     # -- observability -----------------------------------------------------
 
@@ -460,6 +528,101 @@ class Cluster:
             f"{type(self).__name__}(backend={self.backend!r}, "
             f"protocol={self.protocol!r}, processes={self.num_processes})"
         )
+
+
+# -- shared verification/observability helpers -----------------------------
+
+
+def check_one_register(
+    cluster: Cluster,
+    history: History,
+    recorder: HistoryRecorder,
+    criterion: str,
+    method: str,
+) -> Verdict:
+    """One register's history -> the merged :class:`Verdict`.
+
+    Shared by the sim and live adapters (and per key by the KV one):
+    resolves ``"atomic"`` against the cluster's protocol, picks the
+    checker for ``method="auto"`` (exhaustive black-box search under
+    its cap, the near-linear white-box tag checker beyond it) and maps
+    whichever verdict type the checker produced onto :class:`Verdict`.
+    """
+    resolved = cluster._resolve_criterion(criterion)
+    method = cluster._validate_method(method)
+    if method == "per-key":
+        raise ConfigurationError(
+            "method 'per-key' is the KV backend's checker; single-register "
+            "backends take 'auto', 'blackbox' or 'whitebox'"
+        )
+    if resolved in ("regular", "safe"):
+        checker = check_regularity if resolved == "regular" else check_safety
+        verdict = checker(history)
+        return Verdict(
+            ok=verdict.ok,
+            criterion=criterion,
+            consistency=verdict.criterion,
+            method="black-box",
+            operations=verdict.operations,
+            reason="; ".join(verdict.violations),
+        )
+    if method == "auto":
+        method = auto_method(len(history.operations()))
+    if method == "blackbox":
+        verdict = check_history(history, criterion=resolved)
+        return Verdict(
+            ok=verdict.ok,
+            criterion=criterion,
+            consistency=resolved,
+            method="black-box",
+            operations=verdict.operations,
+            reason=verdict.reason,
+            linearization=verdict.linearization,
+            dropped=verdict.dropped,
+        )
+    result = check_tagged_history(history, recorder, criterion=resolved)
+    return Verdict(
+        ok=result.ok,
+        criterion=criterion,
+        consistency=resolved,
+        method="white-box",
+        operations=result.operations,
+        reason="; ".join(result.violations),
+    )
+
+
+def register_node_metrics(registry, nodes) -> None:
+    """The rows both hosts of :class:`~repro.protocol.host.NodeCore` fill alike.
+
+    Storage totals and crash counts summed over ``nodes``, and the
+    ``node.recovery_time`` histogram: recoveries that completed before
+    the registry existed (it is created lazily) are backfilled, later
+    ones observed as they finish.
+    """
+    registry.gauge(
+        "storage.stores_completed",
+        fn=lambda: sum(n.storage.stores_completed for n in nodes),
+    )
+    registry.gauge(
+        "storage.bytes_logged",
+        fn=lambda: sum(n.storage.bytes_logged for n in nodes),
+    )
+    registry.gauge(
+        "storage.footprint_bytes",
+        fn=lambda: sum(n.storage.log_bytes for n in nodes),
+    )
+    registry.gauge(
+        "storage.records",
+        fn=lambda: sum(n.storage.log_records for n in nodes),
+    )
+    registry.gauge(
+        "node.crashes", fn=lambda: sum(n.crash_count for n in nodes)
+    )
+    recovery_hist = registry.histogram("node.recovery_time")
+    for node in nodes:
+        for duration in node.recovery_times:
+            recovery_hist.observe(duration)
+        node.on_recovery_time = recovery_hist.observe
 
 
 def open_cluster(

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Sequence
 
-from repro.api.base import Session
-from repro.api.sim import SimBackend, check_one_register
+from repro.api.base import Session, check_one_register
+from repro.api.sim import SimBackend
 from repro.api.types import (
     CRASH_INJECTION,
     LINK_FAULTS,

@@ -1,11 +1,10 @@
 """The ``"live"`` backend: asyncio/UDP nodes on localhost.
 
 :class:`LiveBackend` spins up N :class:`~repro.runtime.node.RuntimeNode`
-instances on one asyncio event loop, run by a background thread: real
-datagrams on localhost, real ``O_DSYNC`` log files, wall-clock time.
-Every node gets a private storage directory under ``storage_root`` (a
-temporary directory by default), so crash/recovery really does go
-through the filesystem::
+instances on one asyncio event loop: real datagrams on localhost, real
+``O_DSYNC`` log files, wall-clock time.  Every node gets a private
+storage directory under ``storage_root`` (a temporary directory by
+default), so crash/recovery really does go through the filesystem::
 
     with open_cluster(backend="live", num_processes=3) as cluster:
         cluster.session(0).write_sync("hello")
@@ -13,46 +12,40 @@ through the filesystem::
         cluster.recover(0)
         assert cluster.session(0).read_sync() == "hello"
 
-Two ways onto the loop thread.  An operation goes through
-:meth:`LiveBackend.submit_op`: one posted callback invokes it on the
-node, one ``call_later`` bounds it by ``op_timeout``, and the node's
-settle callback completes the future the returned
-:class:`~repro.api.types.OpHandle` wraps -- no coroutine, no task; so
-the non-blocking half of the vocabulary works here too, and
-``latency`` is wall seconds.  A control verb (crash, recover,
-``ensure_key``, :meth:`LiveBackend.checkpoint`) runs one coroutine on
-the loop and blocks until it returns.
+The backend owns the loop but no thread: the caller drives it, as it
+drives the simulator's kernel, in wall time.  The loop runs only
+inside the blocking verbs -- ``start``, ``wait`` and the ``*_sync``
+calls, ``run``, ``run_until``, ``recover``, ``ensure_key``/``preload``
+and :meth:`LiveBackend.checkpoint`; nothing advances (no
+retransmission, no recovery, no ``op_timeout``) while the caller is
+outside them.  An operation is invoked on the node at the call
+(:meth:`LiveBackend.submit_op`), and the node's settle callback sets
+the future its :class:`LiveHandle` wraps; ``latency`` is wall seconds.
 
 What the backend cannot do is declared, not approximated: it has no
-``virtual_time`` capability, so ``run``/``run_until``/``now``/``defer``
-raise :class:`~repro.common.errors.CapabilityError` (there is no
-virtual clock to drive -- real time passes on its own), as do
-``partition``/``heal`` (real sockets, no link control) and seeding
-(``seed`` must stay ``None``).
+``virtual_time`` capability (its clock is the loop's, and a run is not
+seeded, so ``seed`` must stay ``None``) and no ``link_faults``
+(``partition``/``heal`` over real sockets raise
+:class:`~repro.common.errors.CapabilityError`).
 """
 
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
-import functools
 import tempfile
-import threading
 import time
 from pathlib import Path
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Set
 
-from repro.api.base import Cluster, Session
-from repro.api.sim import check_one_register, register_node_metrics
-from repro.api.types import CRASH_INJECTION, ClusterStats, OpHandle, Verdict
+from repro.api.base import Cluster, Session, register_node_metrics
+from repro.api.types import CRASH_INJECTION, ClusterStats, OpHandle
 from repro.common.errors import (
     ConfigurationError,
     OperationAborted,
     ProcessCrashed,
+    ProtocolError,
     ReproError,
 )
-from repro.history.history import History
-from repro.history.partition import partition_history
 from repro.history.recorder import HistoryRecorder
 from repro.obs.ring import RingTrace
 from repro.obs.tracing import ALL_KINDS
@@ -64,6 +57,10 @@ from repro.runtime.transport import Peer, check_value
 #: Retransmission period for live clusters, seconds.  Generous: real
 #: loopback rarely drops, so retries are a safety net, not the norm.
 LIVE_RETRANSMIT_INTERVAL = 0.05
+
+#: Wall seconds the loop runs between two checks of a ``run_until``
+#: predicate.
+RUN_SLICE = 0.001
 
 
 def _sent(nodes) -> int:
@@ -84,31 +81,33 @@ def _recoveries(nodes) -> int:
 
 
 class LiveHandle(OpHandle):
-    """Façade handle around a live operation's in-flight future.
+    """Façade handle of a live operation: an asyncio future and its outcome.
 
-    All state derives from the future itself: a settled future answers
-    ``done``/``aborted``/``result`` immediately, regardless of whether
-    the loop thread has run the completion callback yet (futures wake
-    waiters *before* done-callbacks, so callback-cached state would
-    lag behind ``wait()``).
+    The future only marks the settlement: ``wait`` runs the loop until
+    it is done and ``add_callback`` chains on it.  The outcome and the
+    completion instant are stamped on the handle where the future is
+    set, so every waiter reads the same latency.
     """
 
-    __slots__ = ("kind", "key", "pid", "_future", "_submitted", "_completed")
+    __slots__ = ("kind", "key", "pid", "_future", "_submitted", "_completed", "_error")
 
     def __init__(
-        self, kind: str, key: Optional[str], pid: int, future, submitted: float
+        self, kind: str, key: Optional[str], pid: int, loop: asyncio.AbstractEventLoop
     ):
         self.kind = kind
         self.key = key
         self.pid = pid
-        self._future = future
-        self._submitted = submitted
+        self._future = loop.create_future()
+        self._submitted = time.monotonic()
         self._completed: Optional[float] = None
-        future.add_done_callback(self._on_done)
+        self._error: Optional[BaseException] = None
 
-    def _on_done(self, _future) -> None:
-        if self._completed is None:
-            self._completed = time.monotonic()
+    def _settle(self, result: Any = None, error: Optional[BaseException] = None) -> None:
+        if self._future.done():
+            return  # timed out; the operation finished after all
+        self._completed = time.monotonic()
+        self._error = error
+        self._future.set_result(result)
 
     @property
     def settled(self) -> bool:
@@ -116,37 +115,34 @@ class LiveHandle(OpHandle):
 
     @property
     def done(self) -> bool:
-        return self._future.done() and self._future.exception() is None
+        return self._future.done() and self._error is None
 
     @property
     def aborted(self) -> bool:
-        return self._future.done() and self._future.exception() is not None
+        return self._error is not None
 
     @property
     def error(self) -> Optional[BaseException]:
         """What the operation failed with, if it aborted."""
-        return self._future.exception() if self._future.done() else None
+        return self._error
 
     @property
     def result(self) -> Any:
-        if not self.done:
-            return None
-        return self._future.result()
+        return self._future.result() if self.done else None
 
     @property
     def latency(self) -> Optional[float]:
         """Submission-to-completion wall seconds."""
-        if not self._future.done():
-            return None
         if self._completed is None:
-            # The waiter beat the loop thread's done-callback; stamp
-            # completion now (an overestimate of at most that race).
-            self._completed = time.monotonic()
+            return None
         return self._completed - self._submitted
 
     def add_callback(self, callback: Callable[[OpHandle], None]) -> None:
-        # Runs on the cluster's event-loop thread.
-        self._future.add_done_callback(lambda _future: callback(self))
+        # An asyncio future schedules the callbacks of a settled one.
+        if self.settled:
+            callback(self)
+        else:
+            self._future.add_done_callback(lambda _future: callback(self))
 
 
 class LiveSession(Session):
@@ -158,18 +154,14 @@ class LiveSession(Session):
         return node.ready and not node.register_busy(None)
 
     def write(self, value: Any, key: Optional[str] = None) -> LiveHandle:
-        submitted = time.monotonic()
-        future = self.cluster.submit_op(self.pid, "write", value, key)
-        return self._observed(LiveHandle("write", key, self.pid, future, submitted))
+        return self._observed(self.cluster.submit_op(self.pid, "write", value, key))
 
     def read(self, key: Optional[str] = None) -> LiveHandle:
-        submitted = time.monotonic()
-        future = self.cluster.submit_op(self.pid, "read", None, key)
-        return self._observed(LiveHandle("read", key, self.pid, future, submitted))
+        return self._observed(self.cluster.submit_op(self.pid, "read", None, key))
 
 
 class LiveBackend(Cluster):
-    """N protocol nodes over real UDP sockets on one event-loop thread."""
+    """N protocol nodes over real UDP sockets on one caller-driven event loop."""
 
     backend = "live"
     capabilities = frozenset({CRASH_INJECTION})
@@ -205,79 +197,57 @@ class LiveBackend(Cluster):
         # across backends.
         self._flight_recorder = RingTrace(kinds=ALL_KINDS)
         self.nodes: List[RuntimeNode] = []
+        self._registers: Set[str] = set()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        #: ``(pid, exception)`` of failed non-blocking recoveries.
-        self.recovery_errors: List[tuple] = []
 
     def _clock(self) -> float:
         return self._loop.time() if self._loop is not None else 0.0
 
+    def _started_loop(self) -> asyncio.AbstractEventLoop:
+        if self._loop is None:
+            raise ReproError("cluster not started")
+        return self._loop
+
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "LiveBackend":
-        """Start the event-loop thread, then bind and boot every node on it."""
-        if self._thread is not None:
+        """Bind every node's socket, then boot them all on the loop."""
+        if self.nodes:
             raise ReproError("cluster already started")
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, daemon=True, name="repro-live"
-        )
-        self._thread.start()
+        self._loop = loop = asyncio.new_event_loop()
         try:
-            self._call(self._start())
+            for pid in range(self._num_processes):
+                node = RuntimeNode(
+                    pid=pid,
+                    num_processes=self._num_processes,
+                    protocol_factory=self._make_protocol,
+                    storage_root=self.storage_root,
+                    recorder=self.recorder,
+                )
+                self.nodes.append(node)  # before it binds: close() covers a failed start
+                node.start(loop)
+                node.transport.attach_flight_recorder(self._flight_recorder, loop.time)
+            peers = [
+                Peer(pid=node.pid, host=node.transport.host, port=node.transport.port)
+                for node in self.nodes
+            ]
+            for node in self.nodes:
+                node.transport.set_peers(peers)
+            self._boot()
         except BaseException:
-            self.close()  # no thread, socket or temp dir outlives a failed start
+            self.close()  # no socket, loop or temp dir outlives a failed start
             raise
         return self
 
-    async def _start(self) -> None:
-        clock = self._loop.time
-        for pid in range(self._num_processes):
-            node = RuntimeNode(
-                pid=pid,
-                num_processes=self._num_processes,
-                protocol_factory=self._make_protocol,
-                storage_root=self.storage_root,
-                recorder=self.recorder,
-            )
-            self.nodes.append(node)  # before it binds: close() covers a failed start
-            await node.start()
-            node.transport.attach_flight_recorder(self._flight_recorder, clock)
-        peers = [
-            Peer(pid=node.pid, host=node.transport.host, port=node.transport.port)
-            for node in self.nodes
-        ]
-        for node in self.nodes:
-            node.transport.set_peers(peers)
-        for node in self.nodes:
-            node.boot()
-        await asyncio.gather(*(node.wait_ready() for node in self.nodes))
-
     def close(self) -> None:
-        """Tear the nodes down, stop the event-loop thread, drop the temp root."""
+        """Tear the nodes down, close the loop, drop the temp root."""
         if self._loop is not None:
-            self._call(self._close())
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=5.0)
+            for node in self.nodes:
+                node.close()
             self._loop.close()
             self._loop = None
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
-
-    async def _close(self) -> None:
-        for node in self.nodes:
-            node.close()
-
-    def _submit(self, coroutine) -> concurrent.futures.Future:
-        """Schedule ``coroutine`` on the loop thread without blocking."""
-        if self._loop is None:
-            raise ReproError("cluster not started")
-        return asyncio.run_coroutine_threadsafe(coroutine, self._loop)
-
-    def _call(self, coroutine) -> Any:
-        """Run ``coroutine`` on the loop thread and return its result."""
-        return self._submit(coroutine).result(timeout=max(self.op_timeout * 2, 30.0))
 
     # -- identity ----------------------------------------------------------
 
@@ -302,129 +272,66 @@ class LiveBackend(Cluster):
 
     def submit_op(
         self, pid: int, kind: str, value: Any = None, key: Optional[str] = None
-    ) -> concurrent.futures.Future:
-        """Invoke a ``"read"`` or ``"write"`` at node ``pid`` without blocking.
+    ) -> LiveHandle:
+        """Invoke a ``"read"`` or ``"write"`` at node ``pid``; its handle at once.
 
-        The future holds the result, or fails with what the invocation
-        raised (node crashed, not recovered), with :class:`~repro.common.
-        errors.ProcessCrashed` if a crash aborted the operation, or with
-        :class:`TimeoutError` after ``op_timeout`` seconds (the operation
-        then stays in flight on the node).  A ``key`` not provisioned
-        yet is provisioned first.  A written value the wire format cannot
-        carry, or too big for one datagram, raises :class:`~repro.common.
-        errors.TransportError` here, on the caller's thread, before any
-        datagram leaves.
+        The handle settles while the loop runs (inside ``wait``,
+        ``run_until`` and the other blocking verbs): with the result;
+        aborted with what the invocation raised (node crashed, not
+        recovered), with :class:`~repro.common.errors.ProcessCrashed`
+        if a crash aborted the operation, or with :class:`TimeoutError`
+        after ``op_timeout`` seconds (the operation then stays in
+        flight on the node).  A ``key`` not provisioned yet is
+        provisioned first: :meth:`ensure_key` runs the loop until it is
+        ready.  A written value the wire format cannot carry, or too
+        big for one datagram, raises :class:`~repro.common.errors.
+        TransportError` here, before any datagram leaves.
         """
-        if self._loop is None:
-            raise ReproError("cluster not started")
+        loop = self._started_loop()
+        handle = LiveHandle(kind, key, pid, loop)
         if kind == "write":
             check_value(value, key)
-        loop, node = self._loop, self.nodes[pid]
-        future: concurrent.futures.Future = concurrent.futures.Future()
-
-        def invoke() -> None:
-            if not future.set_running_or_notify_cancel():
-                return
-            try:
-                if kind == "read":
-                    handle = node.invoke_read(key)
-                else:
-                    handle = node.invoke_write(value, key)
-            except Exception as error:  # reported to the caller, not the loop
-                future.set_exception(error)
-                return
-            timer = loop.call_later(self.op_timeout, expire)
-            handle.add_callback(functools.partial(settle, timer))
+        node = self.nodes[pid]
+        try:
+            if key is not None and not node.has_register(key):
+                self.ensure_key(key, self.op_timeout)
+            if kind == "read":
+                operation = node.invoke_read(key)
+            else:
+                operation = node.invoke_write(value, key)
+        except Exception as error:  # an outcome of the operation, like the others
+            handle._settle(error=error)
+            return handle
 
         def expire() -> None:
-            future.set_exception(
-                TimeoutError(f"{kind} at p{pid} did not settle within {self.op_timeout}s")
+            handle._settle(
+                error=TimeoutError(
+                    f"{kind} at p{pid} did not settle within {self.op_timeout}s"
+                )
             )
 
-        def settle(timer: asyncio.TimerHandle, handle: NodeOperation) -> None:
+        def settle(operation: NodeOperation) -> None:
             timer.cancel()
-            if future.done():
-                return  # timed out; the operation finished after all
-            if handle.aborted:
-                future.set_exception(
-                    ProcessCrashed(f"process {pid} crashed during {kind} {handle.op}")
+            if operation.aborted:
+                handle._settle(
+                    error=ProcessCrashed(
+                        f"process {pid} crashed during {kind} {operation.op}"
+                    )
                 )
             else:
-                future.set_result(handle.result)
+                handle._settle(operation.result)
 
-        if key is None or node.has_register(key):
-            loop.call_soon_threadsafe(invoke)
-            return future
-
-        def provisioned(provisioning: concurrent.futures.Future) -> None:
-            error = provisioning.exception()
-            if error is not None:
-                future.set_exception(error)
-            else:
-                loop.call_soon_threadsafe(invoke)
-
-        self._submit(self._ensure_key(key, self.op_timeout)).add_done_callback(
-            provisioned
-        )
-        return future
-
-    # -- keys --------------------------------------------------------------
-
-    def keys(self) -> List[str]:
-        if not self.nodes:
-            return []
-        return sorted(key for key in self.nodes[0].registers if key is not None)
-
-    def ensure_key(self, key: str, timeout: float = 10.0) -> None:
-        self._call(self._ensure_key(key, timeout))
-
-    async def _ensure_key(self, key: str, timeout: float) -> None:
-        # Crashed nodes get the slot dormant and boot it when they
-        # recover; only live nodes are awaited for readiness.
-        for node in self.nodes:
-            node.provision_register(key)
-        await asyncio.gather(
-            *(
-                node.wait_until(
-                    functools.partial(node.register_ready, key),
-                    f"make register {key!r} ready",
-                    timeout=timeout,
-                )
-                for node in self.nodes
-                if not node.crashed
-            )
-        )
+        timer = loop.call_later(self.op_timeout, expire)
+        operation.add_callback(settle)
+        return handle
 
     # -- fault verbs -------------------------------------------------------
 
     def crash(self, pid: int) -> None:
-        self._call(self._crash(pid))
-
-    async def _crash(self, pid: int) -> None:
         self.nodes[pid].crash()
 
     def recover(self, pid: int, wait: bool = True, timeout: float = 5.0) -> None:
-        """Restart node ``pid``.
-
-        With ``wait=False`` the recovery proceeds on the loop thread;
-        a failure (node not crashed, readiness timeout) is recorded in
-        :attr:`recovery_errors` instead of vanishing with the
-        fire-and-forgotten future.
-        """
-        if wait:
-            self._call(self._recover(pid, timeout))
-            return
-
-        def harvest(done_future) -> None:
-            error = done_future.exception()
-            if error is not None:
-                self.recovery_errors.append((pid, error))
-
-        self._submit(self._recover(pid, timeout)).add_done_callback(harvest)
-
-    async def _recover(self, pid: int, timeout: float) -> None:
-        self.nodes[pid].recover()
-        await self.nodes[pid].wait_ready(timeout=timeout)
+        self._recover_node(self.nodes[pid], wait, timeout)
 
     def checkpoint(self, pid: int) -> bool:
         """Run one two-phase checkpoint at node ``pid``; whether it committed.
@@ -434,61 +341,96 @@ class LiveBackend(Cluster):
         it between the phases.  Live only: the simulator checkpoints on
         its ``checkpoint_interval`` timer.
         """
-        return self._call(self._checkpoint(pid))
-
-    async def _checkpoint(self, pid: int) -> bool:
         node = self.nodes[pid]
         committed = node.checkpoints_committed
         if not node.begin_checkpoint():
             return False
-        await node.wait_until(
-            lambda: not node.checkpoint_in_progress,
-            "finish its checkpoint",
-            timeout=self.op_timeout,
-        )
+        if not self.run_until(
+            lambda: not node.checkpoint_in_progress, timeout=self.op_timeout
+        ):
+            raise ProtocolError(f"node {pid} did not finish its checkpoint")
         return node.checkpoints_committed > committed
 
     # -- clock -------------------------------------------------------------
+
+    @property
+    def now(self) -> float:
+        """The loop's clock, in wall seconds."""
+        return self._clock()
+
+    def run(self, duration: Optional[float] = None, max_events: int = 1_000_000) -> None:
+        """Run the loop for ``duration`` wall seconds.
+
+        A duration is required: a live cluster never goes quiet.
+        """
+        if duration is None:
+            raise ConfigurationError(
+                "a live cluster never goes quiet: run() needs a duration"
+            )
+        self._run_for(duration)
+
+    def run_until(
+        self,
+        predicate: Callable[[], bool],
+        timeout: Optional[float] = None,
+        poll_every: int = 1,
+        max_events: int = 1_000_000,
+    ) -> bool:
+        """Run the loop until ``predicate()`` holds; ``False`` on timeout.
+
+        The predicate is re-checked between slices of about
+        :data:`RUN_SLICE` wall seconds; ``timeout`` is wall seconds
+        (``None``: no bound).  ``poll_every`` and ``max_events`` count
+        simulator events and mean nothing here.
+        """
+        loop = self._started_loop()
+        deadline = None if timeout is None else loop.time() + timeout
+        while not predicate():
+            if deadline is not None and loop.time() >= deadline:
+                return False
+            self._run_for(RUN_SLICE)
+        return True
+
+    def defer(self, delay: float, fn: Callable, *args: Any) -> None:
+        self._started_loop().call_later(delay, fn, *args)
 
     def wait(
         self, handle: OpHandle, timeout: float = 5.0, expect_done: bool = False
     ) -> OpHandle:
         future = handle._future
-        try:
-            future.result(timeout=timeout)
-        except Exception:
-            # Classify by the future's state, not the exception type:
-            # on 3.11+ concurrent.futures.TimeoutError IS the builtin
-            # TimeoutError, so an operation that settled by *failing*
-            # with its op_timeout looks like this wait giving up.
+        if not future.done():
+            loop = self._started_loop()
+            waiting = True
+
+            def stop(_future) -> None:
+                # Added last, so it runs after the handle's own
+                # callbacks; inert once this wait has returned.
+                if waiting:
+                    loop.stop()
+
+            future.add_done_callback(stop)
+            try:
+                self._run_for(timeout)
+            finally:
+                waiting = False
+                future.remove_done_callback(stop)
             if not future.done():
                 # Only this wait gave up; the operation stays in flight.
-                raise ReproError(
-                    f"live {handle.kind} did not settle within {timeout}s"
-                ) from None
-            error = future.exception()
-            if error is not None and expect_done:
-                raise OperationAborted(
-                    f"{handle.kind} at p{handle.pid} failed: {error}"
-                ) from error
+                raise ReproError(f"live {handle.kind} did not settle within {timeout}s")
+        if expect_done and handle.aborted:
+            raise OperationAborted(
+                f"{handle.kind} at p{handle.pid} failed: {handle.error}"
+            ) from handle.error
         return handle
 
-    # -- verification ------------------------------------------------------
-
-    @property
-    def history(self) -> History:
-        return self.recorder.history
-
-    def check(self, criterion: str = "atomic", method: str = "auto") -> Verdict:
-        history = self.history
-        keys = self.keys()
-        if keys:
-            history = partition_history(
-                history, self.recorder.register_of, registers=set(keys)
-            ).get(None, History())
-        return check_one_register(
-            self, history, self.recorder, criterion, method
-        )
+    def _run_for(self, seconds: float) -> None:
+        """Run the loop for ``seconds``, or until a callback stops it."""
+        loop = self._started_loop()
+        timer = loop.call_later(seconds, loop.stop)
+        try:
+            loop.run_forever()
+        finally:
+            timer.cancel()
 
     # -- observability -----------------------------------------------------
 

@@ -9,11 +9,6 @@ operation's handle is the node's own
 ``virtual_time``, ``crash_injection``, ``trace``, ``storage_faults``
 and ``link_faults``; sharding lives in the ``"kv"`` backend, which is
 this class plus shard pipelines.
-
-Verification-relevant shared logic (resolving ``method="auto"``,
-mapping the checker outcomes onto the one
-:class:`~repro.api.types.Verdict` shape) is module-level so the KV and
-live adapters reuse it.
 """
 
 from __future__ import annotations
@@ -22,7 +17,12 @@ import dataclasses
 import random
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
-from repro.api.base import DEFAULT_SYNC_TIMEOUT, Cluster, Session
+from repro.api.base import (
+    DEFAULT_SYNC_TIMEOUT,
+    Cluster,
+    Session,
+    register_node_metrics,
+)
 from repro.api.types import (
     CRASH_INJECTION,
     LINK_FAULTS,
@@ -31,16 +31,12 @@ from repro.api.types import (
     VIRTUAL_TIME,
     ClusterStats,
     OpHandle,
-    Verdict,
 )
 from repro.common.config import ClusterConfig
 from repro.common.errors import ConfigurationError, OperationAborted, ReproError
-from repro.history.checker import auto_method, check_history
 from repro.history.history import History
 from repro.history.partition import partition_history
 from repro.history.recorder import HistoryRecorder
-from repro.history.register_checker import check_tagged_history
-from repro.history.regular_checker import check_regularity, check_safety
 from repro.obs.tracing import Trace
 from repro.protocol.host import NodeOperation
 from repro.protocol.registry import protocol_factory
@@ -48,9 +44,6 @@ from repro.sim.kernel import Kernel
 from repro.sim.network import SimNetwork
 from repro.sim.node import SimNode
 from repro.sim.storage import SimStableStorage
-
-#: Virtual-time budget for every process to boot in :meth:`SimBackend.start`.
-BOOT_TIMEOUT = 10.0
 
 
 class SimSession(Session):
@@ -168,13 +161,7 @@ class SimBackend(Cluster):
         if self._started:
             raise ReproError("cluster already started")
         self._started = True
-        for node in self.nodes:
-            node.boot()
-        ok = self.kernel.run_until(
-            lambda: all(node.ready for node in self.nodes), timeout=BOOT_TIMEOUT
-        )
-        if not ok:
-            raise ReproError("cluster did not become ready within the timeout")
+        self._boot()
         return self
 
     # -- identity ----------------------------------------------------------
@@ -205,56 +192,13 @@ class SimBackend(Cluster):
         self.node(pid)  # validates the range
         return SimSession(self, pid)
 
-    # -- keys --------------------------------------------------------------
-
-    def keys(self) -> List[str]:
-        return sorted(self._registers)
-
-    def ensure_key(self, key: str, timeout: float = 10.0) -> None:
-        self._provision(key)
-        self._wait_register(key, timeout)
-
-    def preload(self, keys: Sequence[str], timeout: float = 10.0) -> None:
-        for key in keys:
-            self._provision(key)
-        for key in keys:
-            self._wait_register(key, timeout)
-
-    def _provision(self, key: str) -> None:
-        """Provision register instance ``key`` on every node (idempotent).
-
-        Running nodes initialize it within the simulation; crashed
-        nodes boot it when they recover.
-        """
-        if key in self._registers:
-            return
-        self._registers.add(key)
-        for node in self.nodes:
-            node.provision_register(key)
-
-    def _wait_register(self, key: str, timeout: float) -> None:
-        """Advance the clock until ``key`` is ready on every live node."""
-        ok = self.kernel.run_until(
-            lambda: all(
-                node.crashed or node.register_ready(key) for node in self.nodes
-            ),
-            timeout=timeout,
-        )
-        if not ok:
-            raise ReproError(f"register {key!r} did not become ready")
-
     # -- fault verbs -------------------------------------------------------
 
     def crash(self, pid: int) -> None:
         self.node(pid).crash()
 
     def recover(self, pid: int, wait: bool = True, timeout: float = 5.0) -> None:
-        node = self.node(pid)
-        node.recover()
-        if wait and not self.kernel.run_until(lambda: node.ready, timeout=timeout):
-            raise ReproError(
-                f"process {pid} did not finish recovery within the timeout"
-            )
+        self._recover_node(self.node(pid), wait, timeout)
 
     def partition(self, group_a: Sequence[int], group_b: Sequence[int]) -> None:
         self._check_pids(*group_a, *group_b)
@@ -403,10 +347,6 @@ class SimBackend(Cluster):
 
     # -- verification ------------------------------------------------------
 
-    @property
-    def history(self) -> History:
-        return self.recorder.history
-
     def per_register_histories(self) -> Dict[Optional[str], History]:
         """Project the recorded history onto each register instance.
 
@@ -418,12 +358,6 @@ class SimBackend(Cluster):
         return partition_history(
             self.history, self.recorder.register_of, registers=self._registers
         )
-
-    def check(self, criterion: str = "atomic", method: str = "auto") -> Verdict:
-        history = self.history
-        if self._registers:
-            history = self.per_register_histories().get(None, History())
-        return check_one_register(self, history, self.recorder, criterion, method)
 
     # -- observability -----------------------------------------------------
 
@@ -481,98 +415,3 @@ class SimBackend(Cluster):
         if not self.trace.capturing:
             return None
         return [str(event) for event in self.trace.events]
-
-
-# -- shared verification/observability helpers -------------------------------
-
-
-def check_one_register(
-    cluster: Cluster,
-    history: History,
-    recorder: HistoryRecorder,
-    criterion: str,
-    method: str,
-) -> Verdict:
-    """One register's history -> the merged :class:`Verdict`.
-
-    Shared by the sim and live adapters (and per key by the KV one):
-    resolves ``"atomic"`` against the cluster's protocol, picks the
-    checker for ``method="auto"`` (exhaustive black-box search under
-    its cap, the near-linear white-box tag checker beyond it) and maps
-    whichever verdict type the checker produced onto :class:`Verdict`.
-    """
-    resolved = cluster._resolve_criterion(criterion)
-    method = cluster._validate_method(method)
-    if method == "per-key":
-        raise ConfigurationError(
-            "method 'per-key' is the KV backend's checker; single-register "
-            "backends take 'auto', 'blackbox' or 'whitebox'"
-        )
-    if resolved in ("regular", "safe"):
-        checker = check_regularity if resolved == "regular" else check_safety
-        verdict = checker(history)
-        return Verdict(
-            ok=verdict.ok,
-            criterion=criterion,
-            consistency=verdict.criterion,
-            method="black-box",
-            operations=verdict.operations,
-            reason="; ".join(verdict.violations),
-        )
-    if method == "auto":
-        method = auto_method(len(history.operations()))
-    if method == "blackbox":
-        verdict = check_history(history, criterion=resolved)
-        return Verdict(
-            ok=verdict.ok,
-            criterion=criterion,
-            consistency=resolved,
-            method="black-box",
-            operations=verdict.operations,
-            reason=verdict.reason,
-            linearization=verdict.linearization,
-            dropped=verdict.dropped,
-        )
-    result = check_tagged_history(history, recorder, criterion=resolved)
-    return Verdict(
-        ok=result.ok,
-        criterion=criterion,
-        consistency=resolved,
-        method="white-box",
-        operations=result.operations,
-        reason="; ".join(result.violations),
-    )
-
-
-def register_node_metrics(registry, nodes) -> None:
-    """The rows both hosts of :class:`~repro.protocol.host.NodeCore` fill alike.
-
-    Storage totals and crash counts summed over ``nodes``, and the
-    ``node.recovery_time`` histogram: recoveries that completed before
-    the registry existed (it is created lazily) are backfilled, later
-    ones observed as they finish.
-    """
-    registry.gauge(
-        "storage.stores_completed",
-        fn=lambda: sum(n.storage.stores_completed for n in nodes),
-    )
-    registry.gauge(
-        "storage.bytes_logged",
-        fn=lambda: sum(n.storage.bytes_logged for n in nodes),
-    )
-    registry.gauge(
-        "storage.footprint_bytes",
-        fn=lambda: sum(n.storage.log_bytes for n in nodes),
-    )
-    registry.gauge(
-        "storage.records",
-        fn=lambda: sum(n.storage.log_records for n in nodes),
-    )
-    registry.gauge(
-        "node.crashes", fn=lambda: sum(n.crash_count for n in nodes)
-    )
-    recovery_hist = registry.histogram("node.recovery_time")
-    for node in nodes:
-        for duration in node.recovery_times:
-            recovery_hist.observe(duration)
-        node.on_recovery_time = recovery_hist.observe

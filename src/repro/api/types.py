@@ -25,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-#: The backend runs on a deterministic virtual clock that the caller
-#: drives explicitly (``run`` / ``run_until`` / ``now``).
+#: The clock is virtual and seeded: deterministic runs, timed fault steps.
 VIRTUAL_TIME = "virtual_time"
 #: Keys are spread over shard pipelines with per-shard batching.
 SHARDING = "sharding"
@@ -45,11 +44,11 @@ ALL_CAPABILITIES = frozenset(
     {VIRTUAL_TIME, SHARDING, CRASH_INJECTION, TRACE, STORAGE_FAULTS, LINK_FAULTS}
 )
 
-#: Fault verb -> the capability that gates it.  ``defer`` arms a timed
-#: step and ``on_event`` a trace-triggered one; the rest are the steps
-#: themselves.  The scenario runner refuses a fault whose verbs the
-#: backend lacks, and lint rule API001 refuses a backend that
-#: implements a verb without declaring its capability.
+#: Fault verb -> the capability that gates it.  ``on_event`` arms a
+#: trace-triggered step; the rest are the steps themselves.  The
+#: scenario runner refuses a fault whose verbs the backend lacks, and
+#: lint rule API001 refuses a backend that implements a verb without
+#: declaring its capability.
 FAULT_VERB_CAPABILITIES = {
     "crash": CRASH_INJECTION,
     "recover": CRASH_INJECTION,
@@ -60,7 +59,6 @@ FAULT_VERB_CAPABILITIES = {
     "corrupt_record": STORAGE_FAULTS,
     "lose_stores": STORAGE_FAULTS,
     "slow_storage": STORAGE_FAULTS,
-    "defer": VIRTUAL_TIME,
     "on_event": TRACE,
 }
 
@@ -128,8 +126,8 @@ class OpHandle:
     def add_callback(self, callback: Callable[["OpHandle"], None]) -> None:
         """Run ``callback(handle)`` when the operation settles.
 
-        Fires immediately if the handle already settled.  On the live
-        backend the callback runs on the event-loop thread.
+        Fires immediately if the handle already settled; otherwise
+        inside whichever verb advances the clock to the settlement.
         """
         raise NotImplementedError
 

@@ -16,10 +16,10 @@ the *same* sans-io protocol classes as the simulator, hosted on
   the process host the simulator shares
   (:class:`repro.protocol.host.NodeCore`): crash emulation by muting
   the transport, each node's storage jobs drained in issue order by its
-  event loop (a live store crosses no thread), the loop-thread contract.
+  event loop (a live store crosses no thread), the threading contract.
 
-The cluster over these nodes -- the loop thread, the operation path and
-the control verbs -- is the ``"live"`` backend of :mod:`repro.api`
+The cluster over these nodes -- the event loop, the operation path and
+the verbs that run the loop -- is the ``"live"`` backend of :mod:`repro.api`
 (``open_cluster(backend="live")``, :class:`~repro.api.live.LiveBackend`).
 The runtime exists to demonstrate the protocol code is real, and to
 let users run a live cluster on localhost (``examples/live_udp_cluster

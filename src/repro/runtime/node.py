@@ -19,13 +19,14 @@ simulator hosts.  This driver gives it real time and real I/O:
   shows a record only once it is durable; a checkpoint therefore never
   truncates a key that still has a store queued.
 
-Threading contract.  A node belongs to the event loop it was started
-on, and so does all of its I/O: a live store crosses no thread.  Every
-mutator -- boot, crash, recover, begin_checkpoint, provision_register,
-invoke_read/write -- raises :class:`~repro.common.errors.ReproError`
-when called from any other thread; other threads go through the live
-backend, :class:`repro.api.live.LiveBackend`: sessions for operations,
-its verbs (crash, recover, ``ensure_key``, ``checkpoint``) for control.
+Threading contract.  A node belongs to the thread that started it,
+which is the thread that runs its event loop, and so does all of its
+I/O: a live store crosses no thread.  Every mutator -- boot, crash,
+recover, begin_checkpoint, provision_register, invoke_read/write --
+raises :class:`~repro.common.errors.ReproError` when called from any
+other thread.  The live backend, :class:`repro.api.live.LiveBackend`,
+starts its nodes on the caller's thread and runs their loop inside its
+blocking verbs.
 
 The first job queued after a drain schedules the next one
 (``loop.call_soon``), so a burst of stores costs one loop callback.  A
@@ -42,7 +43,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.common.errors import ProtocolError, ReproError
+from repro.common.errors import ReproError
 from repro.common.ids import ProcessId
 from repro.history.recorder import HistoryRecorder
 from repro.protocol.host import NodeCore, ProtocolFactory
@@ -51,7 +52,7 @@ from repro.runtime.transport import UdpTransport
 
 
 def _loop_thread_only(method: Callable[..., Any]) -> Callable[..., Any]:
-    """Refuse ``method`` off the node's loop thread (threading contract)."""
+    """Refuse ``method`` off the thread that started the node (threading contract)."""
 
     @functools.wraps(method)
     def guarded(self: "RuntimeNode", *args: Any, **kwargs: Any) -> Any:
@@ -97,13 +98,13 @@ class RuntimeNode(NodeCore):
         # Key -> stores queued and not durable yet.
         self._storing: Counter = Counter()
 
-    async def start(self) -> None:
-        """Bind the transport.  Peers are installed by the cluster."""
-        self._loop = asyncio.get_running_loop()
+    def start(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Bind the transport on ``loop``.  Peers are installed by the cluster."""
+        self._loop = loop
         self._thread = threading.get_ident()
-        self._now = self._loop.time
-        self._call_later = self._loop.call_later
-        await self.transport.start(self._on_message)
+        self._now = loop.time
+        self._call_later = loop.call_later
+        self.transport.start(self._on_message, loop)
 
     def close(self) -> None:
         """Release the socket, then land every queued job and close the log.
@@ -194,18 +195,3 @@ class RuntimeNode(NodeCore):
         # arrives, and the scan queues behind the dead incarnation's stores.
         self.transport.muted = False
         self._on_disk(loaded, self.storage.scan_files)
-
-    # -- asyncio bridge ------------------------------------------------------
-
-    async def wait_until(
-        self, condition: Callable[[], bool], what: str, timeout: float = 5.0
-    ) -> None:
-        """Poll ``condition`` on the loop; :class:`ProtocolError` on timeout."""
-        deadline = self._now() + timeout
-        while not condition():
-            if self._now() > deadline:
-                raise ProtocolError(f"node {self.pid} did not {what}")
-            await asyncio.sleep(0.005)
-
-    async def wait_ready(self, timeout: float = 5.0) -> None:
-        await self.wait_until(lambda: self.ready, "become ready", timeout)

@@ -327,8 +327,8 @@ class UdpTransport:
         self._ring_send = ring.kind_id("send")
         self._ring_deliver = ring.kind_id("deliver")
 
-    async def start(self, receive: ReceiveCallback) -> None:
-        """Bind the socket and start delivering to ``receive``."""
+    def start(self, receive: ReceiveCallback, loop: asyncio.AbstractEventLoop) -> None:
+        """Bind the socket and deliver to ``receive`` while ``loop`` runs."""
         # Resolved here and not on the loop's executor: the configured
         # host is an address literal wherever this repository binds, and
         # no helper thread is left behind when a cluster fails to start.
@@ -347,8 +347,8 @@ class UdpTransport:
         self.port = sock.getsockname()[1]
         self._sock = sock
         self._receive = receive
-        self._loop = asyncio.get_running_loop()
-        self._loop.add_reader(sock, self._on_readable)
+        self._loop = loop
+        loop.add_reader(sock, self._on_readable)
 
     def set_peers(self, peers: List[Peer]) -> None:
         """Install the cluster membership (including this node)."""

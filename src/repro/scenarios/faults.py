@@ -42,7 +42,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Iterable, List, Optional, Set, Tuple
 
-from repro.api.types import FAULT_VERB_CAPABILITIES
+from repro.api.types import FAULT_VERB_CAPABILITIES, VIRTUAL_TIME
 from repro.common.errors import (
     CapabilityError,
     ConfigurationError,
@@ -459,11 +459,12 @@ def check_steps(cluster, steps: Iterable[Step]) -> None:
     """Refuse ``steps`` that ``cluster`` could not arm, before arming any.
 
     A step needs its verb's capability, plus ``virtual_time`` when it
-    is timed (armed with ``defer``) or ``trace`` when it is a trigger
-    (armed with ``on_event``); a missing one raises
-    :class:`CapabilityError`.  An unknown verb, a negative offset or a
-    pid outside the cluster raises :class:`ConfigurationError`.  Needs
-    no running cluster: the runner calls it before ``start()``.
+    is timed (its offset is virtual seconds, armed with ``defer``) or
+    ``trace`` when it is a trigger (armed with ``on_event``); a missing
+    one raises :class:`CapabilityError`.  An unknown verb, a negative
+    offset or a pid outside the cluster raises
+    :class:`ConfigurationError`.  Needs no running cluster: the runner
+    calls it before ``start()``.
     """
     needed: Set[str] = set()
     for at, verb, args in steps:
@@ -475,7 +476,7 @@ def check_steps(cluster, steps: Iterable[Step]) -> None:
         elif at < 0:
             raise ConfigurationError(f"{verb} step at {at} is in the past")
         else:
-            needed.add(FAULT_VERB_CAPABILITIES["defer"])
+            needed.add(VIRTUAL_TIME)
         for pid in _pids(at, verb, args):
             if not 0 <= pid < cluster.num_processes:
                 raise ConfigurationError(

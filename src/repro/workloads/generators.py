@@ -1,17 +1,17 @@
-"""Closed-loop workload drivers for simulated clusters.
+"""Closed-loop workload drivers for any backend.
 
 The paper's experiments are closed-loop: each workstation repeatedly
 issues an operation, waits for it to return, and issues the next
 (50 sequential writes in the first experiment).  The classes here
-reproduce that pattern on the simulator, where "waiting" means chaining
-the next invocation off the previous handle's completion callback so
-that multiple clients stay concurrent in virtual time.
+reproduce that pattern on the cluster's clock, where "waiting" means
+chaining the next invocation off the previous handle's completion
+callback so that multiple clients stay concurrent.
 
 The runner drives the unified façade (:mod:`repro.api`): it takes a
 :class:`~repro.api.base.Cluster` and issues operations through
 per-process :class:`~repro.api.base.Session` objects -- no
-backend-specific calls, so any virtual-time backend with session
-readiness works.
+backend-specific calls, so it runs on any backend, the live one
+included.
 
 Clients are crash-aware: when a client's operation aborts because its
 process crashed, the client waits for the process to recover and then
@@ -104,7 +104,7 @@ class WorkloadReport:
 
 
 class WorkloadRunner:
-    """Executes client plans concurrently on a virtual-time cluster."""
+    """Executes client plans concurrently on a cluster of any backend."""
 
     def __init__(
         self,
@@ -132,7 +132,7 @@ class WorkloadRunner:
         poll_every: int = 1,
         max_events: int = 1_000_000,
     ) -> WorkloadReport:
-        """Drive all plans to completion (or until ``timeout`` of virtual time).
+        """Drive all plans to completion (or for ``timeout`` of the cluster's clock).
 
         ``poll_every`` amortizes the drain predicate over a stride of
         kernel events (see :meth:`repro.sim.kernel.Kernel.run_until`).

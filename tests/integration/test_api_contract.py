@@ -11,7 +11,13 @@ import time
 import pytest
 
 from repro.api import CRASH_INJECTION, VIRTUAL_TIME, open_cluster
-from repro.common.errors import CapabilityError, OperationAborted, TransportError
+from repro.common.errors import (
+    CapabilityError,
+    OperationAborted,
+    ProtocolError,
+    TransportError,
+)
+from repro.workloads.generators import run_closed_loop
 
 from tests.unit.test_public_api import session_program
 
@@ -25,22 +31,16 @@ def test_live_runs_the_same_session_program():
 
 def test_live_nonblocking_recover_records_failures():
     with open_cluster(backend="live", num_processes=3) as c:
-        # Recovering a node that never crashed fails inside the loop
-        # thread; the error must be harvested, not silently dropped.
-        c.recover(0, wait=False)
-        deadline = time.monotonic() + 5.0
-        while not c.recovery_errors and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert c.recovery_errors and c.recovery_errors[0][0] == 0
+        # Recovering a node that never crashed fails at the call, as on
+        # the simulator: the error cannot be dropped on the way.
+        with pytest.raises(ProtocolError, match="process 0 is not crashed"):
+            c.recover(0, wait=False)
 
         c.crash(1)
         c.recover(1, wait=False)
         session = c.session(1)
-        deadline = time.monotonic() + 5.0
-        while not session.ready and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert session.ready
-        assert len(c.recovery_errors) == 1  # the healthy recovery added none
+        assert not session.ready  # nothing advances outside a verb
+        assert c.run_until(lambda: session.ready, timeout=5.0)
 
 
 def test_live_operation_without_a_majority_fails_after_op_timeout():
@@ -58,9 +58,7 @@ def test_live_operation_without_a_majority_fails_after_op_timeout():
         # Only the caller gave up: the write is still retransmitting,
         # and returns now that a majority answers.
         node = c.nodes[0]
-        deadline = time.monotonic() + 5.0
-        while node.register_busy(None) and time.monotonic() < deadline:
-            time.sleep(0.01)
+        assert c.run_until(lambda: not node.register_busy(None), timeout=5.0)
         c.session(0).write_sync("heard")
         assert c.session(1).read_sync() == "heard"
         assert c.check().ok
@@ -80,13 +78,13 @@ def test_live_write_too_big_for_a_datagram_is_refused_at_the_call():
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:  # the third node's acks land
             before = counts()
-            time.sleep(0.05)
+            c.run(0.05)
             if before[0] == before[1] and counts() == before:
                 break
         for key in (None, "k"):
             with pytest.raises(TransportError, match="encoded bytes cannot travel"):
                 session.write(b"x" * 65_000, key)
-        time.sleep(0.05)  # nothing of it is on its way to the loop either
+        c.run(0.05)  # nothing of it is on its way to the loop either
         assert counts() == before
         # A value just under the limit is written and read back whole.
         largest = b"x" * 64_900
@@ -98,21 +96,11 @@ def test_live_write_too_big_for_a_datagram_is_refused_at_the_call():
 def _snapshot(c):
     """``stats()``, ``metrics()`` and the ring's count, read at one instant.
 
-    On the live backend stragglers (the third node's acks) are still
-    being sent and recorded when the program returns, so the reads are
-    taken in one callback on the loop thread, where nothing can
-    interleave.
+    Stragglers (the live third node's acks) may still be on their way
+    when the program returns, but no backend advances between two verbs,
+    so nothing interleaves with these reads.
     """
-    def take():
-        return c.stats(), c.metrics(), c.flight_recorder.total
-
-    if c.backend != "live":
-        return take()
-
-    async def on_the_loop():
-        return take()
-
-    return c._call(on_the_loop())
+    return c.stats(), c.metrics(), c.flight_recorder.total
 
 
 def _exercise(cluster):
@@ -180,14 +168,27 @@ def test_stats_and_metrics_parity(backend):
 
 
 def test_live_declares_no_virtual_time():
+    """Live's clock is the loop's wall clock: driven, but neither virtual nor seeded."""
     with open_cluster(backend="live", num_processes=3) as c:
         assert CRASH_INJECTION in c.capabilities
         assert VIRTUAL_TIME not in c.capabilities
-        with pytest.raises(CapabilityError):
-            c.run(0.1)
-        with pytest.raises(CapabilityError):
-            c.run_until(lambda: True)
-        with pytest.raises(CapabilityError):
-            c.now
+        before = c.now
+        c.run(0.01)
+        assert c.now >= before + 0.01
+        fired = []
+        c.defer(0.005, fired.append, "deferred")
+        c.run(0.05)
+        assert fired == ["deferred"]
+        c.defer(0.005, fired.append, "again")
+        assert c.run_until(lambda: len(fired) == 2, timeout=1.0)
+        assert not c.run_until(lambda: False, timeout=0.01)
         with pytest.raises(CapabilityError):
             c.partition([0], [1, 2])
+
+
+def test_live_runs_the_closed_loop_runner():
+    """The facade's one closed-loop runner drives live as it drives sim."""
+    with open_cluster(backend="live", num_processes=3) as c:
+        report = run_closed_loop(c, operations_per_client=30, seed=1)
+        assert (report.completed, report.aborted, report.unissued) == (90, 0, 0)
+        assert c.check().ok

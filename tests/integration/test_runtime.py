@@ -9,6 +9,7 @@ import asyncio
 import errno
 import fcntl
 import gc
+import logging
 import os
 import pickle
 import threading
@@ -27,12 +28,14 @@ from repro.runtime.storage import _SEGMENT, FileStableStorage, encode_frame
 from repro.storage import checkpoint as ckpt
 
 
-def wait_for(condition, timeout=10.0):
-    """Poll ``condition`` from the test thread (reads only)."""
-    deadline = time.monotonic() + timeout
-    while not condition():
-        assert time.monotonic() < deadline, "condition not reached in time"
-        time.sleep(0.002)
+def wait_for(cluster, condition, timeout=10.0):
+    """Run ``cluster``'s loop until ``condition`` holds."""
+    assert cluster.run_until(condition, timeout=timeout), "condition not reached in time"
+
+
+def on_the_loop(cluster, awaitable):
+    """Run ``awaitable`` on ``cluster``'s event loop and return its result."""
+    return cluster._loop.run_until_complete(awaitable)
 
 
 def logged_value(node):
@@ -48,8 +51,8 @@ def hold_store(monkeypatch, cluster, node, key):
     ``None``), every job ``node`` queues is set aside instead of
     reaching its event loop, so the rest of the cluster runs on.
     Returns ``(held, release)``: ``held`` is set once a job is parked;
-    ``release()`` replays the parked jobs on the loop in issue order
-    and lets later ones through.
+    ``release()`` replays the parked jobs in issue order and lets later
+    ones through.
     """
     held, parked, on_disk = threading.Event(), [], node._on_disk
 
@@ -61,14 +64,14 @@ def hold_store(monkeypatch, cluster, node, key):
         else:
             on_disk(done, job, *args)
 
-    async def replay():
+    def release():
         nonlocal parked
         jobs, parked = parked, None
         for done, job, args in jobs:
             on_disk(done, job, *args)
 
     monkeypatch.setattr(node, "_on_disk", diverted)
-    return held, lambda: cluster._call(replay())
+    return held, release
 
 
 def drain_disk(cluster, node):
@@ -79,7 +82,7 @@ def drain_disk(cluster, node):
         node._on_disk(landed.set_result, int)
         await landed
 
-    cluster._call(barrier())
+    on_the_loop(cluster, barrier())
 
 
 def frame_offsets(log):
@@ -428,9 +431,9 @@ class TestLiveCluster:
             )
 
         live_cluster.session(0).write_sync("plain")
-        wait_for(quiet)
-        time.sleep(0.05)  # a handler caught between its two counters finishes
-        wait_for(quiet)
+        wait_for(live_cluster, quiet)
+        live_cluster.run(0.05)  # a handler caught between its two counters finishes
+        wait_for(live_cluster, quiet)
         before, invoked = datagrams(), len(live_cluster.recorder.history)
         # Unpicklable, unpicklable, and picklable but naming a global.
         for value in (Handle(), threading.Lock(), range(3)):
@@ -482,7 +485,7 @@ class TestLiveCheckpoint:
             node = cluster.nodes[1]
             # The write returned on a majority of 2 of 3; node 1 is
             # quiescent only once its own round-2 log landed.
-            wait_for(lambda: logged_value(node) == "snapshot-me")
+            wait_for(cluster, lambda: logged_value(node) == "snapshot-me")
             storage = node.storage
             before = storage.log_bytes
             assert cluster.checkpoint(1) is True
@@ -519,17 +522,19 @@ class TestLiveCheckpoint:
         ) as cluster:
             cluster.session(0).write_sync("early")
             node = cluster.nodes[1]
-            wait_for(lambda: logged_value(node) == "early")
+            wait_for(cluster, lambda: logged_value(node) == "early")
             held, release = hold_store(monkeypatch, cluster, node, "written")
             try:
                 cluster.session(0).write_sync("late")  # nodes 0 and 2 are a majority
-                assert held.wait(timeout=10.0)
-                pending = cluster._submit(cluster._checkpoint(1))
-                wait_for(lambda: node.checkpoint_in_progress)
+                assert cluster.run_until(held.is_set, timeout=10.0)
+                committed = node.checkpoints_committed
+                assert node.begin_checkpoint()
+                wait_for(cluster, lambda: node.checkpoint_in_progress)
                 assert logged_value(node) == "early"  # what was captured
             finally:
                 release()
-            assert pending.result(timeout=10.0) is True
+            wait_for(cluster, lambda: not node.checkpoint_in_progress)
+            assert node.checkpoints_committed == committed + 1
             assert logged_value(node) == "late"
             assert node.storage.retrieve(ckpt.TENTATIVE_KEY) is None
             cluster.crash(1)
@@ -552,22 +557,24 @@ class TestLiveCheckpoint:
         ) as cluster:
             cluster.session(0).write_sync("early")
             node = cluster.nodes[1]
-            wait_for(lambda: logged_value(node) == "early")
+            wait_for(cluster, lambda: logged_value(node) == "early")
             issued, store = [], node._store
             monkeypatch.setattr(
                 node, "_store", lambda key, *rest: (issued.append(key), store(key, *rest))
             )
             held, release = hold_store(monkeypatch, cluster, node, ckpt.PERMANENT_KEY)
             try:
-                pending = cluster._submit(cluster._checkpoint(1))
-                assert held.wait(timeout=10.0)
+                committed = node.checkpoints_committed
+                assert node.begin_checkpoint()
+                assert cluster.run_until(held.is_set, timeout=10.0)
                 cluster.session(0).write_sync("late")  # nodes 0 and 2 are a majority
-                wait_for(lambda: "written" in issued)
+                wait_for(cluster, lambda: "written" in issued)
                 assert logged_value(node) == "early"  # still the captured one
             finally:
                 release()
-            assert pending.result(timeout=10.0) is True
-            wait_for(lambda: logged_value(node) == "late")
+            wait_for(cluster, lambda: not node.checkpoint_in_progress)
+            assert node.checkpoints_committed == committed + 1
+            wait_for(cluster, lambda: logged_value(node) == "late")
             drain_disk(cluster, node)
             on_disk = FileStableStorage(tmp_path / "node-1")
             assert on_disk.retrieve("written") == node.storage.retrieve("written")
@@ -605,7 +612,7 @@ class TestLiveThreading:
                 await asyncio.wait_for(last, timeout=10.0)
                 return errors, order, views
 
-            errors, order, views = cluster._call(run())
+            errors, order, views = on_the_loop(cluster, run())
             assert errors == []
             assert order == [*range(25), "last"]
             assert node.storage.retrieve("k") == ("last",)
@@ -651,7 +658,7 @@ class TestLiveThreading:
                 node._store("k", ("last",), 1, lambda: last.set_result(None), None)
                 await asyncio.wait_for(last, timeout=10.0)
 
-            cluster._call(run())
+            on_the_loop(cluster, run())
         assert events.count("acknowledged") == 10
         synced = acknowledged = 0
         for event in events:
@@ -697,7 +704,7 @@ class TestLiveThreading:
                     gc.collect()  # asyncio reports when the task is collected
                 return errors, acknowledged
 
-            errors, acknowledged = cluster._call(run())
+            errors, acknowledged = on_the_loop(cluster, run())
             # The wording bench/run.py counts as ``runtime.task_errors``.
             assert [e["message"] for e in errors] == [
                 "Task exception was never retrieved"
@@ -724,7 +731,7 @@ class TestLiveThreading:
                 await asyncio.wait_for(landed, timeout=10.0)
                 return errors
 
-            errors = cluster._call(run())
+            errors = on_the_loop(cluster, run())
             assert [e["message"] for e in errors] == [
                 "Task exception was never retrieved"
             ]
@@ -738,12 +745,12 @@ class TestLiveThreading:
             held, release = hold_store(monkeypatch, cluster, node, None)
             try:
                 cluster.session(0).write_sync("v")  # lands on {0, 1}
-                assert held.wait(timeout=10.0)
+                assert cluster.run_until(held.is_set, timeout=10.0)
                 assert cluster.session(1).read_sync() == "v"
                 assert logged_value(node) != "v"
             finally:
                 release()
-            wait_for(lambda: logged_value(node) == "v")
+            wait_for(cluster, lambda: logged_value(node) == "v")
             drain_disk(cluster, node)
             assert FileStableStorage(tmp_path / "node-2").retrieve("written")[1] == "v"
 
@@ -756,7 +763,7 @@ class TestLiveThreading:
                 node._on_disk(lambda _result: None, node.storage.write_file, "k", frame)
                 node.close()
 
-            cluster._call(store_and_close())
+            on_the_loop(cluster, store_and_close())
         assert FileStableStorage(tmp_path / "node-0").retrieve("k") == ("queued",)
 
     def test_failed_start_leaves_nothing_running(self, tmp_path):
@@ -781,8 +788,19 @@ class TestLiveThreading:
             node.invoke_read,
             lambda: node.invoke_write("x"),
         ):
+            raised = []
+
+            def elsewhere():
+                try:
+                    mutate()
+                except Exception as error:
+                    raised.append(error)
+
+            thread = threading.Thread(target=elsewhere)
+            thread.start()
+            thread.join()
             with pytest.raises(ReproError, match="event-loop thread"):
-                mutate()
+                raise raised[0]
         assert not node.crashed and not node.has_register("elsewhere")
         live_cluster.session(0).write_sync("still-fine")
         assert live_cluster.session(1).read_sync() == "still-fine"
@@ -801,12 +819,21 @@ class TestLiveBackendVerbs:
         assert not root.exists()
 
     def test_runs_no_thread_but_its_loop(self):
-        """A live store crosses no thread: N nodes, one ``repro-live``."""
+        """N nodes and their loop run on the caller's thread: none is added."""
         before = set(threading.enumerate())
         with open_cluster(backend="live", num_processes=5) as cluster:
             cluster.session(0).write_sync("x")
             assert cluster.session(4).read_sync() == "x"
-            assert [t.name for t in set(threading.enumerate()) - before] == ["repro-live"]
+            assert [t.name for t in set(threading.enumerate()) - before] == []
+
+    def test_close_with_a_recovery_pending_destroys_nothing(self, caplog):
+        """A recovery the caller never ran is left, not destroyed mid-flight."""
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            with open_cluster(backend="live") as cluster:
+                cluster.crash(1)
+                cluster.recover(1, wait=False)
+            gc.collect()
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
 
     def test_close_before_start_removes_the_temporary_root(self):
         cluster = open_cluster(backend="live")
@@ -840,15 +867,13 @@ class TestLiveBackendVerbs:
             try:
                 # Recovery's read-back is the first job parked.
                 cluster.recover(1, wait=False)
-                wait_for(lambda: not node.crashed)
-                time.sleep(0.05)
+                wait_for(cluster, lambda: not node.crashed)
+                cluster.run(0.05)
                 assert not session.ready
             finally:
                 release()
-            wait_for(lambda: session.ready)
-            # Let recover()'s readiness poll see it too, before the close.
-            cluster._call(asyncio.sleep(0.05))
-            assert cluster.recovery_errors == []
+            wait_for(cluster, lambda: session.ready)
+            assert cluster.stats().recoveries == 1
 
     def test_ensure_key_honours_its_timeout(self, tmp_path, monkeypatch):
         with open_cluster(backend="live", storage_root=tmp_path) as cluster:
@@ -864,14 +889,10 @@ class TestLiveBackendVerbs:
 
 
 def causal_logs_of_write(cluster):
-    """``causal_logs`` of one write invoked on node 0's loop thread."""
-
-    async def run():
-        settled = asyncio.get_running_loop().create_future()
-        cluster.nodes[0].invoke_write("x").add_callback(settled.set_result)
-        return (await asyncio.wait_for(settled, timeout=10.0)).causal_logs
-
-    return cluster._call(run())
+    """``causal_logs`` of one write invoked on node 0 itself."""
+    operation = cluster.nodes[0].invoke_write("x")
+    wait_for(cluster, lambda: operation.settled)
+    return operation.causal_logs
 
 
 class TestLiveCausalLogs:

@@ -9,8 +9,6 @@ and the storage fault verbs the scenarios arm.  The crash points the
 real drivers cannot stage are in ``tests/unit/test_node_core.py``.
 """
 
-import time
-
 import pytest
 
 from repro.api import open_cluster
@@ -157,14 +155,14 @@ class LiveWorld:
         return self.cluster.session(pid).read_sync()
 
     def checkpoint(self):
-        deadline = time.monotonic() + 10.0
         for node in self.cluster.nodes:
             # A write returns on a majority; a node is quiescent, and
             # its slot's records capturable, once its own log landed
             # (in the live log or, already truncated, in the snapshot).
-            while node._stable_view.retrieve("written")[1] != self._last:
-                assert time.monotonic() < deadline
-                time.sleep(0.002)
+            assert self.cluster.run_until(
+                lambda: node._stable_view.retrieve("written")[1] == self._last,
+                timeout=10.0,
+            )
             self.cluster.checkpoint(node.pid)
 
 

@@ -41,7 +41,7 @@ async def endpoints(*receivers):
     """One started transport per receive callback, all peers of each other."""
     transports = [UdpTransport(pid) for pid in range(len(receivers))]
     for transport, receive in zip(transports, receivers):
-        await transport.start(receive)
+        transport.start(receive, asyncio.get_running_loop())
     peers = [Peer(t.pid, t.host, t.port) for t in transports]
     for transport in transports:
         transport.set_peers(peers)
@@ -144,11 +144,14 @@ class TestUdpTransport:
             received = []
             a = UdpTransport(0, host="::1")
             try:
-                await a.start(lambda src, msg, depth: received.append((src, depth)))
+                a.start(
+                    lambda src, msg, depth: received.append((src, depth)),
+                    asyncio.get_running_loop(),
+                )
             except OSError:
                 pytest.skip("no IPv6 loopback here")
             b = UdpTransport(1, host="::1")
-            await b.start(lambda *args: None)
+            b.start(lambda *args: None, asyncio.get_running_loop())
             for transport in (a, b):
                 transport.set_peers([Peer(0, a.host, a.port), Peer(1, b.host, b.port)])
             b.send(0, query(1), depth=1)

@@ -1,13 +1,13 @@
 """Run the emulation over real UDP sockets and real fsync'd files.
 
 The simulator is calibrated and deterministic; this example is the
-opposite: the same protocol classes hosted on asyncio, exchanging real
-datagrams on localhost and logging to a real directory with ``fsync``
--- the Python analogue of the paper's C/UDP testbed.  It reports the
-measured write latency split across the three algorithms, which shows
-the same +1 log / +2 log hierarchy as Figure 6 (the absolute numbers
-depend on your disk: on modern NVMe an fsync costs tens of
-microseconds, not the 200 us of a 2003 IDE disk).
+opposite: the same protocol classes hosted over UDP on a caller-driven
+selector loop, exchanging real datagrams on localhost and logging to a
+real directory with ``fsync`` -- the Python analogue of the paper's
+C/UDP testbed.  It reports the measured write latency split across the
+three algorithms, which shows the same +1 log / +2 log hierarchy as
+Figure 6 (the absolute numbers depend on your disk: on modern NVMe an
+fsync costs tens of microseconds, not the 200 us of a 2003 IDE disk).
 
 Usage::
 

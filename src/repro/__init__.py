@@ -7,7 +7,8 @@ Emulations of Shared Memory in a Crash-Recovery Model* (ICDCS 2004):
   emulations (Figures 4 and 5 of the paper) plus the crash-stop
   baselines they extend (ABD, Lynch-Shvartsman);
 * a deterministic discrete-event simulator calibrated to the paper's
-  testbed, and an asyncio/UDP runtime running the same protocol code;
+  testbed, and a UDP runtime on a caller-driven selector loop running
+  the same protocol code;
 * black-box and white-box checkers for the paper's two consistency
   criteria, and engine-level measurement of the paper's cost metric
   (causal logs per operation);

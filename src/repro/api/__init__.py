@@ -2,8 +2,8 @@
 
 The repository hosts the register three ways -- the deterministic
 simulator (:class:`~repro.api.sim.SimBackend`), the sharded KV store
-on that simulator (:mod:`repro.kv`) and the asyncio/UDP runtime
-(:mod:`repro.runtime`).  :mod:`repro.api` puts one vocabulary in front
+on that simulator (:mod:`repro.kv`) and the UDP runtime on a
+caller-driven selector loop (:mod:`repro.runtime`).  :mod:`repro.api` puts one vocabulary in front
 of all of them::
 
     from repro.api import open_cluster
@@ -54,8 +54,8 @@ from repro.api.types import (
 
 
 def __getattr__(name: str):
-    # Served on first use (PEP 562): the live backend pulls in asyncio,
-    # sockets and the runtime, which a simulator user never needs.
+    # Served on first use (PEP 562): the live backend pulls in sockets,
+    # select and the runtime, which a simulator user never needs.
     if name == "LiveBackend":
         from repro.api.live import LiveBackend
 

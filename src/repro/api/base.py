@@ -3,7 +3,8 @@
 One front door for every backend.  A :class:`Cluster` is a context
 manager over a running deployment -- the deterministic simulator
 (``backend="sim"``), the sharded KV store on the simulator
-(``backend="kv"``) or the asyncio/UDP runtime (``backend="live"``) --
+(``backend="kv"``) or the UDP runtime on a caller-driven selector loop
+(``backend="live"``) --
 and exposes one vocabulary everywhere::
 
     from repro.api import open_cluster
@@ -636,7 +637,8 @@ def open_cluster(
 
     ``backend`` selects the deployment: ``"sim"`` (the deterministic
     single-register simulator), ``"kv"`` (the sharded key-value store
-    on the simulator) or ``"live"`` (asyncio/UDP nodes on localhost).
+    on the simulator) or ``"live"`` (nodes over UDP on localhost, on a
+    caller-driven selector loop).
     ``options`` are forwarded to the backend's constructor (e.g.
     ``num_shards``/``batch_window`` for kv, ``storage_root``/``op_timeout``
     for live, ``capture_trace``/``config`` for the simulated ones).
@@ -674,5 +676,5 @@ class _BackendRegistry(dict):
 
 #: backend name -> adapter factory, resolved lazily to avoid import
 #: cycles (the adapters import the simulator and the runtime) and so a
-#: simulated run never imports the live one's asyncio and sockets.
+#: simulated run never imports the live one's loop and sockets.
 BACKENDS: Dict[str, Callable[..., Cluster]] = _BackendRegistry()

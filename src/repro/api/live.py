@@ -1,10 +1,11 @@
-"""The ``"live"`` backend: asyncio/UDP nodes on localhost.
+"""The ``"live"`` backend: nodes over UDP on a caller-driven selector loop.
 
 :class:`LiveBackend` spins up N :class:`~repro.runtime.node.RuntimeNode`
-instances on one asyncio event loop: real datagrams on localhost, real
-``O_DSYNC`` log files, wall-clock time.  Every node gets a private
-storage directory under ``storage_root`` (a temporary directory by
-default), so crash/recovery really does go through the filesystem::
+instances on one :class:`~repro.runtime.node.Loop`: real datagrams on
+localhost, real ``O_DSYNC`` log files, wall-clock time.  Every node
+gets a private storage directory under ``storage_root`` (a temporary
+directory by default), so crash/recovery really does go through the
+filesystem::
 
     with open_cluster(backend="live", num_processes=3) as cluster:
         cluster.session(0).write_sync("hello")
@@ -19,8 +20,8 @@ calls, ``run``, ``run_until``, ``recover``, ``ensure_key``/``preload``
 and :meth:`LiveBackend.checkpoint`; nothing advances (no
 retransmission, no recovery, no ``op_timeout``) while the caller is
 outside them.  An operation is invoked on the node at the call
-(:meth:`LiveBackend.submit_op`), and the node's settle callback sets
-the future its :class:`LiveHandle` wraps; ``latency`` is wall seconds.
+(:meth:`LiveBackend.submit_op`), and the node's settle callback
+settles its :class:`LiveHandle`; ``latency`` is wall seconds.
 
 What the backend cannot do is declared, not approximated: it has no
 ``virtual_time`` capability (its clock is the loop's, and a run is not
@@ -31,7 +32,6 @@ seeded, so ``seed`` must stay ``None``) and no ``link_faults``
 
 from __future__ import annotations
 
-import asyncio
 import tempfile
 import time
 from pathlib import Path
@@ -51,16 +51,12 @@ from repro.obs.ring import RingTrace
 from repro.obs.tracing import ALL_KINDS
 from repro.protocol.host import NodeOperation
 from repro.protocol.registry import protocol_factory
-from repro.runtime.node import RuntimeNode
+from repro.runtime.node import Loop, RuntimeNode
 from repro.runtime.transport import Peer, check_value
 
 #: Retransmission period for live clusters, seconds.  Generous: real
 #: loopback rarely drops, so retries are a safety net, not the norm.
 LIVE_RETRANSMIT_INTERVAL = 0.05
-
-#: Wall seconds the loop runs between two checks of a ``run_until``
-#: predicate.
-RUN_SLICE = 0.001
 
 
 def _sent(nodes) -> int:
@@ -81,54 +77,50 @@ def _recoveries(nodes) -> int:
 
 
 class LiveHandle(OpHandle):
-    """Façade handle of a live operation: an asyncio future and its outcome.
+    """Façade handle of a live operation: its outcome, in plain fields.
 
-    The future only marks the settlement: ``wait`` runs the loop until
-    it is done and ``add_callback`` chains on it.  The outcome and the
-    completion instant are stamped on the handle where the future is
-    set, so every waiter reads the same latency.
+    :meth:`_settle` stamps the outcome and the completion instant once
+    and runs the callbacks at once, as a simulated
+    :class:`~repro.protocol.host.NodeOperation` does; ``error`` is what
+    the operation failed with, if it aborted.
     """
 
-    __slots__ = ("kind", "key", "pid", "_future", "_submitted", "_completed", "_error")
+    __slots__ = (
+        "kind",
+        "key",
+        "pid",
+        "settled",
+        "done",
+        "aborted",
+        "result",
+        "error",
+        "_submitted",
+        "_completed",
+        "_callbacks",
+    )
 
-    def __init__(
-        self, kind: str, key: Optional[str], pid: int, loop: asyncio.AbstractEventLoop
-    ):
+    def __init__(self, kind: str, key: Optional[str], pid: int):
         self.kind = kind
         self.key = key
         self.pid = pid
-        self._future = loop.create_future()
+        self.settled = self.done = self.aborted = False
+        self.result: Any = None
+        self.error: Optional[BaseException] = None
         self._submitted = time.monotonic()
         self._completed: Optional[float] = None
-        self._error: Optional[BaseException] = None
+        self._callbacks: List[Callable[[OpHandle], None]] = []
 
     def _settle(self, result: Any = None, error: Optional[BaseException] = None) -> None:
-        if self._future.done():
+        if self.settled:
             return  # timed out; the operation finished after all
         self._completed = time.monotonic()
-        self._error = error
-        self._future.set_result(result)
-
-    @property
-    def settled(self) -> bool:
-        return self._future.done()
-
-    @property
-    def done(self) -> bool:
-        return self._future.done() and self._error is None
-
-    @property
-    def aborted(self) -> bool:
-        return self._error is not None
-
-    @property
-    def error(self) -> Optional[BaseException]:
-        """What the operation failed with, if it aborted."""
-        return self._error
-
-    @property
-    def result(self) -> Any:
-        return self._future.result() if self.done else None
+        self.settled = True
+        self.aborted = error is not None
+        self.done = not self.aborted
+        self.result, self.error = result, error
+        callbacks, self._callbacks = self._callbacks, []
+        for callback in callbacks:
+            callback(self)
 
     @property
     def latency(self) -> Optional[float]:
@@ -138,11 +130,10 @@ class LiveHandle(OpHandle):
         return self._completed - self._submitted
 
     def add_callback(self, callback: Callable[[OpHandle], None]) -> None:
-        # An asyncio future schedules the callbacks of a settled one.
         if self.settled:
             callback(self)
         else:
-            self._future.add_done_callback(lambda _future: callback(self))
+            self._callbacks.append(callback)
 
 
 class LiveSession(Session):
@@ -198,12 +189,12 @@ class LiveBackend(Cluster):
         self._flight_recorder = RingTrace(kinds=ALL_KINDS)
         self.nodes: List[RuntimeNode] = []
         self._registers: Set[str] = set()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._loop: Optional[Loop] = None
 
     def _clock(self) -> float:
         return self._loop.time() if self._loop is not None else 0.0
 
-    def _started_loop(self) -> asyncio.AbstractEventLoop:
+    def _started_loop(self) -> Loop:
         if self._loop is None:
             raise ReproError("cluster not started")
         return self._loop
@@ -214,7 +205,7 @@ class LiveBackend(Cluster):
         """Bind every node's socket, then boot them all on the loop."""
         if self.nodes:
             raise ReproError("cluster already started")
-        self._loop = loop = asyncio.new_event_loop()
+        self._loop = loop = Loop()
         try:
             for pid in range(self._num_processes):
                 node = RuntimeNode(
@@ -288,7 +279,7 @@ class LiveBackend(Cluster):
         TransportError` here, before any datagram leaves.
         """
         loop = self._started_loop()
-        handle = LiveHandle(kind, key, pid, loop)
+        handle = LiveHandle(kind, key, pid)
         if kind == "write":
             check_value(value, key)
         node = self.nodes[pid]
@@ -367,7 +358,7 @@ class LiveBackend(Cluster):
             raise ConfigurationError(
                 "a live cluster never goes quiet: run() needs a duration"
             )
-        self._run_for(duration)
+        self._started_loop().run_until(lambda: False, duration)
 
     def run_until(
         self,
@@ -378,18 +369,12 @@ class LiveBackend(Cluster):
     ) -> bool:
         """Run the loop until ``predicate()`` holds; ``False`` on timeout.
 
-        The predicate is re-checked between slices of about
-        :data:`RUN_SLICE` wall seconds; ``timeout`` is wall seconds
-        (``None``: no bound).  ``poll_every`` and ``max_events`` count
-        simulator events and mean nothing here.
+        The predicate is re-checked after every loop iteration;
+        ``timeout`` is wall seconds (``None``: no bound).
+        ``poll_every`` and ``max_events`` count simulator events and
+        mean nothing here.
         """
-        loop = self._started_loop()
-        deadline = None if timeout is None else loop.time() + timeout
-        while not predicate():
-            if deadline is not None and loop.time() >= deadline:
-                return False
-            self._run_for(RUN_SLICE)
-        return True
+        return self._started_loop().run_until(predicate, timeout)
 
     def defer(self, delay: float, fn: Callable, *args: Any) -> None:
         self._started_loop().call_later(delay, fn, *args)
@@ -397,40 +382,16 @@ class LiveBackend(Cluster):
     def wait(
         self, handle: OpHandle, timeout: float = 5.0, expect_done: bool = False
     ) -> OpHandle:
-        future = handle._future
-        if not future.done():
-            loop = self._started_loop()
-            waiting = True
-
-            def stop(_future) -> None:
-                # Added last, so it runs after the handle's own
-                # callbacks; inert once this wait has returned.
-                if waiting:
-                    loop.stop()
-
-            future.add_done_callback(stop)
-            try:
-                self._run_for(timeout)
-            finally:
-                waiting = False
-                future.remove_done_callback(stop)
-            if not future.done():
-                # Only this wait gave up; the operation stays in flight.
-                raise ReproError(f"live {handle.kind} did not settle within {timeout}s")
+        if not handle.settled and not self._started_loop().run_until(
+            lambda: handle.settled, timeout
+        ):
+            # Only this wait gave up; the operation stays in flight.
+            raise ReproError(f"live {handle.kind} did not settle within {timeout}s")
         if expect_done and handle.aborted:
             raise OperationAborted(
                 f"{handle.kind} at p{handle.pid} failed: {handle.error}"
             ) from handle.error
         return handle
-
-    def _run_for(self, seconds: float) -> None:
-        """Run the loop for ``seconds``, or until a callback stops it."""
-        loop = self._started_loop()
-        timer = loop.call_later(seconds, loop.stop)
-        try:
-            loop.run_forever()
-        finally:
-            timer.cancel()
 
     # -- observability -----------------------------------------------------
 

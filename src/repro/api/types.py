@@ -82,12 +82,13 @@ class OpHandle:
     No backend wraps its native handle: the simulator hands out the
     node's own :class:`~repro.protocol.host.NodeOperation`, which
     carries this whole surface; the KV store's
-    :class:`~repro.kv.store.KVOperation` and the live backend's handle
-    over its future subclass this.  The caller only sees this surface.
-    ``latency`` is in the backend's own time base: virtual seconds on
-    simulated backends, wall seconds on live.  Attributes beyond this
-    surface stay readable: ``op`` and ``causal_logs`` on the simulator,
-    ``shard``/``invoked_at``/``completed_at`` on the store.
+    :class:`~repro.kv.store.KVOperation` and the live backend's
+    :class:`~repro.api.live.LiveHandle` subclass this.  The caller only
+    sees this surface.  ``latency`` is in the backend's own time base:
+    virtual seconds on simulated backends, wall seconds on live.
+    Attributes beyond this surface stay readable: ``op`` and
+    ``causal_logs`` on the simulator, ``shard``/``invoked_at``/
+    ``completed_at`` on the store.
     """
 
     #: "read" or "write".

@@ -45,9 +45,9 @@ _COUNTER_LOCK = threading.Lock()
 def make_operation_id(pid: ProcessId) -> OperationId:
     """Mint a fresh :class:`OperationId` for process ``pid``.
 
-    Thread-safe: the asyncio runtime invokes operations from multiple
-    event-loop callbacks and the simulator from a single thread; a lock
-    keeps the counter safe in both settings.
+    Thread-safe: a lock keeps the counter safe whichever thread mints,
+    though the simulator and the live runtime each invoke operations
+    from a single thread.
     """
     with _COUNTER_LOCK:
         seq = next(_COUNTER)

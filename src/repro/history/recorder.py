@@ -1,6 +1,7 @@
 """Recording histories from a live run.
 
-The simulator's nodes (and the asyncio runtime's nodes) report
+The simulator's nodes (and the live runtime's nodes, on their
+caller-driven selector loop) report
 invocations, replies, crashes and recoveries to a
 :class:`HistoryRecorder`, which timestamps and appends them to a
 :class:`~repro.history.history.History`.  The recorder also keeps the

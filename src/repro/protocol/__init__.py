@@ -7,7 +7,8 @@ emits :class:`~repro.protocol.base.Effect` values describing what the
 hosting environment should do (send a message, log to stable storage,
 reply to the client, arm a timer).  The same protocol classes therefore
 run unchanged under the deterministic simulator
-(:mod:`repro.sim`) and the asyncio/UDP runtime (:mod:`repro.runtime`).
+(:mod:`repro.sim`) and the UDP runtime on a caller-driven selector loop
+(:mod:`repro.runtime`).
 
 Implemented protocols:
 

@@ -8,7 +8,8 @@ because it is the other half of their contract -- it executes the
 Checkpoint`` effects they emit -- and is itself free of I/O: a *driver*
 subclass supplies the clock, the wire, the disk and the timers.
 :class:`repro.sim.node.SimNode` drives it from the simulation kernel,
-:class:`repro.runtime.node.RuntimeNode` from asyncio, UDP and fsync.
+:class:`repro.runtime.node.RuntimeNode` from a caller-driven selector
+loop, UDP and fsync.
 
 A node owns:
 

@@ -1,4 +1,4 @@
-"""Asyncio/UDP runtime: the protocols over real sockets and real disks.
+"""Live runtime: the protocols over real disks and UDP on a caller-driven selector loop.
 
 The paper's measurements come from a C implementation on a LAN using
 UDP and synchronous file writes.  This package is the Python analogue:
@@ -12,7 +12,11 @@ the *same* sans-io protocol classes as the simulator, hosted on
   its frame over those zeros through an ``O_DSYNC`` descriptor, so it is
   durable when it returns (buffering "would violate even transient
   atomicity", Section V-A);
-* :class:`~repro.runtime.node.RuntimeNode` -- the asyncio driver of
+* :class:`~repro.runtime.node.Loop` -- the event loop: a FIFO ready
+  queue, a timer heap and one ``select.poll`` over the nodes' sockets,
+  run only by ``run_until`` on the caller's thread (the simulator
+  kernel's contract in wall time);
+* :class:`~repro.runtime.node.RuntimeNode` -- the loop's driver of
   the process host the simulator shares
   (:class:`repro.protocol.host.NodeCore`): crash emulation by muting
   the transport, each node's storage jobs drained in issue order by its

@@ -1,7 +1,8 @@
 """UDP transport between cluster nodes, and the wire format it speaks.
 
 One non-blocking datagram socket per node, owned by the transport and
-registered with the event loop through ``add_reader``.  UDP gives
+registered with the node's caller-driven selector loop
+(:class:`repro.runtime.node.Loop`) through ``add_reader``.  UDP gives
 exactly the fair-lossy channel of the model: datagrams can be dropped,
 duplicated or reordered, and the protocols' retransmission loops handle
 it.  A message that does not fit the 64 KB datagram limit raises, as in
@@ -52,13 +53,12 @@ datagram is.
 
 from __future__ import annotations
 
-import asyncio
 import io
 import pickle
 import socket
 import struct
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple
 from zlib import crc32
 
 from repro.common.errors import TransportError
@@ -76,6 +76,9 @@ from repro.protocol.messages import (
     WriteAck,
     WriteRequest,
 )
+
+if TYPE_CHECKING:
+    from repro.runtime.node import Loop
 
 #: Hard UDP payload ceiling (IPv4 localhost supports slightly less
 #: than 64 KB of payload after headers).
@@ -293,7 +296,7 @@ class UdpTransport:
         self.port = port
         self._addresses: Dict[ProcessId, Tuple[str, int]] = {}
         self._sock: Optional[socket.socket] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._loop: Optional[Loop] = None
         self._receive: Optional[ReceiveCallback] = None
         # One byte more than the largest datagram of ours: a longer one
         # is cut by the kernel, fills the buffer and is refused as long.
@@ -327,11 +330,10 @@ class UdpTransport:
         self._ring_send = ring.kind_id("send")
         self._ring_deliver = ring.kind_id("deliver")
 
-    def start(self, receive: ReceiveCallback, loop: asyncio.AbstractEventLoop) -> None:
+    def start(self, receive: ReceiveCallback, loop: Loop) -> None:
         """Bind the socket and deliver to ``receive`` while ``loop`` runs."""
-        # Resolved here and not on the loop's executor: the configured
-        # host is an address literal wherever this repository binds, and
-        # no helper thread is left behind when a cluster fails to start.
+        # Resolved here, blocking: the configured host is an address
+        # literal wherever this repository binds.
         # As bytes, because a str host makes Python import its IDNA
         # codec (stringprep, unicodedata: 0.75 MB resident) to encode it.
         family, kind, proto, _, address = socket.getaddrinfo(
@@ -348,7 +350,7 @@ class UdpTransport:
         self._sock = sock
         self._receive = receive
         self._loop = loop
-        loop.add_reader(sock, self._on_readable)
+        loop.add_reader(sock.fileno(), self._on_readable)
 
     def set_peers(self, peers: List[Peer]) -> None:
         """Install the cluster membership (including this node)."""
@@ -441,6 +443,6 @@ class UdpTransport:
     def close(self) -> None:
         """Stop reading and release the socket."""
         if self._sock is not None:
-            self._loop.remove_reader(self._sock)
+            self._loop.remove_reader(self._sock.fileno())
             self._sock.close()
             self._sock = self._receive = None

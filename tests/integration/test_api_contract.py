@@ -167,6 +167,24 @@ def test_stats_and_metrics_parity(backend):
     assert "send" in kinds and "deliver" in kinds
 
 
+@pytest.mark.parametrize("backend", ["sim", "kv", "live"])
+def test_a_callback_may_block_on_an_operation(backend):
+    """A blocking verb inside a loop callback drives the same queues, nested.
+
+    The callback due beside it runs once, whichever run reaches it.
+    """
+    seed = None if backend == "live" else 11
+    with open_cluster(backend=backend, num_processes=3, seed=seed) as c:
+        out, beside = [], []
+        c.defer(0.001, lambda: out.append(c.session(0).write_sync("x")))
+        c.defer(0.001, beside.append, "ran")
+        c.run(0.2)
+        assert [handle.done for handle in out] == [True]
+        assert beside == ["ran"]
+        assert c.session(1).read_sync() == "x"
+        assert c.check().ok
+
+
 def test_live_declares_no_virtual_time():
     """Live's clock is the loop's wall clock: driven, but neither virtual nor seeded."""
     with open_cluster(backend="live", num_processes=3) as c:

@@ -1,11 +1,10 @@
-"""Integration: the asyncio/UDP runtime on localhost.
+"""Integration: the UDP runtime, on its caller-driven selector loop, on localhost.
 
 These tests exercise real sockets, real files and real fsync, so they
 are slower than the simulator tests but prove the protocol code runs
 outside the simulator.
 """
 
-import asyncio
 import errno
 import fcntl
 import gc
@@ -24,6 +23,7 @@ from repro.history.checker import (
     check_persistent_atomicity,
     check_transient_atomicity,
 )
+from repro.runtime.node import RuntimeNode
 from repro.runtime.storage import _SEGMENT, FileStableStorage, encode_frame
 from repro.storage import checkpoint as ckpt
 
@@ -31,11 +31,6 @@ from repro.storage import checkpoint as ckpt
 def wait_for(cluster, condition, timeout=10.0):
     """Run ``cluster``'s loop until ``condition`` holds."""
     assert cluster.run_until(condition, timeout=timeout), "condition not reached in time"
-
-
-def on_the_loop(cluster, awaitable):
-    """Run ``awaitable`` on ``cluster``'s event loop and return its result."""
-    return cluster._loop.run_until_complete(awaitable)
 
 
 def logged_value(node):
@@ -76,13 +71,9 @@ def hold_store(monkeypatch, cluster, node, key):
 
 def drain_disk(cluster, node):
     """Return once every file operation ``node`` queued so far ran."""
-
-    async def barrier():
-        landed = asyncio.get_running_loop().create_future()
-        node._on_disk(landed.set_result, int)
-        await landed
-
-    on_the_loop(cluster, barrier())
+    landed = []
+    node._on_disk(landed.append, int)
+    wait_for(cluster, lambda: landed)
 
 
 def frame_offsets(log):
@@ -587,32 +578,22 @@ class TestLiveCheckpoint:
 
 
 class TestLiveThreading:
-    def test_stores_of_one_key_land_in_issue_order(self, tmp_path, debug=False):
+    def test_stores_of_one_key_land_in_issue_order(self, tmp_path):
         """Completions run on the loop in issue order, not only on the thread."""
         with open_cluster(backend="live", num_processes=1, storage_root=tmp_path) as cluster:
             node = cluster.nodes[0]
+            errors, order, views = [], [], []
+            cluster._loop.set_exception_handler(
+                lambda _loop, context: errors.append(context)
+            )
 
-            async def run():
-                loop = asyncio.get_running_loop()
-                loop.set_debug(debug)
-                errors, order, views = [], [], []
-                loop.set_exception_handler(
-                    lambda _loop, context: errors.append(context)
-                )
-                last = loop.create_future()
+            def acknowledged(i):
+                order.append(i)
+                views.append(node.storage.retrieve("k"))
 
-                def acknowledged(i):
-                    order.append(i)
-                    views.append(node.storage.retrieve("k"))
-                    if i == "last":
-                        last.set_result(None)
-
-                for i in [*range(25), "last"]:
-                    node._store("k", (i,), 1, lambda i=i: acknowledged(i), None)
-                await asyncio.wait_for(last, timeout=10.0)
-                return errors, order, views
-
-            errors, order, views = on_the_loop(cluster, run())
+            for i in [*range(25), "last"]:
+                node._store("k", (i,), 1, lambda i=i: acknowledged(i), None)
+            wait_for(cluster, lambda: "last" in order)
             assert errors == []
             assert order == [*range(25), "last"]
             assert node.storage.retrieve("k") == ("last",)
@@ -624,14 +605,21 @@ class TestLiveThreading:
         assert on_disk.retrieve("k") == ("last",)
         assert [p.name for p in (tmp_path / "node-0").iterdir()] == ["wal.log"]
 
-    def test_stores_land_in_issue_order_on_a_slow_loop(self, tmp_path):
+    def test_stores_land_in_issue_order_on_a_slow_loop(self, tmp_path, monkeypatch):
         """A per-store task failed this about one run in two.
 
-        Creating a task is slow in asyncio's debug mode, so a store
-        already durable when its task first ran was acknowledged ahead
-        of the earlier ones, whose wake-ups were still queued.
+        On a slow loop a store already durable when its task first ran
+        was acknowledged ahead of the earlier ones, whose wake-ups were
+        still queued.  Every drain of the job list sleeps 1 ms here.
         """
-        self.test_stores_of_one_key_land_in_issue_order(tmp_path, debug=True)
+        drain = RuntimeNode._drain
+
+        def slow_drain(node):
+            time.sleep(0.001)
+            drain(node)
+
+        monkeypatch.setattr(RuntimeNode, "_drain", slow_drain)
+        self.test_stores_of_one_key_land_in_issue_order(tmp_path)
 
     def test_store_is_acknowledged_only_after_its_fdatasync(
         self, tmp_path, monkeypatch
@@ -646,19 +634,14 @@ class TestLiveThreading:
 
         monkeypatch.setattr(os, "pwrite", recording)
         with open_cluster(backend="live", num_processes=1, storage_root=tmp_path) as cluster:
-            node = cluster.nodes[0]
-
-            async def run():
-                last = asyncio.get_running_loop().create_future()
-                del events[:]
-                for i in range(10):
-                    node._store(
-                        f"k{i}", (i,), 1, lambda: events.append("acknowledged"), None
-                    )
-                node._store("k", ("last",), 1, lambda: last.set_result(None), None)
-                await asyncio.wait_for(last, timeout=10.0)
-
-            on_the_loop(cluster, run())
+            node, last = cluster.nodes[0], []
+            del events[:]
+            for i in range(10):
+                node._store(
+                    f"k{i}", (i,), 1, lambda: events.append("acknowledged"), None
+                )
+            node._store("k", ("last",), 1, lambda: last.append(None), None)
+            wait_for(cluster, lambda: last)
         assert events.count("acknowledged") == 10
         synced = acknowledged = 0
         for event in events:
@@ -689,22 +672,12 @@ class TestLiveThreading:
         with open_cluster(backend="live", num_processes=1, storage_root=tmp_path) as cluster:
             node = cluster.nodes[0]
             monkeypatch.setattr(FileStableStorage, "write_file", failing)
-
-            async def run():
-                loop = asyncio.get_running_loop()
-                errors, acknowledged = [], []
-                loop.set_exception_handler(
-                    lambda _loop, context: errors.append(context)
-                )
-                node._store("k", (1,), 1, lambda: acknowledged.append("k"), None)
-                for _ in range(500):
-                    if errors:
-                        break
-                    await asyncio.sleep(0.01)
-                    gc.collect()  # asyncio reports when the task is collected
-                return errors, acknowledged
-
-            errors, acknowledged = on_the_loop(cluster, run())
+            errors, acknowledged = [], []
+            cluster._loop.set_exception_handler(
+                lambda _loop, context: errors.append(context)
+            )
+            node._store("k", (1,), 1, lambda: acknowledged.append("k"), None)
+            wait_for(cluster, lambda: errors)
             # The wording bench/run.py counts as ``runtime.task_errors``.
             assert [e["message"] for e in errors] == [
                 "Task exception was never retrieved"
@@ -718,20 +691,13 @@ class TestLiveThreading:
             raise RuntimeError("completion failed")
 
         with open_cluster(backend="live", num_processes=1, storage_root=tmp_path) as cluster:
-            node = cluster.nodes[0]
-
-            async def run():
-                loop = asyncio.get_running_loop()
-                errors, landed = [], loop.create_future()
-                loop.set_exception_handler(
-                    lambda _loop, context: errors.append(context)
-                )
-                node._store("a", (1,), 1, failing, None)
-                node._store("b", (2,), 1, lambda: landed.set_result(None), None)
-                await asyncio.wait_for(landed, timeout=10.0)
-                return errors
-
-            errors = on_the_loop(cluster, run())
+            node, errors, landed = cluster.nodes[0], [], []
+            cluster._loop.set_exception_handler(
+                lambda _loop, context: errors.append(context)
+            )
+            node._store("a", (1,), 1, failing, None)
+            node._store("b", (2,), 1, lambda: landed.append(None), None)
+            wait_for(cluster, lambda: landed)
             assert [e["message"] for e in errors] == [
                 "Task exception was never retrieved"
             ]
@@ -757,13 +723,9 @@ class TestLiveThreading:
     def test_close_lands_what_is_queued(self, tmp_path):
         with open_cluster(backend="live", num_processes=1, storage_root=tmp_path) as cluster:
             node = cluster.nodes[0]
-
-            async def store_and_close():
-                frame = encode_frame("k", ("queued",))
-                node._on_disk(lambda _result: None, node.storage.write_file, "k", frame)
-                node.close()
-
-            on_the_loop(cluster, store_and_close())
+            frame = encode_frame("k", ("queued",))
+            node._on_disk(lambda _result: None, node.storage.write_file, "k", frame)
+            node.close()
         assert FileStableStorage(tmp_path / "node-0").retrieve("k") == ("queued",)
 
     def test_failed_start_leaves_nothing_running(self, tmp_path):
@@ -828,12 +790,13 @@ class TestLiveBackendVerbs:
 
     def test_close_with_a_recovery_pending_destroys_nothing(self, caplog):
         """A recovery the caller never ran is left, not destroyed mid-flight."""
-        with caplog.at_level(logging.WARNING, logger="asyncio"):
+        loop_logger = RuntimeNode.__module__  # where the loop logs what raised
+        with caplog.at_level(logging.WARNING, logger=loop_logger):
             with open_cluster(backend="live") as cluster:
                 cluster.crash(1)
                 cluster.recover(1, wait=False)
             gc.collect()
-        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
+        assert [r.getMessage() for r in caplog.records if r.name == loop_logger] == []
 
     def test_close_before_start_removes_the_temporary_root(self):
         cluster = open_cluster(backend="live")

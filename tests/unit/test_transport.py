@@ -1,6 +1,9 @@
-"""Unit tests for the UDP transport (real sockets on localhost)."""
+"""Unit tests for the UDP transport (real sockets on localhost).
 
-import asyncio
+The socket tests run the transport on the loop it ships with,
+:class:`repro.runtime.node.Loop`.
+"""
+
 import os
 import pickle
 import socket
@@ -24,6 +27,7 @@ from repro.protocol.messages import (
     WriteAck,
     WriteRequest,
 )
+from repro.runtime.node import Loop
 from repro.runtime.transport import (
     MAX_DATAGRAM,
     Peer,
@@ -34,14 +38,23 @@ from repro.runtime.transport import (
 )
 
 
-run = asyncio.run
+@pytest.fixture
+def loop():
+    loop = Loop()
+    yield loop
+    loop.close()
 
 
-async def endpoints(*receivers):
+def run_for(loop, seconds):
+    """Run ``loop`` for ``seconds`` wall seconds."""
+    loop.run_until(lambda: False, seconds)
+
+
+def endpoints(loop, *receivers):
     """One started transport per receive callback, all peers of each other."""
     transports = [UdpTransport(pid) for pid in range(len(receivers))]
     for transport, receive in zip(transports, receivers):
-        transport.start(receive, asyncio.get_running_loop())
+        transport.start(receive, loop)
     peers = [Peer(t.pid, t.host, t.port) for t in transports]
     for transport in transports:
         transport.set_peers(peers)
@@ -114,123 +127,93 @@ class StubSocket:
 
 
 class TestUdpTransport:
-    def test_round_trip_between_two_endpoints(self):
-        async def scenario():
-            received = []
-            a, b = await endpoints(
-                lambda src, msg, depth: None,
-                lambda src, msg, depth: received.append((src, depth, msg)),
-            )
-            a.send(1, query(), depth=3)
-            for _ in range(100):
-                if received:
-                    break
-                await asyncio.sleep(0.01)
-            a.close()
-            b.close()
-            return received
-
-        received = run(scenario())
+    def test_round_trip_between_two_endpoints(self, loop):
+        received = []
+        a, b = endpoints(
+            loop,
+            lambda src, msg, depth: None,
+            lambda src, msg, depth: received.append((src, depth, msg)),
+        )
+        a.send(1, query(), depth=3)
+        loop.run_until(lambda: received, timeout=1.0)
+        a.close()
+        b.close()
         assert len(received) == 1
         src, depth, message = received[0]
         assert src == 0
         assert depth == 3
         assert isinstance(message, SnQuery)
 
-    def test_round_trip_over_ipv6_loopback(self):
+    def test_round_trip_over_ipv6_loopback(self, loop):
         """The socket's family is the configured host's."""
+        received = []
+        a = UdpTransport(0, host="::1")
+        try:
+            a.start(lambda src, msg, depth: received.append((src, depth)), loop)
+        except OSError:
+            pytest.skip("no IPv6 loopback here")
+        b = UdpTransport(1, host="::1")
+        b.start(lambda *args: None, loop)
+        for transport in (a, b):
+            transport.set_peers([Peer(0, a.host, a.port), Peer(1, b.host, b.port)])
+        b.send(0, query(1), depth=1)
+        loop.run_until(lambda: received, timeout=1.0)
+        a.close()
+        b.close()
+        assert received == [(1, 1)]
 
-        async def scenario():
-            received = []
-            a = UdpTransport(0, host="::1")
-            try:
-                a.start(
-                    lambda src, msg, depth: received.append((src, depth)),
-                    asyncio.get_running_loop(),
-                )
-            except OSError:
-                pytest.skip("no IPv6 loopback here")
-            b = UdpTransport(1, host="::1")
-            b.start(lambda *args: None, asyncio.get_running_loop())
-            for transport in (a, b):
-                transport.set_peers([Peer(0, a.host, a.port), Peer(1, b.host, b.port)])
-            b.send(0, query(1), depth=1)
-            for _ in range(100):
-                if received:
-                    break
-                await asyncio.sleep(0.01)
-            a.close()
-            b.close()
-            return received
+    def test_unknown_peer_raises(self, loop):
+        (a,) = endpoints(loop, lambda *args: None)
+        with pytest.raises(TransportError):
+            a.send(7, query(), 0)
+        a.close()
 
-        assert run(scenario()) == [(1, 1)]
+    def test_oversized_datagram_rejected(self, loop):
+        a, b = endpoints(loop, lambda *args: None, lambda *args: None)
+        huge = WriteRequest(
+            op=make_operation_id(0),
+            round_no=1,
+            tag=Tag(1, 0),
+            value=b"x" * (MAX_DATAGRAM + 1),
+        )
+        with pytest.raises(TransportError):
+            a.send(1, huge, 0)
+        a.close()
+        b.close()
+        assert a.messages_sent == 0
 
-    def test_unknown_peer_raises(self):
-        async def scenario():
-            (a,) = await endpoints(lambda *args: None)
-            with pytest.raises(TransportError):
-                a.send(7, query(), 0)
-            a.close()
+    def test_muted_transport_drops_everything(self, loop):
+        received = []
+        a, b = endpoints(
+            loop,
+            lambda src, msg, depth: received.append(msg),
+            lambda src, msg, depth: received.append(msg),
+        )
+        a.muted = True
+        a.send(1, query(), 0)  # a muted sender sends nothing,
+        a.send(0, query(), 0)
+        b.send(0, query(1), 0)  # a muted receiver hears nothing
+        run_for(loop, 0.05)
+        a.close()
+        b.close()
+        assert (received, a.messages_sent, a.messages_received) == ([], 0, 0)
 
-        run(scenario())
+    def test_message_to_itself_is_delivered_later_and_off_the_wire(self, loop):
+        received = []
+        (a,) = endpoints(loop, lambda src, msg, depth: received.append((src, depth, msg)))
+        ring = RingTrace(kinds=ALL_KINDS)
+        a.attach_flight_recorder(ring, loop.time)
 
-    def test_oversized_datagram_rejected(self):
-        async def scenario():
-            a, b = await endpoints(lambda *args: None, lambda *args: None)
-            huge = WriteRequest(
-                op=make_operation_id(0),
-                round_no=1,
-                tag=Tag(1, 0),
-                value=b"x" * (MAX_DATAGRAM + 1),
-            )
-            with pytest.raises(TransportError):
-                a.send(1, huge, 0)
-            a.close()
-            b.close()
-            return a.messages_sent
+        def on_the_wire(data):
+            raise AssertionError("a message to itself crossed the socket")
 
-        assert run(scenario()) == 0
-
-    def test_muted_transport_drops_everything(self):
-        async def scenario():
-            received = []
-            a, b = await endpoints(
-                lambda src, msg, depth: received.append(msg),
-                lambda src, msg, depth: received.append(msg),
-            )
-            a.muted = True
-            a.send(1, query(), 0)  # a muted sender sends nothing,
-            a.send(0, query(), 0)
-            b.send(0, query(1), 0)  # a muted receiver hears nothing
-            await asyncio.sleep(0.05)
-            a.close()
-            b.close()
-            return received, a.messages_sent, a.messages_received
-
-        assert run(scenario()) == ([], 0, 0)
-
-    def test_message_to_itself_is_delivered_later_and_off_the_wire(self):
-        async def scenario():
-            received = []
-            (a,) = await endpoints(
-                lambda src, msg, depth: received.append((src, depth, msg))
-            )
-            ring = RingTrace(kinds=ALL_KINDS)
-            a.attach_flight_recorder(ring, asyncio.get_running_loop().time)
-
-            def on_the_wire(data):
-                raise AssertionError("a message to itself crossed the socket")
-
-            a._on_datagram = on_the_wire
-            message = query()
-            a.send(0, message, depth=2)
-            inside_send = list(received)
-            await asyncio.sleep(0.05)
-            a.close()
-            kinds = [event.kind for event in ring.events()]
-            return inside_send, received, message, kinds, a
-
-        inside_send, received, message, kinds, a = run(scenario())
+        a._on_datagram = on_the_wire
+        message = query()
+        a.send(0, message, depth=2)
+        inside_send = list(received)
+        run_for(loop, 0.05)
+        a.close()
+        kinds = [event.kind for event in ring.events()]
         assert inside_send == []  # never re-entrant
         assert len(received) == 1
         src, depth, delivered = received[0]
@@ -238,37 +221,28 @@ class TestUdpTransport:
         assert kinds == ["send", "deliver"]
         assert (a.messages_sent, a.messages_received) == (1, 1)
 
-    def test_message_to_itself_is_dropped_by_a_crash_before_delivery(self):
-        async def scenario():
-            received = []
-            (a,) = await endpoints(lambda src, msg, depth: received.append(msg))
-            a.send(0, query(), 0)
-            a.muted = True  # the crash lands between send and delivery
-            await asyncio.sleep(0.05)
-            a.close()
-            return received, a.messages_sent, a.messages_received
+    def test_message_to_itself_is_dropped_by_a_crash_before_delivery(self, loop):
+        received = []
+        (a,) = endpoints(loop, lambda src, msg, depth: received.append(msg))
+        a.send(0, query(), 0)
+        a.muted = True  # the crash lands between send and delivery
+        run_for(loop, 0.05)
+        a.close()
+        assert (received, a.messages_sent, a.messages_received) == ([], 1, 0)
 
-        assert run(scenario()) == ([], 1, 0)
-
-    def test_broadcast_reaches_all_peers_including_self(self):
-        async def scenario():
-            inboxes = {0: [], 1: [], 2: []}
-            transports = await endpoints(
-                *(
-                    lambda src, msg, depth, pid=pid: inboxes[pid].append(msg)
-                    for pid in inboxes
-                )
-            )
-            transports[1].broadcast(query(1), 0)
-            for _ in range(100):
-                if all(inboxes.values()):
-                    break
-                await asyncio.sleep(0.01)
-            for transport in transports:
-                transport.close()
-            return inboxes
-
-        inboxes = run(scenario())
+    def test_broadcast_reaches_all_peers_including_self(self, loop):
+        inboxes = {0: [], 1: [], 2: []}
+        transports = endpoints(
+            loop,
+            *(
+                lambda src, msg, depth, pid=pid: inboxes[pid].append(msg)
+                for pid in inboxes
+            ),
+        )
+        transports[1].broadcast(query(1), 0)
+        loop.run_until(lambda: all(inboxes.values()), timeout=1.0)
+        for transport in transports:
+            transport.close()
         assert all(len(box) == 1 for box in inboxes.values())
 
     def test_garbage_datagrams_are_dropped(self, tmp_path):
@@ -342,52 +316,48 @@ class TestUdpTransport:
         assert received == [(1, 5, message) for message in messages]
         assert transport.malformed == dropped
 
-    def test_oversized_broadcast_sends_nothing(self):
+    def test_oversized_broadcast_sends_nothing(self, loop):
         """Refused whole: not half-sent, not counted, not recorded."""
-
-        async def scenario():
-            inboxes = {0: [], 1: []}
-            a, b = await endpoints(
-                *(
-                    lambda src, msg, depth, pid=pid: inboxes[pid].append(msg)
-                    for pid in inboxes
-                )
-            )
-            ring = RingTrace(kinds=ALL_KINDS)
-            a.attach_flight_recorder(ring, asyncio.get_running_loop().time)
-            with pytest.raises(TransportError, match="datagram limit"):
-                a.broadcast(oversized(), 0)
-            with pytest.raises(TransportError, match="datagram limit"):
-                a.send(0, oversized(), 0)  # what no peer could be sent, it is not sent
-            await asyncio.sleep(0.05)
-            a.close()
-            b.close()
-            return inboxes, a.messages_sent, list(ring.events())
-
-        assert run(scenario()) == ({0: [], 1: []}, 0, [])
+        inboxes = {0: [], 1: []}
+        a, b = endpoints(
+            loop,
+            *(
+                lambda src, msg, depth, pid=pid: inboxes[pid].append(msg)
+                for pid in inboxes
+            ),
+        )
+        ring = RingTrace(kinds=ALL_KINDS)
+        a.attach_flight_recorder(ring, loop.time)
+        with pytest.raises(TransportError, match="datagram limit"):
+            a.broadcast(oversized(), 0)
+        with pytest.raises(TransportError, match="datagram limit"):
+            a.send(0, oversized(), 0)  # what no peer could be sent, it is not sent
+        run_for(loop, 0.05)
+        a.close()
+        b.close()
+        assert (inboxes, a.messages_sent, list(ring.events())) == ({0: [], 1: []}, 0, [])
 
     @pytest.mark.parametrize(
         "refusal", [BlockingIOError(), OSError(101, "Network is unreachable")]
     )
-    def test_datagram_the_socket_refuses_is_lost(self, refusal):
-        async def scenario():
-            inbox = []
-            a, b = await endpoints(
-                lambda src, msg, depth: inbox.append(msg), lambda *args: None
-            )
-            ring = RingTrace(kinds=ALL_KINDS)
-            a.attach_flight_recorder(ring, asyncio.get_running_loop().time)
-            bound, a._sock = a._sock, StubSocket(refusal=refusal)
-            a.send(1, query(), 0)  # the handler that called this lives on
-            sent_to_peer = a.messages_sent, list(ring.events())
-            a.broadcast(query(), 0)  # still reaches the process itself
-            a._sock = bound
-            await asyncio.sleep(0.05)
-            a.close()
-            b.close()
-            return sent_to_peer, a.messages_sent, len(inbox), b.messages_received
-
-        assert run(scenario()) == ((0, []), 1, 1, 0)
+    def test_datagram_the_socket_refuses_is_lost(self, loop, refusal):
+        inbox = []
+        a, b = endpoints(
+            loop, lambda src, msg, depth: inbox.append(msg), lambda *args: None
+        )
+        ring = RingTrace(kinds=ALL_KINDS)
+        a.attach_flight_recorder(ring, loop.time)
+        bound, a._sock = a._sock, StubSocket(refusal=refusal)
+        a.send(1, query(), 0)  # the handler that called this lives on
+        sent_to_peer = a.messages_sent, list(ring.events())
+        a.broadcast(query(), 0)  # still reaches the process itself
+        a._sock = bound
+        run_for(loop, 0.05)
+        a.close()
+        b.close()
+        assert (sent_to_peer, a.messages_sent, len(inbox), b.messages_received) == (
+            (0, []), 1, 1, 0
+        )
 
     def test_receive_buffer_is_small_and_never_aliased(self):
         transport, received = listener()
@@ -408,32 +378,23 @@ class TestUdpTransport:
         assert stub.asked == [MAX_DATAGRAM + 1] * 4
         assert (len(received), transport.malformed) == (2, 1)
 
-    def test_overlong_datagram_from_a_real_socket_is_dropped(self):
-        async def scenario():
-            inbox = []
-            (a,) = await endpoints(lambda src, msg, depth: inbox.append(msg))
-            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as stranger:
-                stranger.sendto(bytes(MAX_DATAGRAM + 200), (a.host, a.port))
-                stranger.sendto(b"short", (a.host, a.port))
-            for _ in range(100):
-                if a.malformed == 2:
-                    break
-                await asyncio.sleep(0.01)
-            a.close()
-            return a.malformed, inbox
+    def test_overlong_datagram_from_a_real_socket_is_dropped(self, loop):
+        inbox = []
+        (a,) = endpoints(loop, lambda src, msg, depth: inbox.append(msg))
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as stranger:
+            stranger.sendto(bytes(MAX_DATAGRAM + 200), (a.host, a.port))
+            stranger.sendto(b"short", (a.host, a.port))
+        loop.run_until(lambda: a.malformed == 2, timeout=1.0)
+        a.close()
+        assert (a.malformed, inbox) == (2, [])
 
-        assert run(scenario()) == (2, [])
-
-    def test_close_leaves_no_reader_on_the_loop(self):
-        async def scenario():
-            (a,) = await endpoints(lambda *args: None)
-            loop, fd = asyncio.get_running_loop(), a._sock.fileno()
-            a.close()
-            a.close()  # idempotent
-            a.send(0, query(), 0)  # and a closed transport sends nothing
-            return loop.remove_reader(fd), a._sock, a.messages_sent
-
-        assert run(scenario()) == (False, None, 0)
+    def test_close_leaves_no_reader_on_the_loop(self, loop):
+        (a,) = endpoints(loop, lambda *args: None)
+        fd = a._sock.fileno()
+        a.close()
+        a.close()  # idempotent
+        a.send(0, query(), 0)  # and a closed transport sends nothing
+        assert (loop.remove_reader(fd), a._sock, a.messages_sent) == (False, None, 0)
 
 
 class TestValueCodec:

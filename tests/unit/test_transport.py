@@ -13,8 +13,9 @@ import zlib
 import pytest
 
 from repro.common.errors import TransportError
-from repro.common.ids import make_operation_id
+from repro.common.ids import OperationId, make_operation_id
 from repro.common.timestamps import Tag
+from repro.common.values import SizedValue
 from repro.obs.ring import RingTrace
 from repro.obs.tracing import ALL_KINDS
 from repro.protocol.messages import (
@@ -90,6 +91,78 @@ def one_of_each_kind():
         RegisterFrame("cl\u00e9", 0, plain[5]),
     )
     return plain + [MuxBatch(None, 0, frames)]
+
+
+#: One datagram of every shape the wire has, as its bytes in hex: what
+#: ``encode`` must write and ``decode`` must read back, whatever the
+#: codec's code looks like.
+GOLDEN_OP, GOLDEN_TAG = OperationId(2, 41), Tag(7, 2, 1)
+GOLDEN = {
+    "sn-query": (
+        2, 3, SnQuery(GOLDEN_OP, 1),
+        "01020003000000010200000029000000000000000100000021964e89",
+    ),
+    "sn-query-no-op": (
+        0, 0, SnQuery(None, 0),
+        "0100000000000001ffffffff000000000000000000000000eed006b6",
+    ),
+    "sn-ack": (
+        1, 4, SnAck(GOLDEN_OP, 1, GOLDEN_TAG),
+        "01010004000000020200000029000000000000000100000007000000000000000200"
+        "0000010000006dcbf06b",
+    ),
+    "write-request-str": (
+        2, 5, WriteRequest(GOLDEN_OP, 2, GOLDEN_TAG, "caf\u00e9"),
+        "01020005000000030200000029000000000000000200000007000000000000000200"
+        "00000100000080049509000000000000008c05636166c3a9942ee4adaae6",
+    ),
+    "write-request-sized": (
+        2, 5, WriteRequest(GOLDEN_OP, 2, GOLDEN_TAG, SizedValue("photo", 4096)),
+        "01020005000000030200000029000000000000000200000007000000000000000200"
+        "0000010000008004954b000000000000008c13726570726f2e636f6d6d6f6e2e7661"
+        "6c756573948c0a53697a656456616c75659493942981944e7d94288c056c6162656c"
+        "948c0570686f746f948c0473697a65944d0010758694622edf269bdd",
+    ),
+    "write-ack": (
+        0, 6, WriteAck(GOLDEN_OP, 2, GOLDEN_TAG),
+        "01000006000000040200000029000000000000000200000007000000000000000200"
+        "0000010000005bc76ee6",
+    ),
+    "read-query-no-op": (
+        1, 0, ReadQuery(None, 0),
+        "0101000000000005ffffffff000000000000000000000000f51d7d5e",
+    ),
+    "read-ack-durable": (
+        0, 7, ReadAck(GOLDEN_OP, 1, GOLDEN_TAG, 42, Tag(6, 0)),
+        "01000007000000060200000029000000000000000100000007000000000000000200"
+        "000001000000010600000000000000000000000000000080044b2a2e8efa30bb",
+    ),
+    "read-ack": (
+        1, 7, ReadAck(GOLDEN_OP, 1, GOLDEN_TAG, None, None),
+        "01010007000000060200000029000000000000000100000007000000000000000200"
+        "000001000000000000000000000000000000000000000080044e2e255de79f",
+    ),
+    "mux-batch": (
+        2, 0, MuxBatch(None, 0, (
+            RegisterFrame("k\u00e9y", 3, SnQuery(GOLDEN_OP, 1)),
+            RegisterFrame("k2", 9, WriteRequest(GOLDEN_OP, 2, GOLDEN_TAG, b"\0v")),
+        )),
+        "0102000000000007ffffffff0000000000000000000000000200040003000000110000"
+        "006bc3a9790102000000290000000000000001000000020009000000320000006b3203"
+        "0200000029000000000000000200000007000000000000000200000001000000800495"
+        "060000000000000043020076942ebf7a4fd3",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_datagram(name):
+    src, depth, message, datagram = GOLDEN[name]
+    assert encode(src, depth, message).hex() == datagram
+    decoded = decode(bytes.fromhex(datagram))
+    assert decoded == (src, depth, message)
+    # The reprs name every field's class: ids, tags and sizes included.
+    assert repr(decoded[2]) == repr(message)
 
 
 def sealed(frame):

@@ -22,11 +22,14 @@ def payload_size(value: Any) -> int:
     * ``None`` (the initial value, the paper's ``\\u22a5``) is free;
     * :class:`SizedValue` is billed at its declared size;
     * ``bytes``/``bytearray`` are billed at their length;
-    * ``str`` is billed at its UTF-8 length;
+    * ``str`` is billed at the length of the UTF-8 bytes pickle writes
+      for it, a lone surrogate (three bytes) included;
     * ints, floats and bools are billed at :data:`SCALAR_SIZE`;
     * anything else is billed at the length of its ``repr`` -- a stable
       proxy that keeps exotic test payloads roughly honest.
     """
+    if type(value) is str:
+        return len(value.encode("utf-8", "surrogatepass"))
     if value is None:
         return 0
     if isinstance(value, SizedValue):
@@ -34,7 +37,7 @@ def payload_size(value: Any) -> int:
     if isinstance(value, (bytes, bytearray)):
         return len(value)
     if isinstance(value, str):
-        return len(value.encode("utf-8"))
+        return len(value.encode("utf-8", "surrogatepass"))
     if isinstance(value, bool):
         return 1
     if isinstance(value, (int, float)):

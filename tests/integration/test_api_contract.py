@@ -185,6 +185,16 @@ def test_a_callback_may_block_on_an_operation(backend):
         assert c.check().ok
 
 
+@pytest.mark.parametrize("backend", ["sim", "kv", "live"])
+def test_a_lone_surrogate_value_round_trips(backend):
+    """Pickle carries a lone surrogate, so every backend stores and returns it."""
+    seed = None if backend == "live" else 11
+    value = "a\udc80b"
+    with open_cluster(backend=backend, num_processes=3, seed=seed) as c:
+        c.session(0).write_sync(value, timeout=5.0)
+        assert c.session(1).read_sync(timeout=5.0) == value
+        assert c.check().ok
+
 def test_live_declares_no_virtual_time():
     """Live's clock is the loop's wall clock: driven, but neither virtual nor seeded."""
     with open_cluster(backend="live", num_processes=3) as c:

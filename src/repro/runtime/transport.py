@@ -31,11 +31,17 @@ Wire format (little-endian; ``encode``/``decode``)::
     value    := pickle, protocol 4, to the end of the message
 
 The CRC covers everything before it, the frame idiom of the on-disk log
-(:mod:`repro.runtime.storage`).  Values travel as pickle bytes but are
-loaded by an unpickler that resolves exactly one global,
+(:mod:`repro.runtime.storage`).  Values travel as pickle bytes and are
+loaded only by an unpickler that resolves exactly one global,
 :class:`~repro.common.values.SizedValue`: plain data of any shape
 travels, and nothing read from the socket can import or call anything
 else.
+
+The codec keeps one precompiled struct per shape of message that covers
+prefix, head and tags, so a plain message is one ``pack`` plus its
+pickled value, and one ``unpack_from``; ids and tags are rebuilt as the
+tuples they are.  A batch's frame holds a datagram's message, packed and
+read as a datagram of its own.
 
 What arrives on the socket is outside input.  A datagram that is short,
 long, CRC-bad, of another version or kind, not exactly as long as its
@@ -50,6 +56,9 @@ callback, never inside ``send``, dropped if the process crashed in
 between, and measured, counted and flight-recorded exactly as a
 datagram is.
 """
+
+# repro: hot-path
+# (HOT001: no unguarded TraceEvent/emit on the live per-datagram path.)
 
 from __future__ import annotations
 
@@ -87,13 +96,24 @@ MAX_DATAGRAM = 65000
 #: Version byte of the wire format; any other is malformed.
 WIRE_VERSION = 1
 
-_PREFIX = struct.Struct("<BHI")  # version, src, depth
-_HEAD = struct.Struct("<BiqI")  # kind, op pid, op seq, round
-_TAG = struct.Struct("<QII")
-_TAGS = struct.Struct("<QII?QII")  # ReadAck: tag, has a durable tag, durable tag
-_COUNT = struct.Struct("<H")
+# One struct per shape of message, covering the datagram's fixed fields:
+# prefix (version, src, depth), head (kind, op pid, op seq, round) and,
+# where the kind has them, the tags.  A plain message is one ``pack``
+# plus its pickled value; it is read back with one ``unpack_from``.
+_QUERY = struct.Struct("<BHIBiqI")  # SnQuery, ReadQuery
+_TAGGED = struct.Struct("<BHIBiqIQII")  # SnAck, WriteAck, WriteRequest: + tag
+_READ_ACK = struct.Struct("<BHIBiqIQII?QII")  # + tag, has a durable tag, durable tag
+_BATCH = struct.Struct("<BHIBiqIH")  # MuxBatch: + frame count
 _FRAME = struct.Struct("<HII")  # name bytes, depth, message bytes
 _CRC = struct.Struct("<I")
+#: The CRC-32 of any bytes followed by their own CRC-32 (little-endian):
+#: one pass over a whole datagram checks it.
+_CRC_RESIDUE = 0x2144DF1C
+#: A frame holds a datagram's message: ``encode`` packs it as a
+#: datagram from process 0 at depth 0 and keeps what lies between this
+#: prefix and the CRC; ``decode`` puts both back to read it.
+_FRAME_PREFIX = struct.pack("<BHI", WIRE_VERSION, 0, 0)
+_PREFIX_SIZE = len(_FRAME_PREFIX)
 
 #: Kind byte -> message class.
 _CLASSES = dict(
@@ -104,7 +124,10 @@ _NO_OP = (-1, 0)
 _NO_TAG = (0, 0, 0)
 _PICKLE_PROTOCOL = 4
 _SCALARS = frozenset((str, bytes, int, float, bool, type(None)))
-_SHORTEST = _PREFIX.size + _HEAD.size + _CRC.size
+_SHORTEST = _QUERY.size + _CRC.size
+# The wire's tag fields are unsigned, which is all ``Tag.__new__`` checks,
+# and an id is any pair: both are built as the tuples they are.
+_new = tuple.__new__
 
 
 class _ValueUnpickler(pickle.Unpickler):
@@ -142,9 +165,9 @@ def check_value(value: Any, register: Optional[str] = None) -> None:
     written to the named ``register``.
     """
     data = _dump_value(value)
-    room = MAX_DATAGRAM - (_PREFIX.size + _HEAD.size + _TAGS.size + _CRC.size)
-    if register is not None:
-        room -= _HEAD.size + _COUNT.size + _FRAME.size + len(register.encode())
+    room = MAX_DATAGRAM - (_READ_ACK.size + _CRC.size)
+    if register is not None:  # a batch's head and one frame's header
+        room -= _BATCH.size - _PREFIX_SIZE + _FRAME.size + len(register.encode())
     if len(data) > room:
         raise TransportError(
             f"a value of {len(data)} encoded bytes cannot travel: {room} fit "
@@ -161,43 +184,49 @@ def check_value(value: Any, register: Optional[str] = None) -> None:
         ) from error
 
 
-def _pack_message(message: Message) -> bytes:
-    cls = type(message)
-    kind = _KINDS.get(cls)
-    if kind is None:
-        raise TransportError(f"{cls.__name__} is not a wire message")
-    op = message.op
-    head = _HEAD.pack(kind, *(_NO_OP if op is None else op), message.round_no)
-    if cls is SnQuery or cls is ReadQuery:
-        return head
-    if cls is SnAck or cls is WriteAck:
-        return head + _TAG.pack(*message.tag)
-    if cls is WriteRequest:
-        return head + _TAG.pack(*message.tag) + _dump_value(message.value)
-    if cls is ReadAck:
-        durable = message.durable_tag
-        tags = _TAGS.pack(
-            *message.tag, durable is not None, *(_NO_TAG if durable is None else durable)
-        )
-        return head + tags + _dump_value(message.value)
-    parts = [head, _COUNT.pack(len(message.frames))]
-    for frame in message.frames:
-        if type(frame.message) is MuxBatch:
-            raise TransportError("a MuxBatch cannot travel inside a MuxBatch")
-        name = frame.register.encode()
-        inner = _pack_message(frame.message)
-        parts += (_FRAME.pack(len(name), frame.depth, len(inner)), name, inner)
-    return b"".join(parts)
-
-
 def encode(src: ProcessId, depth: int, message: Message) -> bytes:
     """One datagram carrying ``message``; :class:`TransportError` if none can."""
+    cls = message.__class__
+    if cls not in _KINDS:
+        raise TransportError(f"{cls.__name__} is not a wire message")
+    kind = _KINDS[cls]
     try:
-        frame = _PREFIX.pack(WIRE_VERSION, src, depth) + _pack_message(message)
+        if cls is ReadAck:
+            op, round_no, tag, value, durable, _ = message
+            frame = _READ_ACK.pack(
+                WIRE_VERSION, src, depth, kind, *(op or _NO_OP), round_no,
+                *tag, durable is not None, *(durable or _NO_TAG),
+            ) + _dump_value(value)
+        elif cls is WriteRequest:
+            op, round_no, tag, value, _ = message
+            frame = _TAGGED.pack(
+                WIRE_VERSION, src, depth, kind, *(op or _NO_OP), round_no, *tag
+            ) + _dump_value(value)
+        elif cls is SnAck or cls is WriteAck:
+            op, round_no, tag = message
+            frame = _TAGGED.pack(
+                WIRE_VERSION, src, depth, kind, *(op or _NO_OP), round_no, *tag
+            )
+        elif cls is MuxBatch:
+            op, round_no, frames, _ = message
+            parts = [
+                _BATCH.pack(
+                    WIRE_VERSION, src, depth, kind, *(op or _NO_OP), round_no, len(frames)
+                )
+            ]
+            for register, frame_depth, inner, _ in frames:
+                if inner.__class__ is MuxBatch:
+                    raise TransportError("a MuxBatch cannot travel inside a MuxBatch")
+                name = register.encode()
+                packed = encode(0, 0, inner)[_PREFIX_SIZE : -_CRC.size]
+                parts += (_FRAME.pack(len(name), frame_depth, len(packed)), name, packed)
+            frame = b"".join(parts)
+        else:
+            op, round_no = message
+            frame = _QUERY.pack(WIRE_VERSION, src, depth, kind, *(op or _NO_OP), round_no)
     except struct.error as error:
         raise TransportError(
-            f"{type(message).__name__} has a field out of the wire format's "
-            f"range: {error}"
+            f"{cls.__name__} has a field out of the wire format's range: {error}"
         ) from error
     if len(frame) + _CRC.size > MAX_DATAGRAM:
         raise TransportError(
@@ -205,53 +234,6 @@ def encode(src: ProcessId, depth: int, message: Message) -> bytes:
             f"{MAX_DATAGRAM}-byte UDP datagram limit"
         )
     return frame + _CRC.pack(crc32(frame))
-
-
-def _unpack_message(data: memoryview, batched: bool = False) -> Message:
-    """The message that spans ``data`` exactly; a read past its end raises."""
-    kind, op_pid, op_seq, round_no = _HEAD.unpack_from(data)
-    cls = _CLASSES.get(kind)
-    op = None if op_pid < 0 else OperationId(op_pid, op_seq)
-    at = _HEAD.size
-    fields: Tuple[Any, ...] = ()
-    if cls is SnQuery or cls is ReadQuery:
-        pass
-    elif cls is SnAck or cls is WriteAck:
-        fields = (Tag(*_TAG.unpack_from(data, at)),)
-        at += _TAG.size
-    elif cls is WriteRequest:
-        tag = Tag(*_TAG.unpack_from(data, at))
-        fields = (tag, _load_value(data[at + _TAG.size :]))
-        at = len(data)  # a value runs to the end, and checks that it does
-    elif cls is ReadAck:
-        sn, pid, rec, has_durable, *durable = _TAGS.unpack_from(data, at)
-        value = _load_value(data[at + _TAGS.size :])
-        fields = (Tag(sn, pid, rec), value, Tag(*durable) if has_durable else None)
-        at = len(data)
-    elif cls is MuxBatch and not batched:
-        (count,) = _COUNT.unpack_from(data, at)
-        at += _COUNT.size
-        frames = []
-        for _ in range(count):
-            name_size, depth, size = _FRAME.unpack_from(data, at)
-            name_at = at + _FRAME.size
-            inner_at = name_at + name_size
-            at = inner_at + size
-            if at > len(data):
-                raise ValueError("a frame runs past its batch")
-            frames.append(
-                RegisterFrame(
-                    str(data[name_at:inner_at], "utf-8"),
-                    depth,
-                    _unpack_message(data[inner_at:at], batched=True),
-                )
-            )
-        fields = (tuple(frames),)
-    else:
-        raise ValueError(f"kind {kind} is none of ours here")
-    if at != len(data):
-        raise ValueError("the message is longer than its kind")
-    return cls(op, round_no, *fields)
 
 
 def decode(data: Any) -> Tuple[ProcessId, int, Message]:
@@ -262,17 +244,83 @@ def decode(data: Any) -> Tuple[ProcessId, int, Message]:
     whatever a damaged pickle stream raises; callers at the socket treat
     every ``Exception`` as malformed input.  The result holds no
     reference to ``data``.
+
+    The message must span the datagram exactly: a fixed-size kind is
+    checked against its struct, a value against the end of its pickle
+    stream.  A frame's message is read back as a datagram of its own.
     """
-    view = memoryview(data)
-    if not _SHORTEST <= len(view) <= MAX_DATAGRAM:
+    size = len(data)
+    if not _SHORTEST <= size <= MAX_DATAGRAM:
         raise ValueError("no datagram of ours has this length")
-    frame = view[: -_CRC.size]
-    if _CRC.unpack_from(view, len(frame))[0] != crc32(frame):
+    if crc32(data) != _CRC_RESIDUE:
         raise ValueError("checksum mismatch")
-    version, src, depth = _PREFIX.unpack_from(frame)
-    if version != WIRE_VERSION:
-        raise ValueError(f"unknown wire version {version}")
-    return src, depth, _unpack_message(frame[_PREFIX.size :])
+    if data[0] != WIRE_VERSION:
+        raise ValueError(f"unknown wire version {data[0]}")
+    end = size - _CRC.size
+    kind = data[_PREFIX_SIZE]
+    if kind not in _CLASSES:
+        raise ValueError(f"kind {kind} is none of ours")
+    cls = _CLASSES[kind]
+    if cls is ReadAck:
+        (_, src, depth, _, op_pid, op_seq, round_no, sn, pid, rec,
+         durable, durable_sn, durable_pid, durable_rec) = _READ_ACK.unpack_from(data)
+        message = ReadAck(
+            None if op_pid < 0 else _new(OperationId, (op_pid, op_seq)),
+            round_no,
+            _new(Tag, (sn, pid, rec)),
+            _load_value(data[_READ_ACK.size : end]),
+            _new(Tag, (durable_sn, durable_pid, durable_rec)) if durable else None,
+        )
+    elif cls is WriteRequest:
+        _, src, depth, _, op_pid, op_seq, round_no, sn, pid, rec = _TAGGED.unpack_from(data)
+        message = WriteRequest(
+            None if op_pid < 0 else _new(OperationId, (op_pid, op_seq)),
+            round_no,
+            _new(Tag, (sn, pid, rec)),
+            _load_value(data[_TAGGED.size : end]),
+        )
+    elif cls is SnAck or cls is WriteAck:
+        if end != _TAGGED.size:
+            raise ValueError("the message is longer than its kind")
+        _, src, depth, _, op_pid, op_seq, round_no, sn, pid, rec = _TAGGED.unpack_from(data)
+        # Header-only kinds carry no billed size: the tuple is the message.
+        message = _new(cls, (
+            None if op_pid < 0 else _new(OperationId, (op_pid, op_seq)),
+            round_no,
+            _new(Tag, (sn, pid, rec)),
+        ))
+    elif cls is SnQuery or cls is ReadQuery:
+        if end != _QUERY.size:
+            raise ValueError("the message is longer than its kind")
+        _, src, depth, _, op_pid, op_seq, round_no = _QUERY.unpack_from(data)
+        message = _new(cls, (
+            None if op_pid < 0 else _new(OperationId, (op_pid, op_seq)), round_no
+        ))
+    else:  # MuxBatch
+        _, src, depth, _, op_pid, op_seq, round_no, count = _BATCH.unpack_from(data)
+        at = _BATCH.size
+        frames = []
+        for _ in range(count):
+            name_size, frame_depth, inner_size = _FRAME.unpack_from(data, at)
+            name_at = at + _FRAME.size
+            inner_at = name_at + name_size
+            at = inner_at + inner_size
+            if at > end:
+                raise ValueError("a frame runs past its batch")
+            if data[inner_at] == kind:
+                raise ValueError("a MuxBatch inside a MuxBatch")
+            inner = _FRAME_PREFIX + data[inner_at:at]
+            inner += _CRC.pack(crc32(inner))
+            name = str(data[name_at:inner_at], "utf-8")
+            frames.append(RegisterFrame(name, frame_depth, decode(inner)[2]))
+        if at != end:
+            raise ValueError("the message is longer than its kind")
+        message = MuxBatch(
+            None if op_pid < 0 else _new(OperationId, (op_pid, op_seq)),
+            round_no,
+            tuple(frames),
+        )
+    return src, depth, message
 
 
 @dataclass(frozen=True)

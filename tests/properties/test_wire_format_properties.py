@@ -35,12 +35,16 @@ OPS = st.none() | st.builds(
     st.integers(min_value=0, max_value=2**63 - 1),
 )
 TAGS = st.builds(Tag, st.integers(min_value=0, max_value=2**64 - 1), U32, U32)
+# Lone surrogates (category Cs) drawn often: pickle carries them too.
+CHARS = st.characters(blacklist_categories=()) | st.characters(
+    whitelist_categories=("Cs",)
+)
 SCALARS = (
     st.none()
     | st.booleans()
     | st.integers(min_value=-(2**90), max_value=2**90)
     | st.floats(allow_nan=False)
-    | st.text(max_size=12)
+    | st.text(CHARS, max_size=12)
     | st.binary(max_size=12)
 )
 KEYS = st.integers() | st.text(max_size=6) | st.binary(max_size=6)
@@ -51,8 +55,13 @@ PLAIN = st.recursive(
     | st.dictionaries(KEYS, inner, max_size=3),
     max_leaves=8,
 )
-VALUES = PLAIN | st.builds(
-    SizedValue, st.text(max_size=8), st.integers(min_value=0, max_value=2**40)
+VALUES = (
+    PLAIN
+    # Over 255 UTF-8 bytes: pickled as BINUNICODE, not SHORT_BINUNICODE.
+    | st.text(min_size=256, max_size=260)
+    | st.builds(
+        SizedValue, st.text(max_size=8), st.integers(min_value=0, max_value=2**40)
+    )
 )
 PLAIN_MESSAGES = st.one_of(
     st.builds(SnQuery, OPS, U32),
@@ -76,11 +85,23 @@ def test_decode_inverts_encode(src, depth, message):
     assert (decoded_src, decoded_depth, decoded) == (src, depth, message)
     assert type(decoded) is type(message)
     assert type(decoded_depth) is int
+    assert_fields_keep_their_classes(decoded)
     # SizedValue compares by label alone; the billed size travels too.
     value = getattr(message, "value", None)
     if isinstance(value, SizedValue):
         assert decoded.value.size == value.size
 
+
+def assert_fields_keep_their_classes(message):
+    """Ids and tags arrive as the classes they are, not as the plain tuples
+    they equal; so do the frames of a batch and the messages inside them."""
+    assert message.op is None or type(message.op) is OperationId
+    for name in ("tag", "durable_tag"):
+        field = getattr(message, name, None)
+        assert field is None or type(field) is Tag
+    for frame in getattr(message, "frames", ()):
+        assert type(frame) is RegisterFrame
+        assert_fields_keep_their_classes(frame.message)
 
 def modelled_size(message):
     """The size model as written down, recomputed from the fields alone."""

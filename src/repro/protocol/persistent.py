@@ -121,9 +121,7 @@ class PersistentAtomicProtocol(TwoRoundRegisterProtocol):
             replay_tag, replay_value = bottom_tag(), None
         self._phase.become(PhaseClock.RECOVERING)
         return self._begin_round(
-            lambda round_no: WriteRequest(
-                op=None, round_no=round_no, tag=replay_tag, value=replay_value
-            )
+            lambda round_no: WriteRequest(None, round_no, replay_tag, replay_value)
         )
 
     # -- write ------------------------------------------------------------------

@@ -177,7 +177,7 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
 
     def _answer_sn_query(self, src: ProcessId, message: SnQuery) -> Effects:
         self.stats.messages_sent += 1
-        return [Send(src, SnAck(op=message.op, round_no=message.round_no, tag=self.tag))]
+        return [Send(src, SnAck(message.op, message.round_no, self.tag))]
 
     def _answer_read_query(self, src: ProcessId, message: ReadQuery) -> Effects:
         self.stats.messages_sent += 1
@@ -185,11 +185,11 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
             Send(
                 src,
                 ReadAck(
-                    op=message.op,
-                    round_no=message.round_no,
-                    tag=self.tag,
-                    value=self.value,
-                    durable_tag=self.durable_tag if self.LOGS_ON_ADOPT else self.tag,
+                    message.op,
+                    message.round_no,
+                    self.tag,
+                    self.value,
+                    self.durable_tag if self.LOGS_ON_ADOPT else self.tag,
                 ),
             )
         ]
@@ -201,7 +201,7 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
         received timestamp is lexicographically bigger, log the new
         value and tag, then acknowledge.
         """
-        ack = WriteAck(op=message.op, round_no=message.round_no, tag=message.tag)
+        ack = WriteAck(message.op, message.round_no, message.tag)
         if message.tag > self.tag:
             self.tag = message.tag
             self.value = message.value
@@ -261,7 +261,7 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
         self._op_is_write = False
         self._phase.become(PhaseClock.QUERY)
         return self._begin_round(
-            lambda round_no: ReadQuery(op=op, round_no=round_no)
+            lambda round_no: ReadQuery(op, round_no)
         )
 
     def _on_read_ack(self, src: ProcessId, message: ReadAck) -> Effects:
@@ -281,9 +281,7 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
         tag, value = self._op_tag, self._op_value
         effects.extend(
             self._begin_round(
-                lambda round_no: WriteRequest(
-                    op=op, round_no=round_no, tag=tag, value=value
-                )
+                lambda round_no: WriteRequest(op, round_no, tag, value)
             )
         )
         return effects
@@ -302,7 +300,7 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
         """Begin the write; default is the SN query round of Figure 4."""
         self._phase.become(PhaseClock.QUERY)
         op = self._op
-        return self._begin_round(lambda round_no: SnQuery(op=op, round_no=round_no))
+        return self._begin_round(lambda round_no: SnQuery(op, round_no))
 
     def _on_sn_ack(self, src: ProcessId, message: SnAck) -> Effects:
         if self._op is None or message.op != self._op or not self._op_is_write:
@@ -327,7 +325,7 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
         tag, value = self._op_tag, self._op_value
         assert tag is not None
         return self._begin_round(
-            lambda round_no: WriteRequest(op=op, round_no=round_no, tag=tag, value=value)
+            lambda round_no: WriteRequest(op, round_no, tag, value)
         )
 
     def _on_write_ack(self, src: ProcessId, message: WriteAck) -> Effects:

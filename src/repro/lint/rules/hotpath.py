@@ -10,8 +10,9 @@ plus a detail dict) is only built when somebody will actually see it::
         trace.tick(tracing.SEND, ...)    # allocation-free
 
 A module opts into enforcement with a ``# repro: hot-path`` marker
-line (``src/repro/protocol/host.py`` and
-``src/repro/sim/{network,node,storage}.py`` carry it).  In a
+line (``src/repro/protocol/host.py``,
+``src/repro/sim/{network,node,storage}.py`` and
+``src/repro/runtime/{transport,node}.py`` carry it).  In a
 marked module, every ``.emit(...)`` call and every ``TraceEvent(...)``
 construction must sit inside the *body* of an ``if`` whose test calls
 ``.wants(...)`` (or reads ``.capturing``) -- an emit in the ``else``

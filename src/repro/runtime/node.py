@@ -98,8 +98,7 @@ class TimerHandle(list):
         loop = self[4]
         if loop is None:
             return
-        # Still in the heap: count it, and sweep the heap once
-        # cancelled entries are most of it (the simulator kernel's rule).
+        # Still in the heap: sweep it once cancelled entries are most of it.
         loop._cancelled += 1
         timers = loop._timers
         if loop._cancelled * 2 > len(timers) and len(timers) >= _COMPACT_MIN:
@@ -231,8 +230,6 @@ class Loop:
         for fd in list(self._readers):
             self.remove_reader(fd)
         self._ready.clear()
-        for timer in self._timers:
-            timer[4] = None
         self._timers.clear()
         self._cancelled = 0
 

@@ -96,10 +96,8 @@ MAX_DATAGRAM = 65000
 #: Version byte of the wire format; any other is malformed.
 WIRE_VERSION = 1
 
-# One struct per shape of message, covering the datagram's fixed fields:
-# prefix (version, src, depth), head (kind, op pid, op seq, round) and,
-# where the kind has them, the tags.  A plain message is one ``pack``
-# plus its pickled value; it is read back with one ``unpack_from``.
+# One struct per shape of message: prefix (version, src, depth), head
+# (kind, op pid, op seq, round) and the kind's tags, if it has any.
 _QUERY = struct.Struct("<BHIBiqI")  # SnQuery, ReadQuery
 _TAGGED = struct.Struct("<BHIBiqIQII")  # SnAck, WriteAck, WriteRequest: + tag
 _READ_ACK = struct.Struct("<BHIBiqIQII?QII")  # + tag, has a durable tag, durable tag
@@ -197,16 +195,13 @@ def encode(src: ProcessId, depth: int, message: Message) -> bytes:
                 WIRE_VERSION, src, depth, kind, *(op or _NO_OP), round_no,
                 *tag, durable is not None, *(durable or _NO_TAG),
             ) + _dump_value(value)
-        elif cls is WriteRequest:
-            op, round_no, tag, value, _ = message
-            frame = _TAGGED.pack(
-                WIRE_VERSION, src, depth, kind, *(op or _NO_OP), round_no, *tag
-            ) + _dump_value(value)
-        elif cls is SnAck or cls is WriteAck:
-            op, round_no, tag = message
+        elif cls is WriteRequest or cls is SnAck or cls is WriteAck:
+            op, round_no, tag = message[:3]
             frame = _TAGGED.pack(
                 WIRE_VERSION, src, depth, kind, *(op or _NO_OP), round_no, *tag
             )
+            if cls is WriteRequest:
+                frame += _dump_value(message.value)
         elif cls is MuxBatch:
             op, round_no, frames, _ = message
             parts = [
@@ -271,31 +266,23 @@ def decode(data: Any) -> Tuple[ProcessId, int, Message]:
             _load_value(data[_READ_ACK.size : end]),
             _new(Tag, (durable_sn, durable_pid, durable_rec)) if durable else None,
         )
-    elif cls is WriteRequest:
+    elif cls is WriteRequest or cls is SnAck or cls is WriteAck:
         _, src, depth, _, op_pid, op_seq, round_no, sn, pid, rec = _TAGGED.unpack_from(data)
-        message = WriteRequest(
-            None if op_pid < 0 else _new(OperationId, (op_pid, op_seq)),
-            round_no,
-            _new(Tag, (sn, pid, rec)),
-            _load_value(data[_TAGGED.size : end]),
-        )
-    elif cls is SnAck or cls is WriteAck:
-        if end != _TAGGED.size:
+        op = None if op_pid < 0 else _new(OperationId, (op_pid, op_seq))
+        if cls is WriteRequest:
+            value = _load_value(data[_TAGGED.size : end])
+            message = WriteRequest(op, round_no, _new(Tag, (sn, pid, rec)), value)
+        elif end != _TAGGED.size:
             raise ValueError("the message is longer than its kind")
-        _, src, depth, _, op_pid, op_seq, round_no, sn, pid, rec = _TAGGED.unpack_from(data)
-        # Header-only kinds carry no billed size: the tuple is the message.
-        message = _new(cls, (
-            None if op_pid < 0 else _new(OperationId, (op_pid, op_seq)),
-            round_no,
-            _new(Tag, (sn, pid, rec)),
-        ))
+        else:
+            # A header-only kind bills no size: the tuple is the message.
+            message = _new(cls, (op, round_no, _new(Tag, (sn, pid, rec))))
     elif cls is SnQuery or cls is ReadQuery:
         if end != _QUERY.size:
             raise ValueError("the message is longer than its kind")
         _, src, depth, _, op_pid, op_seq, round_no = _QUERY.unpack_from(data)
-        message = _new(cls, (
-            None if op_pid < 0 else _new(OperationId, (op_pid, op_seq)), round_no
-        ))
+        op = None if op_pid < 0 else _new(OperationId, (op_pid, op_seq))
+        message = _new(cls, (op, round_no))
     else:  # MuxBatch
         _, src, depth, _, op_pid, op_seq, round_no, count = _BATCH.unpack_from(data)
         at = _BATCH.size

@@ -195,6 +195,7 @@ def test_a_lone_surrogate_value_round_trips(backend):
         assert c.session(1).read_sync(timeout=5.0) == value
         assert c.check().ok
 
+
 def test_live_declares_no_virtual_time():
     """Live's clock is the loop's wall clock: driven, but neither virtual nor seeded."""
     with open_cluster(backend="live", num_processes=3) as c:

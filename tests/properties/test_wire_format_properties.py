@@ -103,6 +103,7 @@ def assert_fields_keep_their_classes(message):
         assert type(frame) is RegisterFrame
         assert_fields_keep_their_classes(frame.message)
 
+
 def modelled_size(message):
     """The size model as written down, recomputed from the fields alone."""
     if type(message) is MuxBatch:

@@ -28,7 +28,7 @@ def payload_size(value: Any) -> int:
     * anything else is billed at the length of its ``repr`` -- a stable
       proxy that keeps exotic test payloads roughly honest.
     """
-    if type(value) is str:
+    if isinstance(value, str):
         return len(value.encode("utf-8", "surrogatepass"))
     if value is None:
         return 0
@@ -36,8 +36,6 @@ def payload_size(value: Any) -> int:
         return value.size
     if isinstance(value, (bytes, bytearray)):
         return len(value)
-    if isinstance(value, str):
-        return len(value.encode("utf-8", "surrogatepass"))
     if isinstance(value, bool):
         return 1
     if isinstance(value, (int, float)):

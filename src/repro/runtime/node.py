@@ -79,38 +79,27 @@ _COMPACT_MIN = 64
 Callback = Tuple[Callable[..., Any], Tuple[Any, ...]]
 
 
-class TimerHandle(list):
-    """One armed :meth:`Loop.call_later`; ``cancel()`` keeps it from firing.
+class TimerHandle:
+    """One armed :meth:`Loop.call_later`; ``cancel()`` keeps it from firing."""
 
-    The handle is its own heap entry, ``[deadline, seq, fn, args,
-    loop]``, so arming one builds one object and no Python frame; ``seq``
-    keeps comparison off ``fn``.  ``fn`` is ``None`` once cancelled and
-    ``loop`` is ``None`` once the entry left the heap.
-    """
+    __slots__ = ("_loop", "_fn", "_args", "cancelled")
 
-    __slots__ = ()
+    def __init__(self, loop: "Loop", fn: Callable[..., Any], args: Tuple[Any, ...]):
+        self._loop: Optional[Loop] = loop  # None once it left the heap
+        self._fn = fn
+        self._args = args
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Keep the callback from running.  Idempotent."""
-        if self[2] is None:
-            return
-        self[2] = None
-        loop = self[4]
-        if loop is None:
-            return
-        # Still in the heap: sweep it once cancelled entries are most of it.
-        loop._cancelled += 1
-        timers = loop._timers
-        if loop._cancelled * 2 > len(timers) and len(timers) >= _COMPACT_MIN:
-            # In place: run_until holds the list.
-            timers[:] = [timer for timer in timers if timer[2] is not None]
-            heapq.heapify(timers)
-            loop._cancelled = 0
+        if not self.cancelled:
+            self.cancelled = True
+            if self._loop is not None:
+                self._loop._on_cancel()
 
     def _run(self) -> None:
-        fn = self[2]
-        if fn is not None:  # cancelled between falling due and its turn
-            fn(*self[3])
+        if not self.cancelled:  # cancelled between falling due and its turn
+            self._fn(*self._args)
 
 
 class Loop:
@@ -125,7 +114,8 @@ class Loop:
         self.time = time.monotonic
         self._thread = threading.get_ident()
         self._ready: Deque[Callback] = deque()
-        self._timers: List[TimerHandle] = []
+        # Entries: (deadline, seq, timer); seq keeps comparison off the timer.
+        self._timers: List[Tuple[float, int, TimerHandle]] = []
         self._seq = itertools.count()
         self._cancelled = 0
         self._poll = select.poll()
@@ -138,8 +128,8 @@ class Loop:
 
     def call_later(self, delay: float, fn: Callable[..., Any], *args: Any) -> TimerHandle:
         """Run ``fn(*args)`` once ``delay`` seconds have passed."""
-        timer = TimerHandle((self.time() + delay, next(self._seq), fn, args, self))
-        heapq.heappush(self._timers, timer)
+        timer = TimerHandle(self, fn, args)
+        heapq.heappush(self._timers, (self.time() + delay, next(self._seq), timer))
         return timer
 
     def add_reader(self, fd: int, fn: Callable[..., Any], *args: Any) -> None:
@@ -190,7 +180,7 @@ class Loop:
             now = clock()
             if deadline is not None and now >= deadline:
                 return False
-            while timers and timers[0][2] is None:
+            while timers and timers[0][2].cancelled:
                 heappop(timers)
                 self._cancelled -= 1
             if ready:
@@ -205,11 +195,11 @@ class Loop:
                 ready.append(readers[fd])
             now = clock()
             while timers and timers[0][0] <= now:
-                timer = heappop(timers)
-                if timer[2] is None:
+                timer = heappop(timers)[2]
+                if timer.cancelled:
                     self._cancelled -= 1
                 else:
-                    timer[4] = None
+                    timer._loop = None
                     ready.append((timer._run, ()))
             # Counted down while the queue lasts: a callback that runs
             # the loop itself may have drained part of this batch.
@@ -232,6 +222,16 @@ class Loop:
         self._ready.clear()
         self._timers.clear()
         self._cancelled = 0
+
+    def _on_cancel(self) -> None:
+        """Bookkeeping for one cancelled timer still in the heap."""
+        self._cancelled += 1
+        timers = self._timers
+        if self._cancelled * 2 > len(timers) and len(timers) >= _COMPACT_MIN:
+            # In place: run_until holds the list.
+            timers[:] = [entry for entry in timers if not entry[2].cancelled]
+            heapq.heapify(timers)
+            self._cancelled = 0
 
 
 def _loop_thread_only(method: Callable[..., Any]) -> Callable[..., Any]:

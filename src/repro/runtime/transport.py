@@ -107,11 +107,9 @@ _CRC = struct.Struct("<I")
 #: The CRC-32 of any bytes followed by their own CRC-32 (little-endian):
 #: one pass over a whole datagram checks it.
 _CRC_RESIDUE = 0x2144DF1C
-#: A frame holds a datagram's message: ``encode`` packs it as a
-#: datagram from process 0 at depth 0 and keeps what lies between this
-#: prefix and the CRC; ``decode`` puts both back to read it.
-_FRAME_PREFIX = struct.pack("<BHI", WIRE_VERSION, 0, 0)
-_PREFIX_SIZE = len(_FRAME_PREFIX)
+#: Version, src and depth.  A frame holds a datagram's message, packed
+#: behind a prefix from process 0 at depth 0 that is then cut off.
+_PREFIX_SIZE = struct.calcsize("<BHI")
 
 #: Kind byte -> message class.
 _CLASSES = dict(
@@ -182,8 +180,8 @@ def check_value(value: Any, register: Optional[str] = None) -> None:
         ) from error
 
 
-def encode(src: ProcessId, depth: int, message: Message) -> bytes:
-    """One datagram carrying ``message``; :class:`TransportError` if none can."""
+def _pack(src: ProcessId, depth: int, message: Message) -> bytes:
+    """``message`` behind the datagram prefix: a datagram short of its CRC."""
     cls = message.__class__
     if cls not in _KINDS:
         raise TransportError(f"{cls.__name__} is not a wire message")
@@ -191,18 +189,19 @@ def encode(src: ProcessId, depth: int, message: Message) -> bytes:
     try:
         if cls is ReadAck:
             op, round_no, tag, value, durable, _ = message
-            frame = _READ_ACK.pack(
+            return _READ_ACK.pack(
                 WIRE_VERSION, src, depth, kind, *(op or _NO_OP), round_no,
                 *tag, durable is not None, *(durable or _NO_TAG),
             ) + _dump_value(value)
-        elif cls is WriteRequest or cls is SnAck or cls is WriteAck:
+        if cls is WriteRequest or cls is SnAck or cls is WriteAck:
             op, round_no, tag = message[:3]
-            frame = _TAGGED.pack(
+            packed = _TAGGED.pack(
                 WIRE_VERSION, src, depth, kind, *(op or _NO_OP), round_no, *tag
             )
             if cls is WriteRequest:
-                frame += _dump_value(message.value)
-        elif cls is MuxBatch:
+                packed += _dump_value(message.value)
+            return packed
+        if cls is MuxBatch:
             op, round_no, frames, _ = message
             parts = [
                 _BATCH.pack(
@@ -213,16 +212,20 @@ def encode(src: ProcessId, depth: int, message: Message) -> bytes:
                 if inner.__class__ is MuxBatch:
                     raise TransportError("a MuxBatch cannot travel inside a MuxBatch")
                 name = register.encode()
-                packed = encode(0, 0, inner)[_PREFIX_SIZE : -_CRC.size]
+                packed = _pack(0, 0, inner)[_PREFIX_SIZE:]
                 parts += (_FRAME.pack(len(name), frame_depth, len(packed)), name, packed)
-            frame = b"".join(parts)
-        else:
-            op, round_no = message
-            frame = _QUERY.pack(WIRE_VERSION, src, depth, kind, *(op or _NO_OP), round_no)
+            return b"".join(parts)
+        op, round_no = message
+        return _QUERY.pack(WIRE_VERSION, src, depth, kind, *(op or _NO_OP), round_no)
     except struct.error as error:
         raise TransportError(
             f"{cls.__name__} has a field out of the wire format's range: {error}"
         ) from error
+
+
+def encode(src: ProcessId, depth: int, message: Message) -> bytes:
+    """One datagram carrying ``message``; :class:`TransportError` if none can."""
+    frame = _pack(src, depth, message)
     if len(frame) + _CRC.size > MAX_DATAGRAM:
         raise TransportError(
             f"message of {len(frame) + _CRC.size} bytes exceeds the "
@@ -231,27 +234,8 @@ def encode(src: ProcessId, depth: int, message: Message) -> bytes:
     return frame + _CRC.pack(crc32(frame))
 
 
-def decode(data: Any) -> Tuple[ProcessId, int, Message]:
-    """``(src, depth, message)`` of one datagram (any bytes-like object).
-
-    Raises on anything that is not exactly one well-formed datagram --
-    ``ValueError``, ``struct.error``, ``pickle.UnpicklingError`` or
-    whatever a damaged pickle stream raises; callers at the socket treat
-    every ``Exception`` as malformed input.  The result holds no
-    reference to ``data``.
-
-    The message must span the datagram exactly: a fixed-size kind is
-    checked against its struct, a value against the end of its pickle
-    stream.  A frame's message is read back as a datagram of its own.
-    """
-    size = len(data)
-    if not _SHORTEST <= size <= MAX_DATAGRAM:
-        raise ValueError("no datagram of ours has this length")
-    if crc32(data) != _CRC_RESIDUE:
-        raise ValueError("checksum mismatch")
-    if data[0] != WIRE_VERSION:
-        raise ValueError(f"unknown wire version {data[0]}")
-    end = size - _CRC.size
+def _unpack(data: Any, end: int) -> Tuple[ProcessId, int, Message]:
+    """``(src, depth, message)`` of a prefix at 0 and a message ending at ``end``."""
     kind = data[_PREFIX_SIZE]
     if kind not in _CLASSES:
         raise ValueError(f"kind {kind} is none of ours")
@@ -292,14 +276,15 @@ def decode(data: Any) -> Tuple[ProcessId, int, Message]:
             name_at = at + _FRAME.size
             inner_at = name_at + name_size
             at = inner_at + inner_size
-            if at > end:
-                raise ValueError("a frame runs past its batch")
+            if at > end or not inner_size:
+                raise ValueError("a frame is empty or runs past its batch")
             if data[inner_at] == kind:
                 raise ValueError("a MuxBatch inside a MuxBatch")
-            inner = _FRAME_PREFIX + data[inner_at:at]
-            inner += _CRC.pack(crc32(inner))
+            # Read the frame's message as a datagram's, whose prefix is
+            # the frame header's last bytes; the prefix's fields are dropped.
+            inner = _unpack(data[inner_at - _PREFIX_SIZE : at], _PREFIX_SIZE + inner_size)
             name = str(data[name_at:inner_at], "utf-8")
-            frames.append(RegisterFrame(name, frame_depth, decode(inner)[2]))
+            frames.append(RegisterFrame(name, frame_depth, inner[2]))
         if at != end:
             raise ValueError("the message is longer than its kind")
         message = MuxBatch(
@@ -308,6 +293,29 @@ def decode(data: Any) -> Tuple[ProcessId, int, Message]:
             tuple(frames),
         )
     return src, depth, message
+
+
+def decode(data: Any) -> Tuple[ProcessId, int, Message]:
+    """``(src, depth, message)`` of one datagram (any bytes-like object).
+
+    Raises on anything that is not exactly one well-formed datagram --
+    ``ValueError``, ``struct.error``, ``pickle.UnpicklingError`` or
+    whatever a damaged pickle stream raises; callers at the socket treat
+    every ``Exception`` as malformed input.  The result holds no
+    reference to ``data``.
+
+    The message must span the datagram exactly: a fixed-size kind is
+    checked against its struct, a value against the end of its pickle
+    stream.  A frame's message is read in place, as a datagram's is.
+    """
+    size = len(data)
+    if not _SHORTEST <= size <= MAX_DATAGRAM:
+        raise ValueError("no datagram of ours has this length")
+    if crc32(data) != _CRC_RESIDUE:
+        raise ValueError("checksum mismatch")
+    if data[0] != WIRE_VERSION:
+        raise ValueError(f"unknown wire version {data[0]}")
+    return _unpack(data, size - _CRC.size)
 
 
 @dataclass(frozen=True)

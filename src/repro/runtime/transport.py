@@ -40,8 +40,9 @@ else.
 The codec keeps one precompiled struct per shape of message that covers
 prefix, head and tags, so a plain message is one ``pack`` plus its
 pickled value, and one ``unpack_from``; ids and tags are rebuilt as the
-tuples they are.  A batch's frame holds a datagram's message, packed and
-read as a datagram of its own.
+tuples they are.  A batch's frame holds a message packed as a datagram's
+is, less the prefix, and read in place with the frame header's last
+bytes standing in for the prefix; a frame has no checksum of its own.
 
 What arrives on the socket is outside input.  A datagram that is short,
 long, CRC-bad, of another version or kind, not exactly as long as its

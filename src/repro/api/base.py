@@ -178,6 +178,9 @@ class Cluster:
     _registers: Set[str]
     #: Records every invocation, reply, crash and recovery.
     recorder: HistoryRecorder
+    #: The scheduler, a :class:`repro.sim.kernel.Kernel`: on virtual
+    #: time on the simulated backends, on the wall clock on live.
+    kernel: Any
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -367,17 +370,25 @@ class Cluster:
         poll_every: int = 1,
         max_events: int = 1_000_000,
     ) -> bool:
-        """Advance the clock until ``predicate()`` holds; ``False`` on timeout."""
-        raise NotImplementedError
+        """Advance the clock until ``predicate()`` holds; ``False`` on timeout.
+
+        ``poll_every`` amortizes predicate polling (see
+        :meth:`repro.sim.kernel.Kernel.run_until`): with a stride ``k``
+        up to ``k - 1`` further events may execute after the predicate
+        turns true, so only pass ``k > 1`` when that overshoot is
+        acceptable (e.g. draining a finished workload).  ``max_events``
+        bounds the number of kernel callbacks; soak-scale runs (a
+        simulated operation costs tens of kernel events) must raise it
+        above the livelock-guard default.
+        """
+        return self.kernel.run_until(predicate, max_events, timeout, poll_every)
 
     def defer(self, delay: float, fn: Callable, *args: Any) -> None:
         """Schedule ``fn(*args)`` after ``delay`` on the backend's clock.
 
-        The hook closed-loop drivers chain their next invocation on:
-        the simulated backends put it on the kernel, the live backend
-        on its event loop.
+        The hook closed-loop drivers chain their next invocation on.
         """
-        raise NotImplementedError
+        self.kernel.schedule(delay, fn, *args)
 
     def on_event(
         self,

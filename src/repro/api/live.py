@@ -1,7 +1,8 @@
-"""The ``"live"`` backend: nodes over UDP on a caller-driven selector loop.
+"""The ``"live"`` backend: nodes over UDP on the kernel, in wall time.
 
 :class:`LiveBackend` spins up N :class:`~repro.runtime.node.RuntimeNode`
-instances on one :class:`~repro.runtime.node.Loop`: real datagrams on
+instances on one :class:`~repro.sim.kernel.Kernel` built on the wall
+clock (:func:`~repro.runtime.node.live_kernel`): real datagrams on
 localhost, real ``O_DSYNC`` log files, wall-clock time.  Every node
 gets a private storage directory under ``storage_root`` (a temporary
 directory by default), so crash/recovery really does go through the
@@ -13,9 +14,9 @@ filesystem::
         cluster.recover(0)
         assert cluster.session(0).read_sync() == "hello"
 
-The backend owns the loop but no thread: the caller drives it, as it
-drives the simulator's kernel, in wall time.  The loop runs only
-inside the blocking verbs -- ``start``, ``wait`` and the ``*_sync``
+The backend owns the kernel but no thread: the caller drives it, as it
+drives the simulator's, in wall time.  The kernel runs only inside the
+blocking verbs -- ``start``, ``wait`` and the ``*_sync``
 calls, ``run``, ``run_until``, ``recover``, ``ensure_key``/``preload``
 and :meth:`LiveBackend.checkpoint`; nothing advances (no
 retransmission, no recovery, no ``op_timeout``) while the caller is
@@ -24,8 +25,8 @@ outside them.  An operation is invoked on the node at the call
 settles its :class:`LiveHandle`; ``latency`` is wall seconds.
 
 What the backend cannot do is declared, not approximated: it has no
-``virtual_time`` capability (its clock is the loop's, and a run is not
-seeded, so ``seed`` must stay ``None``) and no ``link_faults``
+``virtual_time`` capability (its clock is the wall clock, and a run is
+not seeded, so ``seed`` must stay ``None``) and no ``link_faults``
 (``partition``/``heal`` over real sockets raise
 :class:`~repro.common.errors.CapabilityError`).
 """
@@ -51,8 +52,9 @@ from repro.obs.ring import RingTrace
 from repro.obs.tracing import ALL_KINDS
 from repro.protocol.host import NodeOperation
 from repro.protocol.registry import protocol_factory
-from repro.runtime.node import Loop, RuntimeNode
+from repro.runtime.node import RuntimeNode, live_kernel
 from repro.runtime.transport import Peer, check_value
+from repro.sim.kernel import Kernel
 
 #: Retransmission period for live clusters, seconds.  Generous: real
 #: loopback rarely drops, so retries are a safety net, not the norm.
@@ -152,7 +154,7 @@ class LiveSession(Session):
 
 
 class LiveBackend(Cluster):
-    """N protocol nodes over real UDP sockets on one caller-driven event loop."""
+    """N protocol nodes over real UDP sockets on one caller-driven kernel."""
 
     backend = "live"
     capabilities = frozenset({CRASH_INJECTION})
@@ -189,23 +191,28 @@ class LiveBackend(Cluster):
         self._flight_recorder = RingTrace(kinds=ALL_KINDS)
         self.nodes: List[RuntimeNode] = []
         self._registers: Set[str] = set()
-        self._loop: Optional[Loop] = None
+        self._kernel: Optional[Kernel] = None
+
+    @property
+    def kernel(self) -> Kernel:
+        """The scheduler, from :meth:`start` to :meth:`close`."""
+        if self._kernel is None:
+            raise ReproError("cluster not started")
+        return self._kernel
 
     def _clock(self) -> float:
-        return self._loop.time() if self._loop is not None else 0.0
+        return self._kernel.clock() if self._kernel is not None else 0.0
 
-    def _started_loop(self) -> Loop:
-        if self._loop is None:
-            raise ReproError("cluster not started")
-        return self._loop
+    def _events(self) -> int:
+        return self._kernel.events_processed if self._kernel is not None else 0
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "LiveBackend":
-        """Bind every node's socket, then boot them all on the loop."""
+        """Bind every node's socket, then boot them all on the kernel."""
         if self.nodes:
             raise ReproError("cluster already started")
-        self._loop = loop = Loop()
+        self._kernel = kernel = live_kernel()
         try:
             for pid in range(self._num_processes):
                 node = RuntimeNode(
@@ -216,8 +223,8 @@ class LiveBackend(Cluster):
                     recorder=self.recorder,
                 )
                 self.nodes.append(node)  # before it binds: close() covers a failed start
-                node.start(loop)
-                node.transport.attach_flight_recorder(self._flight_recorder, loop.time)
+                node.start(kernel)
+                node.transport.attach_flight_recorder(self._flight_recorder, kernel.clock)
             peers = [
                 Peer(pid=node.pid, host=node.transport.host, port=node.transport.port)
                 for node in self.nodes
@@ -226,17 +233,16 @@ class LiveBackend(Cluster):
                 node.transport.set_peers(peers)
             self._boot()
         except BaseException:
-            self.close()  # no socket, loop or temp dir outlives a failed start
+            self.close()  # no socket, kernel or temp dir outlives a failed start
             raise
         return self
 
     def close(self) -> None:
-        """Tear the nodes down, close the loop, drop the temp root."""
-        if self._loop is not None:
+        """Tear the nodes down, drop the kernel and the temp root."""
+        if self._kernel is not None:
             for node in self.nodes:
                 node.close()
-            self._loop.close()
-            self._loop = None
+            self._kernel = None
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
 
@@ -278,7 +284,7 @@ class LiveBackend(Cluster):
         big for one datagram, raises :class:`~repro.common.errors.
         TransportError` here, before any datagram leaves.
         """
-        loop = self._started_loop()
+        kernel = self.kernel
         handle = LiveHandle(kind, key, pid)
         if kind == "write":
             check_value(value, key)
@@ -312,7 +318,7 @@ class LiveBackend(Cluster):
             else:
                 handle._settle(operation.result)
 
-        timer = loop.call_later(self.op_timeout, expire)
+        timer = kernel.schedule_cancellable(self.op_timeout, expire)
         operation.add_callback(settle)
         return handle
 
@@ -346,19 +352,20 @@ class LiveBackend(Cluster):
 
     @property
     def now(self) -> float:
-        """The loop's clock, in wall seconds."""
+        """The kernel's clock, in wall seconds."""
         return self._clock()
 
     def run(self, duration: Optional[float] = None, max_events: int = 1_000_000) -> None:
         """Run the loop for ``duration`` wall seconds.
 
         A duration is required: a live cluster never goes quiet.
+        ``max_events`` is not honoured, as for :meth:`run_until`.
         """
         if duration is None:
             raise ConfigurationError(
                 "a live cluster never goes quiet: run() needs a duration"
             )
-        self._started_loop().run_until(lambda: False, duration)
+        self.kernel.run_until(lambda: False, None, duration)
 
     def run_until(
         self,
@@ -369,21 +376,18 @@ class LiveBackend(Cluster):
     ) -> bool:
         """Run the loop until ``predicate()`` holds; ``False`` on timeout.
 
-        The predicate is re-checked after every loop iteration;
-        ``timeout`` is wall seconds (``None``: no bound).
-        ``poll_every`` and ``max_events`` count simulator events and
-        mean nothing here.
+        The predicate is checked every ``poll_every`` events, as on the
+        simulator; ``timeout`` is wall seconds (``None``: no bound).
+        ``max_events`` is not honoured: a long live closed loop runs
+        more events than any budget a simulated run would set.
         """
-        return self._started_loop().run_until(predicate, timeout)
-
-    def defer(self, delay: float, fn: Callable, *args: Any) -> None:
-        self._started_loop().call_later(delay, fn, *args)
+        return self.kernel.run_until(predicate, None, timeout, poll_every)
 
     def wait(
         self, handle: OpHandle, timeout: float = 5.0, expect_done: bool = False
     ) -> OpHandle:
-        if not handle.settled and not self._started_loop().run_until(
-            lambda: handle.settled, timeout
+        if not handle.settled and not self.kernel.run_until(
+            lambda: handle.settled, None, timeout
         ):
             # Only this wait gave up; the operation stays in flight.
             raise ReproError(f"live {handle.kind} did not settle within {timeout}s")
@@ -400,8 +404,7 @@ class LiveBackend(Cluster):
         sent = _sent(nodes)
         return ClusterStats(
             clock=self._clock(),
-            # kernel_events stays 0: real time has no event loop counter
-            # comparable to the simulator's.
+            kernel_events=self._events(),
             messages_sent=sent,
             # UDP gives no per-datagram loss signal; sent-minus-received
             # is the best available estimate (in-flight datagrams and
@@ -417,6 +420,7 @@ class LiveBackend(Cluster):
     def _register_metrics(self, registry) -> None:
         nodes = self.nodes
         registry.gauge("kernel.clock", fn=self._clock)
+        registry.gauge("kernel.events", fn=self._events)
         registry.gauge("net.messages_sent", fn=lambda: _sent(nodes))
         registry.gauge("net.messages_delivered", fn=lambda: _received(nodes))
         registry.gauge(

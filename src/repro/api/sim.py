@@ -276,32 +276,6 @@ class SimBackend(Cluster):
         else:
             self.kernel.run(until=self.kernel.now + duration, max_events=max_events)
 
-    def run_until(
-        self,
-        predicate: Callable[[], bool],
-        timeout: Optional[float] = None,
-        poll_every: int = 1,
-        max_events: int = 1_000_000,
-    ) -> bool:
-        """Advance the simulation until ``predicate()`` holds.
-
-        ``poll_every`` amortizes predicate polling (see
-        :meth:`repro.sim.kernel.Kernel.run_until`): with a stride ``k``
-        up to ``k - 1`` further events may execute after the predicate
-        turns true, so only pass ``k > 1`` when that overshoot is
-        acceptable (e.g. draining a finished workload).  ``max_events``
-        bounds the number of kernel callbacks; soak-scale runs (a
-        simulated operation costs tens of kernel events) must raise it
-        above the livelock-guard default.
-        """
-        return self.kernel.run_until(
-            predicate, timeout=timeout, poll_every=poll_every,
-            max_events=max_events,
-        )
-
-    def defer(self, delay: float, fn: Callable, *args: Any) -> None:
-        self.kernel.schedule(delay, fn, *args)
-
     def on_event(
         self,
         kind: str,

@@ -16,8 +16,7 @@ defined here, backend-free:
   single-register :class:`~repro.history.checker.AtomicityVerdict`
   and the KV store's per-key checks share one shape;
 * :class:`ClusterStats` -- the run-wide counters every backend can
-  report (zeros where a counter does not exist, e.g. kernel events on
-  the live backend).
+  report (zeros where a counter does not exist).
 """
 
 from __future__ import annotations
@@ -195,9 +194,8 @@ class Verdict:
 class ClusterStats:
     """Run-wide counters of a cluster, uniform across backends.
 
-    Counters a backend cannot measure stay zero (the live backend has
-    no kernel, so ``kernel_events`` is 0 there); ``clock`` is virtual
-    seconds on simulated backends and event-loop seconds on live.
+    Counters a backend cannot measure stay zero; ``clock`` is virtual
+    seconds on simulated backends and wall seconds on live.
     """
 
     clock: float = 0.0

@@ -217,7 +217,8 @@ class NodeCore:
       call ``on_durable()`` once it is durable; stores of one process
       complete in issue order;
     * ``_call_later(delay, fn, *args)`` -- one-shot timer, returns an
-      object with ``cancel()``;
+      object with ``cancel()``; ``_defer`` is the same for callers that
+      never cancel (egress flushes, on the datapath), returning nothing;
     * ``_delete(key)`` / ``_compact()`` -- drop a log record a
       checkpoint superseded / rewrite the log as the live records,
       ordered with ``_store``: a store of ``key`` issued before the
@@ -229,8 +230,6 @@ class NodeCore:
       disk), then call ``_finish_recover(incarnation)``;
     * ``trace`` (constructor argument) -- the guard every trace site
       consults; :data:`~repro.obs.tracing.NULL_TRACE` wants nothing.
-
-    One more has a default: :meth:`_defer`.
     """
 
     def __init__(
@@ -307,14 +306,6 @@ class NodeCore:
         protocol.register = register
         self._unready += 1
         return _RegisterSlot(register, prefix, protocol)
-
-    def _defer(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
-        """``_call_later`` for callers that never cancel.
-
-        A driver whose scheduler has a cheaper non-cancellable form
-        overrides this: egress flushes are on the datapath.
-        """
-        self._call_later(delay, fn, *args)
 
     # -- register hosting --------------------------------------------------
 

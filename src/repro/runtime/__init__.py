@@ -1,4 +1,4 @@
-"""Live runtime: the protocols over real disks and UDP on a caller-driven selector loop.
+"""Live runtime: the protocols over real disks and UDP, on the kernel in wall time.
 
 The paper's measurements come from a C implementation on a LAN using
 UDP and synchronous file writes.  This package is the Python analogue:
@@ -12,17 +12,18 @@ the *same* sans-io protocol classes as the simulator, hosted on
   its frame over those zeros through an ``O_DSYNC`` descriptor, so it is
   durable when it returns (buffering "would violate even transient
   atomicity", Section V-A);
-* :class:`~repro.runtime.node.Loop` -- the event loop: a FIFO ready
-  queue, a timer heap and one ``select.poll`` over the nodes' sockets,
-  run only by ``run_until`` on the caller's thread (the simulator
-  kernel's contract in wall time);
-* :class:`~repro.runtime.node.RuntimeNode` -- the loop's driver of
+* :class:`~repro.runtime.node.SocketPoll` -- the I/O step the
+  simulator's :class:`~repro.sim.kernel.Kernel` takes to run live: one
+  ``select.poll`` over the nodes' sockets; with the wall clock it makes
+  the one scheduler the live event loop, run only by ``run_until`` on
+  the caller's thread (:func:`~repro.runtime.node.live_kernel`);
+* :class:`~repro.runtime.node.RuntimeNode` -- the kernel's driver of
   the process host the simulator shares
   (:class:`repro.protocol.host.NodeCore`): crash emulation by muting
   the transport, each node's storage jobs drained in issue order by its
   event loop (a live store crosses no thread), the threading contract.
 
-The cluster over these nodes -- the event loop, the operation path and
+The cluster over these nodes -- the kernel, the operation path and
 the verbs that run the loop -- is the ``"live"`` backend of :mod:`repro.api`
 (``open_cluster(backend="live")``, :class:`~repro.api.live.LiveBackend`).
 The runtime exists to demonstrate the protocol code is real, and to

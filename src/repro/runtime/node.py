@@ -1,13 +1,17 @@
-"""Live process: :class:`~repro.protocol.host.NodeCore` on a caller-driven selector loop.
+"""Live process: :class:`~repro.protocol.host.NodeCore` on the kernel, in wall time.
 
 The process itself is :mod:`repro.protocol.host`, the same one the
-simulator hosts.  This driver gives it real time and real I/O:
+simulator hosts, and its scheduler is the simulator's
+:class:`~repro.sim.kernel.Kernel`, built by :func:`live_kernel` on the
+wall clock with :class:`SocketPoll` as its I/O step and :func:`report`
+as its error policy.  This driver gives the process real I/O:
 
 * datagrams go out through a :class:`~repro.runtime.transport.
   UdpTransport`; a crash mutes it, which with the core's incarnation
   guard and volatile-state wipe is everything a real ``kill -9`` would
   do to the algorithm, inside one OS process so tests stay hermetic;
-* timers are :meth:`Loop.call_later`;
+* timers are :meth:`~repro.sim.kernel.Kernel.schedule_cancellable`, as
+  on the simulator;
 * every file operation -- a store's ``O_DSYNC`` write, a checkpoint's
   tombstones, a compaction, recovery's read-back -- is a job on the
   node's list, which the node's own event loop drains in issue order,
@@ -19,32 +23,27 @@ simulator hosts.  This driver gives it real time and real I/O:
   shows a record only once it is durable; a checkpoint therefore never
   truncates a key that still has a store queued.
 
-The event loop is :class:`Loop`: the simulator kernel's contract in
-wall time.  A FIFO queue of ready callbacks, a heap of timers and one
-:func:`select.poll` over the nodes' sockets, run only by
-:meth:`Loop.run_until` on the caller's thread.  One iteration runs in
-this order: shed cancelled timers at the heap's head, poll (without
-blocking when callbacks are ready), queue the readable sockets' readers,
-then the due timers, then run the batch queued so far; a callback
-queued by the batch runs on the next iteration.  A callback that raises
-goes to the exception handler and the rest of the batch still runs.  A
-callback may itself run the loop (a blocking verb inside a deferred
-callback): the nested run drives the same queues, as a nested
-:meth:`repro.sim.kernel.Kernel.run_until` does.
+The kernel runs only inside :meth:`~repro.sim.kernel.Kernel.run_until`
+on the caller's thread.  It polls the sockets whenever its next event
+is not due by the last poll, so a callback queued by a callback runs
+only after the sockets were looked at again; a callback that raises is
+logged and the loop runs on.  A callback may itself run the loop (a
+blocking verb inside a deferred callback): the nested run drives the
+same queue.
 
 Threading contract.  A node belongs to the thread that started it,
 which is the thread that runs its event loop, and so does all of its
 I/O: a live store crosses no thread.  Every mutator -- boot, crash,
 recover, begin_checkpoint, provision_register, invoke_read/write --
 raises :class:`~repro.common.errors.ReproError` when called from any
-other thread, and so does :meth:`Loop.run_until`.  The live backend,
+other thread, and so does the live kernel's run loop.  The live backend,
 :class:`repro.api.live.LiveBackend`, starts its nodes on the caller's
 thread and runs their loop inside its blocking verbs.
 
-The first job queued after a drain schedules the next one
-(``loop.call_soon``), so a burst of stores costs one loop callback.  A
-job or completion that raises is reported to the loop's exception
-handler and never acknowledged; the jobs behind it still run.
+The first job queued after a drain schedules the next one (a zero-delay
+event), so a burst of stores costs one loop callback.  A job or
+completion that raises is reported to the kernel's error policy and
+never acknowledged; the jobs behind it still run.
 """
 
 # repro: hot-path
@@ -53,15 +52,13 @@ handler and never acknowledged; the jobs behind it still run.
 from __future__ import annotations
 
 import functools
-import heapq
-import itertools
 import logging
 import select
 import threading
 import time
-from collections import Counter, deque
+from collections import Counter
 from pathlib import Path
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import ReproError
 from repro.common.ids import ProcessId
@@ -69,169 +66,41 @@ from repro.history.recorder import HistoryRecorder
 from repro.protocol.host import NodeCore, ProtocolFactory
 from repro.runtime.storage import FileStableStorage, encode_frame
 from repro.runtime.transport import UdpTransport
+from repro.sim.kernel import Kernel
 
 logger = logging.getLogger(__name__)
 
-#: Minimum timer heap size before cancellation triggers a compaction
-#: sweep (the simulator kernel's rule).
-_COMPACT_MIN = 64
 
-Callback = Tuple[Callable[..., Any], Tuple[Any, ...]]
-
-
-class TimerHandle:
-    """One armed :meth:`Loop.call_later`; ``cancel()`` keeps it from firing."""
-
-    __slots__ = ("_loop", "_fn", "_args", "cancelled")
-
-    def __init__(self, loop: "Loop", fn: Callable[..., Any], args: Tuple[Any, ...]):
-        self._loop: Optional[Loop] = loop  # None once it left the heap
-        self._fn = fn
-        self._args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Keep the callback from running.  Idempotent."""
-        if not self.cancelled:
-            self.cancelled = True
-            if self._loop is not None:
-                self._loop._on_cancel()
-
-    def _run(self) -> None:
-        if not self.cancelled:  # cancelled between falling due and its turn
-            self._fn(*self._args)
-
-
-class Loop:
-    """The live runtime's event loop, run by :meth:`run_until` alone.
-
-    ``time`` is :func:`time.monotonic` itself, so clock reads on the
-    datapath are one C call.  There is no ``run_forever``: the loop
-    advances only inside :meth:`run_until`, on the thread that built it.
-    """
+class SocketPoll:
+    """A live kernel's I/O step: one :func:`select.poll` over the nodes' sockets."""
 
     def __init__(self) -> None:
-        self.time = time.monotonic
-        self._thread = threading.get_ident()
-        self._ready: Deque[Callback] = deque()
-        # Entries: (deadline, seq, timer); seq keeps comparison off the timer.
-        self._timers: List[Tuple[float, int, TimerHandle]] = []
-        self._seq = itertools.count()
-        self._cancelled = 0
         self._poll = select.poll()
-        self._readers: Dict[int, Callback] = {}
-        self._handler: Optional[Callable[["Loop", Dict[str, Any]], None]] = None
-
-    def call_soon(self, fn: Callable[..., Any], *args: Any) -> None:
-        """Run ``fn(*args)`` on the next iteration, in call order."""
-        self._ready.append((fn, args))
-
-    def call_later(self, delay: float, fn: Callable[..., Any], *args: Any) -> TimerHandle:
-        """Run ``fn(*args)`` once ``delay`` seconds have passed."""
-        timer = TimerHandle(self, fn, args)
-        heapq.heappush(self._timers, (self.time() + delay, next(self._seq), timer))
-        return timer
+        self.poll = self._poll.poll
+        #: fd -> ``(fn, args)``, run each time a poll finds ``fd`` readable.
+        self.readers: Dict[int, Tuple[Callable[..., Any], Tuple[Any, ...]]] = {}
 
     def add_reader(self, fd: int, fn: Callable[..., Any], *args: Any) -> None:
-        """Run ``fn(*args)`` on every iteration that finds ``fd`` readable."""
+        """Run ``fn(*args)`` each time a poll finds ``fd`` readable."""
         self._poll.register(fd, select.POLLIN)
-        self._readers[fd] = (fn, args)
+        self.readers[fd] = (fn, args)
 
     def remove_reader(self, fd: int) -> bool:
         """Stop watching ``fd``; whether it was watched."""
-        if self._readers.pop(fd, None) is None:
+        if self.readers.pop(fd, None) is None:
             return False
         self._poll.unregister(fd)
         return True
 
-    def set_exception_handler(
-        self, handler: Optional[Callable[["Loop", Dict[str, Any]], None]]
-    ) -> None:
-        """Send what a callback raises to ``handler(loop, context)``."""
-        self._handler = handler
 
-    def call_exception_handler(self, context: Dict[str, Any]) -> None:
-        """Report ``context`` (``message``, ``exception``) to the handler.
+def report(context: Dict[str, Any]) -> None:
+    """A live kernel's error policy: log the message and traceback (to stderr by default)."""
+    logger.error(context["message"], exc_info=context.get("exception"))
 
-        With no handler set it is logged, message and traceback, on this
-        module's logger, which with no logging configured writes both to
-        stderr.
-        """
-        if self._handler is not None:
-            self._handler(self, context)
-        else:
-            logger.error(context["message"], exc_info=context.get("exception"))
 
-    def run_until(
-        self, predicate: Callable[[], bool], timeout: Optional[float] = None
-    ) -> bool:
-        """Run iterations until ``predicate()`` holds; ``False`` on timeout.
-
-        The predicate is checked before the first iteration and after
-        every one; ``timeout`` is wall seconds (``None``: no bound).
-        """
-        if threading.get_ident() != self._thread:
-            raise ReproError("the live loop runs only on the thread that built it")
-        clock = self.time
-        deadline = None if timeout is None else clock() + timeout
-        ready, timers, readers = self._ready, self._timers, self._readers
-        poll, popleft, heappop = self._poll.poll, ready.popleft, heapq.heappop
-        while not predicate():
-            now = clock()
-            if deadline is not None and now >= deadline:
-                return False
-            while timers and timers[0][2].cancelled:
-                heappop(timers)
-                self._cancelled -= 1
-            if ready:
-                wait: Optional[float] = 0.0
-            else:
-                wait = None if deadline is None else deadline - now
-                if timers and (wait is None or timers[0][0] - now < wait):
-                    wait = timers[0][0] - now
-                if wait is not None:
-                    wait = max(wait, 0.0) * 1000  # milliseconds, rounded up
-            for fd, _event in poll(wait):
-                ready.append(readers[fd])
-            now = clock()
-            while timers and timers[0][0] <= now:
-                timer = heappop(timers)[2]
-                if timer.cancelled:
-                    self._cancelled -= 1
-                else:
-                    timer._loop = None
-                    ready.append((timer._run, ()))
-            # Counted down while the queue lasts: a callback that runs
-            # the loop itself may have drained part of this batch.
-            count = len(ready)
-            while count and ready:
-                count -= 1
-                fn, args = popleft()
-                try:
-                    fn(*args)
-                except Exception as error:
-                    self.call_exception_handler(
-                        {"message": f"Exception in callback {fn!r}", "exception": error}
-                    )
-        return True
-
-    def close(self) -> None:
-        """Drop every queued callback, timer and reader."""
-        for fd in list(self._readers):
-            self.remove_reader(fd)
-        self._ready.clear()
-        self._timers.clear()
-        self._cancelled = 0
-
-    def _on_cancel(self) -> None:
-        """Bookkeeping for one cancelled timer still in the heap."""
-        self._cancelled += 1
-        timers = self._timers
-        if self._cancelled * 2 > len(timers) and len(timers) >= _COMPACT_MIN:
-            # In place: run_until holds the list.
-            timers[:] = [entry for entry in timers if not entry[2].cancelled]
-            heapq.heapify(timers)
-            self._cancelled = 0
+def live_kernel() -> Kernel:
+    """A kernel on the wall clock whose I/O step polls the nodes' sockets."""
+    return Kernel(clock=time.monotonic, io=SocketPoll(), on_error=report)
 
 
 def _loop_thread_only(method: Callable[..., Any]) -> Callable[..., Any]:
@@ -274,20 +143,21 @@ class RuntimeNode(NodeCore):
             protocol_factory,
             recorder,
         )
-        self._loop: Optional[Loop] = None
+        self._kernel: Optional[Kernel] = None
         self._thread: Optional[int] = None
         # (done, job, args) in issue order, until the loop drains them.
         self._jobs: List[tuple] = []
         # Key -> stores queued and not durable yet.
         self._storing: Counter = Counter()
 
-    def start(self, loop: Loop) -> None:
-        """Bind the transport on ``loop``.  Peers are installed by the cluster."""
-        self._loop = loop
+    def start(self, kernel: Kernel) -> None:
+        """Bind the transport on live ``kernel``.  Peers are installed by the cluster."""
+        self._kernel = kernel
         self._thread = threading.get_ident()
-        self._now = loop.time
-        self._call_later = loop.call_later
-        self.transport.start(self._on_message, loop)
+        self._now = kernel.clock
+        self._call_later = kernel.schedule_cancellable
+        self._defer = kernel.schedule
+        self.transport.start(self._on_message, kernel)
 
     def close(self) -> None:
         """Release the socket, then land every queued job and close the log.
@@ -322,7 +192,7 @@ class RuntimeNode(NodeCore):
     ) -> None:
         """Queue ``job(*args)`` for the loop, then ``done(result)`` there."""
         if not self._jobs:
-            self._loop.call_soon(self._drain)
+            self._kernel.schedule(0.0, self._drain)
         self._jobs.append((done, job, args))
 
     def _drain(self) -> None:
@@ -334,7 +204,7 @@ class RuntimeNode(NodeCore):
             except Exception as error:  # a failed write, a full disk
                 # Worded as asyncio words a failed task: bench/run.py
                 # counts these lines on stderr.
-                self._loop.call_exception_handler(
+                self._kernel.on_error(
                     {"message": "Task exception was never retrieved", "exception": error}
                 )
 

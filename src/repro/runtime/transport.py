@@ -1,8 +1,9 @@
 """UDP transport between cluster nodes, and the wire format it speaks.
 
 One non-blocking datagram socket per node, owned by the transport and
-registered with the node's caller-driven selector loop
-(:class:`repro.runtime.node.Loop`) through ``add_reader``.  UDP gives
+registered through ``add_reader`` with the I/O step
+(:class:`repro.runtime.node.SocketPoll`) of the node's live
+:class:`~repro.sim.kernel.Kernel`.  UDP gives
 exactly the fair-lossy channel of the model: datagrams can be dropped,
 duplicated or reordered, and the protocols' retransmission loops handle
 it.  A message that does not fit the 64 KB datagram limit raises, as in
@@ -52,10 +53,10 @@ receive buffer.
 
 A process's message to itself does not cross the wire (the simulator
 prices that hop as ``LOOPBACK_DELAY``, not as a link): it is handed,
-frozen, to ``loop.call_soon``.  It is delivered on a later loop
-callback, never inside ``send``, dropped if the process crashed in
-between, and measured, counted and flight-recorded exactly as a
-datagram is.
+frozen, to the kernel as a zero-delay event.  It is delivered on a
+later loop callback, never inside ``send``, dropped if the process
+crashed in between, and measured, counted and flight-recorded exactly
+as a datagram is.
 """
 
 # repro: hot-path
@@ -88,7 +89,7 @@ from repro.protocol.messages import (
 )
 
 if TYPE_CHECKING:
-    from repro.runtime.node import Loop
+    from repro.sim.kernel import Kernel
 
 #: Hard UDP payload ceiling (IPv4 localhost supports slightly less
 #: than 64 KB of payload after headers).
@@ -340,7 +341,7 @@ class UdpTransport:
         self.port = port
         self._addresses: Dict[ProcessId, Tuple[str, int]] = {}
         self._sock: Optional[socket.socket] = None
-        self._loop: Optional[Loop] = None
+        self._kernel: Optional[Kernel] = None
         self._receive: Optional[ReceiveCallback] = None
         # One byte more than the largest datagram of ours: a longer one
         # is cut by the kernel, fills the buffer and is refused as long.
@@ -374,8 +375,8 @@ class UdpTransport:
         self._ring_send = ring.kind_id("send")
         self._ring_deliver = ring.kind_id("deliver")
 
-    def start(self, receive: ReceiveCallback, loop: Loop) -> None:
-        """Bind the socket and deliver to ``receive`` while ``loop`` runs."""
+    def start(self, receive: ReceiveCallback, kernel: Kernel) -> None:
+        """Bind the socket and deliver to ``receive`` while live ``kernel`` runs."""
         # Resolved here, blocking: the configured host is an address
         # literal wherever this repository binds.
         # As bytes, because a str host makes Python import its IDNA
@@ -393,8 +394,8 @@ class UdpTransport:
         self.port = sock.getsockname()[1]
         self._sock = sock
         self._receive = receive
-        self._loop = loop
-        loop.add_reader(sock.fileno(), self._on_readable)
+        self._kernel = kernel
+        kernel.io.add_reader(sock.fileno(), self._on_readable)
 
     def set_peers(self, peers: List[Peer]) -> None:
         """Install the cluster membership (including this node)."""
@@ -421,7 +422,7 @@ class UdpTransport:
         ring = self._ring
         for dst in dsts:
             if dst == self.pid:
-                self._loop.call_soon(self._deliver, dst, depth, message)
+                self._kernel.schedule(0.0, self._deliver, dst, depth, message)
             else:
                 try:
                     sock.sendto(payload, self._addresses[dst])
@@ -487,6 +488,6 @@ class UdpTransport:
     def close(self) -> None:
         """Stop reading and release the socket."""
         if self._sock is not None:
-            self._loop.remove_reader(self._sock.fileno())
+            self._kernel.io.remove_reader(self._sock.fileno())
             self._sock.close()
             self._sock = self._receive = None

@@ -131,8 +131,10 @@ def test_stats_and_metrics_parity(backend):
     assert stats.crashes == 1
     assert stats.recoveries == 1
     assert stats.messages_dropped >= 0
+    assert stats.kernel_events > 0
     for name in (
         "kernel.clock",
+        "kernel.events",
         "net.messages_sent",
         "net.messages_delivered",
         "net.messages_dropped",
@@ -146,6 +148,7 @@ def test_stats_and_metrics_parity(backend):
     ):
         assert name in metrics.scalars, name
     assert metrics.scalars["net.messages_sent"] == stats.messages_sent
+    assert metrics.scalars["kernel.events"] == stats.kernel_events
     if backend == "live":
         # Nothing on the loopback sockets was anything but ours.
         assert metrics.scalars["net.malformed"] == 0
@@ -194,6 +197,45 @@ def test_a_lone_surrogate_value_round_trips(backend):
         c.session(0).write_sync(value, timeout=5.0)
         assert c.session(1).read_sync(timeout=5.0) == value
         assert c.check().ok
+
+
+@pytest.mark.parametrize("backend", ["sim", "kv", "live"])
+def test_a_negative_duration_is_refused(backend):
+    """No verb moves the clock backwards, and nothing runs."""
+    seed = None if backend == "live" else 11
+    with open_cluster(backend=backend, num_processes=3, seed=seed) as c:
+        c.session(0).write_sync("a")
+        before = c.now
+        with pytest.raises(ValueError):
+            c.run(-1.0)
+        with pytest.raises(ValueError):
+            c.run_until(lambda: False, timeout=-1.0)
+        assert c.now >= before
+        c.session(1).write_sync("b")
+        assert c.check().ok
+
+
+@pytest.mark.parametrize("backend", ["sim", "kv", "live"])
+def test_a_negative_delay_and_a_zero_stride_are_refused(backend):
+    """Every backend's scheduler makes the same checks."""
+    seed = None if backend == "live" else 11
+    with open_cluster(backend=backend, num_processes=3, seed=seed) as c:
+        with pytest.raises(ValueError):
+            c.defer(-1.0, lambda: None)
+        with pytest.raises(ValueError):
+            c.run_until(lambda: True, timeout=1.0, poll_every=0)
+
+
+def test_a_live_delay_counts_from_the_call():
+    """Not from the last event: the caller was away from the loop."""
+    with open_cluster(backend="live", num_processes=3) as c:
+        c.run(0.01)
+        time.sleep(0.1)  # outside every verb: nothing runs
+        fired = []
+        called = time.monotonic()
+        c.defer(0.05, lambda: fired.append(time.monotonic()))
+        assert c.run_until(lambda: fired, timeout=1.0)
+        assert fired[0] - called >= 0.05
 
 
 def test_live_declares_no_virtual_time():

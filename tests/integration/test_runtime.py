@@ -583,9 +583,7 @@ class TestLiveThreading:
         with open_cluster(backend="live", num_processes=1, storage_root=tmp_path) as cluster:
             node = cluster.nodes[0]
             errors, order, views = [], [], []
-            cluster._loop.set_exception_handler(
-                lambda _loop, context: errors.append(context)
-            )
+            cluster.kernel.on_error = errors.append
 
             def acknowledged(i):
                 order.append(i)
@@ -673,9 +671,7 @@ class TestLiveThreading:
             node = cluster.nodes[0]
             monkeypatch.setattr(FileStableStorage, "write_file", failing)
             errors, acknowledged = [], []
-            cluster._loop.set_exception_handler(
-                lambda _loop, context: errors.append(context)
-            )
+            cluster.kernel.on_error = errors.append
             node._store("k", (1,), 1, lambda: acknowledged.append("k"), None)
             wait_for(cluster, lambda: errors)
             # The wording bench/run.py counts as ``runtime.task_errors``.
@@ -692,9 +688,7 @@ class TestLiveThreading:
 
         with open_cluster(backend="live", num_processes=1, storage_root=tmp_path) as cluster:
             node, errors, landed = cluster.nodes[0], [], []
-            cluster._loop.set_exception_handler(
-                lambda _loop, context: errors.append(context)
-            )
+            cluster.kernel.on_error = errors.append
             node._store("a", (1,), 1, failing, None)
             node._store("b", (2,), 1, lambda: landed.append(None), None)
             wait_for(cluster, lambda: landed)
@@ -735,7 +729,7 @@ class TestLiveThreading:
         cluster = open_cluster(backend="live", num_processes=3, storage_root=tmp_path)
         with pytest.raises(StorageError, match="cannot create storage dir"):
             cluster.start()
-        assert cluster._loop is None
+        assert cluster._kernel is None
         assert cluster.nodes[0].transport._sock is None
         assert [t.name for t in set(threading.enumerate()) - before] == []
 

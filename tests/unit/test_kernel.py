@@ -64,20 +64,6 @@ class TestScheduling:
         with pytest.raises(ValueError):
             Kernel().schedule(-0.1, lambda: None)
 
-    def test_schedule_at_absolute_time(self):
-        kernel = Kernel()
-        seen = []
-        kernel.schedule_at(5.0, lambda: seen.append(kernel.now))
-        kernel.run()
-        assert seen == [5.0]
-
-    def test_schedule_at_in_the_past_rejected(self):
-        kernel = Kernel()
-        kernel.schedule(1.0, lambda: None)
-        kernel.run()
-        with pytest.raises(ValueError):
-            kernel.schedule_at(0.5, lambda: None)
-
 
 class TestCancellation:
     def test_cancelled_events_do_not_fire(self):
@@ -151,6 +137,42 @@ class TestRunBounds:
         assert kernel.now == 2.0
         kernel.run()
         assert fired == ["a", "b"]
+
+    def test_run_until_a_time_past_the_last_event_advances_the_clock(self):
+        kernel = Kernel()
+        fired = []
+        kernel.schedule(1.0, fired.append, "a")
+        kernel.run(until=2.0)
+        assert fired == ["a"]
+        assert kernel.now == 2.0
+        kernel.run(until=2.5)  # on an empty queue too
+        assert kernel.now == 2.5
+
+    def test_run_refuses_a_time_before_now(self):
+        kernel = Kernel()
+        kernel.run(until=1.0)
+        with pytest.raises(ValueError):
+            kernel.run(until=0.5)
+        assert kernel.now == 1.0
+
+    def test_run_until_refuses_a_negative_timeout(self):
+        kernel = Kernel()
+        kernel.schedule(1.0, lambda: None)
+        with pytest.raises(ValueError):
+            kernel.run_until(lambda: False, timeout=-1.0)
+        assert kernel.now == 0.0 and kernel.pending_events == 1
+
+    def test_a_raising_callback_raises_through_on_virtual_time(self):
+        kernel = Kernel()
+
+        def failing():
+            raise RuntimeError("callback failed")
+
+        kernel.schedule(1.0, failing)
+        kernel.schedule(2.0, lambda: None)
+        with pytest.raises(RuntimeError, match="callback failed"):
+            kernel.run()
+        assert kernel.now == 1.0 and kernel.pending_events == 1
 
     def test_run_with_event_budget(self):
         kernel = Kernel()

@@ -93,6 +93,8 @@ class FakeNode(NodeCore):
         self.timers.append(timer)
         return timer
 
+    _defer = _call_later
+
     def _delete(self, key):
         self.storage.records.pop(key, None)
 

@@ -1,7 +1,7 @@
 """Unit tests for the UDP transport (real sockets on localhost).
 
-The socket tests run the transport on the loop it ships with,
-:class:`repro.runtime.node.Loop`.
+The socket tests run the transport on the kernel the live backend
+builds, :func:`repro.runtime.node.live_kernel`.
 """
 
 import os
@@ -28,7 +28,7 @@ from repro.protocol.messages import (
     WriteAck,
     WriteRequest,
 )
-from repro.runtime.node import Loop
+from repro.runtime.node import live_kernel
 from repro.runtime.transport import (
     MAX_DATAGRAM,
     Peer,
@@ -40,22 +40,20 @@ from repro.runtime.transport import (
 
 
 @pytest.fixture
-def loop():
-    loop = Loop()
-    yield loop
-    loop.close()
+def kernel():
+    return live_kernel()
 
 
-def run_for(loop, seconds):
-    """Run ``loop`` for ``seconds`` wall seconds."""
-    loop.run_until(lambda: False, seconds)
+def run_for(kernel, seconds):
+    """Run ``kernel`` for ``seconds`` wall seconds."""
+    kernel.run_until(lambda: False, timeout=seconds)
 
 
-def endpoints(loop, *receivers):
+def endpoints(kernel, *receivers):
     """One started transport per receive callback, all peers of each other."""
     transports = [UdpTransport(pid) for pid in range(len(receivers))]
     for transport, receive in zip(transports, receivers):
-        transport.start(receive, loop)
+        transport.start(receive, kernel)
     peers = [Peer(t.pid, t.host, t.port) for t in transports]
     for transport in transports:
         transport.set_peers(peers)
@@ -200,15 +198,15 @@ class StubSocket:
 
 
 class TestUdpTransport:
-    def test_round_trip_between_two_endpoints(self, loop):
+    def test_round_trip_between_two_endpoints(self, kernel):
         received = []
         a, b = endpoints(
-            loop,
+            kernel,
             lambda src, msg, depth: None,
             lambda src, msg, depth: received.append((src, depth, msg)),
         )
         a.send(1, query(), depth=3)
-        loop.run_until(lambda: received, timeout=1.0)
+        kernel.run_until(lambda: received, timeout=1.0)
         a.close()
         b.close()
         assert len(received) == 1
@@ -217,32 +215,32 @@ class TestUdpTransport:
         assert depth == 3
         assert isinstance(message, SnQuery)
 
-    def test_round_trip_over_ipv6_loopback(self, loop):
+    def test_round_trip_over_ipv6_loopback(self, kernel):
         """The socket's family is the configured host's."""
         received = []
         a = UdpTransport(0, host="::1")
         try:
-            a.start(lambda src, msg, depth: received.append((src, depth)), loop)
+            a.start(lambda src, msg, depth: received.append((src, depth)), kernel)
         except OSError:
             pytest.skip("no IPv6 loopback here")
         b = UdpTransport(1, host="::1")
-        b.start(lambda *args: None, loop)
+        b.start(lambda *args: None, kernel)
         for transport in (a, b):
             transport.set_peers([Peer(0, a.host, a.port), Peer(1, b.host, b.port)])
         b.send(0, query(1), depth=1)
-        loop.run_until(lambda: received, timeout=1.0)
+        kernel.run_until(lambda: received, timeout=1.0)
         a.close()
         b.close()
         assert received == [(1, 1)]
 
-    def test_unknown_peer_raises(self, loop):
-        (a,) = endpoints(loop, lambda *args: None)
+    def test_unknown_peer_raises(self, kernel):
+        (a,) = endpoints(kernel, lambda *args: None)
         with pytest.raises(TransportError):
             a.send(7, query(), 0)
         a.close()
 
-    def test_oversized_datagram_rejected(self, loop):
-        a, b = endpoints(loop, lambda *args: None, lambda *args: None)
+    def test_oversized_datagram_rejected(self, kernel):
+        a, b = endpoints(kernel, lambda *args: None, lambda *args: None)
         huge = WriteRequest(
             op=make_operation_id(0),
             round_no=1,
@@ -255,10 +253,10 @@ class TestUdpTransport:
         b.close()
         assert a.messages_sent == 0
 
-    def test_muted_transport_drops_everything(self, loop):
+    def test_muted_transport_drops_everything(self, kernel):
         received = []
         a, b = endpoints(
-            loop,
+            kernel,
             lambda src, msg, depth: received.append(msg),
             lambda src, msg, depth: received.append(msg),
         )
@@ -266,16 +264,16 @@ class TestUdpTransport:
         a.send(1, query(), 0)  # a muted sender sends nothing,
         a.send(0, query(), 0)
         b.send(0, query(1), 0)  # a muted receiver hears nothing
-        run_for(loop, 0.05)
+        run_for(kernel, 0.05)
         a.close()
         b.close()
         assert (received, a.messages_sent, a.messages_received) == ([], 0, 0)
 
-    def test_message_to_itself_is_delivered_later_and_off_the_wire(self, loop):
+    def test_message_to_itself_is_delivered_later_and_off_the_wire(self, kernel):
         received = []
-        (a,) = endpoints(loop, lambda src, msg, depth: received.append((src, depth, msg)))
+        (a,) = endpoints(kernel, lambda src, msg, depth: received.append((src, depth, msg)))
         ring = RingTrace(kinds=ALL_KINDS)
-        a.attach_flight_recorder(ring, loop.time)
+        a.attach_flight_recorder(ring, kernel.clock)
 
         def on_the_wire(data):
             raise AssertionError("a message to itself crossed the socket")
@@ -284,7 +282,7 @@ class TestUdpTransport:
         message = query()
         a.send(0, message, depth=2)
         inside_send = list(received)
-        run_for(loop, 0.05)
+        run_for(kernel, 0.05)
         a.close()
         kinds = [event.kind for event in ring.events()]
         assert inside_send == []  # never re-entrant
@@ -294,26 +292,26 @@ class TestUdpTransport:
         assert kinds == ["send", "deliver"]
         assert (a.messages_sent, a.messages_received) == (1, 1)
 
-    def test_message_to_itself_is_dropped_by_a_crash_before_delivery(self, loop):
+    def test_message_to_itself_is_dropped_by_a_crash_before_delivery(self, kernel):
         received = []
-        (a,) = endpoints(loop, lambda src, msg, depth: received.append(msg))
+        (a,) = endpoints(kernel, lambda src, msg, depth: received.append(msg))
         a.send(0, query(), 0)
         a.muted = True  # the crash lands between send and delivery
-        run_for(loop, 0.05)
+        run_for(kernel, 0.05)
         a.close()
         assert (received, a.messages_sent, a.messages_received) == ([], 1, 0)
 
-    def test_broadcast_reaches_all_peers_including_self(self, loop):
+    def test_broadcast_reaches_all_peers_including_self(self, kernel):
         inboxes = {0: [], 1: [], 2: []}
         transports = endpoints(
-            loop,
+            kernel,
             *(
                 lambda src, msg, depth, pid=pid: inboxes[pid].append(msg)
                 for pid in inboxes
             ),
         )
         transports[1].broadcast(query(1), 0)
-        loop.run_until(lambda: all(inboxes.values()), timeout=1.0)
+        kernel.run_until(lambda: all(inboxes.values()), timeout=1.0)
         for transport in transports:
             transport.close()
         assert all(len(box) == 1 for box in inboxes.values())
@@ -389,23 +387,23 @@ class TestUdpTransport:
         assert received == [(1, 5, message) for message in messages]
         assert transport.malformed == dropped
 
-    def test_oversized_broadcast_sends_nothing(self, loop):
+    def test_oversized_broadcast_sends_nothing(self, kernel):
         """Refused whole: not half-sent, not counted, not recorded."""
         inboxes = {0: [], 1: []}
         a, b = endpoints(
-            loop,
+            kernel,
             *(
                 lambda src, msg, depth, pid=pid: inboxes[pid].append(msg)
                 for pid in inboxes
             ),
         )
         ring = RingTrace(kinds=ALL_KINDS)
-        a.attach_flight_recorder(ring, loop.time)
+        a.attach_flight_recorder(ring, kernel.clock)
         with pytest.raises(TransportError, match="datagram limit"):
             a.broadcast(oversized(), 0)
         with pytest.raises(TransportError, match="datagram limit"):
             a.send(0, oversized(), 0)  # what no peer could be sent, it is not sent
-        run_for(loop, 0.05)
+        run_for(kernel, 0.05)
         a.close()
         b.close()
         assert (inboxes, a.messages_sent, list(ring.events())) == ({0: [], 1: []}, 0, [])
@@ -413,19 +411,19 @@ class TestUdpTransport:
     @pytest.mark.parametrize(
         "refusal", [BlockingIOError(), OSError(101, "Network is unreachable")]
     )
-    def test_datagram_the_socket_refuses_is_lost(self, loop, refusal):
+    def test_datagram_the_socket_refuses_is_lost(self, kernel, refusal):
         inbox = []
         a, b = endpoints(
-            loop, lambda src, msg, depth: inbox.append(msg), lambda *args: None
+            kernel, lambda src, msg, depth: inbox.append(msg), lambda *args: None
         )
         ring = RingTrace(kinds=ALL_KINDS)
-        a.attach_flight_recorder(ring, loop.time)
+        a.attach_flight_recorder(ring, kernel.clock)
         bound, a._sock = a._sock, StubSocket(refusal=refusal)
         a.send(1, query(), 0)  # the handler that called this lives on
         sent_to_peer = a.messages_sent, list(ring.events())
         a.broadcast(query(), 0)  # still reaches the process itself
         a._sock = bound
-        run_for(loop, 0.05)
+        run_for(kernel, 0.05)
         a.close()
         b.close()
         assert (sent_to_peer, a.messages_sent, len(inbox), b.messages_received) == (
@@ -451,23 +449,23 @@ class TestUdpTransport:
         assert stub.asked == [MAX_DATAGRAM + 1] * 4
         assert (len(received), transport.malformed) == (2, 1)
 
-    def test_overlong_datagram_from_a_real_socket_is_dropped(self, loop):
+    def test_overlong_datagram_from_a_real_socket_is_dropped(self, kernel):
         inbox = []
-        (a,) = endpoints(loop, lambda src, msg, depth: inbox.append(msg))
+        (a,) = endpoints(kernel, lambda src, msg, depth: inbox.append(msg))
         with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as stranger:
             stranger.sendto(bytes(MAX_DATAGRAM + 200), (a.host, a.port))
             stranger.sendto(b"short", (a.host, a.port))
-        loop.run_until(lambda: a.malformed == 2, timeout=1.0)
+        kernel.run_until(lambda: a.malformed == 2, timeout=1.0)
         a.close()
         assert (a.malformed, inbox) == (2, [])
 
-    def test_close_leaves_no_reader_on_the_loop(self, loop):
-        (a,) = endpoints(loop, lambda *args: None)
+    def test_close_leaves_no_reader_on_the_loop(self, kernel):
+        (a,) = endpoints(kernel, lambda *args: None)
         fd = a._sock.fileno()
         a.close()
         a.close()  # idempotent
         a.send(0, query(), 0)  # and a closed transport sends nothing
-        assert (loop.remove_reader(fd), a._sock, a.messages_sent) == (False, None, 0)
+        assert (kernel.io.remove_reader(fd), a._sock, a.messages_sent) == (False, None, 0)
 
 
 class TestValueCodec:

@@ -178,7 +178,7 @@ class Cluster:
     _registers: Set[str]
     #: Records every invocation, reply, crash and recovery.
     recorder: HistoryRecorder
-    #: The scheduler, a :class:`repro.sim.kernel.Kernel`: on virtual
+    #: The scheduler, a :class:`repro.common.kernel.Kernel`: on virtual
     #: time on the simulated backends, on the wall clock on live.
     kernel: Any
 
@@ -373,7 +373,7 @@ class Cluster:
         """Advance the clock until ``predicate()`` holds; ``False`` on timeout.
 
         ``poll_every`` amortizes predicate polling (see
-        :meth:`repro.sim.kernel.Kernel.run_until`): with a stride ``k``
+        :meth:`repro.common.kernel.Kernel.run_until`): with a stride ``k``
         up to ``k - 1`` further events may execute after the predicate
         turns true, so only pass ``k > 1`` when that overshoot is
         acceptable (e.g. draining a finished workload).  ``max_events``

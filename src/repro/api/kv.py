@@ -41,7 +41,7 @@ from repro.kv.store import KVOperation, ShardRouter, projection_check_method
 DEFAULT_KEY = "default"
 
 #: Predicate-poll stride for the preload readiness barrier (see
-#: :meth:`repro.sim.kernel.Kernel.run_until`).
+#: :meth:`repro.common.kernel.Kernel.run_until`).
 PRELOAD_POLL_STRIDE = 16
 
 

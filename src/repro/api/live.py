@@ -1,7 +1,7 @@
 """The ``"live"`` backend: nodes over UDP on the kernel, in wall time.
 
 :class:`LiveBackend` spins up N :class:`~repro.runtime.node.RuntimeNode`
-instances on one :class:`~repro.sim.kernel.Kernel` built on the wall
+instances on one :class:`~repro.common.kernel.Kernel` built on the wall
 clock (:func:`~repro.runtime.node.live_kernel`): real datagrams on
 localhost, real ``O_DSYNC`` log files, wall-clock time.  Every node
 gets a private storage directory under ``storage_root`` (a temporary
@@ -54,7 +54,7 @@ from repro.protocol.host import NodeOperation
 from repro.protocol.registry import protocol_factory
 from repro.runtime.node import RuntimeNode, live_kernel
 from repro.runtime.transport import Peer, check_value
-from repro.sim.kernel import Kernel
+from repro.common.kernel import Kernel
 
 #: Retransmission period for live clusters, seconds.  Generous: real
 #: loopback rarely drops, so retries are a safety net, not the norm.

@@ -40,7 +40,7 @@ from repro.history.recorder import HistoryRecorder
 from repro.obs.tracing import Trace
 from repro.protocol.host import NodeOperation
 from repro.protocol.registry import protocol_factory
-from repro.sim.kernel import Kernel
+from repro.common.kernel import Kernel
 from repro.sim.network import SimNetwork
 from repro.sim.node import SimNode
 from repro.sim.storage import SimStableStorage

@@ -10,6 +10,8 @@ on but that carry no protocol logic of their own:
 * :mod:`repro.common.errors` -- the exception hierarchy.
 * :mod:`repro.common.config` -- declarative configuration objects for
   clusters, networks and storage devices.
+* :mod:`repro.common.kernel` -- the event scheduler the simulator and
+  the live runtime share.
 """
 
 from repro.common.errors import (

@@ -13,7 +13,7 @@ the *same* sans-io protocol classes as the simulator, hosted on
   durable when it returns (buffering "would violate even transient
   atomicity", Section V-A);
 * :class:`~repro.runtime.node.SocketPoll` -- the I/O step the
-  simulator's :class:`~repro.sim.kernel.Kernel` takes to run live: one
+  shared :class:`~repro.common.kernel.Kernel` takes to run live: one
   ``select.poll`` over the nodes' sockets; with the wall clock it makes
   the one scheduler the live event loop, run only by ``run_until`` on
   the caller's thread (:func:`~repro.runtime.node.live_kernel`);

@@ -1,8 +1,8 @@
 """Live process: :class:`~repro.protocol.host.NodeCore` on the kernel, in wall time.
 
 The process itself is :mod:`repro.protocol.host`, the same one the
-simulator hosts, and its scheduler is the simulator's
-:class:`~repro.sim.kernel.Kernel`, built by :func:`live_kernel` on the
+simulator hosts, and its scheduler is the simulator's, the shared
+:class:`~repro.common.kernel.Kernel`, built by :func:`live_kernel` on the
 wall clock with :class:`SocketPoll` as its I/O step and :func:`report`
 as its error policy.  This driver gives the process real I/O:
 
@@ -10,7 +10,7 @@ as its error policy.  This driver gives the process real I/O:
   UdpTransport`; a crash mutes it, which with the core's incarnation
   guard and volatile-state wipe is everything a real ``kill -9`` would
   do to the algorithm, inside one OS process so tests stay hermetic;
-* timers are :meth:`~repro.sim.kernel.Kernel.schedule_cancellable`, as
+* timers are :meth:`~repro.common.kernel.Kernel.schedule_cancellable`, as
   on the simulator;
 * every file operation -- a store's ``O_DSYNC`` write, a checkpoint's
   tombstones, a compaction, recovery's read-back -- is a job on the
@@ -23,7 +23,7 @@ as its error policy.  This driver gives the process real I/O:
   shows a record only once it is durable; a checkpoint therefore never
   truncates a key that still has a store queued.
 
-The kernel runs only inside :meth:`~repro.sim.kernel.Kernel.run_until`
+The kernel runs only inside :meth:`~repro.common.kernel.Kernel.run_until`
 on the caller's thread.  It polls the sockets whenever its next event
 is not due by the last poll, so a callback queued by a callback runs
 only after the sockets were looked at again; a callback that raises is
@@ -66,7 +66,7 @@ from repro.history.recorder import HistoryRecorder
 from repro.protocol.host import NodeCore, ProtocolFactory
 from repro.runtime.storage import FileStableStorage, encode_frame
 from repro.runtime.transport import UdpTransport
-from repro.sim.kernel import Kernel
+from repro.common.kernel import Kernel
 
 logger = logging.getLogger(__name__)
 

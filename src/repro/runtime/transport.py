@@ -3,7 +3,7 @@
 One non-blocking datagram socket per node, owned by the transport and
 registered through ``add_reader`` with the I/O step
 (:class:`repro.runtime.node.SocketPoll`) of the node's live
-:class:`~repro.sim.kernel.Kernel`.  UDP gives
+:class:`~repro.common.kernel.Kernel`.  UDP gives
 exactly the fair-lossy channel of the model: datagrams can be dropped,
 duplicated or reordered, and the protocols' retransmission loops handle
 it.  A message that does not fit the 64 KB datagram limit raises, as in
@@ -89,7 +89,7 @@ from repro.protocol.messages import (
 )
 
 if TYPE_CHECKING:
-    from repro.sim.kernel import Kernel
+    from repro.common.kernel import Kernel
 
 #: Hard UDP payload ceiling (IPv4 localhost supports slightly less
 #: than 64 KB of payload after headers).

@@ -2,7 +2,8 @@
 
 This package emulates the paper's testbed in software:
 
-* :mod:`repro.sim.kernel` -- virtual clock and event queue;
+* :mod:`repro.sim.kernel` -- virtual clock and event queue (the one
+  scheduler, :mod:`repro.common.kernel`, on virtual time);
 * :mod:`repro.sim.network` -- fair-lossy message-passing channels with
   size-dependent delays, drops, duplication, partitions and slow-link
   penalties;

@@ -1,298 +1,9 @@
-"""The event scheduler: one scheduler, two clocks.
+"""The simulator's scheduler: :class:`repro.common.kernel.Kernel`.
 
-The simulator and the live runtime run on this one kernel; the three
-things that differ between them are constructor arguments.  The clock:
-virtual by default, where :attr:`Kernel.now` jumps to the next event;
-live passes ``time.monotonic``, and a delay counts from a fresh read of
-it (between two verbs the last event's time can be seconds stale).  The
-I/O step: none on virtual time; live passes a poll over its sockets,
-which the loop runs whenever the heap's head is not due by the last
-poll's clock reading.  The error policy: a callback's exception raises
-through a simulated run; live reports it to ``on_error`` and runs on.
-
-Events scheduled for the same instant fire in insertion order, and the
-only source of randomness is the seeded :class:`random.Random` the
-kernel owns, so a simulated run is a pure function of (program, seed).
-That determinism is what lets the test suite replay the paper's
-adversarial schedules (runs rho_1 .. rho_4 of the lower-bound proofs)
-exactly.  Live orders same-instant events by the same rule: "call soon"
-is a zero-delay event.
-
-Hot-loop design.  A simulated message costs at least two kernel events,
-so the queue is kept allocation-free on the common path: an event is a
-plain ``(time, seq, callback, args)`` tuple (tuples compare in C, and
-``seq`` is unique so comparison never reaches the callback).  Only
-:meth:`Kernel.schedule_cancellable` -- used for timers and other events
-that may be revoked -- pays for an :class:`EventHandle`; its heap entry
-is ``(time, seq, handle, None)``, distinguished by the ``None`` in the
-args slot (real argument tuples are never ``None``).  Cancellation is
-O(1): the handle flips a flag and the kernel skips the entry when it
-surfaces.  A live-event counter keeps :attr:`Kernel.pending_events`
-O(1), and the heap is compacted whenever cancelled entries outnumber
-live ones, so mass-cancelling timers cannot leak queue memory.  The one
-run loop takes one look at the heap per event -- shed a cancelled head,
-poll if it is not due, stop at the deadline, or pop and fire; compaction
-is in place because that loop holds the list.
+A simulated run builds it without a clock, so it runs on virtual time;
+the live runtime builds the same class on the wall clock.
 """
 
-from __future__ import annotations
+from repro.common.kernel import EventHandle, Kernel
 
-import itertools
-import random
-import sys
-import threading
-from heapq import heapify, heappop, heappush
-from math import inf
-from typing import Any, Callable, Dict, List, Optional, Tuple
-
-from repro.common.errors import ReproError
-
-#: Minimum heap size before cancellation triggers a compaction sweep.
-_COMPACT_MIN = 64
-
-
-class EventHandle:
-    """A cancellable reference to one scheduled callback."""
-
-    __slots__ = ("_kernel", "callback", "args", "cancelled", "fired", "time")
-
-    def __init__(
-        self,
-        kernel: "Kernel",
-        time: float,
-        callback: Callable[..., None],
-        args: Tuple[Any, ...],
-    ):
-        self._kernel = kernel
-        self.time = time
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.fired = False
-
-    def cancel(self) -> None:
-        """Prevent the callback from firing.  Idempotent."""
-        if self.cancelled or self.fired:
-            return
-        self.cancelled = True
-        self._kernel._on_cancel()
-
-
-class Kernel:
-    """Clock and event queue driving one simulation run or one live cluster.
-
-    The I/O step ``io`` has ``poll(milliseconds)``, which waits up to
-    that long (``None``: no bound) and returns the ``(fd, event)`` pairs
-    that are ready, as :meth:`select.poll.poll` does, and ``readers``,
-    each watched ``fd``'s ``(fn, args)``.  ``on_error`` takes a
-    ``{"message", "exception"}`` dict.  A kernel with an I/O step runs
-    only on the thread that built it.
-    """
-
-    def __init__(
-        self,
-        seed: int = 0,
-        clock: Optional[Callable[[], float]] = None,
-        io: Any = None,
-        on_error: Optional[Callable[[Dict[str, Any]], None]] = None,
-    ):
-        #: Current virtual time in seconds (on a wall clock, the last
-        #: event's).  Plain attributes, not properties, because every
-        #: layer reads them per event; only the kernel writes ``now``.
-        self.now = 0.0
-        #: The run's single seeded random stream.
-        self.rng = random.Random(seed)
-        self.clock = clock
-        self.io = io
-        self.on_error = on_error
-        self._thread = threading.get_ident()
-        # Entries: (time, seq, callback, args) or (time, seq, handle, None).
-        self._queue: List[Tuple[float, int, Any, Any]] = []
-        self._seq = itertools.count()
-        self._events_processed = 0
-        self._live = 0
-        self._cancelled = 0
-
-    @property
-    def events_processed(self) -> int:
-        """Number of callbacks executed so far (for run budgets)."""
-        return self._events_processed
-
-    @property
-    def pending_events(self) -> int:
-        """Number of scheduled, not-yet-fired, not-cancelled events."""
-        return self._live
-
-    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
-        """Run ``callback(*args)`` after ``delay`` seconds.
-
-        This is the allocation-free fast path; the event cannot be
-        revoked.  Use :meth:`schedule_cancellable` when the caller needs
-        a handle to :meth:`~EventHandle.cancel`.
-        """
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        clock = self.clock
-        time = (self.now if clock is None else clock()) + delay
-        heappush(self._queue, (time, next(self._seq), callback, args))
-        self._live += 1
-
-    def schedule_cancellable(
-        self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> EventHandle:
-        """Like :meth:`schedule`, but returns a cancellable handle."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        clock = self.clock
-        time = (self.now if clock is None else clock()) + delay
-        handle = EventHandle(self, time, callback, args)
-        heappush(self._queue, (time, next(self._seq), handle, None))
-        self._live += 1
-        return handle
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Drain the event queue.
-
-        ``until`` bounds virtual time (events after it stay queued and
-        the clock advances exactly to ``until``, also when the queue
-        drains first); ``max_events`` bounds the number of callbacks,
-        guarding against livelock in buggy or adversarial
-        configurations.
-        """
-        if until is not None and until < self.now:
-            raise ValueError(f"cannot run back to {until} from {self.now}")
-        self._run(lambda: False, max_events, until, sys.maxsize)
-        if until is not None and not self._live:
-            self.now = until
-
-    def run_until(
-        self,
-        predicate: Callable[[], bool],
-        max_events: Optional[int] = 1_000_000,
-        timeout: Optional[float] = None,
-        poll_every: int = 1,
-    ) -> bool:
-        """Run until ``predicate()`` holds.
-
-        Returns ``True`` if the predicate was satisfied, ``False`` if
-        the queue drained, the event budget ran out, or ``timeout``
-        seconds passed first (``None``: no bound, as for ``max_events``).
-        A live queue never drains: it waits on its I/O step.
-
-        ``poll_every`` amortizes the predicate: it is evaluated every
-        ``poll_every`` executed events instead of before every single
-        one.  The default of 1 preserves exact stop positions (no event
-        runs after the predicate turns true); closed-loop drivers that
-        tolerate up to ``poll_every - 1`` events of overshoot pass a
-        larger stride so a long drain stops paying a Python call per
-        kernel event.  ``timeout`` stays exact either way.
-        """
-        if timeout is None:
-            deadline = None
-        elif timeout < 0:
-            raise ValueError(f"cannot run into the past (timeout={timeout})")
-        else:
-            deadline = (self.now if self.clock is None else self.clock()) + timeout
-        return self._run(predicate, max_events, deadline, poll_every)
-
-    def _run(
-        self,
-        predicate: Callable[[], bool],
-        max_events: Optional[int],
-        deadline: Optional[float],
-        poll_every: int,
-    ) -> bool:
-        """The run loop: fire events up to ``deadline`` until ``predicate()``."""
-        if poll_every < 1:
-            raise ValueError(f"poll_every must be >= 1, got {poll_every}")
-        io, clock = self.io, self.clock
-        if io is not None:
-            if threading.get_ident() != self._thread:
-                raise ReproError("the live loop runs only on the thread that built it")
-            poll, readers = io.poll, io.readers
-        budget = sys.maxsize if max_events is None else max_events
-        limit = inf if deadline is None else deadline
-        # Entries due by ``polled`` fire without another look at the
-        # I/O step: on virtual time that is all of them.
-        polled = inf if io is None else -inf
-        queue = self._queue  # _compact keeps this list
-        if predicate():
-            return True
-        stride = poll_every
-        while budget > 0:
-            # One look at the heap head: shed it if cancelled, poll if
-            # it is not due yet, stop at the deadline, or fire it.
-            while True:
-                if queue:
-                    time, _seq, target, args = queue[0]
-                    if args is None and target.cancelled:
-                        heappop(queue)
-                        self._cancelled -= 1
-                        continue
-                elif io is None:
-                    return predicate()
-                else:
-                    time = inf
-                if time > polled:
-                    # Live: wait for the sockets until the head or the
-                    # deadline is due; what is readable is due now.
-                    wait = (time if time < limit else limit) - clock()
-                    ready = poll(None if wait == inf else wait * 1000 if wait > 0 else 0)
-                    polled = clock()
-                    for fd, _event in ready:
-                        heappush(queue, (polled, next(self._seq), *readers[fd]))
-                        self._live += 1
-                    if polled >= limit:
-                        return predicate()
-                    if time > polled:  # not due yet, or the queue was empty
-                        continue
-                break
-            if time > limit:  # virtual time only: a live head is due
-                self.now = limit
-                return predicate()
-            heappop(queue)
-            if args is None:  # cancellable entry: target is its handle
-                target.fired = True
-                target, args = target.callback, target.args
-            self._live -= 1
-            self.now = time
-            self._events_processed += 1
-            try:
-                target(*args)
-            except Exception as error:
-                if self.on_error is None:
-                    raise
-                self.on_error(
-                    {"message": f"Exception in callback {target!r}", "exception": error}
-                )
-            budget -= 1
-            stride -= 1
-            if not stride and budget:
-                if predicate():
-                    return True
-                stride = poll_every
-        return predicate()
-
-    def _on_cancel(self) -> None:
-        """Bookkeeping for one newly-cancelled live entry."""
-        self._live -= 1
-        self._cancelled += 1
-        if (
-            self._cancelled * 2 > len(self._queue)
-            and len(self._queue) >= _COMPACT_MIN
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop every cancelled entry and re-heapify, in place.
-
-        In place because the run loop holds the list while a callback's
-        ``cancel()`` may land here.
-        """
-        self._queue[:] = [
-            entry
-            for entry in self._queue
-            if entry[3] is not None or not entry[2].cancelled
-        ]
-        heapify(self._queue)
-        self._cancelled = 0
+__all__ = ["EventHandle", "Kernel"]

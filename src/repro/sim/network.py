@@ -37,7 +37,7 @@ from repro.common.ids import ProcessId
 from repro.net.delay import DelayModel
 from repro.protocol.messages import Message
 from repro.obs import tracing
-from repro.sim.kernel import Kernel
+from repro.common.kernel import Kernel
 from repro.obs.tracing import NULL_TRACE, Trace, TraceEvent
 
 #: One-way delay for a process's message to its own listener (loopback

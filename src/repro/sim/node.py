@@ -3,7 +3,7 @@
 The process itself -- register slots, crash/recovery, checkpoints,
 effect execution -- is :mod:`repro.protocol.host`.  This driver gives
 it the simulated world: virtual time from the
-:class:`~repro.sim.kernel.Kernel`, the fair-lossy
+:class:`~repro.common.kernel.Kernel`, the fair-lossy
 :class:`~repro.sim.network.SimNetwork`, and a sequential
 :class:`~repro.sim.storage.SimStableStorage` device.  Every primitive
 is one engine call, bound directly, so the order in which a run
@@ -23,7 +23,7 @@ from typing import Optional
 from repro.common.ids import ProcessId
 from repro.history.recorder import HistoryRecorder
 from repro.protocol.host import NodeCore, ProtocolFactory
-from repro.sim.kernel import Kernel
+from repro.common.kernel import Kernel
 from repro.sim.network import SimNetwork
 from repro.sim.storage import SimStableStorage
 from repro.obs.tracing import Trace

@@ -43,7 +43,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from repro.common.config import StorageConfig
 from repro.common.ids import ProcessId
 from repro.obs import tracing
-from repro.sim.kernel import Kernel
+from repro.common.kernel import Kernel
 from repro.obs.tracing import NULL_TRACE, Trace, TraceEvent
 from repro.storage.model import StorageLatencyModel
 

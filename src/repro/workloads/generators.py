@@ -135,7 +135,7 @@ class WorkloadRunner:
         """Drive all plans to completion (or for ``timeout`` of the cluster's clock).
 
         ``poll_every`` amortizes the drain predicate over a stride of
-        kernel events (see :meth:`repro.sim.kernel.Kernel.run_until`).
+        kernel events (see :meth:`repro.common.kernel.Kernel.run_until`).
         With a stride, up to ``poll_every - 1`` leftover protocol
         events (e.g. timers) may execute after the last client settles
         -- harmless for the report, but it moves the stop position, so

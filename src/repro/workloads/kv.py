@@ -174,7 +174,7 @@ class KVWorkloadRunner:
         first-touch initialization logs.
 
         The drain predicate is amortized with ``poll_every`` (see
-        :meth:`repro.sim.kernel.Kernel.run_until`): after the last
+        :meth:`repro.common.kernel.Kernel.run_until`): after the last
         client settles, at most ``poll_every - 1`` leftover pipeline
         events execute before the run stops, a negligible tail on the
         measured duration.  Pass ``poll_every=1`` for replay-exact

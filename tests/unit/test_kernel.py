@@ -290,13 +290,13 @@ class TestDeterminism:
     def test_only_the_kernel_writes_its_clock_and_random_stream(self):
         # ``Kernel.now`` and ``Kernel.rng`` are plain attributes (every
         # layer reads them per event), so nothing stops an assignment:
-        # one from outside ``sim/kernel.py`` would silently break
+        # one from outside ``common/kernel.py`` would silently break
         # determinism.  No file under ``src/`` may store to either name.
         root = Path(repro.__file__).parent
         stores = [
             f"{path.relative_to(root)}:{node.lineno}"
             for path in sorted(root.rglob("*.py"))
-            if path != root / "sim" / "kernel.py"
+            if path != root / "common" / "kernel.py"
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Attribute)
             and node.attr in ("now", "rng")

@@ -3,7 +3,7 @@
 The kernel is built as the live backend builds it, with
 :func:`repro.runtime.node.live_kernel` (``time.monotonic`` and one
 ``select.poll`` over the nodes' sockets); "call soon" is a zero-delay
-:meth:`~repro.sim.kernel.Kernel.schedule`.
+:meth:`~repro.common.kernel.Kernel.schedule`.
 """
 
 import threading

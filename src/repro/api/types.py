@@ -46,7 +46,7 @@ ALL_CAPABILITIES = frozenset(
 #: Fault verb -> the capability that gates it.  ``on_event`` arms a
 #: trace-triggered step; the rest are the steps themselves.  The
 #: scenario runner refuses a fault whose verbs the backend lacks, and
-#: lint rule API001 refuses a backend that implements a verb without
+#: the public-API tests refuse a backend that implements a verb without
 #: declaring its capability.
 FAULT_VERB_CAPABILITIES = {
     "crash": CRASH_INJECTION,

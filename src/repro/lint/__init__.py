@@ -1,4 +1,4 @@
-"""Static determinism & contract linter for the repro tree.
+"""Static determinism linter for the repro tree.
 
 The golden transcripts and parity canaries *sample* the repo's core
 contract -- same seed => byte-identical transcript -- on the seeds a
@@ -6,9 +6,8 @@ run happens to execute.  This package *proves the absence* of whole
 bug classes across all seeds with an AST pass over the source:
 
 * :mod:`repro.lint.rules` -- one visitor class per rule (unseeded
-  randomness, wall-clock reads, unordered-set iteration, trace-kind
-  encoding stability, hot-path guard discipline, capability/verb
-  parity, pool picklability);
+  randomness, wall-clock reads, unordered-set iteration, hot-path
+  guard discipline);
 * :mod:`repro.lint.engine` -- parses each file once, dispatches the
   rules, applies inline ``# repro: allow[RULE] reason`` suppressions,
   and reports missing-reason and stale suppressions as findings of
@@ -16,6 +15,10 @@ bug classes across all seeds with an AST pass over the source:
 * :mod:`repro.lint.config` -- the per-rule scopes and allowlists that
   encode which modules legitimately own a private RNG or measure wall
   time.
+
+It keeps only what a test cannot say: facts an import states directly
+(trace-kind positions, capability/verb parity, pool-boundary
+immutability) are asserted over the live objects in the tier-1 suite.
 
 Surface: ``repro lint [--format text|json] [--rule ID] [--check-stale]``
 (see :mod:`repro.cli`), the tier-1 suite (``tests/unit/test_lint.py``
@@ -26,21 +29,17 @@ the CI ``lint`` job.  The contract itself is documented in
 
 from __future__ import annotations
 
-from repro.lint.config import DEFAULT_CONFIG, LintConfig
 from repro.lint.engine import LintError, LintReport, lint_file, lint_paths, lint_tree
 from repro.lint.findings import Finding
-from repro.lint.rules import RULES, all_rule_ids, get_rule
+from repro.lint.rules import RULES, all_rule_ids
 
 __all__ = [
-    "DEFAULT_CONFIG",
     "Finding",
-    "LintConfig",
     "LintError",
     "LintReport",
     "lint_file",
     "RULES",
     "all_rule_ids",
-    "get_rule",
     "lint_paths",
     "lint_tree",
 ]

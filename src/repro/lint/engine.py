@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence
 
-from repro.lint.config import DEFAULT_CONFIG, REPO_ROOT, LintConfig
+from repro.lint.config import REPO_ROOT, ROOTS
 from repro.lint.findings import Finding
 from repro.lint.rules import RULES, all_rule_ids
 from repro.lint.rules.base import ModuleUnderLint
@@ -98,26 +98,20 @@ def _relpath(path: Path) -> str:
 
 def lint_file(
     path: Path,
-    config: LintConfig = DEFAULT_CONFIG,
     rule_ids: Optional[Sequence[str]] = None,
     check_stale: bool = False,
 ) -> List[Finding]:
     """Lint one file; returns its findings (already suppression-paired)."""
-    findings, _ = _lint_file(path, config, _select_rules(rule_ids), check_stale)
+    findings, _ = _lint_file(path, _select_rules(rule_ids), check_stale)
     return findings
 
 
-def _lint_file(
-    path: Path,
-    config: LintConfig,
-    selected: Sequence[str],
-    check_stale: bool,
-):
+def _lint_file(path: Path, selected: Sequence[str], check_stale: bool):
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise LintError(f"cannot read {path}: {exc}") from exc
-    return _lint_source(text, _relpath(Path(path)), config, selected, check_stale)
+    return _lint_source(text, _relpath(Path(path)), selected, check_stale)
 
 
 def _find_allow(by_line, lines, line, rule):
@@ -142,7 +136,6 @@ def _find_allow(by_line, lines, line, rule):
 def _lint_source(
     text: str,
     real_path: str,
-    config: LintConfig,
     selected: Sequence[str],
     check_stale: bool,
 ) -> List[Finding]:
@@ -157,9 +150,9 @@ def _lint_source(
     raw: List[Finding] = []
     for rule_id in selected:
         rule = RULES[rule_id]
-        if not rule.applies(effective, config):
+        if not rule.applies(effective):
             continue
-        for finding in rule.check(module, config):
+        for finding in rule.check(module):
             # Report findings at the file's *real* path so they are
             # clickable, even when a fixture pretends elsewhere.
             raw.append(
@@ -226,7 +219,6 @@ def _lint_source(
 
 def lint_paths(
     paths: Iterable[Path],
-    config: LintConfig = DEFAULT_CONFIG,
     rule_ids: Optional[Sequence[str]] = None,
     check_stale: bool = False,
 ) -> LintReport:
@@ -234,7 +226,7 @@ def lint_paths(
     selected = _select_rules(rule_ids)
     report = LintReport(rules_run=list(selected), check_stale=check_stale)
     for path in sorted(Path(p) for p in paths):
-        findings, used = _lint_file(path, config, selected, check_stale)
+        findings, used = _lint_file(path, selected, check_stale)
         report.findings.extend(findings)
         report.files_checked += 1
         report.suppressions_used += used
@@ -243,14 +235,11 @@ def lint_paths(
 
 
 def lint_tree(
-    config: LintConfig = DEFAULT_CONFIG,
     rule_ids: Optional[Sequence[str]] = None,
     check_stale: bool = False,
 ) -> LintReport:
     """Lint every ``*.py`` under the configured roots."""
     paths: List[Path] = []
-    for root in config.roots:
+    for root in ROOTS:
         paths.extend(sorted((REPO_ROOT / root).rglob("*.py")))
-    return lint_paths(
-        paths, config=config, rule_ids=rule_ids, check_stale=check_stale
-    )
+    return lint_paths(paths, rule_ids=rule_ids, check_stale=check_stale)

@@ -1,7 +1,7 @@
 """Rule plumbing: the visitor contract and shared AST helpers.
 
 A rule is one stateless object with an ``id``, a human ``title``, an
-``applies(path, config)`` scope test and a ``check(module) ->
+``applies(path)`` scope test and a ``check(module) ->
 findings`` pass over a parsed file.  The engine parses each file once
 into a :class:`ModuleUnderLint` and hands the same object to every
 applicable rule, so adding a rule never adds a parse.
@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Sequence
 
-from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
 from repro.lint.suppressions import is_hot_path
 
@@ -46,13 +45,11 @@ class Rule:
     id: str = "?"
     title: str = "?"
 
-    def applies(self, path: str, config: LintConfig) -> bool:
+    def applies(self, path: str) -> bool:
         """Whether this rule runs on the module at ``path`` at all."""
         return True
 
-    def check(
-        self, module: ModuleUnderLint, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check(self, module: ModuleUnderLint) -> Iterator[Finding]:
         """Yield every violation in ``module``."""
         raise NotImplementedError
 
@@ -65,12 +62,10 @@ class Rule:
 class EngineRule(Rule):
     """A rule produced by the engine, not by an AST pass."""
 
-    def applies(self, path: str, config: LintConfig) -> bool:
+    def applies(self, path: str) -> bool:
         return False
 
-    def check(
-        self, module: ModuleUnderLint, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check(self, module: ModuleUnderLint) -> Iterator[Finding]:
         return iter(())
 
 
@@ -114,15 +109,14 @@ def module_imports(tree: ast.Module) -> dict:
     return origins
 
 
-def resolved_call(node: ast.Call, origins: dict) -> str:
-    """The call target as an import-resolved dotted name.
+def resolved_name(node: ast.AST, origins: dict) -> str:
+    """A name or attribute chain as an import-resolved dotted name.
 
-    A call to ``mix(...)`` where ``mix`` was imported from ``random``
-    resolves to ``"random.shuffle"``; ``npr.choice(...)`` under
-    ``import numpy.random as npr`` resolves to
-    ``"numpy.random.choice"``.
+    ``mix`` where ``mix`` was imported from ``random`` resolves to
+    ``"random.shuffle"``; ``npr.choice`` under ``import numpy.random
+    as npr`` resolves to ``"numpy.random.choice"``.
     """
-    dotted = call_name(node.func)
+    dotted = call_name(node)
     if not dotted:
         return ""
     head, _, rest = dotted.partition(".")
@@ -131,25 +125,3 @@ def resolved_call(node: ast.Call, origins: dict) -> str:
         return dotted
     return f"{origin}.{rest}" if rest else origin
 
-
-def iter_statements(body: Iterable[ast.stmt]) -> Iterator[ast.stmt]:
-    """All statements in ``body``, recursively (bodies, handlers, orelse)."""
-    for stmt in body:
-        yield stmt
-        for attr in ("body", "orelse", "finalbody"):
-            yield from iter_statements(getattr(stmt, attr, ()))
-        for handler in getattr(stmt, "handlers", ()):
-            yield from iter_statements(handler.body)
-
-
-def first_real_statement(body: Sequence[ast.stmt]) -> Optional[ast.stmt]:
-    """The first statement of ``body`` that is not a docstring."""
-    for stmt in body:
-        if (
-            isinstance(stmt, ast.Expr)
-            and isinstance(stmt.value, ast.Constant)
-            and isinstance(stmt.value.value, str)
-        ):
-            continue
-        return stmt
-    return None

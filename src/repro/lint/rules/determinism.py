@@ -12,8 +12,10 @@ transcripts can only sample:
 * **DET002** -- simulated code runs on virtual time; a wall-clock read
   (``time.time``/``monotonic``/``perf_counter``, ``datetime.now``)
   inside sim/protocol/scenario/history code leaks real time into a
-  seeded run.  The live runtime and the bench harnesses are scoped out
-  by config -- measuring wall time is their job.
+  seeded run.  Every reference counts, called or not: the kernel takes
+  its clock as an argument, so ``Kernel(clock=time.monotonic)`` leaks
+  as surely as ``time.monotonic()``.  The live runtime is scoped out
+  in :mod:`repro.lint.config` -- measuring wall time is its job.
 * **DET003** -- iterating a ``set``/``frozenset`` (or a dict built
   from one) has no deterministic order under hash randomization; in
   code reachable from ``fingerprint()``/transcript emission the order
@@ -27,14 +29,18 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, Set
 
-from repro.lint.config import LintConfig
+from repro.lint.config import (
+    FINGERPRINT_SCOPE,
+    RNG_OWNER_MODULES,
+    allows_wall_clock,
+)
 from repro.lint.findings import Finding
 from repro.lint.rules.base import (
     ModuleUnderLint,
     Rule,
     call_name,
     module_imports,
-    resolved_call,
+    resolved_name,
 )
 
 #: Entropy sources no seed can pin; flagged everywhere, even in
@@ -86,15 +92,13 @@ class DET001(Rule):
     id = "DET001"
     title = "unseeded randomness"
 
-    def check(
-        self, module: ModuleUnderLint, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check(self, module: ModuleUnderLint) -> Iterator[Finding]:
         origins = module_imports(module.tree)
-        rng_owner = config.is_rng_owner(module.path)
+        rng_owner = module.path in RNG_OWNER_MODULES
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            target = resolved_call(node, origins)
+            target = resolved_name(node.func, origins)
             if not target:
                 continue
             if target in _NEVER_SEEDED or target.startswith("secrets."):
@@ -129,22 +133,24 @@ class DET002(Rule):
     id = "DET002"
     title = "wall-clock read in virtual-time code"
 
-    def applies(self, path: str, config: LintConfig) -> bool:
-        return not config.allows_wall_clock(path)
+    def applies(self, path: str) -> bool:
+        return not allows_wall_clock(path)
 
-    def check(
-        self, module: ModuleUnderLint, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check(self, module: ModuleUnderLint) -> Iterator[Finding]:
         origins = module_imports(module.tree)
         for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
+            # Every load of a wall-clock function, called or passed by
+            # reference; a call's ``func`` is the one site it reports.
+            if not isinstance(node, (ast.Name, ast.Attribute)):
                 continue
-            target = resolved_call(node, origins)
+            if not isinstance(node.ctx, ast.Load):
+                continue
+            target = resolved_name(node, origins)
             if target in _WALL_CLOCK:
                 yield self.finding(
                     module.path,
                     node,
-                    f"{target}() reads the wall clock; simulated code "
+                    f"{target} reads the wall clock; simulated code "
                     "runs on virtual time (kernel.now) -- only the live "
                     "runtime and bench harnesses may measure real time",
                 )
@@ -156,12 +162,10 @@ class DET003(Rule):
     id = "DET003"
     title = "unordered iteration in fingerprint scope"
 
-    def applies(self, path: str, config: LintConfig) -> bool:
-        return config.in_fingerprint_scope(path)
+    def applies(self, path: str) -> bool:
+        return path in FINGERPRINT_SCOPE
 
-    def check(
-        self, module: ModuleUnderLint, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check(self, module: ModuleUnderLint) -> Iterator[Finding]:
         for scope in _scopes(module.tree):
             yield from _check_scope(self, module.path, scope)
 

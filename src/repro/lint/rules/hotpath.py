@@ -25,7 +25,6 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
 from repro.lint.rules.base import ModuleUnderLint, Rule, call_name
 
@@ -47,15 +46,10 @@ class HOT001(Rule):
     id = "HOT001"
     title = "unguarded event construction on a hot path"
 
-    def applies(self, path: str, config: LintConfig) -> bool:
-        # Applicability is by marker, not path: the engine hands every
-        # module over and the rule checks the marker itself, so a
-        # module becomes hot-path by declaring it.
-        return True
-
-    def check(
-        self, module: ModuleUnderLint, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check(self, module: ModuleUnderLint) -> Iterator[Finding]:
+        # Applicability is by marker, not path: the rule runs on every
+        # module and checks the marker itself, so a module becomes
+        # hot-path by declaring it.
         if not module.hot_path:
             return
         yield from self._walk(module.path, module.tree.body, guarded=False)

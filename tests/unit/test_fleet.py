@@ -6,9 +6,14 @@ expansion, the seed-list parser, and FleetReport aggregation
 over fabricated results.
 """
 
+import dataclasses
+import inspect
+import pickle
+
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.scenarios import faults, pool
 from repro.scenarios.fleet import (
     FleetReport,
     build_fleet_specs,
@@ -83,6 +88,33 @@ class TestRunSpec:
         assert "steady-state" in label
         assert "seed=3" in label
         assert "ops=60" in label
+
+
+class TestPoolBoundary:
+    """What a spawn worker receives must be an immutable value object.
+
+    The 2-worker sweep in ``tests/integration/test_fleet.py`` runs the
+    real crossing; these checks pin the two properties it relies on.
+    """
+
+    @pytest.mark.parametrize("module", [pool, faults])
+    def test_boundary_dataclasses_are_frozen(self, module):
+        defined = [
+            cls for cls in vars(module).values()
+            if inspect.isclass(cls) and dataclasses.is_dataclass(cls)
+            and cls.__module__ == module.__name__
+        ]
+        assert defined
+        for cls in defined:
+            assert cls.__dataclass_params__.frozen, cls.__name__
+
+    def test_specs_and_scenarios_survive_pickle(self):
+        spec = resolve_spec(RunSpec(scenario="steady-state", seed=3))
+        assert pickle.loads(pickle.dumps(spec)) == spec
+        for scenario in list_scenarios():
+            assert pickle.loads(pickle.dumps(scenario)) == scenario, (
+                scenario.name
+            )
 
 
 class TestBuildFleetSpecs:

@@ -33,8 +33,8 @@ from repro.api import (
     Verdict,
     open_cluster,
 )
+from repro.api.types import FAULT_VERB_CAPABILITIES
 from repro.common.errors import CapabilityError, ConfigurationError
-from repro.lint.config import FAULT_VERB_CAPABILITIES
 
 #: Exactly what ``repro.api`` exports.  Additions are fine -- add them
 #: here too; removals and renames are breaking changes.
@@ -188,8 +188,8 @@ class TestSnapshot:
 
     @pytest.mark.parametrize("name", api.BACKEND_NAMES)
     def test_resolved_fault_verbs_match_capabilities(self, name):
-        # API001 lints the verbs a class body defines; this checks the
-        # verbs a backend resolves, inherited ones included.
+        # The verbs a backend resolves, inherited ones included, must
+        # be exactly the ones its capabilities gate in.
         cls = api.BACKENDS[name]
         for verb, capability in FAULT_VERB_CAPABILITIES.items():
             implemented = getattr(cls, verb) is not getattr(api.Cluster, verb)

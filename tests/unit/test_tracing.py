@@ -152,3 +152,32 @@ class TestFastPath:
         assert not NULL_TRACE.capturing
         with pytest.raises(ValueError):
             NULL_TRACE.subscribe(lambda e: None)
+
+
+#: The flight recorder stores a kind as its position in ``ALL_KINDS``,
+#: so an exported ring decodes only while existing positions never move.
+#: A new kind is appended to ``ALL_KINDS`` *and* here: the second append
+#: acknowledges that the encoding grew.
+PINNED = (
+    "send",
+    "deliver",
+    "drop",
+    "duplicate",
+    "store_begin",
+    "store_end",
+    "invoke",
+    "reply",
+    "crash",
+    "recover",
+    "recovery_done",
+    "timer",
+    "ckpt_begin",
+    "ckpt_tentative",
+    "ckpt_commit",
+)
+
+
+class TestKindEncoding:
+    def test_all_kinds_is_the_pinned_manifest(self):
+        assert tuple(tracing.ALL_KINDS) == PINNED
+        assert len(set(tracing.ALL_KINDS)) == len(tracing.ALL_KINDS)

@@ -15,8 +15,9 @@ Four gates, all cheap enough for every CI run and the tier-1 suite
 3. **Lint rules** -- the linter's rule registry (``repro.lint.RULES``)
    and the docs must agree in both directions: every registered rule
    id is documented in ``docs/determinism.md``, and every rule id
-   mentioned anywhere in the docs exists in the registry (a doc that
-   cites a deleted or mistyped rule is lying about what is enforced).
+   mentioned in ``README.md`` or ``docs/*.md`` exists in the registry
+   (a doc that cites a deleted or mistyped rule is lying about what is
+   enforced).
 4. **Dotted names** -- every backticked ``repro.x.y`` name in
    ``README.md`` and ``docs/*.md`` must resolve: the longest importable
    module prefix, then ``getattr`` for the rest.  A doc naming a
@@ -41,6 +42,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Markdown files whose relative links must resolve.
 DOC_GLOBS = ("README.md", "ROADMAP.md", "CHANGES.md", "docs/*.md")
 
+#: The documents whose lint rule ids and backticked ``repro.`` names
+#: must match the code (the roadmap and changelog describe code that
+#: is gone on purpose).
+NAME_DOC_GLOBS = ("README.md", "docs/*.md")
+
 #: ``[text](target)`` -- good enough for the hand-written docs here
 #: (no nested brackets, no angle-bracket targets).
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
@@ -48,9 +54,9 @@ _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _EXTERNAL = ("http://", "https://", "mailto:")
 
 
-def iter_doc_files() -> List[Path]:
+def iter_doc_files(globs=DOC_GLOBS) -> List[Path]:
     files: List[Path] = []
-    for pattern in DOC_GLOBS:
+    for pattern in globs:
         files.extend(sorted(REPO_ROOT.glob(pattern)))
     return files
 
@@ -126,7 +132,7 @@ def check_lint_rules() -> List[str]:
             f"{RULES_DOC}: registered lint rule {rule_id} is not documented"
         )
 
-    for doc in iter_doc_files():
+    for doc in iter_doc_files(NAME_DOC_GLOBS):
         for rule_id in sorted(set(_RULE_ID.findall(doc.read_text()))):
             if rule_id not in registered:
                 problems.append(
@@ -135,10 +141,6 @@ def check_lint_rules() -> List[str]:
                 )
     return problems
 
-
-#: The documents whose backticked ``repro.`` names must resolve (the
-#: roadmap and changelog describe code that is gone on purpose).
-NAME_DOC_GLOBS = ("README.md", "docs/*.md")
 
 #: A backticked span's leading dotted ``repro.`` name.
 _DOTTED_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)")
@@ -164,15 +166,14 @@ def check_dotted_names() -> List[str]:
     """Backticked ``repro.x.y`` names in the docs that do not resolve."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
     problems = []
-    for pattern in NAME_DOC_GLOBS:
-        for doc in sorted(REPO_ROOT.glob(pattern)):
-            for number, line in enumerate(doc.read_text().splitlines(), 1):
-                for name in _DOTTED_NAME.findall(line):
-                    if not resolve_dotted_name(name):
-                        problems.append(
-                            f"{doc.relative_to(REPO_ROOT)}:{number}: "
-                            f"{name} does not resolve"
-                        )
+    for doc in iter_doc_files(NAME_DOC_GLOBS):
+        for number, line in enumerate(doc.read_text().splitlines(), 1):
+            for name in _DOTTED_NAME.findall(line):
+                if not resolve_dotted_name(name):
+                    problems.append(
+                        f"{doc.relative_to(REPO_ROOT)}:{number}: "
+                        f"{name} does not resolve"
+                    )
     return problems
 
 

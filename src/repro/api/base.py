@@ -603,14 +603,16 @@ def check_one_register(
     )
 
 
-def register_node_metrics(registry, nodes) -> None:
+def register_node_metrics(registry, nodes, logs=None) -> None:
     """The rows both hosts of :class:`~repro.protocol.host.NodeCore` fill alike.
 
     Storage totals and crash counts summed over ``nodes``, and the
     ``node.recovery_time`` histogram: recoveries that completed before
     the registry existed (it is created lazily) are backfilled, later
-    ones observed as they finish.
+    ones observed as they finish.  The footprint rows count each of
+    ``logs()``, the logs the nodes write (default: their storages), once.
     """
+    logs = logs or (lambda: [n.storage for n in nodes])
     registry.gauge(
         "storage.stores_completed",
         fn=lambda: sum(n.storage.stores_completed for n in nodes),
@@ -621,11 +623,11 @@ def register_node_metrics(registry, nodes) -> None:
     )
     registry.gauge(
         "storage.footprint_bytes",
-        fn=lambda: sum(n.storage.log_bytes for n in nodes),
+        fn=lambda: sum(log.log_bytes for log in logs()),
     )
     registry.gauge(
         "storage.records",
-        fn=lambda: sum(n.storage.log_records for n in nodes),
+        fn=lambda: sum(log.log_records for log in logs()),
     )
     registry.gauge(
         "node.crashes", fn=lambda: sum(n.crash_count for n in nodes)
@@ -635,6 +637,10 @@ def register_node_metrics(registry, nodes) -> None:
         for duration in node.recovery_times:
             recovery_hist.observe(duration)
         node.on_recovery_time = recovery_hist.observe
+    registry.gauge(
+        "storage.stores_lost_to_crash",
+        fn=lambda: sum(n.storage.stores_lost_to_crash for n in nodes),
+    )
 
 
 def open_cluster(

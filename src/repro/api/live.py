@@ -3,9 +3,11 @@
 :class:`LiveBackend` spins up N :class:`~repro.runtime.node.RuntimeNode`
 instances on one :class:`~repro.common.kernel.Kernel` built on the wall
 clock (:func:`~repro.runtime.node.live_kernel`): real datagrams on
-localhost, real ``O_DSYNC`` log files, wall-clock time.  Every node
-gets a private storage directory under ``storage_root`` (a temporary
-directory by default), so crash/recovery really does go through the
+localhost, a real ``O_DSYNC`` log, wall-clock time.  The nodes share
+one log, ``storage_root/wal.log`` (a temporary directory by default),
+as they share the kernel and the disk: each node's keys are its own
+under its ``"<pid>/"`` prefix, and stores the nodes issue together
+land in one write.  Crash/recovery really does go through the
 filesystem::
 
     with open_cluster(backend="live", num_processes=3) as cluster:
@@ -53,6 +55,7 @@ from repro.obs.tracing import ALL_KINDS
 from repro.protocol.host import NodeOperation
 from repro.protocol.registry import protocol_factory
 from repro.runtime.node import RuntimeNode, live_kernel
+from repro.runtime.storage import FileLog
 from repro.runtime.transport import Peer, check_value
 from repro.common.kernel import Kernel
 
@@ -192,6 +195,7 @@ class LiveBackend(Cluster):
         self.nodes: List[RuntimeNode] = []
         self._registers: Set[str] = set()
         self._kernel: Optional[Kernel] = None
+        self._log: Optional[FileLog] = None
 
     @property
     def kernel(self) -> Kernel:
@@ -209,17 +213,20 @@ class LiveBackend(Cluster):
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "LiveBackend":
-        """Bind every node's socket, then boot them all on the kernel."""
+        """Open the log, bind every node's socket, then boot them all on the kernel."""
         if self.nodes:
             raise ReproError("cluster already started")
         self._kernel = kernel = live_kernel()
         try:
+            self._log = log = FileLog(self.storage_root)
+            records = log.scan_files()
             for pid in range(self._num_processes):
                 node = RuntimeNode(
                     pid=pid,
                     num_processes=self._num_processes,
                     protocol_factory=self._make_protocol,
-                    storage_root=self.storage_root,
+                    log=log,
+                    records=records,
                     recorder=self.recorder,
                 )
                 self.nodes.append(node)  # before it binds: close() covers a failed start
@@ -238,10 +245,12 @@ class LiveBackend(Cluster):
         return self
 
     def close(self) -> None:
-        """Tear the nodes down, drop the kernel and the temp root."""
+        """Tear the nodes down, close the log, drop the kernel and the temp root."""
         if self._kernel is not None:
             for node in self.nodes:
                 node.close()
+            if self._log is not None:
+                self._log.close()
             self._kernel = None
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
@@ -431,7 +440,7 @@ class LiveBackend(Cluster):
             "net.malformed",
             fn=lambda: sum(n.transport.malformed for n in nodes),
         )
-        register_node_metrics(registry, nodes)
+        register_node_metrics(registry, nodes, lambda: [self._log] if self._log else [])
         registry.gauge("node.recoveries", fn=lambda: _recoveries(nodes))
         registry.gauge(
             "trace.flight_recorded", fn=lambda: self._flight_recorder.total

@@ -371,10 +371,6 @@ class SimBackend(Cluster):
         registry.gauge("net.messages_dropped", fn=lambda: network.messages_dropped)
         registry.gauge("net.bytes_sent", fn=lambda: network.bytes_sent)
         register_node_metrics(registry, nodes)
-        registry.gauge(
-            "storage.stores_lost_to_crash",
-            fn=lambda: sum(n.storage.stores_lost_to_crash for n in nodes),
-        )
         registry.gauge("node.recoveries", fn=lambda: trace.count("recover"))
         registry.gauge(
             "trace.flight_recorded",

@@ -7,11 +7,11 @@ the *same* sans-io protocol classes as the simulator, hosted on
 * :class:`~repro.runtime.transport.UdpTransport` -- one UDP socket per
   node on the event loop, speaking a CRC-framed binary wire format (UDP
   really can drop/reorder, matching fair-lossy);
-* :class:`~repro.runtime.storage.FileStableStorage` -- one CRC-framed
-  log per node, zero-filled ahead of its frames; a store is one write of
-  its frame over those zeros through an ``O_DSYNC`` descriptor, so it is
-  durable when it returns (buffering "would violate even transient
-  atomicity", Section V-A);
+* :class:`~repro.runtime.storage.FileStableStorage` -- a CRC-framed
+  log, zero-filled ahead of its frames, which a live cluster's nodes
+  share; an append is one write of its frames over those zeros through
+  an ``O_DSYNC`` descriptor, so it is durable when it returns (buffering
+  "would violate even transient atomicity", Section V-A);
 * :class:`~repro.runtime.node.SocketPoll` -- the I/O step the
   shared :class:`~repro.common.kernel.Kernel` takes to run live: one
   ``select.poll`` over the nodes' sockets; with the wall clock it makes
@@ -20,7 +20,7 @@ the *same* sans-io protocol classes as the simulator, hosted on
 * :class:`~repro.runtime.node.RuntimeNode` -- the kernel's driver of
   the process host the simulator shares
   (:class:`repro.protocol.host.NodeCore`): crash emulation by muting
-  the transport, each node's storage jobs drained in issue order by its
+  the transport, the shared log's jobs drained in issue order by the
   event loop (a live store crosses no thread), the threading contract.
 
 The cluster over these nodes -- the kernel, the operation path and

@@ -14,14 +14,20 @@ as its error policy.  This driver gives the process real I/O:
   on the simulator;
 * every file operation -- a store's ``O_DSYNC`` write, a checkpoint's
   tombstones, a compaction, recovery's read-back -- is a job on the
-  node's list, which the node's own event loop drains in issue order,
+  list of the log the cluster's nodes share (:attr:`~repro.runtime.
+  storage.FileLog.jobs`), which the event loop drains in issue order,
   like the simulator's sequential device: frames never interleave in
   the log, an acknowledged record is never overwritten by an older one,
-  and recovery replays the log only after every store of the previous
-  incarnation landed.  A job's completion runs right after its write
-  returned, never inside the call that issued it, so the in-memory view
-  shows a record only once it is durable; a checkpoint therefore never
-  truncates a key that still has a store queued.
+  and recovery replays the log only after every job queued before it
+  ran.  Consecutive stores, whichever nodes issued them, are one
+  ``O_DSYNC`` write: the round-2 ``written`` stores of a write's three
+  responders cost one flush together, as causally independent logs
+  cost one log latency in the paper.  A store whose node crashed since
+  it was queued is voided instead (counted in ``stores_lost_to_crash``):
+  the crash beat it to the disk.  A job's completion runs right after
+  its write returned, never inside the call that issued it, so the
+  in-memory view shows a record only once it is durable; a checkpoint
+  therefore never truncates a key that still has a store queued.
 
 The kernel runs only inside :meth:`~repro.common.kernel.Kernel.run_until`
 on the caller's thread.  It polls the sockets whenever its next event
@@ -41,9 +47,9 @@ other thread, and so does the live kernel's run loop.  The live backend,
 thread and runs their loop inside its blocking verbs.
 
 The first job queued after a drain schedules the next one (a zero-delay
-event), so a burst of stores costs one loop callback.  A job or
-completion that raises is reported to the kernel's error policy and
-never acknowledged; the jobs behind it still run.
+event), so a burst of stores costs one loop callback and one write.  A
+job or completion that raises is reported to the kernel's error policy
+and never acknowledged; the jobs behind it still run.
 """
 
 # repro: hot-path
@@ -57,14 +63,14 @@ import select
 import threading
 import time
 from collections import Counter
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from itertools import groupby
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.common.errors import ReproError
 from repro.common.ids import ProcessId
 from repro.history.recorder import HistoryRecorder
 from repro.protocol.host import NodeCore, ProtocolFactory
-from repro.runtime.storage import FileStableStorage, encode_frame
+from repro.runtime.storage import FileLog, LogView, encode_frame
 from repro.runtime.transport import UdpTransport
 from repro.common.kernel import Kernel
 
@@ -126,7 +132,8 @@ class RuntimeNode(NodeCore):
         pid: ProcessId,
         num_processes: int,
         protocol_factory: ProtocolFactory,
-        storage_root: Path,
+        log: FileLog,
+        records: Dict[str, Tuple[Any, ...]],
         recorder: HistoryRecorder,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -134,19 +141,15 @@ class RuntimeNode(NodeCore):
         self.transport = UdpTransport(pid, host=host, port=port)
         self._send = self.transport.send
         self._broadcast = self.transport.broadcast
+        # This node's share of ``records``, the scan of the shared log.
+        storage = LogView(f"{pid}/")
+        storage.adopt(records)
         # No trace (NULL_TRACE), no egress window, no checkpoint timer:
         # the core's defaults are the live constants.
-        super().__init__(
-            pid,
-            num_processes,
-            FileStableStorage(Path(storage_root) / f"node-{pid}"),
-            protocol_factory,
-            recorder,
-        )
+        super().__init__(pid, num_processes, storage, protocol_factory, recorder)
+        self._log = log
         self._kernel: Optional[Kernel] = None
         self._thread: Optional[int] = None
-        # (done, job, args) in issue order, until the loop drains them.
-        self._jobs: List[tuple] = []
         # Key -> stores queued and not durable yet.
         self._storing: Counter = Counter()
 
@@ -160,18 +163,17 @@ class RuntimeNode(NodeCore):
         self.transport.start(self._on_message, kernel)
 
     def close(self) -> None:
-        """Release the socket, then land every queued job and close the log.
+        """Release the socket, then land every job queued on the log.
 
         Nothing is acknowledged that is not on disk, and nothing queued
-        is lost to the close.
+        is lost to the close.  The log itself is its owner's to close.
         """
         for handle in self._timers.values():
             handle.cancel()
         self._timers.clear()
         self.transport.close()
-        while self._jobs:
+        while self._log.jobs:
             self._drain()
-        self.storage.close()
 
     boot = _loop_thread_only(NodeCore.boot)
     crash = _loop_thread_only(NodeCore.crash)
@@ -183,30 +185,52 @@ class RuntimeNode(NodeCore):
     # -- driver primitives (the rest are bound in __init__ and start) ---------
 
     def _crash_io(self) -> None:
-        # Queued stores are not recalled; they land as stores that beat
-        # the crash, and recovery's read-back queues behind them.
+        # Queued stores are voided when the drain reaches them (their
+        # incarnation is gone); recovery's read-back queues behind them.
         self.transport.muted = True
 
     def _on_disk(
-        self, done: Callable[[Any], None], job: Callable[..., Any], *args: Any
+        self, done: Callable[[Any], None], job: Optional[Callable[..., Any]], *args: Any
     ) -> None:
-        """Queue ``job(*args)`` for the loop, then ``done(result)`` there."""
-        if not self._jobs:
+        """Queue ``job(*args)`` on the log (a store's is ``None``), then ``done(result)``."""
+        jobs = self._log.jobs
+        if not jobs:
             self._kernel.schedule(0.0, self._drain)
-        self._jobs.append((done, job, args))
+        jobs.append((done, job, args))
 
     def _drain(self) -> None:
-        """Run the queued jobs in issue order, each followed by its ``done``."""
-        jobs, self._jobs = self._jobs, []
-        for done, job, args in jobs:
-            try:
-                done(job(*args))
-            except Exception as error:  # a failed write, a full disk
-                # Worded as asyncio words a failed task: bench/run.py
-                # counts these lines on stderr.
-                self._kernel.on_error(
-                    {"message": "Task exception was never retrieved", "exception": error}
-                )
+        """Run the log's queued jobs in issue order, each followed by its ``done``.
+
+        A run of consecutive stores is one write, of the frames whose
+        node has not crashed since they were queued; then each store's
+        ``done(landed)`` runs, in issue order.
+        """
+        log = self._log
+        jobs, log.jobs = log.jobs, []
+        for stores, run in groupby(jobs, lambda item: item[1] is None):
+            if not stores:
+                for done, job, args in run:
+                    self._call(lambda: done(job(*args)))
+                continue
+            run = [(done, node.incarnation == incarnation, frame)
+                   for done, _, (node, incarnation, frame) in run]
+            frames = [frame for _, landed, frame in run if landed]
+            if not frames or self._call(log.append, frames):
+                for done, landed, _ in run:
+                    self._call(done, landed)
+
+    def _call(self, fn: Callable[..., Any], *args: Any) -> bool:
+        """Call ``fn(*args)``; whether it returned.  What it raised is reported."""
+        try:
+            fn(*args)
+        except Exception as error:  # a failed write, a full disk
+            # Worded as asyncio words a failed task: bench/run.py
+            # counts these lines on stderr.
+            self._kernel.on_error(
+                {"message": "Task exception was never retrieved", "exception": error}
+            )
+            return False
+        return True
 
     def _store(
         self,
@@ -216,13 +240,17 @@ class RuntimeNode(NodeCore):
         on_durable: Callable[[], None],
         op: Any,
     ) -> None:
-        def stored(_result: None) -> None:
+        def stored(landed: bool) -> None:
             self._storing[key] -= 1
+            if not landed:
+                self.storage.stores_lost_to_crash += 1
+                return
             self.storage.apply_store(key, record, size)
             on_durable()
 
         self._storing[key] += 1
-        self._on_disk(stored, self.storage.write_file, key, encode_frame(key, record))
+        logged = self.storage.prefix + key
+        self._on_disk(stored, None, self, self.incarnation, (logged, encode_frame(logged, record)))
 
     def _delete(self, key: str) -> None:
         if self._storing[key]:
@@ -233,18 +261,18 @@ class RuntimeNode(NodeCore):
             # The new record stays in the log and recovery replays it.
             return
         self.storage.apply_delete(key)
-        self._on_disk(lambda _result: None, self.storage.unlink_file, key)
+        self._on_disk(lambda _result: None, self._log.unlink_file, self.storage.prefix + key)
 
     def _compact(self) -> None:
         """Rewrite the log as its live records, behind what is queued."""
-        self._on_disk(lambda _result: None, self.storage.compact_file)
+        self._on_disk(lambda _result: None, self._log.compact_file)
 
     def _read_back(self, incarnation: int) -> None:
         def loaded(records: Dict[str, Tuple[Any, ...]]) -> None:
-            self.storage.adopt(records)
+            self.storage.adopt(records)  # this node's share of the scan
             self._finish_recover(incarnation)
 
         # Listening again at once: until ``loaded`` the core drops what
         # arrives, and the scan queues behind the dead incarnation's stores.
         self.transport.muted = False
-        self._on_disk(loaded, self.storage.scan_files)
+        self._on_disk(loaded, self._log.scan_files)

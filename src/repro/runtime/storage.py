@@ -1,6 +1,6 @@
 """File-backed stable storage with synchronous durability.
 
-Each node keeps one log, ``wal.log``: frames ::
+A log is one file, ``wal.log``: frames ::
 
     [payload length u32 | crc32(payload) u32 | pickle((key, record))]
 
@@ -8,32 +8,32 @@ Each node keeps one log, ``wal.log``: frames ::
 ``_SEGMENT`` bytes.  The zeros are written, durably, when a segment is
 made -- when the log is created, when it grows and when it is
 compacted -- so a frame overwrites blocks the file already owns.  The
-descriptor is opened ``O_DSYNC``: a store is one ``pwrite`` of its
-frame at :attr:`~FileStableStorage.log_bytes`, durable when it returns,
-and since it changes neither the file's size nor its extents it costs
-the disk's write and no filesystem journal commit -- one causal log of
-the paper at the disk's floor.
+descriptor is opened ``O_DSYNC``: an append is one ``pwrite`` of its
+frames at :attr:`~FileLog.log_bytes`, durable when it returns, and
+since it changes neither the file's size nor its extents it costs the
+disk's write and no filesystem journal commit -- one causal log of the
+paper at the disk's floor, however many stores it carries.
 A delete writes a *tombstone* -- the same frame with ``None`` for the
 record -- so a truncated key cannot resurface after a crash.  Reading
 the log back, the last frame of a key wins.  Records are serialized
 with :mod:`pickle` (library-internal data only; nothing here parses
 untrusted input).
 
-Every mutation comes in two halves, so a host can queue the disk work
-and show a record only once it is durable: the *file* half
-(:meth:`~FileStableStorage.write_file`, :meth:`~FileStableStorage.
-unlink_file`, :meth:`~FileStableStorage.compact_file`,
-:meth:`~FileStableStorage.scan_files`) touches only the directory and
-the file-side bookkeeping and runs when the host's queue reaches it;
-the *memory* half (:meth:`~FileStableStorage.apply_store`,
-:meth:`~FileStableStorage.apply_delete`, :meth:`~FileStableStorage.
-adopt`) updates the in-memory view and counters, and runs as the
-completion of a store that already landed.  A store's frame is encoded
-by :func:`encode_frame` when it is queued, so its file half is the
-write alone.  :meth:`~FileStableStorage.store`,
-:meth:`~FileStableStorage.delete` and :meth:`~FileStableStorage.
-reload_from_disk` are the two halves back to back.  File halves of one
-directory must not overlap: they share the log's end.
+A log may have many owners -- a live cluster's nodes share one, each
+under its own key prefix ``"<pid>/"`` (the idiom of :meth:`~repro.
+protocol.base.StableView.scoped`) -- so storage comes in two halves.
+The *file* half, :class:`FileLog`, is one per file: :meth:`~FileLog.
+append`, :meth:`~FileLog.unlink_file`, :meth:`~FileLog.compact_file`
+and :meth:`~FileLog.scan_files` run when the host's queue
+(:attr:`~FileLog.jobs`) reaches them, one at a time, as they share
+the log's end.  The *memory* half, :class:`LogView`, is one per owner:
+:meth:`~LogView.apply_store`, :meth:`~LogView.apply_delete` and
+:meth:`~LogView.adopt` run as the completion of a job that landed, so
+the view shows a record only once it is durable.  A store's frame is
+encoded by :func:`encode_frame` when it is queued.
+:class:`FileStableStorage` is a log with one owner and no prefix: its
+``store``, ``delete`` and ``reload_from_disk`` are the two halves back
+to back.
 
 A frame that does not fit in the zeros left makes room first.  When
 dead frames -- overwritten records, tombstones and what they removed --
@@ -46,12 +46,12 @@ Otherwise the file grows by one segment of zeros.  Recovery's read-back
 stays within about twice the live frames, or one segment.
 
 Startup is quarantine-and-continue.  A zero length ends the log: the
-zeros behind it are the segment, not data.  The last frame may be a
-store that crashed before it was durable and was therefore never
-acknowledged: a frame running past the end of the file, or one whose
-checksum fails with nothing but zeros behind it.  Its bytes are zeroed,
-durably, before anything is written at its offset.  A frame whose
-checksum fails with more frames behind it is skipped, counted in
+zeros behind it are the segment, not data.  The last append may have
+crashed before it was durable and was therefore never acknowledged: a
+frame running past the end of the file, or one whose checksum fails
+with nothing but zeros behind it.  Its bytes are zeroed, durably,
+before anything is written at its offset.  A frame whose checksum
+fails with more frames behind it is skipped, counted in
 ``records_quarantined`` and logged instead of aborting recovery, and
 the log is rewritten without it.  Non-zero bytes dropped either way are
 first copied aside as ``wal.<n>.corrupt``; a leftover ``wal.new`` is
@@ -69,7 +69,7 @@ import pickle
 import struct
 import zlib
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.errors import StorageError
 
@@ -100,8 +100,8 @@ def _pwrite_all(fd: int, data: bytes, at: int) -> None:
         done += os.pwrite(fd, memoryview(data)[done:], at + done)
 
 
-class FileStableStorage:
-    """Durable key-record storage rooted at a directory."""
+class FileLog:
+    """The file half: the log at ``root``, opened by :meth:`scan_files`."""
 
     _fd = -1  # so close() is safe on an instance whose __init__ raised
 
@@ -111,19 +111,18 @@ class FileStableStorage:
             self._root.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise StorageError(f"cannot create storage dir {self._root}: {exc}")
-        self._records: Dict[str, Tuple[Any, ...]] = {}
-        # File side: the log's descriptor, the live frame of every key
-        # a replay would yield, the log's length in frames and bytes,
-        # and the file's.  Owned by whoever runs the file halves; the
-        # counters are read from anywhere.
+        # The log's descriptor, the live frame of every key a replay
+        # would yield, the log's length in frames and bytes, and the
+        # file's.  Owned by whoever runs the file halves; the counters
+        # are read from anywhere.
         self._durable: Dict[str, bytes] = {}
         self.log_records = 0
         self.log_bytes = 0
         self._size = 0
         self.records_quarantined = 0
-        self.reload_from_disk()
-        self.stores_completed = 0
-        self.bytes_logged = 0
+        #: The host's queue of file halves, ``(done, job, args)`` in
+        #: issue order; the live node drains it (``RuntimeNode._drain``).
+        self.jobs: List[tuple] = []
 
     def close(self) -> None:
         """Close the log.  Everything acknowledged is already on disk."""
@@ -133,15 +132,8 @@ class FileStableStorage:
 
     __del__ = close
 
-    @property
-    def records(self) -> Dict[str, Tuple[Any, ...]]:
-        """In-memory view of the durable records (kept in sync)."""
-        return self._records
-
-    # -- file half -------------------------------------------------------------
-
     def scan_files(self) -> Dict[str, Tuple[Any, ...]]:
-        """Replay the log and leave it ready for writes (file half of a reload)."""
+        """Replay the log and leave it ready for writes: every owner's records."""
         self.close()
         path = self._root / _LOG
         durable = self._durable
@@ -218,23 +210,31 @@ class FileStableStorage:
         finally:
             os.close(dir_fd)
 
-    def _append(self, key: str, frame: bytes, what: str) -> None:
-        while self.log_bytes + len(frame) > self._size:
+    def append(self, frames: List[Tuple[str, bytes]]) -> None:
+        """Put stores' ``(key, encode_frame(key, ...))`` on disk, in order.
+
+        One ``O_DSYNC`` write for all of them: durable when it returns.
+        """
+        self._append(b"".join(frame for _, frame in frames), [key for key, _ in frames], "store")
+        self._durable.update(frames)
+
+    def _append(self, data: bytes, keys: List[str], what: str) -> None:
+        while self.log_bytes + len(data) > self._size:
             self._make_room()
         at = self.log_bytes
         try:
-            _pwrite_all(self._fd, frame, at)
+            _pwrite_all(self._fd, data, at)
         except OSError as exc:
-            # Part of the frame may be in the file, and the next frame
-            # goes to the same offset: were it shorter, the rest of this
-            # one would be read back as a frame behind it.
+            # Part of the frames may be in the file, and the next frame
+            # goes to the same offset: were it shorter, the rest of these
+            # would be read back as frames behind it.
             try:
-                _pwrite_all(self._fd, bytes(len(frame)), at)
+                _pwrite_all(self._fd, bytes(len(data)), at)
             except OSError:
                 pass
-            raise StorageError(f"{what} of {key!r} failed: {exc}")
-        self.log_records += 1
-        self.log_bytes = at + len(frame)
+            raise StorageError(f"{what} of {', '.join(map(repr, keys))} failed: {exc}")
+        self.log_records += len(keys)
+        self.log_bytes = at + len(data)
 
     def _make_room(self) -> None:
         """Compact the log if dead frames outnumber live ones, else grow it."""
@@ -248,19 +248,14 @@ class FileStableStorage:
             raise StorageError(f"growing {self._root / _LOG} failed: {exc}")
         self._size += _SEGMENT
 
-    def write_file(self, key: str, frame: bytes) -> None:
-        """Put ``key``'s :func:`encode_frame` on disk: one ``O_DSYNC`` write."""
-        self._append(key, frame, "store")
-        self._durable[key] = frame
-
     def unlink_file(self, key: str) -> None:
-        """Remove ``key`` from the log, durably like :meth:`write_file`.
+        """Remove ``key`` from the log, durably like :meth:`append`.
 
         The tombstone is durable, so a truncated record cannot resurface
         after a crash.  A key the log does not hold costs nothing.
         """
         if key in self._durable:
-            self._append(key, encode_frame(key, None), "delete")
+            self._append(encode_frame(key, None), [key], "delete")
             del self._durable[key]
 
     def compact_file(self) -> None:
@@ -288,16 +283,34 @@ class FileStableStorage:
         self.log_records, self.log_bytes, self._size = len(self._durable), len(log), size
         self._sync_dir()
 
-    # -- memory half -----------------------------------------------------------
+
+class LogView:
+    """The memory half: one owner's records, logged under ``prefix``, held without it."""
+
+    def __init__(self, prefix: str = ""):
+        self.prefix = prefix
+        self._records: Dict[str, Tuple[Any, ...]] = {}
+        self.stores_completed = 0
+        self.bytes_logged = 0
+        #: Stores queued and never written: their owner crashed first.
+        self.stores_lost_to_crash = 0
+
+    @property
+    def records(self) -> Dict[str, Tuple[Any, ...]]:
+        """In-memory view of the durable records (kept in sync)."""
+        return self._records
 
     def adopt(self, records: Dict[str, Tuple[Any, ...]]) -> None:
-        """Make ``records`` the in-memory view (memory half of a reload).
+        """Make this owner's share of ``records`` (a scan's) the view.
 
         In place: the host's :class:`~repro.protocol.base.StableView`
         holds this dictionary for the life of the process.
         """
+        prefix, cut = self.prefix, len(self.prefix)
         self._records.clear()
-        self._records.update(records)
+        self._records.update(
+            (key[cut:], record) for key, record in records.items() if key.startswith(prefix)
+        )
 
     def apply_store(self, key: str, record: Tuple[Any, ...], size: int) -> None:
         """Account a store whose frame is on disk (``size`` is billed bytes)."""
@@ -316,9 +329,16 @@ class FileStableStorage:
     def record_size(self, key: str) -> int:
         """Bytes of the live record under ``key`` on disk (0 if absent)."""
         record = self._records.get(key)
-        return 0 if record is None else len(pickle.dumps((key, record)))
+        return 0 if record is None else len(pickle.dumps((self.prefix + key, record)))
 
-    # -- both halves, back to back ---------------------------------------------
+
+class FileStableStorage(FileLog, LogView):
+    """A log with one owner: both halves of durable storage at ``root``."""
+
+    def __init__(self, root: Path):
+        FileLog.__init__(self, root)
+        LogView.__init__(self)
+        self.reload_from_disk()
 
     def store(self, key: str, record: Tuple[Any, ...], size: int) -> None:
         """Synchronously persist ``record`` under ``key``.
@@ -326,7 +346,7 @@ class FileStableStorage:
         Returns only once the bytes are on disk: the ``store``
         primitive of the model.
         """
-        self.write_file(key, encode_frame(key, record))
+        self.append([(key, encode_frame(key, record))])
         self.apply_store(key, record, size)
 
     def delete(self, key: str) -> None:

@@ -152,7 +152,7 @@ def test_stats_and_metrics_parity(backend):
     if backend == "live":
         # Nothing on the loopback sockets was anything but ours.
         assert metrics.scalars["net.malformed"] == 0
-    # One log per node, each holding at least one record of the write.
+    # Each node holds at least one record of the write (on live, all in one log).
     assert metrics.scalars["storage.bytes_logged"] > 0
     assert metrics.scalars["storage.footprint_bytes"] > 0
     assert metrics.scalars["storage.records"] >= 3

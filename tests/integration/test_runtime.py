@@ -11,6 +11,7 @@ import gc
 import logging
 import os
 import pickle
+import socket
 import threading
 import time
 import warnings
@@ -24,7 +25,8 @@ from repro.history.checker import (
     check_transient_atomicity,
 )
 from repro.runtime.node import RuntimeNode
-from repro.runtime.storage import _SEGMENT, FileStableStorage, encode_frame
+from repro.runtime.transport import UdpTransport
+from repro.runtime.storage import _SEGMENT, FileLog, FileStableStorage, LogView, encode_frame
 from repro.storage import checkpoint as ckpt
 
 
@@ -37,6 +39,20 @@ def logged_value(node):
     """The value in ``node``'s live ``written`` record, if any."""
     record = node.storage.retrieve("written")
     return None if record is None else record[1]
+
+
+def stored_key(node, job, args):
+    """The key of ``node``'s queued job if it is a store, else ``None``."""
+    return None if job is not None else args[2][0][len(node.storage.prefix):]
+
+
+def node_on_disk(root, pid):
+    """Node ``pid``'s view of the cluster's log at ``root``, read back as recovery does."""
+    log = FileLog(root)
+    view = LogView(f"{pid}/")
+    view.adopt(log.scan_files())
+    log.close()
+    return view
 
 
 def hold_store(monkeypatch, cluster, node, key):
@@ -52,7 +68,7 @@ def hold_store(monkeypatch, cluster, node, key):
     held, parked, on_disk = threading.Event(), [], node._on_disk
 
     def diverted(done, job, *args):
-        starts = key is None or (job == node.storage.write_file and args[0] == key)
+        starts = key is None or stored_key(node, job, args) == key
         if parked is not None and (held.is_set() or starts):
             held.set()
             parked.append((done, job, args))
@@ -93,13 +109,11 @@ def assert_segmented(log, storage):
     assert data[storage.log_bytes:] == bytes(len(data) - storage.log_bytes)
 
 
-def logged_records(log):
-    """The record of every frame in ``log``, in file order."""
+def logged_records(log, pid):
+    """The record of every frame of node ``pid`` in ``log``, in file order."""
     data, offsets = log.read_bytes(), frame_offsets(log)
-    return [
-        pickle.loads(data[start + 8:end])[1]
-        for start, end in zip(offsets, offsets[1:])
-    ]
+    frames = [pickle.loads(data[start + 8:end]) for start, end in zip(offsets, offsets[1:])]
+    return [record for key, record in frames if key.startswith(f"{pid}/")]
 
 
 class TestFileStableStorage:
@@ -477,15 +491,15 @@ class TestLiveCheckpoint:
             # The write returned on a majority of 2 of 3; node 1 is
             # quiescent only once its own round-2 log landed.
             wait_for(cluster, lambda: logged_value(node) == "snapshot-me")
-            storage = node.storage
-            before = storage.log_bytes
+            storage, log = node.storage, node._log
+            before = log.log_bytes
             assert cluster.checkpoint(1) is True
             # The truncation is real: the log was rewritten as the
             # snapshot plus what it does not cover.
             drain_disk(cluster, node)
-            assert storage.log_bytes < before
-            assert storage.log_records == len(storage.records)
-            assert_segmented(tmp_path / "node-1" / "wal.log", storage)
+            assert log.log_bytes < before
+            assert len(logged_records(tmp_path / "wal.log", 1)) == len(storage.records)
+            assert_segmented(tmp_path / "wal.log", log)
             # Truncated into the snapshot, durable on disk, no stray
             # tentative record left behind.
             assert storage.retrieve("written") is None
@@ -567,7 +581,7 @@ class TestLiveCheckpoint:
             assert node.checkpoints_committed == committed + 1
             wait_for(cluster, lambda: logged_value(node) == "late")
             drain_disk(cluster, node)
-            on_disk = FileStableStorage(tmp_path / "node-1")
+            on_disk = node_on_disk(tmp_path, 1)
             assert on_disk.retrieve("written") == node.storage.retrieve("written")
             assert on_disk.retrieve(ckpt.TENTATIVE_KEY) is None
             cluster.crash(1)
@@ -597,11 +611,11 @@ class TestLiveThreading:
             assert node.storage.retrieve("k") == ("last",)
             assert node.storage.stores_completed >= 26
         # After every callback the memory view was the log, frame by frame.
-        written = logged_records(tmp_path / "node-0" / "wal.log")
+        written = logged_records(tmp_path / "wal.log", 0)
         assert views == written[-26:] == [(i,) for i in order]
-        on_disk = FileStableStorage(tmp_path / "node-0")
+        on_disk = node_on_disk(tmp_path, 0)
         assert on_disk.retrieve("k") == ("last",)
-        assert [p.name for p in (tmp_path / "node-0").iterdir()] == ["wal.log"]
+        assert [p.name for p in tmp_path.iterdir()] == ["wal.log"]
 
     def test_stores_land_in_issue_order_on_a_slow_loop(self, tmp_path, monkeypatch):
         """A per-store task failed this about one run in two.
@@ -622,30 +636,28 @@ class TestLiveThreading:
     def test_store_is_acknowledged_only_after_its_fdatasync(
         self, tmp_path, monkeypatch
     ):
-        """A store's sync is its ``pwrite`` on the log's ``O_DSYNC`` descriptor."""
-        events, pwrite = [], os.pwrite
+        """A store's sync is the ``pwrite`` on the log's ``O_DSYNC`` descriptor
+        that carried its frame, among the frames it shares that write with."""
+        synced, pwrite = [], os.pwrite
 
         def recording(fd, data, at):
             written = pwrite(fd, data, at)
-            events.append("synced")
+            synced.append(bytes(data))
             return written
 
         monkeypatch.setattr(os, "pwrite", recording)
         with open_cluster(backend="live", num_processes=1, storage_root=tmp_path) as cluster:
-            node, last = cluster.nodes[0], []
-            del events[:]
+            node, last, acknowledged = cluster.nodes[0], [], []
+
+            def acknowledge(i):
+                frame = encode_frame(f"0/k{i}", (i,))
+                acknowledged.append(any(frame in data for data in synced))
+
             for i in range(10):
-                node._store(
-                    f"k{i}", (i,), 1, lambda: events.append("acknowledged"), None
-                )
+                node._store(f"k{i}", (i,), 1, lambda i=i: acknowledge(i), None)
             node._store("k", ("last",), 1, lambda: last.append(None), None)
             wait_for(cluster, lambda: last)
-        assert events.count("acknowledged") == 10
-        synced = acknowledged = 0
-        for event in events:
-            synced += event == "synced"
-            acknowledged += event == "acknowledged"
-            assert acknowledged <= synced
+        assert acknowledged == [True] * 10
 
     def test_log_stays_bounded_without_checkpoints(self, tmp_path):
         """Overwritten frames are compacted away behind the stores."""
@@ -656,20 +668,20 @@ class TestLiveThreading:
             drain_disk(cluster, node)
             assert node.storage.stores_completed >= 200
             # Three segments of frames were written into one.
-            assert node.storage.log_records < 64
-            assert (tmp_path / "node-0" / "wal.log").stat().st_size == _SEGMENT
+            assert node._log.log_records < 64
+            assert (tmp_path / "wal.log").stat().st_size == _SEGMENT
             live = dict(node.storage.records)
-        assert FileStableStorage(tmp_path / "node-0").records == live
+        assert node_on_disk(tmp_path, 0).records == live
 
     def test_failed_store_is_reported_and_never_acknowledged(
         self, tmp_path, monkeypatch
     ):
-        def failing(storage, key, record):
-            raise StorageError(f"store of {key!r} failed: disk full")
+        def failing(log, frames):
+            raise StorageError(f"store of {frames[0][0]!r} failed: disk full")
 
         with open_cluster(backend="live", num_processes=1, storage_root=tmp_path) as cluster:
             node = cluster.nodes[0]
-            monkeypatch.setattr(FileStableStorage, "write_file", failing)
+            monkeypatch.setattr(FileLog, "append", failing)
             errors, acknowledged = [], []
             cluster.kernel.on_error = errors.append
             node._store("k", (1,), 1, lambda: acknowledged.append("k"), None)
@@ -712,22 +724,30 @@ class TestLiveThreading:
                 release()
             wait_for(cluster, lambda: logged_value(node) == "v")
             drain_disk(cluster, node)
-            assert FileStableStorage(tmp_path / "node-2").retrieve("written")[1] == "v"
+            assert node_on_disk(tmp_path, 2).retrieve("written")[1] == "v"
 
     def test_close_lands_what_is_queued(self, tmp_path):
         with open_cluster(backend="live", num_processes=1, storage_root=tmp_path) as cluster:
             node = cluster.nodes[0]
-            frame = encode_frame("k", ("queued",))
-            node._on_disk(lambda _result: None, node.storage.write_file, "k", frame)
+            node._store("k", ("queued",), 1, lambda: None, None)
             node.close()
-        assert FileStableStorage(tmp_path / "node-0").retrieve("k") == ("queued",)
+        assert node_on_disk(tmp_path, 0).retrieve("k") == ("queued",)
 
-    def test_failed_start_leaves_nothing_running(self, tmp_path):
-        """Node 0 is up -- socket bound -- when node 1 fails."""
-        (tmp_path / "node-1").write_text("a file where the directory goes")
+    def test_failed_start_leaves_nothing_running(self, tmp_path, monkeypatch):
+        """Node 0 is up -- socket bound -- when node 1 fails: its port is taken."""
+        taken = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        taken.bind(("127.0.0.1", 0))
+        start = UdpTransport.start
+
+        def start_on_the_taken_port(transport, *args):
+            if transport.pid == 1:
+                transport.port = taken.getsockname()[1]
+            start(transport, *args)
+
+        monkeypatch.setattr(UdpTransport, "start", start_on_the_taken_port)
         before = set(threading.enumerate())
         cluster = open_cluster(backend="live", num_processes=3, storage_root=tmp_path)
-        with pytest.raises(StorageError, match="cannot create storage dir"):
+        with taken, pytest.raises(OSError, match="in use"):
             cluster.start()
         assert cluster._kernel is None
         assert cluster.nodes[0].transport._sock is None
@@ -762,6 +782,137 @@ class TestLiveThreading:
         assert live_cluster.session(1).read_sync() == "still-fine"
 
 
+def count_pwrites(monkeypatch):
+    """A list that gets the bytes of every ``os.pwrite`` from now on."""
+    written, pwrite = [], os.pwrite
+
+    def recording(fd, data, at):
+        done = pwrite(fd, data, at)
+        written.append(bytes(data))
+        return done
+
+    monkeypatch.setattr(os, "pwrite", recording)
+    return written
+
+
+def quiesce(cluster, value):
+    """Return once every node logged ``value`` and every queued job ran."""
+    wait_for(cluster, lambda: all(logged_value(n) == value for n in cluster.nodes))
+    drain_disk(cluster, cluster.nodes[0])
+
+
+class TestSharedLog:
+    """One log per cluster: the nodes' stores share its writes."""
+
+    def test_a_persistent_write_is_two_flushes_and_a_read_none(self, tmp_path, monkeypatch):
+        """The paper's two causal logs: the pre-log, then every ``written`` at once."""
+        with open_cluster(backend="live", storage_root=tmp_path) as cluster:
+            for i in range(3):  # warm-up
+                cluster.session(i).write_sync(f"warm-{i}")
+            quiesce(cluster, "warm-2")
+            written = count_pwrites(monkeypatch)
+            cluster.session(0).write_sync("measured")
+            quiesce(cluster, "measured")
+            assert len(written) == 2
+            del written[:]
+            assert cluster.session(1).read_sync() == "measured"
+            drain_disk(cluster, cluster.nodes[0])
+            assert written == []
+
+    def test_stores_queued_before_a_drain_are_one_write_completed_in_issue_order(
+        self, tmp_path, monkeypatch
+    ):
+        with open_cluster(backend="live", storage_root=tmp_path) as cluster:
+            nodes, completed = cluster.nodes, []
+            drain_disk(cluster, nodes[0])
+            written = count_pwrites(monkeypatch)
+            issued = [(pid, f"k{i}") for i in range(2) for pid in (2, 0, 1)]
+            for pid, key in issued:
+                nodes[pid]._store(
+                    key, (pid, key), 1, lambda pid=pid, key=key: completed.append((pid, key)), None
+                )
+            wait_for(cluster, lambda: len(completed) == len(issued))
+            assert completed == issued
+            assert written == [
+                b"".join(encode_frame(f"{pid}/{key}", (pid, key)) for pid, key in issued)
+            ]
+            for pid, key in issued:
+                assert nodes[pid].storage.retrieve(key) == (pid, key)
+
+    def test_recovery_adopts_only_its_own_records(self, tmp_path, monkeypatch):
+        """The read-back scans the shared log; the peers' halves stay as they were."""
+        with open_cluster(backend="live", storage_root=tmp_path) as cluster:
+            cluster.session(0).write_sync("before")
+            quiesce(cluster, "before")
+            node, peers = cluster.nodes[0], cluster.nodes[1:]
+            records, scans, scan = node.storage.records, [], FileLog.scan_files
+
+            def peers_and_log(log):
+                return [dict(peer.storage.records) for peer in peers], dict(log._durable)
+
+            def watched(log):
+                before = peers_and_log(log)
+                scanned = scan(log)
+                scans.append((before, peers_and_log(log), scanned))
+                return scanned
+
+            adopted, finish = [], node._finish_recover
+
+            def finished(incarnation):  # right behind the adopt
+                adopted.append(dict(records))
+                finish(incarnation)
+
+            monkeypatch.setattr(FileLog, "scan_files", watched)
+            monkeypatch.setattr(node, "_finish_recover", finished)
+            cluster.crash(0)
+            cluster.session(1).write_sync("while-down")  # nodes 1 and 2 are a majority
+            cluster.recover(0, wait=False)
+            cluster.session(2).write_sync("peer")  # the peers keep writing
+            wait_for(cluster, lambda: cluster.session(0).ready)
+            [(before, after, scanned)] = scans
+            assert before == after
+            assert node.storage.records is records
+            # The peers' newer frames were in the scan, and stayed theirs.
+            assert scanned["1/written"][1] == "while-down"
+            assert adopted == [
+                {key[2:]: record for key, record in scanned.items() if key.startswith("0/")}
+            ]
+            assert adopted[0]["written"][1] == "before"
+            cluster.session(1).write_sync("after")
+            quiesce(cluster, "after")
+            assert node.storage.records == node_on_disk(tmp_path, 0).records
+
+    def test_a_crash_voids_its_queued_stores(self, tmp_path, monkeypatch):
+        """The crash beat the parked ``written`` store to the disk: it never lands."""
+        with open_cluster(backend="live", storage_root=tmp_path) as cluster:
+            node = cluster.nodes[1]
+            held, release = hold_store(monkeypatch, cluster, node, "written")
+            try:
+                cluster.session(0).write_sync("lost")  # nodes 0 and 2 are a majority
+                assert cluster.run_until(held.is_set, timeout=10.0)
+                cluster.crash(1)
+            finally:
+                release()
+            cluster.recover(1)
+            drain_disk(cluster, node)
+            assert logged_value(node) is None  # the record boot logged
+            assert node_on_disk(tmp_path, 1).retrieve("written")[1] is None
+            assert not [r for r in logged_records(tmp_path / "wal.log", 1) if "lost" in r]
+            assert node.storage.stores_lost_to_crash == 1
+            assert not node._storing["written"]
+            assert cluster.metrics().scalars["storage.stores_lost_to_crash"] == 1
+
+    def test_metrics_count_the_one_log_once(self, tmp_path):
+        with open_cluster(backend="live", storage_root=tmp_path) as cluster:
+            cluster.session(0).write_sync("x")
+            cluster.session(1).write_sync("y")
+            quiesce(cluster, "y")
+            offsets = frame_offsets(tmp_path / "wal.log")
+            scalars = cluster.metrics().scalars
+            assert scalars["storage.footprint_bytes"] == offsets[-1]
+            assert scalars["storage.records"] == len(offsets) - 1
+
+
 class TestLiveBackendVerbs:
     def test_close_leaves_nothing_running(self):
         """The clean-exit twin of ``test_failed_start_leaves_nothing_running``."""
@@ -769,7 +920,7 @@ class TestLiveBackendVerbs:
         with open_cluster(backend="live") as cluster:
             cluster.session(0).write_sync("x")
             root, nodes = cluster.storage_root, cluster.nodes
-            assert (root / "node-0" / "wal.log").exists()
+            assert (root / "wal.log").exists()
         assert [t.name for t in set(threading.enumerate()) - before] == []
         assert all(node.transport._sock is None for node in nodes)
         assert not root.exists()

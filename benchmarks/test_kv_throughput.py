@@ -21,7 +21,8 @@ from typing import Optional, Sequence
 import pytest
 
 from repro.api import open_cluster
-from repro.workloads.kv import KVWorkloadRunner, ZipfianKeys
+from repro.workloads.generators import WorkloadRunner
+from repro.workloads.kv import DRAIN_POLL_STRIDE, ZipfianKeys, zipf_clients
 
 #: Simulated-time throughput sweep defaults.
 SHARD_SWEEP = (1, 2, 4, 8)
@@ -79,15 +80,17 @@ def run_kv_config(
         seed=seed,
     ).start()
     keys = ZipfianKeys(num_keys=num_keys, s=zipf_s, seed=seed + 4)
-    runner = KVWorkloadRunner(
-        kv,
-        num_clients=num_clients,
-        operations_per_client=operations_per_client,
+    kv.preload(keys.keys, timeout=300.0)
+    clients = zipf_clients(
+        [operations_per_client] * num_clients,
+        range(num_processes),
+        keys,
         read_fraction=read_fraction,
-        keys=keys,
         seed=seed + 4,
     )
-    report = runner.run(timeout=300.0)
+    report = WorkloadRunner(kv, clients).run(
+        timeout=300.0, poll_every=DRAIN_POLL_STRIDE
+    )
     atomic = kv.check().ok if check else True
     return KVBenchRow(
         shards=shards,

@@ -43,8 +43,9 @@ from repro.workloads.generators import (
     OperationMix,
     UniqueValues,
     WorkloadRunner,
+    planned,
 )
-from repro.workloads.kv import ZipfianKeys, KVWorkloadRunner
+from repro.workloads.kv import DRAIN_POLL_STRIDE, ZipfianKeys, zipf_clients
 
 #: Virtual seconds allowed per operation when sizing phase timeouts
 #: (generous: a healthy write costs ~1 ms of virtual time).
@@ -86,9 +87,9 @@ class CheckOutcome:
 class PhaseOutcome:
     """What one workload phase did.
 
-    ``sim_duration`` is the virtual time the phase's workload occupied
-    -- for the KV front-end that is the measured window after key
-    preload, for the register front-end the whole phase.
+    ``sim_duration`` is the time the phase's workload occupied on the
+    cluster's clock, as the runner measures it from its own start --
+    so on a sharded store it excludes the key preload before it.
     """
 
     name: str
@@ -359,37 +360,77 @@ def _check(
 def _drive_phases(
     result: ScenarioResult,
     scenario: Scenario,
+    cluster: Cluster,
     recovery: bool,
-    arm_target,
-    run_phase,
-    check_fn,
-    prepare_phase=None,
+    criterion: str,
 ) -> None:
-    """The shared phase loop of both store front-ends.
+    """The one phase driver, for every store.
 
-    Per phase: run the front-end's ``prepare_phase`` (the KV store
-    preloads its key universe here -- *before* the faults, so a
-    phase-relative fault window cannot elapse inside setup), arm the
-    phase's (protocol-adapted) faults, let ``run_phase(phase,
-    phase_ops, index)`` drive the workload and report a
-    :class:`PhaseOutcome`, fold the counters, and apply the
-    verification policy via ``check_fn(phase_name)``.
+    Per phase: on a sharded store, preload the phase's key universe
+    (*before* the faults, so a phase-relative fault window cannot
+    elapse inside setup); arm the phase's (protocol-adapted) faults;
+    run its closed-loop clients; fold the counters; and apply the
+    verification policy.  The only backend-sensitive choice -- which
+    client shape to run, and the runner's drain-poll stride -- keys
+    off the ``sharding`` capability, not the cluster's type.
     """
+    pids = _client_pids(scenario, recovery)
+    values = UniqueValues()
+    sharded = SHARDING in cluster.capabilities
+    preloaded: set = set()
     shares = scenario.split_ops(result.ops)
     for index, (phase, phase_ops) in enumerate(zip(scenario.phases, shares)):
-        if prepare_phase is not None:
-            prepare_phase(phase, index)
+        phase_seed = _phase_seed(result.seed, index)
+        if sharded:
+            keys = ZipfianKeys(
+                num_keys=phase.num_keys, s=phase.zipf_s, seed=phase_seed
+            )
+            # Provisioning 64 registers costs tens of virtual
+            # milliseconds.  Key names depend only on (num_keys,
+            # prefix), so a universe is preloaded once even across
+            # many phases.
+            if not preloaded.issuperset(keys.keys):
+                cluster.preload(keys.keys, timeout=_TIMEOUT_FLOOR)
+                preloaded.update(keys.keys)
+            clients = zipf_clients(
+                _split(phase_ops, phase.clients or 16), pids, keys,
+                read_fraction=phase.read_fraction, seed=phase_seed,
+            )
+        else:
+            clients = planned(_register_plans(
+                phase, phase_ops, pids, random.Random(phase_seed)
+            ))
         for fault in _effective_faults(phase, recovery, scenario.num_processes):
-            fault.arm(arm_target)
-        outcome = run_phase(phase, phase_ops, index)
-        result.phases.append(outcome)
-        result.completed += outcome.completed
-        result.aborted += outcome.aborted
-        result.unissued += outcome.unissued
+            fault.arm(cluster)
+        # Bracket the phase with registry snapshots: the diff is what
+        # the phase itself cost.  Snapshotting only samples gauges and
+        # copies counters -- no kernel events, no randomness.
+        before = cluster.metrics()
+        report = WorkloadRunner(cluster, clients, values=values).run(
+            timeout=max(_TIMEOUT_FLOOR, phase_ops * _TIMEOUT_PER_OP),
+            poll_every=DRAIN_POLL_STRIDE if sharded else 1,
+            max_events=max(_EVENTS_FLOOR, phase_ops * _EVENTS_PER_OP),
+        )
+        result.phases.append(PhaseOutcome(
+            name=phase.name,
+            attempted=phase_ops,
+            completed=report.completed,
+            aborted=report.aborted,
+            unissued=report.unissued,
+            sim_duration=report.duration,
+            metrics=cluster.metrics().diff(before).as_dict(),
+        ))
+        result.completed += report.completed
+        result.aborted += report.aborted
+        result.unissued += report.unissued
         if scenario.verify == VERIFY_PER_PHASE:
-            result.checks.append(check_fn(phase.name))
+            result.checks.append(
+                _check(cluster, criterion, phase.name, scenario.check_method)
+            )
     if scenario.verify != VERIFY_PER_PHASE:
-        result.checks.append(check_fn("final"))
+        result.checks.append(
+            _check(cluster, criterion, "final", scenario.check_method)
+        )
 
 
 def run_scenario(
@@ -432,6 +473,12 @@ def run_scenario(
 # -- the one backend-agnostic driver -----------------------------------------
 
 
+def _split(total: int, parts: int) -> List[int]:
+    """``total`` spread over ``parts`` counts, the remainder first."""
+    base, extra = divmod(total, parts)
+    return [base + (1 if i < extra else 0) for i in range(parts)]
+
+
 def _register_plans(
     phase: WorkloadPhase,
     phase_ops: int,
@@ -441,13 +488,10 @@ def _register_plans(
     """Closed-loop plans distributing ``phase_ops`` over the clients."""
     clients = min(phase.clients or len(pids), len(pids))
     mix = OperationMix(read_fraction=phase.read_fraction)
-    base, extra = divmod(phase_ops, clients)
-    plans = []
-    for i in range(clients):
-        count = base + (1 if i < extra else 0)
-        if count:
-            plans.append(ClientPlan(pid=pids[i], kinds=mix.plan(count, rng)))
-    return plans
+    return [
+        ClientPlan(pid=pids[i], kinds=mix.plan(count, rng))
+        for i, count in enumerate(_split(phase_ops, clients))
+    ]
 
 
 def _run(
@@ -461,11 +505,9 @@ def _run(
 ) -> ScenarioResult:
     """Drive ``scenario`` against the façade cluster its spec maps to.
 
-    There is one driver for every store: the spec names the backend
-    (:attr:`~repro.scenarios.spec.Scenario.backend`), the cluster
-    declares its capabilities, and the only backend-sensitive choice
-    left -- which closed-loop workload shape to run -- keys off the
-    ``sharding`` capability, not the cluster's type.
+    The spec names the backend (:attr:`~repro.scenarios.spec
+    .Scenario.backend`); the cluster declares its capabilities, which
+    :func:`_drive_phases` reads.
     """
     options = dict(scenario.backend_options())
     if flight_recorder is not None:
@@ -495,106 +537,7 @@ def _run(
         seed=seed,
         ops=ops,
     )
-    pids = _client_pids(scenario, recovery)
-    values = UniqueValues()
-    sharded = SHARDING in cluster.capabilities
-
-    def budget(phase_ops: int) -> dict:
-        return dict(
-            timeout=max(_TIMEOUT_FLOOR, phase_ops * _TIMEOUT_PER_OP),
-            max_events=max(_EVENTS_FLOOR, phase_ops * _EVENTS_PER_OP),
-        )
-
-    def keys_for(phase: WorkloadPhase, index: int) -> ZipfianKeys:
-        return ZipfianKeys(
-            num_keys=phase.num_keys, s=phase.zipf_s, seed=_phase_seed(seed, index)
-        )
-
-    preloaded: set = set()
-
-    def prepare_phase(phase: WorkloadPhase, index: int) -> None:
-        # Preload the phase's key universe before its faults are armed:
-        # provisioning 64 registers costs tens of virtual milliseconds,
-        # which would otherwise swallow a phase-relative fault window.
-        # Key names depend only on (num_keys, prefix), so a universe is
-        # preloaded once even across many phases.
-        keys = keys_for(phase, index)
-        signature = frozenset(keys.keys)
-        if signature - preloaded:
-            cluster.preload(keys.keys, timeout=_TIMEOUT_FLOOR)
-            preloaded.update(signature)
-
-    def run_register_phase(
-        phase: WorkloadPhase, phase_ops: int, index: int
-    ) -> PhaseOutcome:
-        rng = random.Random(_phase_seed(seed, index))
-        plans = _register_plans(phase, phase_ops, pids, rng)
-        phase_began = cluster.now
-        report = WorkloadRunner(cluster, plans, values=values).run(
-            **budget(phase_ops)
-        )
-        return PhaseOutcome(
-            name=phase.name,
-            attempted=phase_ops,
-            completed=report.completed,
-            aborted=report.aborted,
-            unissued=report.unissued,
-            sim_duration=cluster.now - phase_began,
-        )
-
-    def run_kv_phase(
-        phase: WorkloadPhase, phase_ops: int, index: int
-    ) -> PhaseOutcome:
-        clients = phase.clients or 16
-        # Distribute the phase's share exactly: the budget in the
-        # result/BENCH accounting must match what was attempted.
-        base, extra = divmod(phase_ops, clients)
-        per_client = [base + (1 if i < extra else 0) for i in range(clients)]
-        runner = KVWorkloadRunner(
-            cluster,
-            num_clients=clients,
-            operations_per_client=per_client,
-            read_fraction=phase.read_fraction,
-            keys=keys_for(phase, index),
-            seed=_phase_seed(seed, index),
-            pids=pids,
-            values=values,
-        )
-        report = runner.run(preload=False, **budget(phase_ops))
-        return PhaseOutcome(
-            name=phase.name,
-            attempted=phase_ops,
-            completed=report.completed,
-            aborted=report.aborted,
-            unissued=report.unissued,
-            sim_duration=report.duration,
-        )
-
-    def check_fn(phase_name: str) -> CheckOutcome:
-        return _check(cluster, criterion, phase_name, scenario.check_method)
-
-    drive = run_kv_phase if sharded else run_register_phase
-
-    def run_phase_metered(
-        phase: WorkloadPhase, phase_ops: int, index: int
-    ) -> PhaseOutcome:
-        # Bracket the phase with registry snapshots: the diff is what
-        # the phase itself cost.  Snapshotting only samples gauges and
-        # copies counters -- no kernel events, no randomness.
-        before = cluster.metrics()
-        outcome = drive(phase, phase_ops, index)
-        outcome.metrics = cluster.metrics().diff(before).as_dict()
-        return outcome
-
-    _drive_phases(
-        result,
-        scenario,
-        recovery,
-        cluster,
-        run_phase_metered,
-        check_fn,
-        prepare_phase=prepare_phase if sharded else None,
-    )
+    _drive_phases(result, scenario, cluster, recovery, criterion)
     _finalize(result, cluster, capture)
     return result
 

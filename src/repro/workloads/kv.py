@@ -1,34 +1,38 @@
-"""Closed-loop key-value workloads: zipfian keys, read/write mixes.
+"""Zipfian key-value clients for the closed-loop runner.
 
 Production key traffic is skewed -- a few hot keys absorb most
 operations.  :class:`ZipfianKeys` draws keys with the classic
 ``P(rank k) ~ 1 / k**s`` popularity law; ``s ~ 0.99`` is the YCSB
-default.  :class:`KVWorkloadRunner` drives N closed-loop clients over
-the sharded store (:class:`~repro.api.kv.KVBackend`): each client picks
-a key and an operation kind, submits, waits for completion, and
-immediately issues the next -- so the offered concurrency is exactly
+default.  :func:`zipf_clients` builds N clients for
+:class:`~repro.workloads.generators.WorkloadRunner` that each pick a
+key and an operation kind as they issue, so over the sharded store
+(:class:`~repro.api.kv.KVBackend`) the offered concurrency is exactly
 the client count, and throughput is bounded by how much of that
 concurrency the store's shard pipelines can actually exploit.
 
-Clients are crash-aware: an operation aborted by its coordinator's
-crash is counted and the client moves on (at-most-once semantics; the
-per-key history keeps the aborted invocation pending, which the
-atomicity checkers handle).
+The runner's one client policy applies: an operation aborted by its
+coordinator's crash is counted and the client moves on (at-most-once
+semantics; the per-key history keeps the aborted invocation pending,
+which the atomicity checkers handle).
 """
 
 from __future__ import annotations
 
 import bisect
 import random
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence
 
 from repro.common.errors import ConfigurationError
-from repro.workloads.generators import UniqueValues
+from repro.workloads.generators import (
+    Client,
+    OperationMix,
+    WorkloadReport,
+    WorkloadRunner,
+)
 
-#: Default predicate-poll stride for the KV drain loop: the per-event
-#: Python predicate call is amortized 16x, at the cost of at most 15
-#: leftover pipeline events executing after the last client finishes.
+#: Predicate-poll stride for KV runs: the per-event Python predicate
+#: call is amortized 16x, at the cost of at most 15 leftover pipeline
+#: events executing after the last client finishes.
 DRAIN_POLL_STRIDE = 16
 
 
@@ -69,159 +73,33 @@ class ZipfianKeys:
         return self.keys[bisect.bisect_left(self._cumulative, rng.random())]
 
 
-@dataclass
-class KVWorkloadReport:
-    """What happened when a KV workload ran."""
+def zipf_clients(
+    counts: Sequence[int],
+    pids: Sequence[int],
+    keys: ZipfianKeys,
+    read_fraction: float = 0.5,
+    seed: int = 0,
+) -> List[Client]:
+    """One client per entry of ``counts``, drawing from one seeded stream.
 
-    completed: int = 0
-    aborted: int = 0
-    #: Operations never submitted (the run ended first).
-    unissued: int = 0
-    #: Virtual time the workload occupied, seconds.
-    duration: float = 0.0
-    #: Completed-operation latencies, seconds (submission to reply).
-    latencies: List[float] = field(default_factory=list)
-
-    @property
-    def throughput(self) -> float:
-        """Completed operations per second of *simulated* time."""
-        if self.duration <= 0:
-            return 0.0
-        return self.completed / self.duration
-
-    @property
-    def mean_latency(self) -> float:
-        if not self.latencies:
-            return 0.0
-        return sum(self.latencies) / len(self.latencies)
-
-
-class KVWorkloadRunner:
-    """N closed-loop clients over the sharded store.
-
-    ``kv`` is a façade cluster, normally the store
-    (``open_cluster(backend="kv")``); each client issues through a
-    :class:`~repro.api.base.Session` pinned to its replica.
+    Client ``i`` issues ``counts[i]`` operations through replica
+    ``pids[i % len(pids)]``, like a connection pinned to its nearest
+    server.  Each draw happens as the client issues: the key first,
+    then the kind.
     """
+    if not pids:
+        raise ConfigurationError("zipf clients need at least one pid")
+    mix = OperationMix(read_fraction)
+    rng = random.Random(seed)
 
-    def __init__(
-        self,
-        kv,
-        num_clients: int = 16,
-        operations_per_client: Union[int, Sequence[int]] = 20,
-        read_fraction: float = 0.5,
-        keys: Optional[ZipfianKeys] = None,
-        seed: int = 0,
-        pids: Optional[List[int]] = None,
-        values: Optional[UniqueValues] = None,
-    ):
-        if num_clients < 1:
-            raise ConfigurationError("num_clients must be >= 1")
-        # A per-client sequence lets callers hit an exact total budget
-        # (the scenario runner distributes a phase's share this way);
-        # a plain int keeps the uniform classic behavior.
-        if isinstance(operations_per_client, int):
-            if operations_per_client < 1:
-                raise ConfigurationError("operations_per_client must be >= 1")
-            per_client = [operations_per_client] * num_clients
-        else:
-            per_client = list(operations_per_client)
-            if len(per_client) != num_clients:
-                raise ConfigurationError(
-                    "operations_per_client sequence must have one entry "
-                    "per client"
-                )
-            if any(count < 0 for count in per_client) or sum(per_client) < 1:
-                raise ConfigurationError(
-                    "per-client operation counts must be >= 0 and sum >= 1"
-                )
-        if not 0.0 <= read_fraction <= 1.0:
-            raise ConfigurationError("read_fraction must be in [0, 1]")
-        self._kv = kv
-        self._num_clients = num_clients
-        self._read_fraction = read_fraction
-        self._keys = keys if keys is not None else ZipfianKeys(seed=seed)
-        self._rng = random.Random(seed)
-        # ``values`` may be shared across runners (scenario phases) so
-        # written values stay unique over the whole run.
-        self._values = values if values is not None else UniqueValues()
-        self._report = KVWorkloadReport()
-        self._remaining = per_client
-        self._active = 0
-        # Replicas clients are pinned to; restricting this keeps a run
-        # live when some replicas never recover (crash-stop scenarios).
-        if pids is None:
-            pids = list(range(self._kv.num_processes))
-        elif not pids or any(
-            not 0 <= pid < self._kv.num_processes for pid in pids
-        ):
-            raise ConfigurationError("pids must be a non-empty list of replica ids")
-        self._pids = list(pids)
-        self._sessions = {pid: self._kv.session(pid) for pid in self._pids}
+    def draw():
+        key = keys.draw(rng)
+        return mix.draw(rng), key
 
-    def run(
-        self,
-        timeout: float = 120.0,
-        preload: bool = True,
-        poll_every: int = DRAIN_POLL_STRIDE,
-        max_events: int = 1_000_000,
-    ) -> KVWorkloadReport:
-        """Drive every client to completion (or until ``timeout``).
-
-        With ``preload`` (the default) the key universe's register
-        instances are provisioned and initialized before the measured
-        window opens, so throughput reflects steady state rather than
-        first-touch initialization logs.
-
-        The drain predicate is amortized with ``poll_every`` (see
-        :meth:`repro.common.kernel.Kernel.run_until`): after the last
-        client settles, at most ``poll_every - 1`` leftover pipeline
-        events execute before the run stops, a negligible tail on the
-        measured duration.  Pass ``poll_every=1`` for replay-exact
-        stops.
-        """
-        if preload:
-            self._kv.preload(self._keys.keys, timeout=timeout)
-        started_at = self._kv.now
-        self._active = self._num_clients
-        for client in range(self._num_clients):
-            # Client affinity: client i talks to replica i mod N, like
-            # a connection pinned to its nearest server.
-            self._next_op(client, self._pids[client % len(self._pids)])
-        self._kv.run_until(
-            lambda: self._active == 0, timeout=timeout, poll_every=poll_every,
-            max_events=max_events,
-        )
-        self._report.unissued = sum(self._remaining)
-        self._report.duration = self._kv.now - started_at
-        return self._report
-
-    def _next_op(self, client: int, pid: int) -> None:
-        if self._remaining[client] == 0:
-            self._active -= 1
-            return
-        self._remaining[client] -= 1
-        key = self._keys.draw(self._rng)
-        session = self._sessions[pid]
-        if self._rng.random() < self._read_fraction:
-            handle = session.read(key)
-        else:
-            handle = session.write(self._values(pid), key)
-        handle.add_callback(
-            lambda h, client=client, pid=pid: self._on_settled(client, pid, h)
-        )
-
-    def _on_settled(self, client: int, pid: int, handle) -> None:
-        if handle.done:
-            self._report.completed += 1
-            latency = handle.latency
-            if latency is not None:
-                self._report.latencies.append(latency)
-        else:
-            self._report.aborted += 1
-        # Issue the next operation from a fresh kernel event rather
-        # than inside the settling call stack.
-        self._kv.defer(0.0, self._next_op, client, pid)
+    return [
+        Client(pids[i % len(pids)], count, draw)
+        for i, count in enumerate(counts)
+    ]
 
 
 def run_kv_closed_loop(
@@ -233,16 +111,21 @@ def run_kv_closed_loop(
     zipf_s: float = 0.99,
     seed: int = 0,
     timeout: float = 120.0,
-    preload: bool = True,
-) -> KVWorkloadReport:
-    """Convenience wrapper: zipfian closed-loop mix on ``kv``."""
+) -> WorkloadReport:
+    """Convenience wrapper: zipfian closed-loop mix on ``kv``.
+
+    The key universe is preloaded before the run, so throughput
+    reflects steady state rather than first-touch initialization logs.
+    """
     keys = ZipfianKeys(num_keys=num_keys, s=zipf_s, seed=seed)
-    runner = KVWorkloadRunner(
-        kv,
-        num_clients=num_clients,
-        operations_per_client=operations_per_client,
+    kv.preload(keys.keys, timeout=timeout)
+    clients = zipf_clients(
+        [operations_per_client] * num_clients,
+        range(kv.num_processes),
+        keys,
         read_fraction=read_fraction,
-        keys=keys,
         seed=seed,
     )
-    return runner.run(timeout=timeout, preload=preload)
+    return WorkloadRunner(kv, clients).run(
+        timeout=timeout, poll_every=DRAIN_POLL_STRIDE
+    )

@@ -12,6 +12,7 @@ from repro.workloads.generators import (
     OperationMix,
     UniqueValues,
     WorkloadRunner,
+    planned,
     run_closed_loop,
 )
 
@@ -115,7 +116,7 @@ class TestWorkloadRunner:
             ClientPlan(pid=0, kinds=["write", "read", "write"]),
             ClientPlan(pid=1, kinds=["read", "read"]),
         ]
-        report = WorkloadRunner(cluster, plans).run()
+        report = WorkloadRunner(cluster, planned(plans)).run()
         assert report.issued == 5
         assert report.completed == 5
         assert report.aborted == 0
@@ -125,7 +126,7 @@ class TestWorkloadRunner:
         cluster = open_cluster("sim", protocol="transient", num_processes=3)
         cluster.start()
         with pytest.raises(ConfigurationError):
-            WorkloadRunner(cluster, [ClientPlan(pid=9, kinds=["read"])])
+            WorkloadRunner(cluster, planned([ClientPlan(pid=9, kinds=["read"])]))
 
     def test_invalid_kind_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -1,9 +1,9 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the paper-fidelity suite.
 
-Every benchmark regenerates one of the paper's tables/figures and, in
-addition to the pytest-benchmark timing (wall time of running the
-experiment harness), writes the reproduced rows/series to
-``benchmarks/results/<name>.txt`` so EXPERIMENTS.md can quote them.
+Every test here regenerates one of the paper's tables/figures, asserts
+the paper's claims about it, and writes the reproduced rows/series to
+``benchmarks/results/<name>.txt`` for a reader to compare against the
+paper.  Nothing here is timed: ``bench/run.py`` measures engine speed.
 """
 
 from pathlib import Path

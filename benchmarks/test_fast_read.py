@@ -24,19 +24,15 @@ def _read_latency(protocol: str, repeats: int = 30) -> LatencyStats:
 
 
 @pytest.mark.parametrize("protocol", ["persistent", "persistent-fastread"])
-def test_quiescent_read_latency(benchmark, protocol):
-    stats = benchmark(_read_latency, protocol)
-    benchmark.extra_info["read_us"] = round(stats.mean_us, 1)
+def test_quiescent_read_latency(protocol):
+    _read_latency(protocol)
 
 
-def test_speedup_table(benchmark, write_result):
-    def run():
-        return {
-            protocol: _read_latency(protocol)
-            for protocol in ("persistent", "persistent-fastread")
-        }
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_speedup_table(write_result):
+    results = {
+        protocol: _read_latency(protocol)
+        for protocol in ("persistent", "persistent-fastread")
+    }
     base = results["persistent"].mean_us
     fast = results["persistent-fastread"].mean_us
     write_result(

@@ -1,34 +1,26 @@
 """Figure 1: the persistent vs. transient demonstration runs.
 
-Benchmarks the scripted Figure 1 schedule against both algorithms and
+Runs the scripted Figure 1 schedule against both algorithms and
 records the observed reads plus both checkers' verdicts -- the paper's
 figure as a regenerable table.
 """
 
-import pytest
-
 from repro.experiments.figure1 import format_figure1, run_persistent, run_transient
 
 
-def test_persistent_run(benchmark):
-    run = benchmark(run_persistent)
-    benchmark.extra_info["reads"] = ",".join(map(str, run.read_results))
+def test_persistent_run():
+    run = run_persistent()
     assert run.read_results == ["v2", "v2"]
     assert run.persistent_verdict.ok
     assert run.transient_verdict.ok
 
 
-def test_transient_run(benchmark):
-    run = benchmark(run_transient)
-    benchmark.extra_info["reads"] = ",".join(map(str, run.read_results))
+def test_transient_run():
+    run = run_transient()
     assert run.read_results == ["v1", "v2"]
     assert not run.persistent_verdict.ok
     assert run.transient_verdict.ok
 
 
-def test_full_figure(benchmark, write_result):
-    def run():
-        return run_persistent(), run_transient()
-
-    persistent, transient = benchmark.pedantic(run, rounds=1, iterations=1)
-    write_result("figure1", format_figure1(persistent, transient))
+def test_full_figure(write_result):
+    write_result("figure1", format_figure1(run_persistent(), run_transient()))

@@ -19,25 +19,15 @@ from repro.experiments.figure6 import (
 
 
 @pytest.mark.parametrize("algorithm", FIGURE6_ALGORITHMS)
-def test_payload_sweep(benchmark, algorithm):
+def test_payload_sweep(algorithm):
     """One curve of the graph: the full payload sweep for one algorithm."""
-
-    def run():
-        return figure6_bottom(algorithms=(algorithm,), repeats=10)[algorithm]
-
-    points = benchmark(run)
-    slope, intercept, r_squared = linearity_of(points)
-    benchmark.extra_info["algorithm"] = algorithm
-    benchmark.extra_info["slope_us_per_byte"] = round(slope, 6)
-    benchmark.extra_info["intercept_us"] = round(intercept, 1)
-    benchmark.extra_info["r_squared"] = round(r_squared, 6)
+    points = figure6_bottom(algorithms=(algorithm,), repeats=10)[algorithm]
+    _, _, r_squared = linearity_of(points)
     assert r_squared > 0.999  # the paper's linearity claim
 
 
-def test_full_figure(benchmark, write_result):
-    series = benchmark.pedantic(
-        lambda: figure6_bottom(repeats=10), rounds=1, iterations=1
-    )
+def test_full_figure(write_result):
+    series = figure6_bottom(repeats=10)
     table = format_figure6_bottom(series)
     lines = [table, ""]
     for algorithm, points in series.items():

@@ -26,25 +26,14 @@ from repro.experiments.figure6 import (
 
 @pytest.mark.parametrize("algorithm", FIGURE6_ALGORITHMS)
 @pytest.mark.parametrize("num_processes", FIGURE6_SIZES)
-def test_write_latency_point(benchmark, algorithm, num_processes):
+def test_write_latency_point(algorithm, num_processes):
     """One point of the graph: 50 sequential 4-byte writes."""
-
-    def run():
-        return figure6_top(
-            sizes=(num_processes,), algorithms=(algorithm,), repeats=50
-        )[algorithm][0]
-
-    point = benchmark(run)
-    benchmark.extra_info["algorithm"] = algorithm
-    benchmark.extra_info["num_processes"] = num_processes
-    benchmark.extra_info["simulated_write_us"] = round(point.mean_us, 1)
+    figure6_top(sizes=(num_processes,), algorithms=(algorithm,), repeats=50)
 
 
-def test_full_figure(benchmark, write_result):
+def test_full_figure(write_result):
     """The whole graph, with the paper's qualitative claims asserted."""
-    series = benchmark.pedantic(
-        lambda: figure6_top(repeats=50), rounds=1, iterations=1
-    )
+    series = figure6_top(repeats=50)
     table = format_figure6_top(series)
     write_result("figure6_top", table)
 

@@ -20,25 +20,14 @@ from repro.experiments.log_complexity import (
 @pytest.mark.parametrize(
     "algorithm,expected", sorted(EXPECTED_SEQUENTIAL_WRITE.items())
 )
-def test_sequential_write_logs(benchmark, algorithm, expected):
+def test_sequential_write_logs(algorithm, expected):
     """Causal logs of one crash-free write, per algorithm."""
-
-    def run():
-        cluster = open_cluster("sim", protocol=algorithm, num_processes=5).start()
-        return cluster.session(0).write_sync(b"1234").causal_logs
-
-    measured = benchmark(run)
-    benchmark.extra_info["algorithm"] = algorithm
-    benchmark.extra_info["causal_logs"] = measured
-    assert measured == expected
+    cluster = open_cluster("sim", protocol=algorithm, num_processes=5).start()
+    assert cluster.session(0).write_sync(b"1234").causal_logs == expected
 
 
-def test_full_table(benchmark, write_result):
-    rows = benchmark.pedantic(
-        lambda: measure_log_complexity(operations=30, seed=0),
-        rounds=1,
-        iterations=1,
-    )
+def test_full_table(write_result):
+    rows = measure_log_complexity(operations=30, seed=0)
     table = format_log_complexity(rows)
     write_result("log_complexity", table)
     assert all(row.within_bound for row in rows), table

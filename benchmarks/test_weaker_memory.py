@@ -18,22 +18,13 @@ from repro.experiments.weaker_memory import (
 
 
 @pytest.mark.parametrize("algorithm", COMPARED)
-def test_cost_point(benchmark, algorithm):
-    rows = benchmark(measure_costs, (algorithm,), 5, 20)
-    row = rows[0]
-    benchmark.extra_info["write_us"] = round(row.write_latency.mean_us, 1)
-    benchmark.extra_info["read_us"] = round(row.read_latency.mean_us, 1)
-    benchmark.extra_info["write_logs"] = row.write_causal_logs
-    benchmark.extra_info["read_logs"] = row.read_causal_logs
+def test_cost_point(algorithm):
+    measure_costs((algorithm,), 5, 20)
 
 
-def test_full_table(benchmark, write_result):
-    def run():
-        rows = measure_costs(repeats=20)
-        inversions = [new_old_inversion_run(a) for a in COMPARED]
-        return rows, inversions
-
-    rows, inversions = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_full_table(write_result):
+    rows = measure_costs(repeats=20)
+    inversions = [new_old_inversion_run(a) for a in COMPARED]
     text = format_costs(rows) + "\n\n" + format_inversions(inversions)
     write_result("weaker_memory", text)
 

@@ -25,15 +25,41 @@ reports (see docs/protocols.md for the paper-vs-measured mapping);
 (see docs/scenarios.md); ``trace``/``stats`` surface the observability
 layer (see docs/observability.md); ``lint`` statically checks the
 determinism and contract invariants (see docs/determinism.md) and is
-the one subcommand that exits nonzero, when findings remain.  Engine
-speed is measured by ``python bench/run.py`` (see docs/benchmarks.md).
+the one subcommand that exits nonzero on its own, when findings remain.
+Engine speed is measured by ``python bench/run.py`` (see
+docs/benchmarks.md).
+
+Every subcommand is one :class:`Command` row of :data:`COMMANDS`: its
+name, help, handler, arguments and whether ``repro all`` runs it, and
+:func:`build_parser` is one loop over that table.  There is one sweep
+driver: bare ``repro soak`` is a one-seed :func:`~repro.scenarios.fleet
+.run_fleet` over the library, and ``soak <scenario>``, ``trace`` and
+``stats`` run one scenario whose defaults and quick budget
+:func:`~repro.scenarios.pool.resolve_spec` pins.  An input error (an
+unknown scenario, an empty seed range, a pool of no workers) ends in
+one ``repro: error:`` line and exit status 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+from repro.common.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from repro.scenarios.runner import ScenarioResult
+    from repro.scenarios.spec import Scenario
 
 
 class CommandFailed(Exception):
@@ -52,22 +78,23 @@ class CommandFailed(Exception):
 def _seed_kw(args: argparse.Namespace) -> Dict[str, int]:
     """``{"seed": N}`` when ``--seed`` was given, else ``{}``.
 
-    Every subcommand takes the same ``--seed`` flag (from the shared
-    parent parser) with the same default: ``None``, meaning "use the
-    command's documented per-run seeds".  Handlers forward an explicit
-    seed to their harness with this helper, so the plumbing is uniform
-    instead of ad hoc per subparser.
+    Every seeded subcommand takes the same ``--seed`` flag (from the
+    shared parent parser) with the same default: ``None``, meaning "use
+    the command's documented per-run seeds".  Handlers forward an
+    explicit seed to their harness with this helper, so the plumbing is
+    uniform instead of ad hoc per subparser.
     """
-    seed = getattr(args, "seed", None)
-    return {} if seed is None else {"seed": seed}
+    return {} if args.seed is None else {"seed": args.seed}
 
 
 def seed_report(args: argparse.Namespace) -> str:
     """The uniform seed line every command's output starts with."""
-    seed = getattr(args, "seed", None)
-    if seed is None:
+    if args.seed is None:
         return "seed: command defaults (override with --seed)"
-    return f"seed: {seed}"
+    return f"seed: {args.seed}"
+
+
+# -- the paper's figures and tables -----------------------------------------
 
 
 def _cmd_figure6_top(args: argparse.Namespace) -> str:
@@ -205,84 +232,153 @@ def _cmd_weaker_memory(args: argparse.Namespace) -> str:
     )
 
 
-def _run_named_soak(args: argparse.Namespace, scenario: str):
-    from repro.scenarios.soak import run_soak
+# -- the scenario suite: soak, fleet, trace, stats ---------------------------
 
-    return run_soak(
-        scenario,
-        protocol=getattr(args, "protocol", None),
-        seed=getattr(args, "seed", None),
-        ops=getattr(args, "ops", None),
-        quick=getattr(args, "quick", False),
+
+def format_soak_results(results: Sequence[ScenarioResult]) -> str:
+    """Render scenario outcomes as the table ``soak``/``fleet`` print."""
+    header = (
+        f"{'scenario':<20} {'store':<8} {'protocol':<11} {'ops':>7}  "
+        f"{'completed':>9}  {'aborted':>7}  {'wall':>7}  {'verify':>7}  verdict"
+    )
+    lines = [header, "-" * len(header)]
+    for result in results:
+        lines.append(
+            f"{result.scenario:<20} {result.store:<8} {result.protocol:<11} "
+            f"{result.ops:>7}  {result.completed:>9}  {result.aborted:>7}  "
+            f"{result.wall_s:>6.2f}s  {result.check_wall_s:>6.2f}s  "
+            f"{'PASS' if result.verdict else 'FAIL'}"
+        )
+    return "\n".join(lines)
+
+
+def scenario_notes(scenario: Scenario) -> str:
+    """Capability notes for the ``--list`` table.
+
+    Fleet sweeps cross scenarios with protocols; these notes say up
+    front what each combination will actually exercise -- crash faults
+    are dropped against protocols without recovery support (the
+    crash-stop baseline), the KV store runs sharded, trace capture is
+    heavyweight -- so a sweep can be planned from the listing alone.
+    """
+    from repro.scenarios.faults import victims_of
+    from repro.scenarios.spec import STORE_KV
+
+    notes = []
+    crashy = any(
+        victims_of(phase.faults, scenario.num_processes)
+        for phase in scenario.phases
+    )
+    if crashy:
+        notes.append("crash faults dropped on crash-stop")
+    if scenario.store == STORE_KV:
+        notes.append(f"kv store ({scenario.num_shards} shards)")
+    if scenario.capture_trace:
+        notes.append("captures full trace")
+    return "; ".join(notes) if notes else "runs on every protocol"
+
+
+def format_scenario_list() -> str:
+    """The ``repro soak --list`` table."""
+    from repro.scenarios.library import list_scenarios
+
+    header = (
+        f"{'scenario':<20} {'store':<8} {'phases':>6} {'default ops':>11} "
+        f"{'quick ops':>9}  {'notes':<38}  description"
+    )
+    lines = [header, "-" * 132]
+    for scenario in list_scenarios():
+        description = " ".join(scenario.description.split())
+        lines.append(
+            f"{scenario.name:<20} {scenario.store:<8} "
+            f"{len(scenario.phases):>6} {scenario.default_ops:>11} "
+            f"{scenario.quick_ops:>9}  "
+            f"{scenario_notes(scenario):<38}  {description}"
+        )
+    lines.append("")
+    lines.append(
+        "run one with: python -m repro soak <scenario> "
+        "[--seed N] [--ops N] [--protocol P]"
+    )
+    lines.append(
+        "sweep many with: python -m repro fleet --scenarios A,B "
+        "--seeds 0..9 --workers N"
+    )
+    return "\n".join(lines)
+
+
+def _run_named(args: argparse.Namespace) -> ScenarioResult:
+    """Run ``args.scenario`` in this process, flight recorder kept.
+
+    :func:`~repro.scenarios.pool.resolve_spec` pins the defaults and
+    the ``--quick`` budget exactly as it does for a fleet run, so one
+    named run and its fleet twin are the same run.
+    """
+    from repro.scenarios.library import get_scenario
+    from repro.scenarios.pool import RunSpec, resolve_spec
+    from repro.scenarios.runner import run_scenario
+
+    spec = resolve_spec(
+        RunSpec(
+            args.scenario,
+            protocol=args.protocol,
+            seed=args.seed,
+            ops=args.ops,
+            quick=args.quick,
+        )
+    )
+    return run_scenario(
+        get_scenario(spec.scenario),
+        protocol=spec.protocol,
+        seed=spec.seed,
+        ops=spec.ops,
     )
 
 
 def _cmd_soak(args: argparse.Namespace) -> str:
-    from repro.scenarios.soak import (
-        format_scenario_list,
-        format_soak_results,
-        run_soak,
-        run_soak_suite,
-    )
+    from repro.scenarios.fleet import build_fleet_specs, run_fleet
 
-    if getattr(args, "list", False):
+    if args.list:
         return format_scenario_list()
-    scenario = getattr(args, "scenario", None)
-    if scenario is None:
-        # Bare ``repro soak`` (and ``repro all``) smoke the whole
-        # library at quick budgets; ``--ops`` sets one explicit budget
-        # for every scenario instead.  ``--workers N`` shards the
-        # sweep across a process pool (same results, same order).
-        ops = getattr(args, "ops", None)
-        workers = getattr(args, "workers", None)
-        results = run_soak_suite(
-            protocol=getattr(args, "protocol", None),
-            seed=getattr(args, "seed", None),
-            ops=ops,
-            workers=workers,
-        )
-        budgets = (
-            f"{ops}-op budgets" if ops is not None else "quick smoke budgets"
-        )
-        sharding = (
-            f"; {workers} workers" if workers is not None and workers > 1
-            else ""
-        )
-        return (
-            f"Scenario suite ({budgets}{sharding}; see docs/scenarios.md)\n\n"
-            + format_soak_results(results)
-        )
-    return _run_named_soak(args, scenario).summary()
+    if args.scenario is not None:
+        return _run_named(args).summary()
+    # Bare ``repro soak`` (and ``repro all``) is a one-seed fleet over
+    # the whole library at quick budgets; ``--ops`` sets one explicit
+    # budget for every scenario instead.  ``--workers N`` sizes the
+    # pool (one worker by default; same results, same order).
+    specs = build_fleet_specs(
+        seeds=[args.seed],
+        protocols=None if args.protocol is None else [args.protocol],
+        ops=args.ops,
+        quick=args.ops is None,
+    )
+    workers = 1 if args.workers is None else args.workers
+    results = run_fleet(specs, workers=workers).results
+    budgets = (
+        f"{args.ops}-op budgets" if args.ops is not None
+        else "quick smoke budgets"
+    )
+    sharding = f"; {workers} workers" if workers > 1 else ""
+    return (
+        f"Scenario suite ({budgets}{sharding}; see docs/scenarios.md)\n\n"
+        + format_soak_results(results)
+    )
 
 
 def _cmd_fleet(args: argparse.Namespace) -> str:
-    import sys as _sys
-
     from repro.scenarios.fleet import build_fleet_specs, parse_int_list, run_fleet
-    from repro.scenarios.soak import format_soak_results
 
-    scenarios = (
-        [name for name in args.scenarios.split(",") if name]
-        if getattr(args, "scenarios", None)
-        else None
-    )
-    if getattr(args, "seeds", None):
-        seeds = parse_int_list(args.seeds, "seed")
-    elif getattr(args, "seed", None) is not None:
-        seeds = [args.seed]
-    else:
-        seeds = [None]
-    protocols = (
-        [name for name in args.protocols.split(",") if name]
-        if getattr(args, "protocols", None)
-        else None
-    )
+    def names(text: Optional[str]) -> Optional[List[str]]:
+        return [name for name in text.split(",") if name] if text else None
+
     specs = build_fleet_specs(
-        scenarios=scenarios,
-        seeds=seeds,
-        protocols=protocols,
-        ops=getattr(args, "ops", None),
-        quick=getattr(args, "quick", False),
+        scenarios=names(args.scenarios),
+        seeds=(
+            parse_int_list(args.seeds, "seed") if args.seeds else [args.seed]
+        ),
+        protocols=names(args.protocols),
+        ops=args.ops,
+        quick=args.quick,
     )
 
     def stream(finished: int, total: int, spec, result) -> None:
@@ -292,15 +388,15 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
             f"[{finished}/{total}] {spec.label()}: "
             f"{'PASS' if result.verdict else 'FAIL'} "
             f"({result.completed} ops, {result.wall_s:.2f}s)",
-            file=_sys.stderr,
+            file=sys.stderr,
             flush=True,
         )
 
     report = run_fleet(
         specs,
-        workers=getattr(args, "workers", None),
-        parity=getattr(args, "parity", "canary"),
-        timeout=getattr(args, "timeout", None),
+        workers=args.workers,
+        parity=args.parity,
+        timeout=args.timeout,
         on_result=stream,
     )
     return (
@@ -315,37 +411,33 @@ def _cmd_trace(args: argparse.Namespace) -> str:
     import json
     from pathlib import Path
 
-    from repro.scenarios.soak import format_scenario_list
-
-    scenario = getattr(args, "scenario", None)
-    if scenario is None:
+    if args.scenario is None:
         return (
             "repro trace <scenario>: run a scenario, export its "
             "flight-recorder ring (see docs/observability.md)\n\n"
             + format_scenario_list()
         )
-    result = _run_named_soak(args, scenario)
+    result = _run_named(args)
     ring = result.flight_recorder
     if ring is None:
         return result.summary() + (
             "\n\nthe run kept no flight recorder (ring disabled)"
         )
-    fmt = getattr(args, "format", "chrome")
+    fmt, output = args.format, args.output
     if fmt == "text":
         payload = "\n".join(
             f"{event.time:12.6f}  {event.kind:<14} p{event.pid}"
             + (f"  {event.op}" if event.op is not None else "")
             for event in ring.events()
         )
-        output = getattr(args, "output", None)
         if output is None:
             return result.summary() + "\n\n" + payload
     elif fmt == "jsonl":
         payload = ring.to_jsonl()
-        output = getattr(args, "output", None) or f"TRACE_{scenario}.jsonl"
+        output = output or f"TRACE_{args.scenario}.jsonl"
     else:
         payload = json.dumps(ring.to_chrome_trace()) + "\n"
-        output = getattr(args, "output", None) or f"TRACE_{scenario}.json"
+        output = output or f"TRACE_{args.scenario}.json"
     Path(output).write_text(
         payload if payload.endswith("\n") or not payload else payload + "\n"
     )
@@ -361,7 +453,11 @@ def _cmd_trace(args: argparse.Namespace) -> str:
 
 
 def _format_metrics_dict(metrics: Dict[str, object]) -> str:
-    """Align a :meth:`MetricsSnapshot.as_dict` payload for the CLI."""
+    """Align a :meth:`MetricsSnapshot.as_dict` payload for the CLI.
+
+    A histogram nothing observed (no recovery in a crash-free run) has
+    no quantiles; it renders as ``count=0``.
+    """
     scalars = dict(metrics.get("scalars", {}))
     hists = dict(metrics.get("histograms", {}))
     if not scalars and not hists:
@@ -374,6 +470,9 @@ def _format_metrics_dict(metrics: Dict[str, object]) -> str:
         text = f"{value:,.0f}" if float(value).is_integer() else f"{value:,.6g}"
         lines.append(f"  {name:<{width}}  {text:>14}")
     for name, hist in sorted(hists.items()):
+        if not hist["count"]:
+            lines.append(f"  {name:<{width}}  count=0")
+            continue
         lines.append(
             f"  {name:<{width}}  count={hist['count']:,} "
             f"mean={hist['mean'] * 1e6:,.0f}us p50={hist['p50'] * 1e6:,.0f}us "
@@ -383,16 +482,13 @@ def _format_metrics_dict(metrics: Dict[str, object]) -> str:
 
 
 def _cmd_stats(args: argparse.Namespace) -> str:
-    from repro.scenarios.soak import format_scenario_list
-
-    scenario = getattr(args, "scenario", None)
-    if scenario is None:
+    if args.scenario is None:
         return (
             "repro stats <scenario>: run a scenario, report its metrics "
             "registry (see docs/observability.md)\n\n"
             + format_scenario_list()
         )
-    result = _run_named_soak(args, scenario)
+    result = _run_named(args)
     sections = [result.summary(), "", "final metrics:",
                 _format_metrics_dict(result.metrics or {})]
     for phase in result.phases:
@@ -407,60 +503,237 @@ def _cmd_lint(args: argparse.Namespace) -> str:
 
     from repro.lint import LintError, lint_paths, lint_tree
 
-    rules = getattr(args, "rule", None) or None
-    check_stale = getattr(args, "check_stale", False)
-    paths = getattr(args, "paths", None)
+    rules = args.rule or None
     try:
-        if paths:
+        if args.paths:
             report = lint_paths(
-                [Path(p) for p in paths],
+                [Path(p) for p in args.paths],
                 rule_ids=rules,
-                check_stale=check_stale,
+                check_stale=args.check_stale,
             )
         else:
-            report = lint_tree(rule_ids=rules, check_stale=check_stale)
+            report = lint_tree(rule_ids=rules, check_stale=args.check_stale)
     except LintError as exc:
         raise CommandFailed(f"repro lint: error: {exc}")
     text = (
-        report.format_json()
-        if getattr(args, "format", "text") == "json"
-        else report.format_text()
+        report.format_json() if args.format == "json" else report.format_text()
     )
     if not report.clean:
         raise CommandFailed(text)
     return text
 
 
-COMMANDS: Dict[str, Callable[[argparse.Namespace], str]] = {
-    "figure6-top": _cmd_figure6_top,
-    "figure6-bottom": _cmd_figure6_bottom,
-    "figure1": _cmd_figure1,
-    "lower-bounds": _cmd_lower_bounds,
-    "log-complexity": _cmd_log_complexity,
-    "message-complexity": _cmd_complexity,
-    "ablations": _cmd_ablations,
-    "weaker-memory": _cmd_weaker_memory,
-    "show-run": _cmd_show_run,
-    "soak": _cmd_soak,
-    "fleet": _cmd_fleet,
-    "trace": _cmd_trace,
-    "stats": _cmd_stats,
-    "lint": _cmd_lint,
+# -- the command table -------------------------------------------------------
+
+#: One ``add_argument`` call: its flags and its keyword options.
+Arg = Tuple[Tuple[str, ...], Dict[str, object]]
+
+
+def _arg(*flags: str, **options: object) -> Arg:
+    return flags, options
+
+
+#: The two scale flags ``repro all`` hands on (with its own values) to
+#: every command that declares them; every other command rejects them.
+REPEATS = _arg(
+    "--repeats", type=int, default=50,
+    help="operations per data point (default: 50)",
+)
+OPERATIONS = _arg(
+    "--operations", type=int, default=30,
+    help="operations per workload (default: 30)",
+)
+
+
+def _scenario_args(omitted: str, quick: str = "") -> Tuple[Arg, ...]:
+    """The flags naming one library run, shared by soak, trace and stats."""
+    return (
+        _arg(
+            "scenario", nargs="?", default=None,
+            help=f"scenario name (omit to {omitted})",
+        ),
+        _arg(
+            "--quick", action="store_true",
+            help="trim the operation budget to the CI smoke size" + quick,
+        ),
+        _arg(
+            "--ops", type=int, default=None,
+            help="override the scenario's total operation budget",
+        ),
+        _arg(
+            "--protocol", default=None,
+            help="override the scenario's default register protocol",
+        ),
+    )
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: how :func:`build_parser` registers it, what runs.
+
+    ``in_all`` is false for the commands ``repro all`` skips: the
+    flight-recorder diagnostics want an explicit scenario, the fleet
+    spawns a process pool sized to the machine, and the linter is a
+    static check with its own exit-status contract, not an experiment.
+    ``seeded`` is false only for the linter, which takes no ``--seed``
+    and prints no seed line.
+    """
+
+    name: str
+    help: str
+    handler: Callable[[argparse.Namespace], str]
+    arguments: Tuple[Arg, ...] = ()
+    in_all: bool = True
+    seeded: bool = True
+
+
+COMMANDS: Dict[str, Command] = {
+    command.name: command
+    for command in (
+        Command("figure6-top", "regenerate figure6-top", _cmd_figure6_top,
+                (REPEATS,)),
+        Command("figure6-bottom", "regenerate figure6-bottom",
+                _cmd_figure6_bottom, (REPEATS,)),
+        Command("figure1", "regenerate figure1", _cmd_figure1),
+        Command("lower-bounds", "regenerate lower-bounds", _cmd_lower_bounds),
+        Command("log-complexity", "regenerate log-complexity",
+                _cmd_log_complexity, (OPERATIONS,)),
+        Command("message-complexity", "regenerate message-complexity",
+                _cmd_complexity),
+        Command("ablations", "regenerate ablations", _cmd_ablations),
+        Command("weaker-memory", "regenerate weaker-memory",
+                _cmd_weaker_memory, (REPEATS,)),
+        Command("show-run", "regenerate show-run", _cmd_show_run),
+        Command(
+            "soak", "run fault/workload scenarios (see repro soak --list)",
+            _cmd_soak,
+            _scenario_args(
+                "smoke the whole library",
+                quick=" (the whole-suite run is always smoke-sized unless "
+                "--ops sets an explicit budget)",
+            ) + (
+                _arg(
+                    "--list", action="store_true",
+                    help="list the registered scenarios and exit",
+                ),
+                _arg(
+                    "--workers", type=int, default=None,
+                    help="pool size for the whole-suite sweep (default: "
+                    "1; ignored when a single scenario is named; results "
+                    "and fingerprints match the serial path)",
+                ),
+            ),
+        ),
+        Command(
+            "fleet",
+            "sweep seeds x scenarios x protocols across a process pool "
+            "(see docs/scenarios.md)",
+            _cmd_fleet,
+            (
+                _arg(
+                    "--scenarios", default=None,
+                    help="comma-separated scenario names (default: the "
+                    "whole library; see repro soak --list)",
+                ),
+                _arg(
+                    "--seeds", default=None,
+                    help="seed sweep, e.g. 0..9 or 0,3,7 (default: --seed, "
+                    "else each scenario's default seed)",
+                ),
+                _arg(
+                    "--protocols", default=None,
+                    help="comma-separated protocols to cross with every "
+                    "scenario (default: each scenario's default)",
+                ),
+                _arg(
+                    "--ops", type=int, default=None,
+                    help="operation budget per run (default: scenario "
+                    "defaults, or smoke budgets with --quick)",
+                ),
+                _arg(
+                    "--quick", action="store_true",
+                    help="trim every run to its CI smoke budget",
+                ),
+                _arg(
+                    "--workers", type=int, default=None,
+                    help="pool size (default: the machine's core count)",
+                ),
+                _arg(
+                    "--parity", choices=("canary", "full", "off"),
+                    default="canary",
+                    help="serial re-execution to assert pool fingerprints "
+                    "byte-identical: one trimmed canary (default), every "
+                    "run, or off",
+                ),
+                _arg(
+                    "--timeout", type=float, default=None,
+                    help="hard wall-clock deadline in seconds for the "
+                    "whole fleet (a deadlocked pool fails fast instead of "
+                    "hanging)",
+                ),
+            ),
+            in_all=False,
+        ),
+        Command(
+            "trace",
+            "run a scenario, export its flight-recorder ring "
+            "(docs/observability.md)",
+            _cmd_trace,
+            _scenario_args("list the library") + (
+                _arg(
+                    "--format", choices=("chrome", "jsonl", "text"),
+                    default="chrome",
+                    help="export format: Chrome trace_event JSON (load in "
+                    "chrome://tracing or Perfetto), JSONL, or plain text "
+                    "(default: chrome)",
+                ),
+                _arg(
+                    "--output", default=None,
+                    help="output path (default: TRACE_<scenario>.json/"
+                    ".jsonl; text prints to stdout)",
+                ),
+            ),
+            in_all=False,
+        ),
+        Command(
+            "stats",
+            "run a scenario, report its metrics registry "
+            "(docs/observability.md)",
+            _cmd_stats,
+            _scenario_args("list the library"),
+            in_all=False,
+        ),
+        Command(
+            "lint",
+            "statically check determinism & contract invariants; exits "
+            "nonzero on findings (docs/determinism.md)",
+            _cmd_lint,
+            (
+                _arg(
+                    "paths", nargs="*", default=None,
+                    help="files to lint (default: every module under "
+                    "src/repro)",
+                ),
+                _arg(
+                    "--format", choices=("text", "json"), default="text",
+                    help="report format (default: text)",
+                ),
+                _arg(
+                    "--rule", action="append", default=None, metavar="ID",
+                    help="check only this rule id (repeatable; default: "
+                    "every registered rule)",
+                ),
+                _arg(
+                    "--check-stale", dest="check_stale", action="store_true",
+                    help="also report reasoned suppressions whose rule no "
+                    "longer fires on that line (LINT002)",
+                ),
+            ),
+            in_all=False,
+            seeded=False,
+        ),
+    )
 }
-
-#: Subcommands ``repro all`` skips: the flight-recorder diagnostics
-#: want an explicit scenario, the fleet spawns a process pool sized to
-#: the machine, and the linter is a static check with its own
-#: exit-status contract, not an experiment -- run them deliberately
-#: (``repro trace`` / ``repro stats`` / ``repro fleet`` / ``repro
-#: lint``).
-SKIPPED_BY_ALL = frozenset({"trace", "stats", "fleet", "lint"})
-
-#: The figure subcommands whose handler reads ``--repeats`` /
-#: ``--operations``; every other subcommand rejects the flag.  ``repro
-#: all`` registers both itself and hands them to every handler.
-READS_REPEATS = frozenset({"figure6-top", "figure6-bottom", "weaker-memory"})
-READS_OPERATIONS = frozenset({"log-complexity"})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -471,9 +744,9 @@ def build_parser() -> argparse.ArgumentParser:
             "Memory in a Crash-Recovery Model' (Guerraoui & Levy, ICDCS 2004)"
         ),
     )
-    # Every subcommand shares the same seed flag with the same default
-    # (None = the command's documented per-run seeds) and the same
-    # reporting (the "seed:" line run() prepends).
+    # Every seeded subcommand shares the same seed flag with the same
+    # default (None = the command's documented per-run seeds) and the
+    # same reporting (the "seed:" line run() prepends).
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--seed", type=int, default=None,
@@ -481,172 +754,14 @@ def build_parser() -> argparse.ArgumentParser:
         "documented per-run seeds",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        if name == "soak":
-            sub = subparsers.add_parser(
-                name,
-                parents=[common],
-                help="run fault/workload scenarios (see repro soak --list)",
-            )
-            sub.add_argument(
-                "scenario", nargs="?", default=None,
-                help="scenario name (omit to smoke the whole library)",
-            )
-            sub.add_argument(
-                "--list", action="store_true",
-                help="list the registered scenarios and exit",
-            )
-            sub.add_argument(
-                "--quick", action="store_true",
-                help="trim the operation budget to the CI smoke size "
-                "(the whole-suite run is always smoke-sized unless "
-                "--ops sets an explicit budget)",
-            )
-            sub.add_argument(
-                "--ops", type=int, default=None,
-                help="override the scenario's total operation budget",
-            )
-            sub.add_argument(
-                "--protocol", default=None,
-                help="override the scenario's default register protocol",
-            )
-            sub.add_argument(
-                "--workers", type=int, default=None,
-                help="shard the whole-suite sweep across N pool workers "
-                "(ignored when a single scenario is named; results and "
-                "fingerprints match the serial path)",
-            )
-            continue
-        if name == "fleet":
-            sub = subparsers.add_parser(
-                name,
-                parents=[common],
-                help="sweep seeds x scenarios x protocols across a "
-                "process pool (see docs/scenarios.md)",
-            )
-            sub.add_argument(
-                "--scenarios", default=None,
-                help="comma-separated scenario names (default: the whole "
-                "library; see repro soak --list)",
-            )
-            sub.add_argument(
-                "--seeds", default=None,
-                help="seed sweep, e.g. 0..9 or 0,3,7 (default: --seed, "
-                "else each scenario's default seed)",
-            )
-            sub.add_argument(
-                "--protocols", default=None,
-                help="comma-separated protocols to cross with every "
-                "scenario (default: each scenario's default)",
-            )
-            sub.add_argument(
-                "--ops", type=int, default=None,
-                help="operation budget per run (default: scenario "
-                "defaults, or smoke budgets with --quick)",
-            )
-            sub.add_argument(
-                "--quick", action="store_true",
-                help="trim every run to its CI smoke budget",
-            )
-            sub.add_argument(
-                "--workers", type=int, default=None,
-                help="pool size (default: the machine's core count)",
-            )
-            sub.add_argument(
-                "--parity", choices=("canary", "full", "off"),
-                default="canary",
-                help="serial re-execution to assert pool fingerprints "
-                "byte-identical: one trimmed canary (default), every "
-                "run, or off",
-            )
-            sub.add_argument(
-                "--timeout", type=float, default=None,
-                help="hard wall-clock deadline in seconds for the whole "
-                "fleet (a deadlocked pool fails fast instead of hanging)",
-            )
-            continue
-        if name in ("trace", "stats"):
-            what = (
-                "export its flight-recorder ring"
-                if name == "trace"
-                else "report its metrics registry"
-            )
-            sub = subparsers.add_parser(
-                name, parents=[common],
-                help=f"run a scenario, {what} (docs/observability.md)",
-            )
-            sub.add_argument(
-                "scenario", nargs="?", default=None,
-                help="scenario name (omit to list the library)",
-            )
-            sub.add_argument(
-                "--quick", action="store_true",
-                help="trim the operation budget to the CI smoke size",
-            )
-            sub.add_argument(
-                "--ops", type=int, default=None,
-                help="override the scenario's total operation budget",
-            )
-            sub.add_argument(
-                "--protocol", default=None,
-                help="override the scenario's default register protocol",
-            )
-            if name == "trace":
-                sub.add_argument(
-                    "--format", choices=("chrome", "jsonl", "text"),
-                    default="chrome",
-                    help="export format: Chrome trace_event JSON (load in "
-                    "chrome://tracing or Perfetto), JSONL, or plain text "
-                    "(default: chrome)",
-                )
-                sub.add_argument(
-                    "--output", default=None,
-                    help="output path (default: TRACE_<scenario>.json/.jsonl; "
-                    "text prints to stdout)",
-                )
-            continue
-        if name == "lint":
-            # No ``common`` parent: the linter is static analysis and
-            # takes no seed; run() skips the seed line for it too.
-            sub = subparsers.add_parser(
-                name,
-                help="statically check determinism & contract "
-                "invariants; exits nonzero on findings "
-                "(docs/determinism.md)",
-            )
-            sub.add_argument(
-                "paths", nargs="*", default=None,
-                help="files to lint (default: every module under "
-                "src/repro)",
-            )
-            sub.add_argument(
-                "--format", choices=("text", "json"), default="text",
-                help="report format (default: text)",
-            )
-            sub.add_argument(
-                "--rule", action="append", default=None, metavar="ID",
-                help="check only this rule id (repeatable; default: "
-                "every registered rule)",
-            )
-            sub.add_argument(
-                "--check-stale", dest="check_stale", action="store_true",
-                help="also report reasoned suppressions whose rule no "
-                "longer fires on that line (LINT002)",
-            )
-            continue
+    for command in COMMANDS.values():
         sub = subparsers.add_parser(
-            name, parents=[common], help=f"regenerate {name}"
+            command.name,
+            parents=[common] if command.seeded else [],
+            help=command.help,
         )
-        if name in READS_REPEATS:
-            sub.add_argument(
-                "--repeats", type=int, default=50,
-                help="operations per data point (default: 50)",
-            )
-        if name in READS_OPERATIONS:
-            sub.add_argument(
-                "--operations", type=int, default=30,
-                help="operations per workload (default: 30)",
-            )
+        for flags, options in command.arguments:
+            sub.add_argument(*flags, **options)
     all_cmd = subparsers.add_parser(
         "all", parents=[common], help="run every experiment"
     )
@@ -655,25 +770,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_all(parser: argparse.ArgumentParser, args: argparse.Namespace) -> str:
+    """``repro all``: every ``in_all`` command, each from its own argv.
+
+    ``--seed`` goes to every command, ``--repeats``/``--operations``
+    to those that declare the flag, so each handler reads exactly the
+    namespace its own command line would give it.
+    """
+    handed_on = {"--repeats": args.repeats, "--operations": args.operations}
+    seed = [] if args.seed is None else ["--seed", str(args.seed)]
+    sections = [seed_report(args)]
+    for command in COMMANDS.values():
+        if not command.in_all:
+            continue
+        argv = [command.name, *seed]
+        for flags, _ in command.arguments:
+            if flags[0] in handed_on:
+                argv += [flags[0], str(handed_on[flags[0]])]
+        sections += ["=" * 72, f"== {command.name}", "=" * 72,
+                     command.handler(parser.parse_args(argv)), ""]
+    return "\n".join(sections)
+
+
 def run(argv: Optional[List[str]] = None) -> str:
     """Execute the CLI and return the produced text (for tests)."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "all":
-        sections = [seed_report(args)]
-        for name, command in COMMANDS.items():
-            if name in SKIPPED_BY_ALL:
-                continue
-            sections.append("=" * 72)
-            sections.append(f"== {name}")
-            sections.append("=" * 72)
-            sections.append(command(args))
-            sections.append("")
-        return "\n".join(sections)
-    if args.command == "lint":
+        return _run_all(parser, args)
+    command = COMMANDS[args.command]
+    if not command.seeded:
         # No seed line: lint output must stay machine-parseable
         # (--format json) and seeds are meaningless to static checks.
-        return COMMANDS[args.command](args)
-    return seed_report(args) + "\n\n" + COMMANDS[args.command](args)
+        return command.handler(args)
+    return seed_report(args) + "\n\n" + command.handler(args)
 
 
 def main() -> int:
@@ -682,6 +812,11 @@ def main() -> int:
     except CommandFailed as failed:
         print(failed.output)
         return 1
+    except ConfigurationError as error:
+        # An input the command cannot run is the caller's mistake, not
+        # a crash: one line and argparse's usage-error status.
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -45,7 +45,6 @@ FINGERPRINT_SCOPE = frozenset(
         "src/repro/scenarios/runner.py",
         "src/repro/scenarios/spec.py",
         "src/repro/scenarios/library.py",
-        "src/repro/scenarios/soak.py",
         "src/repro/scenarios/fleet.py",
         "src/repro/obs/tracing.py",
         "src/repro/obs/ring.py",

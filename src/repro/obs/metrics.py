@@ -115,24 +115,7 @@ class Histogram:
 
     def quantile(self, q: float) -> Optional[float]:
         """Estimated ``q``-th percentile (0..100) from bucket counts."""
-        if self.total == 0:
-            return None
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
-        target = self.total * (q / 100.0)
-        cumulative = 0
-        for index, count in enumerate(self.counts):
-            if count == 0:
-                continue
-            if cumulative + count >= target:
-                lower = self.bounds[index - 1] if index > 0 else 0.0
-                upper = (self.bounds[index] if index < len(self.bounds)
-                         else (self.maximum or lower))
-                upper = max(upper, lower)
-                fraction = (target - cumulative) / count
-                return lower + (upper - lower) * fraction
-            cumulative += count
-        return self.maximum
+        return self.snapshot().quantile(q)
 
     def snapshot(self) -> "HistogramSnapshot":
         return HistogramSnapshot(
@@ -165,11 +148,19 @@ class HistogramSnapshot:
     maximum: Optional[float]
 
     def quantile(self, q: float) -> Optional[float]:
-        """Same bucket-interpolating estimate as the live histogram."""
+        """Estimated ``q``-th percentile (0..100) from bucket counts.
+
+        Linear interpolation inside the winning bucket, clamped into
+        ``[minimum, maximum]``: the buckets are powers of two, so an
+        unclamped estimate can land outside every observed value.
+        """
         if self.total == 0:
             return None
+        if not 0.0 <= q <= 100.0:
+            raise ValueError(f"percentile must be in [0, 100], got {q}")
         target = self.total * (q / 100.0)
         cumulative = 0
+        estimate = self.maximum
         for index, count in enumerate(self.counts):
             if count == 0:
                 continue
@@ -179,9 +170,10 @@ class HistogramSnapshot:
                          else (self.maximum or lower))
                 upper = max(upper, lower)
                 fraction = (target - cumulative) / count
-                return lower + (upper - lower) * fraction
+                estimate = lower + (upper - lower) * fraction
+                break
             cumulative += count
-        return self.maximum
+        return min(max(estimate, self.minimum), self.maximum)
 
     def diff(self, earlier: "HistogramSnapshot") -> "HistogramSnapshot":
         if earlier.bounds != self.bounds:

@@ -24,9 +24,9 @@ any spec and returns a :class:`~repro.scenarios.runner.ScenarioResult`
 whose ``fingerprint()`` is identical across same-seed runs;
 :data:`~repro.scenarios.library.SCENARIOS` is the named library
 (steady-state through the 100k-operation soak) behind the
-``repro soak`` CLI; :mod:`repro.scenarios.soak` renders its verdict
-table; and :func:`~repro.scenarios.fleet.run_fleet` (``repro fleet``)
-shards a seeds x scenarios x protocols sweep across a spawn-safe pool
+``repro soak`` CLI; and :func:`~repro.scenarios.fleet.run_fleet`
+(``repro fleet``, and bare ``repro soak`` as a one-seed fleet) shards
+a seeds x scenarios x protocols sweep across a spawn-safe pool
 (:mod:`repro.scenarios.pool`), merging the runs into one
 :class:`~repro.scenarios.fleet.FleetReport` whose per-run fingerprints
 are asserted byte-identical to the serial path.

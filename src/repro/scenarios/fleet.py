@@ -40,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.obs.metrics import MetricsSnapshot, merge_snapshots
-from repro.scenarios.library import list_scenarios
+from repro.scenarios.library import get_scenario, list_scenarios
 from repro.scenarios.pool import (
     RunSpec,
     execute_spec,
@@ -262,14 +262,9 @@ def _canary_spec(specs: Sequence[RunSpec]) -> RunSpec:
     environment (import path, RNG isolation, renumbering) reproduces
     the serial path without re-paying a full soak.
     """
-    from repro.scenarios.library import get_scenario
-    from repro.scenarios.soak import quick_ops_for
-
     smallest = min(specs, key=lambda spec: spec.ops or 0)
-    scenario = get_scenario(smallest.scenario)
-    return replace(
-        smallest, ops=min(smallest.ops or 0, quick_ops_for(scenario))
-    )
+    quick_ops = get_scenario(smallest.scenario).quick_ops
+    return replace(smallest, ops=min(smallest.ops or 0, quick_ops))
 
 
 def _assert_parity(spec: RunSpec, pooled: ScenarioResult) -> None:

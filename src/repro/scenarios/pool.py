@@ -111,12 +111,7 @@ def resolve_spec(spec: RunSpec) -> RunSpec:
     scenario = get_scenario(spec.scenario)
     ops = spec.ops
     if ops is None:
-        if spec.quick:
-            from repro.scenarios.soak import quick_ops_for
-
-            ops = quick_ops_for(scenario)
-        else:
-            ops = scenario.default_ops
+        ops = scenario.quick_ops if spec.quick else scenario.default_ops
     if ops < len(scenario.phases):
         raise ConfigurationError(
             f"spec {spec.label()!r} needs >= {len(scenario.phases)} operations"

@@ -34,6 +34,9 @@ STORE_REGISTER = "register"
 STORE_KV = "kv"
 STORES = (STORE_REGISTER, STORE_KV)
 
+#: Operation budget per scenario under ``--quick`` (CI smoke sizing).
+QUICK_OPS = 150
+
 
 @dataclass(frozen=True)
 class WorkloadPhase:
@@ -99,6 +102,11 @@ class Scenario:
             raise ConfigurationError("num_processes must be >= 1")
         if self.default_ops < 1:
             raise ConfigurationError("default_ops must be >= 1")
+
+    @property
+    def quick_ops(self) -> int:
+        """The trimmed budget ``--quick`` runs this scenario with."""
+        return min(self.default_ops, max(QUICK_OPS, len(self.phases)))
 
     @property
     def backend(self) -> str:

@@ -14,8 +14,7 @@ import json
 import pytest
 
 from repro import cli
-from repro.scenarios import get_scenario, run_scenario
-from repro.scenarios.soak import quick_ops_for
+from repro.scenarios import get_scenario, list_scenarios, run_scenario
 
 #: Small budgets keep the suite quick; every scenario still exercises
 #: its faults (fault times sit inside even a trimmed first phase).
@@ -273,7 +272,58 @@ def test_cli_soak_runs_one_scenario():
 
 def test_cli_soak_quick_scenario_budget():
     out = cli.run(["soak", "soak-100k", "--quick"])
-    quick = quick_ops_for(get_scenario("soak-100k"))
+    quick = get_scenario("soak-100k").quick_ops
     assert quick < 100_000
     assert "scenario soak-100k (" in out and "): PASS" in out
     assert f"unissued of {quick}\n" in out
+
+
+# -- the observability commands: repro stats / repro trace ---------------------
+
+
+@pytest.mark.parametrize("command", ["stats", "trace"])
+def test_cli_observability_commands_list_the_library(command):
+    out = cli.run([command])
+    assert f"repro {command} <scenario>:" in out
+    for scenario in list_scenarios():
+        assert scenario.name in out
+
+
+@pytest.mark.parametrize(
+    "name", ["steady-state", "rolling-crash", "kv-soak-100k"]
+)
+def test_cli_stats_reports_every_histogram(name):
+    # A histogram nothing observed (no recovery in steady-state) must
+    # render, not crash the report.
+    out = cli.run(["stats", name, "--quick"])
+    assert f"scenario {name} (" in out and "): PASS" in out
+    assert "final metrics:" in out
+    assert "op.write.latency" in out
+    if name == "steady-state":
+        line = next(
+            line for line in out.splitlines()
+            if line.split() and line.split()[0] == "node.recovery_time"
+        )
+        assert line.split()[1:] == ["count=0"]
+
+
+def test_cli_trace_text_prints_the_ring():
+    out = cli.run(["trace", "steady-state", "--quick", "--format", "text"])
+    assert "scenario steady-state (register, persistent, seed 0): PASS" in out
+    events = out.split("\n\n", 2)[2].splitlines()
+    assert len(events) == 6_993
+    assert events[0].split() == ["0.000000", "store_begin", "p0"]
+    assert "wrote" not in out
+
+
+def test_cli_trace_jsonl_writes_the_ring(tmp_path):
+    path = tmp_path / "ring.jsonl"
+    out = cli.run(
+        ["trace", "steady-state", "--quick", "--format", "jsonl",
+         "--output", str(path)]
+    )
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(records) == 6_993
+    assert records[0] == {"kind": "store_begin", "pid": 0, "t": 0.0}
+    assert "ring: 6,993 of 6,993 events retained (" in out
+    assert out.endswith(f"\nwrote {path} (jsonl)")

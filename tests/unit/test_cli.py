@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from repro.cli import COMMANDS, build_parser, run
+from repro.cli import COMMANDS, build_parser, main, run
 
 
 class TestParser:
@@ -124,3 +124,27 @@ EXPERIMENT_DIGESTS = [
 def test_experiment_output_is_pinned(argv, digest):
     text = run(argv)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["soak", "nosuch"], "unknown scenario 'nosuch'"),
+        (["trace", "nosuch"], "unknown scenario 'nosuch'"),
+        (["fleet", "--seeds", "5..1"], "bad seed range '5..1': 1 < 5"),
+        (["soak", "--quick", "--ops", "1"], "operations"),
+        (["soak", "--quick", "--workers", "0"], "workers must be >= 1, got 0"),
+        (["fleet", "--quick", "--workers", "0"],
+         "workers must be >= 1, got 0"),
+    ],
+    ids=["soak-unknown", "trace-unknown", "fleet-seeds", "soak-ops",
+         "soak-workers", "fleet-workers"],
+)
+def test_input_errors_end_in_one_line(monkeypatch, capsys, argv, message):
+    monkeypatch.setattr("sys.argv", ["repro", *argv])
+    assert main() == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("repro: error: ")
+    assert message in captured.err
+    assert captured.err.count("\n") == 1

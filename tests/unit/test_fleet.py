@@ -23,7 +23,6 @@ from repro.scenarios.fleet import (
 from repro.scenarios.library import get_scenario, list_scenarios
 from repro.scenarios.pool import RunSpec, resolve_spec
 from repro.scenarios.runner import ScenarioResult
-from repro.scenarios.soak import quick_ops_for
 
 
 class TestParseIntList:
@@ -55,7 +54,7 @@ class TestRunSpec:
 
     def test_resolve_quick_trims_budget(self):
         spec = resolve_spec(RunSpec(scenario="soak-100k", quick=True))
-        assert spec.ops == quick_ops_for(get_scenario("soak-100k"))
+        assert spec.ops == get_scenario("soak-100k").quick_ops
         assert not spec.quick  # resolution consumes the flag
 
     def test_explicit_fields_win(self):

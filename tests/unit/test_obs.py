@@ -76,6 +76,22 @@ class TestHistogram:
         with pytest.raises(ValueError):
             histogram.quantile(101.0)
 
+    def test_quantile_stays_inside_the_observed_range(self):
+        # Bucket edges are powers of two: without clamping, a p50 of a
+        # 441us-only histogram interpolates to 384us and a p99 of
+        # values under 604us reaches past 1ms.
+        histogram = Histogram("h")
+        histogram.observe(441e-6)
+        for q in (0.0, 50.0, 99.0, 100.0):
+            assert histogram.quantile(q) == 441e-6
+        for value in (500e-6, 603e-6):
+            histogram.observe(value)
+        snapshot = histogram.snapshot()
+        for q in (1.0, 50.0, 99.0):
+            assert 441e-6 <= snapshot.quantile(q) <= 603e-6
+            assert snapshot.quantile(q) == histogram.quantile(q)
+        assert snapshot.quantile(99.0) == 603e-6
+
     def test_overflow_bucket(self):
         histogram = Histogram("h", bounds=(1.0, 2.0))
         histogram.observe(50.0)

@@ -424,11 +424,7 @@ def test_scenario_list_plans_fleet_sweeps():
     # The --list table must carry enough to plan a fleet sweep without
     # reading library.py: quick budgets and per-protocol capability
     # notes for every scenario.
-    from repro.scenarios.soak import (
-        format_scenario_list,
-        quick_ops_for,
-        scenario_notes,
-    )
+    from repro.cli import format_scenario_list, scenario_notes
 
     listing = format_scenario_list()
     assert "quick ops" in listing
@@ -438,7 +434,7 @@ def test_scenario_list_plans_fleet_sweeps():
     assert "captures full trace" in listing
     assert "repro fleet" in listing
     for scenario in list_scenarios():
-        assert str(quick_ops_for(scenario)) in listing
+        assert str(scenario.quick_ops) in listing
     # Crash-carrying scenarios are flagged; fault-free ones are not.
     assert "crash" in scenario_notes(get_scenario("rolling-crash"))
     assert "crash" not in scenario_notes(get_scenario("steady-state"))

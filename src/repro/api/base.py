@@ -117,14 +117,25 @@ class Session:
 
     @property
     def ready(self) -> bool:
-        """Whether this session's process can accept an operation now.
+        """Whether this session's process can accept an operation on the
+        default register now: :meth:`ready_for` of ``None``."""
+        return self.ready_for(None)
 
-        ``False`` while the process is crashed, still recovering, or
-        (single-register backends) busy with an outstanding operation.
-        Backends that queue client-side (the KV store's shard
-        pipelines) are always ready.
+    def ready_for(self, key: Optional[str] = None) -> bool:
+        """Whether this session's process can accept an operation on
+        register ``key`` now.
+
+        ``False`` while the process is crashed or still recovering, or
+        while ``key`` has an operation in flight.  A key the process
+        does not host yet is ready with the process: the invocation
+        provisions it (on the simulator it then raises
+        :class:`~repro.common.errors.NotRecoveredError` until the new
+        register has booted, so preload keys there).  Backends that
+        queue client-side (the KV store's shard pipelines) are always
+        ready.
         """
-        raise NotImplementedError
+        node = self.cluster.nodes[self.pid]
+        return node.ready and not (node.has_register(key) and node.register_busy(key))
 
     def write(self, value: Any, key: Optional[str] = None) -> OpHandle:
         """Submit a write; returns its handle immediately."""

@@ -48,8 +48,7 @@ PRELOAD_POLL_STRIDE = 16
 class KVSession(Session):
     """A session over the store; ``pid=None`` lets the store route."""
 
-    @property
-    def ready(self) -> bool:
+    def ready_for(self, key: Optional[str] = None) -> bool:
         # Shard pipelines queue client-side and retry across crashes,
         # so a session can always accept the next operation.
         return True

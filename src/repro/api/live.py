@@ -37,8 +37,9 @@ from __future__ import annotations
 
 import tempfile
 import time
+from collections import deque
 from pathlib import Path
-from typing import Any, Callable, List, Optional, Set
+from typing import Any, Callable, Deque, List, Optional, Set
 
 from repro.api.base import Cluster, Session, register_node_metrics
 from repro.api.types import CRASH_INJECTION, ClusterStats, OpHandle
@@ -127,6 +128,17 @@ class LiveHandle(OpHandle):
         for callback in callbacks:
             callback(self)
 
+    def _finish(self, operation: NodeOperation) -> None:
+        """The node's operation settled: settle with its outcome."""
+        if operation.aborted:
+            self._settle(
+                error=ProcessCrashed(
+                    f"process {self.pid} crashed during {self.kind} {operation.op}"
+                )
+            )
+        else:
+            self._settle(operation.result)
+
     @property
     def latency(self) -> Optional[float]:
         """Submission-to-completion wall seconds."""
@@ -143,11 +155,6 @@ class LiveHandle(OpHandle):
 
 class LiveSession(Session):
     """A session pinned to one live node."""
-
-    @property
-    def ready(self) -> bool:
-        node = self.cluster.nodes[self.pid]
-        return node.ready and not node.register_busy(None)
 
     def write(self, value: Any, key: Optional[str] = None) -> LiveHandle:
         return self._observed(self.cluster.submit_op(self.pid, "write", value, key))
@@ -187,13 +194,20 @@ class LiveBackend(Cluster):
             self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-live-")
             storage_root = self._tmpdir.name
         self.storage_root = Path(storage_root)
-        self.recorder = HistoryRecorder(clock=self._clock)
+        # The live kernel's clock, read without a call through the backend.
+        self.recorder = HistoryRecorder(clock=time.monotonic)
         # One shared flight recorder over every node's transport, using
         # the sim trace's kind vocabulary so exports decode uniformly
         # across backends.
         self._flight_recorder = RingTrace(kinds=ALL_KINDS)
         self.nodes: List[RuntimeNode] = []
         self._registers: Set[str] = set()
+        # Handles whose op timeout may still fire, oldest first, so in
+        # deadline order: one kernel event at a time expires them all,
+        # where a cancellable timer per operation would cost four calls
+        # and a heap entry that outlives the operation by op_timeout.
+        self._expiring: Deque[LiveHandle] = deque()
+        self._expiry_armed = False
         self._kernel: Optional[Kernel] = None
         self._log: Optional[FileLog] = None
 
@@ -308,28 +322,30 @@ class LiveBackend(Cluster):
         except Exception as error:  # an outcome of the operation, like the others
             handle._settle(error=error)
             return handle
+        operation.add_callback(handle._finish)
+        expiring = self._expiring
+        while expiring and expiring[0].settled:
+            expiring.popleft()
+        expiring.append(handle)
+        if not self._expiry_armed:
+            self._expiry_armed = True
+            kernel.schedule(self.op_timeout, self._expire)
+        return handle
 
-        def expire() -> None:
-            handle._settle(
+    def _expire(self) -> None:
+        """Time out the handles past their deadline; re-arm for the next."""
+        expiring, timeout, now = self._expiring, self.op_timeout, time.monotonic()
+        while expiring and (expiring[0].settled or expiring[0]._submitted + timeout <= now):
+            handle = expiring.popleft()
+            handle._settle(  # a no-op on a settled handle
                 error=TimeoutError(
-                    f"{kind} at p{pid} did not settle within {self.op_timeout}s"
+                    f"{handle.kind} at p{handle.pid} did not settle within {timeout}s"
                 )
             )
-
-        def settle(operation: NodeOperation) -> None:
-            timer.cancel()
-            if operation.aborted:
-                handle._settle(
-                    error=ProcessCrashed(
-                        f"process {pid} crashed during {kind} {operation.op}"
-                    )
-                )
-            else:
-                handle._settle(operation.result)
-
-        timer = kernel.schedule_cancellable(self.op_timeout, expire)
-        operation.add_callback(settle)
-        return handle
+        if expiring:
+            self.kernel.schedule(expiring[0]._submitted + timeout - now, self._expire)
+        else:
+            self._expiry_armed = False
 
     # -- fault verbs -------------------------------------------------------
 

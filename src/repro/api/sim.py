@@ -49,14 +49,6 @@ from repro.sim.storage import SimStableStorage
 class SimSession(Session):
     """A session pinned to one simulated process."""
 
-    @property
-    def ready(self) -> bool:
-        node = self.cluster.nodes[self.pid]
-        if node.crashed or not node.ready:
-            return False
-        protocol = node.protocol
-        return not (protocol.busy if hasattr(protocol, "busy") else False)
-
     def write(self, value: Any, key: Optional[str] = None) -> NodeOperation:
         return self._observed(self._node(key).invoke_write(value, register=key))
 

@@ -43,6 +43,7 @@ one ``repro: error:`` line and exit status 2.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from typing import (
@@ -808,16 +809,24 @@ def run(argv: Optional[List[str]] = None) -> str:
 
 def main() -> int:
     try:
-        print(run(sys.argv[1:]))
-    except CommandFailed as failed:
-        print(failed.output)
-        return 1
+        try:
+            output, status = run(sys.argv[1:]), 0
+        except CommandFailed as failed:
+            output, status = failed.output, 1
+        print(output)
+        sys.stdout.flush()  # a reader gone early shows here, not at exit
     except ConfigurationError as error:
         # An input the command cannot run is the caller's mistake, not
         # a crash: one line and argparse's usage-error status.
         print(f"repro: error: {error}", file=sys.stderr)
         return 2
-    return 0
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head``): it has all it wanted.
+        # Point stdout at /dev/null, or the interpreter's flush of what
+        # is still buffered raises again at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -7,10 +7,9 @@ that differ between them are constructor arguments.  The clock:
 virtual by default, where :attr:`Kernel.now` jumps to the next event;
 live passes ``time.monotonic``, and a delay counts from a fresh read of
 it (between two verbs the last event's time can be seconds stale).  The
-I/O step: none on virtual time; live passes a poll over its sockets,
-which the loop runs whenever the heap's head is not due by the last
-poll's clock reading.  The error policy: a callback's exception raises
-through a simulated run; live reports it to ``on_error`` and runs on.
+I/O step: none on virtual time; live passes a poll over its sockets.
+The error policy: a callback's exception raises through a simulated
+run; live reports it to ``on_error`` and runs on.
 
 Events scheduled for the same instant fire in insertion order, and the
 only source of randomness is the seeded :class:`random.Random` the
@@ -29,12 +28,22 @@ that may be revoked -- pays for an :class:`EventHandle`; its heap entry
 is ``(time, seq, handle, None)``, distinguished by the ``None`` in the
 args slot (real argument tuples are never ``None``).  Cancellation is
 O(1): the handle flips a flag and the kernel skips the entry when it
-surfaces.  A live-event counter keeps :attr:`Kernel.pending_events`
-O(1), and the heap is compacted whenever cancelled entries outnumber
-live ones, so mass-cancelling timers cannot leak queue memory.  The one
-run loop takes one look at the heap per event -- shed a cancelled head,
-poll if it is not due, stop at the deadline, or pop and fire; compaction
-is in place because that loop holds the list.
+surfaces.  Counting the cancelled entries still in the heap keeps
+:attr:`Kernel.pending_events` O(1) (the rest are live), and the heap is
+compacted whenever cancelled entries outnumber live ones, so
+mass-cancelling timers cannot leak queue memory.
+
+Loop order.  The one run loop takes one look at the heap per event and
+does the first of: shed a cancelled head; fire the head if it is due by
+the last poll's clock reading (on virtual time every head is); run the
+next reader that poll found readable; poll.  A reader runs straight
+from the poll's result, never through the heap: it is due at the poll's
+reading, after everything that was due by then and before anything
+queued since, which lies later on the clock.  A poll that reaches the
+deadline returns at once, and the readers it found stay unread for the
+next run.  A reader counts as an event, for the budget and the
+predicate's stride.  Compaction is in place because the loop holds the
+heap's list.
 """
 
 from __future__ import annotations
@@ -112,7 +121,7 @@ class Kernel:
         self._queue: List[Tuple[float, int, Any, Any]] = []
         self._seq = itertools.count()
         self._events_processed = 0
-        self._live = 0
+        # Cancelled entries still in the heap; every other entry is live.
         self._cancelled = 0
 
     @property
@@ -123,7 +132,7 @@ class Kernel:
     @property
     def pending_events(self) -> int:
         """Number of scheduled, not-yet-fired, not-cancelled events."""
-        return self._live
+        return len(self._queue) - self._cancelled
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
         """Run ``callback(*args)`` after ``delay`` seconds.
@@ -137,7 +146,6 @@ class Kernel:
         clock = self.clock
         time = (self.now if clock is None else clock()) + delay
         heappush(self._queue, (time, next(self._seq), callback, args))
-        self._live += 1
 
     def schedule_cancellable(
         self, delay: float, callback: Callable[..., None], *args: Any
@@ -149,7 +157,6 @@ class Kernel:
         time = (self.now if clock is None else clock()) + delay
         handle = EventHandle(self, time, callback, args)
         heappush(self._queue, (time, next(self._seq), handle, None))
-        self._live += 1
         return handle
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
@@ -164,7 +171,7 @@ class Kernel:
         if until is not None and until < self.now:
             raise ValueError(f"cannot run back to {until} from {self.now}")
         self._run(lambda: False, max_events, until, sys.maxsize)
-        if until is not None and not self._live:
+        if until is not None and not self.pending_events:
             self.now = until
 
     def run_until(
@@ -217,47 +224,55 @@ class Kernel:
         # Entries due by ``polled`` fire without another look at the
         # I/O step: on virtual time that is all of them.
         polled = inf if io is None else -inf
+        # The last poll's readable (fd, event) pairs; those from ``at`` on
+        # are still to run.
+        ready: List[Tuple[int, int]] = []
+        at = count = 0
         queue = self._queue  # _compact keeps this list
         if predicate():
             return True
         stride = poll_every
         while budget > 0:
-            # One look at the heap head: shed it if cancelled, poll if
-            # it is not due yet, stop at the deadline, or fire it.
-            while True:
-                if queue:
-                    time, _seq, target, args = queue[0]
-                    if args is None and target.cancelled:
-                        heappop(queue)
-                        self._cancelled -= 1
-                        continue
-                elif io is None:
-                    return predicate()
-                else:
-                    time = inf
-                if time > polled:
-                    # Live: wait for the sockets until the head or the
-                    # deadline is due; what is readable is due now.
-                    wait = (time if time < limit else limit) - clock()
-                    ready = poll(None if wait == inf else wait * 1000 if wait > 0 else 0)
-                    polled = clock()
-                    for fd, _event in ready:
-                        heappush(queue, (polled, next(self._seq), *readers[fd]))
-                        self._live += 1
-                    if polled >= limit:
-                        return predicate()
-                    if time > polled:  # not due yet, or the queue was empty
-                        continue
-                break
-            if time > limit:  # virtual time only: a live head is due
-                self.now = limit
+            # One look at the heap head: shed it if cancelled, fire it
+            # if due by the last poll, else run a reader that poll found,
+            # else poll.
+            if queue:
+                time, _seq, target, args = queue[0]
+                if args is None and target.cancelled:
+                    heappop(queue)
+                    self._cancelled -= 1
+                    continue
+            elif io is None:
                 return predicate()
-            heappop(queue)
-            if args is None:  # cancellable entry: target is its handle
-                target.fired = True
-                target, args = target.callback, target.args
-            self._live -= 1
-            self.now = time
+            else:
+                time = inf
+            if time <= polled:
+                if time > limit:  # virtual time only: a live head is due
+                    self.now = limit
+                    return predicate()
+                heappop(queue)
+                if args is None:  # cancellable entry: target is its handle
+                    target.fired = True
+                    target, args = target.callback, target.args
+                self.now = time
+            elif at < count:
+                # Straight from the poll's result, never through the heap.
+                fd = ready[at][0]
+                at += 1
+                if fd not in readers:  # its reader was removed since the poll
+                    continue
+                target, args = readers[fd]
+                self.now = polled
+            else:
+                # Live: wait for the sockets until the head or the
+                # deadline is due.
+                wait = (time if time < limit else limit) - clock()
+                ready = poll(None if wait == inf else wait * 1000 if wait > 0 else 0)
+                polled = clock()
+                if polled >= limit:
+                    return predicate()
+                at, count = 0, len(ready)
+                continue
             self._events_processed += 1
             try:
                 target(*args)
@@ -277,12 +292,9 @@ class Kernel:
 
     def _on_cancel(self) -> None:
         """Bookkeeping for one newly-cancelled live entry."""
-        self._live -= 1
         self._cancelled += 1
-        if (
-            self._cancelled * 2 > len(self._queue)
-            and len(self._queue) >= _COMPACT_MIN
-        ):
+        size = len(self._queue)
+        if self._cancelled * 2 > size and size >= _COMPACT_MIN:
             self._compact()
 
     def _compact(self) -> None:

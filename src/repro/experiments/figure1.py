@@ -41,7 +41,7 @@ from repro.history.checker import (
 )
 from repro.history.history import History
 from repro.protocol.messages import WriteRequest
-from repro.protocol.quorum import PhaseClock
+from repro.protocol.quorum import Phase
 
 
 @dataclass
@@ -105,7 +105,7 @@ def _interrupted_write_scenario(
         lambda src, dst, msg: isinstance(msg, WriteRequest) and msg.op == w3.op
     )
     ok = cluster.run_until(
-        lambda: writer.protocol.phase == PhaseClock.PROPAGATE, timeout=1.0
+        lambda: writer.protocol.phase == Phase.PROPAGATE, timeout=1.0
     )
     if not ok:
         raise ReproError("W(v3) never reached its propagate round")

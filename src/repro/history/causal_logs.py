@@ -62,7 +62,9 @@ class CausalDepthTracker:
         if retention < 1:
             raise ValueError("retention must be >= 1")
         self._retention = retention
-        self._depths: Dict[OperationId, int] = {}
+        #: Operation -> deepest chain seen here (absent: 0).  Hosts may
+        #: read it directly; only this class writes it, so retention holds.
+        self.depths: Dict[OperationId, int] = {}
 
     def observe(self, op: Optional[OperationId], depth: int) -> int:
         """Fold an incoming event's depth into the operation's record.
@@ -76,7 +78,7 @@ class CausalDepthTracker:
             raise ValueError("depth must be >= 0")
         if op is None:
             return depth
-        known = self._depths.get(op, 0)
+        known = self.depths.get(op, 0)
         if depth > known:
             self._deepen(op, depth)
             return depth
@@ -89,7 +91,7 @@ class CausalDepthTracker:
         which becomes the context of the completion handler.
         """
         depth = issue_depth + 1
-        if op is not None and depth > self._depths.get(op, 0):
+        if op is not None and depth > self.depths.get(op, 0):
             self._deepen(op, depth)
         return depth
 
@@ -103,19 +105,19 @@ class CausalDepthTracker:
         """
         if op is None:
             return handler_depth
-        known = self._depths.get(op, 0)
+        known = self.depths.get(op, 0)
         return known if known > handler_depth else handler_depth
 
     def depth_of(self, op: OperationId) -> int:
         """Deepest causal log chain observed for ``op`` at this process."""
-        return self._depths.get(op, 0)
+        return self.depths.get(op, 0)
 
     def reset(self) -> None:
         """Forget everything (used at crash: volatile bookkeeping)."""
-        self._depths.clear()
+        self.depths.clear()
 
     def _deepen(self, op: OperationId, depth: int) -> None:
-        depths = self._depths
+        depths = self.depths
         if op not in depths and len(depths) >= self._retention:
             del depths[next(iter(depths))]
         depths[op] = depth

@@ -51,7 +51,7 @@ class HistoryRecorder:
         self.history.append(
             Invoke(time=self._clock(), pid=pid, op=op, kind=kind, value=value)
         )
-        self.meta.setdefault(op, OperationMeta())
+        self._meta_of(op)
 
     def record_reply(
         self, op: OperationId, pid: ProcessId, kind: str, result: Any = None
@@ -66,17 +66,25 @@ class HistoryRecorder:
     def record_recovery(self, pid: ProcessId) -> None:
         self.history.append(Recover(time=self._clock(), pid=pid))
 
+    def _meta_of(self, op: OperationId) -> OperationMeta:
+        """``op``'s metadata, made on first use (``setdefault`` would
+        build a throwaway one on every call)."""
+        meta = self.meta.get(op)
+        if meta is None:
+            meta = self.meta[op] = OperationMeta()
+        return meta
+
     def record_tag(self, op: OperationId, tag: Tag) -> None:
         """Attach the tag an operation decided/returned (white-box data)."""
-        self.meta.setdefault(op, OperationMeta()).tag = tag
+        self._meta_of(op).tag = tag
 
     def record_causal_logs(self, op: OperationId, depth: int) -> None:
         """Attach the measured causal-log count of an operation."""
-        self.meta.setdefault(op, OperationMeta()).causal_logs = depth
+        self._meta_of(op).causal_logs = depth
 
     def record_register(self, op: OperationId, register: Optional[str]) -> None:
         """Attach the register instance an operation targeted."""
-        self.meta.setdefault(op, OperationMeta()).register = register
+        self._meta_of(op).register = register
 
     def causal_logs(self, op: OperationId) -> Optional[int]:
         meta = self.meta.get(op)

@@ -135,9 +135,12 @@ class Histogram:
 class HistogramSnapshot:
     """Frozen histogram state: exact bucket counts plus extremes.
 
-    ``diff`` subtracts bucket counts (a window of a monotonic series);
-    window ``minimum``/``maximum`` are not recoverable from cumulative
-    extremes, so a diff keeps the newer snapshot's values as a bound.
+    ``diff`` subtracts bucket counts (a window of a monotonic series).
+    A window's exact extremes are not recoverable from cumulative ones,
+    so a diff takes them from the window's own non-empty buckets -- the
+    lower edge of the first, the upper edge of the last -- clamped into
+    the run's ``[minimum, maximum]``: two windows with disjoint ranges
+    report different extremes, each within one bucket of the truth.
     """
 
     bounds: Tuple[float, ...]
@@ -178,13 +181,20 @@ class HistogramSnapshot:
     def diff(self, earlier: "HistogramSnapshot") -> "HistogramSnapshot":
         if earlier.bounds != self.bounds:
             raise ValueError("cannot diff histograms with different buckets")
+        counts = tuple(a - b for a, b in zip(self.counts, earlier.counts))
+        filled = [index for index, count in enumerate(counts) if count]
+        minimum = maximum = None
+        if filled:
+            bounds, first, last = self.bounds, filled[0], filled[-1]
+            minimum = self.minimum if first == 0 else max(bounds[first - 1], self.minimum)
+            maximum = self.maximum if last == len(bounds) else min(bounds[last], self.maximum)
         return HistogramSnapshot(
             bounds=self.bounds,
-            counts=tuple(a - b for a, b in zip(self.counts, earlier.counts)),
+            counts=counts,
             total=self.total - earlier.total,
             sum=self.sum - earlier.sum,
-            minimum=self.minimum,
-            maximum=self.maximum,
+            minimum=minimum,
+            maximum=maximum,
         )
 
     def merge(self, other: "HistogramSnapshot") -> "HistogramSnapshot":

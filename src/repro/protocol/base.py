@@ -21,7 +21,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Callable, ClassVar, Dict, Hashable, List, Optional, Tuple
 
 from repro.common.ids import OperationId, ProcessId
 from repro.protocol.messages import Message
@@ -281,6 +281,9 @@ class RegisterProtocol(ABC):
     #: host routes messages and scopes storage on their behalf -- but
     #: traces and debuggers want to know which instance they look at.
     register: Optional[str] = None
+    #: Message class -> the handler :meth:`on_message` dispatches it to,
+    #: which hosts call directly.  Built per instance by subclasses.
+    message_handlers: Dict[type, Callable[[ProcessId, Any], Effects]]
 
     def __init__(self, pid: ProcessId, num_processes: int, stable: StableView):
         if num_processes < 1:

@@ -34,7 +34,7 @@ from repro.common.ids import ProcessId
 from repro.protocol.base import Effects
 from repro.protocol.messages import ReadAck, WriteRequest
 from repro.protocol.persistent import PersistentAtomicProtocol
-from repro.protocol.quorum import PhaseClock, highest_tagged
+from repro.protocol.quorum import Phase, highest_tagged
 
 
 class FastReadPersistentProtocol(PersistentAtomicProtocol):
@@ -79,15 +79,7 @@ class FastReadPersistentProtocol(PersistentAtomicProtocol):
         )
         assert best is not None
         self._op_tag, self._op_value = best
-        self._phase.become(PhaseClock.PROPAGATE)
+        self.phase = Phase.PROPAGATE
         effects = self._finish_round()
-        op = self._op
-        tag, value = self._op_tag, self._op_value
-        effects.extend(
-            self._begin_round(
-                lambda round_no: WriteRequest(
-                    op=op, round_no=round_no, tag=tag, value=value
-                )
-            )
-        )
+        effects.extend(self._begin_round(WriteRequest, self._op, *best))
         return effects

@@ -679,9 +679,18 @@ class NodeCore:
                 execute(slot.protocol.on_message(src, inner), context, op, slot)
             return
         slot = self._slots[DEFAULT_REGISTER]
-        context = self._depths.observe(message.op, depth)
-        effects = slot.protocol.on_message(src, message)
-        self._execute(effects, depth=context, op=message.op, slot=slot)
+        op = message.op
+        # A message at depth 0 (every one of a quiet read) folds nothing
+        # in: its context is what this process knows of ``op``.
+        depths = self._depths
+        context = depths.observe(op, depth) if depth else depths.depths.get(op, 0)
+        # Straight to the message's handler, a frame fewer than through
+        # on_message (which raises for a class that has none).
+        protocol = slot.protocol
+        handlers = protocol.message_handlers
+        cls = message.__class__
+        handler = handlers[cls] if cls in handlers else protocol.on_message
+        self._execute(handler(src, message), context, op, slot)
 
     def _on_store_durable(
         self,
@@ -742,23 +751,37 @@ class NodeCore:
         # queues the same frame.
         for effect in effects:
             cls = effect.__class__
-            if cls is Send:
+            if cls is Send or cls is Broadcast:
                 message = effect.message
-                out_depth = self._outgoing_depth(message, depth, op)
+                message_op = message.op
+                # The causal-log depth the message carries.  The
+                # handler's context belongs to ``op``: a message for
+                # *another* operation (a parked ack released by another
+                # operation's store) must not inherit it -- a log is
+                # billed to the operation that performs it, not to those
+                # waiting behind it on the device.  An *ack* also folds
+                # in this process's logs for its operation: it certifies
+                # one and must carry its depth, even when resent after
+                # the original was lost.  A (re)sent request carries the
+                # depth its round began at: no log is needed before it,
+                # so process order (the writer's own ``written`` log
+                # landing before a retransmission) must not inflate the
+                # operation's cost.
+                out_depth = depth if message_op == op else 0
+                if message.is_ack:
+                    out_depth = self._depths.outgoing_depth(message_op, out_depth)
                 if slot.register is None:
-                    self._send(effect.dst, message, out_depth)
+                    if cls is Send:
+                        self._send(effect.dst, message, out_depth)
+                    else:
+                        self._broadcast(message, out_depth)
                 else:
                     frame = RegisterFrame(slot.register, out_depth, message)
-                    self._dispatch(frame, effect.dst)
-            elif cls is Broadcast:
-                message = effect.message
-                out_depth = self._outgoing_depth(message, depth, op)
-                if slot.register is None:
-                    self._broadcast(message, out_depth)
-                else:
-                    frame = RegisterFrame(slot.register, out_depth, message)
-                    for dst in range(self._num_processes):
-                        self._dispatch(frame, dst)
+                    if cls is Send:
+                        self._dispatch(frame, effect.dst)
+                    else:
+                        for dst in range(self._num_processes):
+                            self._dispatch(frame, dst)
             elif cls is Store:
                 self._store(
                     slot.prefix + effect.key,
@@ -860,36 +883,6 @@ class NodeCore:
         if not frames:
             return
         self._send(dst, MuxBatch(None, 0, tuple(frames)), 0)
-
-    def _outgoing_depth(
-        self,
-        message: "Message",
-        handler_depth: int,
-        handler_op: Optional[OperationId],
-    ) -> int:
-        """Causal-log depth to stamp on an outgoing message.
-
-        The handler's depth context belongs to ``handler_op``; a message
-        for a *different* operation (e.g. a parked acknowledgment
-        released by another operation's store completion) must not
-        inherit it -- the paper's metric attributes a log to the
-        operation that performs it, not to operations that merely wait
-        behind it on the device.
-
-        Local log history is folded in for *acknowledgments* only: an
-        ack certifies a log this process performed for the operation
-        and must carry its depth (even when resent after the original
-        was lost).  A retransmitted request, by contrast, carries the
-        depth its round was started at -- the algorithm does not
-        require any further log before it, so incidental process-order
-        (e.g. the writer's own ``written`` log completing before a
-        retransmission) must not inflate the operation's measured cost.
-        """
-        message_op = message.op
-        inherited = handler_depth if message_op == handler_op else 0
-        if not message.is_ack:
-            return inherited
-        return self._depths.outgoing_depth(message_op, inherited)
 
     def _complete_operation(
         self, effect: Reply, depth: int, slot: _RegisterSlot

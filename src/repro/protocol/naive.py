@@ -29,7 +29,7 @@ from repro.common.values import payload_size
 from repro.protocol.base import Effects, Reply, Store
 from repro.protocol.messages import ReadQuery, SnQuery
 from repro.protocol.persistent import PersistentAtomicProtocol
-from repro.protocol.quorum import PhaseClock
+from repro.protocol.quorum import Phase
 from repro.protocol.two_round import STORE_RECORD_OVERHEAD
 
 KEY_INTENT = "intent"
@@ -51,7 +51,7 @@ class NaiveLoggingProtocol(PersistentAtomicProtocol):
     # -- write: intent log before the query round ---------------------------
 
     def _start_write(self) -> Effects:
-        self._phase.become(PhaseClock.STORE)
+        self.phase = Phase.STORE
         self._intent_token = self.fresh_token(KEY_INTENT)
         self.stats.stores_issued += 1
         return [
@@ -70,7 +70,7 @@ class NaiveLoggingProtocol(PersistentAtomicProtocol):
         self.stats.reads_invoked += 1
         self._op = op
         self._op_is_write = False
-        self._phase.become(PhaseClock.STORE)
+        self.phase = Phase.STORE
         self._intent_token = self.fresh_token(KEY_INTENT)
         self.stats.stores_issued += 1
         return [
@@ -102,15 +102,11 @@ class NaiveLoggingProtocol(PersistentAtomicProtocol):
         if token == self._intent_token:
             self._intent_token = None
             op = self._op
-            self._phase.become(PhaseClock.QUERY)
+            self.phase = Phase.QUERY
             if self._op_is_write:
                 # Proceed with the normal write: SN query round first.
-                return self._begin_round(
-                    lambda round_no: SnQuery(op=op, round_no=round_no)
-                )
-            return self._begin_round(
-                lambda round_no: ReadQuery(op=op, round_no=round_no)
-            )
+                return self._begin_round(SnQuery, op)
+            return self._begin_round(ReadQuery, op)
         if token == self._done_token:
             self._done_token = None
             reply = self._pending_reply

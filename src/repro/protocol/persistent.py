@@ -36,7 +36,7 @@ from repro.common.timestamps import Tag, bottom_tag
 from repro.common.values import payload_size
 from repro.protocol.base import Effects, RecoveryComplete, Store
 from repro.protocol.messages import WriteRequest
-from repro.protocol.quorum import PhaseClock
+from repro.protocol.quorum import Phase
 from repro.protocol.two_round import (
     KEY_WRITING,
     KEY_WRITTEN,
@@ -119,10 +119,8 @@ class PersistentAtomicProtocol(TwoRoundRegisterProtocol):
         else:
             # Crashed before initialization finished; replay bottom.
             replay_tag, replay_value = bottom_tag(), None
-        self._phase.become(PhaseClock.RECOVERING)
-        return self._begin_round(
-            lambda round_no: WriteRequest(None, round_no, replay_tag, replay_value)
-        )
+        self.phase = Phase.RECOVERING
+        return self._begin_round(WriteRequest, None, replay_tag, replay_value)
 
     # -- write ------------------------------------------------------------------
 
@@ -134,7 +132,7 @@ class PersistentAtomicProtocol(TwoRoundRegisterProtocol):
         write causally follows it.
         """
         self._op_tag = Tag(highest.sn + 1, self.pid)
-        self._phase.become(PhaseClock.STORE)
+        self.phase = Phase.STORE
         self._writing_token = self.fresh_token(KEY_WRITING)
         self.stats.stores_issued += 1
         return [

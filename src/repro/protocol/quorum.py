@@ -88,13 +88,15 @@ class RoundTracker(Generic[T]):
         return [response for _, response in self.responses()]
 
 
-class PhaseClock:
-    """Tracks which phase of a two-round operation a process is in.
+class Phase:
+    """The phases a two-round operation passes through.
 
-    Purely a readability helper for the protocol implementations; the
-    allowed values are ``idle``, ``query`` (first round), ``store``
-    (writer pre-log in Figure 4), ``propagate`` (second round) and
-    ``recovering``.
+    The values of a protocol's ``phase`` attribute, kept for readability
+    of the implementations and for tests and experiments to wait on:
+    ``idle``, ``query`` (first round), ``store`` (writer pre-log in
+    Figure 4), ``propagate`` (second round) and ``recovering``.  A
+    plain string attribute, not an object with a setter: the read path
+    changes phase three times per operation.
     """
 
     IDLE = "idle"
@@ -102,26 +104,6 @@ class PhaseClock:
     STORE = "store"
     PROPAGATE = "propagate"
     RECOVERING = "recovering"
-
-    _VALID = (IDLE, QUERY, STORE, PROPAGATE, RECOVERING)
-
-    def __init__(self) -> None:
-        self._phase = self.IDLE
-
-    @property
-    def phase(self) -> str:
-        return self._phase
-
-    def become(self, phase: str) -> None:
-        if phase not in self._VALID:
-            raise ValueError(f"unknown phase {phase!r}")
-        self._phase = phase
-
-    def is_idle(self) -> bool:
-        return self._phase == self.IDLE
-
-    def __repr__(self) -> str:
-        return f"PhaseClock({self._phase})"
 
 
 def highest_tagged(

@@ -44,7 +44,7 @@ from repro.common.errors import ProtocolError
 from repro.common.ids import OperationId, ProcessId
 from repro.protocol.base import Effects
 from repro.protocol.messages import ReadAck, ReadQuery
-from repro.protocol.quorum import PhaseClock, highest_tagged
+from repro.protocol.quorum import Phase, highest_tagged
 from repro.protocol.transient import TransientAtomicProtocol
 
 
@@ -90,5 +90,5 @@ class RegularRegisterProtocol(TransientAtomicProtocol):
         self.stats.reads_invoked += 1
         self._op = op
         self._op_is_write = False
-        self._phase.become(PhaseClock.QUERY)
-        return self._begin_round(lambda round_no: ReadQuery(op=op, round_no=round_no))
+        self.phase = Phase.QUERY
+        return self._begin_round(ReadQuery, op)

@@ -30,7 +30,7 @@ in-flight tags until the covering log is durable.
 
 from __future__ import annotations
 
-from typing import Any, Callable, ClassVar, Dict, Hashable, List, Optional, Tuple
+from typing import Any, ClassVar, Dict, Hashable, List, Optional, Tuple, Type
 
 from repro.common.errors import ProtocolError
 from repro.common.ids import OperationId, ProcessId
@@ -58,7 +58,7 @@ from repro.protocol.messages import (
     WriteAck,
     WriteRequest,
 )
-from repro.protocol.quorum import PhaseClock, RoundTracker, highest_tagged
+from repro.protocol.quorum import Phase, RoundTracker, highest_tagged
 
 #: Bytes charged per stable-storage record on top of the value payload
 #: (key, tag triple, framing).
@@ -91,9 +91,8 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
         if retransmit_interval <= 0:
             raise ProtocolError("retransmit_interval must be > 0")
         self._retransmit_interval = retransmit_interval
-        # Message class -> handler, bound here so subclass overrides
-        # are the ones dispatched to.
-        self._message_handlers: Dict[type, Callable[[ProcessId, Any], Effects]] = {
+        # Bound here so subclass overrides are the ones dispatched to.
+        self.message_handlers = {
             SnQuery: self._answer_sn_query,
             ReadQuery: self._answer_read_query,
             WriteRequest: self._answer_write_request,
@@ -122,7 +121,8 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
         self._op_is_write = False
         self._op_value: Any = None
         self._op_tag: Optional[Tag] = None
-        self._phase = PhaseClock()
+        #: Current phase of the operation in flight (a :class:`Phase` name).
+        self.phase = Phase.IDLE
         self._tracker: RoundTracker = RoundTracker(self.majority)
         self._round_message: Optional[Message] = None
         self._retry_token: Optional[Hashable] = None
@@ -134,13 +134,15 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
 
     # -- round helpers ---------------------------------------------------------
 
-    def _begin_round(self, make_message: Callable[[int], Message]) -> Effects:
-        """Start a broadcast round with retransmission armed."""
+    def _begin_round(
+        self, cls: Type[Message], op: Optional[OperationId], *fields: Any
+    ) -> Effects:
+        """Broadcast ``cls(op, round_no, *fields)`` in a new round, retransmission armed."""
         effects: Effects = []
         if self._retry_token is not None:
             effects.append(CancelTimer(self._retry_token))
         round_no = self._tracker.begin()
-        self._round_message = make_message(round_no)
+        self._round_message = cls(op, round_no, *fields)
         self._retry_token = self.fresh_token("retry")
         self.stats.messages_sent += self.num_processes
         effects.append(Broadcast(self._round_message))
@@ -170,7 +172,7 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
     # -- responder side ----------------------------------------------------------
 
     def on_message(self, src: ProcessId, message: Message) -> Effects:
-        handler = self._message_handlers.get(message.__class__)
+        handler = self.message_handlers.get(message.__class__)
         if handler is None:
             raise ProtocolError(f"unknown message type {type(message).__name__}")
         return handler(src, message)
@@ -259,10 +261,8 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
         self.stats.reads_invoked += 1
         self._op = op
         self._op_is_write = False
-        self._phase.become(PhaseClock.QUERY)
-        return self._begin_round(
-            lambda round_no: ReadQuery(op, round_no)
-        )
+        self.phase = Phase.QUERY
+        return self._begin_round(ReadQuery, op)
 
     def _on_read_ack(self, src: ProcessId, message: ReadAck) -> Effects:
         if self._op is None or message.op != self._op:
@@ -275,15 +275,9 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
         best = highest_tagged(self._tracker.responses())
         assert best is not None
         self._op_tag, self._op_value = best
-        self._phase.become(PhaseClock.PROPAGATE)
+        self.phase = Phase.PROPAGATE
         effects = self._finish_round()
-        op = self._op
-        tag, value = self._op_tag, self._op_value
-        effects.extend(
-            self._begin_round(
-                lambda round_no: WriteRequest(op, round_no, tag, value)
-            )
-        )
+        effects.extend(self._begin_round(WriteRequest, self._op, *best))
         return effects
 
     # -- client write (shared plumbing; tag derivation is per-subclass) -------
@@ -298,9 +292,9 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
 
     def _start_write(self) -> Effects:
         """Begin the write; default is the SN query round of Figure 4."""
-        self._phase.become(PhaseClock.QUERY)
+        self.phase = Phase.QUERY
         op = self._op
-        return self._begin_round(lambda round_no: SnQuery(op, round_no))
+        return self._begin_round(SnQuery, op)
 
     def _on_sn_ack(self, src: ProcessId, message: SnAck) -> Effects:
         if self._op is None or message.op != self._op or not self._op_is_write:
@@ -320,16 +314,12 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
 
     def _propagate_write(self) -> Effects:
         """Second round: broadcast the new value and collect W acks."""
-        self._phase.become(PhaseClock.PROPAGATE)
-        op = self._op
-        tag, value = self._op_tag, self._op_value
-        assert tag is not None
-        return self._begin_round(
-            lambda round_no: WriteRequest(op, round_no, tag, value)
-        )
+        self.phase = Phase.PROPAGATE
+        assert self._op_tag is not None
+        return self._begin_round(WriteRequest, self._op, self._op_tag, self._op_value)
 
     def _on_write_ack(self, src: ProcessId, message: WriteAck) -> Effects:
-        if self._phase.phase == PhaseClock.RECOVERING:
+        if self.phase == Phase.RECOVERING:
             return self._on_recovery_write_ack(src, message)
         if self._op is None or message.op != self._op:
             return []
@@ -352,7 +342,7 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
         self._op_is_write = False
         self._op_value = None
         self._op_tag = None
-        self._phase.become(PhaseClock.IDLE)
+        self.phase = Phase.IDLE
 
     def _on_recovery_write_ack(self, src: ProcessId, message: WriteAck) -> Effects:
         """Ack collection for a recovery replay round (Figure 4 Recover)."""
@@ -360,7 +350,7 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
             return []
         if not self._tracker.record(message.round_no, src, message.tag):
             return []
-        self._phase.become(PhaseClock.IDLE)
+        self.phase = Phase.IDLE
         self._recovery_done = True
         return self._finish_round() + [RecoveryComplete()]
 
@@ -371,15 +361,10 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
             raise ProtocolError(
                 f"process {self.pid} already has operation {self._op} in flight"
             )
-        if self._phase.phase == PhaseClock.RECOVERING:
+        if self.phase == Phase.RECOVERING:
             raise ProtocolError(f"process {self.pid} is still recovering")
 
     @property
     def busy(self) -> bool:
         """Whether a client operation is currently in flight."""
         return self._op is not None
-
-    @property
-    def phase(self) -> str:
-        """Current phase name (see :class:`PhaseClock`), for tests/experiments."""
-        return self._phase.phase

@@ -63,7 +63,6 @@ permanent crash.
 
 from __future__ import annotations
 
-import logging
 import os
 import pickle
 import struct
@@ -80,7 +79,6 @@ _HEADER = struct.Struct("<II")
 #: The log file is zero-filled to a multiple of this many bytes.
 _SEGMENT = 64 * 1024
 
-logger = logging.getLogger(__name__)
 
 
 def encode_frame(key: str, record: Optional[Tuple[Any, ...]]) -> bytes:
@@ -198,7 +196,9 @@ class FileLog:
             saved = f"saved as {target.name}"
         except OSError as exc:
             saved = f"not saved ({exc})"  # recovery matters more
-        logger.warning(
+        import logging  # here, as in repro.runtime.node.report: rarely needed
+
+        logging.getLogger(__name__).warning(
             "dropped %d bytes of %s (%s), %s; recovery continues without them",
             len(junk), self._root / _LOG, why, saved,
         )

@@ -11,11 +11,20 @@ the paper ("a UDP packet cannot contain more than 64KB of data"); a
 datagram the socket refuses (full send buffer, unreachable peer) is
 simply lost.
 
-Each readable event costs one ``recv_into`` into a buffer of
-``MAX_DATAGRAM + 1`` bytes allocated once.  The size matters: a receive
-buffer above glibc's 128 KiB mmap threshold (asyncio's datagram
-transport asks for 256 KiB) is mapped, faulted in and unmapped for every
-datagram.
+Receive path.  The socket's reader is the whole receive path in one
+frame and the unpacker's: the kernel runs it straight from its poll
+once per readable event, and it reads one datagram with one
+``recv_into`` into a buffer of ``MAX_DATAGRAM + 1`` bytes allocated
+once, makes :func:`decode`'s checks on the size that call returned,
+unpacks, counts, flight-records and hands the message to the node.  The
+buffer's size matters: one above glibc's 128 KiB mmap threshold
+(asyncio's datagram transport asks for 256 KiB) is mapped, faulted in
+and unmapped for every datagram.
+
+Send path.  ``send`` and ``broadcast`` encode once, before anything is
+sent, then send to each destination.  A header-only message to this
+process alone is not encoded at all: it always fits, and it never
+leaves the process.
 
 Wire format (little-endian; ``encode``/``decode``)::
 
@@ -64,9 +73,12 @@ as a datagram is.
 
 from __future__ import annotations
 
+# The socket module's C core: the ``socket`` module around it converts
+# its constants to enums on import, some 7 600 calls of a live
+# cluster's set-up, for nothing this transport uses.
+import _socket
 import io
 import pickle
-import socket
 import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple
@@ -118,6 +130,8 @@ _CLASSES = dict(
     enumerate((SnQuery, SnAck, WriteRequest, WriteAck, ReadQuery, ReadAck, MuxBatch), 1)
 )
 _KINDS = {cls: kind for kind, cls in _CLASSES.items()}
+#: The kinds with no value: they always fit in a datagram.
+_HEADER_ONLY = frozenset((SnQuery, SnAck, WriteAck, ReadQuery))
 _NO_OP = (-1, 0)
 _NO_TAG = (0, 0, 0)
 _PICKLE_PROTOCOL = 4
@@ -182,52 +196,55 @@ def check_value(value: Any, register: Optional[str] = None) -> None:
         ) from error
 
 
-def _pack(src: ProcessId, depth: int, message: Message) -> bytes:
-    """``message`` behind the datagram prefix: a datagram short of its CRC."""
+def encode(src: ProcessId, depth: int, message: Message) -> bytes:
+    """One datagram carrying ``message``; :class:`TransportError` if none can."""
     cls = message.__class__
     if cls not in _KINDS:
         raise TransportError(f"{cls.__name__} is not a wire message")
     kind = _KINDS[cls]
     try:
+        # Fields go to ``pack`` one by one: a starred argument would
+        # build a tuple per call.
+        op_pid, op_seq = message.op or _NO_OP
         if cls is ReadAck:
-            op, round_no, tag, value, durable, _ = message
-            return _READ_ACK.pack(
-                WIRE_VERSION, src, depth, kind, *(op or _NO_OP), round_no,
-                *tag, durable is not None, *(durable or _NO_TAG),
+            _, round_no, (sn, pid, rec), value, durable, _ = message
+            durable_sn, durable_pid, durable_rec = durable or _NO_TAG
+            frame = _READ_ACK.pack(
+                WIRE_VERSION, src, depth, kind, op_pid, op_seq, round_no, sn, pid, rec,
+                durable is not None, durable_sn, durable_pid, durable_rec,
             ) + _dump_value(value)
-        if cls is WriteRequest or cls is SnAck or cls is WriteAck:
-            op, round_no, tag = message[:3]
-            packed = _TAGGED.pack(
-                WIRE_VERSION, src, depth, kind, *(op or _NO_OP), round_no, *tag
+        elif cls is WriteRequest or cls is SnAck or cls is WriteAck:
+            round_no = message.round_no
+            sn, pid, rec = message.tag
+            frame = _TAGGED.pack(
+                WIRE_VERSION, src, depth, kind, op_pid, op_seq, round_no, sn, pid, rec
             )
             if cls is WriteRequest:
-                packed += _dump_value(message.value)
-            return packed
-        if cls is MuxBatch:
-            op, round_no, frames, _ = message
+                frame += _dump_value(message.value)
+        elif cls is MuxBatch:
+            frames = message.frames
             parts = [
                 _BATCH.pack(
-                    WIRE_VERSION, src, depth, kind, *(op or _NO_OP), round_no, len(frames)
+                    WIRE_VERSION, src, depth, kind, op_pid, op_seq, message.round_no,
+                    len(frames),
                 )
             ]
             for register, frame_depth, inner, _ in frames:
                 if inner.__class__ is MuxBatch:
                     raise TransportError("a MuxBatch cannot travel inside a MuxBatch")
                 name = register.encode()
-                packed = _pack(0, 0, inner)[_PREFIX_SIZE:]
+                # The inner message packed as a datagram, less prefix and CRC.
+                packed = encode(0, 0, inner)[_PREFIX_SIZE : -_CRC.size]
                 parts += (_FRAME.pack(len(name), frame_depth, len(packed)), name, packed)
-            return b"".join(parts)
-        op, round_no = message
-        return _QUERY.pack(WIRE_VERSION, src, depth, kind, *(op or _NO_OP), round_no)
+            frame = b"".join(parts)
+        else:
+            frame = _QUERY.pack(
+                WIRE_VERSION, src, depth, kind, op_pid, op_seq, message.round_no
+            )
     except struct.error as error:
         raise TransportError(
             f"{cls.__name__} has a field out of the wire format's range: {error}"
         ) from error
-
-
-def encode(src: ProcessId, depth: int, message: Message) -> bytes:
-    """One datagram carrying ``message``; :class:`TransportError` if none can."""
-    frame = _pack(src, depth, message)
     if len(frame) + _CRC.size > MAX_DATAGRAM:
         raise TransportError(
             f"message of {len(frame) + _CRC.size} bytes exceeds the "
@@ -340,7 +357,7 @@ class UdpTransport:
         self.host = host
         self.port = port
         self._addresses: Dict[ProcessId, Tuple[str, int]] = {}
-        self._sock: Optional[socket.socket] = None
+        self._sock: Optional[_socket.socket] = None
         self._kernel: Optional[Kernel] = None
         self._receive: Optional[ReceiveCallback] = None
         # One byte more than the largest datagram of ours: a longer one
@@ -362,13 +379,17 @@ class UdpTransport:
     def attach_flight_recorder(
         self, ring, clock: Callable[[], float]
     ) -> None:
-        """Mirror sends/receives into ``ring``, timestamped by ``clock``.
+        """Mirror sends/receives into ``ring``; sends are timestamped by ``clock``.
 
         Kind codes are resolved once here (the pre-resolved-handle
         discipline of :mod:`repro.obs`); each send and delivery stores
         into the ring's public slots inline, as
-        :meth:`repro.obs.tracing.Trace.tick` does, with one ``clock()``
-        call and no method call.
+        :meth:`repro.obs.tracing.Trace.tick` does, with no method call.
+        The destinations of one transmit share one ``clock()`` reading;
+        a delivery is stamped with the kernel's time of the event that
+        carries it (:attr:`~repro.common.kernel.Kernel.now`), as on the
+        simulator: the poll that found the datagram, or the instant a
+        message to itself fell due.
         """
         self._ring = ring
         self._ring_clock = clock
@@ -381,10 +402,10 @@ class UdpTransport:
         # literal wherever this repository binds.
         # As bytes, because a str host makes Python import its IDNA
         # codec (stringprep, unicodedata: 0.75 MB resident) to encode it.
-        family, kind, proto, _, address = socket.getaddrinfo(
-            self.host.encode(), self.port, type=socket.SOCK_DGRAM
+        family, kind, proto, _, address = _socket.getaddrinfo(
+            self.host.encode(), self.port, type=_socket.SOCK_DGRAM
         )[0]
-        sock = socket.socket(family, kind, proto)
+        sock = _socket.socket(family, kind, proto)
         try:
             sock.setblocking(False)
             sock.bind(address)
@@ -395,7 +416,7 @@ class UdpTransport:
         self._sock = sock
         self._receive = receive
         self._kernel = kernel
-        kernel.io.add_reader(sock.fileno(), self._on_readable)
+        kernel.io.add_reader(sock.fileno(), self._on_datagram)
 
     def set_peers(self, peers: List[Peer]) -> None:
         """Install the cluster membership (including this node)."""
@@ -405,21 +426,34 @@ class UdpTransport:
         """Fire-and-forget one message to ``dst``: a datagram unless to itself."""
         if dst not in self._addresses:
             raise TransportError(f"unknown peer {dst}")
-        self._transmit((dst,), message, depth)
+        if dst == self.pid and message.__class__ in _HEADER_ONLY:
+            # Always fits, and never leaves the process: no bytes needed.
+            self._transmit((dst,), message, depth, None)
+        else:
+            self._transmit((dst,), message, depth, encode(self.pid, depth, message))
 
     def broadcast(self, message: Message, depth: int) -> None:
         """Send to every known peer, including this node."""
-        self._transmit(self._addresses, message, depth)
+        self._transmit(self._addresses, message, depth, encode(self.pid, depth, message))
 
     def _transmit(
-        self, dsts: Iterable[ProcessId], message: Message, depth: int
+        self,
+        dsts: Iterable[ProcessId],
+        message: Message,
+        depth: int,
+        payload: Optional[bytes],
     ) -> None:
-        """Encode once, refuse what cannot travel, then send to ``dsts``."""
+        """Send ``message``, encoded as ``payload``, to ``dsts``.
+
+        Encoding comes first, in the callers, so that a message that
+        cannot travel raises before anything is sent.
+        """
         sock = self._sock
         if self.muted or sock is None:
             return
-        payload = encode(self.pid, depth, message)
         ring = self._ring
+        if ring is not None:
+            now = self._ring_clock()  # one reading for every destination
         for dst in dsts:
             if dst == self.pid:
                 self._kernel.schedule(0.0, self._deliver, dst, depth, message)
@@ -433,7 +467,7 @@ class UdpTransport:
             self.messages_sent += 1
             if ring is not None:
                 index = ring.next_index
-                ring.times[index] = self._ring_clock()
+                ring.times[index] = now
                 ring.codes[index] = self._ring_send
                 ring.pids[index] = self.pid
                 ring.ops[index] = message.op
@@ -444,36 +478,63 @@ class UdpTransport:
                 else:
                     ring.next_index = index
 
-    def _on_readable(self) -> None:
-        """One datagram per readable event."""
-        try:
-            size = self._sock.recv_into(self._buffer)
-        except OSError:  # nothing there after all, or an ICMP error report
-            return
-        self._on_datagram(self._buffer[:size])
+    def _on_datagram(self, data: Any = None) -> None:
+        """Receive one datagram: ``data``, or the next one on the socket.
 
-    def _on_datagram(self, data: Any) -> None:
+        The socket's reader: the whole receive path in this frame and
+        the unpacker's.  It makes :func:`decode`'s checks itself, on the
+        size ``recv_into`` returned.  A message to itself arrives
+        through :meth:`_deliver` instead.
+        """
+        if data is None:
+            try:
+                size = self._sock.recv_into(self._buffer)
+            except OSError:  # nothing there after all, or an ICMP error report
+                return
+            data = self._buffer[:size]
+        else:
+            size = len(data)
         if self.muted:
             return
-        try:
-            src, depth, message = decode(data)
-            ours = src in self._addresses
-        except Exception:  # whatever the bytes decode to, it is not ours
-            ours = False
+        ours = False
+        if (
+            _SHORTEST <= size <= MAX_DATAGRAM
+            and crc32(data) == _CRC_RESIDUE
+            and data[0] == WIRE_VERSION
+        ):
+            try:
+                src, depth, message = _unpack(data, size - _CRC.size)
+                ours = src in self._addresses
+            except Exception:  # whatever the bytes decode to, it is not ours
+                pass
         if not ours:
             self.malformed += 1  # drop, like a checksum failure
             return
-        self._deliver(src, depth, message)
+        self.messages_received += 1
+        ring = self._ring
+        if ring is not None:
+            index = ring.next_index
+            ring.times[index] = self._kernel.now  # the poll that found it
+            ring.codes[index] = self._ring_deliver
+            ring.pids[index] = self.pid
+            ring.ops[index] = message.op
+            index += 1
+            if index == ring.capacity:
+                ring.next_index = 0
+                ring.wraps += 1
+            else:
+                ring.next_index = index
+        self._receive(src, message, depth)
 
     def _deliver(self, src: ProcessId, depth: int, message: Message) -> None:
-        """Receive side of both paths, the socket's and the loop's."""
+        """Receive a message to itself, on the loop callback after its send."""
         if self.muted or self._receive is None:
             return
         self.messages_received += 1
         ring = self._ring
         if ring is not None:
             index = ring.next_index
-            ring.times[index] = self._ring_clock()
+            ring.times[index] = self._kernel.now  # the instant it fell due
             ring.codes[index] = self._ring_deliver
             ring.pids[index] = self.pid
             ring.ops[index] = message.op

@@ -217,13 +217,14 @@ class WorkloadRunner:
             self._active -= 1
             return
         session = self._sessions[index]
-        if not session.ready:
-            # Process is down, recovering, or its recovery replay has
-            # the machinery busy: try again shortly.
-            self._cluster.defer(CLIENT_RETRY_INTERVAL, self._next_op, index)
-            return
         operation = self._held[index] or self._clients[index].draw()
         kind, key = operation
+        if not session.ready_for(key):
+            # Process is down, recovering, or its register busy: hold
+            # the operation and try again shortly.
+            self._held[index] = operation
+            self._cluster.defer(CLIENT_RETRY_INTERVAL, self._next_op, index)
+            return
         try:
             if kind == WRITE:
                 handle = session.write(self._values(session.pid), key)

@@ -226,6 +226,32 @@ def test_a_negative_delay_and_a_zero_stride_are_refused(backend):
             c.run_until(lambda: True, timeout=1.0, poll_every=0)
 
 
+@pytest.mark.parametrize("backend", ["sim", "kv", "live"])
+def test_a_session_answers_ready_per_key(backend):
+    """A keyed write in flight makes its key busy, not the default register.
+
+    Whatever a session calls ready accepts an operation at once: no
+    client has to learn "busy" from a ``ProtocolError``.
+    """
+    seed = None if backend == "live" else 11
+    with open_cluster(backend=backend, num_processes=3, seed=seed) as c:
+        session = c.session(0)
+        session.write_sync("a", key="k")
+        handle = session.write("b", key="k")
+        if backend == "kv":  # shard pipelines queue client-side
+            assert session.ready_for("k") and session.ready
+        else:
+            assert not session.ready_for("k")
+            assert session.ready and session.ready_for(None)
+        for key in ("k", None):
+            if session.ready_for(key):
+                session.write("c", key=key)  # never raises ProtocolError
+        c.wait(handle, timeout=5.0, expect_done=True)
+        assert c.run_until(lambda: session.ready_for("k"), timeout=5.0)
+        c.wait(session.write("d", key="k"), timeout=5.0, expect_done=True)
+        assert c.check().ok
+
+
 def test_a_live_delay_counts_from_the_call():
     """Not from the last event: the caller was away from the loop."""
     with open_cluster(backend="live", num_processes=3) as c:

@@ -1,10 +1,18 @@
 """Unit tests for the experiment CLI."""
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
+
 from repro.cli import COMMANDS, build_parser, main, run
+
+#: The ``src`` directory this ``repro`` was imported from.
+SRC = os.path.dirname(os.path.dirname(repro.__file__))
 
 
 class TestParser:
@@ -148,3 +156,20 @@ def test_input_errors_end_in_one_line(monkeypatch, capsys, argv, message):
     assert captured.err.startswith("repro: error: ")
     assert message in captured.err
     assert captured.err.count("\n") == 1
+
+
+def test_a_reader_that_stops_early_gets_no_traceback():
+    """``repro trace ... | head -2``: the output outgrows the pipe's buffer."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "repro", "trace", "steady-state", "--quick",
+         "--format", "text"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    lines = [child.stdout.readline() for _ in range(2)]
+    child.stdout.close()
+    stderr = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 1
+    assert lines[0].startswith(b"seed:")
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr

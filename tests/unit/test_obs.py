@@ -177,6 +177,34 @@ class TestRegistry:
         assert merged.scalars["ops"] == 6
         assert merged.histograms["lat"].total == 2
 
+    def test_a_window_reports_its_own_extremes(self):
+        """Two phases with disjoint ranges print different ``max=``."""
+        registry = MetricsRegistry()
+        histogram = registry.histogram("lat")
+        start = registry.snapshot()
+        for value in (9e-4, 1e-3, 1.1e-3):  # a slow phase ...
+            histogram.observe(value)
+        middle = registry.snapshot()
+        for value in (1e-5, 1.2e-5):  # ... then a fast one
+            histogram.observe(value)
+        end = registry.snapshot()
+        slow = middle.diff(start).histograms["lat"]
+        fast = end.diff(middle).histograms["lat"]
+        assert (slow.minimum, slow.maximum) == (9e-4, 1.1e-3)
+        # Within one bucket of the phase's own values, inside the run's.
+        assert 1.2e-5 <= fast.maximum < 9e-4
+        assert fast.minimum == 1e-5
+        for window in (slow, fast):
+            for q in (0.0, 50.0, 100.0):
+                assert window.minimum <= window.quantile(q) <= window.maximum
+        lines = [
+            next(line for line in snapshot.format().splitlines() if "max=" in line)
+            for snapshot in (middle.diff(start), end.diff(middle))
+        ]
+        assert lines[0].split("max=")[1] != lines[1].split("max=")[1]
+        empty = end.diff(end).histograms["lat"]
+        assert (empty.total, empty.minimum, empty.maximum) == (0, None, None)
+
     def test_as_dict_and_format(self):
         registry = MetricsRegistry()
         registry.counter("big").inc(100)

@@ -31,6 +31,7 @@ from repro.protocol.messages import (
     WriteRequest,
 )
 from repro.protocol.persistent import PersistentAtomicProtocol
+from repro.protocol.quorum import Phase
 from repro.protocol.transient import TransientAtomicProtocol
 
 
@@ -54,6 +55,36 @@ def complete_initialization(protocol):
     for store in effects_of_type(effects, Store):
         protocol.on_store_complete(store.token)
     return effects
+
+
+class TestPhase:
+    def test_a_read_moves_through_query_and_propagate_back_to_idle(self):
+        protocol = make(CrashStopMwmrProtocol)
+        complete_initialization(protocol)
+        assert protocol.phase == Phase.IDLE
+        op = make_operation_id(0)
+        round_no = only(protocol.invoke_read(op), Broadcast).message.round_no
+        assert protocol.phase == Phase.QUERY
+        for src in (0, 1):
+            effects = protocol.on_message(
+                src, ReadAck(op, round_no, bottom_tag(), None, bottom_tag())
+            )
+        write_back = only(effects, Broadcast).message
+        assert protocol.phase == Phase.PROPAGATE
+        for src in (0, 1):
+            protocol.on_message(
+                src, WriteAck(op, write_back.round_no, write_back.tag)
+            )
+        assert protocol.phase == Phase.IDLE
+
+    def test_a_recovering_process_refuses_operations(self):
+        protocol = make(PersistentAtomicProtocol)
+        complete_initialization(protocol)
+        protocol.crash()
+        protocol.recover()
+        assert protocol.phase == Phase.RECOVERING
+        with pytest.raises(ProtocolError, match="still recovering"):
+            protocol.invoke_read(make_operation_id(0))
 
 
 class TestCrashStopWrite:

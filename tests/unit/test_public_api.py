@@ -172,6 +172,27 @@ class TestSnapshot:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
 
+    def test_a_quiet_live_run_imports_neither_logging_nor_socket(self):
+        """Set-up pays only for what runs: each costs thousands of calls to import.
+
+        ``logging`` arrives with the first error reported, and the
+        transport speaks through ``_socket`` itself.
+        """
+        program = (
+            "import sys, repro\n"
+            "with repro.open_cluster(backend='live', num_processes=3) as c:\n"
+            "    c.session(0).write_sync('v')\n"
+            "    assert c.session(1).read_sync() == 'v'\n"
+            "print([name for name in ('logging', 'socket') if name in sys.modules])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", program],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
     def test_capability_matrix(self):
         assert api.SimBackend.capabilities == frozenset(
             {VIRTUAL_TIME, CRASH_INJECTION, TRACE, STORAGE_FAULTS, LINK_FAULTS}

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.timestamps import Tag
-from repro.protocol.quorum import PhaseClock, RoundTracker, highest_tagged
+from repro.protocol.quorum import RoundTracker, highest_tagged
 
 
 class TestRoundTracker:
@@ -68,22 +68,6 @@ class TestRoundTracker:
         tracker = RoundTracker(quorum_size=1)
         assert not tracker.active
         assert not tracker.record(0, 0, "x")
-
-
-class TestPhaseClock:
-    def test_starts_idle(self):
-        assert PhaseClock().is_idle()
-
-    def test_transitions(self):
-        clock = PhaseClock()
-        clock.become(PhaseClock.QUERY)
-        assert clock.phase == "query"
-        clock.become(PhaseClock.PROPAGATE)
-        assert not clock.is_idle()
-
-    def test_rejects_unknown_phase(self):
-        with pytest.raises(ValueError):
-            PhaseClock().become("warp")
 
 
 class TestHighestTagged:

@@ -2,6 +2,7 @@
 
 from repro.common.ids import OperationId
 from repro.common.timestamps import Tag, bottom_tag
+from repro.history import recorder as recorder_module
 from repro.history.recorder import HistoryRecorder
 from repro.history.register_checker import check_tagged_history
 
@@ -244,3 +245,30 @@ class TestScale:
         result = check_tagged_history(b.history, b.recorder)
         assert result.ok
         assert result.operations == 998
+
+
+class TestRecorderMetadata:
+    def test_each_operation_builds_one_metadata_record(self, monkeypatch):
+        """Attaching facts finds the record; it builds no throwaway one."""
+        built = []
+
+        class Counted(recorder_module.OperationMeta):
+            def __init__(self):
+                super().__init__()
+                built.append(self)
+
+        monkeypatch.setattr(recorder_module, "OperationMeta", Counted)
+        recorder = HistoryRecorder(clock=lambda: 0.0)
+        op = _op(0)
+        recorder.record_invoke(op, 0, "write", "a")
+        recorder.record_register(op, "k")
+        recorder.record_reply(op, 0, "write")
+        recorder.record_causal_logs(op, 2)
+        recorder.record_tag(op, Tag(1, 0))
+        assert built == [recorder.meta[op]]
+        assert (recorder.causal_logs(op), recorder.tag_of(op), recorder.register_of(op)) == (
+            2, Tag(1, 0), "k"
+        )
+        orphan = _op(1)
+        recorder.record_tag(orphan, Tag(2, 1))  # an op never invoked gets one too
+        assert len(built) == 2 and recorder.tag_of(orphan) == Tag(2, 1)

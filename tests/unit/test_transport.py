@@ -437,14 +437,14 @@ class TestUdpTransport:
         datagrams = [encode(1, 0, first), encode(1, 1, second)]
         assert len(datagrams[0]) == len(datagrams[1])  # byte for byte over it
         transport._sock = stub = StubSocket(datagrams + [bytes(MAX_DATAGRAM + 1)])
-        transport._on_readable()
+        transport._on_datagram()
         (held,) = received
-        transport._on_readable()
+        transport._on_datagram()
         assert received == [(1, 0, first), (1, 1, second)] and received[0] is held
         # A datagram longer than any of ours is cut to the buffer and dropped.
-        transport._on_readable()
+        transport._on_datagram()
         assert transport.malformed == 1
-        transport._on_readable()  # a wake-up with nothing to read
+        transport._on_datagram()  # a wake-up with nothing to read
         # Above 128 KiB glibc would map and unmap the buffer per call.
         assert stub.asked == [MAX_DATAGRAM + 1] * 4
         assert (len(received), transport.malformed) == (2, 1)

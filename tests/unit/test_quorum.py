@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.common.timestamps import Tag
-from repro.protocol.quorum import RoundTracker, highest_tagged
+from repro.common.ids import make_operation_id
+from repro.common.timestamps import Tag, bottom_tag
+from repro.protocol.base import Broadcast, StableView
+from repro.protocol.crash_stop import CrashStopMwmrProtocol
+from repro.protocol.messages import SnAck, WriteAck
+from repro.protocol.quorum import Phase, RoundTracker, highest_tagged
 
 
 class TestRoundTracker:
@@ -68,6 +72,34 @@ class TestRoundTracker:
         tracker = RoundTracker(quorum_size=1)
         assert not tracker.active
         assert not tracker.record(0, 0, "x")
+
+
+class TestPhaseClock:
+    """A protocol's phase attribute steps through the ``Phase`` values."""
+
+    def test_starts_idle(self):
+        protocol = CrashStopMwmrProtocol(0, 3, StableView({}))
+        protocol.initialize()
+        assert protocol.phase == Phase.IDLE
+        assert not protocol.busy
+
+    def test_transitions(self):
+        protocol = CrashStopMwmrProtocol(0, 3, StableView({}))
+        protocol.initialize()
+        op = make_operation_id(0)
+        (query,) = [e for e in protocol.invoke_write(op, "v") if isinstance(e, Broadcast)]
+        assert protocol.phase == Phase.QUERY
+        for src in (1, 2):
+            effects = protocol.on_message(
+                src, SnAck(op=op, round_no=query.message.round_no, tag=bottom_tag())
+            )
+        assert protocol.phase == Phase.PROPAGATE
+        (write,) = [e.message for e in effects if isinstance(e, Broadcast)]
+        for src in (0, 1):
+            protocol.on_message(
+                src, WriteAck(op=op, round_no=write.round_no, tag=write.tag)
+            )
+        assert protocol.phase == Phase.IDLE
 
 
 class TestHighestTagged:

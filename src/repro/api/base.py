@@ -125,17 +125,18 @@ class Session:
         """Whether this session's process can accept an operation on
         register ``key`` now.
 
-        ``False`` while the process is crashed or still recovering, or
-        while ``key`` has an operation in flight.  A key the process
-        does not host yet is ready with the process: the invocation
-        provisions it (on the simulator it then raises
-        :class:`~repro.common.errors.NotRecoveredError` until the new
-        register has booted, so preload keys there).  Backends that
-        queue client-side (the KV store's shard pipelines) are always
-        ready.
+        ``True`` exactly when an invocation on ``key`` would not raise:
+        ``False`` while the process is crashed, while the register is
+        still initializing or recovering, or while it has an operation
+        in flight.  A key the process does not host yet is ready with
+        the process, as the invocation provisions it first.  Backends
+        that queue client-side (the KV store's shard pipelines) are
+        always ready.
         """
         node = self.cluster.nodes[self.pid]
-        return node.ready and not (node.has_register(key) and node.register_busy(key))
+        if not node.has_register(key):
+            return node.ready
+        return node.register_ready(key) and not node.register_busy(key)
 
     def write(self, value: Any, key: Optional[str] = None) -> OpHandle:
         """Submit a write; returns its handle immediately."""

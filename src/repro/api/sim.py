@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from repro.api.base import (
@@ -54,6 +55,13 @@ class SimSession(Session):
 
     def read(self, key: Optional[str] = None) -> NodeOperation:
         return self._observed(self._node(key).invoke_read(register=key))
+
+    def ready_for(self, key: Optional[str] = None) -> bool:
+        # A new register takes virtual time to boot, and an invocation
+        # does not wait for it: asking provisions the key, which is
+        # ready once it has booted.
+        self._node(key)
+        return super().ready_for(key)
 
     def _node(self, key: Optional[str]):
         """This session's node, with register ``key`` provisioned."""
@@ -143,9 +151,9 @@ class SimBackend(Cluster):
         self._started = False
         #: The open ``lose`` window's filter removal, if any.
         self._end_loss: Optional[Callable[[], None]] = None
-        #: ``on_event`` hooks as ``[kind, source_pid, remaining, fn,
-        #: args]``; ``None`` until the first one subscribes.
-        self._event_hooks: Optional[List[list]] = None
+        #: kind -> its ``on_event`` hooks as ``[source_pid, remaining,
+        #: fn, args]``, in installation order.
+        self._event_hooks: Dict[str, List[list]] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -280,24 +288,13 @@ class SimBackend(Cluster):
             raise ConfigurationError("count must be >= 1")
         if source_pid is not None:
             self._check_pids(source_pid)
-        if self._event_hooks is None:
-            # Subscribed on first use, to every kind: a cluster that
-            # never installs a hook keeps the trace's tick-only
-            # emission fast path.
-            self._event_hooks = []
-            self.trace.subscribe(self._dispatch_event)
-        self._event_hooks.append([kind, source_pid, count, fn, args])
-
-    def _dispatch_event(self, event) -> None:
-        for hook in self._event_hooks:
-            kind, source_pid, remaining, fn, args = hook
-            if remaining == 0 or event.kind != kind:
-                continue
-            if source_pid is not None and event.pid != source_pid:
-                continue
-            hook[2] = remaining - 1
-            if remaining == 1:
-                fn(*args)
+        hooks = self._event_hooks.get(kind)
+        if hooks is None:
+            # Subscribed on first use, to this kind only: every other
+            # kind keeps the trace's allocation-free path.
+            hooks = self._event_hooks[kind] = []
+            self.trace.subscribe(partial(_dispatch_event, hooks), kinds=[kind])
+        hooks.append([source_pid, count, fn, args])
 
     def wait(
         self,
@@ -377,3 +374,16 @@ class SimBackend(Cluster):
         if not self.trace.capturing:
             return None
         return [str(event) for event in self.trace.events]
+
+
+def _dispatch_event(hooks: List[list], event) -> None:
+    """Count ``event`` against each of its kind's ``on_event`` hooks."""
+    for hook in hooks:
+        source_pid, remaining, fn, args = hook
+        if remaining == 0:
+            continue
+        if source_pid is not None and event.pid != source_pid:
+            continue
+        hook[1] = remaining - 1
+        if remaining == 1:
+            fn(*args)

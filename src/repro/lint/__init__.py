@@ -6,8 +6,7 @@ run happens to execute.  This package *proves the absence* of whole
 bug classes across all seeds with an AST pass over the source:
 
 * :mod:`repro.lint.rules` -- one visitor class per rule (unseeded
-  randomness, wall-clock reads, unordered-set iteration, hot-path
-  guard discipline);
+  randomness, wall-clock reads, unordered-set iteration);
 * :mod:`repro.lint.engine` -- parses each file once, dispatches the
   rules, applies inline ``# repro: allow[RULE] reason`` suppressions,
   and reports missing-reason and stale suppressions as findings of
@@ -18,7 +17,8 @@ bug classes across all seeds with an AST pass over the source:
 
 It keeps only what a test cannot say: facts an import states directly
 (trace-kind positions, capability/verb parity, pool-boundary
-immutability) are asserted over the live objects in the tier-1 suite.
+immutability, which module may build a trace event) are asserted over
+the live objects or the source in the tier-1 suite.
 
 Surface: ``repro lint [--format text|json] [--rule ID] [--check-stale]``
 (see :mod:`repro.cli`), the tier-1 suite (``tests/unit/test_lint.py``

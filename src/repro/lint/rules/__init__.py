@@ -3,7 +3,7 @@
 ``RULES`` is the single source of truth for which rules exist; the
 CLI's ``--rule`` filter, the docs cross-check in
 ``tools/check_docs.py`` and the fixture coverage test in
-``tests/unit/test_lint.py`` all read it.  Rules DET/HOT are AST
+``tests/unit/test_lint.py`` all read it.  Rules DET are AST
 visitors (:class:`~repro.lint.rules.base.Rule` subclasses);
 LINT001/LINT002 are *engine-level* -- they are produced by the
 suppression machinery in :mod:`repro.lint.engine` rather than by an
@@ -17,7 +17,6 @@ from typing import Dict, List
 
 from repro.lint.rules.base import EngineRule, Rule
 from repro.lint.rules.determinism import DET001, DET002, DET003
-from repro.lint.rules.hotpath import HOT001
 
 __all__ = ["LINT001", "LINT002", "RULES", "all_rule_ids"]
 
@@ -47,7 +46,6 @@ RULES: Dict[str, Rule] = {
         DET001(),
         DET002(),
         DET003(),
-        HOT001(),
         LINT001(),
         LINT002(),
     )

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterator, List, Sequence
 
 from repro.lint.findings import Finding
-from repro.lint.suppressions import is_hot_path
 
 
 @dataclass(frozen=True)
@@ -33,10 +32,6 @@ class ModuleUnderLint:
     path: str
     tree: ast.Module
     lines: Sequence[str]
-
-    @property
-    def hot_path(self) -> bool:
-        return is_hot_path(self.lines)
 
 
 class Rule:

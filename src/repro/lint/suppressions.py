@@ -37,9 +37,6 @@ _ALLOW = re.compile(
     r"(?P<reason>[^#]*)"
 )
 
-#: Module-level marker declaring a file hot-path (see rule HOT001).
-HOT_PATH_MARKER = re.compile(r"^#\s*repro:\s*hot-path\s*$")
-
 #: Fixture-only directive: lint this file as if it lived at the given
 #: repo-relative path (so tests/data/lint_fixtures/ snippets can
 #: exercise module-scoped rules without touching the real modules).
@@ -92,13 +89,6 @@ def parse_allows(lines: Sequence[str]) -> List[Allow]:
 def allows_by_line(allows: Sequence[Allow]) -> Dict[Tuple[int, str], Allow]:
     """Index allows as ``(line, rule) -> Allow`` for O(1) pairing."""
     return {(allow.line, allow.rule): allow for allow in allows}
-
-
-def is_hot_path(lines: Sequence[str]) -> bool:
-    """Whether the module carries the ``# repro: hot-path`` marker."""
-    return any(
-        HOT_PATH_MARKER.match(text) for _, text in iter_comments(lines)
-    )
 
 
 def pretend_path(lines: Sequence[str]) -> str:

@@ -1,6 +1,6 @@
 """The flight recorder: a bounded binary ring of trace codes.
 
-Where the full :class:`repro.obs.tracing.Trace` stores one frozen
+Where a capturing :class:`repro.obs.tracing.Trace` stores one frozen
 ``TraceEvent`` dataclass (with a detail dict) per event, the ring
 stores four parallel pre-allocated list slots per event -- time, a
 small-int kind code, the node id and an opaque op reference -- and
@@ -15,8 +15,9 @@ Recording never touches the kernel: no events, no randomness, no
 allocation beyond the slot assignments.  The hot-path attributes are
 deliberately public so the simulator's trace can inline the store
 sequence without a method call per event (see
-:meth:`repro.obs.tracing.Trace.tick`); :meth:`RingTrace.record` wraps
-the same steps for everyone else.  Decoding is on demand only:
+:meth:`repro.obs.tracing.Trace.record`, which writes every event's slot
+from its own arguments, captured or not); :meth:`RingTrace.record`
+wraps the same steps for everyone else.  Decoding is on demand only:
 :meth:`RingTrace.events` yields light tuples in chronological order,
 :meth:`RingTrace.to_trace_events` rehydrates today's ``TraceEvent``
 stream, and :meth:`RingTrace.to_chrome_trace` /

@@ -1,48 +1,47 @@
-"""Structured traces of runs: the event vocabulary every host emits into.
+"""Structured traces of runs: the event vocabulary every host records into.
 
 Every interesting event in a run -- sends, deliveries, drops, stores,
-invocations, replies, crashes, recoveries -- is appended to a
-:class:`Trace` as a :class:`TraceEvent`.  The trace is the single
-source of truth for:
+invocations, replies, crashes, recoveries -- is recorded on a
+:class:`Trace` with one call::
+
+    trace.record(tracing.SEND, now, src, op, dst, message.kind, size)
+
+``(time, pid, op)`` are the event's coordinates; up to three positional
+detail values follow, named per kind by :data:`DETAIL_FIELDS`.  The
+trace is the single source of truth for:
 
 * the failure injector (triggers fire on trace events, which is how the
   adversarial schedules of the lower-bound proofs are reproduced);
 * the metrics layer (latencies, message counts, log counts per
   operation);
-* debugging (a trace pretty-prints as a readable run transcript).
+* debugging (captured events print as a readable run transcript).
 
-Fast path.  Building a :class:`TraceEvent` (a dataclass plus a detail
-dict) per simulated message is the single biggest per-event cost when
-nobody is looking, so emitters are expected to guard construction::
-
-    if trace.wants(tracing.SEND):
-        trace.emit(TraceEvent(...))     # someone captures or listens
-    else:
-        trace.tick(tracing.SEND)        # count-only, allocation-free
-
-:meth:`Trace.wants` answers in O(1) from a precomputed set: a kind is
-wanted when the trace captures, when a listener subscribed to every
-kind, or when a listener subscribed to that kind specifically.
-:meth:`Trace.tick` keeps :meth:`Trace.count` exact either way, so the
-metrics layer sees identical numbers with tracing on or off.
-:data:`NULL_TRACE` is a module-level sink for components run without
-any trace at all; it wants nothing and refuses listeners.
+What an event costs when nobody is looking is decided here, not at the
+call sites.  :meth:`Trace.record` always counts the event and stores
+its flight-recorder slot; only when the kind is *wanted* -- the trace
+captures, a listener subscribed to every kind, or one subscribed to
+that kind -- does it build a :class:`TraceEvent` (a dataclass plus a
+detail dict, the single biggest per-event cost) for the capture list
+and the listeners.  :meth:`Trace.wants` answers that question in O(1)
+from a precomputed set.  :data:`NULL_TRACE` is a module-level sink for
+components run without any trace at all; it records nothing and
+refuses listeners.
 
 Flight recorder.  Independently of capture, every trace feeds a
 bounded :class:`repro.obs.ring.RingTrace` of ``(time, kind-id, pid,
 op)`` codes -- cheap enough to leave always on, so the tail of any run
 is reconstructable after a crash without re-running with capture
-enabled.  :meth:`Trace.tick` therefore accepts the event coordinates
-as optional positional arguments; emitters pass them on both the fast
-and slow paths.  Recording never schedules kernel events or consumes
-randomness, so seeded runs are byte-identical with the ring on or off
-(``Trace(flight_recorder=False)`` disables it).
+enabled.  Its slot is written from :meth:`Trace.record`'s own
+arguments before anything else, so the ring holds the same records
+whether or not anyone captures or listens.  Recording never schedules
+kernel events or consumes randomness, so seeded runs are byte-identical
+with the ring on or off (``Trace(flight_recorder=False)`` disables it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.ring import DEFAULT_CAPACITY, RingTrace
 
@@ -63,26 +62,32 @@ CKPT_BEGIN = "ckpt_begin"
 CKPT_TENTATIVE = "ckpt_tentative"
 CKPT_COMMIT = "ckpt_commit"
 
-# The ring encodes kinds positionally (KIND_IDS below), so new kinds
-# must be appended at the end to keep old flight-recorder exports
-# decodable.
-ALL_KINDS = (
-    SEND,
-    DELIVER,
-    DROP,
-    DUPLICATE,
-    STORE_BEGIN,
-    STORE_END,
-    INVOKE,
-    REPLY,
-    CRASH,
-    RECOVER,
-    RECOVERY_DONE,
-    TIMER,
-    CKPT_BEGIN,
-    CKPT_TENTATIVE,
-    CKPT_COMMIT,
-)
+#: kind -> the field names of its events' detail dict, in order.
+#: ``"op"`` is filled from :meth:`Trace.record`'s ``op`` argument (the
+#: kinds without it still carry ``op`` in the flight recorder); every
+#: other name takes the next of ``record``'s three positional detail
+#: slots.  The ring encodes kinds by their position here (KIND_IDS
+#: below), so new kinds must be appended at the end to keep old
+#: flight-recorder exports decodable.
+DETAIL_FIELDS: Dict[str, Tuple[str, ...]] = {
+    SEND: ("dst", "msg", "op", "size"),
+    DELIVER: ("src", "msg", "op"),
+    DROP: ("dst", "msg", "reason"),
+    DUPLICATE: ("dst", "msg"),
+    STORE_BEGIN: ("key", "size", "done_at", "op"),
+    STORE_END: ("key", "size", "op"),
+    INVOKE: ("op", "kind", "register"),
+    REPLY: ("op", "kind", "causal_logs"),
+    CRASH: (),
+    RECOVER: (),
+    RECOVERY_DONE: ("register",),
+    TIMER: ("token", "register"),
+    CKPT_BEGIN: ("seq", "entries"),
+    CKPT_TENTATIVE: ("seq",),
+    CKPT_COMMIT: ("seq", "entries", "truncated"),
+}
+
+ALL_KINDS = tuple(DETAIL_FIELDS)
 
 #: kind name -> ring code, the binary encoding of the flight recorder.
 KIND_IDS = {kind: code for code, kind in enumerate(ALL_KINDS)}
@@ -113,9 +118,9 @@ class Trace:
     crash a process "immediately after its first store completes",
     mirroring the instant-precise schedules in the paper's proofs.
 
-    A listener may subscribe to specific event ``kinds``; emitters then
-    skip :class:`TraceEvent` construction entirely for kinds nobody
-    wants (see the module docstring).
+    A listener may subscribe to specific event ``kinds``; :meth:`record`
+    then skips :class:`TraceEvent` construction entirely for kinds
+    nobody wants (see the module docstring).
     """
 
     def __init__(
@@ -143,7 +148,7 @@ class Trace:
 
     @property
     def capturing(self) -> bool:
-        """Whether emitted events are retained in :attr:`events`."""
+        """Whether recorded events are retained in :attr:`events`."""
         return self._capture
 
     @property
@@ -152,20 +157,27 @@ class Trace:
         return self._ring
 
     def wants(self, kind: str) -> bool:
-        """Whether an emitter must build a real event for ``kind``."""
+        """Whether :meth:`record` builds a real event for ``kind``."""
         wanted = self._wanted
         return True if wanted is None else kind in wanted
 
-    def tick(
-        self, kind: str, time: float = 0.0, pid: int = -1, op: Any = None
+    def record(
+        self,
+        kind: str,
+        time: float,
+        pid: int,
+        op: Any = None,
+        a: Any = None,
+        b: Any = None,
+        c: Any = None,
     ) -> None:
-        """Count one ``kind`` occurrence without building an event.
+        """Record one ``kind`` event of process ``pid`` at ``time``.
 
-        The allocation-free sibling of :meth:`emit`, used by emitters
-        when :meth:`wants` says nobody would see the event.  Keeps
-        :meth:`count` exact with tracing off, and feeds the flight
-        recorder the same ``(time, kind, pid, op)`` coordinates a full
-        event would carry.
+        ``op`` is the operation the event belongs to; ``a``, ``b`` and
+        ``c`` are the kind's other detail values, in the order of
+        :data:`DETAIL_FIELDS`.  The count and the flight-recorder slot
+        are written inline; a :class:`TraceEvent` is built only when
+        :meth:`wants` says someone captures or listens.
         """
         counts = self._counts
         counts[kind] = counts.get(kind, 0) + 1
@@ -187,19 +199,21 @@ class Trace:
                 ring.wraps += 1
             else:
                 ring.next_index = index
+        wanted = self._wanted
+        if wanted is None or kind in wanted:
+            self._publish(kind, time, pid, op, (a, b, c))
 
-    def emit(self, event: TraceEvent) -> None:
-        """Record ``event`` and notify listeners."""
-        kind = event.kind
+    def _publish(
+        self, kind: str, time: float, pid: int, op: Any, values: Tuple[Any, ...]
+    ) -> None:
+        """Build the event, capture it and run its listeners."""
+        slots = iter(values)
+        detail = {
+            name: op if name == "op" else next(slots) for name in DETAIL_FIELDS[kind]
+        }
+        event = TraceEvent(time=time, kind=kind, pid=pid, detail=detail)
         if self._capture:
             self._events.append(event)
-        counts = self._counts
-        counts[kind] = counts.get(kind, 0) + 1
-        ring = self._ring
-        if ring is not None:
-            ring.record(
-                event.time, KIND_IDS[kind], event.pid, event.detail.get("op")
-            )
         if self._all_listeners:
             for listener in list(self._all_listeners):
                 listener(event)
@@ -213,10 +227,10 @@ class Trace:
     ) -> Callable[[], None]:
         """Register ``listener``; returns an unsubscribe function.
 
-        With ``kinds=None`` the listener sees every event (and forces
-        emitters onto the slow path for every kind).  With an explicit
-        kind list it sees only those kinds, and every other kind keeps
-        its allocation-free fast path.
+        With ``kinds=None`` the listener sees every event (and makes
+        :meth:`record` build one for every kind).  With an explicit
+        kind list it sees only those kinds, and every other kind stays
+        allocation-free.
         """
         if kinds is None:
             self._all_listeners.append(listener)
@@ -250,7 +264,7 @@ class Trace:
 
     @property
     def events(self) -> List[TraceEvent]:
-        """All captured events, in emission order."""
+        """All captured events, in recording order."""
         return list(self._events)
 
     def __len__(self) -> int:
@@ -273,16 +287,6 @@ class Trace:
             if (kind is None or event.kind == kind)
             and (pid is None or event.pid == pid)
         ]
-
-    def format(self, kinds: Optional[List[str]] = None) -> str:
-        """Human-readable transcript, optionally restricted to ``kinds``."""
-        wanted = set(kinds) if kinds is not None else None
-        lines = [
-            str(event)
-            for event in self._events
-            if wanted is None or event.kind in wanted
-        ]
-        return "\n".join(lines)
 
 
 class NullTrace(Trace):
@@ -308,12 +312,16 @@ class NullTrace(Trace):
             "to observe a run without capturing it"
         )
 
-    def tick(
-        self, kind: str, time: float = 0.0, pid: int = -1, op: Any = None
+    def record(
+        self,
+        kind: str,
+        time: float,
+        pid: int,
+        op: Any = None,
+        a: Any = None,
+        b: Any = None,
+        c: Any = None,
     ) -> None:
-        pass
-
-    def emit(self, event: TraceEvent) -> None:  # pragma: no cover - safety net
         pass
 
 

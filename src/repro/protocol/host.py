@@ -48,11 +48,9 @@ rejected until the slot signals
 Hot path.  The core calls its driver's methods directly -- no request
 objects, nothing allocated per effect beyond what the effect itself
 needs -- because this module is a fifth of a simulated run's time.
+Each event is one :meth:`~repro.obs.tracing.Trace.record` call; what it
+costs when nobody captures or listens is the trace's business.
 """
-
-# repro: hot-path
-# (HOT001: every per-event emitter below must guard TraceEvent/emit
-# construction behind trace.wants() and tick() on the fast path.)
 
 from __future__ import annotations
 
@@ -64,7 +62,7 @@ from repro.common.ids import OperationId, ProcessId, make_operation_id
 from repro.history.causal_logs import CausalDepthTracker
 from repro.history.recorder import HistoryRecorder
 from repro.obs import tracing
-from repro.obs.tracing import NULL_TRACE, Trace, TraceEvent
+from repro.obs.tracing import NULL_TRACE, Trace
 from repro.protocol.base import (
     Broadcast,
     CancelTimer,
@@ -228,8 +226,9 @@ class NodeCore:
     * ``_read_back(incarnation)`` -- the world's half of a recovery:
       make the durable state readable (a billed log scan, a reload from
       disk), then call ``_finish_recover(incarnation)``;
-    * ``trace`` (constructor argument) -- the guard every trace site
-      consults; :data:`~repro.obs.tracing.NULL_TRACE` wants nothing.
+    * ``trace`` (constructor argument) -- where every event is
+      recorded, one ``trace.record`` call each;
+      :data:`~repro.obs.tracing.NULL_TRACE` records nothing.
     """
 
     def __init__(
@@ -405,11 +404,7 @@ class NodeCore:
             slot.current = None
         self._unready = len(self._slots)
         self._recorder.record_crash(self.pid)
-        now = self._now()
-        if self._trace.wants(tracing.CRASH):
-            self._trace.emit(TraceEvent(time=now, kind=tracing.CRASH, pid=self.pid))
-        else:
-            self._trace.tick(tracing.CRASH, now, self.pid)
+        self._trace.record(tracing.CRASH, self._now(), self.pid)
 
     def recover(self) -> None:
         """Restart the process and run every slot's recovery procedure.
@@ -424,10 +419,7 @@ class NodeCore:
         self._scanning = True
         now = self._recover_began = self._now()
         self._recorder.record_recovery(self.pid)
-        if self._trace.wants(tracing.RECOVER):
-            self._trace.emit(TraceEvent(time=now, kind=tracing.RECOVER, pid=self.pid))
-        else:
-            self._trace.tick(tracing.RECOVER, now, self.pid)
+        self._trace.record(tracing.RECOVER, now, self.pid)
         self._read_back(self.incarnation)
 
     def _finish_recover(self, incarnation: int) -> None:
@@ -521,18 +513,9 @@ class NodeCore:
         record = ckpt.build_snapshot_record(seq, captured, sizes)
         size = ckpt.snapshot_store_size(sizes.values())
         self._ckpt = (seq, record, size, fresh, captured, sizes)
-        trace, now = self._trace, self._now()
-        if trace.wants(tracing.CKPT_BEGIN):
-            trace.emit(
-                TraceEvent(
-                    time=now,
-                    kind=tracing.CKPT_BEGIN,
-                    pid=self.pid,
-                    detail={"seq": seq, "entries": len(captured)},
-                )
-            )
-        else:
-            trace.tick(tracing.CKPT_BEGIN, now, self.pid)
+        self._trace.record(
+            tracing.CKPT_BEGIN, self._now(), self.pid, None, seq, len(captured)
+        )
         on_durable = partial(self._on_ckpt_tentative, self.incarnation)
         self._store(ckpt.TENTATIVE_KEY, record, size, on_durable, None)
         return True
@@ -541,20 +524,9 @@ class NodeCore:
         if incarnation != self.incarnation or self._ckpt is None:
             return
         seq, record, size = self._ckpt[:3]
-        trace, now = self._trace, self._now()
-        if trace.wants(tracing.CKPT_TENTATIVE):
-            trace.emit(
-                TraceEvent(
-                    time=now,
-                    kind=tracing.CKPT_TENTATIVE,
-                    pid=self.pid,
-                    detail={"seq": seq},
-                )
-            )
-        else:
-            trace.tick(tracing.CKPT_TENTATIVE, now, self.pid)
+        self._trace.record(tracing.CKPT_TENTATIVE, self._now(), self.pid, None, seq)
         # A trace trigger (TornStore) may have crashed us during the
-        # emit above -- exactly between the two phases; the permanent
+        # record above -- exactly between the two phases; the permanent
         # store must then never be issued.
         if incarnation != self.incarnation or self._ckpt is None:
             return
@@ -583,22 +555,10 @@ class NodeCore:
         self._delete(ckpt.TENTATIVE_KEY)
         self._compact()
         self.checkpoints_committed += 1
-        trace, now = self._trace, self._now()
-        if trace.wants(tracing.CKPT_COMMIT):
-            trace.emit(
-                TraceEvent(
-                    time=now,
-                    kind=tracing.CKPT_COMMIT,
-                    pid=self.pid,
-                    detail={
-                        "seq": seq,
-                        "entries": len(captured),
-                        "truncated": truncated,
-                    },
-                )
-            )
-        else:
-            trace.tick(tracing.CKPT_COMMIT, now, self.pid)
+        self._trace.record(
+            tracing.CKPT_COMMIT, self._now(), self.pid, None,
+            seq, len(captured), truncated,
+        )
 
     # -- client operations -----------------------------------------------------
 
@@ -635,18 +595,7 @@ class NodeCore:
         self._recorder.record_invoke(op, self.pid, kind, value)
         if register is not None:
             self._recorder.record_register(op, register)
-        trace = self._trace
-        if trace.wants(tracing.INVOKE):
-            trace.emit(
-                TraceEvent(
-                    time=now,
-                    kind=tracing.INVOKE,
-                    pid=self.pid,
-                    detail={"op": op, "kind": kind, "register": register},
-                )
-            )
-        else:
-            trace.tick(tracing.INVOKE, now, self.pid, op)
+        self._trace.record(tracing.INVOKE, now, self.pid, op, kind, register)
         self._depths.observe(op, 0)
         if kind == "read":
             effects = slot.protocol.invoke_read(op)
@@ -717,18 +666,9 @@ class NodeCore:
         if incarnation != self.incarnation or self.state == CRASHED:
             return
         self._timers.pop((slot.register, token), None)
-        trace, now = self._trace, self._now()
-        if trace.wants(tracing.TIMER):
-            trace.emit(
-                TraceEvent(
-                    time=now,
-                    kind=tracing.TIMER,
-                    pid=self.pid,
-                    detail={"token": token, "register": slot.register},
-                )
-            )
-        else:
-            trace.tick(tracing.TIMER, now, self.pid, op)
+        self._trace.record(
+            tracing.TIMER, self._now(), self.pid, op, token, slot.register
+        )
         effects = slot.protocol.on_timer(token)
         self._execute(effects, depth=depth, op=op, slot=slot)
 
@@ -849,17 +789,7 @@ class NodeCore:
                 self.recovery_times.append(duration)
                 if self.on_recovery_time is not None:
                     self.on_recovery_time(duration)
-        if self._trace.wants(tracing.RECOVERY_DONE):
-            self._trace.emit(
-                TraceEvent(
-                    time=now,
-                    kind=tracing.RECOVERY_DONE,
-                    pid=self.pid,
-                    detail={"register": slot.register},
-                )
-            )
-        else:
-            self._trace.tick(tracing.RECOVERY_DONE, now, self.pid)
+        self._trace.record(tracing.RECOVERY_DONE, now, self.pid, None, slot.register)
 
     # -- egress multiplexing ---------------------------------------------------
 
@@ -905,20 +835,7 @@ class NodeCore:
         self._recorder.record_causal_logs(effect.op, causal)
         if effect.tag is not None:
             self._recorder.record_tag(effect.op, effect.tag)
-        trace = self._trace
-        if trace.wants(tracing.REPLY):
-            trace.emit(
-                TraceEvent(
-                    time=now,
-                    kind=tracing.REPLY,
-                    pid=self.pid,
-                    detail={
-                        "op": effect.op,
-                        "kind": handle.kind,
-                        "causal_logs": causal,
-                    },
-                )
-            )
-        else:
-            trace.tick(tracing.REPLY, now, self.pid, effect.op)
+        self._trace.record(
+            tracing.REPLY, now, self.pid, effect.op, handle.kind, causal
+        )
         handle._settle()

@@ -103,10 +103,13 @@ class Message:
     #: which its round began.  Class-level, not a wire field.
     is_ack = False
 
-    @property
-    def kind(self) -> str:
-        """Short wire-format name, for traces."""
-        return type(self).__name__
+    #: Short wire-format name, for traces: the class name, set on each
+    #: subclass so that reading it is an attribute load.
+    kind = "Message"
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.kind = cls.__name__
 
     def __eq__(self, other: object) -> bool:
         return other.__class__ is self.__class__ and tuple.__eq__(self, other)

@@ -57,9 +57,6 @@ job or completion that raises is reported to the kernel's error policy
 and never acknowledged; the jobs behind it still run.
 """
 
-# repro: hot-path
-# (HOT001: no unguarded TraceEvent/emit on the live per-callback path.)
-
 from __future__ import annotations
 
 import functools

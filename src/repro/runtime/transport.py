@@ -68,9 +68,6 @@ crashed in between, and measured, counted and flight-recorded exactly
 as a datagram is.
 """
 
-# repro: hot-path
-# (HOT001: no unguarded TraceEvent/emit on the live per-datagram path.)
-
 from __future__ import annotations
 
 # The socket module's C core: the ``socket`` module around it converts
@@ -384,7 +381,7 @@ class UdpTransport:
         Kind codes are resolved once here (the pre-resolved-handle
         discipline of :mod:`repro.obs`); each send and delivery stores
         into the ring's public slots inline, as
-        :meth:`repro.obs.tracing.Trace.tick` does, with no method call.
+        :meth:`repro.obs.tracing.Trace.record` does, with no method call.
         The destinations of one transmit share one ``clock()`` reading;
         a delivery is stamped with the kernel's time of the event that
         carries it (:attr:`~repro.common.kernel.Kernel.now`), as on the

@@ -23,10 +23,6 @@ needs termination, matching the "eventually a majority is permanently
 up" assumption).
 """
 
-# repro: hot-path
-# (HOT001: every per-event emitter below must guard TraceEvent/emit
-# construction behind trace.wants() and tick() on the fast path.)
-
 from __future__ import annotations
 
 import inspect
@@ -36,9 +32,8 @@ from repro.common.config import NetworkConfig
 from repro.common.ids import ProcessId
 from repro.net.delay import DelayModel
 from repro.protocol.messages import Message
-from repro.obs import tracing
 from repro.common.kernel import Kernel
-from repro.obs.tracing import NULL_TRACE, Trace, TraceEvent
+from repro.obs.tracing import DELIVER, DROP, DUPLICATE, NULL_TRACE, SEND, Trace
 
 #: One-way delay for a process's message to its own listener (loopback
 #: does not cross the wire; the paper's implementation runs the
@@ -259,7 +254,8 @@ class SimNetwork:
         rng = kernel.rng
         schedule = kernel.schedule
         deliver = self._deliver
-        trace = self._trace
+        record = self._trace.record
+        kind = message.kind
         blocked = self._blocked_links
         filters = self._filters
         penalties = self._link_penalties
@@ -276,17 +272,7 @@ class SimNetwork:
         for dst in dsts:
             self.messages_sent += 1
             self.bytes_sent += size
-            if trace.wants(tracing.SEND):
-                trace.emit(
-                    TraceEvent(
-                        time=now,
-                        kind=tracing.SEND,
-                        pid=src,
-                        detail={"dst": dst, "msg": message.kind, "op": op, "size": size},
-                    )
-                )
-            else:
-                trace.tick(tracing.SEND, now, src, op)
+            record(SEND, now, src, op, dst, kind, size)
             if blocked and (src, dst) in blocked:
                 self._drop(src, dst, message, reason="partition")
                 continue
@@ -323,17 +309,7 @@ class SimNetwork:
                 ):
                     break
                 duplicate = True
-                if trace.wants(tracing.DUPLICATE):
-                    trace.emit(
-                        TraceEvent(
-                            time=now,
-                            kind=tracing.DUPLICATE,
-                            pid=src,
-                            detail={"dst": dst, "msg": message.kind},
-                        )
-                    )
-                else:
-                    trace.tick(tracing.DUPLICATE, now, src, op)
+                record(DUPLICATE, now, src, op, dst, kind)
         if overhead:
             self._egress_free_at[src] = free_at
 
@@ -344,33 +320,13 @@ class SimNetwork:
         if handler is None:
             return
         self.messages_delivered += 1
-        trace = self._trace
-        if trace.wants(tracing.DELIVER):
-            trace.emit(
-                TraceEvent(
-                    time=self._kernel.now,
-                    kind=tracing.DELIVER,
-                    pid=dst,
-                    detail={"src": src, "msg": message.kind, "op": message.op},
-                )
-            )
-        else:
-            trace.tick(tracing.DELIVER, self._kernel.now, dst, message.op)
+        self._trace.record(DELIVER, self._kernel.now, dst, message.op, src, message.kind)
         handler(src, message, depth)
 
     def _drop(
         self, src: ProcessId, dst: ProcessId, message: Message, reason: str
     ) -> None:
         self.messages_dropped += 1
-        trace = self._trace
-        if trace.wants(tracing.DROP):
-            trace.emit(
-                TraceEvent(
-                    time=self._kernel.now,
-                    kind=tracing.DROP,
-                    pid=src,
-                    detail={"dst": dst, "msg": message.kind, "reason": reason},
-                )
-            )
-        else:
-            trace.tick(tracing.DROP, self._kernel.now, src, message.op)
+        self._trace.record(
+            DROP, self._kernel.now, src, message.op, dst, message.kind, reason
+        )

@@ -11,10 +11,6 @@ schedules kernel events -- which the golden transcripts pin -- is the
 order of the core's own statements.
 """
 
-# repro: hot-path
-# (HOT001: the per-event trace sites live in the core; anything added
-# here sits on the same datapath and is held to the same guard.)
-
 from __future__ import annotations
 
 from functools import partial

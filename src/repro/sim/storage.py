@@ -32,19 +32,14 @@ lands -- a lying fsync), and :meth:`~SimStableStorage.set_slow`
 storage fault primitives in :mod:`repro.scenarios.faults`.
 """
 
-# repro: hot-path
-# (HOT001: every per-event emitter below must guard TraceEvent/emit
-# construction behind trace.wants() and tick() on the fast path.)
-
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.common.config import StorageConfig
 from repro.common.ids import ProcessId
-from repro.obs import tracing
 from repro.common.kernel import Kernel
-from repro.obs.tracing import NULL_TRACE, Trace, TraceEvent
+from repro.obs.tracing import NULL_TRACE, STORE_BEGIN, STORE_END, Trace
 from repro.storage.model import StorageLatencyModel
 
 CompletionCallback = Callable[[], None]
@@ -117,18 +112,7 @@ class SimStableStorage:
         epoch = self._epoch
         store_id = self._next_store_id
         self._next_store_id += 1
-        trace = self._trace
-        if trace.wants(tracing.STORE_BEGIN):
-            trace.emit(
-                TraceEvent(
-                    time=now,
-                    kind=tracing.STORE_BEGIN,
-                    pid=self._pid,
-                    detail={"key": key, "size": size, "done_at": done_at, "op": op},
-                )
-            )
-        else:
-            trace.tick(tracing.STORE_BEGIN, now, self._pid, op)
+        self._trace.record(STORE_BEGIN, now, self._pid, op, key, size, done_at)
         handle = self._kernel.schedule_cancellable(
             done_at - now,
             self._complete, store_id, key, record, size, on_durable, epoch, op,
@@ -160,18 +144,7 @@ class SimStableStorage:
             self.bytes_logged += size
             self.log_records += 1
             self.log_bytes += size
-        trace = self._trace
-        if trace.wants(tracing.STORE_END):
-            trace.emit(
-                TraceEvent(
-                    time=self._kernel.now,
-                    kind=tracing.STORE_END,
-                    pid=self._pid,
-                    detail={"key": key, "size": size, "op": op},
-                )
-            )
-        else:
-            trace.tick(tracing.STORE_END, self._kernel.now, self._pid, op)
+        self._trace.record(STORE_END, self._kernel.now, self._pid, op, key, size)
         on_durable()
 
     def crash(self) -> None:

@@ -9,7 +9,9 @@ have to hold *under observation*, not just without it:
   since the ring defaults on);
 * a scenario's fingerprint is byte-identical with the ring on or off;
 * attaching a metrics listener and snapshotting the registry mid-run
-  changes nothing observable about the run itself.
+  changes nothing observable about the run itself;
+* the flight recorder holds the same records whether or not the trace
+  captures: the ring does not depend on anyone looking.
 """
 
 import json
@@ -18,6 +20,10 @@ from pathlib import Path
 import pytest
 
 from repro.api import open_cluster
+from repro.common.config import ClusterConfig, NetworkConfig
+from repro.obs import tracing
+from repro.scenarios.faults import RandomCrashPlan
+from repro.workloads.generators import run_closed_loop
 from repro.scenarios.library import get_scenario
 from repro.scenarios.runner import _normalize_transcript
 from repro.scenarios.runner import run_scenario as run_spec
@@ -34,6 +40,44 @@ class TestGoldenUnderObservation:
         # switching the recorder off must not move a single event.
         golden = (GOLDEN_DIR / f"{protocol}.txt").read_text()
         assert run_scenario(protocol, flight_recorder=False) == golden
+
+
+def crashy_lossy_ring(capture):
+    """A 5-process run with loss, duplicates, retransmission timers and crashes."""
+    config = ClusterConfig(
+        num_processes=5, network=NetworkConfig(duplicate_probability=0.05), seed=41
+    )
+    cluster = open_cluster("sim", config=config, capture_trace=capture).start()
+    cluster.lose(0.2, seed=3)
+    RandomCrashPlan(horizon=0.01, seed=42).arm(cluster)
+    run_closed_loop(cluster, operations_per_client=5, read_fraction=0.5, seed=41)
+    cluster.run(0.01)
+    return cluster
+
+
+def ring_records(cluster):
+    """The decoded ring, operations numbered in order of first appearance.
+
+    Operation ids count per interpreter, so two runs in one process
+    number the same operation differently.
+    """
+    numbers = {}
+    return [
+        (e.time, e.kind, e.pid, None if e.op is None else numbers.setdefault(e.op, len(numbers)))
+        for e in cluster.flight_recorder.events()
+    ]
+
+
+class TestFlightRecorderUnderCapture:
+    def test_the_ring_is_the_same_with_capture_on_and_off(self):
+        quiet, captured = crashy_lossy_ring(False), crashy_lossy_ring(True)
+        for kind in (tracing.DROP, tracing.DUPLICATE, tracing.TIMER, tracing.CRASH):
+            assert quiet.trace.count(kind) > 0, kind
+        records = ring_records(quiet)
+        assert records == ring_records(captured)
+        # The kinds whose events carry no ``op`` detail keep it in the ring.
+        for kind in (tracing.DROP, tracing.DUPLICATE, tracing.TIMER):
+            assert any(op is not None for _, k, _, op in records if k == kind), kind
 
 
 class TestScenarioFingerprints:

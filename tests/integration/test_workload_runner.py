@@ -95,3 +95,22 @@ def test_a_returned_kv_run_issues_nothing_more():
     assert len(c.history.completed_operations()) == 2
     assert (report.issued, report.completed, report.unissued) == (2, 0, 4)
     assert c.check().ok
+
+
+def test_sim_keys_need_no_preload():
+    """A session is ready for a key exactly when an invocation on it cannot raise.
+
+    A register the simulator has not booted refuses an invocation, so
+    a new key is not ready until it has: asking provisions it.
+    """
+    c = open_cluster("sim", num_processes=3, seed=1).start()
+    session = c.session(0)
+    assert not session.ready_for("key-7")
+    assert c.run_until(lambda: session.ready_for("key-7"), timeout=1.0)
+    c.wait(session.write("x", key="key-7"), timeout=1.0, expect_done=True)
+    clients = zipf_clients([10] * 3, [0, 1, 2], ZipfianKeys(8), seed=1)
+    report = WorkloadRunner(c, clients).run(timeout=5.0)
+    assert (report.issued, report.completed, report.aborted, report.unissued) == (
+        30, 30, 0, 0,
+    )
+    assert c.check().ok

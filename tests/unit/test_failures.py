@@ -148,11 +148,16 @@ class TestTriggers:
 
     def test_injector_without_triggers_keeps_fast_path(self):
         cluster, facade = started(capture_trace=False)
-        # Nothing subscribed: every kind stays on the tick-only path.
+        # Nothing subscribed: no kind builds an event.
         assert not cluster.trace.wants(tracing.SEND)
-        facade.on_event("no-such-kind", None, 1, facade.crash, 0)
-        # An installed hook sees every kind.
-        assert cluster.trace.wants(tracing.SEND)
+        facade.on_event(tracing.STORE_END, None, 1, facade.crash, 0)
+        # A hook on one kind wants that kind only.
+        assert cluster.trace.wants(tracing.STORE_END)
+        assert not cluster.trace.wants(tracing.SEND)
+        facade.on_event(tracing.STORE_END, 1, 2, facade.crash, 1)
+        assert [k for k in tracing.ALL_KINDS if cluster.trace.wants(k)] == [
+            tracing.STORE_END
+        ]
 
     def test_recover_trigger(self):
         cluster, facade = started()

@@ -30,7 +30,6 @@ RULE_FIXTURES = {
     "DET001": ("det001_unseeded.py", False),
     "DET002": ("det002_wall_clock.py", False),
     "DET003": ("det003_set_iteration.py", False),
-    "HOT001": ("hot001_unguarded.py", False),
     "LINT001": ("lint001_reasonless_allow.py", False),
     "LINT002": ("lint002_stale_allow.py", True),
 }

@@ -349,36 +349,54 @@ class TestLossAndDuplication:
 
 
 class TestTracingFastPath:
-    """Emitters must skip TraceEvent construction when nobody wants it."""
+    """A whole simulated cluster builds a TraceEvent only when one is wanted.
 
-    def _counting_network(self, monkeypatch, trace):
-        from repro.sim import network as network_module
+    The network, the node host and the storage all record through
+    ``Trace.record``; the counter wraps the one class they could build.
+    """
+
+    def _counting_run(self, monkeypatch, capture, kinds=None):
+        from repro.api import open_cluster
 
         constructed = []
-        real = network_module.TraceEvent
+        real = tracing.TraceEvent
 
         def counting(*args, **kwargs):
             event = real(*args, **kwargs)
             constructed.append(event.kind)
             return event
 
-        monkeypatch.setattr(network_module, "TraceEvent", counting)
-        kernel = Kernel(seed=0)
-        network = SimNetwork(kernel, 3, NetworkConfig(), trace)
-        for pid in range(3):
-            network.attach(pid, ignore)
-        return kernel, network, constructed
+        monkeypatch.setattr(tracing, "TraceEvent", counting)
+        cluster = open_cluster(
+            "sim", num_processes=3, seed=5, capture_trace=capture,
+            checkpoint_interval=4e-4,
+        )
+        seen = []
+        if kinds is not None:
+            cluster.trace.subscribe(seen.append, kinds=kinds)
+        cluster.start()
+        session = cluster.session(0)
+        session.write_sync("a")
+        cluster.crash(2)
+        session.write_sync("b")
+        cluster.recover(2)
+        session.read_sync()
+        cluster.run(2e-3)
+        counts = {kind: cluster.trace.count(kind) for kind in tracing.ALL_KINDS}
+        return cluster, constructed, counts, seen
 
     def test_quiet_trace_builds_no_events(self, monkeypatch):
-        trace = Trace(capture=False)
-        kernel, network, constructed = self._counting_network(monkeypatch, trace)
-        for _ in range(10):
-            network.send(0, 1, query(), depth=0)
-        kernel.run()
+        cluster, constructed, counts, _ = self._counting_run(monkeypatch, False)
         assert constructed == []
-        # ... but the counts survive for the metrics layer.
-        assert trace.count(tracing.SEND) == 10
-        assert trace.count(tracing.DELIVER) == 10
+        # ... but the counts are exact for the metrics layer: the same
+        # as a capturing run's, which is the same run.
+        monkeypatch.undo()
+        _, captured, captured_counts, _ = self._counting_run(monkeypatch, True)
+        assert counts == captured_counts
+        assert counts == {k: captured.count(k) for k in tracing.ALL_KINDS}
+        assert counts[tracing.SEND] == cluster.network.messages_sent
+        assert counts[tracing.DELIVER] == cluster.network.messages_delivered
+        assert counts[tracing.INVOKE] == counts[tracing.REPLY] == 3
 
     def test_default_trace_is_quiet(self, monkeypatch):
         kernel = Kernel(seed=0)
@@ -390,19 +408,18 @@ class TestTracingFastPath:
         assert network.messages_delivered == 1
 
     def test_kind_listener_reactivates_only_its_kind(self, monkeypatch):
-        trace = Trace(capture=False)
-        kernel, network, constructed = self._counting_network(monkeypatch, trace)
-        seen = []
-        trace.subscribe(seen.append, kinds=[tracing.SEND])
-        for _ in range(5):
-            network.send(0, 1, query(), depth=0)
-        kernel.run()
-        assert constructed == [tracing.SEND] * 5
-        assert len(seen) == 5
+        _, constructed, counts, seen = self._counting_run(
+            monkeypatch, False, kinds=[tracing.STORE_END]
+        )
+        assert constructed == [tracing.STORE_END] * counts[tracing.STORE_END]
+        assert len(seen) == counts[tracing.STORE_END] > 0
 
     def test_capture_builds_every_event(self, monkeypatch):
-        trace = Trace(capture=True)
-        kernel, network, constructed = self._counting_network(monkeypatch, trace)
-        network.send(0, 1, query(), depth=0)
-        kernel.run()
-        assert constructed == [tracing.SEND, tracing.DELIVER]
+        cluster, constructed, counts, _ = self._counting_run(monkeypatch, True)
+        assert len(constructed) == len(cluster.trace.events) == sum(counts.values())
+        # Network, storage and host events alike.
+        assert set(constructed) >= {
+            tracing.SEND, tracing.DELIVER, tracing.STORE_BEGIN, tracing.STORE_END,
+            tracing.INVOKE, tracing.REPLY, tracing.CRASH, tracing.RECOVER,
+            tracing.RECOVERY_DONE, tracing.CKPT_BEGIN, tracing.CKPT_COMMIT,
+        }

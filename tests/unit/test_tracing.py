@@ -1,37 +1,46 @@
 """Unit tests for the trace event log."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.obs import tracing
 from repro.obs.tracing import NULL_TRACE, Trace, TraceEvent
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def event(kind=tracing.SEND, pid=0, time=1.0, **detail):
     return TraceEvent(time=time, kind=kind, pid=pid, detail=detail)
 
 
+def record(trace, kind=tracing.SEND, pid=0, time=1.0, op=None, *detail):
+    trace.record(kind, time, pid, op, *detail)
+
+
 class TestTrace:
     def test_emit_appends_in_order(self):
         trace = Trace()
-        trace.emit(event(pid=0))
-        trace.emit(event(pid=1))
+        record(trace, pid=0)
+        record(trace, pid=1)
         assert [e.pid for e in trace.events] == [0, 1]
         assert len(trace) == 2
 
     def test_counts_by_kind_even_without_capture(self):
         trace = Trace(capture=False)
-        trace.emit(event(kind=tracing.SEND))
-        trace.emit(event(kind=tracing.SEND))
-        trace.emit(event(kind=tracing.CRASH))
+        record(trace, tracing.SEND)
+        record(trace, tracing.SEND)
+        record(trace, tracing.CRASH)
         assert trace.count(tracing.SEND) == 2
         assert trace.count(tracing.CRASH) == 1
         assert trace.events == []
 
     def test_filter_by_kind_and_pid(self):
         trace = Trace()
-        trace.emit(event(kind=tracing.SEND, pid=0))
-        trace.emit(event(kind=tracing.SEND, pid=1))
-        trace.emit(event(kind=tracing.CRASH, pid=1))
+        record(trace, tracing.SEND, pid=0)
+        record(trace, tracing.SEND, pid=1)
+        record(trace, tracing.CRASH, pid=1)
         assert len(trace.filter(kind=tracing.SEND)) == 2
         assert len(trace.filter(pid=1)) == 2
         assert len(trace.filter(kind=tracing.SEND, pid=1)) == 1
@@ -40,17 +49,17 @@ class TestTrace:
         trace = Trace()
         seen = []
         trace.subscribe(seen.append)
-        probe = event()
-        trace.emit(probe)
-        assert seen == [probe]
+        trace.record(tracing.DELIVER, 1.0, 2, "p0#1", 0, "W")
+        assert seen == [event(tracing.DELIVER, pid=2, src=0, msg="W", op="p0#1")]
+        assert seen == trace.events
 
     def test_unsubscribe_stops_delivery(self):
         trace = Trace()
         seen = []
         unsubscribe = trace.subscribe(seen.append)
-        trace.emit(event())
+        record(trace)
         unsubscribe()
-        trace.emit(event())
+        record(trace)
         assert len(seen) == 1
 
     def test_unsubscribe_is_idempotent(self):
@@ -66,17 +75,17 @@ class TestTrace:
 
         def listener(e):
             if e.kind == tracing.SEND:
-                trace.emit(event(kind=tracing.CRASH))
+                record(trace, tracing.CRASH)
 
         trace.subscribe(listener)
-        trace.emit(event(kind=tracing.SEND))
+        record(trace, tracing.SEND)
         assert trace.count(tracing.CRASH) == 1
 
-    def test_format_renders_requested_kinds(self):
+    def test_filtered_events_render_requested_kinds(self):
         trace = Trace()
-        trace.emit(event(kind=tracing.SEND, pid=3))
-        trace.emit(event(kind=tracing.CRASH, pid=4))
-        text = trace.format(kinds=[tracing.CRASH])
+        record(trace, tracing.SEND, pid=3)
+        record(trace, tracing.CRASH, pid=4)
+        text = "\n".join(str(e) for e in trace.filter(kind=tracing.CRASH))
         assert "p4" in text
         assert "p3" not in text
 
@@ -91,18 +100,18 @@ class TestPerKindSubscription:
         trace = Trace()
         seen = []
         trace.subscribe(seen.append, kinds=[tracing.SEND, tracing.DROP])
-        trace.emit(event(kind=tracing.SEND))
-        trace.emit(event(kind=tracing.DELIVER))
-        trace.emit(event(kind=tracing.DROP))
+        record(trace, tracing.SEND)
+        record(trace, tracing.DELIVER)
+        record(trace, tracing.DROP)
         assert [e.kind for e in seen] == [tracing.SEND, tracing.DROP]
 
     def test_kind_listener_unsubscribe(self):
         trace = Trace()
         seen = []
         unsubscribe = trace.subscribe(seen.append, kinds=[tracing.SEND])
-        trace.emit(event(kind=tracing.SEND))
+        record(trace, tracing.SEND)
         unsubscribe()
-        trace.emit(event(kind=tracing.SEND))
+        record(trace, tracing.SEND)
         assert len(seen) == 1
 
     def test_all_kind_listeners_run_before_kind_listeners(self):
@@ -110,7 +119,7 @@ class TestPerKindSubscription:
         order = []
         trace.subscribe(lambda e: order.append("kind"), kinds=[tracing.SEND])
         trace.subscribe(lambda e: order.append("all"))
-        trace.emit(event(kind=tracing.SEND))
+        record(trace, tracing.SEND)
         assert order == ["all", "kind"]
 
 
@@ -140,10 +149,10 @@ class TestFastPath:
         unsubscribe()
         assert not any(trace.wants(kind) for kind in tracing.ALL_KINDS)
 
-    def test_tick_counts_without_an_event(self):
+    def test_a_quiet_record_counts_without_an_event(self):
         trace = Trace(capture=False)
-        trace.tick(tracing.SEND)
-        trace.tick(tracing.SEND)
+        record(trace, tracing.SEND)
+        record(trace, tracing.SEND)
         assert trace.count(tracing.SEND) == 2
         assert trace.events == []
 
@@ -181,3 +190,30 @@ class TestKindEncoding:
     def test_all_kinds_is_the_pinned_manifest(self):
         assert tuple(tracing.ALL_KINDS) == PINNED
         assert len(set(tracing.ALL_KINDS)) == len(tracing.ALL_KINDS)
+
+
+class TestEmitterContract:
+    """What an event costs when nobody looks is decided in ``repro.obs``."""
+
+    def test_no_module_outside_obs_builds_or_guards_events(self):
+        offenders = []
+        for path in sorted(SRC.rglob("*.py")):
+            if path.parent == SRC / "obs":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if isinstance(func, ast.Attribute):
+                    called = func.attr in ("TraceEvent", "emit", "tick", "wants")
+                else:
+                    called = isinstance(func, ast.Name) and func.id == "TraceEvent"
+                if called:
+                    offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+        assert offenders == []
+
+    def test_a_kind_names_at_most_three_detail_slots_besides_op(self):
+        assert tuple(tracing.DETAIL_FIELDS) == tracing.ALL_KINDS
+        for names in tracing.DETAIL_FIELDS.values():
+            assert len([name for name in names if name != "op"]) <= 3
+            assert len(set(names)) == len(names)

@@ -38,6 +38,7 @@ from __future__ import annotations
 import tempfile
 import time
 from collections import deque
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Deque, List, Optional, Set
 
@@ -411,8 +412,9 @@ class LiveBackend(Cluster):
     def wait(
         self, handle: OpHandle, timeout: float = 5.0, expect_done: bool = False
     ) -> OpHandle:
+        # The predicate is a C call per event: no Python frame.
         if not handle.settled and not self.kernel.run_until(
-            lambda: handle.settled, None, timeout
+            partial(getattr, handle, "settled"), None, timeout
         ):
             # Only this wait gave up; the operation stays in flight.
             raise ReproError(f"live {handle.kind} did not settle within {timeout}s")

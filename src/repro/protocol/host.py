@@ -209,8 +209,10 @@ class NodeCore:
     driver may bind them as instance attributes instead of methods):
 
     * ``_now()`` -- the clock, in seconds;
-    * ``_send(dst, message, depth)`` / ``_broadcast(message, depth)``
-      -- fire-and-forget datagrams (broadcast includes this process);
+    * ``_transmit(dsts, message, depth)`` -- fire-and-forget
+      datagrams to each of ``dsts``, the one send primitive: a ``Send``
+      names its destination through :attr:`_to`, a ``Broadcast`` all
+      of :attr:`_everyone` (this process included);
     * ``_store(key, record, size, on_durable, op)`` -- log a record and
       call ``on_durable()`` once it is durable; stores of one process
       complete in issue order;
@@ -253,6 +255,10 @@ class NodeCore:
         self._recorder = recorder
         self._trace = NULL_TRACE if trace is None else trace
         self._num_processes = num_processes
+        # The ``dsts`` of a send (``KeyError`` for a pid out of range)
+        # and of a broadcast, built once.
+        self._to = {dst: (dst,) for dst in range(num_processes)}
+        self._everyone = range(num_processes)
         self.batch_window = batch_window
         #: Seconds between periodic checkpoints (None = never).
         self.checkpoint_interval = checkpoint_interval
@@ -711,16 +717,17 @@ class NodeCore:
                 if message.is_ack:
                     out_depth = self._depths.outgoing_depth(message_op, out_depth)
                 if slot.register is None:
-                    if cls is Send:
-                        self._send(effect.dst, message, out_depth)
-                    else:
-                        self._broadcast(message, out_depth)
+                    self._transmit(
+                        self._to[effect.dst] if cls is Send else self._everyone,
+                        message,
+                        out_depth,
+                    )
                 else:
                     frame = RegisterFrame(slot.register, out_depth, message)
                     if cls is Send:
                         self._dispatch(frame, effect.dst)
                     else:
-                        for dst in range(self._num_processes):
+                        for dst in self._everyone:
                             self._dispatch(frame, dst)
             elif cls is Store:
                 self._store(
@@ -798,7 +805,7 @@ class NodeCore:
         if self.batch_window == 0.0:
             # No window, no coalescing: one datagram per frame, the
             # honest unbatched baseline the benchmarks sweep against.
-            self._send(dst, MuxBatch(None, 0, (frame,)), 0)
+            self._transmit(self._to[dst], MuxBatch(None, 0, (frame,)), 0)
             return
         self._pending_frames.setdefault(dst, []).append(frame)
         if dst not in self._flush_scheduled:
@@ -812,7 +819,7 @@ class NodeCore:
             return  # frames queued by a dead incarnation die with it
         if not frames:
             return
-        self._send(dst, MuxBatch(None, 0, tuple(frames)), 0)
+        self._transmit(self._to[dst], MuxBatch(None, 0, tuple(frames)), 0)
 
     def _complete_operation(
         self, effect: Reply, depth: int, slot: _RegisterSlot

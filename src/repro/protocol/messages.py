@@ -20,10 +20,12 @@ current round's quorum.  Acks echo both.
 
 Messages also declare their billable payload size so the network can
 charge size-dependent delays (Figure 6 bottom).  ``HEADER_SIZE`` covers
-opcode, op id, round and tag fields.  Messages, frames and batches are
-named tuples whose ``size`` is settled when they are built -- a class
-constant for the header-only kinds, the last tuple field for the others
--- so reading it is an attribute load however deep the nesting.
+opcode, op id, round and tag fields.  A message's ``size`` is computed
+where it is priced, by the simulator's transmit path and by
+:class:`RegisterFrame` (a live message is never sized): a class constant
+for the header-only kinds, a property over the value for the others.  A
+frame and a batch keep theirs as their last tuple field, so a batch's
+size is one attribute load however many frames it holds.
 
 Register multiplexing
 ---------------------
@@ -79,8 +81,7 @@ class Message:
     per-instance ``__dict__`` -- a handler builds one or two per message
     it receives.  Unlike the effects they keep the equality they had as
     dataclasses: two messages are equal only if they are of the same
-    class (``SnQuery(op, 1) != ReadQuery(op, 1)``).  Build them with
-    their constructors; ``_make`` and ``_replace`` would skip the sizing.
+    class (``SnQuery(op, 1) != ReadQuery(op, 1)``).
     """
 
     __slots__ = ()
@@ -88,11 +89,7 @@ class Message:
     #: Billable size in bytes (header plus any value payload): a *model*
     #: quantity that prices the size-dependent delays of Figure 6, not
     #: the length of any encoding.  Header-only messages share this
-    #: class constant.  A message that carries a value computes its size
-    #: once, in its constructor, and keeps it as the last field of its
-    #: tuple; its class must rebind ``size`` to that field's accessor in
-    #: its own body, because this constant precedes the tuple in the MRO
-    #: and would otherwise answer for it.
+    #: class constant; a value carrier overrides it with ``_VALUE_SIZE``.
     size = HEADER_SIZE
 
     #: Whether this message acknowledges state the sender holds (as
@@ -134,10 +131,12 @@ class SnAck(Message, namedtuple("SnAck", ("op", "round_no", "tag"))):
     is_ack = True
 
 
-_WriteRequest = namedtuple("WriteRequest", ("op", "round_no", "tag", "value", "size"))
+#: ``size`` of a value carrier: the header plus the value's payload
+#: (the value is field 3 of both carriers).
+_VALUE_SIZE = property(lambda message: HEADER_SIZE + payload_size(message[3]))
 
 
-class WriteRequest(Message, _WriteRequest):
+class WriteRequest(Message, namedtuple("WriteRequest", ("op", "round_no", "tag", "value"))):
     """``W``: adopt ``value`` with ``tag`` if ``tag`` is lexicographically higher.
 
     Sent by writers in their second round, by readers in their
@@ -146,13 +145,7 @@ class WriteRequest(Message, _WriteRequest):
     """
 
     __slots__ = ()
-    size = _WriteRequest.size
-
-    def __new__(cls, op, round_no, tag, value: Any):
-        return _new(cls, (op, round_no, tag, value, HEADER_SIZE + payload_size(value)))
-
-    def __getnewargs__(self):
-        return self[:-1]
+    size = _VALUE_SIZE
 
 
 class WriteAck(Message, namedtuple("WriteAck", ("op", "round_no", "tag"))):
@@ -168,12 +161,12 @@ class ReadQuery(Message, namedtuple("ReadQuery", ("op", "round_no"))):
     __slots__ = ()
 
 
-_ReadAck = namedtuple(
-    "ReadAck", ("op", "round_no", "tag", "value", "durable_tag", "size")
-)
-
-
-class ReadAck(Message, _ReadAck):
+class ReadAck(
+    Message,
+    namedtuple(
+        "ReadAck", ("op", "round_no", "tag", "value", "durable_tag"), defaults=(None,)
+    ),
+):
     """``R ack``: the receiver's current value and tag.
 
     ``durable_tag`` additionally reports the highest tag whose stable-
@@ -185,15 +178,8 @@ class ReadAck(Message, _ReadAck):
     """
 
     __slots__ = ()
-    size = _ReadAck.size
+    size = _VALUE_SIZE
     is_ack = True
-
-    def __new__(cls, op, round_no, tag, value: Any, durable_tag=None):
-        size = HEADER_SIZE + payload_size(value)
-        return _new(cls, (op, round_no, tag, value, durable_tag, size))
-
-    def __getnewargs__(self):
-        return self[:-1]
 
 
 class RegisterFrame(namedtuple("RegisterFrame", ("register", "depth", "message", "size"))):

@@ -145,8 +145,7 @@ class RuntimeNode(NodeCore):
         port: int = 0,
     ):
         self.transport = UdpTransport(pid, host=host, port=port)
-        self._send = self.transport.send
-        self._broadcast = self.transport.broadcast
+        self._transmit = self.transport.transmit
         # This node's share of ``records``, the scan of the shared log.
         storage = LogView(f"{pid}/")
         storage.adopt(records)

@@ -21,10 +21,10 @@ buffer's size matters: one above glibc's 128 KiB mmap threshold
 (asyncio's datagram transport asks for 256 KiB) is mapped, faulted in
 and unmapped for every datagram.
 
-Send path.  ``send`` and ``broadcast`` encode once, before anything is
-sent, then send to each destination.  A header-only message to this
-process alone is not encoded at all: it always fits, and it never
-leaves the process.
+Send path.  :meth:`UdpTransport.transmit`, the node's send primitive,
+encodes once, before anything is sent, unless the message is to this
+process alone, then sends to each destination.  ``send`` and
+``broadcast`` wrap it; ``send`` refuses what no peer could be sent.
 
 Wire format (little-endian; ``encode``/``decode``)::
 
@@ -61,11 +61,13 @@ is counted in ``malformed`` and dropped; nothing decoded refers to the
 receive buffer.
 
 A process's message to itself does not cross the wire (the simulator
-prices that hop as ``LOOPBACK_DELAY``, not as a link): it is handed,
-frozen, to the kernel as a zero-delay event.  It is delivered on a
-later loop callback, never inside ``send``, dropped if the process
-crashed in between, and measured, counted and flight-recorded exactly
-as a datagram is.
+prices that hop as ``LOOPBACK_DELAY``, not as a link), so it is neither
+encoded nor sized: it is handed, frozen, to the kernel as a zero-delay
+event.  It is delivered on a later loop callback, never inside the
+transmit, dropped if the process crashed in between, and counted and
+flight-recorded exactly as a datagram is.  The values it carries were
+checked where they entered the process: at the facade's write
+(:func:`check_value`) or by :func:`decode`.
 """
 
 from __future__ import annotations
@@ -127,8 +129,6 @@ _CLASSES = dict(
     enumerate((SnQuery, SnAck, WriteRequest, WriteAck, ReadQuery, ReadAck, MuxBatch), 1)
 )
 _KINDS = {cls: kind for kind, cls in _CLASSES.items()}
-#: The kinds with no value: they always fit in a datagram.
-_HEADER_ONLY = frozenset((SnQuery, SnAck, WriteAck, ReadQuery))
 _NO_OP = (-1, 0)
 _NO_TAG = (0, 0, 0)
 _PICKLE_PROTOCOL = 4
@@ -158,6 +158,12 @@ def _dump_value(value: Any) -> bytes:
 
 
 def _load_value(data: memoryview) -> Any:
+    """The value pickled in ``data``, which it must span exactly.
+
+    A fresh unpickler per value: a reused one answers a memo read with
+    an earlier value's object, fails the next memoizing pickle after
+    ``memo.clear()``, and crashed CPython 3.11 when handed a new memo.
+    """
     stream = io.BytesIO(data)  # a copy: the caller's buffer is reused
     value = _ValueUnpickler(stream).load()
     if stream.tell() != len(data):
@@ -204,7 +210,7 @@ def encode(src: ProcessId, depth: int, message: Message) -> bytes:
         # build a tuple per call.
         op_pid, op_seq = message.op or _NO_OP
         if cls is ReadAck:
-            _, round_no, (sn, pid, rec), value, durable, _ = message
+            _, round_no, (sn, pid, rec), value, durable = message
             durable_sn, durable_pid, durable_rec = durable or _NO_TAG
             frame = _READ_ACK.pack(
                 WIRE_VERSION, src, depth, kind, op_pid, op_seq, round_no, sn, pid, rec,
@@ -259,24 +265,23 @@ def _unpack(data: Any, end: int) -> Tuple[ProcessId, int, Message]:
     if cls is ReadAck:
         (_, src, depth, _, op_pid, op_seq, round_no, sn, pid, rec,
          durable, durable_sn, durable_pid, durable_rec) = _READ_ACK.unpack_from(data)
-        message = ReadAck(
+        message = _new(ReadAck, (
             None if op_pid < 0 else _new(OperationId, (op_pid, op_seq)),
             round_no,
             _new(Tag, (sn, pid, rec)),
             _load_value(data[_READ_ACK.size : end]),
             _new(Tag, (durable_sn, durable_pid, durable_rec)) if durable else None,
-        )
+        ))
     elif cls is WriteRequest or cls is SnAck or cls is WriteAck:
         _, src, depth, _, op_pid, op_seq, round_no, sn, pid, rec = _TAGGED.unpack_from(data)
         op = None if op_pid < 0 else _new(OperationId, (op_pid, op_seq))
+        tag = _new(Tag, (sn, pid, rec))
         if cls is WriteRequest:
-            value = _load_value(data[_TAGGED.size : end])
-            message = WriteRequest(op, round_no, _new(Tag, (sn, pid, rec)), value)
+            message = _new(cls, (op, round_no, tag, _load_value(data[_TAGGED.size : end])))
         elif end != _TAGGED.size:
             raise ValueError("the message is longer than its kind")
         else:
-            # A header-only kind bills no size: the tuple is the message.
-            message = _new(cls, (op, round_no, _new(Tag, (sn, pid, rec))))
+            message = _new(cls, (op, round_no, tag))
     elif cls is SnQuery or cls is ReadQuery:
         if end != _QUERY.size:
             raise ValueError("the message is longer than its kind")
@@ -351,6 +356,8 @@ class UdpTransport:
 
     def __init__(self, pid: ProcessId, host: str = "127.0.0.1", port: int = 0):
         self.pid = pid
+        # The destinations of a message to this process alone.
+        self._itself = (pid,)
         self.host = host
         self.port = port
         self._addresses: Dict[ProcessId, Tuple[str, int]] = {}
@@ -420,31 +427,24 @@ class UdpTransport:
         self._addresses = {peer.pid: (peer.host, peer.port) for peer in peers}
 
     def send(self, dst: ProcessId, message: Message, depth: int) -> None:
-        """Fire-and-forget one message to ``dst``: a datagram unless to itself."""
+        """One message to ``dst``; what no peer could be sent is not sent, even to itself."""
         if dst not in self._addresses:
             raise TransportError(f"unknown peer {dst}")
-        if dst == self.pid and message.__class__ in _HEADER_ONLY:
-            # Always fits, and never leaves the process: no bytes needed.
-            self._transmit((dst,), message, depth, None)
-        else:
-            self._transmit((dst,), message, depth, encode(self.pid, depth, message))
+        if dst == self.pid:
+            encode(self.pid, depth, message)  # raises if it cannot travel
+        self.transmit((dst,), message, depth)
 
     def broadcast(self, message: Message, depth: int) -> None:
         """Send to every known peer, including this node."""
-        self._transmit(self._addresses, message, depth, encode(self.pid, depth, message))
+        self.transmit(self._addresses, message, depth)
 
-    def _transmit(
-        self,
-        dsts: Iterable[ProcessId],
-        message: Message,
-        depth: int,
-        payload: Optional[bytes],
-    ) -> None:
-        """Send ``message``, encoded as ``payload``, to ``dsts``.
+    def transmit(self, dsts: Iterable[ProcessId], message: Message, depth: int) -> None:
+        """Send ``message`` to each of ``dsts``: the one send path.
 
-        Encoding comes first, in the callers, so that a message that
-        cannot travel raises before anything is sent.
+        Encoded once, first, unless ``dsts`` is this process alone, so
+        that a message that cannot travel raises before anything is sent.
         """
+        payload = None if dsts == self._itself else encode(self.pid, depth, message)
         sock = self._sock
         if self.muted or sock is None:
             return

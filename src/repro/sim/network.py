@@ -12,9 +12,11 @@ depth)``, fired straight into the handler its destination attached --
 :meth:`repro.protocol.host.NodeCore._on_message` for a simulated node.
 ``depth`` is the causal-log depth of the sending handler, the
 engine-level accounting of the paper's cost metric
-(:mod:`repro.history.causal_logs`).  :meth:`SimNetwork.send` and
-:meth:`SimNetwork.broadcast` share one transmit path that derives
-everything the destination does not change once per message.
+(:mod:`repro.history.causal_logs`).  :meth:`SimNetwork.transmit` is
+the one send path, bound as a simulated node's send primitive; it
+derives everything the destination does not change once per message.
+:meth:`SimNetwork.send` and :meth:`SimNetwork.broadcast` are thin
+wrappers over it.
 
 Partitions are modelled as directed blocked links: while blocked, every
 transmission on the link is dropped (fair-lossiness is preserved
@@ -90,12 +92,12 @@ class SimNetwork:
         # blocks are refcounted; consulted only when non-empty so the
         # common configuration pays one falsy check.
         self._link_penalties: Dict[Tuple[ProcessId, ProcessId], float] = {}
-        # When each sender's NIC is free again (see _transmit).
+        # When each sender's NIC is free again (see transmit).
         self._egress_free_at: Dict[ProcessId, float] = {}
         self._everyone = range(num_processes)
         # Config constants hoisted out of the per-send path.  The delay
         # model stays the owner of the size check's wording; its linear
-        # delay and loss/duplication decisions are inlined in _transmit
+        # delay and loss/duplication decisions are inlined in transmit
         # (same arithmetic, same rng consumption).
         self._send_overhead = config.send_overhead
         self._base_delay = config.base_delay
@@ -227,13 +229,13 @@ class SimNetwork:
         """Transmit one message (may be dropped, duplicated, delayed)."""
         if not 0 <= dst < self._num_processes:
             raise ValueError(f"destination {dst} out of range")
-        self._transmit(src, (dst,), message, depth)
+        self.transmit(src, (dst,), message, depth)
 
     def broadcast(self, src: ProcessId, message: Message, depth: int) -> None:
         """Send ``message`` to every process, including ``src`` itself."""
-        self._transmit(src, self._everyone, message, depth)
+        self.transmit(src, self._everyone, message, depth)
 
-    def _transmit(
+    def transmit(
         self, src: ProcessId, dsts: Iterable[ProcessId], message: Message, depth: int
     ) -> None:
         """Transmit ``message`` to each of ``dsts``: the one send path.

@@ -59,8 +59,7 @@ class SimNode(NodeCore):
         # Primitives are bound straight to the engine call that serves
         # them: no forwarding frame on the datapath.
         self._now = partial(getattr, kernel, "now")
-        self._send = partial(network.send, pid)
-        self._broadcast = partial(network.broadcast, pid)
+        self._transmit = partial(network.transmit, pid)
         self._store = storage.store
         self._delete = storage.delete
         self._compact = storage.compact

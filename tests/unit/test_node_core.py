@@ -79,11 +79,8 @@ class FakeNode(NodeCore):
     def _now(self):
         return self.clock
 
-    def _send(self, dst, message, depth):
-        self.sent.append((dst, message, depth))
-
-    def _broadcast(self, message, depth):
-        self._send(0, message, depth)
+    def _transmit(self, dsts, message, depth):
+        self.sent.extend((dst, message, depth) for dst in dsts)
 
     def _store(self, key, record, size, on_durable, op):
         self.stores.append((key, record, on_durable))

@@ -28,6 +28,7 @@ from repro.protocol.messages import (
     WriteAck,
     WriteRequest,
 )
+from repro.runtime import transport as transport_module
 from repro.runtime.node import live_kernel
 from repro.runtime.transport import (
     MAX_DATAGRAM,
@@ -269,28 +270,34 @@ class TestUdpTransport:
         b.close()
         assert (received, a.messages_sent, a.messages_received) == ([], 0, 0)
 
-    def test_message_to_itself_is_delivered_later_and_off_the_wire(self, kernel):
+    def test_message_to_itself_is_delivered_later_and_off_the_wire(self, kernel, monkeypatch):
         received = []
         (a,) = endpoints(kernel, lambda src, msg, depth: received.append((src, depth, msg)))
         ring = RingTrace(kinds=ALL_KINDS)
         a.attach_flight_recorder(ring, kernel.clock)
+        encoded = []
+        monkeypatch.setattr(transport_module, "encode", lambda *args: encoded.append(args))
 
         def on_the_wire(data):
             raise AssertionError("a message to itself crossed the socket")
 
         a._on_datagram = on_the_wire
-        message = query()
-        a.send(0, message, depth=2)
+        # A query, and a reader's answer to itself: a value, never encoded.
+        op = make_operation_id(0)
+        messages = [query(), ReadAck(op, 1, Tag(2, 0), {"v": [1, (2, "x")]}, Tag(1, 0))]
+        for message in messages:
+            a.transmit((0,), message, 2)  # the node's send primitive
         inside_send = list(received)
         run_for(kernel, 0.05)
         a.close()
-        kinds = [event.kind for event in ring.events()]
+        events = list(ring.events())
         assert inside_send == []  # never re-entrant
-        assert len(received) == 1
-        src, depth, delivered = received[0]
-        assert (src, depth) == (0, 2) and delivered is message
-        assert kinds == ["send", "deliver"]
-        assert (a.messages_sent, a.messages_received) == (1, 1)
+        assert encoded == []
+        assert [(src, depth) for src, depth, _ in received] == [(0, 2), (0, 2)]
+        assert all(delivered is message for (_, _, delivered), message in zip(received, messages))
+        assert [event.kind for event in events] == ["send", "send", "deliver", "deliver"]
+        assert [event.op for event in events] == [message.op for message in messages] * 2
+        assert (a.messages_sent, a.messages_received) == (2, 2)
 
     def test_message_to_itself_is_dropped_by_a_crash_before_delivery(self, kernel):
         received = []
@@ -448,6 +455,33 @@ class TestUdpTransport:
         # Above 128 KiB glibc would map and unmap the buffer per call.
         assert stub.asked == [MAX_DATAGRAM + 1] * 4
         assert (len(received), transport.malformed) == (2, 1)
+
+    def test_back_to_back_values_that_memoize_decode_exactly(self):
+        """Each value is loaded by a fresh unpickler: no memo leaks between datagrams.
+
+        A pickle that reads a memo slot it never wrote is malformed, and
+        the datagram after it still decodes.
+        """
+        transport, received = listener()
+        op, tag = make_operation_id(1), Tag(2, 1)
+        values = ["v1234", b"bytes", {"a": [1, 2, (3, "x")]}, ("s", "s"), ["q", "q", "q"]]
+        good = [WriteRequest(op, 2, tag, value) for value in values]
+        good += [ReadAck(op, 1, tag, value, tag) for value in values]
+        header = encode(1, 0, WriteRequest(op, 2, tag, None))[: -4 - len(pickle.dumps(None, 4))]
+        stale_memo = sealed(header + b"\x80\x04h\x00.")
+        last = WriteRequest(op, 2, tag, ("s", "s"))
+        transport._sock = StubSocket(
+            [encode(1, 0, message) for message in good]
+            + [stale_memo, encode(1, 0, last)]
+        )
+        for _ in range(len(good) + 2):
+            transport._on_datagram()
+        decoded = [message for _, _, message in received]
+        assert decoded == good + [last]
+        assert [type(message.value) for message in decoded] == [
+            type(message.value) for message in good + [last]
+        ]
+        assert transport.malformed == 1
 
     def test_overlong_datagram_from_a_real_socket_is_dropped(self, kernel):
         inbox = []

@@ -1,9 +1,9 @@
 """Ablation benches: each removed ingredient costs its anomaly.
 
-DESIGN.md calls out four design choices of the algorithms; each bench
-runs the weakened protocol under its adversarial schedule (anomaly must
-appear) and the correct protocol under the same schedule (anomaly must
-not).
+docs/protocols.md calls out four design choices of the algorithms;
+each bench runs the weakened protocol under its adversarial schedule
+(anomaly must appear) and the correct protocol under the same schedule
+(anomaly must not).
 """
 
 import pytest

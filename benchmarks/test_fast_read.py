@@ -1,9 +1,9 @@
 """Fast-read ablation bench (extension; ours).
 
-Quantifies the optimization DESIGN.md lists as an extension: quiescent
-reads drop from 4 communication steps to 2 when the query quorum
-unanimously reports a durable tag, with writes and contended reads
-unchanged and atomicity preserved.
+Quantifies the optimization docs/protocols.md lists as an extension:
+quiescent reads drop from 4 communication steps to 2 when the query
+quorum unanimously reports a durable tag, with writes and contended
+reads unchanged and atomicity preserved.
 """
 
 import pytest

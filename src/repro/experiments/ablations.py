@@ -27,15 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.api import open_cluster
-from repro.common.errors import ReproError
-from repro.experiments.lower_bounds import LowerBoundRun, run_rho1, run_rho4
-from repro.history.checker import (
-    AtomicityVerdict,
-    check_persistent_atomicity,
-    check_transient_atomicity,
+from repro.experiments.lower_bounds import (
+    AdversarialRun,
+    confused_values,
+    hold,
+    run_rho1,
+    run_rho4,
+    scripted_cluster,
 )
-from repro.protocol.messages import WriteRequest
+from repro.history.checker import AtomicityVerdict, check_persistent_atomicity
 
 
 @dataclass
@@ -87,66 +87,18 @@ def ablate_read_writeback(seed: Optional[int] = None) -> AblationResult:
 
 def _rec_counter_scenario(
     algorithm: str, seed: Optional[int] = None
-) -> LowerBoundRun:
+) -> AdversarialRun:
     """Duplicate-tag schedule for the transient recovery counter.
 
-    Writer is ``p2`` so the single adopter of the interrupted write
-    (``p0``) wins quorum tie-breaks under duplicate tags.  Without the
-    recovery counter, ``W(v3)``'s query quorum ``{p1, p2}`` never saw
-    ``v2``'s sequence number and re-issues the same tag for ``v3``.
+    Run rho_1's schedule on 3 processes.  Writer is ``p2`` so the single
+    adopter of the interrupted write (``p0``) wins quorum tie-breaks
+    under duplicate tags.  Without the recovery counter, ``W(v3)``'s
+    query quorum ``{p1, p2}`` never saw ``v2``'s sequence number and
+    re-issues the same tag for ``v3``; ``R1`` at ``p0`` (quorum ``{p0,
+    p1}``) then surfaces ``v2`` and ``R2`` at ``p1`` sees only ``v3``.
     """
-    cluster = open_cluster(
-        "sim", protocol=algorithm, num_processes=3,
-        seed=11 if seed is None else seed, include_broken=True
-    )
-    cluster.start()
-    writer = 2
-
-    cluster.session(writer).write_sync("v1")
-
-    w2 = cluster.session(writer).write("v2")
-    remove_w2 = cluster.network.add_filter(
-        lambda src, dst, msg: (
-            isinstance(msg, WriteRequest) and msg.op == w2.op and dst != 0
-        )
-    )
-    ok = cluster.run_until(
-        lambda: cluster.node(0).protocol.durable_tag.sn >= 2, timeout=1.0
-    )
-    if not ok:
-        raise ReproError("p0 never adopted the interrupted W(v2)")
-    cluster.crash(writer)
-    remove_w2()
-    cluster.recover(writer)
-
-    # W(v3): query quorum {p1, p2} (p0's answers withheld).
-    cluster.network.block(0, writer)
-    w3 = cluster.session(writer).write("v3")
-    ok = cluster.run_until(lambda: w3.settled, timeout=1.0)
-    if not ok:
-        raise ReproError("W(v3) did not complete")
-    cluster.network.heal_all()
-
-    # R1 at p0: quorum {p0, p1} -- under duplicate tags, p0's copy of
-    # v2 wins the tie-break and surfaces.
-    cluster.network.block(2, 0)
-    r1 = cluster.wait(cluster.session(0).read())
-    cluster.network.heal_all()
-
-    # R2 at p1: quorum {p1, p2} -- sees only v3.
-    cluster.network.block(0, 1)
-    r2 = cluster.wait(cluster.session(1).read())
-    cluster.network.heal_all()
-
-    history = cluster.history
-    return LowerBoundRun(
-        scenario="rec-counter",
-        algorithm=algorithm,
-        read_results=[r1.result, r2.result],
-        read_causal_logs=[r1.causal_logs, r2.causal_logs],
-        history=history,
-        persistent_verdict=check_persistent_atomicity(history),
-        transient_verdict=check_transient_atomicity(history),
+    return confused_values(
+        algorithm, 3, 2, (0,), 11 if seed is None else seed, "rec-counter"
     )
 
 
@@ -166,39 +118,26 @@ def ablate_recovery_counter(seed: Optional[int] = None) -> AblationResult:
 
 def _submajority_scenario(algorithm: str, seed: Optional[int] = None):
     """Forgotten-value schedule: complete a write, crash the writer."""
-    cluster = open_cluster(
-        "sim", protocol=algorithm, num_processes=3,
-        seed=13 if seed is None else seed, include_broken=True
-    )
-    cluster.start()
+    cluster = scripted_cluster(algorithm, 3, 13 if seed is None else seed)
     # The sub-majority writer returns after its own loopback ack, i.e.
     # before any other process durably holds v1.  To keep the schedule
-    # identical for the control, filter the write's second round away
+    # identical for the control, hold the write's second round away
     # from everyone but the writer itself.
     w1 = cluster.session(0).write("v1")
-    remove_w1 = cluster.network.add_filter(
-        lambda src, dst, msg: (
-            isinstance(msg, WriteRequest) and msg.op == w1.op and dst != 0
-        )
-    )
+    release = hold(cluster, w1, (0,))
     cluster.run_until(lambda: w1.settled, timeout=1.0)
-    remove_w1()
+    release()
     completed = w1.done
-    if completed:
-        # The broken variant declared the write done; now the only copy
-        # disappears forever.
-        cluster.crash(0)
-        read = cluster.wait(cluster.session(1).read())
-        history = cluster.history
-        return completed, read.result, check_persistent_atomicity(history)
-    # The correct algorithm keeps retransmitting; the write finishes
-    # once the filter is gone and a majority logs it.  Then even losing
-    # the writer forever loses nothing.
-    cluster.wait(w1)
+    if not completed:
+        # The correct algorithm keeps retransmitting; the write finishes
+        # once the hold is gone and a majority logs it.  Then even
+        # losing the writer forever loses nothing.
+        cluster.wait(w1)
+    # The broken variant declared the write done at once; now its only
+    # copy disappears forever.
     cluster.crash(0)
     read = cluster.wait(cluster.session(1).read())
-    history = cluster.history
-    return completed, read.result, check_persistent_atomicity(history)
+    return completed, read.result, check_persistent_atomicity(cluster.history)
 
 
 def ablate_majority_quorum(seed: Optional[int] = None) -> AblationResult:

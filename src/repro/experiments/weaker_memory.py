@@ -22,14 +22,11 @@ for it (loss of atomicity), on three axes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import List, Optional
 
 from repro.api import open_cluster
-from repro.common.errors import ReproError
-from repro.history.checker import check_transient_atomicity
-from repro.history.regular_checker import check_regularity, check_safety
+from repro.experiments.lower_bounds import AdversarialRun, reader_across_write
 from repro.obs.summary import LatencyStats
-from repro.protocol.messages import WriteRequest
 
 COMPARED = ("regular", "transient", "persistent")
 
@@ -79,66 +76,22 @@ def measure_costs(
     return rows
 
 
-@dataclass
-class InversionRun:
-    """Outcome of the new/old inversion schedule on one algorithm."""
-
-    algorithm: str
-    read_results: List[Any]
-    atomic: bool
-    regular: bool
-    safe: bool
-
-
 def new_old_inversion_run(
     algorithm: str, seed: Optional[int] = None
-) -> InversionRun:
+) -> AdversarialRun:
     """Two reads racing one write, quorums steered apart.
 
-    ``W(new)``'s second round reaches only ``p2``.  ``R1`` (at ``p1``,
-    quorum ``{p1, p2}``) observes ``new``; ``R2`` (at ``p1``, quorum
-    ``{p0, p1}``) runs next.  A regular register may answer ``old`` --
-    the inversion -- because the write is still in progress; an atomic
-    register's first read wrote ``new`` back to a majority, so the
-    second read must return it.
+    Run rho_4's schedule without the reader's crash: ``W(new)``'s
+    second round reaches only ``p2``.  ``R1`` (at ``p1``, quorum ``{p1,
+    p2}``) observes ``new``; ``R2`` (at ``p1``, quorum ``{p0, p1}``)
+    runs next.  A regular register may answer ``old`` -- the inversion
+    -- because the write is still in progress; an atomic register's
+    first read wrote ``new`` back to a majority, so the second read
+    must return it.
     """
-    cluster = open_cluster(
-        "sim", protocol=algorithm, num_processes=3,
-        seed=21 if seed is None else seed, include_broken=True
-    ).start()
-    writer, reader = cluster.session(0), cluster.session(1)
-    writer.write_sync("old")
-
-    w = writer.write("new")
-    remove = cluster.network.add_filter(
-        lambda src, dst, msg: (
-            isinstance(msg, WriteRequest) and msg.op == w.op and dst != 2
-        )
-    )
-    ok = cluster.run_until(
-        lambda: cluster.node(2).protocol.durable_tag.sn >= 2, timeout=1.0
-    )
-    if not ok:
-        raise ReproError("p2 never adopted the in-progress write")
-
-    cluster.network.block(0, 1)
-    r1 = cluster.wait(reader.read())
-    cluster.network.unblock(0, 1)
-
-    cluster.network.block(2, 1)
-    r2 = cluster.wait(reader.read())
-    cluster.network.heal_all()
-
-    remove()
-    cluster.wait(w)
-
-    history = cluster.history
-    return InversionRun(
-        algorithm=algorithm,
-        read_results=[r1.result, r2.result],
-        atomic=bool(check_transient_atomicity(history)),
-        regular=bool(check_regularity(history)),
-        safe=bool(check_safety(history)),
+    return reader_across_write(
+        algorithm, ("new", "old"), 21 if seed is None else seed,
+        "inversion", ("old", "new"),
     )
 
 
@@ -157,7 +110,7 @@ def format_costs(rows: List[CostRow]) -> str:
     return "\n".join(lines)
 
 
-def format_inversions(runs: List[InversionRun]) -> str:
+def format_inversions(runs: List[AdversarialRun]) -> str:
     header = (
         f"{'algorithm':<12s} {'reads':<12s} "
         f"{'atomic':>7s} {'regular':>8s} {'safe':>5s}"

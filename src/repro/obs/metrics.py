@@ -222,33 +222,6 @@ class HistogramSnapshot:
             "p99": self.quantile(99.0),
         }
 
-    def to_wire(self) -> Dict[str, Any]:
-        """A lossless JSON-able form (unlike the ``as_dict`` summary).
-
-        ``as_dict`` reduces the histogram to estimated quantiles;
-        ``to_wire`` keeps the exact bucket counts so a snapshot can
-        cross a process or file boundary and still :meth:`merge`.
-        """
-        return {
-            "bounds": list(self.bounds),
-            "counts": list(self.counts),
-            "total": self.total,
-            "sum": self.sum,
-            "min": self.minimum,
-            "max": self.maximum,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: Dict[str, Any]) -> "HistogramSnapshot":
-        return cls(
-            bounds=tuple(wire["bounds"]),
-            counts=tuple(wire["counts"]),
-            total=wire["total"],
-            sum=wire["sum"],
-            minimum=wire["min"],
-            maximum=wire["max"],
-        )
-
 
 @dataclass(frozen=True)
 class MetricsSnapshot:
@@ -297,33 +270,6 @@ class MetricsSnapshot:
                 for k in sorted(self.histograms)
             },
         }
-
-    def to_wire(self) -> Dict[str, Any]:
-        """A lossless JSON-able form for crossing process boundaries.
-
-        Unlike :meth:`as_dict` (a human/benchmark summary with
-        estimated quantiles), the wire form round-trips through
-        :meth:`from_wire` without losing histogram bucket counts, so
-        fleet workers can ship snapshots home as plain data and the
-        parent can still :meth:`merge` them exactly.
-        """
-        return {
-            "scalars": {k: self.scalars[k] for k in sorted(self.scalars)},
-            "histograms": {
-                k: self.histograms[k].to_wire()
-                for k in sorted(self.histograms)
-            },
-        }
-
-    @classmethod
-    def from_wire(cls, wire: Dict[str, Any]) -> "MetricsSnapshot":
-        return cls(
-            scalars=dict(wire.get("scalars", {})),
-            histograms={
-                name: HistogramSnapshot.from_wire(h)
-                for name, h in wire.get("histograms", {}).items()
-            },
-        )
 
     def format(self, limit: Optional[int] = None) -> str:
         """An aligned text table, largest scalars first (CLI output)."""

@@ -12,10 +12,14 @@ These tests execute the adversarial schedules from the paper's proofs
 import pytest
 
 from repro.experiments.lower_bounds import (
+    adopted,
+    hold,
+    read_via,
     run_rho1,
     run_rho2,
     run_rho3,
     run_rho4,
+    scripted_cluster,
 )
 
 
@@ -84,3 +88,42 @@ class TestTheorem2:
     def test_log_free_reader_reads_without_logs(self):
         run = run_rho4("broken-no-writeback")
         assert run.read_causal_logs == [0, 0]
+
+
+class TestAdversaryMoves:
+    """The moves every scripted run is built from, on their own."""
+
+    @staticmethod
+    def _held_second_write():
+        # p0's W(v2) reaches only p2, which durably adopts it.
+        cluster = scripted_cluster("persistent", 3, seed=5)
+        session = cluster.session(0)
+        session.write_sync("v1")
+        w2 = session.write("v2")
+        release = hold(cluster, w2, (2,))
+        adopted(cluster, (2,), "W(v2)")
+        return cluster, w2, release
+
+    def test_read_via_sees_the_quorum_and_unblocks_after(self):
+        cluster, _, _ = self._held_second_write()
+        assert read_via(cluster, 1, (1, 2)).result == "v2"
+        assert not any(
+            cluster.network.is_blocked(src, dst)
+            for src in range(3)
+            for dst in range(3)
+        )
+
+    def test_read_via_cuts_only_the_links_to_the_reader(self):
+        # p0's answers never reach the reader, but the reader's
+        # write-back still reaches p0, which adopts v2.
+        cluster, _, _ = self._held_second_write()
+        read_via(cluster, 1, (1, 2))
+        cluster.run(0.001)
+        assert cluster.node(0).protocol.durable_tag.sn == 2
+
+    def test_held_write_settles_only_after_the_release(self):
+        cluster, w2, release = self._held_second_write()
+        assert not cluster.run_until(lambda: w2.settled, timeout=0.05)
+        release()
+        cluster.wait(w2)
+        assert w2.done

@@ -51,4 +51,4 @@ def make_operation_id(pid: ProcessId) -> OperationId:
     """
     with _COUNTER_LOCK:
         seq = next(_COUNTER)
-    return OperationId(pid, seq)
+    return tuple.__new__(OperationId, (pid, seq))

@@ -31,14 +31,14 @@ are append-only, a history that became malformed stays malformed, so
 the cached diagnostic is permanent.
 
 The views hand out fresh list copies; the cached records themselves are
-immutable (:class:`OperationRecord` is frozen), so callers can hold on
+immutable (:class:`OperationRecord` is a tuple), so callers can hold on
 to them across appends.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from collections import namedtuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.ids import OperationId, ProcessId
 from repro.history.events import (
@@ -46,6 +46,7 @@ from repro.history.events import (
     Crash,
     HistoryEvent,
     Invoke,
+    Record,
     Recover,
     Reply,
 )
@@ -56,23 +57,26 @@ _BUSY = 1  # an invocation is open
 _DOWN = 2  # crashed, awaiting recovery
 
 
-@dataclass(frozen=True)
-class OperationRecord:
+_new = tuple.__new__
+
+
+class OperationRecord(
+    Record,
+    namedtuple(
+        "OperationRecord",
+        ("op", "pid", "kind", "value", "invoke_index", "invoke_time",
+         "reply_index", "reply_time", "result"),
+    ),
+):
     """One operation execution reconstructed from a history.
 
-    ``reply_index``/``result`` are ``None`` for pending invocations
-    (the invoking process crashed, or the run was cut short).
+    ``reply_index``/``reply_time``/``result`` are ``None`` for pending
+    invocations (the invoking process crashed, or the run was cut
+    short).  Only :meth:`History._fold_records` builds records, each
+    with ``tuple.__new__`` and every field.
     """
 
-    op: OperationId
-    pid: ProcessId
-    kind: str
-    value: Any
-    invoke_index: int
-    invoke_time: float
-    reply_index: Optional[int] = None
-    reply_time: Optional[float] = None
-    result: Any = None
+    __slots__ = ()
 
     @property
     def pending(self) -> bool:
@@ -175,39 +179,22 @@ class History:
             while index < len(events):
                 event = events[index]
                 if isinstance(event, Invoke):
-                    if event.op in open_invocations:
-                        raise MalformedHistoryError(
-                            f"duplicate invocation of {event.op}"
-                        )
-                    open_invocations[event.op] = len(records)
-                    records.append(
-                        OperationRecord(
-                            op=event.op,
-                            pid=event.pid,
-                            kind=event.kind,
-                            value=event.value,
-                            invoke_index=index,
-                            invoke_time=event.time,
-                        )
-                    )
+                    time, pid, op, kind, value = event
+                    if op in open_invocations:
+                        raise MalformedHistoryError(f"duplicate invocation of {op}")
+                    open_invocations[op] = len(records)
+                    records.append(_new(OperationRecord, (
+                        op, pid, kind, value, index, time, None, None, None,
+                    )))
                 elif isinstance(event, Reply):
                     slot = open_invocations.pop(event.op, None)
                     if slot is None:
                         raise MalformedHistoryError(
                             f"reply without matching invocation: {event.op}"
                         )
-                    record = records[slot]
-                    records[slot] = OperationRecord(
-                        op=record.op,
-                        pid=record.pid,
-                        kind=record.kind,
-                        value=record.value,
-                        invoke_index=record.invoke_index,
-                        invoke_time=record.invoke_time,
-                        reply_index=index,
-                        reply_time=event.time,
-                        result=event.result,
-                    )
+                    records[slot] = _new(OperationRecord, (
+                        *records[slot][:6], index, event.time, event.result,
+                    ))
                 index += 1
         except MalformedHistoryError as error:
             # Append-only: the history can never become well-matched

@@ -20,6 +20,8 @@ from repro.common.timestamps import Tag
 from repro.history.events import Crash, Invoke, Recover, Reply
 from repro.history.history import History
 
+_new = tuple.__new__
+
 Clock = Callable[[], float]
 
 
@@ -48,23 +50,19 @@ class HistoryRecorder:
     def record_invoke(
         self, op: OperationId, pid: ProcessId, kind: str, value: Any = None
     ) -> None:
-        self.history.append(
-            Invoke(time=self._clock(), pid=pid, op=op, kind=kind, value=value)
-        )
+        self.history.append(_new(Invoke, (self._clock(), pid, op, kind, value)))
         self._meta_of(op)
 
     def record_reply(
         self, op: OperationId, pid: ProcessId, kind: str, result: Any = None
     ) -> None:
-        self.history.append(
-            Reply(time=self._clock(), pid=pid, op=op, kind=kind, result=result)
-        )
+        self.history.append(_new(Reply, (self._clock(), pid, op, kind, result)))
 
     def record_crash(self, pid: ProcessId) -> None:
-        self.history.append(Crash(time=self._clock(), pid=pid))
+        self.history.append(_new(Crash, (self._clock(), pid)))
 
     def record_recovery(self, pid: ProcessId) -> None:
-        self.history.append(Recover(time=self._clock(), pid=pid))
+        self.history.append(_new(Recover, (self._clock(), pid)))
 
     def _meta_of(self, op: OperationId) -> OperationMeta:
         """``op``'s metadata, made on first use (``setdefault`` would

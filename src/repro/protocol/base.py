@@ -34,9 +34,12 @@ from repro.protocol.messages import Message
 class Effect:
     """Base class of everything a protocol may ask its environment to do.
 
-    Effects are named tuples: immutable, built and compared in C, and
-    free of a per-instance ``__dict__`` -- a handler returns a few per
-    message.  The price is that an effect equals, and hashes like, the
+    Effects are named tuples: immutable, compared in C, and free of a
+    per-instance ``__dict__`` -- a handler returns a few per message.
+    Hot sites build them as ``tuple.__new__(Send, (dst, message))``, one
+    C call where the generated ``__new__`` is a Python frame; they pass
+    every field, as defaults (``Reply``'s) apply only through the class
+    call.  The price is that an effect equals, and hashes like, the
     plain tuple of its fields and so any *other* effect with the same
     fields (``RecoveryComplete() == Checkpoint() == ()``): tell effects
     apart by class, as the hosts do (``effect.__class__ is Send``),

@@ -77,11 +77,11 @@ class Message:
     Every message starts with ``op`` (the invoking operation's
     :class:`~repro.common.ids.OperationId`, or ``None``) and
     ``round_no``.  Messages are named tuples, as the effects of
-    :mod:`repro.protocol.base` are: immutable, built in C, free of a
-    per-instance ``__dict__`` -- a handler builds one or two per message
-    it receives.  Unlike the effects they keep the equality they had as
-    dataclasses: two messages are equal only if they are of the same
-    class (``SnQuery(op, 1) != ReadQuery(op, 1)``).
+    :mod:`repro.protocol.base` are, and the protocols build them the
+    same way: ``tuple.__new__(SnAck, (op, round_no, tag))``, one C call,
+    with every field (``ReadAck``'s default applies only through the
+    class call).  Unlike the effects, two messages are equal only if
+    they are of the same class (``SnQuery(op, 1) != ReadQuery(op, 1)``).
     """
 
     __slots__ = ()

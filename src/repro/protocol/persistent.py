@@ -133,16 +133,11 @@ class PersistentAtomicProtocol(TwoRoundRegisterProtocol):
         """
         self._op_tag = Tag(highest.sn + 1, self.pid)
         self.phase = Phase.STORE
-        self._writing_token = self.fresh_token(KEY_WRITING)
+        token = self._writing_token = self.fresh_token(KEY_WRITING)
         self.stats.stores_issued += 1
-        return [
-            Store(
-                key=KEY_WRITING,
-                record=(self._op_tag.as_tuple(), self._op_value),
-                size=STORE_RECORD_OVERHEAD + payload_size(self._op_value),
-                token=self._writing_token,
-            )
-        ]
+        record = (self._op_tag.as_tuple(), self._op_value)
+        size = STORE_RECORD_OVERHEAD + payload_size(self._op_value)
+        return [tuple.__new__(Store, (KEY_WRITING, record, size, token))]
 
     def _on_subclass_store_complete(self, token: Hashable) -> Effects:
         if token == self._writing_token:

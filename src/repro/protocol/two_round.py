@@ -60,6 +60,8 @@ from repro.protocol.messages import (
 )
 from repro.protocol.quorum import Phase, RoundTracker, highest_tagged
 
+_new = tuple.__new__
+
 #: Bytes charged per stable-storage record on top of the value payload
 #: (key, tag triple, framing).
 STORE_RECORD_OVERHEAD = 16
@@ -140,20 +142,20 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
         """Broadcast ``cls(op, round_no, *fields)`` in a new round, retransmission armed."""
         effects: Effects = []
         if self._retry_token is not None:
-            effects.append(CancelTimer(self._retry_token))
+            effects.append(_new(CancelTimer, (self._retry_token,)))
         round_no = self._tracker.begin()
-        self._round_message = cls(op, round_no, *fields)
-        self._retry_token = self.fresh_token("retry")
+        message = self._round_message = _new(cls, (op, round_no, *fields))
+        token = self._retry_token = self.fresh_token("retry")
         self.stats.messages_sent += self.num_processes
-        effects.append(Broadcast(self._round_message))
-        effects.append(SetTimer(self._retransmit_interval, self._retry_token))
+        effects.append(_new(Broadcast, (message,)))
+        effects.append(_new(SetTimer, (self._retransmit_interval, token)))
         return effects
 
     def _finish_round(self) -> Effects:
         """Disarm retransmission after the quorum was reached."""
         effects: Effects = []
         if self._retry_token is not None:
-            effects.append(CancelTimer(self._retry_token))
+            effects.append(_new(CancelTimer, (self._retry_token,)))
             self._retry_token = None
         self._round_message = None
         return effects
@@ -165,8 +167,8 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
             return []
         self.stats.messages_sent += self.num_processes
         return [
-            Broadcast(self._round_message),
-            SetTimer(self._retransmit_interval, token),
+            _new(Broadcast, (self._round_message,)),
+            _new(SetTimer, (self._retransmit_interval, token)),
         ]
 
     # -- responder side ----------------------------------------------------------
@@ -179,22 +181,13 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
 
     def _answer_sn_query(self, src: ProcessId, message: SnQuery) -> Effects:
         self.stats.messages_sent += 1
-        return [Send(src, SnAck(message.op, message.round_no, self.tag))]
+        return [_new(Send, (src, _new(SnAck, (message.op, message.round_no, self.tag))))]
 
     def _answer_read_query(self, src: ProcessId, message: ReadQuery) -> Effects:
         self.stats.messages_sent += 1
-        return [
-            Send(
-                src,
-                ReadAck(
-                    message.op,
-                    message.round_no,
-                    self.tag,
-                    self.value,
-                    self.durable_tag if self.LOGS_ON_ADOPT else self.tag,
-                ),
-            )
-        ]
+        durable = self.durable_tag if self.LOGS_ON_ADOPT else self.tag
+        ack = (message.op, message.round_no, self.tag, self.value, durable)
+        return [_new(Send, (src, _new(ReadAck, ack)))]
 
     def _answer_write_request(self, src: ProcessId, message: WriteRequest) -> Effects:
         """Adopt a higher tag; acknowledge once it is durable.
@@ -203,28 +196,23 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
         received timestamp is lexicographically bigger, log the new
         value and tag, then acknowledge.
         """
-        ack = WriteAck(message.op, message.round_no, message.tag)
+        ack = _new(WriteAck, (message.op, message.round_no, message.tag))
         if message.tag > self.tag:
             self.tag = message.tag
             self.value = message.value
             if not self.LOGS_ON_ADOPT:
                 self.stats.messages_sent += 1
-                return [Send(src, ack)]
+                return [_new(Send, (src, ack))]
             token = self.fresh_token(KEY_WRITTEN)
             self._written_tokens[token] = message.tag
             self._parked_acks.append((message.tag, src, ack))
             self.stats.stores_issued += 1
-            return [
-                Store(
-                    key=KEY_WRITTEN,
-                    record=(message.tag.as_tuple(), message.value),
-                    size=STORE_RECORD_OVERHEAD + payload_size(message.value),
-                    token=token,
-                )
-            ]
+            record = (message.tag.as_tuple(), message.value)
+            size = STORE_RECORD_OVERHEAD + payload_size(message.value)
+            return [_new(Store, (KEY_WRITTEN, record, size, token))]
         if not self.LOGS_ON_ADOPT or message.tag <= self.durable_tag:
             self.stats.messages_sent += 1
-            return [Send(src, ack)]
+            return [_new(Send, (src, ack))]
         # durable_tag < message.tag <= self.tag: the log that will cover
         # this tag is still in flight; park the ack until it completes.
         self._parked_acks.append((message.tag, src, ack))
@@ -244,7 +232,7 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
         for required, dst, ack in self._parked_acks:
             if required <= self.durable_tag:
                 self.stats.messages_sent += 1
-                effects.append(Send(dst, ack))
+                effects.append(_new(Send, (dst, ack)))
             else:
                 still_parked.append((required, dst, ack))
         self._parked_acks = still_parked
@@ -335,7 +323,7 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
         """Finish the current operation; subclasses may log first."""
         tag = self._op_tag
         self._clear_operation()
-        return [Reply(op, result, tag=tag)]
+        return [_new(Reply, (op, result, tag))]
 
     def _clear_operation(self) -> None:
         self._op = None

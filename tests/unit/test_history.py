@@ -1,5 +1,7 @@
 """Unit tests for histories and well-formedness."""
 
+import pickle
+
 import pytest
 
 from repro.common.ids import OperationId
@@ -252,3 +254,81 @@ class TestEventValidation:
     def test_reply_requires_operation_id(self):
         with pytest.raises(ValueError):
             Reply(time=0.0, pid=0, kind="read")
+
+    def test_reply_requires_valid_kind(self):
+        with pytest.raises(ValueError, match="kind must be one of"):
+            Reply(time=0.0, pid=0, op=op(0, 1), kind="delete")
+
+    def test_replace_runs_the_checks_too(self):
+        event = Invoke(time=0.0, pid=0, op=op(0, 1), kind="read")
+        with pytest.raises(ValueError, match="requires an operation id"):
+            event._replace(op=None)
+
+
+class TestRepresentation:
+    """What history events and records are, pinned across their representation."""
+
+    invoke = Invoke(time=0.0, pid=0, op=op(0, 1), kind="write", value="v")
+    reply = Reply(time=0.0, pid=0, op=op(0, 1), kind="write", result="v")
+
+    def records(self):
+        history = build(
+            self.invoke,
+            Reply(time=1.5, pid=0, op=op(0, 1), kind="write"),
+            Invoke(time=2.0, pid=1, op=op(1, 2), kind="read"),
+        )
+        return history.operations()
+
+    def test_an_event_equals_only_events_of_its_class(self):
+        assert self.invoke == Invoke(time=0.0, pid=0, op=op(0, 1), kind="write", value="v")
+        # Same time, pid, op and kind, and value == result: only the class differs.
+        assert self.invoke != self.reply
+        assert not self.invoke == self.reply
+        assert self.invoke != (0.0, 0, op(0, 1), "write", "v")
+        assert (0.0, 0, op(0, 1), "write", "v") != self.invoke
+        assert Crash(time=1.0, pid=0) != Recover(time=1.0, pid=0)
+        assert len({Crash(time=1.0, pid=0), Recover(time=1.0, pid=0)}) == 2
+
+    def test_hash_is_the_hash_of_the_fields(self):
+        assert hash(self.invoke) == hash((0.0, 0, op(0, 1), "write", "v"))
+        assert hash(Crash(time=1.0, pid=2)) == hash((1.0, 2))
+        record = self.records()[0]
+        assert hash(record) == hash((op(0, 1), 0, "write", "v", 0, 0.0, 1, 1.5, None))
+
+    def test_repr_and_str(self):
+        assert repr(self.invoke) == (
+            "Invoke(time=0.0, pid=0, op=OperationId(pid=0, seq=1), "
+            "kind='write', value='v')"
+        )
+        assert repr(Crash(time=1.0, pid=2)) == "Crash(time=1.0, pid=2)"
+        assert str(self.invoke) == "p0: inv W('v')"
+        assert str(Invoke(time=0.0, pid=1, op=op(1, 2))) == "p1: inv R()"
+        assert str(self.reply) == "p0: ret W -> ok"
+        assert str(Reply(time=0.0, pid=1, op=op(1, 2), result="x")) == "p1: ret R -> 'x'"
+        assert str(Crash(time=1.0, pid=2)) == "p2: CRASH"
+        assert str(Recover(time=1.0, pid=2)) == "p2: RECOVER"
+        done, pending = self.records()
+        assert repr(done) == (
+            "OperationRecord(op=OperationId(pid=0, seq=1), pid=0, kind='write', "
+            "value='v', invoke_index=0, invoke_time=0.0, reply_index=1, "
+            "reply_time=1.5, result=None)"
+        )
+        assert str(done) == "p0 W('v') -> ok"
+        assert str(pending) == "p1 R() pending"
+
+    def test_pickle_round_trip(self):
+        events = [self.invoke, self.reply, Crash(time=1.0, pid=2), Recover(time=2.0, pid=2)]
+        for value in events + self.records():
+            copy = pickle.loads(pickle.dumps(value))
+            assert copy == value and copy.__class__ is value.__class__
+
+    def test_pending_and_latency(self):
+        done, pending = self.records()
+        assert not done.pending and done.latency == pytest.approx(1.5)
+        assert (done.reply_index, done.reply_time) == (1, 1.5)
+        assert pending.pending and pending.latency is None
+        assert (pending.reply_index, pending.reply_time, pending.result) == (None,) * 3
+
+    def test_events_are_immutable(self):
+        with pytest.raises(AttributeError):
+            self.invoke.time = 1.0

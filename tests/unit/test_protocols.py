@@ -473,6 +473,16 @@ class TestRetransmission:
         complete_initialization(protocol)
         assert protocol.on_timer(("retry", 999)) == []
 
+    @pytest.mark.parametrize("interval", [0, -1])
+    @pytest.mark.parametrize(
+        "cls", [PersistentAtomicProtocol, TransientAtomicProtocol, CrashStopMwmrProtocol]
+    )
+    def test_a_non_positive_retransmit_interval_is_refused(self, cls, interval):
+        # Built directly, not through ClusterConfig: a round armed with
+        # a zero period would rebroadcast at the same instant forever.
+        with pytest.raises(ProtocolError, match="retransmit_interval"):
+            cls(0, 3, StableView({}), retransmit_interval=interval)
+
 
 class TestAbd:
     def test_only_process_zero_may_write(self):

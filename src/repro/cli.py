@@ -16,18 +16,14 @@ Usage::
     python -m repro fleet --quick --seeds 0..1 --workers 2
     python -m repro trace crash-during-write --format chrome
     python -m repro stats soak-100k --quick
-    python -m repro lint [--format json] [--rule DET001] [--check-stale]
     python -m repro all
 
 The figure/table subcommands print the same rows/series the paper
 reports (see docs/protocols.md for the paper-vs-measured mapping);
 ``soak`` and ``fleet`` run the scenario suite and print its verdicts
 (see docs/scenarios.md); ``trace``/``stats`` surface the observability
-layer (see docs/observability.md); ``lint`` statically checks the
-determinism and contract invariants (see docs/determinism.md) and is
-the one subcommand that exits nonzero on its own, when findings remain.
-Engine speed is measured by ``python bench/run.py`` (see
-docs/benchmarks.md).
+layer (see docs/observability.md).  Engine speed is measured by
+``python bench/run.py`` (see docs/benchmarks.md).
 
 Every subcommand is one :class:`Command` row of :data:`COMMANDS`: its
 name, help, handler, arguments and whether ``repro all`` runs it, and
@@ -63,23 +59,10 @@ if TYPE_CHECKING:
     from repro.scenarios.spec import Scenario
 
 
-class CommandFailed(Exception):
-    """A subcommand produced output but the process must exit nonzero.
-
-    ``repro lint`` raises this when findings remain: the report is in
-    ``output`` (so :func:`run` callers and tests still see it), and
-    :func:`main` turns it into exit status 1 for CI.
-    """
-
-    def __init__(self, output: str) -> None:
-        super().__init__(output)
-        self.output = output
-
-
 def _seed_kw(args: argparse.Namespace) -> Dict[str, int]:
     """``{"seed": N}`` when ``--seed`` was given, else ``{}``.
 
-    Every seeded subcommand takes the same ``--seed`` flag (from the
+    Every subcommand takes the same ``--seed`` flag (from the
     shared parent parser) with the same default: ``None``, meaning "use
     the command's documented per-run seeds".  Handlers forward an
     explicit seed to their harness with this helper, so the plumbing is
@@ -499,31 +482,6 @@ def _cmd_stats(args: argparse.Namespace) -> str:
     return "\n".join(sections)
 
 
-def _cmd_lint(args: argparse.Namespace) -> str:
-    from pathlib import Path
-
-    from repro.lint import LintError, lint_paths, lint_tree
-
-    rules = args.rule or None
-    try:
-        if args.paths:
-            report = lint_paths(
-                [Path(p) for p in args.paths],
-                rule_ids=rules,
-                check_stale=args.check_stale,
-            )
-        else:
-            report = lint_tree(rule_ids=rules, check_stale=args.check_stale)
-    except LintError as exc:
-        raise CommandFailed(f"repro lint: error: {exc}")
-    text = (
-        report.format_json() if args.format == "json" else report.format_text()
-    )
-    if not report.clean:
-        raise CommandFailed(text)
-    return text
-
-
 # -- the command table -------------------------------------------------------
 
 #: One ``add_argument`` call: its flags and its keyword options.
@@ -573,11 +531,8 @@ class Command:
     """One subcommand: how :func:`build_parser` registers it, what runs.
 
     ``in_all`` is false for the commands ``repro all`` skips: the
-    flight-recorder diagnostics want an explicit scenario, the fleet
-    spawns a process pool sized to the machine, and the linter is a
-    static check with its own exit-status contract, not an experiment.
-    ``seeded`` is false only for the linter, which takes no ``--seed``
-    and prints no seed line.
+    flight-recorder diagnostics want an explicit scenario and the fleet
+    spawns a process pool sized to the machine.
     """
 
     name: str
@@ -585,7 +540,6 @@ class Command:
     handler: Callable[[argparse.Namespace], str]
     arguments: Tuple[Arg, ...] = ()
     in_all: bool = True
-    seeded: bool = True
 
 
 COMMANDS: Dict[str, Command] = {
@@ -704,35 +658,6 @@ COMMANDS: Dict[str, Command] = {
             _scenario_args("list the library"),
             in_all=False,
         ),
-        Command(
-            "lint",
-            "statically check determinism & contract invariants; exits "
-            "nonzero on findings (docs/determinism.md)",
-            _cmd_lint,
-            (
-                _arg(
-                    "paths", nargs="*", default=None,
-                    help="files to lint (default: every module under "
-                    "src/repro)",
-                ),
-                _arg(
-                    "--format", choices=("text", "json"), default="text",
-                    help="report format (default: text)",
-                ),
-                _arg(
-                    "--rule", action="append", default=None, metavar="ID",
-                    help="check only this rule id (repeatable; default: "
-                    "every registered rule)",
-                ),
-                _arg(
-                    "--check-stale", dest="check_stale", action="store_true",
-                    help="also report reasoned suppressions whose rule no "
-                    "longer fires on that line (LINT002)",
-                ),
-            ),
-            in_all=False,
-            seeded=False,
-        ),
     )
 }
 
@@ -745,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Memory in a Crash-Recovery Model' (Guerraoui & Levy, ICDCS 2004)"
         ),
     )
-    # Every seeded subcommand shares the same seed flag with the same
+    # Every subcommand shares the same seed flag with the same
     # default (None = the command's documented per-run seeds) and the
     # same reporting (the "seed:" line run() prepends).
     common = argparse.ArgumentParser(add_help=False)
@@ -757,9 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
     for command in COMMANDS.values():
         sub = subparsers.add_parser(
-            command.name,
-            parents=[common] if command.seeded else [],
-            help=command.help,
+            command.name, parents=[common], help=command.help
         )
         for flags, options in command.arguments:
             sub.add_argument(*flags, **options)
@@ -799,21 +722,12 @@ def run(argv: Optional[List[str]] = None) -> str:
     args = parser.parse_args(argv)
     if args.command == "all":
         return _run_all(parser, args)
-    command = COMMANDS[args.command]
-    if not command.seeded:
-        # No seed line: lint output must stay machine-parseable
-        # (--format json) and seeds are meaningless to static checks.
-        return command.handler(args)
-    return seed_report(args) + "\n\n" + command.handler(args)
+    return seed_report(args) + "\n\n" + COMMANDS[args.command].handler(args)
 
 
 def main() -> int:
     try:
-        try:
-            output, status = run(sys.argv[1:]), 0
-        except CommandFailed as failed:
-            output, status = failed.output, 1
-        print(output)
+        print(run(sys.argv[1:]))
         sys.stdout.flush()  # a reader gone early shows here, not at exit
     except ConfigurationError as error:
         # An input the command cannot run is the caller's mistake, not
@@ -826,7 +740,7 @@ def main() -> int:
         # is still buffered raises again at exit.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    return status
+    return 0
 
 
 if __name__ == "__main__":

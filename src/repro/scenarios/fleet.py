@@ -307,11 +307,7 @@ def run_fleet(
     report.specs = list(specs)
     canary = _canary_spec(specs) if parity == PARITY_CANARY else None
 
-    # repro: allow[DET002] FleetReport.wall_s is observational wall
-    # timing, outside every fingerprint the parity check compares
     started = time.perf_counter()
-    # repro: allow[DET002] the pool deadline guards CI wall time; it
-    # cancels runs, never alters a completed run's fingerprint
     deadline = None if timeout is None else time.monotonic() + timeout
     results: List[Optional[ScenarioResult]] = [None] * len(specs)
     with fleet_pool(workers) as pool:
@@ -328,10 +324,7 @@ def run_fleet(
         finished = 0
         try:
             while pending:
-                remaining = (
-                    # repro: allow[DET002] CI deadline accounting
-                    None if deadline is None else deadline - time.monotonic()
-                )
+                remaining = None if deadline is None else deadline - time.monotonic()
                 if remaining is not None and remaining <= 0:
                     raise FleetTimeoutError(
                         f"fleet deadline ({timeout:.0f}s) exceeded with "
@@ -371,8 +364,6 @@ def run_fleet(
                     if on_result is not None:
                         on_result(finished, len(specs), specs[index], result)
         except BaseException:
-            # repro: allow[DET003] cancellation is an order-free side
-            # effect on an abandoned run; no fingerprint survives it
             for future in pending:
                 future.cancel()
             raise
@@ -381,7 +372,6 @@ def run_fleet(
             _assert_parity(spec, result)
             report.parity_checked += 1
     report.results = [result for result in results if result is not None]
-    # repro: allow[DET002] FleetReport.wall_s is observational timing
     report.wall_s = time.perf_counter() - started
     report.serial_wall_s = sum(r.wall_s for r in report.results)
     snapshots = [

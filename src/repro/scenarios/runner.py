@@ -340,11 +340,8 @@ def _check(
     the single register, per-key on the KV store); the façade's merged
     :class:`~repro.api.types.Verdict` maps 1:1 onto the outcome.
     """
-    # repro: allow[DET002] CheckOutcome.wall_s is observational check
-    # timing, documented as excluded from the fingerprint
     started = time.perf_counter()
     verdict = cluster.check(criterion=criterion, method=method)
-    # repro: allow[DET002] same observational check timing as above
     wall = time.perf_counter() - started
     return CheckOutcome(
         phase=phase,
@@ -458,13 +455,10 @@ def run_scenario(
     capture = scenario.capture_trace if capture_trace is None else capture_trace
     criterion = default_criterion(protocol)
 
-    # repro: allow[DET002] ScenarioResult.wall_s is observational wall
-    # timing, documented as excluded from the fingerprint
     started = time.perf_counter()
     result = _run(
         scenario, protocol, seed, ops, capture, criterion, flight_recorder
     )
-    # repro: allow[DET002] same observational wall timing as above
     result.wall_s = time.perf_counter() - started
     result.check_wall_s = sum(check.wall_s for check in result.checks)
     return result

@@ -4,7 +4,7 @@ Seeded randomness, sorted iteration over sets, and no wall-clock reads:
 the shapes the rules demand, in one place.
 """
 
-# repro-lint: pretend src/repro/history/history.py
+# The determinism contract test scans this file as src/repro/history/history.py.
 
 import random
 

@@ -1,6 +1,6 @@
 """DET002 fixture: a wall-clock read inside virtual-time code."""
 
-# repro-lint: pretend src/repro/sim/clockless.py
+# The determinism contract test scans this file as src/repro/sim/clockless.py.
 
 import time
 

@@ -1,6 +1,6 @@
 """DET003 fixture: bare set iteration inside fingerprint scope."""
 
-# repro-lint: pretend src/repro/history/history.py
+# The determinism contract test scans this file as src/repro/history/history.py.
 
 
 def fingerprint(ops):

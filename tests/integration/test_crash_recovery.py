@@ -3,6 +3,7 @@
 import pytest
 
 from repro.api import open_cluster
+from repro.obs import tracing
 
 CRASH_RECOVERY = ["transient", "persistent", "naive"]
 
@@ -172,3 +173,53 @@ class TestRecoveryDuringLoad:
             cluster.session((i + 2) % 3).read_sync()
         verdict = cluster.check()
         assert verdict.ok, cluster.history.format()
+
+
+def judge_first_boot_ready(cluster):
+    """Judge every node's first-boot ``recovery_done`` as it happens.
+
+    Until a node first reports ready, every store it issues is one of
+    ``initialize()``'s; at that report each of their keys must be
+    retrievable from the node's stable storage.  A crash ends the first
+    boot unjudged: a recover after a crash before initialisation
+    finished may legitimately report ready first.  Returns the
+    violations and the pids judged, both filled in as the run goes.
+    """
+    init_keys = {pid: [] for pid in range(len(cluster.nodes))}
+    violations, judged = [], []
+
+    def listen(event):
+        keys = init_keys.get(event.pid)
+        if keys is None:
+            return
+        if event.kind == tracing.STORE_BEGIN:
+            keys.append(event.detail["key"])
+            return
+        del init_keys[event.pid]
+        if event.kind == tracing.RECOVERY_DONE:
+            judged.append(event.pid)
+            storage = cluster.node(event.pid).storage
+            missing = [key for key in keys if storage.retrieve(key) is None]
+            if missing:
+                violations.append(
+                    f"p{event.pid} ready at {event.time * 1e6:.1f}us with "
+                    f"{missing} not durable"
+                )
+
+    cluster.trace.subscribe(
+        listen, kinds=(tracing.STORE_BEGIN, tracing.CRASH, tracing.RECOVERY_DONE)
+    )
+    return violations, judged
+
+
+@pytest.mark.parametrize("protocol", ["persistent", "persistent-fastread", "transient"])
+def test_no_recovery_complete_before_the_init_stores_are_durable(protocol):
+    cluster = open_cluster("sim", protocol=protocol, num_processes=3, seed=3)
+    violations, judged = judge_first_boot_ready(cluster)
+    cluster.start()
+    cluster.session(0).write_sync("v")
+    cluster.crash(2)
+    cluster.recover(2)
+    assert cluster.session(2).read_sync() == "v"
+    assert violations == []
+    assert sorted(judged) == [0, 1, 2]

@@ -42,9 +42,9 @@ def test_docs_tree_is_complete():
         assert (docs / name).is_file(), f"docs/{name} is missing"
 
 
-def test_lint_rule_ids_match_registry():
+def test_rule_ids_match_the_contract_test():
     checker = load_checker()
-    assert checker.check_lint_rules() == []
+    assert checker.check_rule_ids() == []
 
 
 def test_dotted_names_resolve():

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Documentation health check: links, modules, lint rules, dotted names.
+"""Documentation health check: links, modules, rule ids, dotted names.
 
 Four gates, all cheap enough for every CI run and the tier-1 suite
 (``tests/unit/test_docs.py`` calls the same functions):
@@ -12,12 +12,13 @@ Four gates, all cheap enough for every CI run and the tier-1 suite
    cleanly (what ``python -m pydoc repro.x`` requires) and carry a
    module docstring, so the API documentation pydoc renders never goes
    stale or breaks.
-3. **Lint rules** -- the linter's rule registry (``repro.lint.RULES``)
-   and the docs must agree in both directions: every registered rule
-   id is documented in ``docs/determinism.md``, and every rule id
-   mentioned in ``README.md`` or ``docs/*.md`` exists in the registry
-   (a doc that cites a deleted or mistyped rule is lying about what is
-   enforced).
+3. **Rule ids** -- the determinism rules the tier-1 contract test
+   states (the ``RULES`` tuple of
+   ``tests/unit/test_determinism_contract.py``, read without importing
+   it) and the docs must agree in both directions: every rule id is
+   documented in ``docs/determinism.md``, and every rule id mentioned
+   in ``README.md`` or ``docs/*.md`` is one of them (a doc that cites a
+   deleted or mistyped rule is lying about what is enforced).
 4. **Dotted names** -- every backticked ``repro.x.y`` name in
    ``README.md`` and ``docs/*.md`` must resolve: the longest importable
    module prefix, then ``getattr`` for the rest.  A doc naming a
@@ -30,19 +31,20 @@ Exit status is non-zero with a readable report when any gate fails::
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
 import re
 import sys
 from pathlib import Path
-from typing import List
+from typing import List, Set
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Markdown files whose relative links must resolve.
 DOC_GLOBS = ("README.md", "ROADMAP.md", "CHANGES.md", "docs/*.md")
 
-#: The documents whose lint rule ids and backticked ``repro.`` names
+#: The documents whose rule ids and backticked ``repro.`` names
 #: must match the code (the roadmap and changelog describe code that
 #: is gone on purpose).
 NAME_DOC_GLOBS = ("README.md", "docs/*.md")
@@ -104,21 +106,33 @@ def check_modules() -> List[str]:
     return problems
 
 
-#: Rule-id tokens worth cross-checking: the registry's prefixes with a
-#: three-digit number.  Keeping the prefixes explicit avoids false
+#: Rule-id tokens worth cross-checking: the rules' prefix with a
+#: three-digit number.  Keeping the prefix explicit avoids false
 #: positives on other ALLCAPS+digits tokens in prose.
-_RULE_ID = re.compile(r"\b(?:DET|TRC|HOT|API|POOL|LINT)[0-9]{3}\b")
+_RULE_ID = re.compile(r"\bDET[0-9]{3}\b")
 
-#: The document that must describe every registered lint rule.
+#: The test module that states the rules, in its ``RULES`` tuple.
+RULES_MODULE = "tests/unit/test_determinism_contract.py"
+
+#: The document that must describe every rule.
 RULES_DOC = "docs/determinism.md"
 
 
-def check_lint_rules() -> List[str]:
-    """Registry/docs rule-id drift, in both directions."""
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.lint import all_rule_ids
+def rule_ids() -> Set[str]:
+    """The rule ids of :data:`RULES_MODULE`'s ``RULES`` literal."""
+    tree = ast.parse((REPO_ROOT / RULES_MODULE).read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "RULES"
+            for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    raise LookupError(f"{RULES_MODULE} defines no RULES tuple")
 
-    registered = set(all_rule_ids())
+
+def check_rule_ids() -> List[str]:
+    """Contract-test/docs rule-id drift, in both directions."""
+    registered = rule_ids()
     problems = []
 
     rules_doc = REPO_ROOT / RULES_DOC
@@ -129,15 +143,15 @@ def check_lint_rules() -> List[str]:
     )
     for rule_id in sorted(registered - documented):
         problems.append(
-            f"{RULES_DOC}: registered lint rule {rule_id} is not documented"
+            f"{RULES_DOC}: rule {rule_id} is not documented"
         )
 
     for doc in iter_doc_files(NAME_DOC_GLOBS):
         for rule_id in sorted(set(_RULE_ID.findall(doc.read_text()))):
             if rule_id not in registered:
                 problems.append(
-                    f"{doc.relative_to(REPO_ROOT)}: mentions lint rule "
-                    f"{rule_id}, which is not in the registry"
+                    f"{doc.relative_to(REPO_ROOT)}: mentions rule "
+                    f"{rule_id}, which {RULES_MODULE} does not state"
                 )
     return problems
 
@@ -179,7 +193,7 @@ def check_dotted_names() -> List[str]:
 
 def main() -> int:
     problems = (
-        check_links() + check_modules() + check_lint_rules()
+        check_links() + check_modules() + check_rule_ids()
         + check_dotted_names()
     )
     for problem in problems:
@@ -191,7 +205,7 @@ def main() -> int:
         return 1
     print(
         f"ok: {checked} doc files link-clean, {modules} modules "
-        "documented, lint rules in sync, dotted names resolve"
+        "documented, rule ids in sync, dotted names resolve"
     )
     return 0
 

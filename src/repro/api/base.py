@@ -34,11 +34,17 @@ Each backend owns its whole deployment: :class:`~repro.api.sim.SimBackend`
 builds the simulator (kernel, network, nodes), the KV backend is that
 plus shard pipelines, and the live backend owns the event loop and
 the nodes.  There is no lower cluster layer to reach past the façade.
+Both hosts' nodes are :class:`~repro.protocol.host.NodeCore`, so every
+verb that drives one is written once, here: ``node(pid)`` (the one pid
+check), ``session``, ``crash``, ``recover``, ``wait``, ``stats`` and the
+metric rows both hosts fill alike.  A backend adds only what differs:
+its session class, its clock's ``run``, its ``net.*`` rows.
 """
 
 from __future__ import annotations
 
 import importlib
+from functools import partial
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set
 
 from repro.api.types import (
@@ -51,6 +57,7 @@ from repro.api.types import (
 from repro.common.errors import (
     CapabilityError,
     ConfigurationError,
+    OperationAborted,
     ProtocolError,
     ReproError,
 )
@@ -184,6 +191,12 @@ class Cluster:
     backend: str = "?"
     #: What this backend can do; see :mod:`repro.api.types`.
     capabilities: FrozenSet[str] = frozenset()
+    #: The :class:`Session` subclass :meth:`session` hands out.
+    session_class: type = Session
+    #: Name of the register protocol the cluster runs.
+    protocol: str
+    #: How many processes the cluster runs.
+    num_processes: int
     #: The processes' nodes, indexed by pid.
     nodes: List[Any]
     #: Named register instances provisioned so far.
@@ -212,18 +225,27 @@ class Cluster:
     # -- identity ----------------------------------------------------------
 
     @property
-    def protocol(self) -> str:
-        """Name of the register protocol the cluster runs."""
-        raise NotImplementedError
-
-    @property
-    def num_processes(self) -> int:
-        raise NotImplementedError
-
-    @property
     def seed(self) -> Optional[int]:
         """The deterministic seed, or ``None`` (live backend)."""
         return None
+
+    def node(self, pid: int) -> Any:
+        """The node of process ``pid`` (prefer :meth:`session`).
+
+        The one pid check: every verb that takes a pid resolves it
+        here, before it changes anything.  Anything but an ``int`` in
+        ``range(num_processes)`` raises
+        :class:`~repro.common.errors.ConfigurationError`; a live
+        cluster has its nodes only once started.
+        """
+        if not isinstance(pid, int) or not 0 <= pid < self.num_processes:
+            raise ConfigurationError(
+                f"pid {pid!r} out of range (the cluster has "
+                f"{self.num_processes} processes)"
+            )
+        if pid >= len(self.nodes):
+            raise ReproError("cluster not started")
+        return self.nodes[pid]
 
     def session(self, pid: Optional[int] = None) -> Session:
         """A session bound to process ``pid``.
@@ -232,7 +254,12 @@ class Cluster:
         backends with client-side routing (the KV store's round-robin)
         support it; the others require an explicit pid.
         """
-        raise NotImplementedError
+        if pid is None:
+            raise ConfigurationError(
+                f"the {self.backend} backend needs an explicit pid per session"
+            )
+        self.node(pid)
+        return self.session_class(self, pid)
 
     # -- keys --------------------------------------------------------------
 
@@ -286,21 +313,18 @@ class Cluster:
 
     def crash(self, pid: int) -> None:
         """Crash process ``pid`` immediately."""
-        raise NotImplementedError
+        self.node(pid).crash()
 
     def recover(self, pid: int, wait: bool = True, timeout: float = 5.0) -> None:
         """Restart process ``pid``; by default run until it is ready.
 
         A process that is up raises at the call.
         """
-        raise NotImplementedError
-
-    def _recover_node(self, node: Any, wait: bool, timeout: float) -> None:
-        """``recover`` on one node of this cluster."""
+        node = self.node(pid)
         node.recover()
         if wait and not self.run_until(lambda: node.ready, timeout=timeout):
             raise ReproError(
-                f"process {node.pid} did not finish recovery within the timeout"
+                f"process {pid} did not finish recovery within the timeout"
             )
 
     def partition(self, group_a: Sequence[int], group_b: Sequence[int]) -> None:
@@ -369,7 +393,7 @@ class Cluster:
     @property
     def now(self) -> float:
         """The backend's clock, in seconds: virtual on sim and kv, wall on live."""
-        raise NotImplementedError
+        return self.kernel.now
 
     def run(self, duration: Optional[float] = None, max_events: int = 1_000_000) -> None:
         """Advance the clock by ``duration`` (or, simulated, to quiescence)."""
@@ -430,9 +454,25 @@ class Cluster:
 
         With ``expect_done`` an aborted operation raises
         :class:`~repro.common.errors.OperationAborted` -- the ``*_sync``
-        contract.
+        contract -- whose message carries the handle's ``error``, if it
+        has one.  A timeout gives up only this wait: the operation stays
+        in flight.
         """
-        raise NotImplementedError
+        # A settled handle returns at once; otherwise the predicate is a
+        # C call per event, with no Python frame of its own.
+        if not handle.settled and not self.run_until(
+            partial(getattr, handle, "settled"), timeout
+        ):
+            raise ReproError(
+                f"{handle.kind} at p{handle.pid} did not settle within {timeout}s"
+            )
+        if expect_done and handle.aborted:
+            error = getattr(handle, "error", None)
+            raise OperationAborted(
+                f"{handle.kind} at p{handle.pid} failed: "
+                f"{error or 'aborted by a crash'}"
+            ) from error
+        return handle
 
     def wait_all(
         self, handles: Sequence[OpHandle], timeout: float = DEFAULT_SYNC_TIMEOUT
@@ -469,8 +509,27 @@ class Cluster:
     # -- observability -----------------------------------------------------
 
     def stats(self) -> ClusterStats:
-        """Run-wide counters (zeros where the backend has none)."""
-        raise NotImplementedError
+        """Run-wide counters, read from :attr:`registry`'s rows.
+
+        So ``stats()`` and :meth:`metrics` cannot disagree.  ``extra``
+        holds the backend's own rows, those named ``<backend>.*``, with
+        the dot as an underscore (``kv.aborted`` is ``kv_aborted``).
+        """
+        scalars = self.metrics().scalars
+        return ClusterStats(
+            clock=scalars["kernel.clock"],
+            kernel_events=scalars["kernel.events"],
+            messages_sent=scalars["net.messages_sent"],
+            messages_dropped=scalars["net.messages_dropped"],
+            stores_completed=scalars["storage.stores_completed"],
+            crashes=scalars["node.crashes"],
+            recoveries=scalars["node.recoveries"],
+            extra={
+                name.replace(".", "_"): value
+                for name, value in scalars.items()
+                if name.startswith(f"{self.backend}.")
+            },
+        )
 
     @property
     def registry(self) -> MetricsRegistry:
@@ -490,7 +549,51 @@ class Cluster:
         return registry
 
     def _register_metrics(self, registry: MetricsRegistry) -> None:
-        """Hook: install this backend's gauges (see ``docs/observability.md``)."""
+        """Install the rows both hosts of :class:`~repro.protocol.host.NodeCore`
+        fill alike (see ``docs/observability.md``); a backend adds its own.
+
+        Every row is a pull gauge over a counter the engine already
+        keeps, summed over the nodes (the footprint rows over
+        :meth:`_logs`).  A recovery is a crash its node has left.  The
+        ``node.recovery_time`` histogram is backfilled with the
+        recoveries that finished before the registry existed (it is
+        created lazily), and observes the later ones as they finish.
+        """
+        nodes, logs = self.nodes, self._logs
+        registry.gauge("kernel.clock", fn=lambda: self.now)
+        registry.gauge("kernel.events", fn=self._events)
+        for name in ("stores_completed", "bytes_logged", "stores_lost_to_crash"):
+            registry.gauge(
+                f"storage.{name}",
+                fn=lambda name=name: sum(getattr(n.storage, name) for n in nodes),
+            )
+        for row, name in (("footprint_bytes", "log_bytes"), ("records", "log_records")):
+            registry.gauge(
+                f"storage.{row}",
+                fn=lambda name=name: sum(getattr(log, name) for log in logs()),
+            )
+        registry.gauge("node.crashes", fn=lambda: sum(n.crash_count for n in nodes))
+        registry.gauge(
+            "node.recoveries",
+            fn=lambda: sum(n.crash_count - n.crashed for n in nodes),
+        )
+        recovery_hist = registry.histogram("node.recovery_time")
+        for node in nodes:
+            for duration in node.recovery_times:
+                recovery_hist.observe(duration)
+            node.on_recovery_time = recovery_hist.observe
+        registry.gauge(
+            "trace.flight_recorded",
+            fn=lambda: getattr(self.flight_recorder, "total", 0),
+        )
+
+    def _events(self) -> int:
+        """Kernel callbacks run so far."""
+        return self.kernel.events_processed
+
+    def _logs(self) -> List[Any]:
+        """The logs the nodes write, each once: here, their storages."""
+        return [node.storage for node in self.nodes]
 
     def metrics(self) -> MetricsSnapshot:
         """A frozen, backend-uniform snapshot of every instrument.
@@ -554,7 +657,7 @@ class Cluster:
         )
 
 
-# -- shared verification/observability helpers -----------------------------
+# -- shared verification helper ---------------------------------------------
 
 
 def check_one_register(
@@ -612,46 +715,6 @@ def check_one_register(
         method="white-box",
         operations=result.operations,
         reason="; ".join(result.violations),
-    )
-
-
-def register_node_metrics(registry, nodes, logs=None) -> None:
-    """The rows both hosts of :class:`~repro.protocol.host.NodeCore` fill alike.
-
-    Storage totals and crash counts summed over ``nodes``, and the
-    ``node.recovery_time`` histogram: recoveries that completed before
-    the registry existed (it is created lazily) are backfilled, later
-    ones observed as they finish.  The footprint rows count each of
-    ``logs()``, the logs the nodes write (default: their storages), once.
-    """
-    logs = logs or (lambda: [n.storage for n in nodes])
-    registry.gauge(
-        "storage.stores_completed",
-        fn=lambda: sum(n.storage.stores_completed for n in nodes),
-    )
-    registry.gauge(
-        "storage.bytes_logged",
-        fn=lambda: sum(n.storage.bytes_logged for n in nodes),
-    )
-    registry.gauge(
-        "storage.footprint_bytes",
-        fn=lambda: sum(log.log_bytes for log in logs()),
-    )
-    registry.gauge(
-        "storage.records",
-        fn=lambda: sum(log.log_records for log in logs()),
-    )
-    registry.gauge(
-        "node.crashes", fn=lambda: sum(n.crash_count for n in nodes)
-    )
-    recovery_hist = registry.histogram("node.recovery_time")
-    for node in nodes:
-        for duration in node.recovery_times:
-            recovery_hist.observe(duration)
-        node.on_recovery_time = recovery_hist.observe
-    registry.gauge(
-        "storage.stores_lost_to_crash",
-        fn=lambda: sum(n.storage.stores_lost_to_crash for n in nodes),
     )
 
 

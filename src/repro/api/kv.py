@@ -28,7 +28,6 @@ from repro.api.types import (
     SHARDING,
     TRACE,
     VIRTUAL_TIME,
-    ClusterStats,
     Verdict,
 )
 from repro.common.config import ClusterConfig
@@ -75,6 +74,7 @@ class KVBackend(SimBackend):
     capabilities = frozenset(
         {VIRTUAL_TIME, SHARDING, CRASH_INJECTION, TRACE, STORAGE_FAULTS, LINK_FAULTS}
     )
+    session_class = KVSession
 
     def __init__(
         self,
@@ -112,9 +112,8 @@ class KVBackend(SimBackend):
         self.router = ShardRouter(self, shard_map, batch_window)
 
     def session(self, pid: Optional[int] = None) -> KVSession:
-        if pid is not None:
-            self.node(pid)  # validates the range
-        return KVSession(self, pid)
+        # No pid: the store routes each operation.
+        return KVSession(self, pid) if pid is None else super().session(pid)
 
     # -- keys --------------------------------------------------------------
 
@@ -187,12 +186,6 @@ class KVBackend(SimBackend):
         )
 
     # -- observability -----------------------------------------------------
-
-    def stats(self) -> ClusterStats:
-        stats = super().stats()
-        stats.extra["kv_completed"] = self.router.completed
-        stats.extra["kv_aborted"] = self.router.aborted
-        return stats
 
     def _register_metrics(self, registry) -> None:
         super()._register_metrics(registry)

@@ -24,7 +24,11 @@ and :meth:`LiveBackend.checkpoint`; nothing advances (no
 retransmission, no recovery, no ``op_timeout``) while the caller is
 outside them.  An operation is invoked on the node at the call
 (:meth:`LiveBackend.submit_op`), and the node's settle callback
-settles its :class:`LiveHandle`; ``latency`` is wall seconds.
+settles its :class:`LiveHandle`; ``latency`` is wall seconds.  The
+verbs that drive a node (``node``, ``session``, ``crash``,
+``recover``, ``wait``, ``stats``) are :class:`~repro.api.base.Cluster`'s,
+shared with the simulator; this module adds the wall clock's ``run``
+and ``run_until``, ``checkpoint`` and the transports' ``net.*`` rows.
 
 What the backend cannot do is declared, not approximated: it has no
 ``virtual_time`` capability (its clock is the wall clock, and a run is
@@ -38,15 +42,13 @@ from __future__ import annotations
 import tempfile
 import time
 from collections import deque
-from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Deque, List, Optional, Set
 
-from repro.api.base import Cluster, Session, register_node_metrics
-from repro.api.types import CRASH_INJECTION, ClusterStats, OpHandle
+from repro.api.base import Cluster, Session
+from repro.api.types import CRASH_INJECTION, OpHandle
 from repro.common.errors import (
     ConfigurationError,
-    OperationAborted,
     ProcessCrashed,
     ProtocolError,
     ReproError,
@@ -72,15 +74,6 @@ def _sent(nodes) -> int:
 
 def _received(nodes) -> int:
     return sum(node.transport.messages_received for node in nodes)
-
-
-def _recoveries(nodes) -> int:
-    """``recover()`` calls so far, the figure the simulator's trace counts.
-
-    Every call leaves the crashed state and only a crash re-enters it,
-    so the calls are the crashes minus the nodes that are still down.
-    """
-    return sum(node.crash_count - node.crashed for node in nodes)
 
 
 class LiveHandle(OpHandle):
@@ -169,6 +162,7 @@ class LiveBackend(Cluster):
 
     backend = "live"
     capabilities = frozenset({CRASH_INJECTION})
+    session_class = LiveSession
 
     def __init__(
         self,
@@ -186,8 +180,8 @@ class LiveBackend(Cluster):
         num_processes = 3 if num_processes is None else num_processes
         if num_processes < 1:
             raise ConfigurationError("num_processes must be >= 1")
-        self._protocol = protocol
-        self._num_processes = num_processes
+        self.protocol = protocol
+        self.num_processes = num_processes
         self.op_timeout = op_timeout
         self._make_protocol = protocol_factory(protocol, LIVE_RETRANSMIT_INTERVAL)
         self._tmpdir: Optional[tempfile.TemporaryDirectory] = None
@@ -219,12 +213,6 @@ class LiveBackend(Cluster):
             raise ReproError("cluster not started")
         return self._kernel
 
-    def _clock(self) -> float:
-        return self._kernel.clock() if self._kernel is not None else 0.0
-
-    def _events(self) -> int:
-        return self._kernel.events_processed if self._kernel is not None else 0
-
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "LiveBackend":
@@ -235,10 +223,10 @@ class LiveBackend(Cluster):
         try:
             self._log = log = FileLog(self.storage_root)
             records = log.scan_files()
-            for pid in range(self._num_processes):
+            for pid in range(self.num_processes):
                 node = RuntimeNode(
                     pid=pid,
-                    num_processes=self._num_processes,
+                    num_processes=self.num_processes,
                     protocol_factory=self._make_protocol,
                     log=log,
                     records=records,
@@ -269,25 +257,6 @@ class LiveBackend(Cluster):
             self._kernel = None
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
-
-    # -- identity ----------------------------------------------------------
-
-    @property
-    def protocol(self) -> str:
-        return self._protocol
-
-    @property
-    def num_processes(self) -> int:
-        return self._num_processes
-
-    def session(self, pid: Optional[int] = None) -> LiveSession:
-        if pid is None:
-            raise ConfigurationError(
-                "the live backend needs an explicit pid per session"
-            )
-        if not 0 <= pid < self._num_processes:
-            raise ConfigurationError(f"pid {pid} out of range")
-        return LiveSession(self, pid)
 
     # -- operations --------------------------------------------------------
 
@@ -350,12 +319,6 @@ class LiveBackend(Cluster):
 
     # -- fault verbs -------------------------------------------------------
 
-    def crash(self, pid: int) -> None:
-        self.nodes[pid].crash()
-
-    def recover(self, pid: int, wait: bool = True, timeout: float = 5.0) -> None:
-        self._recover_node(self.nodes[pid], wait, timeout)
-
     def checkpoint(self, pid: int) -> bool:
         """Run one two-phase checkpoint at node ``pid``; whether it committed.
 
@@ -364,7 +327,7 @@ class LiveBackend(Cluster):
         it between the phases.  Live only: the simulator checkpoints on
         its ``checkpoint_interval`` timer.
         """
-        node = self.nodes[pid]
+        node = self.node(pid)
         committed = node.checkpoints_committed
         if not node.begin_checkpoint():
             return False
@@ -378,8 +341,8 @@ class LiveBackend(Cluster):
 
     @property
     def now(self) -> float:
-        """The kernel's clock, in wall seconds."""
-        return self._clock()
+        """The kernel's clock, in wall seconds (0.0 outside start..close)."""
+        return self._kernel.clock() if self._kernel is not None else 0.0
 
     def run(self, duration: Optional[float] = None, max_events: int = 1_000_000) -> None:
         """Run the loop for ``duration`` wall seconds.
@@ -409,47 +372,23 @@ class LiveBackend(Cluster):
         """
         return self.kernel.run_until(predicate, None, timeout, poll_every)
 
-    def wait(
-        self, handle: OpHandle, timeout: float = 5.0, expect_done: bool = False
-    ) -> OpHandle:
-        # The predicate is a C call per event: no Python frame.
-        if not handle.settled and not self.kernel.run_until(
-            partial(getattr, handle, "settled"), None, timeout
-        ):
-            # Only this wait gave up; the operation stays in flight.
-            raise ReproError(f"live {handle.kind} did not settle within {timeout}s")
-        if expect_done and handle.aborted:
-            raise OperationAborted(
-                f"{handle.kind} at p{handle.pid} failed: {handle.error}"
-            ) from handle.error
-        return handle
-
     # -- observability -----------------------------------------------------
 
-    def stats(self) -> ClusterStats:
-        nodes = self.nodes
-        sent = _sent(nodes)
-        return ClusterStats(
-            clock=self._clock(),
-            kernel_events=self._events(),
-            messages_sent=sent,
-            # UDP gives no per-datagram loss signal; sent-minus-received
-            # is the best available estimate (in-flight datagrams and
-            # crash-muted receivers count as dropped).
-            messages_dropped=max(0, sent - _received(nodes)),
-            stores_completed=sum(
-                node.storage.stores_completed for node in nodes
-            ),
-            crashes=sum(node.crash_count for node in nodes),
-            recoveries=_recoveries(nodes),
-        )
+    def _events(self) -> int:
+        return self._kernel.events_processed if self._kernel is not None else 0
+
+    def _logs(self) -> List[FileLog]:
+        return [self._log] if self._log is not None else []
 
     def _register_metrics(self, registry) -> None:
+        """Add the transports' rows to the shared ones."""
+        super()._register_metrics(registry)
         nodes = self.nodes
-        registry.gauge("kernel.clock", fn=self._clock)
-        registry.gauge("kernel.events", fn=self._events)
         registry.gauge("net.messages_sent", fn=lambda: _sent(nodes))
         registry.gauge("net.messages_delivered", fn=lambda: _received(nodes))
+        # UDP gives no per-datagram loss signal; sent-minus-received is
+        # the best available estimate (in-flight datagrams and
+        # crash-muted receivers count as dropped).
         registry.gauge(
             "net.messages_dropped",
             fn=lambda: max(0, _sent(nodes) - _received(nodes)),
@@ -457,11 +396,6 @@ class LiveBackend(Cluster):
         registry.gauge(
             "net.malformed",
             fn=lambda: sum(n.transport.malformed for n in nodes),
-        )
-        register_node_metrics(registry, nodes, lambda: [self._log] if self._log else [])
-        registry.gauge("node.recoveries", fn=lambda: _recoveries(nodes))
-        registry.gauge(
-            "trace.flight_recorded", fn=lambda: self._flight_recorder.total
         )
 
     @property

@@ -3,8 +3,12 @@
 :class:`SimBackend` builds and owns the whole simulated deployment --
 kernel, trace, history recorder, network and one
 :class:`~repro.sim.node.SimNode` (with its stable storage) per
-process -- and speaks the façade's one vocabulary over it.  An
-operation's handle is the node's own
+process -- and speaks the façade's one vocabulary over it.  The verbs
+that drive a node (``node``, ``session``, ``crash``, ``recover``,
+``wait``, ``stats``) are :class:`~repro.api.base.Cluster`'s, shared
+with the live host; this module adds the simulator's own: ``run`` to
+quiescence, the link and storage fault verbs, ``on_event`` and the
+``net.*`` rows.  An operation's handle is the node's own
 :class:`~repro.protocol.host.NodeOperation`.  Declares
 ``virtual_time``, ``crash_injection``, ``trace``, ``storage_faults``
 and ``link_faults``; sharding lives in the ``"kv"`` backend, which is
@@ -18,23 +22,16 @@ import random
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
-from repro.api.base import (
-    DEFAULT_SYNC_TIMEOUT,
-    Cluster,
-    Session,
-    register_node_metrics,
-)
+from repro.api.base import DEFAULT_SYNC_TIMEOUT, Cluster, Session
 from repro.api.types import (
     CRASH_INJECTION,
     LINK_FAULTS,
     STORAGE_FAULTS,
     TRACE,
     VIRTUAL_TIME,
-    ClusterStats,
-    OpHandle,
 )
 from repro.common.config import ClusterConfig
-from repro.common.errors import ConfigurationError, OperationAborted, ReproError
+from repro.common.errors import ConfigurationError, ReproError
 from repro.history.history import History
 from repro.history.partition import partition_history
 from repro.history.recorder import HistoryRecorder
@@ -96,6 +93,7 @@ class SimBackend(Cluster):
     capabilities = frozenset(
         {VIRTUAL_TIME, CRASH_INJECTION, TRACE, STORAGE_FAULTS, LINK_FAULTS}
     )
+    session_class = SimSession
 
     def __init__(
         self,
@@ -117,7 +115,8 @@ class SimBackend(Cluster):
         if seed is not None:
             overrides["seed"] = seed
         self.config = config = dataclasses.replace(config, **overrides)
-        self._protocol = protocol
+        self.protocol = protocol
+        self.num_processes = config.num_processes
         make_protocol = protocol_factory(
             protocol, config.retransmit_interval, include_broken=include_broken
         )
@@ -167,38 +166,10 @@ class SimBackend(Cluster):
     # -- identity ----------------------------------------------------------
 
     @property
-    def protocol(self) -> str:
-        return self._protocol
-
-    @property
-    def num_processes(self) -> int:
-        return self.config.num_processes
-
-    @property
     def seed(self) -> Optional[int]:
         return self.config.seed
 
-    def node(self, pid: int) -> SimNode:
-        """The simulated node of process ``pid`` (prefer :meth:`session`)."""
-        if not 0 <= pid < len(self.nodes):
-            raise ConfigurationError(f"pid {pid} out of range")
-        return self.nodes[pid]
-
-    def session(self, pid: Optional[int] = None) -> SimSession:
-        if pid is None:
-            raise ConfigurationError(
-                "the sim backend needs an explicit pid per session"
-            )
-        self.node(pid)  # validates the range
-        return SimSession(self, pid)
-
     # -- fault verbs -------------------------------------------------------
-
-    def crash(self, pid: int) -> None:
-        self.node(pid).crash()
-
-    def recover(self, pid: int, wait: bool = True, timeout: float = 5.0) -> None:
-        self._recover_node(self.node(pid), wait, timeout)
 
     def partition(self, group_a: Sequence[int], group_b: Sequence[int]) -> None:
         self._check_pids(*group_a, *group_b)
@@ -266,10 +237,6 @@ class SimBackend(Cluster):
 
     # -- clock -------------------------------------------------------------
 
-    @property
-    def now(self) -> float:
-        return self.kernel.now
-
     def run(self, duration: Optional[float] = None, max_events: int = 1_000_000) -> None:
         if duration is None:
             self.kernel.run(max_events=max_events)
@@ -296,18 +263,6 @@ class SimBackend(Cluster):
             self.trace.subscribe(partial(_dispatch_event, hooks), kinds=[kind])
         hooks.append([source_pid, count, fn, args])
 
-    def wait(
-        self,
-        handle: OpHandle,
-        timeout: float = DEFAULT_SYNC_TIMEOUT,
-        expect_done: bool = False,
-    ) -> OpHandle:
-        if not self.kernel.run_until(lambda: handle.settled, timeout=timeout):
-            raise ReproError(f"{handle!r} did not settle within {timeout}s")
-        if expect_done and handle.aborted:
-            raise OperationAborted(f"{handle!r} aborted by a crash")
-        return handle
-
     # -- verification ------------------------------------------------------
 
     def per_register_histories(self) -> Dict[Optional[str], History]:
@@ -324,47 +279,16 @@ class SimBackend(Cluster):
 
     # -- observability -----------------------------------------------------
 
-    def stats(self) -> ClusterStats:
-        return ClusterStats(
-            clock=self.kernel.now,
-            kernel_events=self.kernel.events_processed,
-            messages_sent=self.network.messages_sent,
-            messages_dropped=self.network.messages_dropped,
-            stores_completed=sum(
-                node.storage.stores_completed for node in self.nodes
-            ),
-            crashes=sum(node.crash_count for node in self.nodes),
-            recoveries=self.trace.count("recover"),
-        )
-
     def _register_metrics(self, registry) -> None:
-        """Install the uniform gauge catalog over the simulator.
-
-        Every gauge is pull-based: it reads a counter the engine already
-        maintains, so registering them adds nothing to the hot path.
-        The KV backend layers its shard-level metrics on top of this
-        set; the live backend shares the node rows
-        (:func:`register_node_metrics`) and mirrors the rest from its
-        transports (see the metrics catalog in
-        ``docs/observability.md``).
-        """
-        kernel, network, trace, nodes = (
-            self.kernel, self.network, self.trace, self.nodes
-        )
-        registry.gauge("kernel.clock", fn=lambda: kernel.now)
-        registry.gauge("kernel.events", fn=lambda: kernel.events_processed)
+        """Add the simulated network's rows to the shared ones."""
+        super()._register_metrics(registry)
+        network = self.network
         registry.gauge("net.messages_sent", fn=lambda: network.messages_sent)
         registry.gauge(
             "net.messages_delivered", fn=lambda: network.messages_delivered
         )
         registry.gauge("net.messages_dropped", fn=lambda: network.messages_dropped)
         registry.gauge("net.bytes_sent", fn=lambda: network.bytes_sent)
-        register_node_metrics(registry, nodes)
-        registry.gauge("node.recoveries", fn=lambda: trace.count("recover"))
-        registry.gauge(
-            "trace.flight_recorded",
-            fn=lambda: trace.ring.total if trace.ring is not None else 0,
-        )
 
     @property
     def flight_recorder(self):

@@ -25,7 +25,6 @@ Everything is deterministic given a seed: the kernel breaks ties by
 insertion order, and all randomness flows from one seeded generator.
 """
 
-from repro.sim.invariants import InvariantMonitor, InvariantViolation
 from repro.sim.kernel import EventHandle, Kernel
 from repro.sim.network import SimNetwork
 from repro.sim.node import SimNode
@@ -34,8 +33,6 @@ from repro.obs.tracing import NULL_TRACE, Trace, TraceEvent
 
 __all__ = [
     "EventHandle",
-    "InvariantMonitor",
-    "InvariantViolation",
     "Kernel",
     "NULL_TRACE",
     "SimNetwork",

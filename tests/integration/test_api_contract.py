@@ -13,6 +13,7 @@ import pytest
 from repro.api import CRASH_INJECTION, VIRTUAL_TIME, open_cluster
 from repro.common.errors import (
     CapabilityError,
+    ConfigurationError,
     OperationAborted,
     ProtocolError,
     TransportError,
@@ -90,6 +91,39 @@ def test_live_write_too_big_for_a_datagram_is_refused_at_the_call():
         largest = b"x" * 64_900
         session.write_sync(largest)
         assert c.session(1).read_sync() == largest
+        assert c.check().ok
+
+
+@pytest.mark.parametrize("pid", [-1, 3])
+@pytest.mark.parametrize("backend", ["sim", "kv", "live"])
+def test_a_pid_out_of_range_is_refused_before_anything_changes(backend, pid):
+    """Every backend makes the one pid check, so no pid wraps round to a node.
+
+    ``-1`` is not the last process and ``num_processes`` is no process:
+    ``crash``, ``recover`` and live's ``checkpoint`` refuse both with a
+    ``ConfigurationError`` and leave every node as it was.
+    """
+    seed = None if backend == "live" else 11
+    with open_cluster(backend=backend, num_processes=3, seed=seed) as c:
+        c.session(0).write_sync("a")
+
+        def states():
+            return [(node.crashed, node.crash_count) for node in c.nodes]
+
+        before = states()
+        with pytest.raises(ConfigurationError, match="out of range"):
+            c.crash(pid)
+        assert states() == before
+        c.crash(2)  # a wrapped pid would find the last process down
+        before = states()
+        with pytest.raises(ConfigurationError, match="out of range"):
+            c.recover(pid, wait=False)
+        if backend == "live":
+            with pytest.raises(ConfigurationError, match="out of range"):
+                c.checkpoint(pid)
+        assert states() == before
+        c.recover(2)
+        c.session(2).write_sync("b")
         assert c.check().ok
 
 

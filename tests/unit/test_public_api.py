@@ -14,10 +14,12 @@ Two contracts guard the façade:
   integration-speed).
 """
 
+import dataclasses
 import inspect
 import os
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 
@@ -209,12 +211,22 @@ class TestSnapshot:
 
     @pytest.mark.parametrize("name", api.BACKEND_NAMES)
     def test_resolved_fault_verbs_match_capabilities(self, name):
-        # The verbs a backend resolves, inherited ones included, must
-        # be exactly the ones its capabilities gate in.
-        cls = api.BACKENDS[name]
-        for verb, capability in FAULT_VERB_CAPABILITIES.items():
-            implemented = getattr(cls, verb) is not getattr(api.Cluster, verb)
-            assert implemented == (capability in cls.capabilities), (name, verb)
+        # On a started cluster, a verb outside the backend's
+        # capabilities raises CapabilityError and changes nothing; a
+        # verb inside them runs.
+        assert FAULT_VERB_CALLS.keys() == FAULT_VERB_CAPABILITIES.keys()
+        seed = None if name == "live" else 3
+        with open_cluster(backend=name, num_processes=3, seed=seed) as c:
+            c.session(0).write_sync("x")
+            for verb, capability in FAULT_VERB_CAPABILITIES.items():
+                call = partial(getattr(c, verb), *FAULT_VERB_CALLS[verb])
+                if capability in c.capabilities:
+                    call()
+                    continue
+                before = observable_state(c)
+                with pytest.raises(CapabilityError, match=verb):
+                    call()
+                assert observable_state(c) == before, (name, verb)
 
     def test_sim_backend_options(self):
         assert list(inspect.signature(api.SimBackend).parameters) == [
@@ -234,6 +246,31 @@ class TestSnapshot:
         assert list(inspect.signature(api.LiveBackend).parameters) == [
             "protocol", "num_processes", "seed", "storage_root", "op_timeout",
         ]
+
+
+#: A well-formed call of each fault verb on a 3-process cluster, in
+#: ``FAULT_VERB_CAPABILITIES`` order (``recover`` follows ``crash``).
+FAULT_VERB_CALLS = {
+    "crash": (2,),
+    "recover": (2,),
+    "partition": ([0], [1, 2]),
+    "heal": ([0], [1, 2]),
+    "lose": (0.0,),
+    "slow_link": ([(0, 1)], 0.0),
+    "corrupt_record": (0, "no-such-key"),
+    "lose_stores": (0, 0),
+    "slow_storage": (0, 0.0),
+    "on_event": ("send", None, 1, lambda: None),
+}
+
+
+def observable_state(cluster):
+    """What a fault verb could change, read without advancing the clock."""
+    return (
+        dataclasses.replace(cluster.stats(), clock=0.0),
+        [(node.crashed, node.crash_count) for node in cluster.nodes],
+        len(cluster.history),
+    )
 
 
 def session_program(cluster):

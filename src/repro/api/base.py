@@ -301,8 +301,13 @@ class Cluster:
             raise ProtocolError(f"the cluster did not make register {key!r} ready")
 
     def _boot(self) -> None:
-        """Boot every node, then run until all of them are ready."""
+        """Boot every node, then run until all of them are ready.
+
+        Every node reports its recoveries to :meth:`_recovered` from
+        here on, whenever the metrics registry comes to exist.
+        """
         for node in self.nodes:
+            node.on_recovery_time = self._recovered
             node.boot()
         if not self.run_until(
             lambda: all(node.ready for node in self.nodes), timeout=BOOT_TIMEOUT
@@ -454,9 +459,8 @@ class Cluster:
 
         With ``expect_done`` an aborted operation raises
         :class:`~repro.common.errors.OperationAborted` -- the ``*_sync``
-        contract -- whose message carries the handle's ``error``, if it
-        has one.  A timeout gives up only this wait: the operation stays
-        in flight.
+        contract -- whose message carries the handle's ``error``.  A
+        timeout gives up only this wait: the operation stays in flight.
         """
         # A settled handle returns at once; otherwise the predicate is a
         # C call per event, with no Python frame of its own.
@@ -467,11 +471,9 @@ class Cluster:
                 f"{handle.kind} at p{handle.pid} did not settle within {timeout}s"
             )
         if expect_done and handle.aborted:
-            error = getattr(handle, "error", None)
             raise OperationAborted(
-                f"{handle.kind} at p{handle.pid} failed: "
-                f"{error or 'aborted by a crash'}"
-            ) from error
+                f"{handle.kind} at p{handle.pid} failed: {handle.error}"
+            ) from handle.error
         return handle
 
     def wait_all(
@@ -554,10 +556,8 @@ class Cluster:
 
         Every row is a pull gauge over a counter the engine already
         keeps, summed over the nodes (the footprint rows over
-        :meth:`_logs`).  A recovery is a crash its node has left.  The
-        ``node.recovery_time`` histogram is backfilled with the
-        recoveries that finished before the registry existed (it is
-        created lazily), and observes the later ones as they finish.
+        :meth:`_logs`).  A recovery is a crash its node has left; the
+        ``node.recovery_time`` histogram is fed by :meth:`_recovered`.
         """
         nodes, logs = self.nodes, self._logs
         registry.gauge("kernel.clock", fn=lambda: self.now)
@@ -577,15 +577,15 @@ class Cluster:
             "node.recoveries",
             fn=lambda: sum(n.crash_count - n.crashed for n in nodes),
         )
-        recovery_hist = registry.histogram("node.recovery_time")
-        for node in nodes:
-            for duration in node.recovery_times:
-                recovery_hist.observe(duration)
-            node.on_recovery_time = recovery_hist.observe
+        registry.histogram("node.recovery_time")
         registry.gauge(
             "trace.flight_recorded",
             fn=lambda: getattr(self.flight_recorder, "total", 0),
         )
+
+    def _recovered(self, duration: float) -> None:
+        """A node finished a recovery: observe it in ``node.recovery_time``."""
+        self.registry.histogram("node.recovery_time").observe(duration)
 
     def _events(self) -> int:
         """Kernel callbacks run so far."""

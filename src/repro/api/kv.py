@@ -28,12 +28,13 @@ from repro.api.types import (
     SHARDING,
     TRACE,
     VIRTUAL_TIME,
+    OpHandle,
     Verdict,
 )
 from repro.common.config import ClusterConfig
 from repro.common.errors import ConfigurationError, ReproError
 from repro.kv.sharding import HashShardMap, ShardMap
-from repro.kv.store import KVOperation, ShardRouter, projection_check_method
+from repro.kv.store import ShardRouter, projection_check_method
 
 #: Key an operation without an explicit ``key`` addresses -- the KV
 #: backend's stand-in for the anonymous register of the other backends.
@@ -52,7 +53,7 @@ class KVSession(Session):
         # so a session can always accept the next operation.
         return True
 
-    def write(self, value: Any, key: Optional[str] = None) -> KVOperation:
+    def write(self, value: Any, key: Optional[str] = None) -> OpHandle:
         # Only None maps to the default key: an empty string must reach
         # the store's own validation, not silently alias "default".
         target = DEFAULT_KEY if key is None else key
@@ -60,7 +61,7 @@ class KVSession(Session):
             self.cluster.router.submit("write", target, value, self.pid)
         )
 
-    def read(self, key: Optional[str] = None) -> KVOperation:
+    def read(self, key: Optional[str] = None) -> OpHandle:
         target = DEFAULT_KEY if key is None else key
         return self._observed(
             self.cluster.router.submit("read", target, None, self.pid)

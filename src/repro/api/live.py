@@ -23,8 +23,8 @@ calls, ``run``, ``run_until``, ``recover``, ``ensure_key``/``preload``
 and :meth:`LiveBackend.checkpoint`; nothing advances (no
 retransmission, no recovery, no ``op_timeout``) while the caller is
 outside them.  An operation is invoked on the node at the call
-(:meth:`LiveBackend.submit_op`), and the node's settle callback
-settles its :class:`LiveHandle`; ``latency`` is wall seconds.  The
+(:meth:`LiveBackend.submit_op`), with the handle the node fills in
+as for a simulated one; ``latency`` is wall seconds.  The
 verbs that drive a node (``node``, ``session``, ``crash``,
 ``recover``, ``wait``, ``stats``) are :class:`~repro.api.base.Cluster`'s,
 shared with the simulator; this module adds the wall clock's ``run``
@@ -47,16 +47,10 @@ from typing import Any, Callable, Deque, List, Optional, Set
 
 from repro.api.base import Cluster, Session
 from repro.api.types import CRASH_INJECTION, OpHandle
-from repro.common.errors import (
-    ConfigurationError,
-    ProcessCrashed,
-    ProtocolError,
-    ReproError,
-)
+from repro.common.errors import ConfigurationError, ProtocolError, ReproError
 from repro.history.recorder import HistoryRecorder
 from repro.obs.ring import RingTrace
 from repro.obs.tracing import ALL_KINDS
-from repro.protocol.host import NodeOperation
 from repro.protocol.registry import protocol_factory
 from repro.runtime.node import RuntimeNode, live_kernel
 from repro.runtime.storage import FileLog
@@ -76,84 +70,13 @@ def _received(nodes) -> int:
     return sum(node.transport.messages_received for node in nodes)
 
 
-class LiveHandle(OpHandle):
-    """Façade handle of a live operation: its outcome, in plain fields.
-
-    :meth:`_settle` stamps the outcome and the completion instant once
-    and runs the callbacks at once, as a simulated
-    :class:`~repro.protocol.host.NodeOperation` does; ``error`` is what
-    the operation failed with, if it aborted.
-    """
-
-    __slots__ = (
-        "kind",
-        "key",
-        "pid",
-        "settled",
-        "done",
-        "aborted",
-        "result",
-        "error",
-        "_submitted",
-        "_completed",
-        "_callbacks",
-    )
-
-    def __init__(self, kind: str, key: Optional[str], pid: int):
-        self.kind = kind
-        self.key = key
-        self.pid = pid
-        self.settled = self.done = self.aborted = False
-        self.result: Any = None
-        self.error: Optional[BaseException] = None
-        self._submitted = time.monotonic()
-        self._completed: Optional[float] = None
-        self._callbacks: List[Callable[[OpHandle], None]] = []
-
-    def _settle(self, result: Any = None, error: Optional[BaseException] = None) -> None:
-        if self.settled:
-            return  # timed out; the operation finished after all
-        self._completed = time.monotonic()
-        self.settled = True
-        self.aborted = error is not None
-        self.done = not self.aborted
-        self.result, self.error = result, error
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(self)
-
-    def _finish(self, operation: NodeOperation) -> None:
-        """The node's operation settled: settle with its outcome."""
-        if operation.aborted:
-            self._settle(
-                error=ProcessCrashed(
-                    f"process {self.pid} crashed during {self.kind} {operation.op}"
-                )
-            )
-        else:
-            self._settle(operation.result)
-
-    @property
-    def latency(self) -> Optional[float]:
-        """Submission-to-completion wall seconds."""
-        if self._completed is None:
-            return None
-        return self._completed - self._submitted
-
-    def add_callback(self, callback: Callable[[OpHandle], None]) -> None:
-        if self.settled:
-            callback(self)
-        else:
-            self._callbacks.append(callback)
-
-
 class LiveSession(Session):
     """A session pinned to one live node."""
 
-    def write(self, value: Any, key: Optional[str] = None) -> LiveHandle:
+    def write(self, value: Any, key: Optional[str] = None) -> OpHandle:
         return self._observed(self.cluster.submit_op(self.pid, "write", value, key))
 
-    def read(self, key: Optional[str] = None) -> LiveHandle:
+    def read(self, key: Optional[str] = None) -> OpHandle:
         return self._observed(self.cluster.submit_op(self.pid, "read", None, key))
 
 
@@ -201,7 +124,7 @@ class LiveBackend(Cluster):
         # deadline order: one kernel event at a time expires them all,
         # where a cancellable timer per operation would cost four calls
         # and a heap entry that outlives the operation by op_timeout.
-        self._expiring: Deque[LiveHandle] = deque()
+        self._expiring: Deque[OpHandle] = deque()
         self._expiry_armed = False
         self._kernel: Optional[Kernel] = None
         self._log: Optional[FileLog] = None
@@ -262,7 +185,7 @@ class LiveBackend(Cluster):
 
     def submit_op(
         self, pid: int, kind: str, value: Any = None, key: Optional[str] = None
-    ) -> LiveHandle:
+    ) -> OpHandle:
         """Invoke a ``"read"`` or ``"write"`` at node ``pid``; its handle at once.
 
         The handle settles while the loop runs (inside ``wait``,
@@ -278,21 +201,20 @@ class LiveBackend(Cluster):
         TransportError` here, before any datagram leaves.
         """
         kernel = self.kernel
-        handle = LiveHandle(kind, key, pid)
+        node = self.node(pid)
+        handle = OpHandle(kind, key, pid, value, time.monotonic())
         if kind == "write":
             check_value(value, key)
-        node = self.nodes[pid]
         try:
             if key is not None and not node.has_register(key):
                 self.ensure_key(key, self.op_timeout)
             if kind == "read":
-                operation = node.invoke_read(key)
+                node.invoke_read(key, handle)
             else:
-                operation = node.invoke_write(value, key)
+                node.invoke_write(value, key, handle)
         except Exception as error:  # an outcome of the operation, like the others
-            handle._settle(error=error)
+            handle._settle(time.monotonic(), error=error)
             return handle
-        operation.add_callback(handle._finish)
         expiring = self._expiring
         while expiring and expiring[0].settled:
             expiring.popleft()
@@ -305,15 +227,16 @@ class LiveBackend(Cluster):
     def _expire(self) -> None:
         """Time out the handles past their deadline; re-arm for the next."""
         expiring, timeout, now = self._expiring, self.op_timeout, time.monotonic()
-        while expiring and (expiring[0].settled or expiring[0]._submitted + timeout <= now):
+        while expiring and (expiring[0].settled or expiring[0].submitted_at + timeout <= now):
             handle = expiring.popleft()
             handle._settle(  # a no-op on a settled handle
+                now,
                 error=TimeoutError(
                     f"{handle.kind} at p{handle.pid} did not settle within {timeout}s"
-                )
+                ),
             )
         if expiring:
-            self.kernel.schedule(expiring[0]._submitted + timeout - now, self._expire)
+            self.kernel.schedule(expiring[0].submitted_at + timeout - now, self._expire)
         else:
             self._expiry_armed = False
 

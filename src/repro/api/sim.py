@@ -8,8 +8,8 @@ that drive a node (``node``, ``session``, ``crash``, ``recover``,
 ``wait``, ``stats``) are :class:`~repro.api.base.Cluster`'s, shared
 with the live host; this module adds the simulator's own: ``run`` to
 quiescence, the link and storage fault verbs, ``on_event`` and the
-``net.*`` rows.  An operation's handle is the node's own
-:class:`~repro.protocol.host.NodeOperation`.  Declares
+``net.*`` rows.  An operation's handle is built by the node it runs
+on.  Declares
 ``virtual_time``, ``crash_injection``, ``trace``, ``storage_faults``
 and ``link_faults``; sharding lives in the ``"kv"`` backend, which is
 this class plus shard pipelines.
@@ -29,6 +29,7 @@ from repro.api.types import (
     STORAGE_FAULTS,
     TRACE,
     VIRTUAL_TIME,
+    OpHandle,
 )
 from repro.common.config import ClusterConfig
 from repro.common.errors import ConfigurationError, ReproError
@@ -36,7 +37,6 @@ from repro.history.history import History
 from repro.history.partition import partition_history
 from repro.history.recorder import HistoryRecorder
 from repro.obs.tracing import Trace
-from repro.protocol.host import NodeOperation
 from repro.protocol.registry import protocol_factory
 from repro.common.kernel import Kernel
 from repro.sim.network import SimNetwork
@@ -47,10 +47,10 @@ from repro.sim.storage import SimStableStorage
 class SimSession(Session):
     """A session pinned to one simulated process."""
 
-    def write(self, value: Any, key: Optional[str] = None) -> NodeOperation:
+    def write(self, value: Any, key: Optional[str] = None) -> OpHandle:
         return self._observed(self._node(key).invoke_write(value, register=key))
 
-    def read(self, key: Optional[str] = None) -> NodeOperation:
+    def read(self, key: Optional[str] = None) -> OpHandle:
         return self._observed(self._node(key).invoke_read(register=key))
 
     def ready_for(self, key: Optional[str] = None) -> bool:

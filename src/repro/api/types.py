@@ -1,7 +1,7 @@
 """Shared vocabulary of the unified façade: capabilities, handles, verdicts.
 
 Everything a :class:`~repro.api.base.Cluster` returns to its callers is
-defined here, backend-free:
+here, backend-free:
 
 * **capability flags** -- each backend declares a frozenset of what it
   can do (:data:`VIRTUAL_TIME`, :data:`SHARDING`,
@@ -9,9 +9,11 @@ defined here, backend-free:
   :data:`LINK_FAULTS`), so callers branch on *capability*, never on
   backend type; :data:`FAULT_VERB_CAPABILITIES` says which flag gates
   each fault verb;
-* :class:`OpHandle` -- the uniform client-side handle of one submitted
-  operation (``settled`` / ``result`` / ``latency`` / ``add_callback``),
-  wrapping whichever native handle the backend produced;
+* :class:`OpHandle` -- the one handle of a submitted operation on
+  every backend (``settled`` / ``result`` / ``error`` / ``latency`` /
+  ``add_callback``); it is defined next to
+  :class:`~repro.protocol.host.NodeCore`, which fills it in, and
+  re-exported here;
 * :class:`Verdict` -- the one merged verification outcome: the
   single-register :class:`~repro.history.checker.AtomicityVerdict`
   and the KV store's per-key checks share one shape;
@@ -22,7 +24,9 @@ defined here, backend-free:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
+
+from repro.protocol.host import OpHandle as OpHandle  # re-exported
 
 #: The clock is virtual and seeded: deterministic runs, timed fault steps.
 VIRTUAL_TIME = "virtual_time"
@@ -73,68 +77,6 @@ CHECK_CRITERIA = ("atomic", "persistent", "transient", "regular", "safe")
 #: "white-box") are accepted as aliases, so a reported method can be
 #: passed straight back in.
 CHECK_METHODS = ("auto", "blackbox", "whitebox", "per-key")
-
-
-class OpHandle:
-    """Uniform client-side handle of one submitted operation.
-
-    No backend wraps its native handle: the simulator hands out the
-    node's own :class:`~repro.protocol.host.NodeOperation`, which
-    carries this whole surface; the KV store's
-    :class:`~repro.kv.store.KVOperation` and the live backend's
-    :class:`~repro.api.live.LiveHandle` subclass this.  The caller only
-    sees this surface.  ``latency`` is in the backend's own time base:
-    virtual seconds on simulated backends, wall seconds on live.
-    Attributes beyond this surface stay readable: ``op`` and
-    ``causal_logs`` on the simulator, ``shard``/``invoked_at``/
-    ``completed_at`` on the store.
-    """
-
-    #: "read" or "write".
-    kind: str
-    #: The addressed key, or ``None`` for the anonymous register.
-    key: Optional[str]
-    #: The process the operation was submitted at (``None`` when the
-    #: backend routed it, e.g. a KV session without a pinned pid).
-    pid: Optional[int]
-
-    @property
-    def settled(self) -> bool:
-        """Whether the operation finished or aborted."""
-        raise NotImplementedError
-
-    @property
-    def done(self) -> bool:
-        """Whether the operation completed successfully."""
-        raise NotImplementedError
-
-    @property
-    def aborted(self) -> bool:
-        """Whether the operation aborted (coordinator crash, failure)."""
-        raise NotImplementedError
-
-    @property
-    def result(self) -> Any:
-        """The read value (``None`` for writes or unsettled handles)."""
-        raise NotImplementedError
-
-    @property
-    def latency(self) -> Optional[float]:
-        """Submission-to-completion duration, or ``None`` if unsettled."""
-        raise NotImplementedError
-
-    def add_callback(self, callback: Callable[["OpHandle"], None]) -> None:
-        """Run ``callback(handle)`` when the operation settles.
-
-        Fires immediately if the handle already settled; otherwise
-        inside whichever verb advances the clock to the settlement.
-        """
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        state = "done" if self.done else ("aborted" if self.aborted else "pending")
-        where = "" if self.key is None else f" key={self.key!r}"
-        return f"{type(self).__name__}({self.kind}{where}, {state})"
 
 
 @dataclass

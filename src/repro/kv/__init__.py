@@ -29,11 +29,9 @@ The store is opened through the façade (:mod:`repro.api`)::
 """
 
 from repro.kv.sharding import ConsistentHashShardMap, HashShardMap, ShardMap
-from repro.kv.store import KVOperation
 
 __all__ = [
     "ConsistentHashShardMap",
     "HashShardMap",
-    "KVOperation",
     "ShardMap",
 ]

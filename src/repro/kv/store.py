@@ -1,4 +1,4 @@
-"""The sharded key-value store: routing, shard pipelines, handles.
+"""The sharded key-value store: routing and shard pipelines.
 
 The store is the simulator backend plus this module: the ``"kv"``
 backend of :mod:`repro.api` (``open_cluster(backend="kv")``,
@@ -36,14 +36,13 @@ operations wait for the replica to come back.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.api.types import OpHandle
 from repro.common.errors import ConfigurationError, NotRecoveredError, ProtocolError
 from repro.common.ids import ProcessId
 from repro.history.checker import MAX_OPERATIONS
 from repro.kv.sharding import ShardMap
-from repro.protocol.host import NodeOperation
+from repro.protocol.host import OpHandle
 
 #: How often a blocked pipeline re-checks its replica, seconds.
 PIPELINE_RETRY_INTERVAL = 1e-3
@@ -65,76 +64,6 @@ def projection_check_method(num_operations: int) -> str:
     return "whitebox"
 
 
-class KVOperation(OpHandle):
-    """Client-side handle of one key-value operation.
-
-    Settles (``done`` or ``aborted``) as the simulation advances.  The
-    handle exists from submission; ``invoked_at`` is set once the shard
-    pipeline actually issues the operation on the replica, so
-    ``latency`` includes queueing and batching delay -- the client-side
-    truth a service would measure.  ``shard`` is the pipeline the key
-    was routed to.
-    """
-
-    __slots__ = (
-        "key",
-        "kind",
-        "value",
-        "pid",
-        "shard",
-        "done",
-        "aborted",
-        "result",
-        "submitted_at",
-        "invoked_at",
-        "completed_at",
-        "_callbacks",
-    )
-
-    def __init__(
-        self, key: str, kind: str, value: Any, pid: ProcessId, shard: int,
-        submitted_at: float,
-    ):
-        self.key = key
-        self.kind = kind
-        self.value = value
-        self.pid = pid
-        self.shard = shard
-        self.done = False
-        self.aborted = False
-        self.result: Any = None
-        self.submitted_at = submitted_at
-        self.invoked_at: Optional[float] = None
-        self.completed_at: Optional[float] = None
-        self._callbacks: List[Callable[[OpHandle], None]] = []
-
-    @property
-    def settled(self) -> bool:
-        return self.done or self.aborted
-
-    @property
-    def latency(self) -> Optional[float]:
-        """Submission-to-completion duration in virtual time."""
-        if self.completed_at is None:
-            return None
-        return self.completed_at - self.submitted_at
-
-    def add_callback(self, callback: Callable[[OpHandle], None]) -> None:
-        if self.settled:
-            callback(self)
-        else:
-            self._callbacks.append(callback)
-
-    def _settle_from(self, handle: NodeOperation, now: float) -> None:
-        self.done = handle.done
-        self.aborted = handle.aborted
-        self.result = handle.result
-        self.completed_at = now
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(self)
-
-
 class _ShardPipeline:
     """Single-threaded executor of one (process, shard) pair."""
 
@@ -144,13 +73,13 @@ class _ShardPipeline:
         self.router = router
         self.pid = pid
         self.shard = shard
-        self.queue: List[KVOperation] = []
+        self.queue: List[OpHandle] = []
         self.inflight = 0
         #: Whether a drain (or retry) event is already scheduled.
         self.armed = False
 
-    def submit(self, op: KVOperation) -> None:
-        self.queue.append(op)
+    def submit(self, handle: OpHandle) -> None:
+        self.queue.append(handle)
         self._arm(self.router.batch_window)
 
     def _arm(self, delay: float) -> None:
@@ -171,45 +100,45 @@ class _ShardPipeline:
         # operation at a time.  A positive window drains everything
         # that queued while it was open, at most one op per key.
         max_ops = None if self.router.batch_window > 0 else 1
-        taken: List[KVOperation] = []
+        taken: List[OpHandle] = []
         taken_keys: Set[str] = set()
-        remaining: List[KVOperation] = []
-        for op in self.queue:
+        remaining: List[OpHandle] = []
+        for handle in self.queue:
             if max_ops is not None and len(taken) >= max_ops:
-                remaining.append(op)
+                remaining.append(handle)
                 continue
-            if op.key in taken_keys or not node.register_ready(op.key):
-                remaining.append(op)
+            if handle.key in taken_keys or not node.register_ready(handle.key):
+                remaining.append(handle)
                 continue
-            if node.register_busy(op.key):
-                remaining.append(op)
+            if node.register_busy(handle.key):
+                remaining.append(handle)
                 continue
-            taken.append(op)
-            taken_keys.add(op.key)
+            taken.append(handle)
+            taken_keys.add(handle.key)
         self.queue = remaining
         issued = 0
-        for op in taken:
+        for handle in taken:
             try:
-                if op.kind == "write":
-                    handle = node.invoke_write(op.value, register=op.key)
+                if handle.kind == "write":
+                    node.invoke_write(handle.value, handle.key, handle)
                 else:
-                    handle = node.invoke_read(register=op.key)
+                    node.invoke_read(handle.key, handle)
             except (ProtocolError, NotRecoveredError):
                 # Lost a race with protocol-internal activity (e.g. a
                 # recovery replay); requeue and retry shortly.
-                self.queue.append(op)
+                self.queue.append(handle)
                 continue
-            op.invoked_at = self.router.kernel.now
             issued += 1
-            handle.add_callback(lambda h, kv_op=op: self._on_settled(kv_op, h))
+            # Behind the client's callbacks (added at submission): what
+            # they schedule runs before the pipeline's next drain.
+            handle.add_callback(self._on_settled)
         self.inflight += issued
         if issued == 0 and self.queue:
             self._arm(PIPELINE_RETRY_INTERVAL)
 
-    def _on_settled(self, op: KVOperation, handle: NodeOperation) -> None:
+    def _on_settled(self, handle: OpHandle) -> None:
         self.inflight -= 1
-        op._settle_from(handle, self.router.kernel.now)
-        if op.aborted:
+        if handle.aborted:
             self.router.aborted += 1
         else:
             self.router.completed += 1
@@ -241,8 +170,14 @@ class ShardRouter:
 
     def submit(
         self, kind: str, key: str, value: Any, pid: Optional[ProcessId]
-    ) -> KVOperation:
-        """Queue one operation on its pipeline; returns its handle."""
+    ) -> OpHandle:
+        """Queue one operation on its pipeline; returns its handle.
+
+        The handle exists from submission, and the pipeline passes it
+        to the node when it issues the operation, so ``latency``
+        includes queueing and batching delay -- the client-side truth
+        a service would measure.
+        """
         if not isinstance(key, str) or not key:
             raise ConfigurationError("keys must be non-empty strings")
         if pid is None:
@@ -252,10 +187,10 @@ class ShardRouter:
             raise ConfigurationError(f"pid {pid} out of range")
         self.cluster._provision(key)
         shard = self.shard_map.shard_of(key)
-        op = KVOperation(key, kind, value, pid, shard, self.kernel.now)
+        handle = OpHandle(kind, key, pid, value, self.kernel.now, shard)
         pipeline = self._pipelines.get((pid, shard))
         if pipeline is None:
             pipeline = _ShardPipeline(self, pid, shard)
             self._pipelines[(pid, shard)] = pipeline
-        pipeline.submit(op)
-        return op
+        pipeline.submit(handle)
+        return handle

@@ -91,84 +91,104 @@ RECOVERING = "recovering"
 DEFAULT_REGISTER: Optional[str] = None
 
 
-class NodeOperation:
-    """Client-side handle of one invoked operation.
+class OpHandle:
+    """One submitted operation, on every backend: :class:`repro.api.OpHandle`.
 
-    It is also the ``"sim"`` backend's :class:`~repro.api.types.OpHandle`
-    as is: it carries that whole surface, plus ``op``, ``value``,
-    ``invoked_at``/``completed_at`` and ``causal_logs``.
+    The operation of the model: an invocation, then maybe a matching
+    reply; a crash of its process leaves it pending.  The façade builds
+    the handle at submission and the node that runs the operation fills
+    it in: ``op`` and ``invoked_at`` at the invocation, the outcome at
+    settlement.  ``key`` is the addressed register (``None``: the
+    anonymous one), ``shard`` the KV pipeline it was routed to (``None``
+    elsewhere), ``causal_logs`` the paper's log-complexity metric of a
+    completed operation.  Times are in the backend's clock: virtual
+    seconds on simulated backends, wall seconds on live.
+
+    ``settled``, ``done`` and ``aborted`` are plain fields written once,
+    when the first outcome arrives -- the node's reply, a crash of the
+    node (``error`` is then a :class:`~repro.common.errors.ProcessCrashed`),
+    or whatever the backend failed it with (an invocation that raised,
+    live's ``op_timeout``).  A later outcome changes nothing.
     """
 
     __slots__ = (
-        "op",
-        "pid",
         "kind",
+        "key",
+        "pid",
         "value",
-        "register",
-        "done",
-        "aborted",
+        "op",
+        "shard",
+        "causal_logs",
         "result",
+        "error",
+        "submitted_at",
         "invoked_at",
         "completed_at",
-        "causal_logs",
+        "settled",
+        "done",
+        "aborted",
         "_callbacks",
     )
 
     def __init__(
         self,
-        op: OperationId,
-        pid: ProcessId,
         kind: str,
+        key: Optional[str],
+        pid: ProcessId,
         value: Any,
-        register: Optional[str] = None,
+        submitted_at: float,
+        shard: Optional[int] = None,
     ):
-        self.op = op
-        self.pid = pid
         self.kind = kind
+        self.key = key
+        self.pid = pid
         self.value = value
-        self.register = register
-        self.done = False
-        self.aborted = False
+        self.op: Optional[OperationId] = None
+        self.shard = shard
+        self.causal_logs: Optional[int] = None
         self.result: Any = None
+        self.error: Optional[BaseException] = None
+        self.submitted_at = submitted_at
         self.invoked_at: Optional[float] = None
         self.completed_at: Optional[float] = None
-        self.causal_logs: Optional[int] = None
-        self._callbacks: List[Callable[["NodeOperation"], None]] = []
+        self.settled = self.done = self.aborted = False
+        self._callbacks: List[Callable[["OpHandle"], None]] = []
 
-    def add_callback(self, callback: Callable[["NodeOperation"], None]) -> None:
+    def add_callback(self, callback: Callable[["OpHandle"], None]) -> None:
         """Run ``callback(handle)`` when the operation settles.
 
-        Fires immediately if the handle already settled.
+        Fires immediately if the handle already settled; otherwise
+        inside whichever verb advances the clock to the settlement.
         """
         if self.settled:
             callback(self)
         else:
             self._callbacks.append(callback)
 
-    def _settle(self) -> None:
+    def _settle(
+        self, now: float, result: Any = None, error: Optional[BaseException] = None
+    ) -> None:
+        """Record the outcome -- done, or aborted with ``error`` -- and run
+        the callbacks; a no-op on a settled handle."""
+        if self.settled:
+            return
+        self.settled = True
+        self.done = error is None
+        self.aborted = not self.done
+        self.result, self.error, self.completed_at = result, error, now
         callbacks, self._callbacks = self._callbacks, []
         for callback in callbacks:
             callback(self)
 
     @property
-    def settled(self) -> bool:
-        """Whether the operation finished or aborted."""
-        return self.done or self.aborted
-
-    @property
-    def key(self) -> Optional[str]:
-        """The addressed register instance (``None``: the anonymous one)."""
-        return self.register
-
-    @property
     def latency(self) -> Optional[float]:
-        if self.invoked_at is None or self.completed_at is None:
-            return None
-        return self.completed_at - self.invoked_at
+        """Submission-to-completion duration of a done operation, else ``None``."""
+        return self.completed_at - self.submitted_at if self.done else None
 
     def __repr__(self) -> str:
         state = "done" if self.done else ("aborted" if self.aborted else "pending")
-        return f"NodeOperation({self.op}, {self.kind}, {state})"
+        where = "" if self.key is None else f" key={self.key!r}"
+        return f"OpHandle({self.kind}{where} at p{self.pid}, {state})"
 
 
 class _RegisterSlot:
@@ -184,7 +204,7 @@ class _RegisterSlot:
         self.prefix = prefix
         self.protocol = protocol
         #: Client operation in flight on this slot, if any.
-        self.current: Optional[NodeOperation] = None
+        self.current: Optional[OpHandle] = None
         #: Whether the slot finished initialize/recover.
         self.ready = False
         #: Whether initialize() ever ran (slots provisioned while the
@@ -194,10 +214,7 @@ class _RegisterSlot:
     @property
     def idle(self) -> bool:
         """No client operation in flight, none parked in the protocol."""
-        current = self.current
-        if current is not None and not current.settled:
-            return False
-        return not getattr(self.protocol, "busy", False)
+        return self.current is None and not getattr(self.protocol, "busy", False)
 
 
 class NodeCore:
@@ -404,10 +421,15 @@ class NodeCore:
         for slot in self._slots.values():
             slot.protocol.crash()
             slot.ready = False
-            if slot.current is not None and not slot.current.settled:
-                slot.current.aborted = True
-                slot.current._settle()
-            slot.current = None
+            handle = slot.current
+            if handle is not None:
+                slot.current = None
+                handle._settle(
+                    self._now(),
+                    error=ProcessCrashed(
+                        f"process {self.pid} crashed during the {handle.kind}"
+                    ),
+                )
         self._unready = len(self._slots)
         self._recorder.record_crash(self.pid)
         self._trace.record(tracing.CRASH, self._now(), self.pid)
@@ -568,19 +590,32 @@ class NodeCore:
 
     # -- client operations -----------------------------------------------------
 
-    def invoke_read(self, register: Optional[str] = None) -> NodeOperation:
-        """Invoke a read; returns a handle that settles as the run advances."""
-        return self._invoke("read", None, register)
+    def invoke_read(
+        self, register: Optional[str] = None, handle: Optional[OpHandle] = None
+    ) -> OpHandle:
+        """Invoke a read; returns a handle that settles as the run advances.
+
+        ``handle`` is the one the caller built at submission (a KV
+        pipeline's, a live one's); by default the node builds it now.
+        """
+        return self._invoke("read", None, register, handle)
 
     def invoke_write(
-        self, value: Any, register: Optional[str] = None
-    ) -> NodeOperation:
-        """Invoke a write of ``value``."""
-        return self._invoke("write", value, register)
+        self,
+        value: Any,
+        register: Optional[str] = None,
+        handle: Optional[OpHandle] = None,
+    ) -> OpHandle:
+        """Invoke a write of ``value``; ``handle`` as for :meth:`invoke_read`."""
+        return self._invoke("write", value, register, handle)
 
     def _invoke(
-        self, kind: str, value: Any, register: Optional[str]
-    ) -> NodeOperation:
+        self,
+        kind: str,
+        value: Any,
+        register: Optional[str],
+        handle: Optional[OpHandle],
+    ) -> OpHandle:
         if self.state == CRASHED:
             raise ProcessCrashed(f"process {self.pid} is crashed")
         slot = self._slot(register)
@@ -589,14 +624,17 @@ class NodeCore:
                 f"process {self.pid} register {register!r} has not finished "
                 f"initializing/recovering"
             )
-        if slot.current is not None and not slot.current.settled:
+        if slot.current is not None:
             raise ProtocolError(
                 f"process {self.pid} already has an operation in flight "
                 f"on register {register!r}"
             )
         op = make_operation_id(self.pid)
-        handle = NodeOperation(op, self.pid, kind, value, register=register)
-        now = handle.invoked_at = self._now()
+        now = self._now()
+        if handle is None:
+            handle = OpHandle(kind, register, self.pid, value, now)
+        handle.op = op
+        handle.invoked_at = now
         slot.current = handle
         self._recorder.record_invoke(op, self.pid, kind, value)
         if register is not None:
@@ -833,9 +871,7 @@ class NodeCore:
                 f"process {self.pid} replied to unknown operation {effect.op}"
             )
         causal = max(depth, self._depths.depth_of(effect.op))
-        handle.done = True
-        handle.result = effect.result
-        now = handle.completed_at = self._now()
+        now = self._now()
         handle.causal_logs = causal
         slot.current = None
         self._recorder.record_reply(effect.op, self.pid, handle.kind, effect.result)
@@ -845,4 +881,6 @@ class NodeCore:
         self._trace.record(
             tracing.REPLY, now, self.pid, effect.op, handle.kind, causal
         )
-        handle._settle()
+        # A handle live's op_timeout already failed stays failed: the
+        # reply is history, not news to the caller.
+        handle._settle(now, effect.result)

@@ -10,11 +10,12 @@ import time
 
 import pytest
 
-from repro.api import CRASH_INJECTION, VIRTUAL_TIME, open_cluster
+from repro.api import CRASH_INJECTION, VIRTUAL_TIME, OpHandle, open_cluster
 from repro.common.errors import (
     CapabilityError,
     ConfigurationError,
     OperationAborted,
+    ProcessCrashed,
     ProtocolError,
     TransportError,
 )
@@ -100,8 +101,9 @@ def test_a_pid_out_of_range_is_refused_before_anything_changes(backend, pid):
     """Every backend makes the one pid check, so no pid wraps round to a node.
 
     ``-1`` is not the last process and ``num_processes`` is no process:
-    ``crash``, ``recover`` and live's ``checkpoint`` refuse both with a
-    ``ConfigurationError`` and leave every node as it was.
+    ``crash``, ``recover`` and live's ``checkpoint`` and ``submit_op``
+    refuse both with a ``ConfigurationError`` and leave every node as
+    it was.
     """
     seed = None if backend == "live" else 11
     with open_cluster(backend=backend, num_processes=3, seed=seed) as c:
@@ -121,10 +123,58 @@ def test_a_pid_out_of_range_is_refused_before_anything_changes(backend, pid):
         if backend == "live":
             with pytest.raises(ConfigurationError, match="out of range"):
                 c.checkpoint(pid)
+            records = len(c.recorder.history)
+            with pytest.raises(ConfigurationError, match="out of range"):
+                c.submit_op(pid, "write", "x")
+            assert len(c.recorder.history) == records
         assert states() == before
         c.recover(2)
         c.session(2).write_sync("b")
         assert c.check().ok
+
+
+@pytest.mark.parametrize("backend", ["sim", "kv", "live"])
+def test_a_crash_aborts_the_one_handle_alike_on_every_backend(backend):
+    """One handle class, one outcome of a crash, one latency rule.
+
+    The write is on its coordinator (a KV pipeline issues it from a
+    kernel event) when the coordinator crashes, before any reply.
+    """
+    seed = None if backend == "live" else 11
+    with open_cluster(backend=backend, num_processes=3, seed=seed) as c:
+        c.session(0).write_sync("a")
+        handle = c.session(0).write("b")
+        assert c.run_until(lambda: handle.invoked_at is not None, timeout=5.0)
+        c.crash(0)
+        c.wait(handle)
+        assert type(handle) is OpHandle
+        assert handle.aborted and not handle.done
+        assert isinstance(handle.error, ProcessCrashed)
+        assert handle.latency is None
+        # Only the completed write fed the latency histogram.
+        assert c.metrics().histograms["op.write.latency"].total == 1
+        with pytest.raises(OperationAborted) as aborted:
+            c.wait(handle, expect_done=True)
+        assert str(aborted.value) == (
+            "write at p0 failed: process 0 crashed during the write"
+        )
+        c.recover(0)
+        c.session(1).write_sync("c")
+        assert c.check().ok
+
+
+@pytest.mark.parametrize("backend", ["sim", "kv", "live"])
+def test_recoveries_are_timed_whenever_the_metrics_were_first_read(backend):
+    """A live cluster builds its nodes at start, after ``metrics()`` may have run."""
+    seed = None if backend == "live" else 11
+    c = open_cluster(backend=backend, num_processes=3, seed=seed)
+    assert c.metrics().histograms["node.recovery_time"].total == 0
+    with c:
+        c.crash(1)
+        c.recover(1)
+        snapshot = c.metrics()
+    assert snapshot.scalars["node.recoveries"] == 1
+    assert snapshot.histograms["node.recovery_time"].total == 1
 
 
 def _snapshot(c):

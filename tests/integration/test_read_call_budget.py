@@ -20,10 +20,10 @@ from repro.api import open_cluster
 
 #: Calls per settled quiet read, measured on CPython 3.11 (the
 #: harness's own ``operation`` frame included, as in the next budget).
-READ_CALL_BUDGET = 388
+READ_CALL_BUDGET = 385
 
 #: Calls per settled write, measured on CPython 3.11.
-WRITE_CALL_BUDGET = 567
+WRITE_CALL_BUDGET = 564
 
 #: Headroom for other CPython versions and a retransmitted read.
 SLACK = 1.10

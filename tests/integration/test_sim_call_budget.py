@@ -22,10 +22,10 @@ from repro.api import open_cluster
 from tests.integration.test_read_call_budget import SLACK, calls_of
 
 #: Calls per settled simulated write, measured on CPython 3.11.
-SIM_WRITE_CALL_BUDGET = 741
+SIM_WRITE_CALL_BUDGET = 687
 
 #: Calls per settled quiet simulated read, measured on CPython 3.11.
-SIM_READ_CALL_BUDGET = 534
+SIM_READ_CALL_BUDGET = 492
 
 #: Generated (``<string>``) frames per operation: ``OperationMeta``.
 GENERATED_FRAMES_PER_OP = 1

@@ -91,7 +91,7 @@ class KVBackend(SimBackend):
         checkpoint_interval: Optional[float] = None,
         recovery_scan: bool = False,
     ):
-        if batch_window < 0:
+        if not batch_window >= 0:  # NaN too
             raise ConfigurationError("batch_window must be >= 0")
         if shard_map is None:
             shard_map = HashShardMap(num_shards)

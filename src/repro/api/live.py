@@ -103,6 +103,8 @@ class LiveBackend(Cluster):
         num_processes = 3 if num_processes is None else num_processes
         if num_processes < 1:
             raise ConfigurationError("num_processes must be >= 1")
+        if not op_timeout > 0:  # NaN too
+            raise ConfigurationError("op_timeout must be > 0")
         self.protocol = protocol
         self.num_processes = num_processes
         self.op_timeout = op_timeout

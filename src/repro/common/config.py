@@ -4,6 +4,7 @@ Defaults are calibrated to the paper's testbed (Section V-A): a 100 Mb/s
 local area network of Pentium IV workstations where a message transits
 between workstations in about 0.1 ms and logging synchronously to a
 local IDE disk takes about twice as long.  All durations are seconds.
+Durations and rates are checked as ``not x >= 0``, which NaN fails too.
 """
 
 from __future__ import annotations
@@ -59,13 +60,13 @@ class NetworkConfig:
     send_overhead: float = 5 * MICROSECOND
 
     def __post_init__(self) -> None:
-        if self.base_delay < 0:
+        if not self.base_delay >= 0:
             raise ConfigurationError("base_delay must be >= 0")
-        if self.send_overhead < 0:
+        if not self.send_overhead >= 0:
             raise ConfigurationError("send_overhead must be >= 0")
-        if self.bandwidth <= 0:
+        if not self.bandwidth > 0:
             raise ConfigurationError("bandwidth must be > 0")
-        if self.max_jitter < 0:
+        if not self.max_jitter >= 0:
             raise ConfigurationError("max_jitter must be >= 0")
         if not 0.0 <= self.drop_probability < 1.0:
             raise ConfigurationError("drop_probability must be in [0, 1)")
@@ -94,11 +95,11 @@ class StorageConfig:
     max_jitter: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.base_latency < 0:
+        if not self.base_latency >= 0:
             raise ConfigurationError("base_latency must be >= 0")
-        if self.bandwidth <= 0:
+        if not self.bandwidth > 0:
             raise ConfigurationError("bandwidth must be > 0")
-        if self.max_jitter < 0:
+        if not self.max_jitter >= 0:
             raise ConfigurationError("max_jitter must be >= 0")
 
 
@@ -120,9 +121,9 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.num_processes < 1:
             raise ConfigurationError("num_processes must be >= 1")
-        if self.retransmit_interval <= 0:
+        if not self.retransmit_interval > 0:
             raise ConfigurationError("retransmit_interval must be > 0")
-        if self.local_step_cost < 0:
+        if not self.local_step_cost >= 0:
             raise ConfigurationError("local_step_cost must be >= 0")
 
     @property

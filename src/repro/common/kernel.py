@@ -35,8 +35,9 @@ mass-cancelling timers cannot leak queue memory.
 
 Loop order.  The one run loop takes one look at the heap per event and
 does the first of: shed a cancelled head; fire the head if it is due by
-the last poll's clock reading (on virtual time every head is); run the
-next reader that poll found readable; poll.  A reader runs straight
+the last poll's clock reading (on virtual time, every head up to the
+deadline is); run the next reader that poll found readable; stop at the
+deadline (virtual time) or poll (live).  A reader runs straight
 from the poll's result, never through the heap: it is due at the poll's
 reading, after everything that was due by then and before anything
 queued since, which lies later on the clock.  A poll that reaches the
@@ -117,9 +118,12 @@ class Kernel:
         self.io = io
         self.on_error = on_error
         self._thread = threading.get_ident()
-        # Entries: (time, seq, callback, args) or (time, seq, handle, None).
-        self._queue: List[Tuple[float, int, Any, Any]] = []
-        self._seq = itertools.count()
+        #: The event heap and its entries' ``seq`` counter, public for
+        #: the simulated network and storage, which push straight onto
+        #: it on virtual time: ``schedule``'s entry, ``now + delay``, with
+        #: a delay they validated (>= 0, never NaN).  Others schedule.
+        self.queue: List[Tuple[float, int, Any, Any]] = []
+        self.seq = itertools.count()
         self._events_processed = 0
         # Cancelled entries still in the heap; every other entry is live.
         self._cancelled = 0
@@ -132,7 +136,7 @@ class Kernel:
     @property
     def pending_events(self) -> int:
         """Number of scheduled, not-yet-fired, not-cancelled events."""
-        return len(self._queue) - self._cancelled
+        return len(self.queue) - self._cancelled
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
         """Run ``callback(*args)`` after ``delay`` seconds.
@@ -141,22 +145,22 @@ class Kernel:
         revoked.  Use :meth:`schedule_cancellable` when the caller needs
         a handle to :meth:`~EventHandle.cancel`.
         """
-        if delay < 0:
+        if not delay >= 0:  # NaN too
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         clock = self.clock
         time = (self.now if clock is None else clock()) + delay
-        heappush(self._queue, (time, next(self._seq), callback, args))
+        heappush(self.queue, (time, next(self.seq), callback, args))
 
     def schedule_cancellable(
         self, delay: float, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
         """Like :meth:`schedule`, but returns a cancellable handle."""
-        if delay < 0:
+        if not delay >= 0:  # NaN too
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         clock = self.clock
         time = (self.now if clock is None else clock()) + delay
         handle = EventHandle(self, time, callback, args)
-        heappush(self._queue, (time, next(self._seq), handle, None))
+        heappush(self.queue, (time, next(self.seq), handle, None))
         return handle
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
@@ -168,7 +172,7 @@ class Kernel:
         guarding against livelock in buggy or adversarial
         configurations.
         """
-        if until is not None and until < self.now:
+        if until is not None and not until >= self.now:  # NaN too
             raise ValueError(f"cannot run back to {until} from {self.now}")
         self._run(lambda: False, max_events, until, sys.maxsize)
         if until is not None and not self.pending_events:
@@ -198,7 +202,7 @@ class Kernel:
         """
         if timeout is None:
             deadline = None
-        elif timeout < 0:
+        elif not timeout >= 0:  # NaN too
             raise ValueError(f"cannot run into the past (timeout={timeout})")
         else:
             deadline = (self.now if self.clock is None else self.clock()) + timeout
@@ -222,57 +226,60 @@ class Kernel:
         budget = sys.maxsize if max_events is None else max_events
         limit = inf if deadline is None else deadline
         # Entries due by ``polled`` fire without another look at the
-        # I/O step: on virtual time that is all of them.
-        polled = inf if io is None else -inf
+        # I/O step: on virtual time every one up to the deadline.
+        polled = limit if io is None else -inf
         # The last poll's readable (fd, event) pairs; those from ``at`` on
         # are still to run.
         ready: List[Tuple[int, int]] = []
         at = count = 0
-        queue = self._queue  # _compact keeps this list
+        queue = self.queue  # _compact keeps this list
         if predicate():
             return True
-        stride = poll_every
-        while budget > 0:
-            # One look at the heap head: shed it if cancelled, fire it
-            # if due by the last poll, else run a reader that poll found,
-            # else poll.
-            if queue:
+        if budget < 1:
+            return predicate()
+        # One countdown to the next stop: the predicate's or the budget's.
+        left = stride = poll_every if poll_every < budget else budget
+        while True:
+            # One look at the heap head (see "Loop order"); a due head,
+            # the common case, takes no jump it can avoid.
+            if not queue:
+                if io is None:
+                    return predicate()
+                time = inf
+            else:
                 time, _seq, target, args = queue[0]
                 if args is None and target.cancelled:
                     heappop(queue)
                     self._cancelled -= 1
                     continue
-            elif io is None:
-                return predicate()
-            else:
-                time = inf
-            if time <= polled:
-                if time > limit:  # virtual time only: a live head is due
+            if not time <= polled:
+                if at < count:
+                    # Straight from the poll's result, never through the heap.
+                    fd = ready[at][0]
+                    at += 1
+                    if fd not in readers:  # its reader was removed since the poll
+                        continue
+                    target, args = readers[fd]
+                    self.now = polled
+                elif io is None:  # virtual time: the head lies past the deadline
                     self.now = limit
                     return predicate()
+                else:
+                    # Live: wait for the sockets until the head or the
+                    # deadline is due.
+                    wait = (time if time < limit else limit) - clock()
+                    ready = poll(None if wait == inf else wait * 1000 if wait > 0 else 0)
+                    polled = clock()
+                    if polled >= limit:
+                        return predicate()
+                    at, count = 0, len(ready)
+                    continue
+            else:
                 heappop(queue)
                 if args is None:  # cancellable entry: target is its handle
                     target.fired = True
                     target, args = target.callback, target.args
                 self.now = time
-            elif at < count:
-                # Straight from the poll's result, never through the heap.
-                fd = ready[at][0]
-                at += 1
-                if fd not in readers:  # its reader was removed since the poll
-                    continue
-                target, args = readers[fd]
-                self.now = polled
-            else:
-                # Live: wait for the sockets until the head or the
-                # deadline is due.
-                wait = (time if time < limit else limit) - clock()
-                ready = poll(None if wait == inf else wait * 1000 if wait > 0 else 0)
-                polled = clock()
-                if polled >= limit:
-                    return predicate()
-                at, count = 0, len(ready)
-                continue
             self._events_processed += 1
             try:
                 target(*args)
@@ -282,18 +289,19 @@ class Kernel:
                 self.on_error(
                     {"message": f"Exception in callback {target!r}", "exception": error}
                 )
-            budget -= 1
-            stride -= 1
-            if not stride and budget:
+            left -= 1
+            if not left:
+                budget -= stride
+                if not budget:
+                    return predicate()
                 if predicate():
                     return True
-                stride = poll_every
-        return predicate()
+                left = stride = poll_every if poll_every < budget else budget
 
     def _on_cancel(self) -> None:
         """Bookkeeping for one newly-cancelled live entry."""
         self._cancelled += 1
-        size = len(self._queue)
+        size = len(self.queue)
         if self._cancelled * 2 > size and size >= _COMPACT_MIN:
             self._compact()
 
@@ -303,10 +311,10 @@ class Kernel:
         In place because the run loop holds the list while a callback's
         ``cancel()`` may land here.
         """
-        self._queue[:] = [
+        self.queue[:] = [
             entry
-            for entry in self._queue
+            for entry in self.queue
             if entry[3] is not None or not entry[2].cancelled
         ]
-        heapify(self._queue)
+        heapify(self.queue)
         self._cancelled = 0

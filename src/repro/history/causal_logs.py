@@ -27,7 +27,10 @@ The tracker is a plain dict written only when a depth rises: it is
 consulted for every message, and non-invoking processes need an
 operation's depth for re-sent acknowledgments long after any point at
 which they could know the operation replied, so it is bounded by
-first-in-first-out eviction rather than freed at reply.
+first-in-first-out eviction rather than freed at reply.  The host
+(:class:`repro.protocol.host.NodeCore`) reads the dict itself for the
+depth a completed store or an outgoing acknowledgment carries, and
+raises it through :meth:`CausalDepthTracker.deepen`.
 
 With this machinery the persistent algorithm measures exactly 2 causal
 logs per write, the transient algorithm 1, reads at most 1 (0 without
@@ -62,8 +65,10 @@ class CausalDepthTracker:
         if retention < 1:
             raise ValueError("retention must be >= 1")
         self._retention = retention
-        #: Operation -> deepest chain seen here (absent: 0).  Hosts may
-        #: read it directly; only this class writes it, so retention holds.
+        #: Operation -> deepest chain seen here (absent: 0; ``None`` is
+        #: never a key).  Hosts may read it directly, and bind its
+        #: ``get``: :meth:`reset` clears it in place.  Only this class
+        #: writes it, so retention holds.
         self.depths: Dict[OperationId, int] = {}
 
     def observe(self, op: Optional[OperationId], depth: int) -> int:
@@ -80,43 +85,17 @@ class CausalDepthTracker:
             return depth
         known = self.depths.get(op, 0)
         if depth > known:
-            self._deepen(op, depth)
+            self.deepen(op, depth)
             return depth
         return known
-
-    def record_store(self, op: Optional[OperationId], issue_depth: int) -> int:
-        """Account one completed log issued at ``issue_depth``.
-
-        Returns the depth of the completed store (``issue_depth + 1``),
-        which becomes the context of the completion handler.
-        """
-        depth = issue_depth + 1
-        if op is not None and depth > self.depths.get(op, 0):
-            self._deepen(op, depth)
-        return depth
-
-    def outgoing_depth(self, op: Optional[OperationId], handler_depth: int) -> int:
-        """Depth to stamp on a message sent from a handler.
-
-        The maximum of the handler's own context and every log this
-        process performed for the operation -- the latter covers
-        acknowledgments re-sent after the original log (process order
-        still makes the log causally precede the resent ack).
-        """
-        if op is None:
-            return handler_depth
-        known = self.depths.get(op, 0)
-        return known if known > handler_depth else handler_depth
-
-    def depth_of(self, op: OperationId) -> int:
-        """Deepest causal log chain observed for ``op`` at this process."""
-        return self.depths.get(op, 0)
 
     def reset(self) -> None:
         """Forget everything (used at crash: volatile bookkeeping)."""
         self.depths.clear()
 
-    def _deepen(self, op: OperationId, depth: int) -> None:
+    def deepen(self, op: OperationId, depth: int) -> None:
+        """Raise ``op``'s chain to ``depth``, which the caller checked
+        exceeds the one recorded; the oldest operation makes room."""
         depths = self.depths
         if op not in depths and len(depths) >= self._retention:
             del depths[next(iter(depths))]

@@ -17,15 +17,22 @@ trace is the single source of truth for:
 * debugging (captured events print as a readable run transcript).
 
 What an event costs when nobody is looking is decided here, not at the
-call sites.  :meth:`Trace.record` always counts the event and stores
-its flight-recorder slot; only when the kind is *wanted* -- the trace
+call sites.  :meth:`Trace.record` always stores the event's
+flight-recorder slot; only when the kind is *wanted* -- the trace
 captures, a listener subscribed to every kind, or one subscribed to
 that kind -- does it build a :class:`TraceEvent` (a dataclass plus a
 detail dict, the single biggest per-event cost) for the capture list
 and the listeners.  :meth:`Trace.wants` answers that question in O(1)
-from a precomputed set.  :data:`NULL_TRACE` is a module-level sink for
-components run without any trace at all; it records nothing and
-refuses listeners.
+from a precomputed set, which is one shared empty set when nobody
+listens, so a record tests it once, by identity.
+:data:`NULL_TRACE` is a module-level sink for components run without
+any trace at all; it records nothing and refuses listeners.
+
+Counts.  :meth:`Trace.count` is exact, but with the flight recorder on
+a record pays nothing for it: the ring holds every record's kind code,
+each lap of the ring is folded into per-kind totals (one C-speed pass)
+when its cursor wraps, and ``count`` adds the lap in progress.  With
+the ring off a record adds one to its kind's pre-filled total.
 
 Flight recorder.  Independently of capture, every trace feeds a
 bounded :class:`repro.obs.ring.RingTrace` of ``(time, kind-id, pid,
@@ -40,6 +47,7 @@ with the ring on or off (``Trace(flight_recorder=False)`` disables it).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
@@ -92,6 +100,9 @@ ALL_KINDS = tuple(DETAIL_FIELDS)
 #: kind name -> ring code, the binary encoding of the flight recorder.
 KIND_IDS = {kind: code for code, kind in enumerate(ALL_KINDS)}
 
+#: ``Trace._wanted`` when nobody captures or listens, told by identity.
+_NOBODY: FrozenSet[str] = frozenset()
+
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -140,9 +151,11 @@ class Trace:
         self._all_listeners: List[Listener] = []
         #: kind -> listeners restricted to that kind.
         self._kind_listeners: Dict[str, List[Listener]] = {}
-        self._counts: Dict[str, int] = {}
+        #: kind -> its records (with the ring on, of the completed laps).
+        self._counts: Dict[str, int] = dict.fromkeys(ALL_KINDS, 0)
         #: ``None`` means every kind is wanted (capture on, or a
-        #: listener subscribed without a kind restriction).
+        #: listener subscribed without a kind restriction); ``_NOBODY``
+        #: that none is.
         self._wanted: Optional[FrozenSet[str]] = None
         self._recompute_wanted()
 
@@ -175,14 +188,14 @@ class Trace:
 
         ``op`` is the operation the event belongs to; ``a``, ``b`` and
         ``c`` are the kind's other detail values, in the order of
-        :data:`DETAIL_FIELDS`.  The count and the flight-recorder slot
-        are written inline; a :class:`TraceEvent` is built only when
-        :meth:`wants` says someone captures or listens.
+        :data:`DETAIL_FIELDS`.  The flight-recorder slot (with the ring
+        off, the count) is written inline; a :class:`TraceEvent` is
+        built only when :meth:`wants` says someone captures or listens.
         """
-        counts = self._counts
-        counts[kind] = counts.get(kind, 0) + 1
         ring = self._ring
-        if ring is not None:
+        if ring is None:
+            self._counts[kind] += 1
+        else:
             # RingTrace.record, inlined: this is the single hottest
             # telemetry line in the simulator (once per kernel event),
             # and skipping the method call keeps the always-on ring
@@ -197,11 +210,14 @@ class Trace:
             if index == ring.capacity:
                 ring.next_index = 0
                 ring.wraps += 1
+                for code, number in Counter(ring.codes).items():  # the lap
+                    self._counts[ALL_KINDS[code]] += number
             else:
                 ring.next_index = index
-        wanted = self._wanted
-        if wanted is None or kind in wanted:
-            self._publish(kind, time, pid, op, (a, b, c))
+        if self._wanted is not _NOBODY:
+            wanted = self._wanted
+            if wanted is None or kind in wanted:
+                self._publish(kind, time, pid, op, (a, b, c))
 
     def _publish(
         self, kind: str, time: float, pid: int, op: Any, values: Tuple[Any, ...]
@@ -258,7 +274,7 @@ class Trace:
         if self._capture or self._all_listeners:
             self._wanted = None
         else:
-            self._wanted = frozenset(self._kind_listeners)
+            self._wanted = frozenset(self._kind_listeners) or _NOBODY
 
     # -- queries ---------------------------------------------------------
 
@@ -275,7 +291,10 @@ class Trace:
 
     def count(self, kind: str) -> int:
         """Number of events of ``kind`` (works even when not capturing)."""
-        return self._counts.get(kind, 0)
+        ring, counted = self._ring, self._counts.get(kind, 0)
+        if ring is None or kind not in KIND_IDS:
+            return counted
+        return counted + ring.codes[: ring.next_index].count(KIND_IDS[kind])
 
     def filter(
         self, kind: Optional[str] = None, pid: Optional[int] = None

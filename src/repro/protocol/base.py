@@ -21,7 +21,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, Dict, Hashable, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Any, Callable, ClassVar, Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.common.ids import OperationId, ProcessId
 from repro.protocol.messages import Message
@@ -285,8 +286,9 @@ class RegisterProtocol(ABC):
     #: traces and debuggers want to know which instance they look at.
     register: Optional[str] = None
     #: Message class -> the handler :meth:`on_message` dispatches it to,
-    #: which hosts call directly.  Built per instance by subclasses.
-    message_handlers: Dict[type, Callable[[ProcessId, Any], Effects]]
+    #: which hosts bind once the protocol is built and call directly.
+    #: Built per instance by subclasses; none by default.
+    message_handlers: Mapping[type, Callable[[ProcessId, Any], Effects]] = MappingProxyType({})
 
     def __init__(self, pid: ProcessId, num_processes: int, stable: StableView):
         if num_processes < 1:

@@ -261,9 +261,9 @@ class NodeCore:
         batch_window: float = 0.0,
         checkpoint_interval: Optional[float] = None,
     ):
-        if batch_window < 0:
+        if not batch_window >= 0:  # NaN too
             raise ProtocolError("batch_window must be >= 0")
-        if checkpoint_interval is not None and checkpoint_interval <= 0:
+        if checkpoint_interval is not None and not checkpoint_interval > 0:
             raise ProtocolError("checkpoint_interval must be > 0")
         self.pid = pid
         #: The process's stable storage (durable across crashes).
@@ -289,9 +289,10 @@ class NodeCore:
         #: Optional observer called with each recovery duration.
         self.on_recovery_time: Optional[Callable[[float], None]] = None
         self._recover_began: Optional[float] = None
-        #: Recovery is still reading the durable state back: the
-        #: process is not listening yet.
-        self._scanning = False
+        #: The process hears no message: it is crashed, or recovery is
+        #: still reading the durable state back.  Written wherever
+        #: ``state`` changes, so a delivery tests one flag.
+        self._deaf = False
 
         # Last committed checkpoint: snapshot records (shared with the
         # StableView, updated in place), their billed sizes, and the
@@ -311,8 +312,13 @@ class NodeCore:
         #: How many slots are not ``ready``; kept where a slot is made,
         #: where a crash wipes them all and where one recovers.
         self._unready = 0
-        self._slots[DEFAULT_REGISTER] = self._make_slot(DEFAULT_REGISTER)
         self._depths = CausalDepthTracker()
+        # What every message to the default slot reads, bound once: a
+        # slot keeps its protocol object for life, and a crash clears
+        # the depth dict in place.
+        self._default_slot = self._slots[DEFAULT_REGISTER] = self._make_slot(DEFAULT_REGISTER)
+        self._default_handlers = self._default_slot.protocol.message_handlers
+        self._depth_of = self._depths.depths.get
         self._timers: Dict[Tuple[Optional[str], Hashable], Any] = {}
         # Egress coalescing of named-slot frames, per destination.
         self._pending_frames: Dict[ProcessId, List[RegisterFrame]] = {}
@@ -414,7 +420,7 @@ class NodeCore:
         self._pending_frames.clear()
         self._flush_scheduled.clear()
         self._ckpt = None
-        self._scanning = False
+        self._deaf = True
         self._recover_began = None
         self._crash_io()
         self._depths.reset()
@@ -444,7 +450,7 @@ class NodeCore:
         if self.state != CRASHED:
             raise ProtocolError(f"process {self.pid} is not crashed")
         self.state = RECOVERING
-        self._scanning = True
+        self._deaf = True
         now = self._recover_began = self._now()
         self._recorder.record_recovery(self.pid)
         self._trace.record(tracing.RECOVER, now, self.pid)
@@ -453,7 +459,7 @@ class NodeCore:
     def _finish_recover(self, incarnation: int) -> None:
         if incarnation != self.incarnation or self.state != RECOVERING:
             return  # crashed again while the state was being read back
-        self._scanning = False
+        self._deaf = False
         self._load_snapshot()
         for slot in list(self._slots.values()):
             if not slot.booted:
@@ -651,39 +657,39 @@ class NodeCore:
     # -- event entry points ---------------------------------------------------
 
     def _on_message(self, src: ProcessId, message: Message, depth: int) -> None:
-        if self.state == CRASHED or self._scanning:
+        if self._deaf:
             # A crashed process receives nothing; one still reading
             # its log back is not listening yet either.
             return
-        if message.__class__ is MuxBatch:
-            find_slot = self._slots.get
-            observe = self._depths.observe
-            execute = self._execute
-            for register, frame_depth, inner, _size in message.frames:
-                slot = find_slot(register)
-                if slot is None:
-                    # A frame for a register this node does not host
-                    # yet (provisioning raced a delivery); drop it --
-                    # fair-lossy channels allow it, the sender
-                    # retransmits.
-                    continue
-                op = inner.op
-                context = observe(op, frame_depth)
-                execute(slot.protocol.on_message(src, inner), context, op, slot)
-            return
-        slot = self._slots[DEFAULT_REGISTER]
+        # Straight to the default slot's handler for the message, a
+        # frame fewer than through on_message.
+        handler = self._default_handlers.get(message.__class__)
+        if handler is None:
+            if message.__class__ is MuxBatch:
+                find_slot = self._slots.get
+                observe = self._depths.observe
+                execute = self._execute
+                for register, frame_depth, inner, _size in message.frames:
+                    slot = find_slot(register)
+                    if slot is None:
+                        # A frame for a register this node does not host
+                        # yet (provisioning raced a delivery); drop it --
+                        # fair-lossy channels allow it, the sender
+                        # retransmits.
+                        continue
+                    op = inner.op
+                    context = observe(op, frame_depth)
+                    execute(slot.protocol.on_message(src, inner), context, op, slot)
+                return
+            # on_message raises for a class that has no handler.
+            handler = self._default_slot.protocol.on_message
         op = message.op
         # A message at depth 0 (every one of a quiet read) folds nothing
         # in: its context is what this process knows of ``op``.
-        depths = self._depths
-        context = depths.observe(op, depth) if depth else depths.depths.get(op, 0)
-        # Straight to the message's handler, a frame fewer than through
-        # on_message (which raises for a class that has none).
-        protocol = slot.protocol
-        handlers = protocol.message_handlers
-        cls = message.__class__
-        handler = handlers[cls] if cls in handlers else protocol.on_message
-        self._execute(handler(src, message), context, op, slot)
+        context = self._depths.observe(op, depth) if depth else self._depth_of(op, 0)
+        effects = handler(src, message)
+        if effects:
+            self._execute(effects, context, op, self._default_slot)
 
     def _on_store_durable(
         self,
@@ -695,7 +701,10 @@ class NodeCore:
     ) -> None:
         if incarnation != self.incarnation or self.state == CRASHED:
             return
-        depth = self._depths.record_store(op, issue_depth)
+        # The completed log is one more on the chain.
+        depth = issue_depth + 1
+        if op is not None and depth > self._depth_of(op, 0):
+            self._depths.deepen(op, depth)
         effects = slot.protocol.on_store_complete(token)
         self._execute(effects, depth=depth, op=op, slot=slot)
 
@@ -753,7 +762,9 @@ class NodeCore:
                 # operation's cost.
                 out_depth = depth if message_op == op else 0
                 if message.is_ack:
-                    out_depth = self._depths.outgoing_depth(message_op, out_depth)
+                    known = self._depth_of(message_op, 0)
+                    if known > out_depth:
+                        out_depth = known
                 if slot.register is None:
                     self._transmit(
                         self._to[effect.dst] if cls is Send else self._everyone,
@@ -870,7 +881,7 @@ class NodeCore:
             raise ProtocolError(
                 f"process {self.pid} replied to unknown operation {effect.op}"
             )
-        causal = max(depth, self._depths.depth_of(effect.op))
+        causal = max(depth, self._depth_of(effect.op, 0))
         now = self._now()
         handle.causal_logs = causal
         slot.current = None

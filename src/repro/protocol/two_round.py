@@ -90,7 +90,7 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
         retransmit_interval: float = DEFAULT_RETRANSMIT_INTERVAL,
     ):
         super().__init__(pid, num_processes, stable)
-        if retransmit_interval <= 0:
+        if not retransmit_interval > 0:  # NaN too
             raise ProtocolError("retransmit_interval must be > 0")
         self._retransmit_interval = retransmit_interval
         # Bound here so subclass overrides are the ones dispatched to.
@@ -145,7 +145,8 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
             effects.append(_new(CancelTimer, (self._retry_token,)))
         round_no = self._tracker.begin()
         message = self._round_message = _new(cls, (op, round_no, *fields))
-        token = self._retry_token = self.fresh_token("retry")
+        self._token_counter += 1  # fresh_token, inlined
+        token = self._retry_token = ("retry", self._token_counter)
         self.stats.messages_sent += self.num_processes
         effects.append(_new(Broadcast, (message,)))
         effects.append(_new(SetTimer, (self._retransmit_interval, token)))
@@ -203,11 +204,12 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
             if not self.LOGS_ON_ADOPT:
                 self.stats.messages_sent += 1
                 return [_new(Send, (src, ack))]
-            token = self.fresh_token(KEY_WRITTEN)
+            self._token_counter += 1  # fresh_token, inlined
+            token = (KEY_WRITTEN, self._token_counter)
             self._written_tokens[token] = message.tag
             self._parked_acks.append((message.tag, src, ack))
             self.stats.stores_issued += 1
-            record = (message.tag.as_tuple(), message.value)
+            record = (tuple(message.tag), message.value)
             size = STORE_RECORD_OVERHEAD + payload_size(message.value)
             return [_new(Store, (KEY_WRITTEN, record, size, token))]
         if not self.LOGS_ON_ADOPT or message.tag <= self.durable_tag:

@@ -92,7 +92,7 @@ def _downtime(pid: int, start: float, end: float) -> List[Step]:
 
 
 def _check_window(start: float, end: float, what: str) -> None:
-    if start < 0 or end <= start:
+    if not 0 <= start < end:  # NaN too
         raise ConfigurationError(f"{what} needs 0 <= start < end")
 
 
@@ -119,7 +119,7 @@ class CrashAt(FaultAction):
     time: float
 
     def __post_init__(self) -> None:
-        if self.time < 0:
+        if not self.time >= 0:  # NaN too
             raise ConfigurationError("crash time must be >= 0")
 
     def steps(self, num_processes: int) -> List[Step]:
@@ -142,7 +142,7 @@ class RollingRestarts(FaultAction):
     pids: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.start < 0 or self.interval <= 0 or self.downtime <= 0:
+        if not (self.start >= 0 and self.interval > 0 and self.downtime > 0):
             raise ConfigurationError(
                 "rolling restarts need start >= 0, interval > 0, downtime > 0"
             )
@@ -228,7 +228,7 @@ class SlowLinks(FaultAction):
 
     def __post_init__(self) -> None:
         _check_window(self.start, self.end, "slow-link window")
-        if self.extra_delay <= 0:
+        if not self.extra_delay > 0:
             raise ConfigurationError("extra_delay must be > 0")
 
     def steps(self, num_processes: int) -> List[Step]:
@@ -271,7 +271,7 @@ class CrashOnTrace(FaultAction):
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ConfigurationError("count must be >= 1")
-        if self.recover_after is not None and self.recover_after <= 0:
+        if self.recover_after is not None and not self.recover_after > 0:
             raise ConfigurationError("recover_after must be > 0")
 
     def steps(self, num_processes: int) -> List[Step]:
@@ -307,7 +307,7 @@ class TornStore(FaultAction):
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ConfigurationError("count must be >= 1")
-        if self.recover_after is not None and self.recover_after <= 0:
+        if self.recover_after is not None and not self.recover_after > 0:
             raise ConfigurationError("recover_after must be > 0")
 
     def steps(self, num_processes: int) -> List[Step]:
@@ -336,7 +336,7 @@ class CorruptRecord(FaultAction):
     time: float
 
     def __post_init__(self) -> None:
-        if self.time < 0:
+        if not self.time >= 0:  # NaN too
             raise ConfigurationError("corruption time must be >= 0")
 
     def steps(self, num_processes: int) -> List[Step]:
@@ -361,7 +361,7 @@ class SlowDisk(FaultAction):
 
     def __post_init__(self) -> None:
         _check_window(self.start, self.end, "slow-disk window")
-        if self.extra_latency <= 0:
+        if not self.extra_latency > 0:
             raise ConfigurationError("extra_latency must be > 0")
 
     def steps(self, num_processes: int) -> List[Step]:
@@ -389,7 +389,7 @@ class LostStore(FaultAction):
     count: int = 1
 
     def __post_init__(self) -> None:
-        if self.time < 0:
+        if not self.time >= 0:  # NaN too
             raise ConfigurationError("loss time must be >= 0")
         if self.count < 1:
             raise ConfigurationError("count must be >= 1")
@@ -418,7 +418,7 @@ class RandomCrashPlan(FaultAction):
     mean_downtime: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0:
+        if not self.horizon > 0:
             raise ConfigurationError("horizon must be > 0")
         if not 0.0 <= self.crash_rate <= 1.0:
             raise ConfigurationError("crash_rate must be in [0, 1]")
@@ -473,7 +473,7 @@ def check_steps(cluster, steps: Iterable[Step]) -> None:
         needed.add(FAULT_VERB_CAPABILITIES[verb])
         if _is_trigger(at):
             needed.add(FAULT_VERB_CAPABILITIES["on_event"])
-        elif at < 0:
+        elif not at >= 0:  # NaN too
             raise ConfigurationError(f"{verb} step at {at} is in the past")
         else:
             needed.add(VIRTUAL_TIME)

@@ -28,7 +28,8 @@ up" assumption).
 from __future__ import annotations
 
 import inspect
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from heapq import heappush
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.config import NetworkConfig
 from repro.common.ids import ProcessId
@@ -81,7 +82,8 @@ class SimNetwork:
         self._num_processes = num_processes
         self._delay_model = DelayModel(config)
         self._trace = NULL_TRACE if trace is None else trace
-        self._handlers: Dict[ProcessId, DeliveryHandler] = {}
+        # pid -> its delivery handler (None until it attaches).
+        self._handlers: List[Optional[DeliveryHandler]] = [None] * num_processes
         # Link -> number of outstanding blocks.  Refcounted so that
         # overlapping partition windows compose: a link stays blocked
         # until every block placed on it is released.
@@ -89,8 +91,7 @@ class SimNetwork:
         self._filters: List[MessageFilter] = []
         # Per-link accumulated delay penalties (slow links), applied on
         # top of the sampled delay.  Additive for the same reason the
-        # blocks are refcounted; consulted only when non-empty so the
-        # common configuration pays one falsy check.
+        # blocks are refcounted.
         self._link_penalties: Dict[Tuple[ProcessId, ProcessId], float] = {}
         # When each sender's NIC is free again (see transmit).
         self._egress_free_at: Dict[ProcessId, float] = {}
@@ -106,6 +107,13 @@ class SimNetwork:
         self._max_payload = config.max_payload
         self._drop_probability = config.drop_probability
         self._duplicate_probability = config.duplicate_probability
+        # Whether a channel draws (loss, duplication or jitter).
+        self._draws = max(self._drop_probability, self._duplicate_probability,
+                          self._max_jitter) > 0.0
+        # Whether a send may draw, drop or slow down: the channel draws,
+        # or a link is blocked, filtered or slowed.  Rewritten wherever
+        # those tables change, so a send tests one flag (see transmit).
+        self._armed = self._draws
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
@@ -132,6 +140,7 @@ class SimNetwork:
         """
         link = (src, dst)
         self._blocked_links[link] = self._blocked_links.get(link, 0) + 1
+        self._armed = True
 
     def unblock(self, src: ProcessId, dst: ProcessId) -> None:
         """Release one block on the link.  No-op if none remain."""
@@ -139,6 +148,7 @@ class SimNetwork:
         count = self._blocked_links.get(link, 0)
         if count <= 1:
             self._blocked_links.pop(link, None)
+            self._rearm()
         else:
             self._blocked_links[link] = count - 1
 
@@ -152,6 +162,7 @@ class SimNetwork:
     def heal_all(self) -> None:
         """Remove every blocked link."""
         self._blocked_links.clear()
+        self._rearm()
 
     def is_blocked(self, src: ProcessId, dst: ProcessId) -> bool:
         return (src, dst) in self._blocked_links
@@ -168,13 +179,14 @@ class SimNetwork:
         :meth:`reset_link_speeds`.  Deterministic -- the penalty
         consumes no randomness.
         """
-        if extra_delay < 0:
+        if not extra_delay >= 0:  # NaN too
             raise ValueError(f"extra_delay must be >= 0, got {extra_delay}")
         if extra_delay > 0.0:
             link = (src, dst)
             self._link_penalties[link] = (
                 self._link_penalties.get(link, 0.0) + extra_delay
             )
+            self._armed = True
 
     def unslow_link(self, src: ProcessId, dst: ProcessId, extra_delay: float) -> None:
         """Remove ``extra_delay`` of penalty from the link (floor 0).
@@ -184,7 +196,7 @@ class SimNetwork:
         float dust that would keep the penalty table (and its hot-path
         check) alive forever.  Real penalties are microseconds and up.
         """
-        if extra_delay < 0:
+        if not extra_delay >= 0:  # NaN too
             raise ValueError(f"extra_delay must be >= 0, got {extra_delay}")
         link = (src, dst)
         remaining = self._link_penalties.get(link, 0.0) - extra_delay
@@ -192,10 +204,12 @@ class SimNetwork:
             self._link_penalties[link] = remaining
         else:
             self._link_penalties.pop(link, None)
+            self._rearm()
 
     def reset_link_speeds(self) -> None:
         """Remove every slow-link penalty."""
         self._link_penalties.clear()
+        self._rearm()
 
     def link_penalty(self, src: ProcessId, dst: ProcessId) -> float:
         """The current extra delay of the ``src -> dst`` link."""
@@ -213,15 +227,18 @@ class SimNetwork:
         runs of Figures 1-3 rely on.
         """
         self._filters.append(message_filter)
+        self._armed = True
 
         def remove() -> None:
             if message_filter in self._filters:
                 self._filters.remove(message_filter)
+                self._rearm()
 
         return remove
 
-    def _filtered(self, src: ProcessId, dst: ProcessId, message: Message) -> bool:
-        return any(f(src, dst, message) for f in self._filters)
+    def _rearm(self) -> None:  # a link table lost an entry
+        tables = self._blocked_links or self._filters or self._link_penalties
+        self._armed = self._draws or bool(tables)
 
     # -- transmission ------------------------------------------------------------
 
@@ -236,34 +253,30 @@ class SimNetwork:
         self.transmit(src, self._everyone, message, depth)
 
     def transmit(
-        self, src: ProcessId, dsts: Iterable[ProcessId], message: Message, depth: int
+        self, src: ProcessId, dsts: Sequence[ProcessId], message: Message, depth: int
     ) -> None:
         """Transmit ``message`` to each of ``dsts``: the one send path.
 
-        What does not depend on the destination is derived once; per
-        destination the random draws keep their order -- loss (remote
-        links, p > 0), jitter, duplication, the duplicate's own jitter
-        -- and the delay its float association ``((free_at + overhead)
-        - now) + ((base + size / bandwidth) + jitter [+ penalty])``,
-        which is what keeps seeded runs byte-identical.
+        What does not depend on the destination is derived once, the
+        counters included (every destination counts, dropped or not).
+        After its SEND record, whose listeners may arm a fault, a
+        destination takes the fault-free branch unless a fault is armed:
+        its delay, its egress slot and one push onto the kernel's heap.
+        The armed branch keeps the random draws in order -- loss (remote
+        links, p > 0), jitter, duplication, the duplicate's own jitter.
+        Both give the delay the float association ``((free_at +
+        overhead) - now) + ((base + size / bandwidth) + jitter [+
+        penalty])`` and the event the time ``now + delay``, which is
+        what keeps seeded runs byte-identical.
         """
         size = message.size
         if not 0 <= size <= self._max_payload:
             self._delay_model.check_size(size)  # raises: nothing is half-sent
-        op = message.op
         kernel = self._kernel
         now = kernel.now
-        rng = kernel.rng
-        schedule = kernel.schedule
-        deliver = self._deliver
-        record = self._trace.record
-        kind = message.kind
-        blocked = self._blocked_links
-        filters = self._filters
-        penalties = self._link_penalties
-        drop_probability = self._drop_probability
-        duplicate_probability = self._duplicate_probability
-        max_jitter = self._max_jitter
+        sent = len(dsts)
+        self.messages_sent += sent
+        self.bytes_sent += size * sent
         wire_delay = self._base_delay + size / self._bandwidth
         # Transmissions serialize through the sender's NIC, each
         # occupying it for ``send_overhead``.
@@ -271,54 +284,63 @@ class SimNetwork:
         free_at = self._egress_free_at.get(src, now)
         if free_at < now:
             free_at = now
+        # Most sends go to one process (an ack): the loop reads attributes
+        # in place, as binding them to locals first would cost more.
         for dst in dsts:
-            self.messages_sent += 1
-            self.bytes_sent += size
-            record(SEND, now, src, op, dst, kind, size)
-            if blocked and (src, dst) in blocked:
+            self._trace.record(SEND, now, src, message.op, dst, message.kind, size)
+            if not self._armed:
+                # A validated configuration's delay, so >= 0, in the
+                # entry ``schedule`` would push.
+                delay = wire_delay if src != dst else LOOPBACK_DELAY
+                if overhead:
+                    free_at += overhead
+                    delay = (free_at - now) + delay
+                heappush(
+                    kernel.queue,
+                    (now + delay, next(kernel.seq), self._deliver, (src, dst, message, depth)),
+                )
+                continue
+            rng = kernel.rng
+            if (src, dst) in self._blocked_links:
                 self._drop(src, dst, message, reason="partition")
                 continue
-            if filters and self._filtered(src, dst, message):
+            if any(f(src, dst, message) for f in self._filters):
                 self._drop(src, dst, message, reason="filter")
                 continue
             remote = src != dst
-            if (
-                remote
-                and drop_probability > 0.0
-                and rng.random() < drop_probability
-            ):
+            if remote and self._drop_probability > 0.0 and rng.random() < self._drop_probability:
                 self._drop(src, dst, message, reason="loss")
                 continue
             duplicate = False
             while True:
                 if not remote:
                     delay = LOOPBACK_DELAY
-                elif max_jitter > 0.0:
-                    delay = wire_delay + rng.uniform(0.0, max_jitter)
+                elif self._max_jitter > 0.0:
+                    delay = wire_delay + rng.uniform(0.0, self._max_jitter)
                 else:
                     delay = wire_delay
-                if penalties:
-                    delay += penalties.get((src, dst), 0.0)
+                if self._link_penalties:
+                    delay += self._link_penalties.get((src, dst), 0.0)
                 if overhead:
                     free_at += overhead
                     delay = (free_at - now) + delay
-                schedule(delay, deliver, src, dst, message, depth)
+                kernel.schedule(delay, self._deliver, src, dst, message, depth)
                 if (
                     duplicate
                     or not remote
-                    or duplicate_probability <= 0.0
-                    or rng.random() >= duplicate_probability
+                    or self._duplicate_probability <= 0.0
+                    or rng.random() >= self._duplicate_probability
                 ):
                     break
                 duplicate = True
-                record(DUPLICATE, now, src, op, dst, kind)
+                self._trace.record(DUPLICATE, now, src, message.op, dst, message.kind)
         if overhead:
             self._egress_free_at[src] = free_at
 
     def _deliver(
         self, src: ProcessId, dst: ProcessId, message: Message, depth: int
     ) -> None:
-        handler = self._handlers.get(dst)
+        handler = self._handlers[dst]
         if handler is None:
             return
         self.messages_delivered += 1

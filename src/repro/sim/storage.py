@@ -34,13 +34,13 @@ storage fault primitives in :mod:`repro.scenarios.faults`.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.common.config import StorageConfig
 from repro.common.ids import ProcessId
-from repro.common.kernel import Kernel
+from repro.common.kernel import EventHandle, Kernel
 from repro.obs.tracing import NULL_TRACE, STORE_BEGIN, STORE_END, Trace
-from repro.storage.model import StorageLatencyModel
 
 CompletionCallback = Callable[[], None]
 
@@ -57,7 +57,10 @@ class SimStableStorage:
     ):
         self._kernel = kernel
         self._pid = pid
-        self._model = StorageLatencyModel(config)
+        # The latency formula's constants (StorageConfig), for store.
+        self._base_latency = config.base_latency
+        self._bandwidth = config.bandwidth
+        self._max_jitter = config.max_jitter
         self._trace = NULL_TRACE if trace is None else trace
         # Durable records; survives crash() calls by design.
         self._records: Dict[str, Tuple[Any, ...]] = {}
@@ -104,19 +107,27 @@ class SimStableStorage:
         behind any store still in progress on this device.  ``op`` is
         the operation the log belongs to (trace attribution only).
         """
-        now = self._kernel.now
-        latency = self._model.sample(size, self._kernel.rng) + self._slow_extra
-        start = max(now, self._device_free_at)
-        done_at = start + latency
+        kernel = self._kernel
+        now = kernel.now
+        if size < 0:
+            raise ValueError(f"log size must be >= 0, got {size}")
+        jitter = 0.0
+        if self._max_jitter > 0.0:
+            jitter = kernel.rng.uniform(0.0, self._max_jitter)
+        latency = self._base_latency + size / self._bandwidth + jitter + self._slow_extra
+        done_at = max(now, self._device_free_at) + latency
         self._device_free_at = done_at
+        # Read before the record: a trace trigger may crash the process
+        # inside it, and this store then belongs to the voided epoch.
         epoch = self._epoch
         store_id = self._next_store_id
-        self._next_store_id += 1
+        self._next_store_id = store_id + 1
         self._trace.record(STORE_BEGIN, now, self._pid, op, key, size, done_at)
-        handle = self._kernel.schedule_cancellable(
-            done_at - now,
-            self._complete, store_id, key, record, size, on_durable, epoch, op,
-        )
+        # Kernel.schedule_cancellable, inlined (the latency is validated).
+        time = now + (done_at - now)
+        args = (store_id, key, record, size, on_durable, epoch, op)
+        handle = EventHandle(kernel, time, self._complete, args)
+        heappush(kernel.queue, (time, next(kernel.seq), handle, None))
         self._in_flight[store_id] = handle
 
     def _complete(
@@ -196,11 +207,7 @@ class SimStableStorage:
         record plus the payload at device bandwidth.  Deterministic
         (no jitter, no randomness) so seeded runs stay reproducible.
         """
-        config = self._model.config
-        return (
-            self.log_records * config.base_latency
-            + self.log_bytes / config.bandwidth
-        )
+        return self.log_records * self._base_latency + self.log_bytes / self._bandwidth
 
     # -- fault injection -------------------------------------------------
 
@@ -232,7 +239,7 @@ class SimStableStorage:
 
     def set_slow(self, extra_latency: float) -> None:
         """Add ``extra_latency`` seconds to every store until cleared."""
-        if extra_latency < 0.0:
+        if not extra_latency >= 0.0:  # NaN too
             raise ValueError(
                 f"extra_latency must be >= 0, got {extra_latency}"
             )

@@ -1,13 +1,8 @@
-"""Stable-storage latency model shared by the simulator and experiments.
+"""The checkpoint record format shared by both hosting environments.
 
-:class:`~repro.storage.model.StorageLatencyModel` prices one
-synchronous log -- the paper's ~200us IDE-disk write plus bounded
-jitter -- as a function of the logged payload.
-:mod:`repro.sim.storage` samples it per store; the causal-log cost
-metric (:mod:`repro.history.causal_logs`) counts how often protocols
-pay it.
+:mod:`repro.storage.checkpoint` builds and reads the two-phase
+checkpoint records.  What one synchronous log costs -- the paper's
+~200us IDE-disk write plus bounded jitter, as a function of the logged
+payload -- is :class:`repro.common.config.StorageConfig`'s formula,
+which :mod:`repro.sim.storage` charges per store.
 """
-
-from repro.storage.model import StorageLatencyModel
-
-__all__ = ["StorageLatencyModel"]

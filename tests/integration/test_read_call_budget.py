@@ -23,7 +23,7 @@ from repro.api import open_cluster
 READ_CALL_BUDGET = 385
 
 #: Calls per settled write, measured on CPython 3.11.
-WRITE_CALL_BUDGET = 564
+WRITE_CALL_BUDGET = 554
 
 #: Headroom for other CPython versions and a retransmitted read.
 SLACK = 1.10

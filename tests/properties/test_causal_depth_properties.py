@@ -11,7 +11,7 @@ OPS = st.one_of(
 )
 STEPS = st.lists(
     st.tuples(
-        st.sampled_from(["observe", "record_store", "outgoing_depth", "depth_of"]),
+        st.sampled_from(["observe", "deepen", "read"]),
         OPS,
         st.integers(0, 6),
     ),
@@ -30,14 +30,12 @@ def test_tracker_matches_a_reference_max_fold(steps):
             assert tracker.observe(op, depth) == expected
             if op is not None:
                 deepest[op] = expected
-        elif verb == "record_store":
-            assert tracker.record_store(op, depth) == depth + 1
-            if op is not None:
-                deepest[op] = max(known, depth + 1)
-        elif verb == "outgoing_depth":
-            expected = depth if op is None else max(known, depth)
-            assert tracker.outgoing_depth(op, depth) == expected
+        elif verb == "deepen":
+            # As a host calls it: for an operation, on a rise.
+            if op is not None and depth > known:
+                tracker.deepen(op, depth)
+                deepest[op] = depth
         elif op is not None:
-            assert tracker.depth_of(op) == known
+            assert tracker.depths.get(op, 0) == known
     for op, depth in deepest.items():
-        assert tracker.depth_of(op) == depth
+        assert tracker.depths.get(op, 0) == depth

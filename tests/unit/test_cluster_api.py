@@ -33,6 +33,26 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             open_cluster("sim", protocol="viewstamped")
 
+    @pytest.mark.parametrize("backend", ["sim", "kv"])
+    @pytest.mark.parametrize("option", ["batch_window", "checkpoint_interval"])
+    def test_a_nan_interval_is_refused_like_a_negative_one(self, backend, option):
+        # Before anything runs: a NaN checkpoint interval used to fail
+        # on the first wait, deep in the kernel's live branch.
+        with pytest.raises(ReproError) as negative:
+            open_cluster(backend, **{option: -1.0})
+        with pytest.raises(ReproError) as nan:
+            open_cluster(backend, **{option: float("nan")})
+        assert (type(nan.value), str(nan.value)) == (
+            type(negative.value), str(negative.value)
+        )
+
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan")])
+    def test_a_live_op_timeout_must_be_a_positive_time(self, timeout):
+        # Refused up front: the first submit used to invoke the write
+        # and then fail to arm the expiry, after which none expired.
+        with pytest.raises(ConfigurationError, match="op_timeout must be > 0"):
+            open_cluster("live", op_timeout=timeout)
+
     def test_broken_protocols_need_opt_in(self):
         with pytest.raises(ConfigurationError):
             open_cluster("sim", protocol="broken-no-prelog")

@@ -80,3 +80,28 @@ class TestClusterConfig:
 
     def test_udp_limit_constant(self):
         assert UDP_MAX_PAYLOAD == 65536
+
+
+#: Every duration and rate field, with a value its check refuses.
+TIME_AND_RATE_FIELDS = [
+    (NetworkConfig, "base_delay", -1.0),
+    (NetworkConfig, "bandwidth", 0.0),
+    (NetworkConfig, "max_jitter", -0.1),
+    (NetworkConfig, "send_overhead", -1e-6),
+    (StorageConfig, "base_latency", -1e-6),
+    (StorageConfig, "bandwidth", 0.0),
+    (StorageConfig, "max_jitter", -0.1),
+    (ClusterConfig, "retransmit_interval", 0.0),
+    (ClusterConfig, "local_step_cost", -1.0),
+]
+
+
+@pytest.mark.parametrize("cls, name, refused", TIME_AND_RATE_FIELDS)
+def test_a_nan_time_or_rate_is_refused_like_an_out_of_range_one(cls, name, refused):
+    # A NaN delay passes every ``x < 0`` check and then sends a virtual
+    # run down the kernel's live branch, which has no clock to read.
+    with pytest.raises(ConfigurationError) as out_of_range:
+        cls(**{name: refused})
+    with pytest.raises(ConfigurationError) as nan:
+        cls(**{name: float("nan")})
+    assert str(nan.value) == str(out_of_range.value)

@@ -1,12 +1,11 @@
-"""Unit tests for the network and storage latency models."""
+"""Unit tests for the network latency model."""
 
 import random
 
 import pytest
 
-from repro.common.config import NetworkConfig, StorageConfig
+from repro.common.config import NetworkConfig
 from repro.net.delay import DelayModel
-from repro.storage.model import StorageLatencyModel
 
 
 class TestDelayModel:
@@ -59,27 +58,3 @@ class TestDelayModel:
         rng = random.Random(3)
         dups = sum(model.should_duplicate(rng) for _ in range(10_000))
         assert 0.15 < dups / 10_000 < 0.25
-
-
-class TestStorageLatencyModel:
-    def test_base_latency_for_tiny_log(self):
-        model = StorageLatencyModel(StorageConfig(base_latency=2e-4, max_jitter=0.0))
-        assert model.sample(1, random.Random(0)) == pytest.approx(
-            2e-4 + 1 / StorageConfig().bandwidth
-        )
-
-    def test_latency_linear_in_size(self):
-        model = StorageLatencyModel(
-            StorageConfig(base_latency=0.0, bandwidth=1e6, max_jitter=0.0)
-        )
-        assert model.sample(5000, random.Random(0)) == pytest.approx(5e-3)
-
-    def test_mean_latency(self):
-        config = StorageConfig(base_latency=1e-4, bandwidth=1e6, max_jitter=4e-5)
-        model = StorageLatencyModel(config)
-        assert model.mean_latency(1000) == pytest.approx(1e-4 + 1e-3 + 2e-5)
-
-    def test_rejects_negative_size(self):
-        model = StorageLatencyModel(StorageConfig())
-        with pytest.raises(ValueError):
-            model.sample(-5, random.Random(0))

@@ -64,6 +64,16 @@ class TestScheduling:
         with pytest.raises(ValueError):
             Kernel().schedule(-0.1, lambda: None)
 
+    @pytest.mark.parametrize("method", ["schedule", "schedule_cancellable"])
+    def test_a_nan_delay_is_refused_like_a_negative_one(self, method):
+        # NaN is no time: it used to land in the heap and send a
+        # virtual run down the live branch, which has no clock to read.
+        kernel = Kernel()
+        with pytest.raises(ValueError, match=r"cannot schedule into the past \(delay=nan\)"):
+            getattr(kernel, method)(float("nan"), lambda: None)
+        assert kernel.queue == []
+        kernel.run()
+
 
 class TestCancellation:
     def test_cancelled_events_do_not_fire(self):
@@ -121,7 +131,7 @@ class TestCancellation:
         assert kernel.pending_events == 1
         # Compaction keeps the internal heap proportional to the live
         # entries, not to the cancellation history.
-        assert len(kernel._queue) < 100
+        assert len(kernel.queue) < 100
         live.cancel()
         assert kernel.pending_events == 0
 
@@ -154,6 +164,20 @@ class TestRunBounds:
         with pytest.raises(ValueError):
             kernel.run(until=0.5)
         assert kernel.now == 1.0
+
+    def test_run_refuses_a_nan_time(self):
+        kernel = Kernel()
+        kernel.schedule(1.0, lambda: None)
+        with pytest.raises(ValueError, match="cannot run back to nan"):
+            kernel.run(until=float("nan"))
+        assert kernel.now == 0.0 and kernel.pending_events == 1
+
+    def test_run_until_refuses_a_nan_timeout(self):
+        kernel = Kernel()
+        kernel.schedule(1.0, lambda: None)
+        with pytest.raises(ValueError, match=r"cannot run into the past \(timeout=nan\)"):
+            kernel.run_until(lambda: False, timeout=float("nan"))
+        assert kernel.now == 0.0 and kernel.pending_events == 1
 
     def test_run_until_refuses_a_negative_timeout(self):
         kernel = Kernel()
@@ -223,7 +247,7 @@ class TestRunBounds:
         assert kernel.now == 3.0
         assert kernel.events_processed == 2
         assert kernel.pending_events == 0
-        assert kernel._cancelled == 0 and kernel._queue == []
+        assert kernel._cancelled == 0 and kernel.queue == []
 
     def test_run_until_survives_a_compaction_from_inside_a_callback(self):
         # A callback that cancels >= 64 timers compacts the heap while
@@ -248,7 +272,7 @@ class TestRunBounds:
         assert fired == ["cancel", "after", "before"]
         assert kernel.now == 3.0
         assert kernel.pending_events == 0
-        assert kernel._cancelled == 0 and kernel._queue == []
+        assert kernel._cancelled == 0 and kernel.queue == []
 
     def test_run_until_timeout_between_two_events_is_exact(self):
         kernel = Kernel()

@@ -348,6 +348,97 @@ class TestLossAndDuplication:
         assert network.bytes_sent == 100 * query().size
 
 
+class TestFaultFreeBranch:
+    """A send skips the armed loop exactly while nothing is armed.
+
+    The armed loop is the only caller of ``Kernel.schedule``; the
+    fault-free branch pushes onto the heap itself.  The property that
+    both loops agree is in ``tests/properties/test_network_properties.py``.
+    """
+
+    def _scheduling_sends(self, network, kernel):
+        """How many of a broadcast's four entries went through ``schedule``."""
+        calls = []
+        schedule = kernel.schedule
+        kernel.schedule = lambda *args: calls.append(args) or schedule(*args)
+        network.broadcast(0, query(), depth=0)
+        del kernel.schedule
+        return len(calls)
+
+    @pytest.mark.parametrize(
+        "arm, disarm",
+        [
+            (lambda n: n.block(0, 1), lambda n: n.unblock(0, 1)),
+            (lambda n: n.block(0, 1), lambda n: n.heal_all()),
+            (lambda n: n.partition({0}, {1, 2}), lambda n: n.heal_all()),
+            (
+                lambda n: (n.block(0, 1), n.block(0, 1)),
+                lambda n: (n.unblock(0, 1), n.unblock(0, 1)),
+            ),
+            (lambda n: n.add_filter(lambda *_: False), lambda n, remove: remove()),
+            (lambda n: n.slow_link(0, 1, 1e-5), lambda n: n.unslow_link(0, 1, 1e-5)),
+            (lambda n: n.slow_link(0, 1, 1e-5), lambda n: n.reset_link_speeds()),
+            (
+                # Float dust below a picosecond is no penalty.
+                lambda n: (n.slow_link(0, 1, 1e-5), n.slow_link(0, 1, 2.5e-4)),
+                lambda n: (n.unslow_link(0, 1, 2.5e-4), n.unslow_link(0, 1, 1e-5)),
+            ),
+        ],
+    )
+    def test_disarming_restores_the_fault_free_branch(self, arm, disarm):
+        kernel, network, _, _ = make_network(n=4)
+        assert self._scheduling_sends(network, kernel) == 0
+        armed = arm(network)
+        assert self._scheduling_sends(network, kernel) + network.messages_dropped == 4
+        if callable(armed):  # a filter's remover
+            disarm(network, armed)
+        else:
+            disarm(network)
+        dropped = network.messages_dropped
+        assert self._scheduling_sends(network, kernel) == 0
+        assert network.messages_dropped == dropped
+
+    def test_a_stacked_block_keeps_the_link_armed_until_its_last_release(self):
+        kernel, network, _, _ = make_network(n=4)
+        network.block(0, 1)
+        network.block(0, 1)
+        network.unblock(0, 1)
+        assert self._scheduling_sends(network, kernel) == 3  # (0, 1) still dropped
+        network.unblock(0, 1)
+        assert self._scheduling_sends(network, kernel) == 0
+
+    def test_a_removed_filter_leaves_the_others_armed(self):
+        kernel, network, _, _ = make_network(n=4)
+        remove = network.add_filter(lambda *_: False)
+        network.add_filter(lambda *_: False)
+        remove()
+        assert self._scheduling_sends(network, kernel) == 4
+
+    @pytest.mark.parametrize(
+        "config", [{"max_jitter": 1e-5}, {"drop_probability": 0.1}, {"duplicate_probability": 0.1}]
+    )
+    def test_a_drawing_channel_is_always_armed(self, config):
+        kernel, network, _, _ = make_network(n=4, **config)
+        network.block(0, 1)
+        network.heal_all()
+        sent = self._scheduling_sends(network, kernel)
+        assert sent + network.messages_dropped >= 4
+
+    def test_a_fault_armed_by_a_send_record_applies_to_that_send(self):
+        # A trace listener may arm a fault inside the broadcast's own
+        # loop (a trace-triggered partition): the destinations after it
+        # see it, the SEND that triggered it included.
+        kernel, network, inboxes, trace = make_network(n=4)
+        trace.subscribe(
+            lambda event: event.detail["dst"] == 2 and network.block(0, 2),
+            kinds=[tracing.SEND],
+        )
+        network.broadcast(0, query(), depth=0)
+        kernel.run()
+        assert [len(inboxes[pid]) for pid in range(4)] == [1, 1, 0, 1]
+        assert network.messages_dropped == 1
+
+
 class TestTracingFastPath:
     """A whole simulated cluster builds a TraceEvent only when one is wanted.
 

@@ -25,8 +25,9 @@ from repro.protocol.base import (
     SetTimer,
     Store,
 )
+from repro.common.timestamps import Tag
 from repro.protocol.host import CRASHED, NodeCore
-from repro.protocol.messages import MuxBatch
+from repro.protocol.messages import MuxBatch, WriteAck, WriteRequest
 from repro.protocol.persistent import PersistentAtomicProtocol
 from repro.storage import checkpoint as ckpt
 
@@ -382,6 +383,76 @@ class TestRegisterHosting:
         node.settle()
         assert node.recovery_times == seen == [0.25]
         assert node.crash_count == node.incarnation == 1
+
+
+
+@pytest.mark.parametrize(
+    "option, refused",
+    [("batch_window", -1.0), ("checkpoint_interval", 0.0), ("checkpoint_interval", -1.0)],
+)
+def test_a_nan_interval_is_refused_like_an_out_of_range_one(option, refused):
+    # A NaN checkpoint interval armed a timer at time NaN, which sent a
+    # virtual run down the kernel's live branch.
+    with pytest.raises(ProtocolError) as out_of_range:
+        FakeNode(**{option: refused})
+    with pytest.raises(ProtocolError) as nan:
+        FakeNode(**{option: float("nan")})
+    assert str(nan.value) == str(out_of_range.value) == (
+        f"{option} must be {'>=' if option == 'batch_window' else '>'} 0"
+    )
+
+
+class TestCausalDepth:
+    """The host stamps the paper's causal-log depth (repro.history.causal_logs)."""
+
+    def test_a_completed_store_is_one_more_log_on_the_chain(self, node):
+        handle = node.invoke_write("v")
+        node.deliver()  # SN round: no log yet
+        node.complete_store()  # the writer's pre-log, issued at depth 0
+        node.deliver()  # its W round carries depth 1; the responder logs
+        node.complete_store()  # ... at depth 1, durable at depth 2
+        acks = [(message, depth) for _dst, message, depth in node.sent]
+        assert [(m.__class__, d) for m, d in acks] == [(WriteAck, 2)]
+        node.settle()
+        assert handle.done and handle.causal_logs == 2
+
+    def test_parallel_stores_do_not_stack(self, node):
+        # Two logs issued at the same depth are causally independent:
+        # both complete at depth 1, the operation's depth stays 1.
+        op = make_operation_id(0)
+        for sn in (1, 2):
+            node._on_message(0, WriteRequest(op, 1, Tag(sn, 0), f"v{sn}"), 0)
+        assert len(node.stores) == 2
+        node.complete_store()
+        node.complete_store()
+        assert node._depths.depths.get(op, 0) == 1
+        assert {depth for _dst, _message, depth in node.sent} == {1}
+
+    def test_an_ack_released_by_another_operation_carries_its_own_logs(self, node):
+        # A parked ack for ``late`` is released by ``early``'s log: the
+        # ack must not inherit ``early``'s context, but it does carry
+        # every log this process performed for ``late`` (process order).
+        early, late = make_operation_id(0), make_operation_id(0)
+        node._on_message(0, WriteRequest(early, 1, Tag(2, 0), "x"), 1)
+        node._on_message(0, WriteRequest(late, 1, Tag(1, 0), "y"), 3)
+        assert not node.sent  # late's ack waits for early's log
+        node.complete_store()
+        depths = {message.op: depth for _dst, message, depth in node.sent}
+        assert depths == {early: 2, late: 3}
+
+    def test_a_deaf_process_hears_nothing(self, node):
+        message = WriteRequest(make_operation_id(0), 1, Tag(5, 0), "x")
+        node.crash()
+        node._on_message(0, message, 0)
+        assert not node.stores and not node.sent
+        node.recover()  # reads its state back, then recovers: listening
+        node._on_message(0, message, 0)
+        assert node.protocol.tag == Tag(5, 0)
+        node.crash()
+        node._read_back = lambda incarnation: None  # still scanning
+        node.recover()
+        node._on_message(0, message._replace(tag=Tag(6, 0)), 0)
+        assert node.protocol.tag < Tag(6, 0)
 
 
 STEPS = st.lists(

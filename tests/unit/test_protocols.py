@@ -473,7 +473,7 @@ class TestRetransmission:
         complete_initialization(protocol)
         assert protocol.on_timer(("retry", 999)) == []
 
-    @pytest.mark.parametrize("interval", [0, -1])
+    @pytest.mark.parametrize("interval", [0, -1, float("nan")])
     @pytest.mark.parametrize(
         "cls", [PersistentAtomicProtocol, TransientAtomicProtocol, CrashStopMwmrProtocol]
     )

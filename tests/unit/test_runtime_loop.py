@@ -97,8 +97,8 @@ def test_cancelled_timers_do_not_pile_up_in_the_heap(kernel):
             live.append(timer)
         else:
             timer.cancel()
-        assert len(kernel._queue) <= max(2 * len(live), 64)
-    assert len(kernel._queue) <= 2 * len(live)
+        assert len(kernel.queue) <= max(2 * len(live), 64)
+    assert len(kernel.queue) <= 2 * len(live)
 
 
 def test_a_raising_callback_reaches_the_handler_and_the_batch_runs_on(kernel):

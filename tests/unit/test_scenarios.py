@@ -30,7 +30,14 @@ from repro.scenarios import (
     list_scenarios,
     run_scenario,
 )
-from repro.scenarios.faults import arm_steps, victims_of
+from repro.scenarios.faults import (
+    CorruptRecord,
+    LostStore,
+    SlowDisk,
+    TornStore,
+    arm_steps,
+    victims_of,
+)
 from repro.scenarios.spec import STORE_KV
 
 
@@ -199,6 +206,59 @@ def test_network_slow_link_validation():
     assert cluster.network.link_penalty(0, 1) == 5e-4
     cluster.network.reset_link_speeds()
     assert cluster.network.link_penalty(0, 1) == 0.0
+
+
+@pytest.mark.parametrize("verb", ["slow_link", "unslow_link"])
+def test_network_slow_link_refuses_a_nan_delay(verb):
+    # A NaN penalty would reach the kernel's heap with every later send.
+    cluster = make_cluster()
+    with pytest.raises(ValueError, match="extra_delay must be >= 0, got nan"):
+        getattr(cluster.network, verb)(0, 1, float("nan"))
+    assert cluster.network.link_penalty(0, 1) == 0.0
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda t: Downtime(pid=0, start=t, end=1e-3),
+        lambda t: Downtime(pid=0, start=0.0, end=t),
+        lambda t: CrashAt(pid=0, time=t),
+        lambda t: RollingRestarts(start=t),
+        lambda t: RollingRestarts(interval=t),
+        lambda t: RollingRestarts(downtime=t),
+        lambda t: SlowLinks(start=0.0, end=1e-3, extra_delay=t),
+        lambda t: CrashOnTrace(kind="store_begin", pid=0, recover_after=t),
+        lambda t: TornStore(pid=0, recover_after=t),
+        lambda t: CorruptRecord(pid=0, key="written", time=t),
+        lambda t: SlowDisk(pid=0, start=0.0, end=1e-3, extra_latency=t),
+        lambda t: LostStore(pid=0, time=t),
+        lambda t: RandomCrashPlan(horizon=t),
+    ],
+    ids=[
+        "downtime-start", "downtime-end", "crash-at", "rolling-start",
+        "rolling-interval", "rolling-downtime", "slow-links", "crash-on-trace",
+        "torn-store", "corrupt-record", "slow-disk", "lost-store", "random-crashes",
+    ],
+)
+def test_a_nan_fault_time_is_refused_like_a_negative_one(build):
+    # Refused when the fault is built, with the negative value's words;
+    # a NaN time used to reach the kernel only when the step was armed.
+    with pytest.raises(ConfigurationError) as negative:
+        build(-1.0)
+    with pytest.raises(ConfigurationError) as nan:
+        build(NAN)
+    assert str(nan.value) == str(negative.value)
+
+
+def test_a_nan_step_time_is_refused_before_anything_is_armed():
+    cluster = make_cluster()
+    steps = [(1e-3, "crash", (0,)), (NAN, "crash", (1,))]
+    with pytest.raises(ConfigurationError, match="crash step at nan is in the past"):
+        arm_steps(cluster, steps)
+    assert cluster.kernel.pending_events == 0
 
 
 def test_unslow_link_leaves_no_float_residue():

@@ -1,5 +1,7 @@
 """Unit tests for simulated stable storage."""
 
+import random
+
 import pytest
 
 from repro.common.config import StorageConfig
@@ -12,6 +14,40 @@ def make_storage(**config_kwargs):
     kernel = Kernel(seed=0)
     storage = SimStableStorage(kernel, 0, StorageConfig(**config_kwargs), Trace())
     return kernel, storage
+
+
+class TestStoreLatency:
+    """A store costs ``base_latency + size / bandwidth + jitter`` (StorageConfig)."""
+
+    def test_base_latency_for_tiny_log(self):
+        kernel, storage = make_storage(base_latency=2e-4, max_jitter=0.0)
+        done = []
+        storage.store("k", ("v",), size=1, on_durable=lambda: done.append(kernel.now))
+        kernel.run()
+        assert done == [pytest.approx(2e-4 + 1 / StorageConfig().bandwidth)]
+
+    def test_latency_linear_in_size(self):
+        kernel, storage = make_storage(base_latency=0.0, bandwidth=1e6, max_jitter=0.0)
+        done = []
+        storage.store("k", ("v",), size=5000, on_durable=lambda: done.append(kernel.now))
+        kernel.run()
+        assert done == [pytest.approx(5e-3)]
+
+    def test_jitter_is_one_draw_per_store(self):
+        kernel, storage = make_storage(base_latency=1e-4, bandwidth=1e12, max_jitter=5e-5)
+        reference = random.Random(0)  # the kernel's seed
+        for index in range(20):
+            started, done = kernel.now, []
+            storage.store("k", (index,), size=0, on_durable=lambda: done.append(kernel.now))
+            kernel.run()
+            assert done[0] - started == pytest.approx(1e-4 + reference.uniform(0.0, 5e-5))
+        assert kernel.rng.getstate() == reference.getstate()
+
+    def test_rejects_negative_size(self):
+        kernel, storage = make_storage()
+        with pytest.raises(ValueError, match="log size must be >= 0"):
+            storage.store("k", ("v",), size=-5, on_durable=lambda: None)
+        assert kernel.queue == [] and storage.retrieve("k") is None
 
 
 class TestDurability:
@@ -197,6 +233,14 @@ class TestFaultInjection:
         storage.store("k", ("v2",), size=1, on_durable=lambda: None)
         kernel.run()
         assert storage.retrieve("k") == ("v2",)
+
+    @pytest.mark.parametrize("extra", [-1e-4, float("nan")])
+    def test_a_slow_window_must_be_a_non_negative_time(self, extra):
+        # A NaN latency would reach the kernel's heap: stores push
+        # their completion there without ``schedule``'s check.
+        _kernel, storage = make_storage()
+        with pytest.raises(ValueError, match="extra_latency must be >= 0"):
+            storage.set_slow(extra)
 
     def test_slow_window_adds_latency(self):
         kernel, storage = make_storage(

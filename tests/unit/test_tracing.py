@@ -156,6 +156,31 @@ class TestFastPath:
         assert trace.count(tracing.SEND) == 2
         assert trace.events == []
 
+    @pytest.mark.parametrize("capacity", [1, 3, 7, 64])
+    def test_counts_are_exact_across_the_rings_laps(self, capacity):
+        # With the ring on, a record is not counted: each lap of the
+        # ring is folded into the totals when the cursor wraps, and
+        # count() adds the lap in progress.
+        ringed = Trace(capture=False, ring_capacity=capacity)
+        counted = Trace(capture=False, flight_recorder=False)
+        kinds = tracing.ALL_KINDS
+        for index in range(5 * capacity + 3):
+            kind = kinds[(index * index + index // 3) % len(kinds)]
+            for trace in (ringed, counted):
+                record(trace, kind, pid=index % 4)
+            for probe in kinds:
+                assert ringed.count(probe) == counted.count(probe), (index, probe)
+        assert sum(map(ringed.count, kinds)) == ringed.ring.total == 5 * capacity + 3
+        assert ringed.count("no-such-kind") == counted.count("no-such-kind") == 0
+
+    def test_a_listened_kind_unsubscribed_leaves_nothing_wanted(self):
+        trace = Trace(capture=False)
+        unsubscribe = trace.subscribe(lambda e: None, kinds=[tracing.SEND])
+        unsubscribe()
+        assert trace._wanted is tracing._NOBODY
+        record(trace, tracing.SEND)
+        assert trace.count(tracing.SEND) == 1 and trace.events == []
+
     def test_null_trace_wants_nothing_and_refuses_listeners(self):
         assert not NULL_TRACE.wants(tracing.SEND)
         assert not NULL_TRACE.capturing

@@ -203,6 +203,10 @@ class Cluster:
     _registers: Set[str]
     #: Records every invocation, reply, crash and recovery.
     recorder: HistoryRecorder
+    #: The always-on bounded event ring.  Decode with
+    #: :meth:`~repro.obs.ring.RingTrace.to_trace_events`, or export via
+    #: ``to_jsonl()`` / ``to_chrome_trace()``.
+    flight_recorder: RingTrace
     #: The scheduler, a :class:`repro.common.kernel.Kernel`: on virtual
     #: time on the simulated backends, on the wall clock on live.
     kernel: Any
@@ -580,7 +584,7 @@ class Cluster:
         registry.histogram("node.recovery_time")
         registry.gauge(
             "trace.flight_recorded",
-            fn=lambda: getattr(self.flight_recorder, "total", 0),
+            fn=lambda: self.flight_recorder.total,
         )
 
     def _recovered(self, duration: float) -> None:
@@ -603,15 +607,6 @@ class Cluster:
         :class:`repro.obs.metrics.MetricsSnapshot`.
         """
         return self.registry.snapshot()
-
-    @property
-    def flight_recorder(self) -> Optional[RingTrace]:
-        """The always-on bounded event ring, or ``None`` when disabled.
-
-        Decode with :meth:`~repro.obs.ring.RingTrace.to_trace_events`,
-        or export via ``to_jsonl()`` / ``to_chrome_trace()``.
-        """
-        return None
 
     def transcript(self) -> Optional[List[str]]:
         """Captured trace events as strings, or ``None`` (no capture)."""

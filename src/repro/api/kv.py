@@ -87,7 +87,6 @@ class KVBackend(SimBackend):
         config: Optional[ClusterConfig] = None,
         seed: Optional[int] = None,
         capture_trace: bool = False,
-        flight_recorder: bool = True,
         checkpoint_interval: Optional[float] = None,
         recovery_scan: bool = False,
     ):
@@ -106,7 +105,6 @@ class KVBackend(SimBackend):
             config=config,
             capture_trace=capture_trace,
             batch_window=batch_window,
-            flight_recorder=flight_recorder,
             checkpoint_interval=checkpoint_interval,
             recovery_scan=recovery_scan,
         )

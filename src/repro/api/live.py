@@ -119,7 +119,7 @@ class LiveBackend(Cluster):
         # One shared flight recorder over every node's transport, using
         # the sim trace's kind vocabulary so exports decode uniformly
         # across backends.
-        self._flight_recorder = RingTrace(kinds=ALL_KINDS)
+        self.flight_recorder = RingTrace(kinds=ALL_KINDS)
         self.nodes: List[RuntimeNode] = []
         self._registers: Set[str] = set()
         # Handles whose op timeout may still fire, oldest first, so in
@@ -158,8 +158,7 @@ class LiveBackend(Cluster):
                     recorder=self.recorder,
                 )
                 self.nodes.append(node)  # before it binds: close() covers a failed start
-                node.start(kernel)
-                node.transport.attach_flight_recorder(self._flight_recorder, kernel.clock)
+                node.start(kernel, self.flight_recorder)
             peers = [
                 Peer(pid=node.pid, host=node.transport.host, port=node.transport.port)
                 for node in self.nodes
@@ -322,7 +321,3 @@ class LiveBackend(Cluster):
             "net.malformed",
             fn=lambda: sum(n.transport.malformed for n in nodes),
         )
-
-    @property
-    def flight_recorder(self) -> RingTrace:
-        return self._flight_recorder

@@ -104,7 +104,6 @@ class SimBackend(Cluster):
         include_broken: bool = False,
         capture_trace: bool = False,
         batch_window: float = 0.0,
-        flight_recorder: bool = True,
         checkpoint_interval: Optional[float] = None,
         recovery_scan: bool = False,
     ):
@@ -123,7 +122,8 @@ class SimBackend(Cluster):
         # Construction order fixes the seeded RNG streams: kernel,
         # trace, recorder, network, then storage + node per pid.
         self.kernel = Kernel(seed=config.seed)
-        self.trace = Trace(capture=capture_trace, flight_recorder=flight_recorder)
+        self.trace = Trace(capture=capture_trace)
+        self.flight_recorder = self.trace.ring
         self.recorder = HistoryRecorder(clock=lambda: self.kernel.now)
         self.network = SimNetwork(
             self.kernel, config.num_processes, config.network, self.trace
@@ -289,10 +289,6 @@ class SimBackend(Cluster):
         )
         registry.gauge("net.messages_dropped", fn=lambda: network.messages_dropped)
         registry.gauge("net.bytes_sent", fn=lambda: network.bytes_sent)
-
-    @property
-    def flight_recorder(self):
-        return self.trace.ring
 
     def transcript(self) -> Optional[List[str]]:
         if not self.trace.capturing:

@@ -2,37 +2,48 @@
 
 Where a capturing :class:`repro.obs.tracing.Trace` stores one frozen
 ``TraceEvent`` dataclass (with a detail dict) per event, the ring
-stores four parallel pre-allocated list slots per event -- time, a
-small-int kind code, the node id and an opaque op reference -- and
-overwrites the oldest entry when full.  A slot store allocates
-*nothing* (the stored objects already exist on the caller's frame) and
-triggers no cyclic-GC bookkeeping, which is what makes the recorder
-cheap enough to leave **always on**: when a soak run crashes or a
-checker flags a violation, the last ``capacity`` events are already in
-memory, no re-run with capture enabled required.
+stores four parallel list slots per event -- time, a small-int kind
+code, the node id and an opaque op reference -- and overwrites the
+oldest entry when full.  A slot store allocates *nothing* (the stored
+objects already exist on the caller's frame) and triggers no cyclic-GC
+bookkeeping, which is what makes the recorder cheap enough to leave
+**always on**: when a soak run crashes or a checker flags a violation,
+the last ``capacity`` events are already in memory, no re-run with
+capture enabled required.
+
+The slots are sized to the run: a ring opens with ``min(capacity,
+1024)`` of them and doubles, up to ``capacity``, each time its cursor
+reaches the allocated end, so a short run never pays for a window it
+does not fill.
 
 Recording never touches the kernel: no events, no randomness, no
-allocation beyond the slot assignments.  The hot-path attributes are
-deliberately public so the simulator's trace can inline the store
-sequence without a method call per event (see
-:meth:`repro.obs.tracing.Trace.record`, which writes every event's slot
-from its own arguments, captured or not); :meth:`RingTrace.record`
-wraps the same steps for everyone else.  Decoding is on demand only:
-:meth:`RingTrace.events` yields light tuples in chronological order,
-:meth:`RingTrace.to_trace_events` rehydrates today's ``TraceEvent``
-stream, and :meth:`RingTrace.to_chrome_trace` /
-:meth:`RingTrace.to_jsonl` export for chrome://tracing and scripts.
+allocation beyond the slot assignments (and the rare growth).  The
+hot-path attributes are deliberately public so the simulator's trace
+and the live transport can inline the store sequence without a method
+call per event (see :meth:`repro.obs.tracing.Trace.record`); every
+writer, :meth:`RingTrace.record` included, ends by comparing the
+cursor with :attr:`RingTrace.end` and leaves the rare branch to
+:meth:`RingTrace.wrap`, the one place the ring grows, wraps and counts
+its laps.  Decoding is on demand only: :meth:`RingTrace.events` yields
+light tuples in chronological order, :meth:`RingTrace.to_trace_events`
+rehydrates today's ``TraceEvent`` stream, and
+:meth:`RingTrace.to_chrome_trace` / :meth:`RingTrace.to_jsonl` export
+for chrome://tracing and scripts.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Any, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
-#: Default ring capacity: 64Ki events (~2MB of slots) holds the full
-#: tail of any scenario phase while staying negligible next to the
-#: history the checker keeps anyway.
+#: Default ring capacity: 64Ki events (~2MB of slots once grown) holds
+#: the full tail of any scenario phase while staying negligible next to
+#: the history the checker keeps anyway.
 DEFAULT_CAPACITY = 65536
+
+#: Slots a ring opens with (fewer if its capacity is smaller).
+FIRST_SLOTS = 1024
 
 
 class RingEvent(NamedTuple):
@@ -52,16 +63,16 @@ class RingTrace:
     pre-resolved-handle discipline as the metrics registry).
 
     The slot lists (:attr:`times`/:attr:`codes`/:attr:`pids`/
-    :attr:`ops`) plus the :attr:`next_index`/:attr:`wraps` cursor are
-    public on purpose: they are the inlinable hot path.  A writer
-    stores into all four lists at ``next_index``, then advances the
-    cursor, bumping :attr:`wraps` when it returns to zero --
-    :attr:`total` is derived from the cursor, so recording an event
-    costs no separate counter update.
+    :attr:`ops`), their allocated length :attr:`end` and the
+    :attr:`next_index` cursor are public on purpose: they are the
+    inlinable hot path.  A writer stores into all four lists at
+    ``next_index``, advances the cursor, and calls :meth:`wrap` instead
+    when the cursor reaches ``end`` -- :attr:`total` is derived from
+    the cursor, so recording an event costs no separate counter update.
     """
 
-    __slots__ = ("kinds", "capacity", "times", "codes", "pids", "ops",
-                 "next_index", "wraps")
+    __slots__ = ("kinds", "capacity", "end", "times", "codes", "pids", "ops",
+                 "next_index", "wraps", "_lapped")
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY,
                  kinds: Sequence[str] = ()) -> None:
@@ -69,13 +80,17 @@ class RingTrace:
             raise ValueError(f"ring capacity must be positive, got {capacity}")
         self.kinds = tuple(kinds)
         self.capacity = capacity
-        self.times: List[float] = [0.0] * capacity
-        self.codes: List[int] = [0] * capacity
-        self.pids: List[int] = [0] * capacity
-        self.ops: List[Any] = [None] * capacity
+        #: Slots allocated so far: grows to ``capacity`` in :meth:`wrap`.
+        self.end = end = min(capacity, FIRST_SLOTS)
+        self.times: List[float] = [0.0] * end
+        self.codes: List[int] = [0] * end
+        self.pids: List[int] = [0] * end
+        self.ops: List[Any] = [None] * end
         #: Next slot to overwrite, and completed trips around the ring.
         self.next_index = 0
         self.wraps = 0
+        # Kind code -> its records in the completed laps.
+        self._lapped: Counter = Counter()
 
     def kind_id(self, kind: str) -> int:
         """Resolve a kind name to its code (do this once, not per event)."""
@@ -89,16 +104,44 @@ class RingTrace:
         self.pids[index] = pid
         self.ops[index] = op
         index += 1
-        if index == self.capacity:
-            self.next_index = 0
-            self.wraps += 1
+        if index == self.end:
+            self.wrap()
         else:
             self.next_index = index
+
+    def wrap(self) -> None:
+        """Move the cursor on from the allocated end: every writer's rare branch.
+
+        Short of ``capacity`` the slots double (at most to ``capacity``)
+        and the cursor runs on into the new ones; at ``capacity`` the
+        lap just completed is folded into the per-kind totals, one
+        C-speed pass, and the cursor returns to the oldest slot.
+        """
+        end = self.end
+        if end < self.capacity:
+            more = min(end, self.capacity - end)
+            self.times += [0.0] * more
+            self.codes += [0] * more
+            self.pids += [0] * more
+            self.ops += [None] * more
+            self.end = end + more
+            self.next_index = end
+        else:
+            self._lapped.update(self.codes)
+            self.wraps += 1
+            self.next_index = 0
 
     @property
     def total(self) -> int:
         """Events ever recorded (including since-overwritten ones)."""
         return self.wraps * self.capacity + self.next_index
+
+    def count(self, kind: str) -> int:
+        """Events of ``kind`` ever recorded, overwritten ones included."""
+        if kind not in self.kinds:
+            return 0
+        code = self.kinds.index(kind)
+        return self._lapped[code] + self.codes[: self.next_index].count(code)
 
     @property
     def dropped(self) -> int:

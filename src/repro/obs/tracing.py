@@ -28,11 +28,9 @@ listens, so a record tests it once, by identity.
 :data:`NULL_TRACE` is a module-level sink for components run without
 any trace at all; it records nothing and refuses listeners.
 
-Counts.  :meth:`Trace.count` is exact, but with the flight recorder on
-a record pays nothing for it: the ring holds every record's kind code,
-each lap of the ring is folded into per-kind totals (one C-speed pass)
-when its cursor wraps, and ``count`` adds the lap in progress.  With
-the ring off a record adds one to its kind's pre-filled total.
+Counts.  :meth:`Trace.count` is exact, and a record pays nothing for
+it: the ring holds every record's kind code and folds each completed
+lap into per-kind totals (:meth:`repro.obs.ring.RingTrace.count`).
 
 Flight recorder.  Independently of capture, every trace feeds a
 bounded :class:`repro.obs.ring.RingTrace` of ``(time, kind-id, pid,
@@ -41,13 +39,12 @@ is reconstructable after a crash without re-running with capture
 enabled.  Its slot is written from :meth:`Trace.record`'s own
 arguments before anything else, so the ring holds the same records
 whether or not anyone captures or listens.  Recording never schedules
-kernel events or consumes randomness, so seeded runs are byte-identical
-with the ring on or off (``Trace(flight_recorder=False)`` disables it).
+kernel events or consumes randomness, so observing a run cannot
+change it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
@@ -134,25 +131,15 @@ class Trace:
     nobody wants (see the module docstring).
     """
 
-    def __init__(
-        self,
-        capture: bool = True,
-        flight_recorder: bool = True,
-        ring_capacity: int = DEFAULT_CAPACITY,
-    ):
+    def __init__(self, capture: bool = True, ring_capacity: int = DEFAULT_CAPACITY):
         self._capture = capture
-        self._ring: Optional[RingTrace] = (
-            RingTrace(capacity=ring_capacity, kinds=ALL_KINDS)
-            if flight_recorder
-            else None
-        )
+        #: The flight recorder.
+        self.ring = RingTrace(capacity=ring_capacity, kinds=ALL_KINDS)
         self._events: List[TraceEvent] = []
         #: Listeners for every kind, in subscription order.
         self._all_listeners: List[Listener] = []
         #: kind -> listeners restricted to that kind.
         self._kind_listeners: Dict[str, List[Listener]] = {}
-        #: kind -> its records (with the ring on, of the completed laps).
-        self._counts: Dict[str, int] = dict.fromkeys(ALL_KINDS, 0)
         #: ``None`` means every kind is wanted (capture on, or a
         #: listener subscribed without a kind restriction); ``_NOBODY``
         #: that none is.
@@ -163,11 +150,6 @@ class Trace:
     def capturing(self) -> bool:
         """Whether recorded events are retained in :attr:`events`."""
         return self._capture
-
-    @property
-    def ring(self) -> Optional[RingTrace]:
-        """The flight recorder, or ``None`` when disabled."""
-        return self._ring
 
     def wants(self, kind: str) -> bool:
         """Whether :meth:`record` builds a real event for ``kind``."""
@@ -188,32 +170,25 @@ class Trace:
 
         ``op`` is the operation the event belongs to; ``a``, ``b`` and
         ``c`` are the kind's other detail values, in the order of
-        :data:`DETAIL_FIELDS`.  The flight-recorder slot (with the ring
-        off, the count) is written inline; a :class:`TraceEvent` is
-        built only when :meth:`wants` says someone captures or listens.
+        :data:`DETAIL_FIELDS`.  The flight-recorder slot is written
+        inline; a :class:`TraceEvent` is built only when :meth:`wants`
+        says someone captures or listens.
         """
-        ring = self._ring
-        if ring is None:
-            self._counts[kind] += 1
+        # RingTrace.record, inlined: this is the single hottest
+        # telemetry line in the simulator (once per kernel event), and
+        # skipping the method call keeps the always-on ring within its
+        # overhead budget.
+        ring = self.ring
+        index = ring.next_index
+        ring.times[index] = time
+        ring.codes[index] = KIND_IDS[kind]
+        ring.pids[index] = pid
+        ring.ops[index] = op
+        index += 1
+        if index == ring.end:
+            ring.wrap()
         else:
-            # RingTrace.record, inlined: this is the single hottest
-            # telemetry line in the simulator (once per kernel event),
-            # and skipping the method call keeps the always-on ring
-            # within its overhead budget (the traced pass of
-            # ``bench/run.py`` bills it to the ``obs`` layer).
-            index = ring.next_index
-            ring.times[index] = time
-            ring.codes[index] = KIND_IDS[kind]
-            ring.pids[index] = pid
-            ring.ops[index] = op
-            index += 1
-            if index == ring.capacity:
-                ring.next_index = 0
-                ring.wraps += 1
-                for code, number in Counter(ring.codes).items():  # the lap
-                    self._counts[ALL_KINDS[code]] += number
-            else:
-                ring.next_index = index
+            ring.next_index = index
         if self._wanted is not _NOBODY:
             wanted = self._wanted
             if wanted is None or kind in wanted:
@@ -291,10 +266,7 @@ class Trace:
 
     def count(self, kind: str) -> int:
         """Number of events of ``kind`` (works even when not capturing)."""
-        ring, counted = self._ring, self._counts.get(kind, 0)
-        if ring is None or kind not in KIND_IDS:
-            return counted
-        return counted + ring.codes[: ring.next_index].count(KIND_IDS[kind])
+        return self.ring.count(kind)
 
     def filter(
         self, kind: Optional[str] = None, pid: Optional[int] = None
@@ -313,15 +285,13 @@ class NullTrace(Trace):
 
     Components constructed without a trace share the module-level
     :data:`NULL_TRACE` singleton; it cannot capture and refuses
-    listeners, so its fast path can never be deactivated.  Counts are
-    dropped too: on a process-wide singleton they would aggregate
-    unrelated runs, so keeping them would only cost dict work on the
-    hot path to produce a meaningless number.  The flight recorder is
-    off for the same reason.
+    listeners, so its fast path can never be deactivated.  Nothing
+    reaches its one-slot ring either: on a process-wide singleton the
+    records and counts would mix unrelated runs.
     """
 
     def __init__(self):
-        super().__init__(capture=False, flight_recorder=False)
+        super().__init__(capture=False, ring_capacity=1)
 
     def subscribe(
         self, listener: Listener, kinds: Optional[Sequence[str]] = None

@@ -862,10 +862,12 @@ class NodeCore:
             self._defer(self.batch_window, self._flush_frames, dst, self.incarnation)
 
     def _flush_frames(self, dst: ProcessId, incarnation: int) -> None:
+        if incarnation != self.incarnation:
+            # Its frames died with it (``crash`` dropped them); what is
+            # queued now is a later incarnation's, flushed on its own.
+            return
         self._flush_scheduled.discard(dst)
         frames = self._pending_frames.pop(dst, None)
-        if incarnation != self.incarnation or self.state == CRASHED:
-            return  # frames queued by a dead incarnation die with it
         if not frames:
             return
         self._transmit(self._to[dst], MuxBatch(None, 0, tuple(frames)), 0)

@@ -70,6 +70,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from repro.common.errors import ReproError
 from repro.common.ids import ProcessId
 from repro.history.recorder import HistoryRecorder
+from repro.obs.ring import RingTrace
 from repro.protocol.host import NodeCore, ProtocolFactory
 from repro.runtime.storage import FileLog, LogView, encode_frame
 from repro.runtime.transport import UdpTransport
@@ -158,14 +159,14 @@ class RuntimeNode(NodeCore):
         # Key -> stores queued and not durable yet.
         self._storing: Counter = Counter()
 
-    def start(self, kernel: Kernel) -> None:
-        """Bind the transport on live ``kernel``.  Peers are installed by the cluster."""
+    def start(self, kernel: Kernel, ring: RingTrace) -> None:
+        """Bind the transport on live ``kernel``, stamping into ``ring``.  Peers are installed by the cluster."""
         self._kernel = kernel
         self._thread = threading.get_ident()
         self._now = kernel.clock
         self._call_later = kernel.schedule_cancellable
         self._defer = kernel.schedule
-        self.transport.start(self._on_message, kernel)
+        self.transport.start(self._on_message, kernel, ring)
 
     def close(self) -> None:
         """Release the socket, then land every job queued on the log.

@@ -16,7 +16,9 @@ frame and the unpacker's: the kernel runs it straight from its poll
 once per readable event, and it reads one datagram with one
 ``recv_into`` into a buffer of ``MAX_DATAGRAM + 1`` bytes allocated
 once, makes :func:`decode`'s checks on the size that call returned,
-unpacks, counts, flight-records and hands the message to the node.  The
+unpacks, counts, flight-records and hands the message to the node.
+Every send and delivery is stamped into the cluster's one flight
+recorder, handed to :meth:`UdpTransport.start`.  The
 buffer's size matters: one above glibc's 128 KiB mmap threshold
 (asyncio's datagram transport asks for 256 KiB) is mapped, faulted in
 and unmapped for every datagram.
@@ -101,6 +103,7 @@ from repro.protocol.messages import (
 
 if TYPE_CHECKING:
     from repro.common.kernel import Kernel
+    from repro.obs.ring import RingTrace
 
 #: Hard UDP payload ceiling (IPv4 localhost supports slightly less
 #: than 64 KB of payload after headers).
@@ -373,35 +376,24 @@ class UdpTransport:
         self.malformed = 0
         #: Set to True to drop all I/O (crash emulation).
         self.muted = False
-        # Optional flight recorder (attach_flight_recorder); when
-        # attached, send/receive are mirrored into the shared ring.
-        self._ring = None
-        self._ring_clock: Optional[Callable[[], float]] = None
-        self._ring_send = 0
-        self._ring_deliver = 0
+        # The flight recorder sends and deliveries are stamped into.
+        self._ring: Optional[RingTrace] = None
+        self._ring_send = self._ring_deliver = 0
 
-    def attach_flight_recorder(
-        self, ring, clock: Callable[[], float]
-    ) -> None:
-        """Mirror sends/receives into ``ring``; sends are timestamped by ``clock``.
+    def start(self, receive: ReceiveCallback, kernel: Kernel, ring: RingTrace) -> None:
+        """Bind the socket and deliver to ``receive`` while live ``kernel`` runs.
 
-        Kind codes are resolved once here (the pre-resolved-handle
-        discipline of :mod:`repro.obs`); each send and delivery stores
+        Every send and delivery is stamped into the flight recorder
+        ``ring``, whose kind codes are resolved once here (the
+        pre-resolved-handle discipline of :mod:`repro.obs`): each stores
         into the ring's public slots inline, as
         :meth:`repro.obs.tracing.Trace.record` does, with no method call.
-        The destinations of one transmit share one ``clock()`` reading;
-        a delivery is stamped with the kernel's time of the event that
-        carries it (:attr:`~repro.common.kernel.Kernel.now`), as on the
-        simulator: the poll that found the datagram, or the instant a
-        message to itself fell due.
+        The destinations of one transmit share one ``kernel.clock()``
+        reading; a delivery is stamped with the kernel's time of the
+        event that carries it (:attr:`~repro.common.kernel.Kernel.now`),
+        as on the simulator: the poll that found the datagram, or the
+        instant a message to itself fell due.
         """
-        self._ring = ring
-        self._ring_clock = clock
-        self._ring_send = ring.kind_id("send")
-        self._ring_deliver = ring.kind_id("deliver")
-
-    def start(self, receive: ReceiveCallback, kernel: Kernel) -> None:
-        """Bind the socket and deliver to ``receive`` while live ``kernel`` runs."""
         # Resolved here, blocking: the configured host is an address
         # literal wherever this repository binds.
         # As bytes, because a str host makes Python import its IDNA
@@ -420,6 +412,9 @@ class UdpTransport:
         self._sock = sock
         self._receive = receive
         self._kernel = kernel
+        self._ring = ring
+        self._ring_send = ring.kind_id("send")
+        self._ring_deliver = ring.kind_id("deliver")
         kernel.io.add_reader(sock.fileno(), self._on_datagram)
 
     def set_peers(self, peers: List[Peer]) -> None:
@@ -449,8 +444,7 @@ class UdpTransport:
         if self.muted or sock is None:
             return
         ring = self._ring
-        if ring is not None:
-            now = self._ring_clock()  # one reading for every destination
+        now = self._kernel.clock()  # one reading for every destination
         for dst in dsts:
             if dst == self.pid:
                 self._kernel.schedule(0.0, self._deliver, dst, depth, message)
@@ -462,18 +456,16 @@ class UdpTransport:
                     # channel lost this datagram, retransmission covers it.
                     continue
             self.messages_sent += 1
-            if ring is not None:
-                index = ring.next_index
-                ring.times[index] = now
-                ring.codes[index] = self._ring_send
-                ring.pids[index] = self.pid
-                ring.ops[index] = message.op
-                index += 1
-                if index == ring.capacity:
-                    ring.next_index = 0
-                    ring.wraps += 1
-                else:
-                    ring.next_index = index
+            index = ring.next_index
+            ring.times[index] = now
+            ring.codes[index] = self._ring_send
+            ring.pids[index] = self.pid
+            ring.ops[index] = message.op
+            index += 1
+            if index == ring.end:
+                ring.wrap()
+            else:
+                ring.next_index = index
 
     def _on_datagram(self, data: Any = None) -> None:
         """Receive one datagram: ``data``, or the next one on the socket.
@@ -509,18 +501,16 @@ class UdpTransport:
             return
         self.messages_received += 1
         ring = self._ring
-        if ring is not None:
-            index = ring.next_index
-            ring.times[index] = self._kernel.now  # the poll that found it
-            ring.codes[index] = self._ring_deliver
-            ring.pids[index] = self.pid
-            ring.ops[index] = message.op
-            index += 1
-            if index == ring.capacity:
-                ring.next_index = 0
-                ring.wraps += 1
-            else:
-                ring.next_index = index
+        index = ring.next_index
+        ring.times[index] = self._kernel.now  # the poll that found it
+        ring.codes[index] = self._ring_deliver
+        ring.pids[index] = self.pid
+        ring.ops[index] = message.op
+        index += 1
+        if index == ring.end:
+            ring.wrap()
+        else:
+            ring.next_index = index
         self._receive(src, message, depth)
 
     def _deliver(self, src: ProcessId, depth: int, message: Message) -> None:
@@ -529,18 +519,16 @@ class UdpTransport:
             return
         self.messages_received += 1
         ring = self._ring
-        if ring is not None:
-            index = ring.next_index
-            ring.times[index] = self._kernel.now  # the instant it fell due
-            ring.codes[index] = self._ring_deliver
-            ring.pids[index] = self.pid
-            ring.ops[index] = message.op
-            index += 1
-            if index == ring.capacity:
-                ring.next_index = 0
-                ring.wraps += 1
-            else:
-                ring.next_index = index
+        index = ring.next_index
+        ring.times[index] = self._kernel.now  # the instant it fell due
+        ring.codes[index] = self._ring_deliver
+        ring.pids[index] = self.pid
+        ring.ops[index] = message.op
+        index += 1
+        if index == ring.end:
+            ring.wrap()
+        else:
+            ring.next_index = index
         self._receive(src, message, depth)
 
     def close(self) -> None:

@@ -422,6 +422,8 @@ class RandomCrashPlan(FaultAction):
             raise ConfigurationError("horizon must be > 0")
         if not 0.0 <= self.crash_rate <= 1.0:
             raise ConfigurationError("crash_rate must be in [0, 1]")
+        if not self.mean_downtime > 0:
+            raise ConfigurationError("mean_downtime must be > 0")
 
     def steps(self, num_processes: int) -> List[Step]:
         rng = random.Random(self.seed)

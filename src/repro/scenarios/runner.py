@@ -436,16 +436,14 @@ def run_scenario(
     seed: Optional[int] = None,
     ops: Optional[int] = None,
     capture_trace: Optional[bool] = None,
-    flight_recorder: Optional[bool] = None,
 ) -> ScenarioResult:
     """Execute ``scenario`` and return its result.
 
     ``protocol``, ``seed``, ``ops`` and ``capture_trace`` override the
-    scenario's defaults; ``flight_recorder=False`` switches the
-    always-on trace ring off (the default leaves the backend's choice
-    alone); everything else is the spec's business.  Two calls with
-    equal arguments produce equal :meth:`ScenarioResult.fingerprint`
-    values -- the ring and metrics are passive observers.
+    scenario's defaults; everything else is the spec's business.  Two
+    calls with equal arguments produce equal
+    :meth:`ScenarioResult.fingerprint` values -- the ring and metrics
+    are passive observers.
     """
     protocol = protocol or scenario.default_protocol
     seed = scenario.default_seed if seed is None else seed
@@ -456,9 +454,7 @@ def run_scenario(
     criterion = default_criterion(protocol)
 
     started = time.perf_counter()
-    result = _run(
-        scenario, protocol, seed, ops, capture, criterion, flight_recorder
-    )
+    result = _run(scenario, protocol, seed, ops, capture, criterion)
     result.wall_s = time.perf_counter() - started
     result.check_wall_s = sum(check.wall_s for check in result.checks)
     return result
@@ -495,7 +491,6 @@ def _run(
     ops: int,
     capture: bool,
     criterion: str,
-    flight_recorder: Optional[bool] = None,
 ) -> ScenarioResult:
     """Drive ``scenario`` against the façade cluster its spec maps to.
 
@@ -503,16 +498,13 @@ def _run(
     .Scenario.backend`); the cluster declares its capabilities, which
     :func:`_drive_phases` reads.
     """
-    options = dict(scenario.backend_options())
-    if flight_recorder is not None:
-        options["flight_recorder"] = flight_recorder
     cluster = open_cluster(
         backend=scenario.backend,
         protocol=protocol,
         num_processes=scenario.num_processes,
         seed=seed,
         capture_trace=capture,
-        **options,
+        **scenario.backend_options(),
     )
     recovery = _supports_recovery(protocol)
     # A fault the backend lacks a verb for, or that names a process the
@@ -549,7 +541,7 @@ def _finalize(result: ScenarioResult, cluster: Cluster, capture: bool) -> None:
     snapshot = cluster.metrics()
     result.metrics = snapshot.as_dict()
     result.metrics_snapshot = snapshot
-    result.flight_recorder = getattr(cluster, "flight_recorder", None)
+    result.flight_recorder = cluster.flight_recorder
     result.recovery_times = {
         node.pid: list(node.recovery_times)
         for node in cluster.nodes

@@ -36,12 +36,8 @@ PROTOCOLS = ("crash-stop", "transient", "persistent", "persistent-fastread")
 _OPID = re.compile(r"p(\d+)#(\d+)")
 
 
-def run_scenario(protocol: str, flight_recorder: bool = True) -> str:
-    """Run the fixed-seed scenario and return its serialized transcript.
-
-    ``flight_recorder`` toggles the always-on trace ring; the goldens
-    must match either way (recording is passive observation).
-    """
+def run_scenario(protocol: str) -> str:
+    """Run the fixed-seed scenario and return its serialized transcript."""
     config = ClusterConfig(
         num_processes=3,
         network=NetworkConfig(
@@ -57,7 +53,6 @@ def run_scenario(protocol: str, flight_recorder: bool = True) -> str:
         protocol=protocol,
         config=config,
         capture_trace=True,
-        flight_recorder=flight_recorder,
     )
     cluster.start()
     if protocol != "crash-stop":
@@ -78,7 +73,7 @@ def _downtime_window(cluster: Cluster) -> None:
     Downtime(2, 0.004 - now, 0.009 - now).arm(cluster)
 
 
-def run_checkpoint_scenario(flight_recorder: bool = True) -> str:
+def run_checkpoint_scenario() -> str:
     """The checkpointing variant of the fixed-seed scenario.
 
     Same cluster, network adversary and downtime window as
@@ -103,7 +98,6 @@ def run_checkpoint_scenario(flight_recorder: bool = True) -> str:
         protocol="persistent",
         config=config,
         capture_trace=True,
-        flight_recorder=flight_recorder,
         checkpoint_interval=1.5e-3,
         recovery_scan=True,
     )

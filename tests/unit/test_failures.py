@@ -192,3 +192,10 @@ class TestRandomCrashPlan:
             RandomCrashPlan(horizon=0.0)
         with pytest.raises(ConfigurationError):
             RandomCrashPlan(horizon=1.0, crash_rate=1.5)
+
+    @pytest.mark.parametrize("mean", [0.0, -0.01, float("nan")])
+    def test_a_non_positive_mean_downtime_is_refused(self, mean):
+        # Unchecked, these gave a ZeroDivisionError, a silent 0.1 ms
+        # floor and a ``recover`` step at nan, in that order.
+        with pytest.raises(ConfigurationError, match="mean_downtime"):
+            RandomCrashPlan(horizon=1.0, crash_rate=1.0, mean_downtime=mean)

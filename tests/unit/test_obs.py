@@ -16,7 +16,7 @@ from repro.obs.metrics import (
     MetricsSnapshot,
     merge_snapshots,
 )
-from repro.obs.ring import RingTrace
+from repro.obs.ring import FIRST_SLOTS, RingTrace
 from repro.obs.summary import LatencyStats, percentile
 
 
@@ -257,25 +257,44 @@ class TestRingTrace:
         ]
 
     def test_inlined_writer_form_matches_record(self):
-        # The simulator's trace inlines record()'s store sequence; the
-        # two write paths must express the same state machine.
-        via_record = RingTrace(capacity=3, kinds=("k",))
-        inlined = RingTrace(capacity=3, kinds=("k",))
-        for i in range(7):
-            via_record.record(float(i), 0, i, None)
+        # The simulator's trace and the live transport inline record()'s
+        # store sequence and leave the rare branch to wrap(); the two
+        # write paths must express the same state machine, growth and
+        # laps included.
+        capacity = FIRST_SLOTS + 3
+        via_record = RingTrace(capacity=capacity, kinds=("k", "j"))
+        inlined = RingTrace(capacity=capacity, kinds=("k", "j"))
+        for i in range(3 * capacity + 5):
+            via_record.record(float(i), i % 2, i, None)
             index = inlined.next_index
             inlined.times[index] = float(i)
-            inlined.codes[index] = 0
+            inlined.codes[index] = i % 2
             inlined.pids[index] = i
             inlined.ops[index] = None
             index += 1
-            if index == inlined.capacity:
-                inlined.next_index = 0
-                inlined.wraps += 1
+            if index == inlined.end:
+                inlined.wrap()
             else:
                 inlined.next_index = index
         assert inlined.events() == via_record.events()
-        assert inlined.total == via_record.total == 7
+        assert inlined.total == via_record.total == 3 * capacity + 5
+        assert inlined.count("k") == via_record.count("k") == (3 * capacity + 6) // 2
+
+    def test_opens_small_and_grows_by_doubling_at_its_wrap_point(self):
+        ring = RingTrace(capacity=3 * FIRST_SLOTS, kinds=("k",))
+        assert len(ring.times) == ring.end == FIRST_SLOTS
+        for i in range(FIRST_SLOTS):
+            ring.record(float(i), 0, 0, None)
+        assert ring.end == 2 * FIRST_SLOTS and ring.wraps == 0
+        for i in range(FIRST_SLOTS, 2 * FIRST_SLOTS):
+            ring.record(float(i), 0, 0, None)
+        assert ring.end == ring.capacity and ring.wraps == 0  # capped
+        for i in range(2 * FIRST_SLOTS, 3 * FIRST_SLOTS + 1):
+            ring.record(float(i), 0, 0, None)
+        assert ring.end == ring.capacity and ring.wraps == 1
+        assert [event.time for event in ring.events()][:2] == [1.0, 2.0]
+        assert ring.count("k") == 3 * FIRST_SLOTS + 1
+        assert RingTrace(capacity=4).end == 4
 
     def test_to_trace_events_rehydrates(self):
         from repro.obs.tracing import TraceEvent

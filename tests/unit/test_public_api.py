@@ -231,15 +231,15 @@ class TestSnapshot:
     def test_sim_backend_options(self):
         assert list(inspect.signature(api.SimBackend).parameters) == [
             "protocol", "num_processes", "seed", "config", "include_broken",
-            "capture_trace", "batch_window", "flight_recorder",
-            "checkpoint_interval", "recovery_scan",
+            "capture_trace", "batch_window", "checkpoint_interval",
+            "recovery_scan",
         ]
 
     def test_kv_backend_options(self):
         assert list(inspect.signature(api.KVBackend).parameters) == [
             "protocol", "num_processes", "num_shards", "shard_map",
             "batch_window", "config", "seed", "capture_trace",
-            "flight_recorder", "checkpoint_interval", "recovery_scan",
+            "checkpoint_interval", "recovery_scan",
         ]
 
     def test_live_backend_options(self):

@@ -9,6 +9,7 @@ import pickle
 import socket
 import struct
 import zlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,7 +17,7 @@ from repro.common.errors import TransportError
 from repro.common.ids import OperationId, make_operation_id
 from repro.common.timestamps import Tag
 from repro.common.values import SizedValue
-from repro.obs.ring import RingTrace
+from repro.obs.ring import FIRST_SLOTS, RingTrace
 from repro.obs.tracing import ALL_KINDS
 from repro.protocol.messages import (
     MuxBatch,
@@ -50,11 +51,16 @@ def run_for(kernel, seconds):
     kernel.run_until(lambda: False, timeout=seconds)
 
 
-def endpoints(kernel, *receivers):
-    """One started transport per receive callback, all peers of each other."""
+def endpoints(kernel, *receivers, ring=None):
+    """One started transport per receive callback, all peers of each other.
+
+    They stamp into ``ring``, one flight recorder shared as a live
+    cluster shares it, or a fresh one.
+    """
+    ring = RingTrace(kinds=ALL_KINDS) if ring is None else ring
     transports = [UdpTransport(pid) for pid in range(len(receivers))]
     for transport, receive in zip(transports, receivers):
-        transport.start(receive, kernel)
+        transport.start(receive, kernel, ring)
     peers = [Peer(t.pid, t.host, t.port) for t in transports]
     for transport in transports:
         transport.set_peers(peers)
@@ -170,11 +176,17 @@ def sealed(frame):
 
 
 def listener():
-    """An unstarted transport of process 0, peer of process 1, that decodes what it is handed."""
+    """An unstarted transport of process 0, peer of process 1, that decodes what it is handed.
+
+    What it delivers is stamped into its ``_ring`` at time 0.
+    """
     transport = UdpTransport(0)
     transport.set_peers([Peer(0, "127.0.0.1", 1), Peer(1, "127.0.0.1", 2)])
     received = []
     transport._receive = lambda src, msg, depth: received.append((src, depth, msg))
+    transport._kernel = SimpleNamespace(now=0.0)
+    transport._ring = ring = RingTrace(kinds=ALL_KINDS)
+    transport._ring_deliver = ring.kind_id("deliver")
     return transport, received
 
 
@@ -219,13 +231,14 @@ class TestUdpTransport:
     def test_round_trip_over_ipv6_loopback(self, kernel):
         """The socket's family is the configured host's."""
         received = []
+        ring = RingTrace(kinds=ALL_KINDS)
         a = UdpTransport(0, host="::1")
         try:
-            a.start(lambda src, msg, depth: received.append((src, depth)), kernel)
+            a.start(lambda src, msg, depth: received.append((src, depth)), kernel, ring)
         except OSError:
             pytest.skip("no IPv6 loopback here")
         b = UdpTransport(1, host="::1")
-        b.start(lambda *args: None, kernel)
+        b.start(lambda *args: None, kernel, ring)
         for transport in (a, b):
             transport.set_peers([Peer(0, a.host, a.port), Peer(1, b.host, b.port)])
         b.send(0, query(1), depth=1)
@@ -272,9 +285,10 @@ class TestUdpTransport:
 
     def test_message_to_itself_is_delivered_later_and_off_the_wire(self, kernel, monkeypatch):
         received = []
-        (a,) = endpoints(kernel, lambda src, msg, depth: received.append((src, depth, msg)))
         ring = RingTrace(kinds=ALL_KINDS)
-        a.attach_flight_recorder(ring, kernel.clock)
+        (a,) = endpoints(
+            kernel, lambda src, msg, depth: received.append((src, depth, msg)), ring=ring
+        )
         encoded = []
         monkeypatch.setattr(transport_module, "encode", lambda *args: encoded.append(args))
 
@@ -307,6 +321,41 @@ class TestUdpTransport:
         run_for(kernel, 0.05)
         a.close()
         assert (received, a.messages_sent, a.messages_received) == ([], 1, 0)
+
+    def test_a_shared_ring_grows_and_wraps_under_every_writer(self, kernel):
+        """Past the ring's first 1 024 slots and round its end, over real sockets.
+
+        Sends (``transmit``), datagrams (``_on_datagram``) and messages
+        to itself (``_deliver``) all stamp into one shared ring, which
+        must grow at its wrap point and then wrap, under each writer.
+        """
+        ring = RingTrace(capacity=FIRST_SLOTS + 476, kinds=ALL_KINDS)
+        inboxes = {0: [], 1: [], 2: []}
+        transports = endpoints(
+            kernel,
+            *(
+                lambda src, msg, depth, pid=pid: inboxes[pid].append(msg)
+                for pid in inboxes
+            ),
+            ring=ring,
+        )
+        sent = 0
+        for _ in range(15):  # rounds small enough for the socket buffers
+            for _ in range(20):
+                transports[0].broadcast(query(), 0)
+            sent += 20
+            kernel.run_until(
+                lambda: all(len(box) == sent for box in inboxes.values()), timeout=2.0
+            )
+        for transport in transports:
+            transport.close()
+        sends = sum(t.messages_sent for t in transports)
+        deliveries = sum(t.messages_received for t in transports)
+        assert sends + deliveries == ring.total > ring.capacity > FIRST_SLOTS
+        assert (ring.end, ring.wraps) == (ring.capacity, 1)
+        assert (ring.count("send"), ring.count("deliver")) == (sends, deliveries)
+        assert len(ring.events()) == ring.capacity
+        assert deliveries > 3 * 200  # nearly every datagram arrived
 
     def test_broadcast_reaches_all_peers_including_self(self, kernel):
         inboxes = {0: [], 1: [], 2: []}
@@ -393,19 +442,21 @@ class TestUdpTransport:
             transport._on_datagram(encode(1, 5, message))
         assert received == [(1, 5, message) for message in messages]
         assert transport.malformed == dropped
+        # Only what was delivered is stamped.
+        assert transport._ring.counts() == {"deliver": len(messages)}
 
     def test_oversized_broadcast_sends_nothing(self, kernel):
         """Refused whole: not half-sent, not counted, not recorded."""
         inboxes = {0: [], 1: []}
+        ring = RingTrace(kinds=ALL_KINDS)
         a, b = endpoints(
             kernel,
             *(
                 lambda src, msg, depth, pid=pid: inboxes[pid].append(msg)
                 for pid in inboxes
             ),
+            ring=ring,
         )
-        ring = RingTrace(kinds=ALL_KINDS)
-        a.attach_flight_recorder(ring, kernel.clock)
         with pytest.raises(TransportError, match="datagram limit"):
             a.broadcast(oversized(), 0)
         with pytest.raises(TransportError, match="datagram limit"):
@@ -420,11 +471,10 @@ class TestUdpTransport:
     )
     def test_datagram_the_socket_refuses_is_lost(self, kernel, refusal):
         inbox = []
-        a, b = endpoints(
-            kernel, lambda src, msg, depth: inbox.append(msg), lambda *args: None
-        )
         ring = RingTrace(kinds=ALL_KINDS)
-        a.attach_flight_recorder(ring, kernel.clock)
+        a, b = endpoints(
+            kernel, lambda src, msg, depth: inbox.append(msg), lambda *args: None, ring=ring
+        )
         bound, a._sock = a._sock, StubSocket(refusal=refusal)
         a.send(1, query(), 0)  # the handler that called this lives on
         sent_to_peer = a.messages_sent, list(ring.events())

@@ -81,7 +81,7 @@ from repro.history.checker import (
 )
 from repro.history.history import History
 from repro.history.partition import partition_history
-from repro.kv import ConsistentHashShardMap, HashShardMap, ShardMap
+from repro.kv import HashShardMap
 from repro.protocol.registry import PROTOCOLS, get_protocol_class
 
 __version__ = "1.1.0"
@@ -108,7 +108,6 @@ __all__ = [
     "Cluster",
     "ClusterConfig",
     "ConfigurationError",
-    "ConsistentHashShardMap",
     "HashShardMap",
     "History",
     "NetworkConfig",
@@ -126,7 +125,6 @@ __all__ = [
     "Scenario",
     "ScenarioResult",
     "Session",
-    "ShardMap",
     "SizedValue",
     "StorageConfig",
     "StorageError",

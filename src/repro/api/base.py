@@ -138,8 +138,11 @@ class Session:
         in flight.  A key the process does not host yet is ready with
         the process, as the invocation provisions it first.  Backends
         that queue client-side (the KV store's shard pipelines) are
-        always ready.
+        always ready.  A key that is not a non-empty string raises, as
+        it would at the invocation.
         """
+        if key is not None:
+            check_key(key)
         node = self.cluster.nodes[self.pid]
         if not node.has_register(key):
             return node.ready
@@ -204,7 +207,7 @@ class Cluster:
     #: Records every invocation, reply, crash and recovery.
     recorder: HistoryRecorder
     #: The always-on bounded event ring.  Decode with
-    #: :meth:`~repro.obs.ring.RingTrace.to_trace_events`, or export via
+    #: :meth:`~repro.obs.ring.RingTrace.events`, or export via
     #: ``to_jsonl()`` / ``to_chrome_trace()``.
     flight_recorder: RingTrace
     #: The scheduler, a :class:`repro.common.kernel.Kernel`: on virtual
@@ -278,22 +281,24 @@ class Cluster:
 
     def preload(self, keys: Sequence[str], timeout: float = 10.0) -> None:
         """Provision many keys up front, then wait for each."""
-        for key in keys:
-            self._provision(key)
+        self._provision(*keys)
         for key in keys:
             self._wait_register(key, timeout)
 
-    def _provision(self, key: str) -> None:
-        """Provision register instance ``key`` on every node (idempotent).
+    def _provision(self, *keys: str) -> None:
+        """Provision register instances ``keys`` on every node (idempotent).
 
-        Running nodes initialize it as the clock advances; crashed
-        nodes boot it when they recover.
+        Every key is checked (:func:`check_key`) before any is
+        provisioned.  Running nodes initialize them as the clock
+        advances; crashed nodes boot them when they recover.
         """
-        if key in self._registers:
-            return
-        self._registers.add(key)
-        for node in self.nodes:
-            node.provision_register(key)
+        for key in keys:
+            check_key(key)
+        for key in keys:
+            if key not in self._registers:
+                self._registers.add(key)
+                for node in self.nodes:
+                    node.provision_register(key)
 
     def _wait_register(self, key: str, timeout: float) -> None:
         """Run until ``key`` is ready on every node that is up."""
@@ -652,7 +657,18 @@ class Cluster:
         )
 
 
-# -- shared verification helper ---------------------------------------------
+# -- shared helpers -----------------------------------------------------------
+
+
+def check_key(key: Any) -> None:
+    """The one key rule: a register key is a non-empty string.
+
+    Every verb that takes a key makes this check before it changes
+    anything; ``None``, where a verb takes it, is the backend's default
+    target and never reaches here.
+    """
+    if not isinstance(key, str) or not key:
+        raise ConfigurationError(f"keys must be non-empty strings, not {key!r}")
 
 
 def check_one_register(

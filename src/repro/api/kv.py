@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Sequence
 
-from repro.api.base import Session, check_one_register
+from repro.api.base import Session, check_key, check_one_register
 from repro.api.sim import SimBackend
 from repro.api.types import (
     CRASH_INJECTION,
@@ -33,7 +33,7 @@ from repro.api.types import (
 )
 from repro.common.config import ClusterConfig
 from repro.common.errors import ConfigurationError, ReproError
-from repro.kv.sharding import HashShardMap, ShardMap
+from repro.kv.sharding import HashShardMap
 from repro.kv.store import ShardRouter, projection_check_method
 
 #: Key an operation without an explicit ``key`` addresses -- the KV
@@ -51,6 +51,8 @@ class KVSession(Session):
     def ready_for(self, key: Optional[str] = None) -> bool:
         # Shard pipelines queue client-side and retry across crashes,
         # so a session can always accept the next operation.
+        if key is not None:
+            check_key(key)
         return True
 
     def write(self, value: Any, key: Optional[str] = None) -> OpHandle:
@@ -82,7 +84,6 @@ class KVBackend(SimBackend):
         protocol: str = "persistent",
         num_processes: Optional[int] = None,
         num_shards: int = 8,
-        shard_map: Optional[ShardMap] = None,
         batch_window: float = 0.0,
         config: Optional[ClusterConfig] = None,
         seed: Optional[int] = None,
@@ -92,12 +93,7 @@ class KVBackend(SimBackend):
     ):
         if not batch_window >= 0:  # NaN too
             raise ConfigurationError("batch_window must be >= 0")
-        if shard_map is None:
-            shard_map = HashShardMap(num_shards)
-        elif shard_map.num_shards != num_shards:
-            raise ConfigurationError(
-                f"shard_map has {shard_map.num_shards} shards, expected {num_shards}"
-            )
+        shard_map = HashShardMap(num_shards)
         super().__init__(
             protocol,
             num_processes,
@@ -127,8 +123,7 @@ class KVBackend(SimBackend):
         benchmarks and latency-sensitive callers provision the key
         universe up front instead.
         """
-        for key in keys:
-            self._provision(key)
+        self._provision(*keys)
         # The readiness predicate touches every node, so amortize it
         # over a stride of kernel events: the workload's measured
         # window opens after preload returns, so a few events of

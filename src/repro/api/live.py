@@ -45,7 +45,7 @@ from collections import deque
 from pathlib import Path
 from typing import Any, Callable, Deque, List, Optional, Set
 
-from repro.api.base import Cluster, Session
+from repro.api.base import Cluster, Session, check_key
 from repro.api.types import CRASH_INJECTION, OpHandle
 from repro.common.errors import ConfigurationError, ProtocolError, ReproError
 from repro.history.recorder import HistoryRecorder
@@ -197,12 +197,16 @@ class LiveBackend(Cluster):
         after ``op_timeout`` seconds (the operation then stays in
         flight on the node).  A ``key`` not provisioned yet is
         provisioned first: :meth:`ensure_key` runs the loop until it is
-        ready.  A written value the wire format cannot carry, or too
-        big for one datagram, raises :class:`~repro.common.errors.
-        TransportError` here, before any datagram leaves.
+        ready.  A key that is not a non-empty string raises
+        :class:`~repro.common.errors.ConfigurationError`, and a written
+        value the wire format cannot carry, or too big for one datagram,
+        :class:`~repro.common.errors.TransportError`, both here, before
+        anything changes.
         """
         kernel = self.kernel
         node = self.node(pid)
+        if key is not None:
+            check_key(key)
         handle = OpHandle(kind, key, pid, value, time.monotonic())
         if kind == "write":
             check_value(value, key)

@@ -113,9 +113,6 @@ class ClusterConfig:
     #: How long a process waits before retransmitting an unacknowledged
     #: round message (the ``repeat ... until`` loops of Figures 4 and 5).
     retransmit_interval: float = 20 * PAPER_DELTA
-    #: Local computation cost charged per protocol step ("it costs
-    #: almost nothing for a process to execute a local operation").
-    local_step_cost: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -123,8 +120,6 @@ class ClusterConfig:
             raise ConfigurationError("num_processes must be >= 1")
         if not self.retransmit_interval > 0:
             raise ConfigurationError("retransmit_interval must be > 0")
-        if not self.local_step_cost >= 0:
-            raise ConfigurationError("local_step_cost must be >= 0")
 
     @property
     def majority(self) -> int:

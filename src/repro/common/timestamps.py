@@ -58,19 +58,6 @@ class Tag(namedtuple("Tag", ("sn", "pid", "rec"), defaults=(0,))):
     def _make(cls, iterable: Iterable[int]) -> "Tag":
         return cls(*iterable)  # so ``_replace`` cannot skip the validation either
 
-    def next_for(self, pid: int, increment: int = 1, rec: int = 0) -> "Tag":
-        """Return the tag a writer with id ``pid`` derives from this one.
-
-        The writer takes the highest sequence number it collected from a
-        majority and increments it: by one in the persistent algorithm
-        (Figure 4, line 11), by ``rec + 1`` in the transient algorithm
-        (Figure 5, line 11).  The caller passes the already-computed
-        ``increment`` and the writer's recovery count ``rec``.
-        """
-        if increment < 1:
-            raise ValueError(f"increment must be >= 1, got {increment}")
-        return Tag(self.sn + increment, pid, rec)
-
     def as_tuple(self) -> Tuple[int, int, int]:
         """Return the ``(sn, pid, rec)`` triple, e.g. for serialization."""
         return tuple(self)

@@ -101,22 +101,3 @@ class CausalDepthTracker:
             del depths[next(iter(depths))]
         depths[op] = depth
 
-
-def summarize_causal_logs(counts: Dict[str, list]) -> Dict[str, Dict[str, float]]:
-    """Aggregate per-kind causal-log counts into min/mean/max rows.
-
-    ``counts`` maps an operation kind (``"read"``/``"write"``) to the
-    list of measured causal-log counts.  Used by the log-complexity
-    experiment to print the paper's claims as a table.
-    """
-    summary: Dict[str, Dict[str, float]] = {}
-    for kind, values in counts.items():
-        if not values:
-            continue
-        summary[kind] = {
-            "min": float(min(values)),
-            "mean": sum(values) / len(values),
-            "max": float(max(values)),
-            "count": float(len(values)),
-        }
-    return summary

@@ -19,7 +19,7 @@ import math
 from typing import Sequence
 
 from repro.history.events import HistoryEvent, Invoke, Reply, WRITE
-from repro.history.history import History, OperationRecord
+from repro.history.history import OperationRecord
 
 PERSISTENT = "persistent"
 TRANSIENT = "transient"
@@ -49,15 +49,3 @@ def pending_reply_bound(
             return float(index)
     return math.inf
 
-
-def completion_windows(history: History, criterion: str):
-    """Yield ``(record, bound)`` for every pending operation.
-
-    Mostly a debugging/teaching helper: it shows exactly how much slack
-    each criterion gives a crashed operation.  ``bound`` is an event
-    index (exclusive) or ``math.inf``.
-    """
-    events = history.events
-    for record in history.operations():
-        if record.pending:
-            yield record, pending_reply_bound(events, record, criterion)

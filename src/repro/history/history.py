@@ -140,20 +140,6 @@ class History:
     def __iter__(self) -> Iterator[HistoryEvent]:
         return iter(self._events)
 
-    def restricted_to(self, pid: ProcessId) -> "History":
-        """The local history of process ``pid`` (``H`` at ``p``)."""
-        return History([event for event in self._events if event.pid == pid])
-
-    def object_events(self) -> "History":
-        """The history without crash/recovery events."""
-        return History(
-            [
-                event
-                for event in self._events
-                if isinstance(event, (Invoke, Reply))
-            ]
-        )
-
     # -- derived views ---------------------------------------------------------
 
     def operations(self) -> List[OperationRecord]:

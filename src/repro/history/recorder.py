@@ -12,7 +12,7 @@ measured causal-log count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 from repro.common.ids import OperationId, ProcessId
@@ -31,12 +31,10 @@ class OperationMeta:
 
     tag: Optional[Tag] = None
     causal_logs: Optional[int] = None
-    messages_sent: int = 0
     #: Register instance the operation targeted (``None`` for the
     #: classic single-register runs); the KV layer records the key here
     #: so histories can be partitioned per register afterwards.
     register: Optional[str] = None
-    extra: Dict[str, Any] = field(default_factory=dict)
 
 
 class HistoryRecorder:

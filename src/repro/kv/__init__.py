@@ -6,9 +6,9 @@ This package closes that gap without touching the algorithms:
 * every key is its own *virtual register instance*, multiplexed over
   the same simulated cluster (register-id-namespaced messages, scoped
   stable storage -- see :mod:`repro.protocol.host`);
-* a pluggable :class:`~repro.kv.sharding.ShardMap` (hash or consistent
-  hash) assigns each key to a shard; each shard is a single-threaded
-  pipeline per process, the unit of concurrency and batching;
+* a :class:`~repro.kv.sharding.HashShardMap` assigns each key to a
+  shard; each shard is a single-threaded pipeline per process, the
+  unit of concurrency and batching;
 * operations on the same shard issued within the configurable batch
   window coalesce into a single quorum round-trip (one datagram per
   destination carries every operation's protocol message);
@@ -28,10 +28,6 @@ The store is opened through the façade (:mod:`repro.api`)::
         assert kv.check().ok
 """
 
-from repro.kv.sharding import ConsistentHashShardMap, HashShardMap, ShardMap
+from repro.kv.sharding import HashShardMap
 
-__all__ = [
-    "ConsistentHashShardMap",
-    "HashShardMap",
-    "ShardMap",
-]
+__all__ = ["HashShardMap"]

@@ -1,4 +1,4 @@
-"""Pluggable key-to-shard maps for the KV layer.
+"""The KV layer's key-to-shard map.
 
 A shard is the store's unit of concurrency and batching: each process
 runs one single-threaded pipeline per shard, so two operations on the
@@ -6,80 +6,26 @@ same shard at the same process serialize (and may share a quorum
 round-trip), while operations on different shards proceed in parallel.
 The shard map decides which keys contend with which.
 
-Two implementations:
-
-* :class:`HashShardMap` -- stable modular hashing.  Perfectly balanced
-  for uniform keys, but adding/removing a shard remaps almost every
-  key.
-* :class:`ConsistentHashShardMap` -- a hash ring with virtual nodes.
-  Slightly less balanced, but resizing moves only ``~1/num_shards`` of
-  the keyspace, the property real stores rely on for online resharding.
-
-Both use content hashes (not Python's salted ``hash``) so a key's
+It uses a content hash (not Python's salted ``hash``) so a key's
 shard is stable across processes and runs -- determinism the simulator
 and the recorded histories depend on.
 """
 
 from __future__ import annotations
 
-import bisect
-import hashlib
 import zlib
-from abc import ABC, abstractmethod
-from typing import List, Tuple
 
 from repro.common.errors import ConfigurationError
 
 
-class ShardMap(ABC):
-    """Maps every key to one of ``num_shards`` shards."""
+class HashShardMap:
+    """Stable modular hashing: ``crc32(key) % num_shards``."""
 
     def __init__(self, num_shards: int):
         if num_shards < 1:
             raise ConfigurationError("num_shards must be >= 1")
         self.num_shards = num_shards
 
-    @abstractmethod
     def shard_of(self, key: str) -> int:
         """Shard index of ``key``, in ``range(num_shards)``."""
-
-
-class HashShardMap(ShardMap):
-    """Stable modular hashing: ``crc32(key) % num_shards``."""
-
-    def shard_of(self, key: str) -> int:
         return zlib.crc32(key.encode("utf-8")) % self.num_shards
-
-
-class ConsistentHashShardMap(ShardMap):
-    """Consistent hashing on a ring of virtual nodes.
-
-    Each shard owns ``replicas`` points on a 2**64 ring; a key belongs
-    to the first shard point at or after its own hash (wrapping
-    around).  With enough virtual nodes per shard the load spread is
-    within a few percent of modular hashing.
-    """
-
-    def __init__(self, num_shards: int, replicas: int = 64):
-        super().__init__(num_shards)
-        if replicas < 1:
-            raise ConfigurationError("replicas must be >= 1")
-        self.replicas = replicas
-        points: List[Tuple[int, int]] = []
-        for shard in range(num_shards):
-            for replica in range(replicas):
-                points.append((self._point(f"shard-{shard}#{replica}"), shard))
-        points.sort()
-        self._ring = [point for point, _ in points]
-        self._owners = [shard for _, shard in points]
-
-    @staticmethod
-    def _point(label: str) -> int:
-        digest = hashlib.md5(label.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big")
-
-    def shard_of(self, key: str) -> int:
-        index = bisect.bisect_left(self._ring, self._point(key))
-        if index == len(self._ring):
-            index = 0
-        return self._owners[index]

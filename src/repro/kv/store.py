@@ -9,7 +9,7 @@ emulation into a store:
 * **key -> register**: every key is one virtual register instance,
   provisioned on all replicas on first touch and addressed by
   register-id-namespaced messages;
-* **key -> shard**: a :class:`~repro.kv.sharding.ShardMap` assigns
+* **key -> shard**: a :class:`~repro.kv.sharding.HashShardMap` assigns
   keys to shards.  Each (process, shard) pair runs one single-threaded
   pipeline: at most one *batch* of operations is in flight per
   pipeline, operations on different shards proceed concurrently.  This
@@ -38,10 +38,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.common.errors import ConfigurationError, NotRecoveredError, ProtocolError
+from repro.common.errors import NotRecoveredError, ProtocolError
 from repro.common.ids import ProcessId
 from repro.history.checker import MAX_OPERATIONS
-from repro.kv.sharding import ShardMap
+from repro.kv.sharding import HashShardMap
 from repro.protocol.host import OpHandle
 
 #: How often a blocked pipeline re-checks its replica, seconds.
@@ -151,11 +151,11 @@ class ShardRouter:
     """Routes each operation to its (process, shard) pipeline.
 
     Owns the pipeline table of one store and the per-op submit path:
-    key validation, round-robin coordinator choice, first-touch
-    provisioning of the key's register instance, shard lookup.
+    first-touch provisioning of the key's register instance (which
+    checks the key), round-robin coordinator choice, shard lookup.
     """
 
-    def __init__(self, cluster, shard_map: ShardMap, batch_window: float):
+    def __init__(self, cluster, shard_map: HashShardMap, batch_window: float):
         #: The :class:`~repro.api.kv.KVBackend` this router serves.
         self.cluster = cluster
         self.kernel = cluster.kernel
@@ -176,16 +176,13 @@ class ShardRouter:
         The handle exists from submission, and the pipeline passes it
         to the node when it issues the operation, so ``latency``
         includes queueing and batching delay -- the client-side truth
-        a service would measure.
+        a service would measure.  A pinned ``pid`` passed the cluster's
+        one pid check when its session was made.
         """
-        if not isinstance(key, str) or not key:
-            raise ConfigurationError("keys must be non-empty strings")
+        self.cluster._provision(key)
         if pid is None:
             pid = self._next_pid
             self._next_pid = (self._next_pid + 1) % self._num_processes
-        elif not 0 <= pid < self._num_processes:
-            raise ConfigurationError(f"pid {pid} out of range")
-        self.cluster._provision(key)
         shard = self.shard_map.shard_of(key)
         handle = OpHandle(kind, key, pid, value, self.kernel.now, shard)
         pipeline = self._pipelines.get((pid, shard))

@@ -25,10 +25,9 @@ writer, :meth:`RingTrace.record` included, ends by comparing the
 cursor with :attr:`RingTrace.end` and leaves the rare branch to
 :meth:`RingTrace.wrap`, the one place the ring grows, wraps and counts
 its laps.  Decoding is on demand only: :meth:`RingTrace.events` yields
-light tuples in chronological order, :meth:`RingTrace.to_trace_events`
-rehydrates today's ``TraceEvent`` stream, and
+light tuples in chronological order, and
 :meth:`RingTrace.to_chrome_trace` / :meth:`RingTrace.to_jsonl` export
-for chrome://tracing and scripts.
+them for chrome://tracing and scripts.
 """
 
 from __future__ import annotations
@@ -167,24 +166,6 @@ class RingTrace:
         return [
             RingEvent(times[i], kinds[codes[i]], pids[i], ops[i])
             for i in self._indexes()
-        ]
-
-    def to_trace_events(self) -> List[Any]:
-        """Rehydrate the window as :class:`repro.obs.tracing.TraceEvent`.
-
-        Import is deferred: :mod:`repro.obs.tracing` embeds a ring, so
-        a module-level import here would be a cycle.
-        """
-        from repro.obs.tracing import TraceEvent
-
-        return [
-            TraceEvent(
-                time=event.time,
-                kind=event.kind,
-                pid=event.pid,
-                detail={"op": event.op} if event.op is not None else {},
-            )
-            for event in self.events()
         ]
 
     def to_jsonl(self) -> str:

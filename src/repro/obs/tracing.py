@@ -268,17 +268,6 @@ class Trace:
         """Number of events of ``kind`` (works even when not capturing)."""
         return self.ring.count(kind)
 
-    def filter(
-        self, kind: Optional[str] = None, pid: Optional[int] = None
-    ) -> List[TraceEvent]:
-        """Captured events matching the given kind and/or process."""
-        return [
-            event
-            for event in self._events
-            if (kind is None or event.kind == kind)
-            and (pid is None or event.pid == pid)
-        ]
-
 
 class NullTrace(Trace):
     """A trace that wants nothing and records nothing.

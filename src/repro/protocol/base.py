@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import namedtuple
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Callable, ClassVar, Dict, Hashable, List, Mapping, Optional, Tuple
 
@@ -249,16 +248,6 @@ class _ScopedStableView(StableView):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ProtocolStats:
-    """Volatile per-incarnation counters, reset by a crash."""
-
-    messages_sent: int = 0
-    stores_issued: int = 0
-    reads_invoked: int = 0
-    writes_invoked: int = 0
-
-
 class RegisterProtocol(ABC):
     """One process's state machine for a read/write register emulation.
 
@@ -298,7 +287,6 @@ class RegisterProtocol(ABC):
         self.pid = pid
         self.num_processes = num_processes
         self.stable = stable
-        self.stats = ProtocolStats()
         self._token_counter = 0
 
     # -- identity ----------------------------------------------------------
@@ -333,9 +321,8 @@ class RegisterProtocol(ABC):
 
         The environment calls this at crash time so that a subsequent
         :meth:`recover` starts from nothing but stable storage.  The
-        default implementation resets the stats; subclasses extend it.
+        default has no volatile state to wipe; subclasses override it.
         """
-        self.stats = ProtocolStats()
 
     # -- client operations ---------------------------------------------------
 

@@ -53,7 +53,6 @@ class NaiveLoggingProtocol(PersistentAtomicProtocol):
     def _start_write(self) -> Effects:
         self.phase = Phase.STORE
         self._intent_token = self.fresh_token(KEY_INTENT)
-        self.stats.stores_issued += 1
         return [
             Store(
                 key=KEY_INTENT,
@@ -67,12 +66,10 @@ class NaiveLoggingProtocol(PersistentAtomicProtocol):
 
     def invoke_read(self, op: OperationId) -> Effects:
         self._require_idle()
-        self.stats.reads_invoked += 1
         self._op = op
         self._op_is_write = False
         self.phase = Phase.STORE
         self._intent_token = self.fresh_token(KEY_INTENT)
-        self.stats.stores_issued += 1
         return [
             Store(
                 key=KEY_INTENT,
@@ -87,7 +84,6 @@ class NaiveLoggingProtocol(PersistentAtomicProtocol):
     def _complete_operation(self, op: OperationId, result: Any) -> Effects:
         self._done_token = self.fresh_token(KEY_DONE)
         self._pending_reply = Reply(op, result, tag=self._op_tag)
-        self.stats.stores_issued += 1
         kind = "write" if self._op_is_write else "read"
         return [
             Store(

@@ -68,7 +68,6 @@ class PersistentAtomicProtocol(TwoRoundRegisterProtocol):
         """
         self._init_stores_pending = 2
         bottom = bottom_tag()
-        self.stats.stores_issued += 2
         return [
             Store(
                 key=KEY_WRITING,
@@ -111,7 +110,6 @@ class PersistentAtomicProtocol(TwoRoundRegisterProtocol):
             self.durable_tag = self.tag
         writing = self.stable.retrieve(KEY_WRITING)
         if writing is not None and self.stable.checkpointed(KEY_WRITING):
-            self._recovery_done = True
             return [RecoveryComplete()]
         if writing is not None:
             replay_tag = Tag.from_tuple(writing[0])
@@ -134,7 +132,6 @@ class PersistentAtomicProtocol(TwoRoundRegisterProtocol):
         self._op_tag = Tag(highest.sn + 1, self.pid)
         self.phase = Phase.STORE
         token = self._writing_token = self.fresh_token(KEY_WRITING)
-        self.stats.stores_issued += 1
         record = (self._op_tag.as_tuple(), self._op_value)
         size = STORE_RECORD_OVERHEAD + payload_size(self._op_value)
         return [tuple.__new__(Store, (KEY_WRITING, record, size, token))]

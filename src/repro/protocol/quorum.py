@@ -57,11 +57,6 @@ class RoundTracker(Generic[T]):
         self._responses = {}
         return self._round_no
 
-    def abort(self) -> None:
-        """Abandon the current round (e.g. the operation was superseded)."""
-        self._active = False
-        self._responses = {}
-
     def record(self, round_no: int, src: ProcessId, response: T) -> bool:
         """Record an ack for round ``round_no`` from ``src``.
 

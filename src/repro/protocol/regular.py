@@ -87,7 +87,6 @@ class RegularRegisterProtocol(TransientAtomicProtocol):
 
     def invoke_read(self, op: OperationId) -> Effects:
         self._require_idle()
-        self.stats.reads_invoked += 1
         self._op = op
         self._op_is_write = False
         self.phase = Phase.QUERY

@@ -80,7 +80,6 @@ class TransientAtomicProtocol(TwoRoundRegisterProtocol):
         ``store(written, 0, i, \\u22a5)``.
         """
         self._init_stores_pending = 2
-        self.stats.stores_issued += 2
         return [
             Store(
                 key=KEY_RECOVERED,
@@ -115,7 +114,6 @@ class TransientAtomicProtocol(TwoRoundRegisterProtocol):
         previous = recovered[0] if recovered is not None else 0
         self.rec = previous + 1
         self._recovered_token = self.fresh_token(KEY_RECOVERED)
-        self.stats.stores_issued += 1
         return [
             Store(
                 key=KEY_RECOVERED,

@@ -128,10 +128,8 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
         self._tracker: RoundTracker = RoundTracker(self.majority)
         self._round_message: Optional[Message] = None
         self._retry_token: Optional[Hashable] = None
-        self._recovery_done = False
 
     def crash(self) -> None:
-        super().crash()
         self._reset_volatile()
 
     # -- round helpers ---------------------------------------------------------
@@ -139,18 +137,20 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
     def _begin_round(
         self, cls: Type[Message], op: Optional[OperationId], *fields: Any
     ) -> Effects:
-        """Broadcast ``cls(op, round_no, *fields)`` in a new round, retransmission armed."""
-        effects: Effects = []
-        if self._retry_token is not None:
-            effects.append(_new(CancelTimer, (self._retry_token,)))
+        """Broadcast ``cls(op, round_no, *fields)`` in a new round, retransmission armed.
+
+        No round is open here: every caller runs after
+        :meth:`_finish_round` or :meth:`_reset_volatile`, so no earlier
+        retransmission timer is left to cancel.
+        """
         round_no = self._tracker.begin()
         message = self._round_message = _new(cls, (op, round_no, *fields))
         self._token_counter += 1  # fresh_token, inlined
         token = self._retry_token = ("retry", self._token_counter)
-        self.stats.messages_sent += self.num_processes
-        effects.append(_new(Broadcast, (message,)))
-        effects.append(_new(SetTimer, (self._retransmit_interval, token)))
-        return effects
+        return [
+            _new(Broadcast, (message,)),
+            _new(SetTimer, (self._retransmit_interval, token)),
+        ]
 
     def _finish_round(self) -> Effects:
         """Disarm retransmission after the quorum was reached."""
@@ -162,11 +162,10 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
         return effects
 
     def on_timer(self, token: Hashable) -> Effects:
-        if token != self._retry_token or self._round_message is None:
+        # A round's token is cleared in the same handler whose ack
+        # closes its quorum, so the current token means a round is open.
+        if token != self._retry_token:
             return []
-        if not self._tracker.active:
-            return []
-        self.stats.messages_sent += self.num_processes
         return [
             _new(Broadcast, (self._round_message,)),
             _new(SetTimer, (self._retransmit_interval, token)),
@@ -181,11 +180,9 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
         return handler(src, message)
 
     def _answer_sn_query(self, src: ProcessId, message: SnQuery) -> Effects:
-        self.stats.messages_sent += 1
         return [_new(Send, (src, _new(SnAck, (message.op, message.round_no, self.tag))))]
 
     def _answer_read_query(self, src: ProcessId, message: ReadQuery) -> Effects:
-        self.stats.messages_sent += 1
         durable = self.durable_tag if self.LOGS_ON_ADOPT else self.tag
         ack = (message.op, message.round_no, self.tag, self.value, durable)
         return [_new(Send, (src, _new(ReadAck, ack)))]
@@ -202,18 +199,15 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
             self.tag = message.tag
             self.value = message.value
             if not self.LOGS_ON_ADOPT:
-                self.stats.messages_sent += 1
                 return [_new(Send, (src, ack))]
             self._token_counter += 1  # fresh_token, inlined
             token = (KEY_WRITTEN, self._token_counter)
             self._written_tokens[token] = message.tag
             self._parked_acks.append((message.tag, src, ack))
-            self.stats.stores_issued += 1
             record = (tuple(message.tag), message.value)
             size = STORE_RECORD_OVERHEAD + payload_size(message.value)
             return [_new(Store, (KEY_WRITTEN, record, size, token))]
         if not self.LOGS_ON_ADOPT or message.tag <= self.durable_tag:
-            self.stats.messages_sent += 1
             return [_new(Send, (src, ack))]
         # durable_tag < message.tag <= self.tag: the log that will cover
         # this tag is still in flight; park the ack until it completes.
@@ -233,7 +227,6 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
         still_parked: List[Tuple[Tag, ProcessId, WriteAck]] = []
         for required, dst, ack in self._parked_acks:
             if required <= self.durable_tag:
-                self.stats.messages_sent += 1
                 effects.append(_new(Send, (dst, ack)))
             else:
                 still_parked.append((required, dst, ack))
@@ -248,7 +241,6 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
 
     def invoke_read(self, op: OperationId) -> Effects:
         self._require_idle()
-        self.stats.reads_invoked += 1
         self._op = op
         self._op_is_write = False
         self.phase = Phase.QUERY
@@ -274,7 +266,6 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
 
     def invoke_write(self, op: OperationId, value: Any) -> Effects:
         self._require_idle()
-        self.stats.writes_invoked += 1
         self._op = op
         self._op_is_write = True
         self._op_value = value
@@ -341,7 +332,6 @@ class TwoRoundRegisterProtocol(RegisterProtocol):
         if not self._tracker.record(message.round_no, src, message.tag):
             return []
         self.phase = Phase.IDLE
-        self._recovery_done = True
         return self._finish_round() + [RecoveryComplete()]
 
     # -- misc ------------------------------------------------------------------

@@ -15,9 +15,9 @@ ingredients declaratively:
   closed-loop read/write mixes on the single register or zipfian key
   traffic on the sharded KV store, with per-phase operation budgets
   split from one scalable total;
-* **verification policy** -- per-phase incremental white-box checks
-  (cheap, thanks to the append-only :class:`~repro.history.history
-  .History` contract) or one final check.
+* **verification** -- an incremental white-box check after every
+  phase (cheap, thanks to the append-only :class:`~repro.history.history
+  .History` contract).
 
 Key entry points: :func:`~repro.scenarios.runner.run_scenario` executes
 any spec and returns a :class:`~repro.scenarios.runner.ScenarioResult`

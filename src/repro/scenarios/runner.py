@@ -2,9 +2,8 @@
 
 :func:`run_scenario` builds the cluster a :class:`~repro.scenarios
 .spec.Scenario` asks for, then walks its phases: arm the phase's
-faults, drive its closed-loop workload to completion, and (under the
-``per-phase`` policy) re-check the *same* growing history with the
-white-box tag checker.  The append-only :class:`~repro.history
+faults, drive its closed-loop workload to completion, and re-check
+the *same* growing history with the white-box tag checker.  The append-only :class:`~repro.history
 .history.History` contract makes each re-check reuse the cached
 operation records (only the phase's new events are folded in); the
 checker's sweep itself still walks the whole history, so a pass costs
@@ -33,11 +32,7 @@ from repro.api.types import SHARDING
 from repro.common.errors import ConfigurationError
 from repro.history.checker import default_criterion
 from repro.scenarios.faults import check_steps, victims_of
-from repro.scenarios.spec import (
-    VERIFY_PER_PHASE,
-    Scenario,
-    WorkloadPhase,
-)
+from repro.scenarios.spec import Scenario, WorkloadPhase
 from repro.workloads.generators import (
     ClientPlan,
     OperationMix,
@@ -366,8 +361,8 @@ def _drive_phases(
     Per phase: on a sharded store, preload the phase's key universe
     (*before* the faults, so a phase-relative fault window cannot
     elapse inside setup); arm the phase's (protocol-adapted) faults;
-    run its closed-loop clients; fold the counters; and apply the
-    verification policy.  The only backend-sensitive choice -- which
+    run its closed-loop clients; fold the counters; and check the
+    history so far.  The only backend-sensitive choice -- which
     client shape to run, and the runner's drain-poll stride -- keys
     off the ``sharding`` capability, not the cluster's type.
     """
@@ -420,13 +415,8 @@ def _drive_phases(
         result.completed += report.completed
         result.aborted += report.aborted
         result.unissued += report.unissued
-        if scenario.verify == VERIFY_PER_PHASE:
-            result.checks.append(
-                _check(cluster, criterion, phase.name, scenario.check_method)
-            )
-    if scenario.verify != VERIFY_PER_PHASE:
         result.checks.append(
-            _check(cluster, criterion, "final", scenario.check_method)
+            _check(cluster, criterion, phase.name, scenario.check_method)
         )
 
 

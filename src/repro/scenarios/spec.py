@@ -1,10 +1,10 @@
-"""The declarative scenario model: phases, verification policy, spec.
+"""The declarative scenario model: phases and spec.
 
 A :class:`Scenario` is data, not code: which store front-end to drive
 (the single register or the sharded KV store), how many processes, a
 sequence of :class:`WorkloadPhase` entries -- each a closed-loop
-workload mix plus the faults armed when the phase opens -- and a
-verification policy.  :func:`repro.scenarios.runner.run_scenario`
+workload mix plus the faults armed when the phase opens -- and the
+runner checks the history after every phase.  :func:`repro.scenarios.runner.run_scenario`
 executes a spec against any protocol with any seed and operation
 budget; the named library lives in :mod:`repro.scenarios.library`.
 
@@ -23,11 +23,6 @@ from typing import Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.scenarios.faults import FaultAction
-
-#: Verification policies.
-VERIFY_PER_PHASE = "per-phase"  # incremental white-box check after each phase
-VERIFY_FINAL = "final"  # one check once the run is over
-VERIFY_POLICIES = (VERIFY_PER_PHASE, VERIFY_FINAL)
 
 #: Store front-ends a scenario can drive.
 STORE_REGISTER = "register"
@@ -80,7 +75,6 @@ class Scenario:
     default_protocol: str = "persistent"
     default_ops: int = 1_000
     default_seed: int = 0
-    verify: str = VERIFY_PER_PHASE
     capture_trace: bool = False
     #: KV-only configuration.
     num_shards: int = 8
@@ -96,8 +90,6 @@ class Scenario:
             raise ConfigurationError("a scenario needs at least one phase")
         if self.store not in STORES:
             raise ConfigurationError(f"unknown store {self.store!r}")
-        if self.verify not in VERIFY_POLICIES:
-            raise ConfigurationError(f"unknown verify policy {self.verify!r}")
         if self.num_processes < 1:
             raise ConfigurationError("num_processes must be >= 1")
         if self.default_ops < 1:

@@ -94,11 +94,6 @@ def load_snapshot(
     return seq, records, sizes
 
 
-def snapshot_seq(record: Any) -> int:
-    """The sequence number of a snapshot record (0 when ``None``)."""
-    return 0 if record is None else record[0]
-
-
 def snapshot_store_size(entry_sizes: Iterable[int]) -> int:
     """Billable size in bytes of storing a snapshot.
 

@@ -11,9 +11,6 @@ Each process gets one line; operations appear as ``|--op--|`` spans,
 crashes as ``X``, recoveries as ``R``, and interrupted operations as
 ``...X``.  Time is quantized onto a character grid, so the diagrams are
 qualitative -- exactly like the paper's.
-
-:func:`render_trace_summary` prints per-process message/log counts for
-quick run forensics.
 """
 
 from __future__ import annotations
@@ -111,23 +108,3 @@ def render_history(
     lines.append(f"     0 us {' ' * max(0, width - 20)}{duration_us:.0f} us")
     return "\n".join(lines)
 
-
-def render_trace_summary(cluster) -> str:
-    """Per-process message and log counters from a cluster's trace."""
-    from repro.obs import tracing
-
-    pids = sorted(node.pid for node in cluster.nodes)
-    header = (
-        f"{'process':<8s} {'sent':>6s} {'recv':>6s} "
-        f"{'logs':>6s} {'crashes':>8s}"
-    )
-    lines = [header, "-" * len(header)]
-    for pid in pids:
-        sent = len(cluster.trace.filter(kind=tracing.SEND, pid=pid))
-        received = len(cluster.trace.filter(kind=tracing.DELIVER, pid=pid))
-        logs = len(cluster.trace.filter(kind=tracing.STORE_END, pid=pid))
-        crashes = len(cluster.trace.filter(kind=tracing.CRASH, pid=pid))
-        lines.append(
-            f"p{pid:<7d} {sent:>6d} {received:>6d} {logs:>6d} {crashes:>8d}"
-        )
-    return "\n".join(lines)

@@ -133,6 +133,40 @@ def test_a_pid_out_of_range_is_refused_before_anything_changes(backend, pid):
         assert c.check().ok
 
 
+@pytest.mark.parametrize("key", ["", 5, b"k"])
+@pytest.mark.parametrize("backend", ["sim", "kv", "live"])
+def test_a_key_that_is_not_a_nonempty_string_is_refused_alike_on_every_backend(
+    backend, key
+):
+    """Every backend makes the one key check, before anything changes.
+
+    A key is ``None`` (the backend's default target) or a non-empty
+    string.  Anything else is refused at the call, not served on one
+    backend, half-provisioned on another or raised from deep inside a
+    third, and no register instance is provisioned for it.
+    """
+    seed = None if backend == "live" else 11
+    with open_cluster(backend=backend, num_processes=3, seed=seed) as c:
+        session = c.session(0)
+        session.write_sync("a", key="k")
+        records = len(c.recorder.history)
+        for call in (
+            lambda: session.write_sync("x", key=key),
+            lambda: session.read_sync(key=key),
+            lambda: session.write("x", key=key),
+            lambda: session.read(key=key),
+            lambda: session.ready_for(key),
+            lambda: c.ensure_key(key),
+            lambda: c.preload(["j", key]),
+        ):
+            with pytest.raises(ConfigurationError, match="non-empty strings"):
+                call()
+            assert c.keys() == ["k"]
+        assert len(c.recorder.history) == records
+        assert session.read_sync(key="k") == "a"
+        assert c.check().ok
+
+
 @pytest.mark.parametrize("backend", ["sim", "kv", "live"])
 def test_a_crash_aborts_the_one_handle_alike_on_every_backend(backend):
     """One handle class, one outcome of a crash, one latency rule.

@@ -129,3 +129,36 @@ def test_frames_queued_by_a_dead_incarnation_never_leave(transmitted, back):
     cluster.run_until(lambda: node.ready, timeout=1.0)
     assert cluster.session(1).read_sync(key="k") == "a"
     assert verdicts() == JUDGED_CLEAN
+
+
+def test_a_read_ack_after_its_read_finished_changes_nothing():
+    """A slow replica's answer reaches the reader after the read returned.
+
+    The read completes on the two fast answers (its own and p1's); p2's
+    ``ReadAck``, held on a slow link, then finds no read in flight at
+    p0.  It makes p0 send nothing, and the next read runs as usual.
+    """
+    cluster, verdicts = judged(capture_trace=True)
+    cluster.session(1).write_sync("a")
+    slow = 1e-3
+    cluster.slow_link([(2, 0)], slow)
+    handle = cluster.wait(cluster.session(0).read(), expect_done=True)
+    returned = cluster.now
+    assert handle.result == "a"
+    cluster.run(2 * slow)
+    late = [
+        event
+        for event in cluster.trace.events
+        if event.kind == "deliver" and event.pid == 0 and event.time > returned
+    ]
+    assert [(e.detail["src"], e.detail["msg"], e.detail["op"]) for e in late] == [
+        (2, "ReadAck", handle.op),
+        (2, "WriteAck", handle.op),
+    ]
+    assert not any(
+        event.kind == "send" and event.pid == 0 and event.time > returned
+        for event in cluster.trace.events
+    )
+    cluster.slow_link([(2, 0)], -slow)
+    assert cluster.session(0).read_sync() == "a"
+    assert verdicts() == JUDGED_CLEAN

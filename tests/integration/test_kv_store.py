@@ -4,7 +4,6 @@ import pytest
 
 from repro.api import open_cluster
 from repro.common.errors import ConfigurationError
-from repro.kv import ConsistentHashShardMap
 from repro.workloads.kv import ZipfianKeys, run_kv_closed_loop
 
 
@@ -46,18 +45,6 @@ class TestBasicOperations:
         handles = [client.write(i, f"k{i}") for i in range(6)]
         kv.wait_all(handles, timeout=30.0)
         assert {h.pid for h in handles} == {0, 1, 2}
-
-    def test_consistent_hash_map_plugs_in(self):
-        kv = make_kv(shard_map=ConsistentHashShardMap(4), num_shards=4)
-        handle = kv.session().write_sync("v", "alpha")
-        assert kv.session().read_sync("alpha") == "v"
-        assert handle.shard == ConsistentHashShardMap(4).shard_of("alpha")
-
-    def test_shard_map_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            open_cluster(
-                backend="kv", num_shards=8, shard_map=ConsistentHashShardMap(4)
-            )
 
 
 class TestConcurrencyAndBatching:

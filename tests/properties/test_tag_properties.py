@@ -1,4 +1,4 @@
-"""Property-based tests for tags (total order, monotonicity)."""
+"""Property-based tests for tags (total order, serialization)."""
 
 from hypothesis import given, strategies as st
 
@@ -36,16 +36,6 @@ def test_order_matches_tuple_order(a, b):
 @given(tags)
 def test_bottom_is_a_global_minimum(tag):
     assert bottom_tag() <= tag
-
-
-@given(
-    tags,
-    st.integers(min_value=0, max_value=64),
-    st.integers(min_value=1, max_value=100),
-    st.integers(min_value=0, max_value=10),
-)
-def test_next_for_strictly_increases(tag, pid, increment, rec):
-    assert tag.next_for(pid, increment=increment, rec=rec) > tag
 
 
 @given(tags)

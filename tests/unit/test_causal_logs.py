@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.ids import make_operation_id
-from repro.history.causal_logs import CausalDepthTracker, summarize_causal_logs
+from repro.history.causal_logs import CausalDepthTracker
 
 
 class TestCausalDepthTracker:
@@ -71,14 +71,3 @@ class TestCausalDepthTracker:
     def test_rejects_zero_retention(self):
         with pytest.raises(ValueError):
             CausalDepthTracker(retention=0)
-
-
-class TestSummaries:
-    def test_summarize_computes_min_mean_max(self):
-        summary = summarize_causal_logs({"write": [2, 2, 2], "read": [0, 1]})
-        assert summary["write"] == {"min": 2.0, "mean": 2.0, "max": 2.0, "count": 3.0}
-        assert summary["read"]["max"] == 1.0
-        assert summary["read"]["mean"] == pytest.approx(0.5)
-
-    def test_empty_kinds_are_skipped(self):
-        assert "read" not in summarize_causal_logs({"read": []})

@@ -50,10 +50,6 @@ class TestCheckpointHelpers:
     def test_load_missing_snapshot(self):
         assert ckpt.load_snapshot(None) == (0, {}, {})
 
-    def test_snapshot_seq(self):
-        record = ckpt.build_snapshot_record(7, {}, {})
-        assert ckpt.snapshot_seq(record) == 7
-
     def test_snapshot_store_size_accounts_entries(self):
         empty = ckpt.snapshot_store_size([])
         assert empty == ckpt.SNAPSHOT_OVERHEAD

@@ -5,12 +5,7 @@ import math
 import pytest
 
 from repro.common.ids import OperationId
-from repro.history.completion import (
-    PERSISTENT,
-    TRANSIENT,
-    completion_windows,
-    pending_reply_bound,
-)
+from repro.history.completion import PERSISTENT, TRANSIENT, pending_reply_bound
 from repro.history.events import Crash, Invoke, Recover, Reply
 from repro.history.history import History
 
@@ -91,22 +86,3 @@ class TestBounds:
         pending = history.pending_operations()[0]
         with pytest.raises(ValueError):
             pending_reply_bound(history.events, pending, "sequential")
-
-
-class TestWindows:
-    def test_yields_all_pending_operations(self):
-        history = interrupted_write_history()
-        windows = list(completion_windows(history, PERSISTENT))
-        assert len(windows) == 1
-        record, bound = windows[0]
-        assert record.value == "b"
-        assert bound == 5.0
-
-    def test_complete_history_yields_nothing(self):
-        history = History(
-            [
-                Invoke(time=0.0, pid=0, op=op(0, 1), kind="write", value="a"),
-                Reply(time=1.0, pid=0, op=op(0, 1), kind="write"),
-            ]
-        )
-        assert list(completion_windows(history, TRANSIENT)) == []

@@ -92,7 +92,6 @@ TIME_AND_RATE_FIELDS = [
     (StorageConfig, "bandwidth", 0.0),
     (StorageConfig, "max_jitter", -0.1),
     (ClusterConfig, "retransmit_interval", 0.0),
-    (ClusterConfig, "local_step_cost", -1.0),
 ]
 
 

@@ -137,24 +137,6 @@ class TestWellFormedness:
 
 
 class TestViews:
-    def test_restricted_to_keeps_only_one_process(self):
-        history = build(
-            Invoke(time=0.0, pid=0, op=op(0, 1), kind="write", value="a"),
-            Invoke(time=0.5, pid=1, op=op(1, 2), kind="read"),
-            Crash(time=1.0, pid=1),
-        )
-        local = history.restricted_to(1)
-        assert len(local) == 2
-        assert all(event.pid == 1 for event in local)
-
-    def test_object_events_drop_crash_and_recovery(self):
-        history = build(
-            Invoke(time=0.0, pid=0, op=op(0, 1), kind="write", value="a"),
-            Crash(time=1.0, pid=0),
-            Recover(time=2.0, pid=0),
-        )
-        assert len(history.object_events()) == 1
-
     def test_format_is_readable(self):
         history = build(
             Invoke(time=0.0, pid=0, op=op(0, 1), kind="write", value="a"),

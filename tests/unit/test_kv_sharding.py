@@ -1,4 +1,4 @@
-"""Unit tests of the shard maps and history partitioning."""
+"""Unit tests of the shard map and history partitioning."""
 
 from collections import Counter
 
@@ -9,7 +9,7 @@ from repro.common.ids import OperationId
 from repro.history.events import Crash, Invoke, Recover, Reply
 from repro.history.history import History
 from repro.history.partition import partition_history
-from repro.kv.sharding import ConsistentHashShardMap, HashShardMap
+from repro.kv.sharding import HashShardMap
 
 
 class TestHashShardMap:
@@ -36,38 +36,6 @@ class TestHashShardMap:
     def test_rejects_bad_shard_count(self):
         with pytest.raises(ConfigurationError):
             HashShardMap(0)
-
-
-class TestConsistentHashShardMap:
-    def test_stable_and_in_range(self):
-        a, b = ConsistentHashShardMap(8), ConsistentHashShardMap(8)
-        for i in range(200):
-            key = f"key-{i}"
-            assert a.shard_of(key) == b.shard_of(key)
-            assert 0 <= a.shard_of(key) < 8
-
-    def test_every_shard_owns_keys(self):
-        m = ConsistentHashShardMap(8)
-        counts = Counter(m.shard_of(f"k{i}") for i in range(5000))
-        assert len(counts) == 8
-
-    def test_resizing_moves_few_keys(self):
-        """The point of consistent hashing: growing 8 -> 9 shards remaps
-        roughly 1/9 of the keyspace, not almost all of it."""
-        small, large = ConsistentHashShardMap(8), ConsistentHashShardMap(9)
-        keys = [f"key-{i}" for i in range(4000)]
-        moved = sum(1 for k in keys if small.shard_of(k) != large.shard_of(k))
-        assert moved / len(keys) < 0.35  # modular hashing moves ~8/9
-
-        modular_small, modular_large = HashShardMap(8), HashShardMap(9)
-        modular_moved = sum(
-            1 for k in keys if modular_small.shard_of(k) != modular_large.shard_of(k)
-        )
-        assert moved < modular_moved
-
-    def test_rejects_bad_replicas(self):
-        with pytest.raises(ConfigurationError):
-            ConsistentHashShardMap(4, replicas=0)
 
 
 def _op(pid, seq):

@@ -291,6 +291,28 @@ class TestIncarnationGuard:
         node.advance(1.0)
         assert node.protocol.events == [("store", "log"), ("timer", "retry")]
 
+    def test_a_timer_armed_again_under_a_live_token_replaces_it(self):
+        """The host's contract with any protocol: one timer per token.
+
+        A ``SetTimer`` whose token names a timer still armed cancels
+        that timer, so the protocol hears the token once, at the new
+        deadline.
+        """
+        node = FakeNode(factory=ScriptedProtocol)
+        node.boot()
+        node.invoke_write("v")
+        node.complete_store()
+        (first,) = node.timers
+        node._execute(
+            [SetTimer(delay=2.0, token="retry")], depth=0, op=None, slot=node._slots[None]
+        )
+        assert first.cancelled
+        node.advance(1.0)
+        assert node.protocol.events == [("store", "log")]
+        node.advance(1.0)
+        assert node.protocol.events == [("store", "log"), ("timer", "retry")]
+        assert node._recorder.history.is_well_formed()
+
     def test_stale_checkpoint_phase_is_dropped(self, node):
         node.write("v")
         node.begin_checkpoint()

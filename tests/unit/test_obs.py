@@ -296,16 +296,6 @@ class TestRingTrace:
         assert ring.count("k") == 3 * FIRST_SLOTS + 1
         assert RingTrace(capacity=4).end == 4
 
-    def test_to_trace_events_rehydrates(self):
-        from repro.obs.tracing import TraceEvent
-
-        ring = RingTrace(capacity=4, kinds=("send",))
-        ring.record(0.5, 0, 2, "p2#9")
-        (event,) = ring.to_trace_events()
-        assert isinstance(event, TraceEvent)
-        assert event.kind == "send" and event.pid == 2
-        assert event.detail == {"op": "p2#9"}
-
     def test_jsonl_export(self):
         ring = RingTrace(capacity=4, kinds=("send",))
         ring.record(0.5, 0, 2, "p2#9")

@@ -237,9 +237,9 @@ class TestSnapshot:
 
     def test_kv_backend_options(self):
         assert list(inspect.signature(api.KVBackend).parameters) == [
-            "protocol", "num_processes", "num_shards", "shard_map",
-            "batch_window", "config", "seed", "capture_trace",
-            "checkpoint_interval", "recovery_scan",
+            "protocol", "num_processes", "num_shards", "batch_window",
+            "config", "seed", "capture_trace", "checkpoint_interval",
+            "recovery_scan",
         ]
 
     def test_live_backend_options(self):

@@ -56,14 +56,6 @@ class TestRoundTracker:
         tracker.record(round_no, 1, "b")
         assert tracker.response_values() == ["a", "b", "c"]
 
-    def test_abort_discards_round(self):
-        tracker = RoundTracker(quorum_size=2)
-        round_no = tracker.begin()
-        tracker.record(round_no, 0, "a")
-        tracker.abort()
-        assert not tracker.active
-        assert not tracker.record(round_no, 1, "b")
-
     def test_rejects_zero_quorum(self):
         with pytest.raises(ValueError):
             RoundTracker(quorum_size=0)

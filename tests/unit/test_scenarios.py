@@ -436,11 +436,6 @@ def test_spec_validation():
             phases=(WorkloadPhase(name="p"),),
         )
     with pytest.raises(ConfigurationError):
-        Scenario(
-            name="x", description="x", verify="sometimes",
-            phases=(WorkloadPhase(name="p"),),
-        )
-    with pytest.raises(ConfigurationError):
         WorkloadPhase(name="p", read_fraction=1.5)
     with pytest.raises(ConfigurationError):
         WorkloadPhase(name="p", weight=0.0)

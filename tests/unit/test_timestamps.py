@@ -48,23 +48,6 @@ class TestTagValidation:
             Tag(0, 0, -1)
 
 
-class TestNextFor:
-    def test_default_increment(self):
-        assert Tag(4, 2).next_for(7) == Tag(5, 7)
-
-    def test_custom_increment_models_rec_arithmetic(self):
-        # Figure 5, line 11: sn := sn + rec + 1.
-        assert Tag(4, 2).next_for(7, increment=3, rec=2) == Tag(7, 7, 2)
-
-    def test_rejects_non_positive_increment(self):
-        with pytest.raises(ValueError):
-            Tag(4, 2).next_for(7, increment=0)
-
-    def test_result_is_strictly_greater(self):
-        base = Tag(9, 3)
-        assert base.next_for(0) > base
-
-
 class TestSerialization:
     def test_round_trip(self):
         tag = Tag(7, 3, 2)

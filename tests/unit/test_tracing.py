@@ -37,15 +37,6 @@ class TestTrace:
         assert trace.count(tracing.CRASH) == 1
         assert trace.events == []
 
-    def test_filter_by_kind_and_pid(self):
-        trace = Trace()
-        record(trace, tracing.SEND, pid=0)
-        record(trace, tracing.SEND, pid=1)
-        record(trace, tracing.CRASH, pid=1)
-        assert len(trace.filter(kind=tracing.SEND)) == 2
-        assert len(trace.filter(pid=1)) == 2
-        assert len(trace.filter(kind=tracing.SEND, pid=1)) == 1
-
     def test_listeners_run_synchronously(self):
         trace = Trace()
         seen = []
@@ -81,14 +72,6 @@ class TestTrace:
         trace.subscribe(listener)
         record(trace, tracing.SEND)
         assert trace.count(tracing.CRASH) == 1
-
-    def test_filtered_events_render_requested_kinds(self):
-        trace = Trace()
-        record(trace, tracing.SEND, pid=3)
-        record(trace, tracing.CRASH, pid=4)
-        text = "\n".join(str(e) for e in trace.filter(kind=tracing.CRASH))
-        assert "p4" in text
-        assert "p3" not in text
 
     def test_event_str_contains_details(self):
         text = str(event(kind=tracing.DELIVER, pid=2, msg="W"))

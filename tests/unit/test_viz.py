@@ -4,7 +4,7 @@ from repro.api import open_cluster
 from repro.common.ids import OperationId
 from repro.history.events import Crash, Invoke, Recover, Reply
 from repro.history.history import History
-from repro.viz import render_history, render_trace_summary
+from repro.viz import render_history
 
 
 def op(pid, seq):
@@ -73,16 +73,3 @@ class TestRenderHistory:
         assert "W(a)" in text
         assert "X" in text
 
-
-class TestTraceSummary:
-    def test_counts_per_process(self):
-        cluster = open_cluster(
-            "sim", protocol="persistent", num_processes=3, capture_trace=True
-        )
-        cluster.start()
-        cluster.session(0).write_sync("a")
-        text = render_trace_summary(cluster)
-        lines = text.splitlines()
-        assert len(lines) == 2 + 3  # header + rule + one row per process
-        assert "p0" in text
-        assert "crashes" in text

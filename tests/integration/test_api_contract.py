@@ -167,6 +167,26 @@ def test_a_key_that_is_not_a_nonempty_string_is_refused_alike_on_every_backend(
         assert c.check().ok
 
 
+@pytest.mark.parametrize("key", ["0", " ", "ключ/ü"])
+@pytest.mark.parametrize("backend", ["sim", "kv", "live"])
+def test_any_nonempty_string_is_a_key_on_every_backend(backend, key):
+    """The key rule refuses only what is not a non-empty string.
+
+    A digit string, a blank and a non-ASCII key with a slash are all
+    keys: each is written, read back at another process and listed,
+    next to an ordinary key, with the history still atomic.
+    """
+    seed = None if backend == "live" else 11
+    with open_cluster(backend=backend, num_processes=3, seed=seed) as c:
+        session = c.session(0)
+        session.write_sync("a", key=key)
+        session.write_sync("b", key="k")
+        assert session.ready_for(key)
+        assert c.session(1).read_sync(key=key) == "a"
+        assert c.keys() == sorted([key, "k"])
+        assert c.check().ok
+
+
 @pytest.mark.parametrize("backend", ["sim", "kv", "live"])
 def test_a_crash_aborts_the_one_handle_alike_on_every_backend(backend):
     """One handle class, one outcome of a crash, one latency rule.

@@ -1,5 +1,6 @@
 """Unit tests of the shard map and history partitioning."""
 
+import zlib
 from collections import Counter
 
 import pytest
@@ -32,6 +33,12 @@ class TestHashShardMap:
         counts = Counter(m.shard_of(f"user:{i}") for i in range(8000))
         assert len(counts) == 8
         assert min(counts.values()) > 500
+
+    def test_shard_is_crc32_of_the_utf8_key_mod_num_shards(self):
+        """The pinned KV fingerprints depend on this exact formula."""
+        m = HashShardMap(7)
+        for key in ("k", "k0", "k5", "user:42", "ключ"):
+            assert m.shard_of(key) == zlib.crc32(key.encode("utf-8")) % 7
 
     def test_rejects_bad_shard_count(self):
         with pytest.raises(ConfigurationError):
